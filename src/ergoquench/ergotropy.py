@@ -50,9 +50,12 @@ def _batch_records(states, times, h_matrix):
             f"state dim {states.shape[1]} does not match Hamiltonian dim {h_levels.size}")
     spectra, _ = hermitian_eig_batch(states, check=False)
     energies = np.einsum("tij,ji->t", states, np.asarray(h_matrix, dtype=complex)).real
-    passive = spectra[:, ::-1] @ h_levels
+    # one contiguous descending copy, so that the reduction below rounds
+    # exactly like np.dot on a single descending spectrum
+    descending = np.ascontiguousarray(spectra[:, ::-1])
+    passive = descending @ h_levels
     erg = _clip(energies - passive)
-    return times, energies, passive, erg, spectra[:, ::-1]
+    return times, energies, passive, erg, descending
 
 
 def ergotropy(rho, h_matrix, time: float = 0.0) -> ErgotropyRecord:

@@ -4,11 +4,11 @@ Everything downstream (operators, Liouvillians, propagators, spectra) is
 built on the four routines in this module: Kronecker products, Hermitian
 eigendecomposition, the matrix exponential and Hermitian null spaces.
 
-The eigensolver is a cyclic complex Jacobi iteration and the exponential is
-Pade(13) scaling-and-squaring; both are implemented here so that the only
-runtime dependency is the ndarray container itself.  System sizes never
-exceed 16x16 for states and 256x256 for superoperators, where Jacobi is
-both simple and accurate (residuals ~1e-14).
+The eigendecomposition and the linear solve are LAPACK's, through
+``numpy.linalg``; this module adds the Hermiticity check, symmetrization and
+the translation of failures into `LinalgError`.  numpy has no matrix
+exponential, so `expm` is Pade(13) scaling-and-squaring, implemented here.
+System sizes never exceed 16x16 for states and 256x256 for superoperators.
 """
 
 from __future__ import annotations
@@ -17,11 +17,7 @@ import numpy as np
 
 # Tolerances, fixed repo-wide.
 HERM_TOL = 1e-12   # admissible Hermiticity defect of eigensolver inputs
-EIG_TOL = 1e-10    # guaranteed eigen-residual, relative to the matrix scale
 NULL_TOL = 1e-10   # default eigenvalue cutoff for null spaces
-
-_JACOBI_SWEEP_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 60
 
 
 class LinalgError(RuntimeError):
@@ -53,12 +49,6 @@ def one_norm(m) -> float:
     return float(np.abs(np.asarray(m)).sum(axis=0).max())
 
 
-def hermiticity_defect(m) -> float:
-    """Largest absolute entry of m - m^dagger."""
-    m = np.asarray(m)
-    return float(np.abs(m - dagger(m)).max())
-
-
 def hermitian_eig(m, check: bool = True):
     """Eigendecomposition of a Hermitian matrix.
 
@@ -66,7 +56,7 @@ def hermitian_eig(m, check: bool = True):
     ----------
     m : (D, D) array_like
         Hermitian within HERM_TOL (relative to its largest entry); the
-        input is symmetrized before the iteration.
+        input is symmetrized before the decomposition.
     check : bool
         Skip the Hermiticity check when the caller already guarantees it.
 
@@ -85,102 +75,45 @@ def hermitian_eig(m, check: bool = True):
 
 
 def hermitian_eig_batch(ms, check: bool = True):
-    """Cyclic complex Jacobi diagonalization of a batch of Hermitian matrices.
+    """`hermitian_eig` of every matrix in a (B, D, D) batch, by ``numpy.linalg.eigh``.
 
-    Every matrix in the (B, D, D) batch is rotated with the same (p, q)
-    sweep pattern; per-matrix angles differ.  Converges when the
-    off-diagonal Frobenius mass drops below 1e-14 of each matrix's norm.
+    Returns (B, D) eigenvalues, ascending along each row, and the (B, D, D)
+    unitary matrices whose columns are the matching eigenvectors.
     """
     a = np.array(ms, dtype=complex)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise LinalgError(f"expected a (B, D, D) batch, got shape {a.shape}")
-    nb, d = a.shape[0], a.shape[1]
-    if check:
-        defect = np.abs(a - dagger(a)).max() if a.size else 0.0
-        scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
+    adj = dagger(a)
+    if check and a.size:
+        defect = float(np.abs(a - adj).max())
+        scale = max(1.0, float(np.abs(a).max()))
         if defect > HERM_TOL * scale:
             raise LinalgError(
                 f"input not Hermitian: defect {defect:.3e} exceeds "
                 f"{HERM_TOL:.0e} * scale")
-    a = 0.5 * (a + dagger(a))
-    vecs = np.broadcast_to(np.eye(d, dtype=complex), (nb, d, d)).copy()
-    if d == 1:
-        return a[:, 0, 0].real.copy().reshape(nb, 1), vecs
-
-    fro = np.sqrt((np.abs(a) ** 2).sum(axis=(1, 2)))
-    floor = np.maximum(fro, 1e-300)
-    offmask = ~np.eye(d, dtype=bool)
-    # rotations on pairs already below this threshold cannot affect convergence
-    skip_thr = float((_JACOBI_SWEEP_TOL * floor).min()) / d
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = np.sqrt((np.abs(a[:, offmask]) ** 2).sum(axis=1))
-        if np.all(off <= _JACOBI_SWEEP_TOL * floor):
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[:, p, q]
-                r = np.abs(apq)
-                if not np.any(r > skip_thr):
-                    continue
-                active = r > 0.0
-                phase = np.where(active, apq / np.where(active, r, 1.0), 1.0 + 0j)
-                rs = np.where(active, r, 1.0)
-                tau = (a[:, p, p].real - a[:, q, q].real) / (2.0 * rs)
-                t = np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau))
-                t = np.where(tau == 0.0, 1.0, t)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = np.where(active, t * c, 0.0)
-                c = np.where(active, c, 1.0)
-                cs = c[:, None]
-                sp = (s * phase)[:, None]
-                spc = (s * np.conj(phase))[:, None]
-                # A <- U^dag (A U) with U = [[c, -s e^{i phi}], [s e^{-i phi}, c]]
-                colp = a[:, :, p].copy()
-                colq = a[:, :, q].copy()
-                a[:, :, p] = cs * colp + spc * colq
-                a[:, :, q] = -sp * colp + cs * colq
-                rowp = a[:, p, :].copy()
-                rowq = a[:, q, :].copy()
-                a[:, p, :] = cs * rowp + sp * rowq
-                a[:, q, :] = -spc * rowp + cs * rowq
-                vp = vecs[:, :, p].copy()
-                vq = vecs[:, :, q].copy()
-                vecs[:, :, p] = cs * vp + spc * vq
-                vecs[:, :, q] = -sp * vp + cs * vq
-    else:
-        raise LinalgError("Jacobi iteration failed to converge")
-
-    vals = np.diagonal(a, axis1=1, axis2=2).real.copy()
-    order = np.argsort(vals, axis=1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=1)
-    vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
+    # eigh reads one triangle only; symmetrizing makes the result that of
+    # the Hermitian part rather than of whichever triangle LAPACK picks.
+    a += adj
+    del adj  # free one batch-sized temporary before eigh allocates its outputs
+    a *= 0.5
+    try:
+        vals, vecs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise LinalgError(f"Hermitian eigendecomposition failed: {exc}") from exc
     return vals, vecs
 
 
 def solve(a, b) -> np.ndarray:
-    """Solve a x = b by Gaussian elimination with partial pivoting."""
-    a = np.array(a, dtype=complex)
-    x = np.array(b, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n) or x.shape[0] != n:
-        raise LinalgError(f"incompatible shapes {a.shape} and {x.shape}")
-    vector_rhs = x.ndim == 1
-    if vector_rhs:
-        x = x[:, None]
-    for k in range(n):
-        piv = int(np.argmax(np.abs(a[k:, k]))) + k
-        if np.abs(a[piv, k]) == 0.0:
-            raise LinalgError("singular matrix in solve()")
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            x[[k, piv]] = x[[piv, k]]
-        factor = a[k + 1:, k] / a[k, k]
-        a[k + 1:, k:] -= factor[:, None] * a[k, k:]
-        x[k + 1:] -= factor[:, None] * x[k]
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
-    return x[:, 0] if vector_rhs else x
+    """Solve a x = b, b of shape (N,) or (N, K), by LU with partial pivoting."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if (a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim not in (1, 2)
+            or b.shape[0] != a.shape[0]):
+        raise LinalgError(f"incompatible shapes {a.shape} and {b.shape}")
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise LinalgError(f"singular matrix in solve(): {exc}") from exc
 
 
 # Pade(13) numerator coefficients (Higham's scaling-and-squaring method).

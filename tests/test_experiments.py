@@ -109,12 +109,13 @@ def test_fig9_table(tmp_path):
     assert all(b < a for a, b in zip(devs, devs[1:]))
 
 
-def test_threaded_run_is_identical(tmp_path, monkeypatch):
-    config = _config(experiment="fig2", output_dir=str(tmp_path / "serial"),
+@pytest.mark.parametrize("name", ["fig2", "fig5"])  # 4x4 and 16x16 states
+def test_threaded_run_is_identical(tmp_path, monkeypatch, name):
+    config = _config(experiment=name, output_dir=str(tmp_path / "serial"),
                      t_max=10.0, beta_list=(0.2, 0.5, 1.0))
     serial = run_experiment(config)[0]
     monkeypatch.setenv("ERGOQUENCH_THREADS", "4")
-    config = _config(experiment="fig2", output_dir=str(tmp_path / "threads"),
+    config = _config(experiment=name, output_dir=str(tmp_path / "threads"),
                      t_max=10.0, beta_list=(0.2, 0.5, 1.0))
     threaded = run_experiment(config)[0]
     assert open(serial, "rb").read() == open(threaded, "rb").read()

@@ -135,3 +135,12 @@ def test_solve_random_system():
     assert np.abs(a @ x - b).max() <= 1e-10
     v = solve(a, b[:, 0])
     assert np.abs(a @ v - b[:, 0]).max() <= 1e-10
+
+
+def test_solve_failures_raise_linalg_error():
+    with pytest.raises(LinalgError):
+        solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
+    with pytest.raises(LinalgError):
+        solve(np.eye(3), np.ones(2))
+    with pytest.raises(LinalgError):
+        solve(np.ones((2, 3)), np.ones(2))
