@@ -16,9 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import ChannelSpec, Liouvillian, unvec_batch, vec
+from .channels import Liouvillian, unvec_batch, vec
 from .linalg import dagger, expm, hermitian_eig_batch
-from .model import ModelSpec, check_density_matrix
+from .model import check_density_matrix
 
 GUARD_TOL = 1e-6  # runtime CPTP guard; test-level bounds are far tighter
 
@@ -53,12 +53,10 @@ class TimeGrid:
 
 @dataclass
 class Trajectory:
-    """Stored states on a grid, plus the defining model/channel metadata."""
+    """Stored states on a grid."""
 
     times: np.ndarray
     states: np.ndarray
-    model: ModelSpec | None = None
-    channel: ChannelSpec | None = None
 
     def __len__(self) -> int:
         return len(self.times)
@@ -132,13 +130,22 @@ def propagate_rk4(liou: Liouvillian, rho0, grid: TimeGrid, substeps: int = 20) -
 
 
 def evolve_to(liou: Liouvillian, rho0, t: float) -> np.ndarray:
-    """Single-jump evolution exp(L t) rho0; exact, no intermediate storage."""
-    check_density_matrix(rho0, context="initial state")
+    """Single-jump evolution exp(L t) rho0; exact, no intermediate storage.
+
+    rho0 is one (D, D) state or a (B, D, D) stack of states; the result has
+    the same shape.  exp(L t) is computed once and applied to each state in
+    turn, so a state evolves to the same bytes alone or inside a stack.
+    """
+    rho0 = np.asarray(rho0)
+    stack = rho0.reshape((-1,) + rho0.shape[-2:])
+    for rho in stack:
+        check_density_matrix(rho, context="initial state")
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    v = expm(liou.matrix * t) @ vec(rho0)
-    states = _screen_states(unvec_batch(v[None], liou.dim_state), np.array([t]))
-    return states[0]
+    step = expm(liou.matrix * t)
+    stacked = np.array([step @ vec(rho) for rho in stack])
+    states = _screen_states(unvec_batch(stacked, liou.dim_state), np.full(len(stack), t))
+    return states.reshape(rho0.shape)
 
 
 def detect_steady(traj: Trajectory, tol: float) -> SteadyState:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -77,7 +77,10 @@ def _grid_from(config: ExperimentConfig, default_t_max: float | None = None,
                default_dt: float | None = None) -> TimeGrid:
     t_max = config.t_max if config.is_explicit("t_max") or default_t_max is None else default_t_max
     dt = config.dt if config.is_explicit("dt") or default_dt is None else default_dt
-    return TimeGrid(t_max=t_max, dt=dt)
+    try:
+        return TimeGrid(t_max=t_max, dt=dt)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _betas_from(config: ExperimentConfig, default: tuple | None = None) -> tuple:
@@ -91,42 +94,11 @@ def _require_n(config: ExperimentConfig, n: int, name: str) -> None:
         raise ConfigError(f"experiment {name!r} fixes n_qubits={n}")
 
 
-def _run_trajectory(n: int, h: float, gamma: float, alpha: float, alpha_minus: float,
-                    alpha_z: float, beta: float, grid: TimeGrid):
+def _quench(n: int, h: float, gamma: float, channel: tuple):
+    """H and L of one quench; channel is (alpha, alpha_minus, alpha_z)."""
     model = ModelSpec(n_qubits=n, field_h=h)
     h_matrix = build_hamiltonian(model)
-    channel = ChannelSpec(gamma=gamma, alpha=alpha, alpha_minus=alpha_minus, alpha_z=alpha_z)
-    liou = build_liouvillian(h_matrix, channel, model)
-    traj = propagate(liou, gibbs_state(h_matrix, beta), grid)
-    traj.model, traj.channel = model, channel
-    return traj, h_matrix
-
-
-def _steady_ergotropy_sweep(n: int, h: float, gamma: float, alpha: float,
-                            alpha_minus: float, alpha_z: float, betas, t_max: float):
-    """Steady ergotropy at t_max for a fixed channel, one exact jump per beta."""
-    model = ModelSpec(n_qubits=n, field_h=h)
-    h_matrix = build_hamiltonian(model)
-    channel = ChannelSpec(gamma=gamma, alpha=alpha, alpha_minus=alpha_minus, alpha_z=alpha_z)
-    liou = build_liouvillian(h_matrix, channel, model)
-    out = []
-    for beta in betas:
-        steady = evolve_to(liou, gibbs_state(h_matrix, beta), t_max)
-        out.append(ergotropy(steady, h_matrix, time=t_max).ergotropy)
-    return out
-
-
-def _trajectory_rows(tag, traj, h_matrix, with_spectrum: bool = True, extra=None):
-    records = trajectory_records(traj, h_matrix)
-    rows = []
-    for k, rec in enumerate(records):
-        row = list(tag) + [rec.time, rec.energy, rec.passive_energy, rec.ergotropy]
-        if extra is not None:
-            row.append(extra[k])
-        if with_spectrum:
-            row.extend(rec.rho_spectrum)
-        rows.append(row)
-    return rows, records
+    return h_matrix, build_liouvillian(h_matrix, ChannelSpec(gamma, *channel), model)
 
 
 def _spectrum_header(dim: int):
@@ -143,74 +115,108 @@ def _maybe_svg(config, out_dir, name, series, title, ylabel="ergotropy", xlabel=
 
 # --- trajectory experiments -------------------------------------------------
 
-def _beta_sweep_figure(config, out_dir, name, n, channel, betas, title,
-                       with_dark: bool = False):
-    """Shared body of the single-size trajectory figures (fig2/3/5/6)."""
-    _require_n(config, n, name)
-    grid = _grid_from(config)
-    dark = dark_subspace(ModelSpec(n_qubits=n, field_h=config.h)) if with_dark else None
-    results = _pmap(lambda b: _run_trajectory(n, config.h, config.gamma,
-                                              channel[0], channel[1], channel[2],
-                                              b, grid),
-                    betas)
-    rows, series = [], []
-    for beta, (traj, h_matrix) in zip(betas, results):
+class _Row(NamedTuple):
+    """One quench of a trajectory figure, propagated from each beta's Gibbs state."""
+
+    tag: tuple       # leading CSV cells, written before beta
+    n: int
+    channel: tuple   # (alpha, alpha_minus, alpha_z)
+    betas: tuple
+
+
+def _trajectory_figure(config, out_dir, name, ids, table, grid, title, label,
+                       with_spectrum: bool = True, with_dark: bool = False):
+    """Shared body of the trajectory figures (fig2/3/5/6/8, appB-channels).
+
+    H and L are built once per table row; the (row, beta) trajectories run on
+    the thread pool and are written in table order.  label(tag, beta) names
+    the SVG series of a trajectory, or None to leave it out.
+    """
+    for row in table:
+        _require_n(config, row.n, name)
+    quenches = [_quench(row.n, config.h, config.gamma, row.channel) for row in table]
+    dark = (dark_subspace(ModelSpec(n_qubits=table[0].n, field_h=config.h))
+            if with_dark else None)
+
+    def run(job):
+        row, (h_matrix, liou), beta = job
+        traj = propagate(liou, gibbs_state(h_matrix, beta), grid)
         extra = dark_population_series(traj.states, dark) if with_dark else None
-        new_rows, records = _trajectory_rows((beta,), traj, h_matrix, extra=extra)
-        rows.extend(new_rows)
-        series.append((f"beta={beta:g}", traj.times, [r.ergotropy for r in records]))
-    header = ["beta", "time", "energy", "passive_energy", "ergotropy"]
+        records = trajectory_records(traj, h_matrix)
+        rows = [list(row.tag) + [beta, rec.time, rec.energy, rec.passive_energy, rec.ergotropy]
+                + ([extra[k]] if with_dark else [])
+                + (list(rec.rho_spectrum) if with_spectrum else [])
+                for k, rec in enumerate(records)]
+        return rows, (label(row.tag, beta), traj.times, [r.ergotropy for r in records])
+
+    results = _pmap(run, [(row, quench, beta) for row, quench in zip(table, quenches)
+                          for beta in row.betas])
+    header = list(ids) + ["beta", "time", "energy", "passive_energy", "ergotropy"]
     if with_dark:
         header.append("p_dark")
-    header += _spectrum_header(2 ** n)
+    if with_spectrum:
+        header += _spectrum_header(2 ** table[0].n)
+    rows = [row for new_rows, _ in results for row in new_rows]
     paths = [_write_csv(os.path.join(out_dir, f"{name}.csv"), header, rows)]
-    paths += _maybe_svg(config, out_dir, name, series, title)
+    paths += _maybe_svg(config, out_dir, name,
+                        [series for _, series in results if series[0] is not None], title)
     return paths
+
+
+def _single_size_figure(config, out_dir, name, n, channel, betas, title,
+                        with_dark: bool = False):
+    """fig2/3/5/6: one chain size and channel, swept over beta."""
+    return _trajectory_figure(config, out_dir, name, (), [_Row((), n, channel, betas)],
+                              _grid_from(config), title, lambda tag, b: f"beta={b:g}",
+                              with_dark=with_dark)
 
 
 def _run_fig2(config: ExperimentConfig, out_dir: str):
-    return _beta_sweep_figure(config, out_dir, "fig2", 2,
-                              (config.alpha, config.alpha_minus, config.alpha_z),
-                              _betas_from(config), "two-qubit parallel dissipation")
+    return _single_size_figure(config, out_dir, "fig2", 2,
+                               (config.alpha, config.alpha_minus, config.alpha_z),
+                               _betas_from(config), "two-qubit parallel dissipation")
 
 
 def _run_fig3(config: ExperimentConfig, out_dir: str):
-    return _beta_sweep_figure(config, out_dir, "fig3", 2, (0.0, 1.0, config.alpha_z),
-                              _betas_from(config, FIG3_BETA_GRID),
-                              "two-qubit collective dissipation")
+    return _single_size_figure(config, out_dir, "fig3", 2, (0.0, 1.0, config.alpha_z),
+                               _betas_from(config, FIG3_BETA_GRID),
+                               "two-qubit collective dissipation")
 
 
 def _run_fig5(config: ExperimentConfig, out_dir: str):
-    return _beta_sweep_figure(config, out_dir, "fig5", 4,
-                              (config.alpha, config.alpha_minus, config.alpha_z),
-                              _betas_from(config), "four-qubit parallel dissipation")
+    return _single_size_figure(config, out_dir, "fig5", 4,
+                               (config.alpha, config.alpha_minus, config.alpha_z),
+                               _betas_from(config), "four-qubit parallel dissipation")
 
 
 def _run_fig6(config: ExperimentConfig, out_dir: str):
-    return _beta_sweep_figure(config, out_dir, "fig6", 4, (0.0, 1.0, config.alpha_z),
-                              _betas_from(config), "four-qubit collective dissipation",
-                              with_dark=True)
+    return _single_size_figure(config, out_dir, "fig6", 4, (0.0, 1.0, config.alpha_z),
+                               _betas_from(config), "four-qubit collective dissipation",
+                               with_dark=True)
 
 
 def _run_fig8(config: ExperimentConfig, out_dir: str):
-    grid = _grid_from(config)
     betas = _betas_from(config)
     sizes = (config.n_qubits,) if config.n_qubits is not None else (2, 4)
-    rows, series = [], []
-    for n in sizes:
-        results = _pmap(lambda b, n=n: _run_trajectory(n, config.h, config.gamma, 1.0,
-                                                       config.alpha_minus, 0.0, b, grid),
-                        betas)
-        for beta, (traj, h_matrix) in zip(betas, results):
-            new_rows, records = _trajectory_rows((n, beta), traj, h_matrix,
-                                                 with_spectrum=False)
-            rows.extend(new_rows)
-            series.append((f"N={n} beta={beta:g}", traj.times,
-                           [r.ergotropy for r in records]))
-    header = ["n_qubits", "beta", "time", "energy", "passive_energy", "ergotropy"]
-    paths = [_write_csv(os.path.join(out_dir, "fig8.csv"), header, rows)]
-    paths += _maybe_svg(config, out_dir, "fig8", series, "parallel dephasing")
-    return paths
+    table = [_Row((n,), n, (1.0, config.alpha_minus, 0.0), betas) for n in sizes]
+    return _trajectory_figure(config, out_dir, "fig8", ("n_qubits",), table,
+                              _grid_from(config), "parallel dephasing",
+                              lambda tag, b: f"N={tag[0]} beta={b:g}", with_spectrum=False)
+
+
+def _run_appb_channels(config: ExperimentConfig, out_dir: str):
+    # mixing slows relaxation by (1 - alpha); the long default grid lets
+    # every mix settle
+    grid = _grid_from(config, default_t_max=4000.0, default_dt=1.0)
+    panels = (("parallel-hot", 0.0, 0.0, 0.2), ("parallel-cold", 0.0, 0.0, 5.0),
+              ("collective-hot", 1.0, 1.0, 0.2))
+    table = [_Row((panel, alpha), 2, (alpha, am, az), (beta,))
+             for panel, am, az, beta in panels for alpha in MIXING_ALPHA_GRID]
+    return _trajectory_figure(
+        config, out_dir, "appB-channels", ("panel", "alpha"), table, grid,
+        "channel mixing (parallel, beta=0.2)",
+        lambda tag, b: f"alpha={tag[1]:g}" if tag[0] == "parallel-hot" else None,
+        with_spectrum=False)
 
 
 # --- steady-state experiments ------------------------------------------------
@@ -222,8 +228,9 @@ def _run_fig4(config: ExperimentConfig, out_dir: str):
     t_max = config.t_max
 
     def column(h_value):
-        ergs = _steady_ergotropy_sweep(2, h_value, config.gamma, 0.0, 1.0, 0.0,
-                                       betas, t_max)
+        h_matrix, liou = _quench(2, h_value, config.gamma, (0.0, 1.0, 0.0))
+        steady = evolve_to(liou, np.array([gibbs_state(h_matrix, b) for b in betas]), t_max)
+        ergs = [ergotropy(rho, h_matrix, time=t_max).ergotropy for rho in steady]
         return [(beta, h_value, erg, steady_state_is_passive(beta, h_value),
                  erg <= STEADY_ERGOTROPY_EPS)
                 for beta, erg in zip(betas, ergs)]
@@ -258,60 +265,34 @@ def _run_fig7(config: ExperimentConfig, out_dir: str):
     return paths
 
 
-def _run_appb_diss(config: ExperimentConfig, out_dir: str):
-    sizes = (config.n_qubits,) if config.n_qubits is not None else (2, 4)
+def _appb_sweep(config, out_dir, name, key, channel_of):
+    """Steady ergotropy at t_max over the collectivity grid (appB-diss/deph).
+
+    Each (n, collectivity) point builds H, L and exp(L t_max) once for all betas.
+    """
     betas = _betas_from(config)
-    rows = []
-    for n in sizes:
-        sweeps = _pmap(lambda am, n=n: _steady_ergotropy_sweep(n, config.h, config.gamma,
-                                                               0.0, am, 0.0, betas,
-                                                               config.t_max),
-                       INTERP_ALPHA_GRID)
-        for am, ergs in zip(INTERP_ALPHA_GRID, sweeps):
-            rows.extend((n, am, beta, erg) for beta, erg in zip(betas, ergs))
-    header = ["n_qubits", "alpha_minus", "beta", "steady_ergotropy"]
-    return [_write_csv(os.path.join(out_dir, "appB-diss.csv"), header, rows)]
+
+    def point(job):
+        n, a = job
+        h_matrix, liou = _quench(n, config.h, config.gamma, channel_of(a))
+        steady = evolve_to(liou, np.array([gibbs_state(h_matrix, b) for b in betas]),
+                           config.t_max)
+        return [(n, a, beta, ergotropy(rho, h_matrix, time=config.t_max).ergotropy)
+                for beta, rho in zip(betas, steady)]
+
+    sizes = (config.n_qubits,) if config.n_qubits is not None else (2, 4)
+    jobs = [(n, a) for n in sizes for a in INTERP_ALPHA_GRID]
+    rows = [row for part in _pmap(point, jobs) for row in part]
+    header = ["n_qubits", key, "beta", "steady_ergotropy"]
+    return [_write_csv(os.path.join(out_dir, f"{name}.csv"), header, rows)]
+
+
+def _run_appb_diss(config: ExperimentConfig, out_dir: str):
+    return _appb_sweep(config, out_dir, "appB-diss", "alpha_minus", lambda a: (0.0, a, 0.0))
 
 
 def _run_appb_deph(config: ExperimentConfig, out_dir: str):
-    sizes = (config.n_qubits,) if config.n_qubits is not None else (2, 4)
-    betas = _betas_from(config)
-    rows = []
-    for n in sizes:
-        sweeps = _pmap(lambda az, n=n: _steady_ergotropy_sweep(n, config.h, config.gamma,
-                                                               1.0, 0.0, az, betas,
-                                                               config.t_max),
-                       INTERP_ALPHA_GRID)
-        for az, ergs in zip(INTERP_ALPHA_GRID, sweeps):
-            rows.extend((n, az, beta, erg) for beta, erg in zip(betas, ergs))
-    header = ["n_qubits", "alpha_z", "beta", "steady_ergotropy"]
-    return [_write_csv(os.path.join(out_dir, "appB-deph.csv"), header, rows)]
-
-
-def _run_appb_channels(config: ExperimentConfig, out_dir: str):
-    _require_n(config, 2, "appB-channels")
-    # mixing slows relaxation by (1 - alpha); the long default grid lets
-    # every mix settle
-    grid = _grid_from(config, default_t_max=4000.0, default_dt=1.0)
-    panels = (("parallel-hot", 0.0, 0.0, 0.2), ("parallel-cold", 0.0, 0.0, 5.0),
-              ("collective-hot", 1.0, 1.0, 0.2))
-    rows, series = [], []
-    for panel, am, az, beta in panels:
-        results = _pmap(lambda al, am=am, az=az, beta=beta: _run_trajectory(
-            2, config.h, config.gamma, al, am, az, beta, grid),
-            MIXING_ALPHA_GRID)
-        for alpha, (traj, h_matrix) in zip(MIXING_ALPHA_GRID, results):
-            new_rows, records = _trajectory_rows((panel, alpha, beta), traj, h_matrix,
-                                                 with_spectrum=False)
-            rows.extend(new_rows)
-            if panel == "parallel-hot":
-                series.append((f"alpha={alpha:g}", traj.times,
-                               [r.ergotropy for r in records]))
-    header = ["panel", "alpha", "beta", "time", "energy", "passive_energy", "ergotropy"]
-    paths = [_write_csv(os.path.join(out_dir, "appB-channels.csv"), header, rows)]
-    paths += _maybe_svg(config, out_dir, "appB-channels", series,
-                        "channel mixing (parallel, beta=0.2)")
-    return paths
+    return _appb_sweep(config, out_dir, "appB-deph", "alpha_z", lambda a: (1.0, 0.0, a))
 
 
 # --- validation experiments ---------------------------------------------------
@@ -320,14 +301,15 @@ def _run_appc(config: ExperimentConfig, out_dir: str):
     _require_n(config, 2, "appC-check")
     grid = _grid_from(config)
     betas = _betas_from(config)
+    h_matrix, liou_par = _quench(2, config.h, config.gamma, (0.0, 0.0, 0.0))
+    _, liou_col = _quench(2, config.h, config.gamma, (0.0, 1.0, 0.0))
+    _, liou_dep = _quench(2, config.h, config.gamma, (1.0, 0.0, 0.0))
     rows = []
     for beta in betas:
-        traj_par, h_matrix = _run_trajectory(2, config.h, config.gamma, 0.0, 0.0, 0.0,
-                                             beta, grid)
-        traj_col, _ = _run_trajectory(2, config.h, config.gamma, 0.0, 1.0, 0.0,
-                                      beta, grid)
-        traj_dep, _ = _run_trajectory(2, config.h, config.gamma, 1.0, 0.0, 0.0,
-                                      beta, grid)
+        rho0 = gibbs_state(h_matrix, beta)
+        traj_par = propagate(liou_par, rho0, grid)
+        traj_col = propagate(liou_col, rho0, grid)
+        traj_dep = propagate(liou_dep, rho0, grid)
         init = TwoQubitBlockState.from_density(traj_par.states[0])
         dev_par = max(np.abs(two_qubit_parallel_block(init, config.gamma, t).to_density()
                              - traj_par.states[k]).max()
@@ -355,10 +337,10 @@ def _run_appd(config: ExperimentConfig, out_dir: str):
     _require_n(config, 4, "appD")
     grid = _grid_from(config, default_t_max=250.0, default_dt=0.1)
     betas = _betas_from(config, (0.2, 5.0))
+    h_matrix, liou = _quench(4, config.h, config.gamma, (0.0, 0.0, 0.0))
     rows, series = [], []
     for beta in betas:
-        traj, h_matrix = _run_trajectory(4, config.h, config.gamma, 0.0, 0.0, 0.0,
-                                         beta, grid)
+        traj = propagate(liou, gibbs_state(h_matrix, beta), grid)
         records = trajectory_records(traj, h_matrix)
         populations = energy_basis_populations(traj, h_matrix)
         crossings = eigenvalue_crossings(traj)

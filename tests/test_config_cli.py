@@ -87,11 +87,17 @@ def test_cli_svg_flag(tmp_path, capsys):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
-def test_cli_config_error_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("name,text,fragment", [
+    ("fig2", "alpha = 1.5", "alpha out of [0,1]"),
+    ("fig2", "t_max = 10.3", "not a multiple of dt"),
+    ("appB-channels", "dt = 0.3", "not a multiple of dt"),  # default t_max 4000
+], ids=["alpha-out-of-range", "t_max-off-grid", "dt-off-grid"])
+def test_cli_config_error_exit_code(tmp_path, capsys, name, text, fragment):
     config = tmp_path / "bad.cfg"
-    config.write_text("alpha = 1.5\n")
-    assert main(["run", "--experiment", "fig2", "--config", str(config)]) == 2
-    assert "alpha out of [0,1]" in capsys.readouterr().err
+    config.write_text(text + "\n")
+    assert main(["run", "--experiment", name, "--config", str(config),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert fragment in capsys.readouterr().err
 
 
 def test_cli_unknown_experiment(tmp_path, capsys):

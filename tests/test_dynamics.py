@@ -101,6 +101,24 @@ def test_evolve_to_matches_stepping(h2):
     assert np.abs(jumped - traj.states[-1]).max() <= 1e-10
 
 
+def test_evolve_to_stack_equals_single_calls(h2):
+    liou, _ = _liouvillian(2, 0.1, gamma=0.05, alpha_minus=1.0)
+    stack = np.array([gibbs_state(h2, beta) for beta in (0.2, 1.0, 5.0)])
+    jumped = evolve_to(liou, stack, 20.0)
+    assert jumped.shape == stack.shape
+    single = np.array([evolve_to(liou, rho, 20.0) for rho in stack])
+    assert single.shape == stack.shape  # a (D, D) input still gives (D, D)
+    assert np.array_equal(jumped, single)
+
+
+def test_evolve_to_stack_rejects_a_non_density_matrix(h2):
+    liou, _ = _liouvillian(2, 0.1, gamma=0.05)
+    stack = np.array([gibbs_state(h2, 1.0), 2.0 * gibbs_state(h2, 1.0),
+                      gibbs_state(h2, 0.5)])
+    with pytest.raises(ValueError, match="trace"):
+        evolve_to(liou, stack, 1.0)
+
+
 def test_detect_steady_frozen_from_start(h2):
     liou, _ = _liouvillian(2, 0.1, gamma=0.05, alpha=1.0, alpha_z=1.0)
     traj = propagate(liou, gibbs_state(h2, 1.0), TimeGrid(t_max=100.0, dt=0.5))
