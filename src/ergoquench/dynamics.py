@@ -7,6 +7,8 @@ is re-symmetrized and screened against the CPTP invariants (trace,
 Hermiticity, positivity); a violation beyond the guard tolerance aborts
 with the offending step index, because it can only mean a bug in the
 generator or the integrator.  Positivity is monitored, never projected.
+The screen's eigendecomposition of each state is the only one made: the
+`Trajectory` carries it, and the spectral analyses read it from there.
 """
 
 from __future__ import annotations
@@ -53,13 +55,32 @@ class TimeGrid:
 
 @dataclass
 class Trajectory:
-    """Stored states on a grid."""
+    """Stored states on a grid, with the eigendecomposition the CPTP screen made of each."""
 
     times: np.ndarray
     states: np.ndarray
+    spectra: np.ndarray  # (T, D), ascending
+    vectors: np.ndarray  # (T, D, D), columns are the matching eigenvectors
 
     def __len__(self) -> int:
         return len(self.times)
+
+    @classmethod
+    def screened(cls, times, raw_states) -> "Trajectory":
+        """Symmetrize the stored states, enforce the CPTP guard and keep its decomposition."""
+        states = np.asarray(raw_states)
+        herm = np.abs(states - dagger(states)).max(axis=(1, 2))
+        states = 0.5 * (states + dagger(states))
+        trace_dev = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
+        vals, vecs = hermitian_eig_batch(states, check=False)
+        neg = -vals[:, 0]
+        for name, dev in (("Hermiticity", herm), ("trace", trace_dev), ("positivity", neg)):
+            bad = np.nonzero(dev > GUARD_TOL)[0]
+            if bad.size:
+                k = int(bad[0])
+                raise InvariantViolation(
+                    f"dynamics: {name} defect {dev[k]:.3e} at step {k} (t={times[k]:g})")
+        return cls(times=times, states=states, spectra=vals, vectors=vecs)
 
 
 class SteadyState(NamedTuple):
@@ -68,65 +89,50 @@ class SteadyState(NamedTuple):
     t_settle: float
 
 
-def _screen_states(raw_states, times) -> np.ndarray:
-    """Symmetrize the stored states and enforce the CPTP guard."""
-    states = np.asarray(raw_states)
-    herm = np.abs(states - dagger(states)).max(axis=(1, 2))
-    states = 0.5 * (states + dagger(states))
-    trace_dev = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
-    vals, _ = hermitian_eig_batch(states, check=False)
-    neg = -vals[:, 0]
-    for name, dev in (("Hermiticity", herm), ("trace", trace_dev), ("positivity", neg)):
-        bad = np.nonzero(dev > GUARD_TOL)[0]
-        if bad.size:
-            k = int(bad[0])
-            raise InvariantViolation(
-                f"dynamics: {name} defect {dev[k]:.3e} at step {k} (t={times[k]:g})")
-    return states
-
-
-def propagate(liou: Liouvillian, rho0, grid: TimeGrid) -> Trajectory:
-    """Evolve rho0 with the one-step matrix exp(L dt) applied repeatedly."""
+def _initial_vector(liou: Liouvillian, rho0) -> np.ndarray:
+    """vec(rho0), once rho0 is checked to be a density matrix of the generator's dim."""
     check_density_matrix(rho0, context="initial state")
     d = liou.dim_state
     if np.asarray(rho0).shape != (d, d):
         raise ValueError(f"state shape {np.asarray(rho0).shape} does not match dim {d}")
-    step = expm(liou.matrix * grid.dt)
-    n = grid.n_steps
-    stacked = np.empty((n + 1, d * d), dtype=complex)
-    v = vec(rho0)
+    return vec(rho0)
+
+
+def _stepped(liou: Liouvillian, v, grid: TimeGrid, advance) -> Trajectory:
+    """Store v and advance(v) once per grid step, then screen the stored states."""
+    stacked = np.empty((grid.n_steps + 1, v.size), dtype=complex)
     stacked[0] = v
-    for k in range(1, n + 1):
-        v = step @ v
+    for k in range(1, grid.n_steps + 1):
+        v = advance(v)
         stacked[k] = v
-    times = grid.times()
-    states = _screen_states(unvec_batch(stacked, d), times)
-    return Trajectory(times=times, states=states)
+    return Trajectory.screened(grid.times(), unvec_batch(stacked, liou.dim_state))
+
+
+def propagate(liou: Liouvillian, rho0, grid: TimeGrid) -> Trajectory:
+    """Evolve rho0 with the one-step matrix exp(L dt) applied repeatedly."""
+    v = _initial_vector(liou, rho0)
+    step = expm(liou.matrix * grid.dt)
+    return _stepped(liou, v, grid, lambda u: step @ u)
 
 
 def propagate_rk4(liou: Liouvillian, rho0, grid: TimeGrid, substeps: int = 20) -> Trajectory:
     """Classical RK4 on the vectorized master equation; integrator cross-check."""
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-    check_density_matrix(rho0, context="initial state")
-    d = liou.dim_state
+    v = _initial_vector(liou, rho0)
     mat = liou.matrix
     h = grid.dt / substeps
-    n = grid.n_steps
-    stacked = np.empty((n + 1, d * d), dtype=complex)
-    v = vec(rho0)
-    stacked[0] = v
-    for k in range(1, n + 1):
+
+    def advance(v):
         for _ in range(substeps):
             k1 = mat @ v
             k2 = mat @ (v + 0.5 * h * k1)
             k3 = mat @ (v + 0.5 * h * k2)
             k4 = mat @ (v + h * k3)
             v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        stacked[k] = v
-    times = grid.times()
-    states = _screen_states(unvec_batch(stacked, d), times)
-    return Trajectory(times=times, states=states)
+        return v
+
+    return _stepped(liou, v, grid, advance)
 
 
 def evolve_to(liou: Liouvillian, rho0, t: float) -> np.ndarray:
@@ -137,15 +143,14 @@ def evolve_to(liou: Liouvillian, rho0, t: float) -> np.ndarray:
     turn, so a state evolves to the same bytes alone or inside a stack.
     """
     rho0 = np.asarray(rho0)
-    stack = rho0.reshape((-1,) + rho0.shape[-2:])
-    for rho in stack:
-        check_density_matrix(rho, context="initial state")
+    initial = [_initial_vector(liou, rho) for rho in rho0.reshape((-1,) + rho0.shape[-2:])]
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     step = expm(liou.matrix * t)
-    stacked = np.array([step @ vec(rho) for rho in stack])
-    states = _screen_states(unvec_batch(stacked, liou.dim_state), np.full(len(stack), t))
-    return states.reshape(rho0.shape)
+    stacked = np.array([step @ v for v in initial])
+    traj = Trajectory.screened(np.full(len(initial), t),
+                               unvec_batch(stacked, liou.dim_state))
+    return traj.states.reshape(rho0.shape)
 
 
 def detect_steady(traj: Trajectory, tol: float) -> SteadyState:

@@ -3,7 +3,8 @@
 The unitary minimization in the ergotropy definition has the closed form
 E_passive = sum_k r_k eps_k with the state populations r sorted descending
 and the Hamiltonian levels eps sorted ascending, so a single Hermitian
-eigendecomposition per state is all that is ever needed.
+eigendecomposition per state is all that is ever needed.  A trajectory's
+analyses read the one its CPTP screen made (`Trajectory.spectra`/`.vectors`).
 """
 
 from __future__ import annotations
@@ -42,13 +43,13 @@ def _clip(values):
     return np.maximum(values, 0.0)
 
 
-def _batch_records(states, times, h_matrix):
+def _batch_records(states, spectra, times, h_matrix):
+    """E, passive E, ergotropy and descending spectrum per state, from ascending spectra."""
     states = np.asarray(states)
     h_levels, _ = hermitian_eig(h_matrix)
     if states.shape[1] != h_levels.size:
         raise ValueError(
             f"state dim {states.shape[1]} does not match Hamiltonian dim {h_levels.size}")
-    spectra, _ = hermitian_eig_batch(states, check=False)
     energies = np.einsum("tij,ji->t", states, np.asarray(h_matrix, dtype=complex)).real
     # one contiguous descending copy, so that the reduction below rounds
     # exactly like np.dot on a single descending spectrum
@@ -61,8 +62,9 @@ def _batch_records(states, times, h_matrix):
 def ergotropy(rho, h_matrix, time: float = 0.0) -> ErgotropyRecord:
     """Maximum unitarily extractable work of a single state."""
     rho = np.asarray(rho, dtype=complex)
-    rho = 0.5 * (rho + dagger(rho))
-    t, e, p, w, spec = _batch_records(rho[None], np.array([time]), h_matrix)
+    rho = 0.5 * (rho + dagger(rho))[None]
+    spectra, _ = hermitian_eig_batch(rho, check=False)
+    t, e, p, w, spec = _batch_records(rho, spectra, np.array([time]), h_matrix)
     return ErgotropyRecord(time=float(t[0]), energy=float(e[0]), passive_energy=float(p[0]),
                            ergotropy=float(w[0]), rho_spectrum=spec[0])
 
@@ -84,8 +86,8 @@ def passive_state(rho, h_matrix) -> np.ndarray:
 
 
 def trajectory_records(traj: Trajectory, h_matrix) -> list[ErgotropyRecord]:
-    """ErgotropyRecord for every stored state, via one batched decomposition."""
-    t, e, p, w, spec = _batch_records(traj.states, traj.times, h_matrix)
+    """ErgotropyRecord for every stored state, from the screen's spectra."""
+    t, e, p, w, spec = _batch_records(traj.states, traj.spectra, traj.times, h_matrix)
     return [ErgotropyRecord(time=float(t[k]), energy=float(e[k]), passive_energy=float(p[k]),
                             ergotropy=float(w[k]), rho_spectrum=spec[k])
             for k in range(len(t))]
@@ -93,7 +95,7 @@ def trajectory_records(traj: Trajectory, h_matrix) -> list[ErgotropyRecord]:
 
 def ergotropy_series(traj: Trajectory, h_matrix) -> np.ndarray:
     """Ergotropy at every grid time."""
-    return _batch_records(traj.states, traj.times, h_matrix)[3]
+    return _batch_records(traj.states, traj.spectra, traj.times, h_matrix)[3]
 
 
 def activation_time(traj: Trajectory, h_matrix,
@@ -170,7 +172,7 @@ def eigenvalue_crossings(traj: Trajectory,
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    vals, vecs = hermitian_eig_batch(traj.states, check=False)
+    vals, vecs = traj.spectra, traj.vectors
     found: list[tuple[float, tuple[int, int]]] = []
     d = vals.shape[1]
     for k in range(1, len(traj)):

@@ -22,7 +22,7 @@ from .dynamics import TimeGrid, evolve_to, propagate
 from .ergotropy import (eigenvalue_crossings, energy_basis_populations, ergotropy,
                         trajectory_records)
 from .jc import compare_jc, default_jc_spec
-from .linalg import hermitian_eig
+from .linalg import hermitian_eig  # noqa: F401 (ergobench's tracer test patches it here)
 from .model import ModelSpec, build_hamiltonian, gibbs_state
 from .oracles import (TwoQubitBlockState, beta_critical, collective_steady_spectrum,
                       dark_population_series, dark_subspace, dephasing_two_qubit_block,
@@ -101,10 +101,6 @@ def _quench(n: int, h: float, gamma: float, channel: tuple):
     return h_matrix, build_liouvillian(h_matrix, ChannelSpec(gamma, *channel), model)
 
 
-def _spectrum_header(dim: int):
-    return [f"lambda_{k}" for k in range(dim)]
-
-
 def _maybe_svg(config, out_dir, name, series, title, ylabel="ergotropy", xlabel="time"):
     if not config.emit_svg:
         return []
@@ -124,38 +120,39 @@ class _Row(NamedTuple):
     betas: tuple
 
 
+_NO_EXTRA = ((), lambda traj, h_matrix: [[]] * len(traj))
+
+
 def _trajectory_figure(config, out_dir, name, ids, table, grid, title, label,
-                       with_spectrum: bool = True, with_dark: bool = False):
-    """Shared body of the trajectory figures (fig2/3/5/6/8, appB-channels).
+                       with_spectrum: bool = True, extra=_NO_EXTRA):
+    """Shared body of the trajectory figures (fig2/3/5/6/8, appB-channels, appD).
 
     H and L are built once per table row; the (row, beta) trajectories run on
     the thread pool and are written in table order.  label(tag, beta) names
-    the SVG series of a trajectory, or None to leave it out.
+    the SVG series of a trajectory, or None to leave it out.  extra is
+    (columns, cells): cells(traj, h_matrix) gives each state's cells for
+    those columns, written between ergotropy and the spectrum.
     """
     for row in table:
         _require_n(config, row.n, name)
     quenches = [_quench(row.n, config.h, config.gamma, row.channel) for row in table]
-    dark = (dark_subspace(ModelSpec(n_qubits=table[0].n, field_h=config.h))
-            if with_dark else None)
+    columns, cells = extra
 
     def run(job):
         row, (h_matrix, liou), beta = job
         traj = propagate(liou, gibbs_state(h_matrix, beta), grid)
-        extra = dark_population_series(traj.states, dark) if with_dark else None
         records = trajectory_records(traj, h_matrix)
+        added = cells(traj, h_matrix)
         rows = [list(row.tag) + [beta, rec.time, rec.energy, rec.passive_energy, rec.ergotropy]
-                + ([extra[k]] if with_dark else [])
-                + (list(rec.rho_spectrum) if with_spectrum else [])
+                + added[k] + (list(rec.rho_spectrum) if with_spectrum else [])
                 for k, rec in enumerate(records)]
         return rows, (label(row.tag, beta), traj.times, [r.ergotropy for r in records])
 
     results = _pmap(run, [(row, quench, beta) for row, quench in zip(table, quenches)
                           for beta in row.betas])
-    header = list(ids) + ["beta", "time", "energy", "passive_energy", "ergotropy"]
-    if with_dark:
-        header.append("p_dark")
+    header = list(ids) + ["beta", "time", "energy", "passive_energy", "ergotropy"] + list(columns)
     if with_spectrum:
-        header += _spectrum_header(2 ** table[0].n)
+        header += [f"lambda_{k}" for k in range(2 ** table[0].n)]
     rows = [row for new_rows, _ in results for row in new_rows]
     paths = [_write_csv(os.path.join(out_dir, f"{name}.csv"), header, rows)]
     paths += _maybe_svg(config, out_dir, name,
@@ -163,12 +160,11 @@ def _trajectory_figure(config, out_dir, name, ids, table, grid, title, label,
     return paths
 
 
-def _single_size_figure(config, out_dir, name, n, channel, betas, title,
-                        with_dark: bool = False):
+def _single_size_figure(config, out_dir, name, n, channel, betas, title, extra=_NO_EXTRA):
     """fig2/3/5/6: one chain size and channel, swept over beta."""
     return _trajectory_figure(config, out_dir, name, (), [_Row((), n, channel, betas)],
                               _grid_from(config), title, lambda tag, b: f"beta={b:g}",
-                              with_dark=with_dark)
+                              extra=extra)
 
 
 def _run_fig2(config: ExperimentConfig, out_dir: str):
@@ -190,9 +186,14 @@ def _run_fig5(config: ExperimentConfig, out_dir: str):
 
 
 def _run_fig6(config: ExperimentConfig, out_dir: str):
+    dark = dark_subspace(ModelSpec(n_qubits=4, field_h=config.h))
+
+    def cells(traj, h_matrix):
+        return [[p] for p in dark_population_series(traj.states, dark)]
+
     return _single_size_figure(config, out_dir, "fig6", 4, (0.0, 1.0, config.alpha_z),
                                _betas_from(config), "four-qubit collective dissipation",
-                               with_dark=True)
+                               extra=(["p_dark"], cells))
 
 
 def _run_fig8(config: ExperimentConfig, out_dir: str):
@@ -323,8 +324,8 @@ def _run_appc(config: ExperimentConfig, out_dir: str):
             c_ref = traj_col.states[k][1, 2].real
             s_val, c_val = two_qubit_collective_sc(init, config.gamma, t)
             dev_sc = max(dev_sc, abs(s_val - s_ref), abs(c_val - c_ref))
-        steady_vals, _ = hermitian_eig(traj_col.states[-1])
-        dev_spec = float(np.abs(steady_vals - collective_steady_spectrum(beta, config.h)).max())
+        dev_spec = float(np.abs(traj_col.spectra[-1]
+                                - collective_steady_spectrum(beta, config.h)).max())
         rows.append(("parallel_block", beta, dev_par))
         rows.append(("collective_sc", beta, dev_sc))
         rows.append(("dephasing_block", beta, dev_dep))
@@ -334,31 +335,22 @@ def _run_appc(config: ExperimentConfig, out_dir: str):
 
 
 def _run_appd(config: ExperimentConfig, out_dir: str):
-    _require_n(config, 4, "appD")
     grid = _grid_from(config, default_t_max=250.0, default_dt=0.1)
     betas = _betas_from(config, (0.2, 5.0))
-    h_matrix, liou = _quench(4, config.h, config.gamma, (0.0, 0.0, 0.0))
-    rows, series = [], []
-    for beta in betas:
-        traj = propagate(liou, gibbs_state(h_matrix, beta), grid)
-        records = trajectory_records(traj, h_matrix)
+
+    def cells(traj, h_matrix):
         populations = energy_basis_populations(traj, h_matrix)
-        crossings = eigenvalue_crossings(traj)
         marks = {}
-        for t_cross, pair in crossings:
+        for t_cross, pair in eigenvalue_crossings(traj):
             k = int(round((t_cross - traj.times[0]) / grid.dt))
             marks.setdefault(k, []).append(f"{pair[0]}-{pair[1]}")
-        for k, rec in enumerate(records):
-            rows.append([beta, rec.time, rec.energy, rec.passive_energy, rec.ergotropy,
-                         1 if k in marks else 0, ";".join(marks.get(k, []))]
-                        + list(populations[k]) + list(rec.rho_spectrum))
-        series.append((f"beta={beta:g}", traj.times, [r.ergotropy for r in records]))
-    header = (["beta", "time", "energy", "passive_energy", "ergotropy", "crossing",
-               "crossing_pair"] + [f"pop_{k}" for k in range(16)] + _spectrum_header(16))
-    paths = [_write_csv(os.path.join(out_dir, "appD.csv"), header, rows)]
-    paths += _maybe_svg(config, out_dir, "appD", series,
-                        "four-qubit crossing analysis")
-    return paths
+        return [[1 if k in marks else 0, ";".join(marks.get(k, []))] + list(populations[k])
+                for k in range(len(traj))]
+
+    columns = ["crossing", "crossing_pair"] + [f"pop_{k}" for k in range(16)]
+    return _trajectory_figure(config, out_dir, "appD", (), [_Row((), 4, (0.0, 0.0, 0.0), betas)],
+                              grid, "four-qubit crossing analysis", lambda tag, b: f"beta={b:g}",
+                              extra=(columns, cells))
 
 
 def _run_fig9(config: ExperimentConfig, out_dir: str):

@@ -105,7 +105,7 @@ def jc_full_evolution(spec: JCSpec, rho0_atom, grid: TimeGrid) -> Trajectory:
     generator = lindblad_matrix(jc_hamiltonian(spec), [_cavity_annihilator()], [spec.kappa])
     joint = propagate(Liouvillian(matrix=generator, dim_state=4),
                       _embed_atom_vacuum(rho0_atom), grid)
-    return Trajectory(times=joint.times, states=_trace_out_cavity(joint.states))
+    return Trajectory.screened(joint.times, _trace_out_cavity(joint.states))
 
 
 def effective_atom_evolution(spec: JCSpec, rho0_atom, grid: TimeGrid) -> Trajectory:

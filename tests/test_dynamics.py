@@ -6,6 +6,7 @@ from ergoquench import (ChannelSpec, InvariantViolation, ModelSpec, TimeGrid,
                         evolve_to, gibbs_state, propagate, propagate_rk4)
 from ergoquench.channels import Liouvillian
 from ergoquench.ergotropy import ergotropy
+from ergoquench.jc import default_jc_spec, jc_full_evolution
 from ergoquench.linalg import dagger, frobenius, hermitian_eig_batch
 
 
@@ -171,3 +172,29 @@ def test_propagate_rejects_invalid_initial_state(h2):
     liou, _ = _liouvillian(2, 0.1, gamma=0.05)
     with pytest.raises(ValueError):
         propagate(liou, np.eye(4, dtype=complex), TimeGrid(t_max=1.0, dt=0.5))
+
+
+@pytest.mark.parametrize("evolve", [
+    lambda liou, rho: propagate(liou, rho, TimeGrid(t_max=1.0, dt=0.5)),
+    lambda liou, rho: propagate_rk4(liou, rho, TimeGrid(t_max=1.0, dt=0.5)),
+    lambda liou, rho: evolve_to(liou, rho, 1.0),
+], ids=["propagate", "propagate_rk4", "evolve_to"])
+def test_state_of_the_wrong_dim_is_rejected(evolve):
+    liou = Liouvillian(matrix=np.zeros((16, 16), dtype=complex), dim_state=4)
+    with pytest.raises(ValueError, match="does not match dim"):
+        evolve(liou, np.diag([0.5, 0.5]).astype(complex))
+
+
+@pytest.mark.parametrize("run", [
+    lambda liou, rho: propagate(liou, rho, TimeGrid(t_max=20.0, dt=0.5)),
+    lambda liou, rho: propagate_rk4(liou, rho, TimeGrid(t_max=20.0, dt=0.5), substeps=4),
+    lambda liou, rho: jc_full_evolution(default_jc_spec(kappa_over_g=10.0),
+                                        np.diag([1.0, 0.0]).astype(complex),
+                                        TimeGrid(t_max=2.0, dt=0.05)),
+], ids=["propagate", "propagate_rk4", "jc_full_evolution"])
+def test_trajectory_carries_the_screened_decomposition(h2, run):
+    liou, _ = _liouvillian(2, 0.1, gamma=0.05, alpha_minus=0.5)
+    traj = run(liou, gibbs_state(h2, 0.5))
+    vals, vecs = hermitian_eig_batch(traj.states, check=False)
+    assert np.array_equal(traj.spectra, vals)
+    assert np.array_equal(traj.vectors, vecs)

@@ -109,7 +109,8 @@ def test_fig9_table(tmp_path):
     assert all(b < a for a, b in zip(devs, devs[1:]))
 
 
-@pytest.mark.parametrize("name", ["fig2", "fig5", "appB-diss"])  # 4x4, 16x16, steady sweep
+# 4x4, 16x16, steady sweep, and the extra-column hooks of fig6 and appD
+@pytest.mark.parametrize("name", ["fig2", "fig5", "appB-diss", "fig6", "appD"])
 def test_threaded_run_is_identical(tmp_path, monkeypatch, name):
     config = _config(experiment=name, output_dir=str(tmp_path / "serial"),
                      t_max=10.0, beta_list=(0.2, 0.5, 1.0))
