@@ -146,17 +146,25 @@ def ergotropy_difference(traj_a: Trajectory, traj_b: Trajectory, h_matrix,
     return ErgotropyDifference(times=traj_a.times.copy(), delta=delta, crossings=crossings)
 
 
-def _greedy_match(overlap) -> np.ndarray:
-    """Map row branches to column branches by repeatedly taking the best overlap."""
-    overlap = np.array(overlap, dtype=float)
-    d = overlap.shape[0]
-    perm = np.full(d, -1, dtype=int)
+CROSSING_CHUNK = 256  # grid steps whose (16x16 at N=4) overlaps are held at once
+
+
+def _greedy_match(overlaps) -> np.ndarray:
+    """Map row branches to column branches of each (d, d) overlap in a stack.
+
+    Each of the d rounds takes every matrix's best remaining overlap (the
+    first in row-major order on ties) and strikes out its row and column.
+    """
+    overlaps = np.array(overlaps, dtype=float)
+    steps, d, _ = overlaps.shape
+    perms = np.full((steps, d), -1, dtype=int)
+    rows = np.arange(steps)
     for _ in range(d):
-        i, j = np.unravel_index(int(np.argmax(overlap)), overlap.shape)
-        perm[i] = j
-        overlap[i, :] = -1.0
-        overlap[:, j] = -1.0
-    return perm
+        i, j = np.divmod(overlaps.reshape(steps, -1).argmax(axis=1), d)
+        perms[rows, i] = j
+        overlaps[rows, i, :] = -1.0
+        overlaps[rows, :, j] = -1.0
+    return perms
 
 
 def eigenvalue_crossings(traj: Trajectory,
@@ -169,25 +177,25 @@ def eigenvalue_crossings(traj: Trajectory,
     `significance` on both sides of the swap, is reported with the linearly
     interpolated crossing time and the (sorted) position pair.  Raising
     `significance` selects only crossings among non-negligible populations.
+    The grid is matched CROSSING_CHUNK steps at a time.
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    vals, vecs = traj.spectra, traj.vectors
+    vals, vecs, times = traj.spectra, traj.vectors, traj.times
     found: list[tuple[float, tuple[int, int]]] = []
-    d = vals.shape[1]
-    for k in range(1, len(traj)):
-        overlap = np.abs(dagger(vecs[k - 1]) @ vecs[k]) ** 2
-        perm = _greedy_match(overlap)
-        for i in range(d - 1):
-            if perm[i] <= perm[i + 1]:
-                continue
-            gap_before = vals[k - 1, i + 1] - vals[k - 1, i]
-            gap_after = vals[k, perm[i]] - vals[k, perm[i + 1]]
-            if gap_before <= significance or gap_after <= significance:
-                continue
-            t0, t1 = traj.times[k - 1], traj.times[k]
-            t_cross = t0 + (t1 - t0) * gap_before / (gap_before + gap_after)
-            found.append((float(t_cross), (i, i + 1)))
+    for start in range(1, len(traj), CROSSING_CHUNK):
+        stop = min(start + CROSSING_CHUNK, len(traj))
+        perms = _greedy_match(np.abs(dagger(vecs[start - 1:stop - 1]) @ vecs[start:stop]) ** 2)
+        # swapped adjacent pairs (step, i): branch i now sits above branch i + 1
+        step, i = np.nonzero(perms[:, :-1] > perms[:, 1:])
+        k = start + step
+        gap_before = vals[k - 1, i + 1] - vals[k - 1, i]
+        gap_after = vals[k, perms[step, i]] - vals[k, perms[step, i + 1]]
+        keep = (gap_before > significance) & (gap_after > significance)
+        k, i, gap_before, gap_after = k[keep], i[keep], gap_before[keep], gap_after[keep]
+        t0, t1 = times[k - 1], times[k]
+        t_cross = t0 + (t1 - t0) * gap_before / (gap_before + gap_after)
+        found += [(t, (pos, pos + 1)) for t, pos in zip(t_cross.tolist(), i.tolist())]
     found.sort(key=lambda item: item[0])
     return found
 

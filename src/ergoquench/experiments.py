@@ -2,9 +2,13 @@
 
 Each experiment writes exactly one CSV with a fixed per-experiment schema
 and full double precision (17 significant digits), so identical configs
-produce byte-identical files.  Parameter points inside a sweep may run on
-a thread pool (capped by ERGOQUENCH_THREADS, default serial); rows are
-always written in deterministic parameter order.
+produce byte-identical files.  Rows are streamed to the file, each
+formatted with one %-template per file that the first row fixes: %.17g
+for floats, %d for ints and bools, %s for strings; a later cell whose type
+would need another template raises instead of being written differently.
+Parameter points inside a sweep may run on a thread pool (capped by
+ERGOQUENCH_THREADS, default serial; any value but an integer >= 1 is a
+ConfigError); rows are always written in deterministic parameter order.
 """
 
 from __future__ import annotations
@@ -40,9 +44,12 @@ INTERP_ALPHA_GRID = tuple(round(0.1 * k, 1) for k in range(11))
 def _thread_count() -> int:
     raw = os.environ.get("ERGOQUENCH_THREADS", "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise ConfigError(f"ERGOQUENCH_THREADS must be an integer >= 1, got {raw!r}")
+    return count
 
 
 def _pmap(fn: Callable, items):
@@ -55,21 +62,43 @@ def _pmap(fn: Callable, items):
         return list(pool.map(fn, items))
 
 
-def _fmt(value) -> str:
+def _cell_template(value) -> str:
     if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+        return "%s"
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
+        return "%d"
+    return "%.17g"
+
+
+def _lines(header, rows):
+    """CSV lines of rows, each formatted with the template of the file's first row.
+
+    A row whose length differs from the header's, or with a cell whose type
+    asks for another template than its column's (a float in an int column,
+    say), raises ValueError instead of being written differently.
+    """
+    columns = None
+    checked = set()  # cell-type tuples already known to fit the columns
+    for index, row in enumerate(rows):
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        if kinds not in checked:
+            cells = [_cell_template(value) for value in row]
+            if columns is None:
+                if len(cells) != len(header):
+                    raise ValueError(f"row 0 has {len(cells)} cells, header has {len(header)}")
+                columns = cells
+                template = ",".join(columns) + "\n"
+            elif cells != columns:
+                raise ValueError(f"row {index} {row!r} does not fit the columns {columns}")
+            checked.add(kinds)
+        yield template % row
 
 
 def _write_csv(path: str, header, rows) -> str:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+        handle.writelines(_lines(header, rows))
     return path
 
 
@@ -144,7 +173,7 @@ def _trajectory_figure(config, out_dir, name, ids, table, grid, title, label,
         records = trajectory_records(traj, h_matrix)
         added = cells(traj, h_matrix)
         rows = [list(row.tag) + [beta, rec.time, rec.energy, rec.passive_energy, rec.ergotropy]
-                + added[k] + (list(rec.rho_spectrum) if with_spectrum else [])
+                + added[k] + (rec.rho_spectrum.tolist() if with_spectrum else [])
                 for k, rec in enumerate(records)]
         return rows, (label(row.tag, beta), traj.times, [r.ergotropy for r in records])
 
@@ -312,18 +341,14 @@ def _run_appc(config: ExperimentConfig, out_dir: str):
         traj_col = propagate(liou_col, rho0, grid)
         traj_dep = propagate(liou_dep, rho0, grid)
         init = TwoQubitBlockState.from_density(traj_par.states[0])
-        dev_par = max(np.abs(two_qubit_parallel_block(init, config.gamma, t).to_density()
-                             - traj_par.states[k]).max()
-                      for k, t in enumerate(traj_par.times))
-        dev_dep = max(np.abs(dephasing_two_qubit_block(init, config.gamma, t).to_density()
-                             - traj_dep.states[k]).max()
-                      for k, t in enumerate(traj_dep.times))
-        dev_sc = 0.0
-        for k, t in enumerate(traj_col.times):
-            s_ref = traj_col.states[k][1, 1].real + traj_col.states[k][2, 2].real
-            c_ref = traj_col.states[k][1, 2].real
-            s_val, c_val = two_qubit_collective_sc(init, config.gamma, t)
-            dev_sc = max(dev_sc, abs(s_val - s_ref), abs(c_val - c_ref))
+        dev_par = np.abs(two_qubit_parallel_block(init, config.gamma, traj_par.times).to_density()
+                         - traj_par.states).max()
+        dev_dep = np.abs(dephasing_two_qubit_block(init, config.gamma, traj_dep.times).to_density()
+                         - traj_dep.states).max()
+        s_val, c_val = two_qubit_collective_sc(init, config.gamma, traj_col.times)
+        states = traj_col.states
+        dev_sc = max(np.abs(s_val - (states[:, 1, 1].real + states[:, 2, 2].real)).max(),
+                     np.abs(c_val - states[:, 1, 2].real).max())
         dev_spec = float(np.abs(traj_col.spectra[-1]
                                 - collective_steady_spectrum(beta, config.h)).max())
         rows.append(("parallel_block", beta, dev_par))
@@ -339,12 +364,12 @@ def _run_appd(config: ExperimentConfig, out_dir: str):
     betas = _betas_from(config, (0.2, 5.0))
 
     def cells(traj, h_matrix):
-        populations = energy_basis_populations(traj, h_matrix)
+        populations = energy_basis_populations(traj, h_matrix).tolist()
         marks = {}
         for t_cross, pair in eigenvalue_crossings(traj):
             k = int(round((t_cross - traj.times[0]) / grid.dt))
             marks.setdefault(k, []).append(f"{pair[0]}-{pair[1]}")
-        return [[1 if k in marks else 0, ";".join(marks.get(k, []))] + list(populations[k])
+        return [[1 if k in marks else 0, ";".join(marks.get(k, []))] + populations[k]
                 for k in range(len(traj))]
 
     columns = ["crossing", "crossing_pair"] + [f"pop_{k}" for k in range(16)]
@@ -410,5 +435,6 @@ def run_experiment(config: ExperimentConfig) -> list[str]:
     if config.experiment not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise ConfigError(f"unknown experiment {config.experiment!r} (known: {known})")
+    _thread_count()  # a bad ERGOQUENCH_THREADS fails before any work starts
     os.makedirs(config.output_dir, exist_ok=True)
     return EXPERIMENTS[config.experiment].runner(config, config.output_dir)

@@ -4,9 +4,12 @@ Every routine here is an independent code path: the two-qubit sector
 equations are hand-assembled 6x6 real systems integrated with a local
 scaled-Taylor exponential (deliberately not the Pade kernel the engine
 uses), the collective-channel results are explicit formulas, and the dark
-subspace comes from the kernel of S^+ S^-.  The numerical coefficients of
-the sector equations assume unit chain coupling, so every oracle refuses
-j_coupling != 1.
+subspace comes from the kernel of S^+ S^-.  The sector solutions take a
+whole time grid at once: exp(G t) for every grid time is one batched
+Taylor evaluation of the (T, 6, 6) stack, still with the local kernel, and
+each of the T states passes the same checks as a single one.  The
+numerical coefficients of the sector equations assume unit chain
+coupling, so every oracle refuses j_coupling != 1.
 
 Two-qubit product basis indices, repo convention: |ee>=0, |eg>=1, |ge>=2,
 |gg>=3; the tracked coherence c is the (|eg>, |ge>) matrix element.
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, hermitian_eig, null_space_hermitian, one_norm, NULL_TOL
+from .linalg import dagger, hermitian_eig, null_space_hermitian, NULL_TOL
 from .model import ModelSpec, build_hamiltonian, collective_operator, gibbs_state
 
 _BLOCK_SUM_TOL = 1e-8
@@ -29,43 +32,75 @@ def _require_unit_coupling(model: ModelSpec) -> None:
         raise ValueError("closed-form oracles are derived for unit chain coupling")
 
 
-def _expm_taylor(m) -> np.ndarray:
-    """Scaled Taylor-series exponential; independent of the engine's kernel."""
-    a = np.asarray(m, dtype=float)
-    nrm = one_norm(a)
-    squarings = max(0, int(np.ceil(np.log2(nrm / 0.5)))) if nrm > 0.5 else 0
-    a = a / (2.0 ** squarings)
-    out = np.eye(a.shape[0])
-    term = np.eye(a.shape[0])
-    for k in range(1, 40):
-        term = term @ a / k
-        out = out + term
-        if np.abs(term).max() < 1e-20:
-            break
-    for _ in range(squarings):
-        out = out @ out
+def _expm_taylor(stack) -> np.ndarray:
+    """Scaled Taylor-series exponential of each matrix of a (T, n, n) stack.
+
+    Independent of the engine's kernel.  Matrices sharing a squaring count
+    run as one batch; each keeps adding terms until its own last term falls
+    below 1e-20, so every result equals that of a one-matrix stack.
+    """
+    a = np.asarray(stack, dtype=float)
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    squarings = np.zeros(len(a), dtype=int)
+    big = norms > 0.5
+    squarings[big] = np.ceil(np.log2(norms[big] / 0.5)).astype(int)
+    out = np.empty_like(a)
+    eye = np.eye(a.shape[-1])
+    for count in np.unique(squarings):
+        group = np.flatnonzero(squarings == count)
+        scaled = a[group] / (2.0 ** count)
+        result = np.empty_like(scaled)
+        live = np.arange(len(group))  # members still adding terms
+        total = np.broadcast_to(eye, scaled.shape)
+        term = total
+        for k in range(1, 40):
+            term = term @ scaled / k
+            total = total + term
+            done = np.abs(term).max(axis=(-2, -1)) < 1e-20
+            if done.any():
+                result[live[done]] = total[done]
+                keep = ~done
+                live, term, total, scaled = live[keep], term[keep], total[keep], scaled[keep]
+                if live.size == 0:
+                    break
+        result[live] = total
+        for _ in range(count):
+            result = result @ result
+        out[group] = result
     return out
 
 
 @dataclass(frozen=True)
 class TwoQubitBlockState:
-    """Excitation-sector variables of a two-qubit state: populations and c."""
+    """Excitation-sector variables of a two-qubit state: populations and c.
 
-    p_gg: float
-    p_eg: float
-    p_ge: float
-    p_ee: float
-    c: complex
+    Each field is a scalar, or a (T,) array for the state at T time points;
+    every time point must pass the checks.
+    """
+
+    p_gg: float | np.ndarray
+    p_eg: float | np.ndarray
+    p_ge: float | np.ndarray
+    p_ee: float | np.ndarray
+    c: complex | np.ndarray
 
     def __post_init__(self):
-        pops = (self.p_gg, self.p_eg, self.p_ge, self.p_ee)
-        if min(pops) < -1e-10 or max(pops) > 1.0 + 1e-10:
-            raise ValueError(f"populations out of [0,1]: {pops}")
-        if abs(sum(pops) - 1.0) > _BLOCK_SUM_TOL:
-            raise ValueError(f"populations sum to {sum(pops)}, expected 1")
-        bound = np.sqrt(max(self.p_eg, 0.0) * max(self.p_ge, 0.0)) + 1e-10
-        if abs(self.c) > bound:
-            raise ValueError(f"|c| = {abs(self.c)} exceeds sqrt(p_eg p_ge) = {bound}")
+        pops = np.array([self.p_gg, self.p_eg, self.p_ge, self.p_ee], dtype=float).reshape(4, -1)
+        coherence = np.abs(np.asarray(self.c)).reshape(-1)
+        total = pops[0] + pops[1] + pops[2] + pops[3]
+        bound = np.sqrt(np.maximum(pops[1], 0.0) * np.maximum(pops[2], 0.0)) + 1e-10
+        out_of_range = (pops.min(axis=0) < -1e-10) | (pops.max(axis=0) > 1.0 + 1e-10)
+        off_sum = np.abs(total - 1.0) > _BLOCK_SUM_TOL
+        too_coherent = coherence > bound
+        bad = np.flatnonzero(out_of_range | off_sum | too_coherent)
+        if bad.size == 0:
+            return
+        k = bad[0]  # the first failing time point, reported as a scalar state would be
+        if out_of_range[k]:
+            raise ValueError(f"populations out of [0,1]: {tuple(pops[:, k].tolist())}")
+        if off_sum[k]:
+            raise ValueError(f"populations sum to {total[k]}, expected 1")
+        raise ValueError(f"|c| = {coherence[k]} exceeds sqrt(p_eg p_ge) = {bound[k]}")
 
     @classmethod
     def from_density(cls, rho) -> "TwoQubitBlockState":
@@ -76,10 +111,12 @@ class TwoQubitBlockState:
                    p_ee=rho[0, 0].real, c=complex(rho[1, 2]))
 
     def to_density(self) -> np.ndarray:
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = self.p_ee, self.p_eg, self.p_ge, self.p_gg
-        rho[1, 2] = self.c
-        rho[2, 1] = np.conj(self.c)
+        """The 4x4 state, or a (T, 4, 4) stack for a state at T time points."""
+        rho = np.zeros(np.shape(self.p_gg) + (4, 4), dtype=complex)
+        rho[..., 0, 0], rho[..., 1, 1] = self.p_ee, self.p_eg
+        rho[..., 2, 2], rho[..., 3, 3] = self.p_ge, self.p_gg
+        rho[..., 1, 2] = self.c
+        rho[..., 2, 1] = np.conj(self.c)
         return rho
 
     def _vector(self) -> np.ndarray:
@@ -88,8 +125,12 @@ class TwoQubitBlockState:
 
     @classmethod
     def _from_vector(cls, y) -> "TwoQubitBlockState":
-        return cls(p_gg=float(y[0]), p_eg=float(y[1]), p_ge=float(y[2]),
-                   p_ee=float(y[3]), c=complex(y[4], y[5]))
+        """State from y = (p_gg, p_eg, p_ge, p_ee, Re c, Im c), or from a (T, 6) stack."""
+        y = np.asarray(y, dtype=float)
+        # a complex view of the (Re c, Im c) pair keeps both parts bit for bit
+        c = np.ascontiguousarray(y[..., 4:6]).view(complex)[..., 0]
+        return cls(p_gg=y[..., 0][()], p_eg=y[..., 1][()], p_ge=y[..., 2][()],
+                   p_ee=y[..., 3][()], c=c[()])
 
 
 # Generators on y = (p_gg, p_eg, p_ge, p_ee, Re c, Im c); unit coupling.
@@ -133,21 +174,34 @@ def _dephasing_generator(gamma: float) -> np.ndarray:
     return m
 
 
-def _evolve_block(generator, init: TwoQubitBlockState, t: float) -> TwoQubitBlockState:
-    return TwoQubitBlockState._from_vector(_expm_taylor(generator * t) @ init._vector())
+def _times(t) -> np.ndarray:
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError(f"t must be a time or a 1-D array of times, got shape {times.shape}")
+    return times
 
 
-def two_qubit_parallel_block(init: TwoQubitBlockState, gamma: float, t: float) -> TwoQubitBlockState:
-    """Exact sector solution for two parallel dissipative channels."""
+def _evolve_block(generator, init: TwoQubitBlockState, t) -> TwoQubitBlockState:
+    times = _times(t)
+    y = _expm_taylor(generator * times.reshape(-1, 1, 1)) @ init._vector()
+    return TwoQubitBlockState._from_vector(y.reshape(times.shape + (6,)))
+
+
+def two_qubit_parallel_block(init: TwoQubitBlockState, gamma: float, t) -> TwoQubitBlockState:
+    """Exact sector solution for two parallel dissipative channels.
+
+    t is a time or a 1-D array of times (then every field is a (T,) array);
+    the same holds for the other sector solutions below.
+    """
     return _evolve_block(_parallel_generator(gamma), init, t)
 
 
-def two_qubit_collective_block(init: TwoQubitBlockState, gamma: float, t: float) -> TwoQubitBlockState:
+def two_qubit_collective_block(init: TwoQubitBlockState, gamma: float, t) -> TwoQubitBlockState:
     """Exact sector solution for the collective dissipative channel."""
     return _evolve_block(_collective_generator(gamma), init, t)
 
 
-def dephasing_two_qubit_block(init: TwoQubitBlockState, gamma: float, t: float) -> TwoQubitBlockState:
+def dephasing_two_qubit_block(init: TwoQubitBlockState, gamma: float, t) -> TwoQubitBlockState:
     """Exact sector solution for two parallel dephasing channels.
 
     Populations are frozen; the two-site coherence mixes with the
@@ -156,22 +210,24 @@ def dephasing_two_qubit_block(init: TwoQubitBlockState, gamma: float, t: float) 
     return _evolve_block(_dephasing_generator(gamma), init, t)
 
 
-def two_qubit_collective_sc(init: TwoQubitBlockState, gamma: float, t: float) -> tuple[float, float]:
+def two_qubit_collective_sc(init: TwoQubitBlockState, gamma: float, t) -> tuple:
     """Closed form for s(t) = p_eg + p_ge and c(t) under collective dissipation.
 
         s(t) = 2 g p_ee(0) t e^{-2gt} + s(0)/2 (1 + e^{-2gt}) + c(0)(e^{-2gt} - 1)
         c(t) =   g p_ee(0) t e^{-2gt} + s(0)/4 (e^{-2gt} - 1) + c(0)/2 (e^{-2gt} + 1)
 
-    Valid for real initial coherence (always true for thermal input).
+    Valid for real initial coherence (always true for thermal input).  A
+    scalar t gives two floats, a 1-D array of times two (T,) arrays.
     """
     if abs(init.c.imag) > 1e-12:
         raise ValueError("closed form requires a real initial coherence")
+    t = _times(t)
     c0 = init.c.real
     s0 = init.p_eg + init.p_ge
     decay = np.exp(-2.0 * gamma * t)
     s_t = 2.0 * gamma * init.p_ee * t * decay + 0.5 * s0 * (1.0 + decay) + c0 * (decay - 1.0)
     c_t = gamma * init.p_ee * t * decay + 0.25 * s0 * (decay - 1.0) + 0.5 * c0 * (decay + 1.0)
-    return float(s_t), float(c_t)
+    return s_t[()], c_t[()]
 
 
 def steady_s_infinity(beta: float, h: float) -> float:

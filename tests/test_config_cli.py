@@ -87,12 +87,17 @@ def test_cli_svg_flag(tmp_path, capsys):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
-@pytest.mark.parametrize("name,text,fragment", [
-    ("fig2", "alpha = 1.5", "alpha out of [0,1]"),
-    ("fig2", "t_max = 10.3", "not a multiple of dt"),
-    ("appB-channels", "dt = 0.3", "not a multiple of dt"),  # default t_max 4000
-], ids=["alpha-out-of-range", "t_max-off-grid", "dt-off-grid"])
-def test_cli_config_error_exit_code(tmp_path, capsys, name, text, fragment):
+@pytest.mark.parametrize("name,text,threads,fragment", [
+    ("fig2", "alpha = 1.5", "1", "alpha out of [0,1]"),
+    ("fig2", "t_max = 10.3", "1", "not a multiple of dt"),
+    ("appB-channels", "dt = 0.3", "1", "not a multiple of dt"),  # default t_max 4000
+    ("fig7", "", "abc", "ERGOQUENCH_THREADS must be an integer >= 1, got 'abc'"),
+    ("fig7", "", "0", "ERGOQUENCH_THREADS must be an integer >= 1, got '0'"),
+], ids=["alpha-out-of-range", "t_max-off-grid", "dt-off-grid", "threads-not-integer",
+        "threads-below-one"])
+def test_cli_config_error_exit_code(tmp_path, capsys, monkeypatch, name, text, threads,
+                                    fragment):
+    monkeypatch.setenv("ERGOQUENCH_THREADS", threads)
     config = tmp_path / "bad.cfg"
     config.write_text(text + "\n")
     assert main(["run", "--experiment", name, "--config", str(config),

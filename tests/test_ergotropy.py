@@ -5,7 +5,8 @@ import pytest
 
 from ergoquench import (ChannelSpec, ModelSpec, TimeGrid, build_hamiltonian,
                         build_liouvillian, gibbs_state, propagate)
-from ergoquench.ergotropy import (activation_time, eigenvalue_crossings,
+from ergoquench.ergotropy import (CROSSING_CHUNK, _greedy_match, activation_time,
+                                  eigenvalue_crossings,
                                   energy_basis_populations, ergotropy,
                                   ergotropy_difference, ergotropy_series,
                                   passive_state, trajectory_records)
@@ -106,6 +107,62 @@ def test_first_crossing_matches_activation_formula():
     assert crossings
     t_first = crossings[0][0]
     assert abs(t_first - activation_time_analytic(1.0, 0.1, 0.05)) <= 2 * grid.dt
+
+
+def _greedy_match_reference(overlap):
+    """Per-step greedy matching: take the best overlap, strike its row and column."""
+    overlap = np.array(overlap, dtype=float)
+    d = overlap.shape[0]
+    perm = np.full(d, -1, dtype=int)
+    for _ in range(d):
+        i, j = np.unravel_index(int(np.argmax(overlap)), overlap.shape)
+        perm[i] = j
+        overlap[i, :] = -1.0
+        overlap[:, j] = -1.0
+    return perm
+
+
+def _crossings_reference(traj, significance=1e-10):
+    """Step-by-step branch tracking, the reference for eigenvalue_crossings."""
+    vals, vecs = traj.spectra, traj.vectors
+    found = []
+    for k in range(1, len(traj)):
+        perm = _greedy_match_reference(np.abs(dagger(vecs[k - 1]) @ vecs[k]) ** 2)
+        for i in range(vals.shape[1] - 1):
+            if perm[i] <= perm[i + 1]:
+                continue
+            gap_before = vals[k - 1, i + 1] - vals[k - 1, i]
+            gap_after = vals[k, perm[i]] - vals[k, perm[i + 1]]
+            if gap_before <= significance or gap_after <= significance:
+                continue
+            t0, t1 = traj.times[k - 1], traj.times[k]
+            found.append((float(t0 + (t1 - t0) * gap_before / (gap_before + gap_after)),
+                          (i, i + 1)))
+    found.sort(key=lambda item: item[0])
+    return found
+
+
+def test_batched_greedy_match_equals_per_step_loop():
+    rng = np.random.default_rng(7)
+    # coarse values force exact ties, inside rows, columns and across both
+    overlaps = rng.integers(0, 4, size=(300, 16, 16)) / 4.0
+    overlaps[:50] = rng.random((50, 16, 16))
+    overlaps[50:60] = 0.5
+    perms = _greedy_match(overlaps)
+    for overlap, perm in zip(overlaps, perms):
+        assert np.array_equal(perm, _greedy_match_reference(overlap))
+        assert sorted(perm) == list(range(16))
+
+
+def test_eigenvalue_crossings_equal_per_step_tracking():
+    # appD's channel and step, long enough to span several chunks
+    grid = TimeGrid(t_max=0.1 * (2 * CROSSING_CHUNK + 17), dt=0.1)
+    for beta in (0.2, 5.0):
+        traj, _ = _traj(4, beta, grid, gamma=0.05)
+        for significance in (1e-10, 1e-3):
+            found = eigenvalue_crossings(traj, significance=significance)
+            assert found == _crossings_reference(traj, significance)
+        assert found
 
 
 def test_hotter_states_cross_earlier_four_qubits():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ergoquench.config import ExperimentConfig
-from ergoquench.experiments import EXPERIMENTS, run_experiment
+from ergoquench.experiments import EXPERIMENTS, _write_csv, run_experiment
 
 
 def _config(**kwargs):
@@ -120,3 +120,36 @@ def test_threaded_run_is_identical(tmp_path, monkeypatch, name):
                      t_max=10.0, beta_list=(0.2, 0.5, 1.0))
     threaded = run_experiment(config)[0]
     assert open(serial, "rb").read() == open(threaded, "rb").read()
+
+
+CELLS = ["panel-a", True, np.False_, 7, np.int64(-3), 0.1, np.float64(2.5e-7),
+         float("nan"), float("inf"), -0.0, 5e-324]
+# what the per-cell formatter of earlier versions wrote for CELLS
+WRITTEN = ["panel-a", "1", "0", "7", "-3", "0.10000000000000001", "2.4999999999999999e-07",
+           "nan", "inf", "-0", "4.9406564584124654e-324"]
+
+
+def test_csv_cells_are_written_like_the_per_cell_formatter(tmp_path):
+    header = [f"c{k}" for k in range(len(CELLS))]
+    path = _write_csv(str(tmp_path / "mixed.csv"), header, [CELLS, tuple(CELLS)])
+    line = ",".join(WRITTEN) + "\n"
+    assert open(path, encoding="utf-8").read() == ",".join(header) + "\n" + line + line
+
+
+@pytest.mark.parametrize("later", [
+    CELLS[:3] + [7.0] + CELLS[4:],    # float in an int column: never truncated by %d
+    CELLS[:3] + ["7"] + CELLS[4:],    # string in an int column
+    CELLS[:5] + [1] + CELLS[6:],      # int in a float column
+    CELLS[1:2] + CELLS[1:],           # bool in a string column
+    CELLS[:-1],                       # a cell short
+    CELLS + [1.0],                    # a cell too many
+], ids=["float-as-int", "str-as-int", "int-as-float", "bool-as-str", "short", "long"])
+def test_csv_row_that_does_not_fit_its_columns_raises(tmp_path, later):
+    header = [f"c{k}" for k in range(len(CELLS))]
+    with pytest.raises(ValueError):
+        _write_csv(str(tmp_path / "bad.csv"), header, [CELLS, CELLS, later])
+
+
+def test_csv_first_row_must_match_the_header(tmp_path):
+    with pytest.raises(ValueError):
+        _write_csv(str(tmp_path / "bad.csv"), ["a", "b"], [[1.0, 2.0, 3.0]])

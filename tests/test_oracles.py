@@ -5,7 +5,7 @@ from ergoquench import (ChannelSpec, ModelSpec, TimeGrid, build_hamiltonian,
                         build_liouvillian, gibbs_state, propagate)
 from ergoquench.linalg import dagger, hermitian_eig
 from ergoquench.model import collective_operator
-from ergoquench.oracles import (DarkSubspace, TwoQubitBlockState,
+from ergoquench.oracles import (DarkSubspace, TwoQubitBlockState, _expm_taylor,
                                 activation_time_analytic, beta_critical,
                                 collective_steady_spectrum, dark_population_series,
                                 dark_subspace, dephasing_two_qubit_block, p_dark,
@@ -229,3 +229,71 @@ def test_dark_population_series_shape(model4, h4):
     series = dark_population_series(traj.states, dark)
     assert series.shape == (len(traj),)
     assert abs(series[0] - p_dark(1.0, model4, dark=dark)) <= 1e-10
+
+
+def _taylor_reference(m):
+    """One-matrix scaled Taylor exponential, the reference for the batched kernel."""
+    a = np.asarray(m, dtype=float)
+    nrm = np.abs(a).sum(axis=0).max()
+    squarings = max(0, int(np.ceil(np.log2(nrm / 0.5)))) if nrm > 0.5 else 0
+    a = a / (2.0 ** squarings)
+    out = np.eye(a.shape[0])
+    term = np.eye(a.shape[0])
+    for k in range(1, 40):
+        term = term @ a / k
+        out = out + term
+        if np.abs(term).max() < 1e-20:
+            break
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def test_batched_taylor_equals_per_matrix_calls():
+    rng = np.random.default_rng(3)
+    shapes = rng.standard_normal((10, 6, 6))
+    shapes /= np.abs(shapes).sum(axis=-2).max(axis=-1)[:, None, None]  # unit one-norm
+    # one-norms on both sides of the 0.5 scaling threshold, and a zero matrix
+    norms = np.array([0.0, 1e-3, 0.3, 0.5, 0.5 + 1e-12, 0.7, 3.0, 41.0, 800.0, 0.5])
+    stack = shapes * norms[:, None, None]
+    stack[0] = 0.0
+    batched = _expm_taylor(stack)
+    for m, out in zip(stack, batched):
+        assert np.array_equal(out, _taylor_reference(m))
+        assert np.array_equal(out, _expm_taylor(m[None])[0])
+    assert np.array_equal(batched[0], np.eye(6))
+
+
+def test_array_of_times_equals_scalar_calls(h2):
+    init = _gibbs_block(h2, 0.5)
+    times = np.arange(0.0, 400.5, 12.5)
+    for oracle in (two_qubit_parallel_block, dephasing_two_qubit_block,
+                   two_qubit_collective_block):
+        batch = oracle(init, GAMMA, times)
+        scalar = [oracle(init, GAMMA, t) for t in times]
+        assert batch.to_density().shape == (len(times), 4, 4)
+        assert np.array_equal(batch.to_density(), [s.to_density() for s in scalar])
+        for field in ("p_gg", "p_eg", "p_ge", "p_ee", "c"):
+            assert np.array_equal(getattr(batch, field), [getattr(s, field) for s in scalar])
+    s_batch, c_batch = two_qubit_collective_sc(init, GAMMA, times)
+    pairs = np.array([two_qubit_collective_sc(init, GAMMA, t) for t in times])
+    assert np.array_equal(s_batch, pairs[:, 0]) and np.array_equal(c_batch, pairs[:, 1])
+    with pytest.raises(ValueError):
+        two_qubit_parallel_block(init, GAMMA, times.reshape(1, -1))
+
+
+@pytest.mark.parametrize("bad", [
+    dict(p_gg=0.9, p_eg=0.3, p_ge=0.0, p_ee=-0.2, c=0.0),    # population out of [0, 1]
+    dict(p_gg=0.5, p_eg=0.25, p_ge=0.25, p_ee=0.1, c=0.0),   # populations sum to 1.1
+    dict(p_gg=0.7, p_eg=0.1, p_ge=0.1, p_ee=0.1, c=0.5),     # |c| > sqrt(p_eg p_ge)
+], ids=["range", "sum", "coherence"])
+def test_batched_state_reports_its_bad_time_point_like_a_scalar_state(bad):
+    good = dict(p_gg=0.4, p_eg=0.25, p_ge=0.25, p_ee=0.1, c=0.2)
+    with pytest.raises(ValueError) as scalar_err:
+        TwoQubitBlockState(**bad)
+    fields = {key: np.array([good[key], good[key], bad[key], good[key]]) for key in good}
+    fields["c"] = fields["c"].astype(complex)
+    with pytest.raises(ValueError) as batch_err:
+        TwoQubitBlockState(**fields)
+    assert str(batch_err.value) == str(scalar_err.value)
+    TwoQubitBlockState(**{key: np.delete(value, 2) for key, value in fields.items()})
