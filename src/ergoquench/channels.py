@@ -2,18 +2,26 @@
 
 Vectorization uses column stacking throughout the repo: vec(rho)[i + j*D]
 = rho[i, j], so vec(A rho B) = (B^T (x) A) vec(rho).  Both channels are
-assembled from the full N x N rate-matrix double sum
+defined by the N x N rate-matrix double sum
 
     D[rho] = sum_ij Gamma_ij (A_i rho A_j^dag - {A_j^dag A_i, rho} / 2)
 
-with A = sigma^- (dissipation) or sigma^z (dephasing); the fully
-collective single-jump form is recovered at interpolation parameter 1 and
-is checked in the tests rather than special-cased here.
+with A = sigma^- (dissipation) or sigma^z (dephasing) and the rate matrix
+Gamma = gamma [(1 - a) I + a 11^T] of `rate_matrix`.  That Gamma is
+diagonal in the basis of the N site jumps plus their sum, so the generator
+is assembled in diagonal form, gamma (1 - a) sum_i D[A_i] + gamma a
+D[sum_i A_i]: N + 1 jumps instead of N^2 terms, exact for every a.  The
+double sum lives on as `dissipator_apply`, the reference the tests hold the
+assembly to.
+
+Every `Liouvillian` carries the partition of its D^2 indices into blocks
+that the generator never couples (the connected components of its nonzero
+pattern).  The propagators exponentiate and step each block on its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,10 +58,42 @@ class ChannelSpec:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Dense D^2 x D^2 generator acting on column-stacked states."""
+    """Dense D^2 x D^2 generator acting on column-stacked states.
+
+    `blocks` partitions the D^2 indices into the index arrays of the
+    invariant blocks of `matrix`: no entry of `matrix` couples two blocks.
+    A fully coupled generator is a single block.
+    """
 
     matrix: np.ndarray
     dim_state: int
+    blocks: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "blocks", _invariant_blocks(self.matrix))
+
+
+def _invariant_blocks(matrix) -> tuple:
+    """Connected components of the nonzero pattern of |M| + |M|^T, as index arrays.
+
+    Each block is ascending and the blocks are ordered by their first index.
+    """
+    coupled = np.asarray(matrix) != 0
+    coupled |= coupled.T
+    free = np.ones(len(coupled), dtype=bool)
+    blocks = []
+    for seed in range(len(coupled)):
+        if not free[seed]:
+            continue
+        member = np.zeros_like(free)
+        member[seed] = True
+        frontier = member
+        while frontier.any():
+            frontier = coupled[frontier].any(axis=0) & ~member
+            member |= frontier
+        free &= ~member
+        blocks.append(np.flatnonzero(member))
+    return tuple(blocks)
 
 
 def vec(rho) -> np.ndarray:
@@ -108,21 +148,21 @@ def dissipator_apply(rates, jumps, rho) -> np.ndarray:
 
 
 def dissipator_superoperator(rates, jumps) -> np.ndarray:
-    """Vectorized form of dissipator_apply for a fixed rate matrix and jump set."""
+    """Vectorized form of dissipator_apply for a fixed rate matrix and jump set.
+
+    Only nonzero rates contribute, and their anticommutator terms are summed
+    into one decay operator before it is vectorized.
+    """
     rates = np.asarray(rates, dtype=float)
-    n = len(jumps)
     d = jumps[0].shape[0]
     eye = np.eye(d, dtype=complex)
     out = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            g = rates[i, j]
-            if g == 0.0:
-                continue
-            ajd_ai = dagger(jumps[j]) @ jumps[i]
-            out += g * (kron(np.conj(jumps[j]), jumps[i])
-                        - 0.5 * kron(eye, ajd_ai)
-                        - 0.5 * kron(ajd_ai.T, eye))
+    decay = np.zeros((d, d), dtype=complex)  # sum_ij Gamma_ij A_j^dag A_i / 2
+    for i, j in zip(*np.nonzero(rates)):
+        out += kron(rates[i, j] * np.conj(jumps[j]), jumps[i])
+        decay += 0.5 * rates[i, j] * (dagger(jumps[j]) @ jumps[i])
+    out -= kron(eye, decay)
+    out -= kron(decay.T, eye)
     return out
 
 
@@ -130,7 +170,9 @@ def hamiltonian_superoperator(h_matrix) -> np.ndarray:
     """Vectorized commutator -i[H, .]."""
     h = np.asarray(h_matrix, dtype=complex)
     eye = np.eye(h.shape[0], dtype=complex)
-    return -1j * (kron(eye, h) - kron(h.T, eye))
+    out = kron(eye, -1j * h)
+    out += kron(1j * h.T, eye)
+    return out
 
 
 def lindblad_matrix(h_matrix, jumps, rates) -> np.ndarray:
@@ -143,22 +185,20 @@ def lindblad_matrix(h_matrix, jumps, rates) -> np.ndarray:
 
 
 def build_liouvillian(h_matrix, spec: ChannelSpec, model: ModelSpec) -> Liouvillian:
-    """Full quench generator: commutator plus the alpha-mixed channels."""
+    """Full quench generator: commutator plus the alpha-mixed channels, in diagonal form."""
     if model.n_qubits > MAX_LIOUVILLIAN_QUBITS:
         raise ValueError(
             f"dense Liouvillians are limited to {MAX_LIOUVILLIAN_QUBITS} qubits")
     h = np.asarray(h_matrix, dtype=complex)
     if h.shape != (model.dim, model.dim):
         raise ValueError(f"Hamiltonian shape {h.shape} does not match dim {model.dim}")
-    total = hamiltonian_superoperator(h)
-    weight_minus = 1.0 - spec.alpha
-    weight_z = spec.alpha
-    if weight_minus > 0.0 and spec.gamma > 0.0:
-        jumps = [site_operator(model, s, "minus") for s in range(1, model.n_qubits + 1)]
-        g = rate_matrix(spec.gamma, spec.alpha_minus, model.n_qubits)
-        total += weight_minus * dissipator_superoperator(g, jumps)
-    if weight_z > 0.0 and spec.gamma > 0.0:
-        jumps = [site_operator(model, s, "z") for s in range(1, model.n_qubits + 1)]
-        g = rate_matrix(spec.gamma, spec.alpha_z, model.n_qubits)
-        total += weight_z * dissipator_superoperator(g, jumps)
-    return Liouvillian(matrix=total, dim_state=model.dim)
+    jumps, rates = [], []
+    for weight, kind, interp in ((1.0 - spec.alpha, "minus", spec.alpha_minus),
+                                 (spec.alpha, "z", spec.alpha_z)):
+        if weight > 0.0 and spec.gamma > 0.0:
+            # rate_matrix(gamma, interp, n) in diagonal form: the site jumps plus their sum
+            site = [site_operator(model, s, kind) for s in range(1, model.n_qubits + 1)]
+            jumps += site + [np.sum(site, axis=0)]
+            rates += ([weight * spec.gamma * (1.0 - interp)] * model.n_qubits
+                      + [weight * spec.gamma * interp])
+    return Liouvillian(matrix=lindblad_matrix(h, jumps, rates), dim_state=model.dim)

@@ -22,9 +22,8 @@ import numpy as np
 
 from .channels import ChannelSpec, build_liouvillian
 from .config import ConfigError, ExperimentConfig
-from .dynamics import TimeGrid, evolve_to, propagate
-from .ergotropy import (eigenvalue_crossings, energy_basis_populations, ergotropy,
-                        trajectory_records)
+from .dynamics import TimeGrid, _evolve_screened, propagate
+from .ergotropy import _batch_records, eigenvalue_crossings, energy_basis_populations
 from .jc import compare_jc, default_jc_spec
 from .linalg import hermitian_eig  # noqa: F401 (ergobench's tracer test patches it here)
 from .model import ModelSpec, build_hamiltonian, gibbs_state
@@ -152,6 +151,19 @@ class _Row(NamedTuple):
 _NO_EXTRA = ((), lambda traj, h_matrix: [[]] * len(traj))
 
 
+def _trajectory_rows(lead, traj, h_matrix, added, with_spectrum: bool):
+    """CSV rows of one trajectory, and its ergotropy series.
+
+    Each row is lead + [time, energy, passive energy, ergotropy] + that
+    state's added cells + (its descending spectrum if with_spectrum).
+    """
+    t, e, p, w, spec = _batch_records(traj.states, traj.spectra, traj.times, h_matrix)
+    spectra = spec.tolist() if with_spectrum else [[]] * len(t)
+    rows = [[*lead, tk, ek, pk, wk, *more, *sk] for tk, ek, pk, wk, more, sk
+            in zip(t.tolist(), e.tolist(), p.tolist(), w.tolist(), added, spectra)]
+    return rows, w.tolist()
+
+
 def _trajectory_figure(config, out_dir, name, ids, table, grid, title, label,
                        with_spectrum: bool = True, extra=_NO_EXTRA):
     """Shared body of the trajectory figures (fig2/3/5/6/8, appB-channels, appD).
@@ -170,12 +182,9 @@ def _trajectory_figure(config, out_dir, name, ids, table, grid, title, label,
     def run(job):
         row, (h_matrix, liou), beta = job
         traj = propagate(liou, gibbs_state(h_matrix, beta), grid)
-        records = trajectory_records(traj, h_matrix)
-        added = cells(traj, h_matrix)
-        rows = [list(row.tag) + [beta, rec.time, rec.energy, rec.passive_energy, rec.ergotropy]
-                + added[k] + (rec.rho_spectrum.tolist() if with_spectrum else [])
-                for k, rec in enumerate(records)]
-        return rows, (label(row.tag, beta), traj.times, [r.ergotropy for r in records])
+        rows, erg = _trajectory_rows([*row.tag, beta], traj, h_matrix,
+                                     cells(traj, h_matrix), with_spectrum)
+        return rows, (label(row.tag, beta), traj.times, erg)
 
     results = _pmap(run, [(row, quench, beta) for row, quench in zip(table, quenches)
                           for beta in row.betas])
@@ -259,8 +268,7 @@ def _run_fig4(config: ExperimentConfig, out_dir: str):
 
     def column(h_value):
         h_matrix, liou = _quench(2, h_value, config.gamma, (0.0, 1.0, 0.0))
-        steady = evolve_to(liou, np.array([gibbs_state(h_matrix, b) for b in betas]), t_max)
-        ergs = [ergotropy(rho, h_matrix, time=t_max).ergotropy for rho in steady]
+        ergs = _steady_ergotropies(h_matrix, liou, betas, t_max)
         return [(beta, h_value, erg, steady_state_is_passive(beta, h_value),
                  erg <= STEADY_ERGOTROPY_EPS)
                 for beta, erg in zip(betas, ergs)]
@@ -295,20 +303,25 @@ def _run_fig7(config: ExperimentConfig, out_dir: str):
     return paths
 
 
+def _steady_ergotropies(h_matrix, liou, betas, t_max) -> list:
+    """Ergotropy at t_max from each beta's Gibbs state, read off the CPTP screen's spectra."""
+    steady = _evolve_screened(liou, np.array([gibbs_state(h_matrix, b) for b in betas]), t_max)
+    return _batch_records(steady.states, steady.spectra, steady.times, h_matrix)[3].tolist()
+
+
 def _appb_sweep(config, out_dir, name, key, channel_of):
     """Steady ergotropy at t_max over the collectivity grid (appB-diss/deph).
 
-    Each (n, collectivity) point builds H, L and exp(L t_max) once for all betas.
+    Each (n, collectivity) point builds H, L and the exponentials of L t_max's
+    touched blocks once for all betas.
     """
     betas = _betas_from(config)
 
     def point(job):
         n, a = job
         h_matrix, liou = _quench(n, config.h, config.gamma, channel_of(a))
-        steady = evolve_to(liou, np.array([gibbs_state(h_matrix, b) for b in betas]),
-                           config.t_max)
-        return [(n, a, beta, ergotropy(rho, h_matrix, time=config.t_max).ergotropy)
-                for beta, rho in zip(betas, steady)]
+        ergs = _steady_ergotropies(h_matrix, liou, betas, config.t_max)
+        return [(n, a, beta, erg) for beta, erg in zip(betas, ergs)]
 
     sizes = (config.n_qubits,) if config.n_qubits is not None else (2, 4)
     jobs = [(n, a) for n in sizes for a in INTERP_ALPHA_GRID]

@@ -105,6 +105,23 @@ def test_liouvillian_matches_direct_application(model2, h2):
         assert np.abs(via_super - direct).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("kind", ["minus", "z"])
+@pytest.mark.parametrize("interp", [0.0, 0.3, 0.5, 1.0])
+def test_diagonal_form_matches_the_double_sum(n, kind, interp):
+    # build_liouvillian assembles N + 1 jumps; dissipator_apply keeps the N^2 double sum
+    model = ModelSpec(n_qubits=n, field_h=0.1)
+    spec = (ChannelSpec(gamma=0.05, alpha_minus=interp) if kind == "minus"
+            else ChannelSpec(gamma=0.05, alpha=1.0, alpha_z=interp))
+    liou = build_liouvillian(np.zeros((model.dim, model.dim)), spec, model)
+    jumps = [site_operator(model, s, kind) for s in range(1, n + 1)]
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        rho = random_density(rng, model.dim)
+        reference = dissipator_apply(rate_matrix(0.05, interp, n), jumps, rho)
+        assert np.abs(unvec(liou.matrix @ vec(rho), model.dim) - reference).max() <= 1e-14
+
+
 def test_collective_dephasing_liouvillian_freezes_gibbs(model2, h2):
     liou = build_liouvillian(h2, ChannelSpec(gamma=0.05, alpha=1.0, alpha_z=1.0), model2)
     residual = liou.matrix @ vec(gibbs_state(h2, 1.0))

@@ -4,10 +4,13 @@ import pytest
 from ergoquench import (ChannelSpec, InvariantViolation, ModelSpec, TimeGrid,
                         build_hamiltonian, build_liouvillian, detect_steady,
                         evolve_to, gibbs_state, propagate, propagate_rk4)
-from ergoquench.channels import Liouvillian
+from ergoquench.channels import Liouvillian, lindblad_matrix, unvec_batch, vec
 from ergoquench.ergotropy import ergotropy
 from ergoquench.jc import default_jc_spec, jc_full_evolution
-from ergoquench.linalg import dagger, frobenius, hermitian_eig_batch
+from ergoquench.linalg import dagger, expm, frobenius, hermitian_eig_batch
+from ergoquench.model import site_operator
+
+from conftest import random_density
 
 
 def _liouvillian(n, h_field, **channel):
@@ -112,6 +115,16 @@ def test_evolve_to_stack_equals_single_calls(h2):
     assert np.array_equal(jumped, single)
 
 
+def test_evolve_to_stack_of_mixed_support_equals_single_calls(h4):
+    # the full-support state touches blocks the Gibbs states leave at zero
+    liou, _ = _liouvillian(4, 0.1, gamma=0.05, alpha=1.0)
+    stack = np.array([gibbs_state(h4, 0.5), random_density(np.random.default_rng(5), 16),
+                      gibbs_state(h4, 2.0)])
+    jumped = evolve_to(liou, stack, 7.0)
+    single = np.array([evolve_to(liou, rho, 7.0) for rho in stack])
+    assert jumped.tobytes() == single.tobytes()
+
+
 def test_evolve_to_stack_rejects_a_non_density_matrix(h2):
     liou, _ = _liouvillian(2, 0.1, gamma=0.05)
     stack = np.array([gibbs_state(h2, 1.0), 2.0 * gibbs_state(h2, 1.0),
@@ -198,3 +211,87 @@ def test_trajectory_carries_the_screened_decomposition(h2, run):
     vals, vecs = hermitian_eig_batch(traj.states, check=False)
     assert np.array_equal(traj.spectra, vals)
     assert np.array_equal(traj.vectors, vecs)
+
+
+def _dense_states(liou, rho0, dt, n_steps):
+    """Reference: expm of the full generator, stepped on the full vector."""
+    step = expm(liou.matrix * dt)
+    vs = [vec(rho0)]
+    for _ in range(n_steps):
+        vs.append(step @ vs[-1])
+    return unvec_batch(np.array(vs), liou.dim_state)
+
+
+_ENGINE_CASES = {
+    "N2-parallel": (2, dict(gamma=0.05)),
+    "N2-collective": (2, dict(gamma=0.05, alpha_minus=1.0)),
+    "N4-parallel": (4, dict(gamma=0.05)),
+    "N4-collective": (4, dict(gamma=0.05, alpha_minus=1.0)),
+    "N4-interpolated": (4, dict(gamma=0.05, alpha_minus=0.4)),
+    "N4-dephasing": (4, dict(gamma=0.05, alpha=1.0, alpha_z=0.3)),
+    "N4-mixed": (4, dict(gamma=0.05, alpha=0.3, alpha_minus=0.5, alpha_z=0.7)),
+}
+
+
+@pytest.mark.parametrize("state", ["gibbs", "random"])
+@pytest.mark.parametrize("case", list(_ENGINE_CASES))
+def test_blocked_engine_matches_dense_reference(case, state):
+    n, channel = _ENGINE_CASES[case]
+    liou, h = _liouvillian(n, 0.1, **channel)
+    if state == "gibbs":
+        rho0 = gibbs_state(h, 0.5)
+    else:  # full support: touches every block
+        rho0 = random_density(np.random.default_rng(11), 2 ** n)
+        assert np.all(vec(rho0) != 0)
+    dense = _dense_states(liou, rho0, 0.5, 40)
+    traj = propagate(liou, rho0, TimeGrid(t_max=20.0, dt=0.5))
+    assert np.abs(traj.states - dense).max() <= 1e-12
+    jumped = evolve_to(liou, rho0, 20.0)
+    assert np.abs(jumped - dense[-1]).max() <= 1e-12
+    far = unvec_batch((expm(liou.matrix * 800.0) @ vec(rho0))[None], liou.dim_state)[0]
+    assert np.abs(evolve_to(liou, rho0, 800.0) - far).max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", list(_ENGINE_CASES))
+def test_invariant_blocks_partition_the_generator(case):
+    n, channel = _ENGINE_CASES[case]
+    liou, h = _liouvillian(n, 0.1, **channel)
+    dim = liou.matrix.shape[0]
+    assert np.array_equal(np.sort(np.concatenate(liou.blocks)), np.arange(dim))
+    label = np.empty(dim, dtype=int)
+    for k, block in enumerate(liou.blocks):
+        label[block] = k
+    rows, cols = np.nonzero(liou.matrix)
+    assert np.array_equal(label[rows], label[cols])  # no entry couples two blocks
+    touched = [len(b) for b in liou.blocks if np.any(vec(gibbs_state(h, 0.5))[b])]
+    assert max(touched) <= (70 if n == 4 else 6)
+
+
+def test_four_qubit_dissipation_blocks_are_the_excitation_sectors():
+    liou, _ = _liouvillian(4, 0.1, gamma=0.05, alpha_minus=0.4)
+    sizes = sorted((len(b) for b in liou.blocks), reverse=True)
+    assert sizes == [70, 56, 56, 28, 28, 8, 8, 1, 1]
+
+
+@pytest.mark.parametrize("axis,n_blocks", [
+    (("x",), 2),        # sigma^x flips ket and bra together: n - m keeps its parity
+    (("x", "z"), 1),    # (sigma^x + sigma^z) also flips one side alone
+])
+def test_cross_coupling_jumps_merge_blocks_and_match_dense(h2, model2, axis, n_blocks):
+    jumps = [sum(site_operator(model2, s, kind) for kind in axis) for s in (1, 2)]
+    liou = Liouvillian(matrix=lindblad_matrix(h2, jumps, [0.05, 0.05]), dim_state=4)
+    assert len(liou.blocks) == n_blocks
+    rho0 = random_density(np.random.default_rng(13), 4)
+    dense = _dense_states(liou, rho0, 0.5, 40)
+    assert np.abs(propagate(liou, rho0, TimeGrid(t_max=20.0, dt=0.5)).states
+                  - dense).max() <= 1e-12
+    assert np.abs(evolve_to(liou, rho0, 20.0) - dense[-1]).max() <= 1e-12
+
+
+def test_untouched_blocks_stay_exactly_zero(h4):
+    liou, _ = _liouvillian(4, 0.1, gamma=0.05, alpha_minus=1.0)
+    rho0 = gibbs_state(h4, 0.5)
+    outside = np.concatenate([b for b in liou.blocks if not np.any(vec(rho0)[b])])
+    traj = propagate(liou, rho0, TimeGrid(t_max=10.0, dt=0.5))
+    assert np.all(np.array([vec(s) for s in traj.states])[:, outside] == 0)
+    assert np.all(vec(evolve_to(liou, rho0, 10.0))[outside] == 0)

@@ -3,8 +3,12 @@ import csv
 import numpy as np
 import pytest
 
+from ergoquench import (ChannelSpec, ModelSpec, TimeGrid, build_hamiltonian,
+                        build_liouvillian, energy_basis_populations, gibbs_state, propagate,
+                        trajectory_records)
 from ergoquench.config import ExperimentConfig
-from ergoquench.experiments import EXPERIMENTS, _write_csv, run_experiment
+from ergoquench.experiments import (EXPERIMENTS, _lines, _trajectory_rows, _write_csv,
+                                    run_experiment)
 
 
 def _config(**kwargs):
@@ -120,6 +124,30 @@ def test_threaded_run_is_identical(tmp_path, monkeypatch, name):
                      t_max=10.0, beta_list=(0.2, 0.5, 1.0))
     threaded = run_experiment(config)[0]
     assert open(serial, "rb").read() == open(threaded, "rb").read()
+
+
+@pytest.mark.parametrize("n,channel,with_spectrum,extra", [
+    (2, ChannelSpec(gamma=0.05), True, False),                      # fig2-like
+    (2, ChannelSpec(gamma=0.05, alpha=0.5), False, False),           # appB-channels-like
+    (4, ChannelSpec(gamma=0.05), True, True),                        # appD-like
+], ids=["fig2", "appB-channels", "appD"])
+def test_trajectory_rows_equal_the_record_path(n, channel, with_spectrum, extra):
+    model = ModelSpec(n_qubits=n, field_h=0.1)
+    h = build_hamiltonian(model)
+    traj = propagate(build_liouvillian(h, channel, model), gibbs_state(h, 0.5),
+                     TimeGrid(t_max=25.0, dt=0.1))
+    added = ([[k % 2, "2-3" if k % 2 else ""] + pops
+              for k, pops in enumerate(energy_basis_populations(traj, h).tolist())]
+             if extra else [[]] * len(traj))
+    lead = ["panel", 0.5]
+    records = trajectory_records(traj, h)
+    expected = [lead + [rec.time, rec.energy, rec.passive_energy, rec.ergotropy] + added[k]
+                + (rec.rho_spectrum.tolist() if with_spectrum else [])
+                for k, rec in enumerate(records)]
+    rows, erg = _trajectory_rows(lead, traj, h, added, with_spectrum)
+    header = [f"c{k}" for k in range(len(expected[0]))]
+    assert list(_lines(header, rows)) == list(_lines(header, expected))
+    assert erg == [rec.ergotropy for rec in records]
 
 
 CELLS = ["panel-a", True, np.False_, 7, np.int64(-3), 0.1, np.float64(2.5e-7),
