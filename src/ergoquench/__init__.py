@@ -9,8 +9,8 @@ against closed-form sector solutions.
 from .channels import (ChannelSpec, Liouvillian, build_liouvillian, dissipator_apply,
                        rate_matrix, unvec, vec)
 from .config import ConfigError, ExperimentConfig, validate_config
-from .dynamics import (InvariantViolation, SteadyState, TimeGrid, Trajectory,
-                       detect_steady, evolve_to, propagate, propagate_rk4)
+from .dynamics import (InvariantViolation, TimeGrid, Trajectory, evolve_to, propagate,
+                       propagate_rk4)
 from .ergotropy import (ErgotropyRecord, activation_time, eigenvalue_crossings,
                         energy_basis_populations, ergotropy, ergotropy_difference,
                         ergotropy_series, passive_state, trajectory_records)

@@ -10,9 +10,9 @@ with A = sigma^- (dissipation) or sigma^z (dephasing) and the rate matrix
 Gamma = gamma [(1 - a) I + a 11^T] of `rate_matrix`.  That Gamma is
 diagonal in the basis of the N site jumps plus their sum, so the generator
 is assembled in diagonal form, gamma (1 - a) sum_i D[A_i] + gamma a
-D[sum_i A_i]: N + 1 jumps instead of N^2 terms, exact for every a.  The
-double sum lives on as `dissipator_apply`, the reference the tests hold the
-assembly to.
+D[sum_i A_i]: N + 1 jumps instead of N^2 terms, exact for every a, each
+vectorized once by `lindblad_matrix`.  The double sum lives on as
+`dissipator_apply`, the reference the tests hold the assembly to.
 
 Every `Liouvillian` carries the partition of its D^2 indices into blocks
 that the generator never couples (the connected components of its nonzero
@@ -147,25 +147,6 @@ def dissipator_apply(rates, jumps, rho) -> np.ndarray:
     return out
 
 
-def dissipator_superoperator(rates, jumps) -> np.ndarray:
-    """Vectorized form of dissipator_apply for a fixed rate matrix and jump set.
-
-    Only nonzero rates contribute, and their anticommutator terms are summed
-    into one decay operator before it is vectorized.
-    """
-    rates = np.asarray(rates, dtype=float)
-    d = jumps[0].shape[0]
-    eye = np.eye(d, dtype=complex)
-    out = np.zeros((d * d, d * d), dtype=complex)
-    decay = np.zeros((d, d), dtype=complex)  # sum_ij Gamma_ij A_j^dag A_i / 2
-    for i, j in zip(*np.nonzero(rates)):
-        out += kron(rates[i, j] * np.conj(jumps[j]), jumps[i])
-        decay += 0.5 * rates[i, j] * (dagger(jumps[j]) @ jumps[i])
-    out -= kron(eye, decay)
-    out -= kron(decay.T, eye)
-    return out
-
-
 def hamiltonian_superoperator(h_matrix) -> np.ndarray:
     """Vectorized commutator -i[H, .]."""
     h = np.asarray(h_matrix, dtype=complex)
@@ -176,11 +157,24 @@ def hamiltonian_superoperator(h_matrix) -> np.ndarray:
 
 
 def lindblad_matrix(h_matrix, jumps, rates) -> np.ndarray:
-    """Generic GKSL generator -i[H, .] + sum_k rate_k D[A_k] as a superoperator."""
+    """Generic GKSL generator -i[H, .] + sum_k rate_k D[A_k] as a superoperator.
+
+    Jumps with rate 0 are skipped; the anticommutator terms of the others
+    are summed into one decay operator before it is vectorized.
+    """
     out = hamiltonian_superoperator(h_matrix)
-    diag = np.diag(np.asarray(rates, dtype=float))
     if len(jumps):
-        out += dissipator_superoperator(diag, list(jumps))
+        d = jumps[0].shape[0]
+        eye = np.eye(d, dtype=complex)
+        dissipator = np.zeros((d * d, d * d), dtype=complex)
+        decay = np.zeros((d, d), dtype=complex)  # sum_k rate_k A_k^dag A_k / 2
+        for rate, jump in zip(np.asarray(rates, dtype=float), jumps, strict=True):
+            if rate != 0.0:
+                dissipator += kron(rate * np.conj(jump), jump)
+                decay += 0.5 * rate * (dagger(jump) @ jump)
+        dissipator -= kron(eye, decay)
+        dissipator -= kron(decay.T, eye)
+        out += dissipator
     return out
 
 

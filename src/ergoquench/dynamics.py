@@ -1,4 +1,4 @@
-"""Time evolution rho(t) = exp(L t) rho(0) on uniform grids.
+"""Time evolution rho(t) = exp(L t) rho(0), on uniform grids or in one jump.
 
 The primary propagator works block by block: L never couples two of its
 invariant blocks (`Liouvillian.blocks`), so exp(L t) is block-diagonal
@@ -15,12 +15,14 @@ with the offending step index, because it can only mean a bug in the
 generator or the integrator.  Positivity is monitored, never projected.
 The screen's eigendecomposition of each state is the only one made: the
 `Trajectory` carries it, and the spectral analyses read it from there.
+Every propagator returns such a `Trajectory`: `propagate` and
+`propagate_rk4` one entry per grid time, `evolve_to` one entry per input
+state, all at the target time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +63,7 @@ class TimeGrid:
 
 @dataclass
 class Trajectory:
-    """Stored states on a grid, with the eigendecomposition the CPTP screen made of each."""
+    """Stored states and their times, with the eigendecomposition the CPTP screen made of each."""
 
     times: np.ndarray
     states: np.ndarray
@@ -87,12 +89,6 @@ class Trajectory:
                 raise InvariantViolation(
                     f"dynamics: {name} defect {dev[k]:.3e} at step {k} (t={times[k]:g})")
         return cls(times=times, states=states, spectra=vals, vectors=vecs)
-
-
-class SteadyState(NamedTuple):
-    state: np.ndarray
-    converged: bool
-    t_settle: float
 
 
 def _initial_vector(liou: Liouvillian, rho0) -> np.ndarray:
@@ -150,10 +146,19 @@ def propagate_rk4(liou: Liouvillian, rho0, grid: TimeGrid, substeps: int = 20) -
     return Trajectory.screened(grid.times(), unvec_batch(stacked, liou.dim_state))
 
 
-def _evolve_screened(liou: Liouvillian, rho0, t: float) -> Trajectory:
-    """`evolve_to` of a (B, D, D) stack, as the screened B-state Trajectory."""
+def evolve_to(liou: Liouvillian, rho0, t: float) -> Trajectory:
+    """Single-jump evolution exp(L t) rho0; exact, no intermediate storage.
+
+    rho0 is one (D, D) state or a (B, D, D) stack of states; the result is
+    the screened Trajectory with one entry per input state, all at time t.
+    Each touched block's exp(L[b, b] t) is computed once and applied to each
+    state in turn, so a state evolves to the same bytes alone or inside a
+    stack.
+    """
+    rho0 = np.asarray(rho0)
     d = liou.dim_state
-    initial = np.array([_initial_vector(liou, rho) for rho in rho0], dtype=complex)
+    initial = np.array([_initial_vector(liou, rho)
+                        for rho in rho0.reshape((-1,) + rho0.shape[-2:])], dtype=complex)
     initial = initial.reshape(-1, d * d)
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
@@ -162,39 +167,3 @@ def _evolve_screened(liou: Liouvillian, rho0, t: float) -> Trajectory:
         for v, out in zip(initial, final):
             out[b] = step @ v[b]
     return Trajectory.screened(np.full(len(initial), t), unvec_batch(final, d))
-
-
-def evolve_to(liou: Liouvillian, rho0, t: float) -> np.ndarray:
-    """Single-jump evolution exp(L t) rho0; exact, no intermediate storage.
-
-    rho0 is one (D, D) state or a (B, D, D) stack of states; the result has
-    the same shape.  Each touched block's exp(L[b, b] t) is computed once
-    and applied to each state in turn, so a state evolves to the same bytes
-    alone or inside a stack.
-    """
-    rho0 = np.asarray(rho0)
-    traj = _evolve_screened(liou, rho0.reshape((-1,) + rho0.shape[-2:]), t)
-    return traj.states.reshape(rho0.shape)
-
-
-def detect_steady(traj: Trajectory, tol: float) -> SteadyState:
-    """Flag convergence when per-step motion stays below tol*dt through the tail.
-
-    t_settle is the earliest grid time from which ||rho(t_k) - rho(t_{k-1})||_F
-    stays below tol*dt for the rest of the grid; ``converged`` requires the
-    condition to hold over at least the final 10% of the grid.
-    """
-    if len(traj) == 0:
-        raise ValueError("empty trajectory")
-    if len(traj) == 1:
-        return SteadyState(state=traj.states[-1], converged=True, t_settle=float(traj.times[0]))
-    dt = float(traj.times[1] - traj.times[0])
-    diffs = np.sqrt((np.abs(np.diff(traj.states, axis=0)) ** 2).sum(axis=(1, 2)))
-    moving = diffs >= tol * dt
-    if not moving.any():
-        t_settle = float(traj.times[0])
-    else:
-        t_settle = float(traj.times[int(np.nonzero(moving)[0][-1]) + 1])
-    tail_start = min(len(diffs) - 1, int(np.ceil(0.9 * len(diffs))))
-    converged = not bool(moving[tail_start:].any())
-    return SteadyState(state=traj.states[-1], converged=converged, t_settle=t_settle)

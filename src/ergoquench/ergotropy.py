@@ -4,7 +4,10 @@ The unitary minimization in the ergotropy definition has the closed form
 E_passive = sum_k r_k eps_k with the state populations r sorted descending
 and the Hamiltonian levels eps sorted ascending, so a single Hermitian
 eigendecomposition per state is all that is ever needed.  A trajectory's
-analyses read the one its CPTP screen made (`Trajectory.spectra`/`.vectors`).
+analyses read the one its CPTP screen made (`Trajectory.spectra`/`.vectors`):
+`trajectory_records` gives the energy bookkeeping of every stored state at
+once, as one `ErgotropyRecord` of arrays, and `ergotropy` that of a single
+state.
 """
 
 from __future__ import annotations
@@ -25,12 +28,16 @@ DIFFERENCE_NOISE_FLOOR = 1e-9  # |dE| below this never counts as a signed value
 
 @dataclass(frozen=True)
 class ErgotropyRecord:
-    """Energy bookkeeping of one state: E, passive E, their difference, spectrum."""
+    """Energy bookkeeping: E, passive E, their difference and the descending spectrum.
 
-    time: float
-    energy: float
-    passive_energy: float
-    ergotropy: float
+    `ergotropy` gives these for one state (floats and a (D,) spectrum),
+    `trajectory_records` for every state of a trajectory (arrays with one
+    entry per state, and a (T, D) spectrum).
+    """
+
+    energy: float | np.ndarray
+    passive_energy: float | np.ndarray
+    ergotropy: float | np.ndarray
     rho_spectrum: np.ndarray  # descending
 
 
@@ -43,8 +50,8 @@ def _clip(values):
     return np.maximum(values, 0.0)
 
 
-def _batch_records(states, spectra, times, h_matrix):
-    """E, passive E, ergotropy and descending spectrum per state, from ascending spectra."""
+def _batch_records(states, spectra, h_matrix) -> ErgotropyRecord:
+    """ErgotropyRecord of arrays for a (T, D, D) stack, from its ascending spectra."""
     states = np.asarray(states)
     h_levels, _ = hermitian_eig(h_matrix)
     if states.shape[1] != h_levels.size:
@@ -55,18 +62,20 @@ def _batch_records(states, spectra, times, h_matrix):
     # exactly like np.dot on a single descending spectrum
     descending = np.ascontiguousarray(spectra[:, ::-1])
     passive = descending @ h_levels
-    erg = _clip(energies - passive)
-    return times, energies, passive, erg, descending
+    return ErgotropyRecord(energy=energies, passive_energy=passive,
+                           ergotropy=_clip(energies - passive), rho_spectrum=descending)
 
 
-def ergotropy(rho, h_matrix, time: float = 0.0) -> ErgotropyRecord:
+def ergotropy(rho, h_matrix) -> ErgotropyRecord:
     """Maximum unitarily extractable work of a single state."""
     rho = np.asarray(rho, dtype=complex)
     rho = 0.5 * (rho + dagger(rho))[None]
     spectra, _ = hermitian_eig_batch(rho, check=False)
-    t, e, p, w, spec = _batch_records(rho, spectra, np.array([time]), h_matrix)
-    return ErgotropyRecord(time=float(t[0]), energy=float(e[0]), passive_energy=float(p[0]),
-                           ergotropy=float(w[0]), rho_spectrum=spec[0])
+    record = _batch_records(rho, spectra, h_matrix)
+    return ErgotropyRecord(energy=float(record.energy[0]),
+                           passive_energy=float(record.passive_energy[0]),
+                           ergotropy=float(record.ergotropy[0]),
+                           rho_spectrum=record.rho_spectrum[0])
 
 
 def passive_state(rho, h_matrix) -> np.ndarray:
@@ -85,17 +94,14 @@ def passive_state(rho, h_matrix) -> np.ndarray:
     return (h_vecs * populations) @ dagger(h_vecs)
 
 
-def trajectory_records(traj: Trajectory, h_matrix) -> list[ErgotropyRecord]:
-    """ErgotropyRecord for every stored state, from the screen's spectra."""
-    t, e, p, w, spec = _batch_records(traj.states, traj.spectra, traj.times, h_matrix)
-    return [ErgotropyRecord(time=float(t[k]), energy=float(e[k]), passive_energy=float(p[k]),
-                            ergotropy=float(w[k]), rho_spectrum=spec[k])
-            for k in range(len(t))]
+def trajectory_records(traj: Trajectory, h_matrix) -> ErgotropyRecord:
+    """ErgotropyRecord of every stored state, as arrays, from the screen's spectra."""
+    return _batch_records(traj.states, traj.spectra, h_matrix)
 
 
 def ergotropy_series(traj: Trajectory, h_matrix) -> np.ndarray:
-    """Ergotropy at every grid time."""
-    return _batch_records(traj.states, traj.spectra, traj.times, h_matrix)[3]
+    """Ergotropy of every stored state."""
+    return trajectory_records(traj, h_matrix).ergotropy
 
 
 def activation_time(traj: Trajectory, h_matrix,

@@ -22,8 +22,8 @@ import numpy as np
 
 from .channels import ChannelSpec, build_liouvillian
 from .config import ConfigError, ExperimentConfig
-from .dynamics import TimeGrid, _evolve_screened, propagate
-from .ergotropy import _batch_records, eigenvalue_crossings, energy_basis_populations
+from .dynamics import TimeGrid, evolve_to, propagate
+from .ergotropy import eigenvalue_crossings, energy_basis_populations, trajectory_records
 from .jc import compare_jc, default_jc_spec
 from .linalg import hermitian_eig  # noqa: F401 (ergobench's tracer test patches it here)
 from .model import ModelSpec, build_hamiltonian, gibbs_state
@@ -122,6 +122,11 @@ def _require_n(config: ExperimentConfig, n: int, name: str) -> None:
         raise ConfigError(f"experiment {name!r} fixes n_qubits={n}")
 
 
+def _chain_sizes(config: ExperimentConfig) -> tuple:
+    """The configured chain size, or both N=2 and N=4 (fig8, appB-diss/deph)."""
+    return (config.n_qubits,) if config.n_qubits is not None else (2, 4)
+
+
 def _quench(n: int, h: float, gamma: float, channel: tuple):
     """H and L of one quench; channel is (alpha, alpha_minus, alpha_z)."""
     model = ModelSpec(n_qubits=n, field_h=h)
@@ -157,11 +162,13 @@ def _trajectory_rows(lead, traj, h_matrix, added, with_spectrum: bool):
     Each row is lead + [time, energy, passive energy, ergotropy] + that
     state's added cells + (its descending spectrum if with_spectrum).
     """
-    t, e, p, w, spec = _batch_records(traj.states, traj.spectra, traj.times, h_matrix)
-    spectra = spec.tolist() if with_spectrum else [[]] * len(t)
+    rec = trajectory_records(traj, h_matrix)
+    erg = rec.ergotropy.tolist()
+    spectra = rec.rho_spectrum.tolist() if with_spectrum else [[]] * len(traj)
     rows = [[*lead, tk, ek, pk, wk, *more, *sk] for tk, ek, pk, wk, more, sk
-            in zip(t.tolist(), e.tolist(), p.tolist(), w.tolist(), added, spectra)]
-    return rows, w.tolist()
+            in zip(traj.times.tolist(), rec.energy.tolist(), rec.passive_energy.tolist(),
+                   erg, added, spectra)]
+    return rows, erg
 
 
 def _trajectory_figure(config, out_dir, name, ids, table, grid, title, label,
@@ -236,8 +243,7 @@ def _run_fig6(config: ExperimentConfig, out_dir: str):
 
 def _run_fig8(config: ExperimentConfig, out_dir: str):
     betas = _betas_from(config)
-    sizes = (config.n_qubits,) if config.n_qubits is not None else (2, 4)
-    table = [_Row((n,), n, (1.0, config.alpha_minus, 0.0), betas) for n in sizes]
+    table = [_Row((n,), n, (1.0, config.alpha_minus, 0.0), betas) for n in _chain_sizes(config)]
     return _trajectory_figure(config, out_dir, "fig8", ("n_qubits",), table,
                               _grid_from(config), "parallel dephasing",
                               lambda tag, b: f"N={tag[0]} beta={b:g}", with_spectrum=False)
@@ -260,23 +266,37 @@ def _run_appb_channels(config: ExperimentConfig, out_dir: str):
 
 # --- steady-state experiments ------------------------------------------------
 
+def _steady_sweep(config, out_dir, name, header, table, betas,
+                  row_of=lambda tag, beta, erg: (*tag, beta, erg)):
+    """Shared body of the steady-state sweeps (fig4, appB-diss/deph).
+
+    table holds (tag, n, h, channel) points.  Each point builds H and L
+    once, evolves every beta's Gibbs state to t_max in one `evolve_to` call
+    and reads the ergotropies off the CPTP screen's spectra; row_of(tag,
+    beta, ergotropy) gives the CSV row.  The points run on the thread pool
+    and are written in table order.
+    """
+    def point(job):
+        tag, n, h, channel = job
+        h_matrix, liou = _quench(n, h, config.gamma, channel)
+        steady = evolve_to(liou, np.array([gibbs_state(h_matrix, b) for b in betas]),
+                           config.t_max)
+        ergs = trajectory_records(steady, h_matrix).ergotropy.tolist()
+        return [row_of(tag, beta, erg) for beta, erg in zip(betas, ergs)]
+
+    rows = [row for part in _pmap(point, table) for row in part]
+    return [_write_csv(os.path.join(out_dir, f"{name}.csv"), header, rows)]
+
+
 def _run_fig4(config: ExperimentConfig, out_dir: str):
     _require_n(config, 2, "fig4")
-    betas = np.linspace(0.1, 3.0, 50)
     fields = np.linspace(0.0, 0.9, 50)
-    t_max = config.t_max
-
-    def column(h_value):
-        h_matrix, liou = _quench(2, h_value, config.gamma, (0.0, 1.0, 0.0))
-        ergs = _steady_ergotropies(h_matrix, liou, betas, t_max)
-        return [(beta, h_value, erg, steady_state_is_passive(beta, h_value),
-                 erg <= STEADY_ERGOTROPY_EPS)
-                for beta, erg in zip(betas, ergs)]
-
-    rows = [row for col in _pmap(column, fields) for row in col]
-    rows.sort(key=lambda r: (r[1], r[0]))
     header = ["beta", "h", "steady_ergotropy", "passive_predicted", "passive_observed"]
-    paths = [_write_csv(os.path.join(out_dir, "fig4.csv"), header, rows)]
+    paths = _steady_sweep(
+        config, out_dir, "fig4", header, [(h, 2, h, (0.0, 1.0, 0.0)) for h in fields],
+        np.linspace(0.1, 3.0, 50),
+        lambda h, beta, erg: (beta, h, erg, steady_state_is_passive(beta, h),
+                              erg <= STEADY_ERGOTROPY_EPS))
     if config.emit_svg:
         boundary = [beta_critical(h_value) for h_value in fields]
         paths += _maybe_svg(config, out_dir, "fig4",
@@ -303,39 +323,20 @@ def _run_fig7(config: ExperimentConfig, out_dir: str):
     return paths
 
 
-def _steady_ergotropies(h_matrix, liou, betas, t_max) -> list:
-    """Ergotropy at t_max from each beta's Gibbs state, read off the CPTP screen's spectra."""
-    steady = _evolve_screened(liou, np.array([gibbs_state(h_matrix, b) for b in betas]), t_max)
-    return _batch_records(steady.states, steady.spectra, steady.times, h_matrix)[3].tolist()
-
-
-def _appb_sweep(config, out_dir, name, key, channel_of):
-    """Steady ergotropy at t_max over the collectivity grid (appB-diss/deph).
-
-    Each (n, collectivity) point builds H, L and the exponentials of L t_max's
-    touched blocks once for all betas.
-    """
-    betas = _betas_from(config)
-
-    def point(job):
-        n, a = job
-        h_matrix, liou = _quench(n, config.h, config.gamma, channel_of(a))
-        ergs = _steady_ergotropies(h_matrix, liou, betas, config.t_max)
-        return [(n, a, beta, erg) for beta, erg in zip(betas, ergs)]
-
-    sizes = (config.n_qubits,) if config.n_qubits is not None else (2, 4)
-    jobs = [(n, a) for n in sizes for a in INTERP_ALPHA_GRID]
-    rows = [row for part in _pmap(point, jobs) for row in part]
-    header = ["n_qubits", key, "beta", "steady_ergotropy"]
-    return [_write_csv(os.path.join(out_dir, f"{name}.csv"), header, rows)]
-
-
 def _run_appb_diss(config: ExperimentConfig, out_dir: str):
-    return _appb_sweep(config, out_dir, "appB-diss", "alpha_minus", lambda a: (0.0, a, 0.0))
+    return _steady_sweep(config, out_dir, "appB-diss",
+                         ["n_qubits", "alpha_minus", "beta", "steady_ergotropy"],
+                         [((n, a), n, config.h, (0.0, a, 0.0))
+                          for n in _chain_sizes(config) for a in INTERP_ALPHA_GRID],
+                         _betas_from(config))
 
 
 def _run_appb_deph(config: ExperimentConfig, out_dir: str):
-    return _appb_sweep(config, out_dir, "appB-deph", "alpha_z", lambda a: (1.0, 0.0, a))
+    return _steady_sweep(config, out_dir, "appB-deph",
+                         ["n_qubits", "alpha_z", "beta", "steady_ergotropy"],
+                         [((n, a), n, config.h, (1.0, 0.0, a))
+                          for n in _chain_sizes(config) for a in INTERP_ALPHA_GRID],
+                         _betas_from(config))
 
 
 # --- validation experiments ---------------------------------------------------
@@ -344,6 +345,9 @@ def _run_appc(config: ExperimentConfig, out_dir: str):
     _require_n(config, 2, "appC-check")
     grid = _grid_from(config)
     betas = _betas_from(config)
+    if min(betas) <= 0:
+        raise ConfigError(f"appC-check's collective steady spectrum needs beta > 0, "
+                          f"got beta_list {betas}")
     h_matrix, liou_par = _quench(2, config.h, config.gamma, (0.0, 0.0, 0.0))
     _, liou_col = _quench(2, config.h, config.gamma, (0.0, 1.0, 0.0))
     _, liou_dep = _quench(2, config.h, config.gamma, (1.0, 0.0, 0.0))

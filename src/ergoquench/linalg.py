@@ -43,11 +43,6 @@ def dagger(m) -> np.ndarray:
     return np.conj(np.swapaxes(m, -1, -2))
 
 
-def frobenius(m) -> float:
-    """Frobenius norm."""
-    return float(np.sqrt((np.abs(np.asarray(m)) ** 2).sum()))
-
-
 def one_norm(m) -> float:
     """Maximum absolute column sum."""
     return float(np.abs(np.asarray(m)).sum(axis=0).max())

@@ -136,7 +136,7 @@ def test_criterion_03_collective_critical_temperature():
     liou = build_liouvillian(h, ChannelSpec(gamma=GAMMA, alpha_minus=1.0), model)
     steady = {}
     for beta in (0.2, 0.3, 0.4, 0.5, 1.0, 2.0, 5.0):
-        state = evolve_to(liou, gibbs_state(h, beta), 800.0)
+        state = evolve_to(liou, gibbs_state(h, beta), 800.0).states[0]
         steady[beta] = ergotropy(state, h).ergotropy
     bc = beta_critical(0.1)
     ok = (all(steady[b] > 1e-3 for b in (0.2, 0.3, 0.4))
@@ -284,7 +284,7 @@ def test_criterion_09_interpolation_sweeps():
         ergs = []
         for am in alpha_tail:
             liou = build_liouvillian(h2, ChannelSpec(gamma=GAMMA, alpha_minus=am), model2)
-            state = evolve_to(liou, gibbs_state(h2, beta), 800.0)
+            state = evolve_to(liou, gibbs_state(h2, beta), 800.0).states[0]
             ergs.append(ergotropy(state, h2).ergotropy)
         tail_ok &= all(b <= a + 1e-9 for a, b in zip(ergs, ergs[1:]))
         collective_zero &= ergs[-1] < 1e-3
@@ -298,7 +298,8 @@ def test_criterion_09_interpolation_sweeps():
         local = None
         for am in (0.0, 0.5, 0.8, 0.9):
             liou = build_liouvillian(h4, ChannelSpec(gamma=GAMMA, alpha_minus=am), model4)
-            erg = ergotropy(evolve_to(liou, gibbs_state(h4, beta), 800.0), h4).ergotropy
+            erg = ergotropy(evolve_to(liou, gibbs_state(h4, beta), 800.0).states[0],
+                            h4).ergotropy
             if am == 0.0:
                 local = erg
             else:

@@ -3,8 +3,8 @@ import pytest
 
 from ergoquench import ChannelSpec, ModelSpec, build_hamiltonian, gibbs_state
 from ergoquench.channels import (build_liouvillian, dissipator_apply,
-                                 dissipator_superoperator, hamiltonian_superoperator,
-                                 lindblad_matrix, rate_matrix, unvec, vec)
+                                 hamiltonian_superoperator, lindblad_matrix, rate_matrix,
+                                 unvec, vec)
 from ergoquench.linalg import dagger, hermitian_eig, kron
 from ergoquench.model import collective_operator, site_operator
 

@@ -93,8 +93,9 @@ def test_cli_svg_flag(tmp_path, capsys):
     ("appB-channels", "dt = 0.3", "1", "not a multiple of dt"),  # default t_max 4000
     ("fig7", "", "abc", "ERGOQUENCH_THREADS must be an integer >= 1, got 'abc'"),
     ("fig7", "", "0", "ERGOQUENCH_THREADS must be an integer >= 1, got '0'"),
+    ("appC-check", "beta_list = 0, 1\nt_max = 10", "1", "needs beta > 0"),
 ], ids=["alpha-out-of-range", "t_max-off-grid", "dt-off-grid", "threads-not-integer",
-        "threads-below-one"])
+        "threads-below-one", "appc-beta-zero"])
 def test_cli_config_error_exit_code(tmp_path, capsys, monkeypatch, name, text, threads,
                                     fragment):
     monkeypatch.setenv("ERGOQUENCH_THREADS", threads)

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from ergoquench import (ChannelSpec, InvariantViolation, ModelSpec, TimeGrid,
-                        build_hamiltonian, build_liouvillian, detect_steady,
-                        evolve_to, gibbs_state, propagate, propagate_rk4)
+                        build_hamiltonian, build_liouvillian, evolve_to, gibbs_state,
+                        propagate, propagate_rk4)
 from ergoquench.channels import Liouvillian, lindblad_matrix, unvec_batch, vec
-from ergoquench.ergotropy import ergotropy
 from ergoquench.jc import default_jc_spec, jc_full_evolution
-from ergoquench.linalg import dagger, expm, frobenius, hermitian_eig_batch
+from ergoquench.linalg import dagger, expm, hermitian_eig_batch
 from ergoquench.model import site_operator
 
 from conftest import random_density
@@ -102,17 +101,19 @@ def test_evolve_to_matches_stepping(h2):
     rho0 = gibbs_state(h2, 0.5)
     traj = propagate(liou, rho0, TimeGrid(t_max=20.0, dt=0.5))
     jumped = evolve_to(liou, rho0, 20.0)
-    assert np.abs(jumped - traj.states[-1]).max() <= 1e-10
+    assert np.array_equal(jumped.times, [20.0])
+    assert np.abs(jumped.states[0] - traj.states[-1]).max() <= 1e-10
 
 
 def test_evolve_to_stack_equals_single_calls(h2):
     liou, _ = _liouvillian(2, 0.1, gamma=0.05, alpha_minus=1.0)
     stack = np.array([gibbs_state(h2, beta) for beta in (0.2, 1.0, 5.0)])
     jumped = evolve_to(liou, stack, 20.0)
-    assert jumped.shape == stack.shape
-    single = np.array([evolve_to(liou, rho, 20.0) for rho in stack])
-    assert single.shape == stack.shape  # a (D, D) input still gives (D, D)
-    assert np.array_equal(jumped, single)
+    assert jumped.states.shape == stack.shape and np.array_equal(jumped.times, [20.0] * 3)
+    single = [evolve_to(liou, rho, 20.0) for rho in stack]
+    assert all(len(traj) == 1 for traj in single)  # a (D, D) input gives one entry
+    assert np.array_equal(jumped.states, np.concatenate([traj.states for traj in single]))
+    assert np.array_equal(jumped.spectra, np.concatenate([traj.spectra for traj in single]))
 
 
 def test_evolve_to_stack_of_mixed_support_equals_single_calls(h4):
@@ -120,8 +121,8 @@ def test_evolve_to_stack_of_mixed_support_equals_single_calls(h4):
     liou, _ = _liouvillian(4, 0.1, gamma=0.05, alpha=1.0)
     stack = np.array([gibbs_state(h4, 0.5), random_density(np.random.default_rng(5), 16),
                       gibbs_state(h4, 2.0)])
-    jumped = evolve_to(liou, stack, 7.0)
-    single = np.array([evolve_to(liou, rho, 7.0) for rho in stack])
+    jumped = evolve_to(liou, stack, 7.0).states
+    single = np.concatenate([evolve_to(liou, rho, 7.0).states for rho in stack])
     assert jumped.tobytes() == single.tobytes()
 
 
@@ -133,44 +134,19 @@ def test_evolve_to_stack_rejects_a_non_density_matrix(h2):
         evolve_to(liou, stack, 1.0)
 
 
-def test_detect_steady_frozen_from_start(h2):
-    liou, _ = _liouvillian(2, 0.1, gamma=0.05, alpha=1.0, alpha_z=1.0)
-    traj = propagate(liou, gibbs_state(h2, 1.0), TimeGrid(t_max=100.0, dt=0.5))
-    steady = detect_steady(traj, tol=1e-8)
-    assert steady.converged
-    assert steady.t_settle == 0.0
-
-
-def test_detect_steady_parallel_plateau(h2):
-    liou, _ = _liouvillian(2, 0.1, gamma=0.05)
-    traj = propagate(liou, gibbs_state(h2, 1.0), TimeGrid(t_max=800.0, dt=0.5))
-    steady = detect_steady(traj, tol=1e-8)
-    assert steady.converged
-    assert abs(ergotropy(steady.state, h2).ergotropy - 1.8) <= 1e-6
-
-
-def test_detect_steady_gibbs_under_unitary_flow(h2):
+def test_gibbs_is_stationary_under_unitary_flow(h2):
     liou, _ = _liouvillian(2, 0.1, gamma=0.0)
-    traj = propagate(liou, gibbs_state(h2, 0.5), TimeGrid(t_max=100.0, dt=0.5))
-    assert detect_steady(traj, tol=1e-8).converged
-
-
-def test_detect_steady_reports_unconverged_transient(h2):
-    # stop well before the slowest mode (rate gamma) has died out
-    liou, _ = _liouvillian(2, 0.1, gamma=0.05)
-    traj = propagate(liou, gibbs_state(h2, 1.0), TimeGrid(t_max=20.0, dt=0.5))
-    steady = detect_steady(traj, tol=1e-8)
-    assert not steady.converged
-    assert steady.t_settle == traj.times[-1]
+    rho0 = gibbs_state(h2, 0.5)
+    traj = propagate(liou, rho0, TimeGrid(t_max=100.0, dt=0.5))
+    assert np.abs(traj.states[-1] - rho0).max() <= 1e-10
 
 
 def test_collective_steady_state_remembers_initial_condition(h2):
     liou, _ = _liouvillian(2, 0.1, gamma=0.05, alpha_minus=1.0)
     grid = TimeGrid(t_max=800.0, dt=0.5)
-    hot = detect_steady(propagate(liou, gibbs_state(h2, 0.2), grid), tol=1e-8)
-    cold = detect_steady(propagate(liou, gibbs_state(h2, 5.0), grid), tol=1e-8)
-    assert hot.converged and cold.converged
-    assert frobenius(hot.state - cold.state) > 0.1
+    hot = propagate(liou, gibbs_state(h2, 0.2), grid).states[-1]
+    cold = propagate(liou, gibbs_state(h2, 5.0), grid).states[-1]
+    assert np.linalg.norm(hot - cold) > 0.1
 
 
 def test_invariant_violation_names_step():
@@ -204,7 +180,9 @@ def test_state_of_the_wrong_dim_is_rejected(evolve):
     lambda liou, rho: jc_full_evolution(default_jc_spec(kappa_over_g=10.0),
                                         np.diag([1.0, 0.0]).astype(complex),
                                         TimeGrid(t_max=2.0, dt=0.05)),
-], ids=["propagate", "propagate_rk4", "jc_full_evolution"])
+    lambda liou, rho: evolve_to(liou, np.array([rho, np.diag([0.4, 0.3, 0.2, 0.1]),
+                                                np.full((4, 4), 0.25)]), 20.0),
+], ids=["propagate", "propagate_rk4", "jc_full_evolution", "evolve_to-stack"])
 def test_trajectory_carries_the_screened_decomposition(h2, run):
     liou, _ = _liouvillian(2, 0.1, gamma=0.05, alpha_minus=0.5)
     traj = run(liou, gibbs_state(h2, 0.5))
@@ -246,10 +224,10 @@ def test_blocked_engine_matches_dense_reference(case, state):
     dense = _dense_states(liou, rho0, 0.5, 40)
     traj = propagate(liou, rho0, TimeGrid(t_max=20.0, dt=0.5))
     assert np.abs(traj.states - dense).max() <= 1e-12
-    jumped = evolve_to(liou, rho0, 20.0)
+    jumped = evolve_to(liou, rho0, 20.0).states[0]
     assert np.abs(jumped - dense[-1]).max() <= 1e-12
     far = unvec_batch((expm(liou.matrix * 800.0) @ vec(rho0))[None], liou.dim_state)[0]
-    assert np.abs(evolve_to(liou, rho0, 800.0) - far).max() <= 1e-12
+    assert np.abs(evolve_to(liou, rho0, 800.0).states[0] - far).max() <= 1e-12
 
 
 @pytest.mark.parametrize("case", list(_ENGINE_CASES))
@@ -285,7 +263,7 @@ def test_cross_coupling_jumps_merge_blocks_and_match_dense(h2, model2, axis, n_b
     dense = _dense_states(liou, rho0, 0.5, 40)
     assert np.abs(propagate(liou, rho0, TimeGrid(t_max=20.0, dt=0.5)).states
                   - dense).max() <= 1e-12
-    assert np.abs(evolve_to(liou, rho0, 20.0) - dense[-1]).max() <= 1e-12
+    assert np.abs(evolve_to(liou, rho0, 20.0).states[0] - dense[-1]).max() <= 1e-12
 
 
 def test_untouched_blocks_stay_exactly_zero(h4):
@@ -294,4 +272,4 @@ def test_untouched_blocks_stay_exactly_zero(h4):
     outside = np.concatenate([b for b in liou.blocks if not np.any(vec(rho0)[b])])
     traj = propagate(liou, rho0, TimeGrid(t_max=10.0, dt=0.5))
     assert np.all(np.array([vec(s) for s in traj.states])[:, outside] == 0)
-    assert np.all(vec(evolve_to(liou, rho0, 10.0))[outside] == 0)
+    assert np.all(vec(evolve_to(liou, rho0, 10.0).states[0])[outside] == 0)

@@ -243,7 +243,9 @@ def test_ergotropy_nonnegative_along_trajectory():
     series = ergotropy_series(traj, h)
     assert series.min() >= 0.0
     records = trajectory_records(traj, h)
-    assert all(abs(r.rho_spectrum.sum() - 1.0) <= 1e-9 for r in records)
+    assert np.array_equal(records.ergotropy, series)
+    assert records.rho_spectrum.shape == (len(traj), 4)
+    assert np.abs(records.rho_spectrum.sum(axis=1) - 1.0).max() <= 1e-9
 
 
 def test_dimension_mismatch_rejected(h2):
