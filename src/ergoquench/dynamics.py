@@ -149,17 +149,21 @@ def propagate_rk4(liou: Liouvillian, rho0, grid: TimeGrid, substeps: int = 20) -
 def evolve_to(liou: Liouvillian, rho0, t: float) -> Trajectory:
     """Single-jump evolution exp(L t) rho0; exact, no intermediate storage.
 
-    rho0 is one (D, D) state or a (B, D, D) stack of states; the result is
-    the screened Trajectory with one entry per input state, all at time t.
+    rho0 is one (D, D) state or a (B, D, D) stack of states, checked as a
+    whole by one `check_density_matrix` call (a failure names the index of
+    the first bad member); the result is the screened Trajectory with one
+    entry per input state, all at time t.
     Each touched block's exp(L[b, b] t) is computed once and applied to each
     state in turn, so a state evolves to the same bytes alone or inside a
     stack.
     """
     rho0 = np.asarray(rho0)
+    check_density_matrix(rho0, context="initial state")
     d = liou.dim_state
-    initial = np.array([_initial_vector(liou, rho)
-                        for rho in rho0.reshape((-1,) + rho0.shape[-2:])], dtype=complex)
-    initial = initial.reshape(-1, d * d)
+    if rho0.shape[-2:] != (d, d):
+        raise ValueError(f"state shape {rho0.shape[-2:]} does not match dim {d}")
+    # row k is vec(rho0[k]): column-stacking is row-major order of the transpose
+    initial = np.swapaxes(rho0, -1, -2).reshape(-1, d * d).astype(complex, copy=False)
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     final = np.zeros_like(initial)

@@ -271,16 +271,16 @@ def _steady_sweep(config, out_dir, name, header, table, betas,
     """Shared body of the steady-state sweeps (fig4, appB-diss/deph).
 
     table holds (tag, n, h, channel) points.  Each point builds H and L
-    once, evolves every beta's Gibbs state to t_max in one `evolve_to` call
-    and reads the ergotropies off the CPTP screen's spectra; row_of(tag,
-    beta, ergotropy) gives the CSV row.  The points run on the thread pool
+    once, builds the stack of every beta's Gibbs state from one
+    decomposition of H, evolves it to t_max in one `evolve_to` call and
+    reads the ergotropies off the CPTP screen's spectra; row_of(tag, beta,
+    ergotropy) gives the CSV row.  The points run on the thread pool
     and are written in table order.
     """
     def point(job):
         tag, n, h, channel = job
         h_matrix, liou = _quench(n, h, config.gamma, channel)
-        steady = evolve_to(liou, np.array([gibbs_state(h_matrix, b) for b in betas]),
-                           config.t_max)
+        steady = evolve_to(liou, gibbs_state(h_matrix, betas), config.t_max)
         ergs = trajectory_records(steady, h_matrix).ergotropy.tolist()
         return [row_of(tag, beta, erg) for beta, erg in zip(betas, ergs)]
 
@@ -313,7 +313,7 @@ def _run_fig7(config: ExperimentConfig, out_dir: str):
     h_matrix = build_hamiltonian(model)
     betas = np.linspace(0.0, 5.0, 51)
     rows = [(beta, p_dark(beta, model, dark=dark, h_matrix=h_matrix),
-             p_dark_derivative(beta, model, dark=dark)) for beta in betas]
+             p_dark_derivative(beta, model, dark=dark, h_matrix=h_matrix)) for beta in betas]
     header = ["beta", "p_dark", "dp_dark_dbeta"]
     paths = [_write_csv(os.path.join(out_dir, "fig7.csv"), header, rows)]
     paths += _maybe_svg(config, out_dir, "fig7",

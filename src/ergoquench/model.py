@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, hermitian_eig, kron
+from .linalg import dagger, hermitian_eig, hermitian_eig_batch, kron
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -56,10 +56,8 @@ def site_operator(spec: ModelSpec, site: int, kind: str) -> np.ndarray:
         raise ValueError(f"unknown operator kind {kind!r}")
     if not 1 <= site <= spec.n_qubits:
         raise ValueError(f"site {site} out of range 1..{spec.n_qubits}")
-    op = np.eye(1, dtype=complex)
-    for k in range(1, spec.n_qubits + 1):
-        op = kron(op, PAULI[kind] if k == site else np.eye(2))
-    return op
+    return kron(kron(np.eye(2 ** (site - 1)), PAULI[kind]),
+                np.eye(2 ** (spec.n_qubits - site)))
 
 
 def collective_operator(spec: ModelSpec, kind: str) -> np.ndarray:
@@ -84,31 +82,49 @@ def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
     return h
 
 
-def gibbs_state(h_matrix, beta: float) -> np.ndarray:
+def gibbs_state(h_matrix, beta) -> np.ndarray:
     """Thermal state exp(-beta H) / Z, built in the eigenbasis of H.
 
+    beta is a scalar, giving one (D, D) state, or a 1-D array of inverse
+    temperatures, giving the (B, D, D) stack of their states from a single
+    decomposition of H; each member has the bytes of its scalar call.
     The Boltzmann weights are exponentials of spectrum shifted by the
     ground energy, so arbitrarily large beta (beta -> infinity) reduces to
     the uniform mixture over the (possibly degenerate) ground space
     without ever overflowing.
     """
-    if beta < 0:
+    betas = np.asarray(beta, dtype=float)
+    if betas.ndim > 1:
+        raise ValueError(f"beta must be a scalar or a 1-D array, got shape {betas.shape}")
+    if np.any(betas < 0):
         raise ValueError(f"beta must be >= 0, got {beta}")
     vals, vecs = hermitian_eig(h_matrix)
-    weights = np.exp(-beta * (vals - vals[0]))
-    weights /= weights.sum()
-    return (vecs * weights) @ dagger(vecs)
+    weights = np.exp(-betas.reshape(-1, 1) * (vals - vals[0]))
+    weights /= weights.sum(axis=-1, keepdims=True)
+    stack = (vecs * weights[..., None, :]) @ dagger(vecs)
+    return stack if betas.ndim else stack[0]
 
 
 def check_density_matrix(rho, context: str = "state") -> None:
-    """Raise ValueError unless rho is Hermitian, unit-trace and PSD within tolerance."""
+    """Raise ValueError unless rho is Hermitian, unit-trace and PSD within tolerance.
+
+    rho is one (D, D) state or a (B, D, D) stack, checked with one batched
+    decomposition; for a stack the message ends with the index of the first
+    member that fails.
+    """
     rho = np.asarray(rho)
-    herm = float(np.abs(rho - dagger(rho)).max())
-    if herm > DENSITY_HERM_TOL:
-        raise ValueError(f"{context}: Hermiticity defect {herm:.3e} > {DENSITY_HERM_TOL:.0e}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > DENSITY_TRACE_TOL:
-        raise ValueError(f"{context}: trace deviates from 1 by {abs(tr - 1.0):.3e}")
-    vals, _ = hermitian_eig(0.5 * (rho + dagger(rho)), check=False)
-    if vals[0] < -DENSITY_PSD_TOL:
-        raise ValueError(f"{context}: negative eigenvalue {vals[0]:.3e}")
+    stack = rho.reshape((-1,) + rho.shape[-2:])
+
+    def require(bad, values, template):
+        if bad.any():
+            k = int(np.argmax(bad))
+            at = "" if rho.ndim == 2 else f" at index {k}"
+            raise ValueError(f"{context}: {template.format(values[k])}{at}")
+
+    herm = np.abs(stack - dagger(stack)).max(axis=(1, 2))
+    require(herm > DENSITY_HERM_TOL, herm,
+            f"Hermiticity defect {{:.3e}} > {DENSITY_HERM_TOL:.0e}")
+    trace_dev = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
+    require(trace_dev > DENSITY_TRACE_TOL, trace_dev, "trace deviates from 1 by {:.3e}")
+    lowest = hermitian_eig_batch(0.5 * (stack + dagger(stack)), check=False)[0][:, 0]
+    require(lowest < -DENSITY_PSD_TOL, lowest, "negative eigenvalue {:.3e}")

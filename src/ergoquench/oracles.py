@@ -231,9 +231,14 @@ def two_qubit_collective_sc(init: TwoQubitBlockState, gamma: float, t) -> tuple:
 
 
 def steady_s_infinity(beta: float, h: float) -> float:
-    """Surviving one-excitation weight e^{2 beta} / Z of the collective steady state."""
-    z = 2.0 * (np.cosh(2.0 * beta) + np.cosh(2.0 * beta * h))
-    return float(np.exp(2.0 * beta) / z)
+    """Surviving one-excitation weight e^{2 beta} / Z of the collective steady state.
+
+    Z = e^{2 beta} + e^{-2 beta} + e^{2 beta h} + e^{-2 beta h}; dividing
+    through by e^{2 beta} leaves only decaying exponentials for beta > 0
+    and h <= 1, so no such beta overflows.
+    """
+    return float(1.0 / (1.0 + np.exp(-4.0 * beta) + np.exp(-2.0 * beta * (1.0 - h))
+                        + np.exp(-2.0 * beta * (1.0 + h))))
 
 
 def collective_steady_spectrum(beta: float, h: float) -> np.ndarray:
@@ -311,11 +316,12 @@ def p_dark(beta: float, model: ModelSpec, dark: DarkSubspace | None = None,
     return float(np.real(np.trace(dark.projector @ gibbs_state(h, beta))))
 
 
-def p_dark_derivative(beta: float, model: ModelSpec, dark: DarkSubspace | None = None) -> float:
+def p_dark_derivative(beta: float, model: ModelSpec, dark: DarkSubspace | None = None,
+                      h_matrix=None) -> float:
     """d p_dark / d beta = -(<H>_dark - <H>) p_dark, evaluated in the H eigenbasis."""
     _require_unit_coupling(model)
     dark = dark or dark_subspace(model)
-    h = build_hamiltonian(model)
+    h = build_hamiltonian(model) if h_matrix is None else h_matrix
     levels, vecs = hermitian_eig(h)
     weights = np.exp(-beta * (levels - levels[0]))
     proj_diag = np.real(np.einsum("ik,ij,jk->k", np.conj(vecs), dark.projector, vecs))

@@ -130,8 +130,9 @@ def test_evolve_to_stack_rejects_a_non_density_matrix(h2):
     liou, _ = _liouvillian(2, 0.1, gamma=0.05)
     stack = np.array([gibbs_state(h2, 1.0), 2.0 * gibbs_state(h2, 1.0),
                       gibbs_state(h2, 0.5)])
-    with pytest.raises(ValueError, match="trace"):
+    with pytest.raises(ValueError, match="trace") as caught:
         evolve_to(liou, stack, 1.0)
+    assert str(caught.value).endswith("at index 1")
 
 
 def test_gibbs_is_stationary_under_unitary_flow(h2):

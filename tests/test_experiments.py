@@ -85,6 +85,24 @@ def test_appb_sweeps_smoke(tmp_path):
     assert header == ["n_qubits", "alpha_z", "beta", "steady_ergotropy"]
 
 
+def test_steady_sweep_decomposes_h_once_per_point(tmp_path, monkeypatch):
+    # every beta's Gibbs state of a point comes from one decomposition of H
+    from ergoquench import model
+    calls = []
+    original = model.hermitian_eig
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(model, "hermitian_eig", counting)
+    config = _config(experiment="appB-diss", output_dir=str(tmp_path),
+                     t_max=10.0, n_qubits=2)
+    _, rows = _read(run_experiment(config)[0])
+    assert len(rows) == 11 * len(config.beta_list)
+    assert len(calls) == 11
+
+
 def test_appb_channels_smoke(tmp_path):
     config = _config(experiment="appB-channels", output_dir=str(tmp_path),
                      t_max=10.0, dt=0.5)

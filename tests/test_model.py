@@ -25,6 +25,17 @@ def test_discharged_state_energy_gap(h2):
     assert abs((e_gg - vals[0]) - 1.8) <= 1e-12
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("kind", sorted(PAULI))
+def test_site_operator_equals_the_chained_kron(n, kind):
+    spec = ModelSpec(n_qubits=n)
+    for site in range(1, n + 1):
+        reference = np.eye(1, dtype=complex)
+        for k in range(1, n + 1):
+            reference = kron(reference, PAULI[kind] if k == site else np.eye(2))
+        assert np.array_equal(site_operator(spec, site, kind), reference)
+
+
 def test_site_operator_placement(model2):
     assert np.array_equal(site_operator(model2, 1, "z"), kron(PAULI["z"], np.eye(2)))
     assert np.array_equal(site_operator(model2, 2, "minus"), kron(np.eye(2), PAULI["minus"]))
@@ -105,6 +116,22 @@ def test_gibbs_rejects_negative_beta(h2):
         gibbs_state(h2, -0.5)
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_gibbs_stack_has_the_bytes_of_single_calls(n):
+    h = build_hamiltonian(ModelSpec(n_qubits=n, field_h=0.1))
+    betas = np.array([0.0, 0.2, 1.0, 5.0, 1e4])
+    stack = gibbs_state(h, betas)
+    assert stack.shape == (len(betas), 2 ** n, 2 ** n)
+    assert stack.tobytes() == b"".join(gibbs_state(h, beta).tobytes() for beta in betas)
+    assert gibbs_state(h, (1.0,)).shape == (1, 2 ** n, 2 ** n)
+
+
+@pytest.mark.parametrize("betas", [(-0.5, 1.0, 2.0), (0.2, 1.0, -1e-9)])
+def test_gibbs_stack_rejects_a_negative_beta_anywhere(h2, betas):
+    with pytest.raises(ValueError, match="beta must be >= 0"):
+        gibbs_state(h2, np.array(betas))
+
+
 def test_model_spec_validation():
     with pytest.raises(ValueError):
         ModelSpec(n_qubits=0)
@@ -121,3 +148,21 @@ def test_check_density_matrix_rejects_bad_states():
         check_density_matrix(np.array([[1.0, 0.5], [0.0, 0.0]], dtype=complex))
     with pytest.raises(ValueError):
         check_density_matrix(np.diag([1.5, -0.5]).astype(complex))  # negative weight
+
+
+@pytest.mark.parametrize("bad,message", [
+    (np.diag([0.6, 0.6]).astype(complex), "trace deviates from 1 by 2.000e-01 at index 2"),
+    (np.array([[1.0, 0.5], [0.0, 0.0]], dtype=complex),
+     "Hermiticity defect 5.000e-01 > 1e-10 at index 2"),
+    (np.diag([1.5, -0.5]).astype(complex), "negative eigenvalue -5.000e-01 at index 2"),
+], ids=["trace", "hermiticity", "positivity"])
+def test_check_density_matrix_names_the_first_bad_member_of_a_stack(bad, message):
+    good = np.diag([0.75, 0.25]).astype(complex)
+    stack = np.array([good, good, bad, bad])
+    with pytest.raises(ValueError) as caught:
+        check_density_matrix(stack, context="stack")
+    assert str(caught.value) == f"stack: {message}"
+    check_density_matrix(stack[:2])
+    with pytest.raises(ValueError) as caught:
+        check_density_matrix(bad, context="single")
+    assert str(caught.value) == "single: " + message.rsplit(" at index", 1)[0]

@@ -97,6 +97,17 @@ def test_collective_sc_long_time_limit(h2):
     assert abs((init.p_eg + init.p_ge) / 2.0 - init.c.real - s_inf) <= 1e-12
 
 
+@pytest.mark.parametrize("h_field", [0.0, 0.1, 0.37, 0.9])
+def test_steady_s_infinity_is_finite_at_large_beta(h_field):
+    for beta in np.linspace(0.01, 5.0, 200):
+        z = 2.0 * (np.cosh(2 * beta) + np.cosh(2 * beta * h_field))
+        assert abs(steady_s_infinity(beta, h_field) - np.exp(2 * beta) / z) <= 1e-15
+    for beta in (400.0, 1e4):
+        spectrum = collective_steady_spectrum(beta, h_field)
+        assert np.all(np.isfinite(spectrum))
+        assert np.array_equal(spectrum, [0.0, 0.0, 0.0, 1.0])
+
+
 def test_collective_sc_requires_real_coherence(h2):
     init = TwoQubitBlockState(p_gg=0.4, p_eg=0.25, p_ge=0.25, p_ee=0.1, c=0.1j)
     with pytest.raises(ValueError):
