@@ -14,9 +14,17 @@ D[sum_i A_i]: N + 1 jumps instead of N^2 terms, exact for every a, each
 vectorized once by `lindblad_matrix`.  The double sum lives on as
 `dissipator_apply`, the reference the tests hold the assembly to.
 
+Assembly writes each term only where it can be nonzero.  I (x) X and
+Y (x) I fill d^3 entries each, reached through diagonal views of the
+(d, d, d, d) reshape of the output; a jump term rate conj(A) (x) A fills
+the outer product of A's nonzero pattern.  No D^2 x D^2 Kronecker product
+is formed, and every entry is summed in the order of the dense formula,
+so the result is bit for bit the dense one.
+
 Every `Liouvillian` carries the partition of its D^2 indices into blocks
 that the generator never couples (the connected components of its nonzero
-pattern).  The propagators exponentiate and step each block on its own.
+pattern, found in one vectorized pass).  The propagators exponentiate and
+step each block on its own.
 """
 
 from __future__ import annotations
@@ -77,23 +85,24 @@ def _invariant_blocks(matrix) -> tuple:
     """Connected components of the nonzero pattern of |M| + |M|^T, as index arrays.
 
     Each block is ascending and the blocks are ordered by their first index.
+    Every index is labelled with the smallest index of its block: labels
+    are lowered along the nonzero entries and then pointer-jumped
+    (label <- label[label]) until neither changes them.
     """
-    coupled = np.asarray(matrix) != 0
-    coupled |= coupled.T
-    free = np.ones(len(coupled), dtype=bool)
-    blocks = []
-    for seed in range(len(coupled)):
-        if not free[seed]:
-            continue
-        member = np.zeros_like(free)
-        member[seed] = True
-        frontier = member
-        while frontier.any():
-            frontier = coupled[frontier].any(axis=0) & ~member
-            member |= frontier
-        free &= ~member
-        blocks.append(np.flatnonzero(member))
-    return tuple(blocks)
+    matrix = np.asarray(matrix)
+    rows, cols = np.divmod(np.flatnonzero(matrix != 0), len(matrix))
+    tails, heads = np.concatenate((rows, cols)), np.concatenate((cols, rows))  # M and M^T
+    label = np.arange(len(matrix))
+    while True:
+        lowered = label.copy()
+        np.minimum.at(lowered, tails, label[heads])
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, label):
+            break
+        label = lowered
+    order = np.argsort(label, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1), len(order)]
+    return tuple(order[a:b] for a, b in zip(cuts[:-1], cuts[1:]))
 
 
 def vec(rho) -> np.ndarray:
@@ -149,32 +158,51 @@ def dissipator_apply(rates, jumps, rho) -> np.ndarray:
 
 def hamiltonian_superoperator(h_matrix) -> np.ndarray:
     """Vectorized commutator -i[H, .]."""
-    h = np.asarray(h_matrix, dtype=complex)
-    eye = np.eye(h.shape[0], dtype=complex)
-    out = kron(eye, -1j * h)
-    out += kron(1j * h.T, eye)
-    return out
+    return lindblad_matrix(h_matrix, [], [])
 
 
 def lindblad_matrix(h_matrix, jumps, rates) -> np.ndarray:
     """Generic GKSL generator -i[H, .] + sum_k rate_k D[A_k] as a superoperator.
 
     Jumps with rate 0 are skipped; the anticommutator terms of the others
-    are summed into one decay operator before it is vectorized.
+    are summed into one decay operator.  Each term is written only where it
+    can be nonzero: rate conj(A) (x) A at the outer product of A's nonzero
+    pattern, the identity products on their diagonal views.  Every entry is
+    the sum the dense formula forms, in its order: commutator + ((sum of
+    jumps - I (x) decay) - decay^T (x) I).
     """
-    out = hamiltonian_superoperator(h_matrix)
-    if len(jumps):
-        d = jumps[0].shape[0]
-        eye = np.eye(d, dtype=complex)
-        dissipator = np.zeros((d * d, d * d), dtype=complex)
-        decay = np.zeros((d, d), dtype=complex)  # sum_k rate_k A_k^dag A_k / 2
-        for rate, jump in zip(np.asarray(rates, dtype=float), jumps, strict=True):
-            if rate != 0.0:
-                dissipator += kron(rate * np.conj(jump), jump)
-                decay += 0.5 * rate * (dagger(jump) @ jump)
-        dissipator -= kron(eye, decay)
-        dissipator -= kron(decay.T, eye)
-        out += dissipator
+    h = np.asarray(h_matrix, dtype=complex)
+    d = h.shape[0]
+    if h.shape != (d, d):
+        raise ValueError(f"Hamiltonian must be square, got shape {h.shape}")
+    for k, jump in enumerate(jumps):
+        if np.shape(jump) != (d, d):
+            raise ValueError(
+                f"jump {k} has shape {np.shape(jump)}, not the Hamiltonian's {(d, d)}")
+    out = np.zeros((d * d, d * d), dtype=complex)
+    # out4[i, k, j, l] is out[i*d + k, j*d + l].  I (x) X fills out4[i, k, i, l],
+    # the view `left` indexed [i, k, l]; Y (x) I fills out4[i, k, j, k], `right` [i, j, k].
+    out4 = out.reshape(d, d, d, d)
+    left, right = np.einsum("ikil->ikl", out4), np.einsum("ikjk->ijk", out4)
+    decay = np.zeros((d, d), dtype=complex)  # sum_k rate_k A_k^dag A_k / 2
+    for rate, jump in zip(np.asarray(rates, dtype=float), jumps, strict=True):
+        if rate != 0.0:
+            jump = np.asarray(jump)
+            r, c = np.nonzero(jump)
+            values = jump[r, c]
+            out4[r[:, None], r, c[:, None], c] += kron(
+                (rate * np.conj(values))[:, None], values[None, :])
+            decay += 0.5 * rate * (dagger(jump) @ jump)
+    left -= decay
+    right -= decay.T[:, :, None]
+    # commutator + dissipator (addition commutes), each entry kron(I, x) + kron(y, I)
+    x, y = -1j * h, 1j * h.T
+    diag = np.arange(d)
+    slab = np.repeat(x[None], d, axis=0)
+    slab[:, diag, diag] += np.diagonal(y)[:, None]  # both terms meet at i = j, k = l
+    left += slab
+    y[diag, diag] = 0.0
+    right += y[:, :, None]
     return out
 
 

@@ -8,8 +8,11 @@ The eigendecomposition and the linear solve are LAPACK's, through
 ``numpy.linalg``; this module adds the Hermiticity check, symmetrization and
 the translation of failures into `LinalgError`.  numpy has no matrix
 exponential, so `expm` is Pade(13) scaling-and-squaring, implemented here.
-States are at most 16x16.  Superoperators are assembled at up to 256x256
-but exponentiated one invariant block at a time: 70x70 at most for the
+`kron` is numpy's broadcast product of two matrices without np.kron's
+general-rank wrapper; it builds the site operators.  States are at most
+16x16.  Superoperators are assembled at up to 256x256 (from their nonzero
+terms, not from full Kronecker products; see `channels`) but
+exponentiated one invariant block at a time: 70x70 at most for the
 experiments' four-qubit Gibbs inputs (1, 16, 36, 16, 1 under pure
 dephasing), 6x6 at two qubits.
 """
@@ -31,10 +34,16 @@ def kron(a, b) -> np.ndarray:
     """Kronecker product with the left factor as the slow index.
 
     (a (x) b)[i*P + k, j*Q + l] = a[i, j] * b[k, l] for b of shape (P, Q);
-    chains built left-to-right put site 1 in the leftmost factor.
+    chains built left-to-right put site 1 in the leftmost factor.  Both
+    factors must be matrices.  The entries are the products np.kron forms,
+    by the same broadcast multiply, without its per-call dispatch.
     """
-    # contiguous factors: np.kron of a transposed view is several times slower
-    return np.kron(np.ascontiguousarray(a, dtype=complex), np.ascontiguousarray(b, dtype=complex))
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim != 2 or b.ndim != 2:
+        raise LinalgError(f"kron expects two matrices, got shapes {a.shape} and {b.shape}")
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 def dagger(m) -> np.ndarray:

@@ -320,6 +320,8 @@ def p_dark_derivative(beta: float, model: ModelSpec, dark: DarkSubspace | None =
                       h_matrix=None) -> float:
     """d p_dark / d beta = -(<H>_dark - <H>) p_dark, evaluated in the H eigenbasis."""
     _require_unit_coupling(model)
+    if beta < 0:
+        raise ValueError(f"beta must be >= 0, got {beta}")
     dark = dark or dark_subspace(model)
     h = build_hamiltonian(model) if h_matrix is None else h_matrix
     levels, vecs = hermitian_eig(h)

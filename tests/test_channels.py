@@ -1,14 +1,90 @@
 import numpy as np
 import pytest
 
+import ergoquench.channels
 from ergoquench import ChannelSpec, ModelSpec, build_hamiltonian, gibbs_state
-from ergoquench.channels import (build_liouvillian, dissipator_apply,
+from ergoquench.channels import (Liouvillian, build_liouvillian, dissipator_apply,
                                  hamiltonian_superoperator, lindblad_matrix, rate_matrix,
                                  unvec, vec)
 from ergoquench.linalg import dagger, hermitian_eig, kron
 from ergoquench.model import collective_operator, site_operator
 
 from conftest import random_density, random_hermitian
+
+
+def _dense_kron(a, b):
+    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def _dense_lindblad_matrix(h_matrix, jumps, rates):
+    """Reference assembly: every term as a full D^2 x D^2 Kronecker product."""
+    h = np.asarray(h_matrix, dtype=complex)
+    eye = np.eye(h.shape[0], dtype=complex)
+    out = _dense_kron(eye, -1j * h)
+    out += _dense_kron(1j * h.T, eye)
+    if len(jumps):
+        d = jumps[0].shape[0]
+        eye = np.eye(d, dtype=complex)
+        dissipator = np.zeros((d * d, d * d), dtype=complex)
+        decay = np.zeros((d, d), dtype=complex)
+        for rate, jump in zip(np.asarray(rates, dtype=float), jumps, strict=True):
+            if rate != 0.0:
+                dissipator += _dense_kron(rate * np.conj(jump), jump)
+                decay += 0.5 * rate * (dagger(jump) @ jump)
+        dissipator -= _dense_kron(eye, decay)
+        dissipator -= _dense_kron(decay.T, eye)
+        out += dissipator
+    return out
+
+
+def _bfs_blocks(matrix):
+    """Reference block finder: one breadth-first search per connected component."""
+    coupled = np.asarray(matrix) != 0
+    coupled |= coupled.T
+    free = np.ones(len(coupled), dtype=bool)
+    blocks = []
+    for seed in range(len(coupled)):
+        if not free[seed]:
+            continue
+        member = np.zeros_like(free)
+        member[seed] = True
+        frontier = member
+        while frontier.any():
+            frontier = coupled[frontier].any(axis=0) & ~member
+            member |= frontier
+        free &= ~member
+        blocks.append(np.flatnonzero(member))
+    return tuple(blocks)
+
+
+def _same_blocks(found, reference):
+    return len(found) == len(reference) and all(
+        np.array_equal(a, b) for a, b in zip(found, reference, strict=True))
+
+
+# every channel build_liouvillian assembles, as ChannelSpec keywords
+CHANNEL_CASES = {
+    "parallel-dissipation": dict(gamma=0.05),
+    "collective-dissipation": dict(gamma=0.05, alpha_minus=1.0),
+    "interpolated-dissipation": dict(gamma=0.05, alpha_minus=0.4),
+    "parallel-dephasing": dict(gamma=0.05, alpha=1.0),
+    "collective-dephasing": dict(gamma=0.05, alpha=1.0, alpha_z=1.0),
+    "alpha-mixed": dict(gamma=0.05, alpha=0.3, alpha_minus=0.4, alpha_z=0.7),
+    "gamma-zero": dict(gamma=0.0, alpha=0.3, alpha_minus=0.4, alpha_z=0.7),
+}
+
+
+def _channel_jumps(spec, model):
+    """The jumps and rates build_liouvillian passes on: N site jumps plus their sum per channel."""
+    jumps, rates = [], []
+    for weight, kind, interp in ((1.0 - spec.alpha, "minus", spec.alpha_minus),
+                                 (spec.alpha, "z", spec.alpha_z)):
+        if weight > 0.0 and spec.gamma > 0.0:
+            site = [site_operator(model, s, kind) for s in range(1, model.n_qubits + 1)]
+            jumps += site + [np.sum(site, axis=0)]
+            rates += ([weight * spec.gamma * (1.0 - interp)] * model.n_qubits
+                      + [weight * spec.gamma * interp])
+    return jumps, rates
 
 
 def _excitations(index, n):
@@ -202,3 +278,73 @@ def test_liouvillian_rejects_large_chains():
     h = build_hamiltonian(model)
     with pytest.raises(ValueError):
         build_liouvillian(h, ChannelSpec(gamma=0.05), model)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", list(CHANNEL_CASES))
+def test_assembly_is_bit_identical_to_the_dense_kronecker_formula(n, case):
+    model = ModelSpec(n_qubits=n, field_h=0.1)
+    spec = ChannelSpec(**CHANNEL_CASES[case])
+    for h in (build_hamiltonian(model), random_hermitian(np.random.default_rng(n), model.dim)):
+        liou = build_liouvillian(h, spec, model)
+        reference = _dense_lindblad_matrix(h, *_channel_jumps(spec, model))
+        assert np.array_equal(liou.matrix, reference)
+        assert _same_blocks(liou.blocks, _bfs_blocks(reference))
+
+
+def test_lindblad_matrix_is_bit_identical_for_complex_and_overlapping_jumps():
+    rng = np.random.default_rng(23)
+    for d in (2, 3, 4):
+        h = random_hermitian(rng, d)
+        dense = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        sparse = np.where(rng.random((d, d)) < 0.4, dense, 0.0)
+        jumps = [dense, sparse, np.eye(d), sparse.T, np.zeros((d, d))]
+        rates = [0.3, 0.05, 0.0, 1.7, 0.2]
+        assert np.array_equal(lindblad_matrix(h, jumps, rates),
+                              _dense_lindblad_matrix(h, jumps, rates))
+        assert np.array_equal(hamiltonian_superoperator(h), _dense_lindblad_matrix(h, [], []))
+
+
+def _random_pattern(rng, dim, density, symmetric):
+    mask = rng.random((dim, dim)) < density
+    if symmetric:
+        mask |= mask.T
+    return np.where(mask, rng.normal(size=(dim, dim)) + 1j, 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 5, 16, 64])
+def test_block_finder_matches_breadth_first_search(dim):
+    rng = np.random.default_rng(dim)
+    patterns = [np.zeros((dim, dim)), np.ones((dim, dim)), np.eye(dim),
+                np.triu(np.ones((dim, dim)), 1),       # couplings in one direction only
+                np.diag(np.ones(dim - 1), -1)]         # a one-way chain through every index
+    for density in (0.5 / dim, 1.0 / dim, 2.0 / dim, 0.3):
+        patterns += [_random_pattern(rng, dim, density, symmetric)
+                     for symmetric in (False, True)]
+    for matrix in patterns:
+        blocks = Liouvillian(matrix=matrix, dim_state=1).blocks
+        assert _same_blocks(blocks, _bfs_blocks(matrix))
+
+
+def test_four_qubit_assembly_makes_no_full_size_kron(monkeypatch, model4, h4):
+    # every term is written at its support: no D^2 x D^2 Kronecker product at all
+    shapes = []
+
+    def counting_kron(a, b):
+        out = kron(a, b)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(ergoquench.channels, "kron", counting_kron)
+    for case in CHANNEL_CASES.values():
+        build_liouvillian(h4, ChannelSpec(**case), model4)
+    assert (256, 256) not in shapes
+
+
+def test_lindblad_matrix_names_the_first_misshaped_jump(model2, h2):
+    good = site_operator(model2, 1, "minus")
+    for bad in (np.zeros((2, 2)), np.zeros((4, 2)), np.zeros(4), np.zeros((8, 8))):
+        with pytest.raises(ValueError, match=r"jump 1 has shape"):
+            lindblad_matrix(h2, [good, bad, bad], [0.05, 0.05, 0.05])
+    with pytest.raises(ValueError, match="square"):
+        lindblad_matrix(np.zeros((4, 2)), [], [])

@@ -33,6 +33,36 @@ def test_kron_associativity():
         assert np.abs(kron(kron(a, b), c) - kron(a, kron(b, c))).max() <= 1e-14
 
 
+@pytest.mark.parametrize("shape_a,shape_b", [
+    ((1, 1), (1, 1)), ((1, 1), (3, 3)), ((2, 2), (3, 3)), ((4, 4), (4, 4)),
+    ((2, 3), (4, 1)), ((1, 5), (3, 2)),
+])
+@pytest.mark.parametrize("complex_a,complex_b", [(False, False), (True, False), (True, True)])
+def test_kron_is_bit_identical_to_numpy(shape_a, shape_b, complex_a, complex_b):
+    rng = np.random.default_rng(19)
+
+    def draw(shape, is_complex):
+        x = rng.normal(size=shape)
+        return x + 1j * rng.normal(size=shape) if is_complex else x
+
+    a, b = draw(shape_a, complex_a), draw(shape_b, complex_b)
+    out = kron(a, b)
+    assert out.dtype == complex
+    assert np.array_equal(out, np.kron(a.astype(complex), b.astype(complex)))
+    assert np.array_equal(kron(a.T, b), np.kron(a.T.astype(complex), b.astype(complex)))
+
+
+@pytest.mark.parametrize("a,b", [
+    (np.ones(2), np.ones((2, 2))),
+    (np.ones((2, 2)), np.ones(3)),
+    (np.ones((2, 2, 2)), np.ones((2, 2))),
+    (np.float64(2.0), np.ones((2, 2))),
+])
+def test_kron_rejects_non_matrix_factors(a, b):
+    with pytest.raises(LinalgError, match="two matrices"):
+        kron(a, b)
+
+
 def test_eig_sigma_z():
     vals, _ = hermitian_eig(PAULI["z"])
     assert np.allclose(vals, [-1.0, 1.0], atol=1e-14)

@@ -186,6 +186,12 @@ def test_p_dark_derivative_matches_finite_difference(model4):
         assert abs(analytic - fd) <= 1e-6
 
 
+def test_p_dark_and_its_derivative_reject_negative_beta(model4):
+    for oracle in (p_dark, p_dark_derivative):
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            oracle(-1.0, model4)
+
+
 def test_oracles_refuse_nonunit_coupling():
     model = ModelSpec(n_qubits=4, field_h=0.1, j_coupling=2.0)
     with pytest.raises(ValueError):
