@@ -13,8 +13,10 @@ state is re-symmetrized and screened against the CPTP invariants (trace,
 Hermiticity, positivity); a violation beyond the guard tolerance aborts
 with the offending step index, because it can only mean a bug in the
 generator or the integrator.  Positivity is monitored, never projected.
-The screen's eigendecomposition of each state is the only one made: the
-`Trajectory` carries it, and the spectral analyses read it from there.
+The screen computes the spectrum of each state, values only: the
+`Trajectory` carries it, and the energy bookkeeping reads it from there.
+Eigenvectors are computed only where they are read, by the branch
+tracker in `ergotropy.eigenvalue_crossings`, one chunk of states at a time.
 Every propagator returns such a `Trajectory`: `propagate` and
 `propagate_rk4` one entry per grid time, `evolve_to` one entry per input
 state, all at the target time.
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Liouvillian, unvec_batch, vec
-from .linalg import dagger, expm, hermitian_eig_batch
+from .linalg import dagger, expm, hermitian_eigvals_batch
 from .model import check_density_matrix
 
 GUARD_TOL = 1e-6  # runtime CPTP guard; test-level bounds are far tighter
@@ -63,24 +65,26 @@ class TimeGrid:
 
 @dataclass
 class Trajectory:
-    """Stored states and their times, with the eigendecomposition the CPTP screen made of each."""
+    """Stored states and their times, with the spectra the CPTP screen computed of each."""
 
     times: np.ndarray
     states: np.ndarray
     spectra: np.ndarray  # (T, D), ascending
-    vectors: np.ndarray  # (T, D, D), columns are the matching eigenvectors
 
     def __len__(self) -> int:
         return len(self.times)
 
     @classmethod
     def screened(cls, times, raw_states) -> "Trajectory":
-        """Symmetrize the stored states, enforce the CPTP guard and keep its decomposition."""
-        states = np.asarray(raw_states)
-        herm = np.abs(states - dagger(states)).max(axis=(1, 2))
-        states = 0.5 * (states + dagger(states))
+        """Symmetrize the stored states, enforce the CPTP guard and keep their spectra."""
+        raw = np.asarray(raw_states)
+        states = dagger(raw)
+        herm = np.abs(raw - states).max(axis=(1, 2))
+        # 0.5 * (raw + raw^H), formed in the adjoint's buffer
+        states += raw
+        states *= 0.5
         trace_dev = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
-        vals, vecs = hermitian_eig_batch(states, check=False)
+        vals = hermitian_eigvals_batch(states)
         neg = -vals[:, 0]
         for name, dev in (("Hermiticity", herm), ("trace", trace_dev), ("positivity", neg)):
             bad = np.nonzero(dev > GUARD_TOL)[0]
@@ -88,7 +92,7 @@ class Trajectory:
                 k = int(bad[0])
                 raise InvariantViolation(
                     f"dynamics: {name} defect {dev[k]:.3e} at step {k} (t={times[k]:g})")
-        return cls(times=times, states=states, spectra=vals, vectors=vecs)
+        return cls(times=times, states=states, spectra=vals)
 
 
 def _initial_vector(liou: Liouvillian, rho0) -> np.ndarray:

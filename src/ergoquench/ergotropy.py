@@ -2,12 +2,15 @@
 
 The unitary minimization in the ergotropy definition has the closed form
 E_passive = sum_k r_k eps_k with the state populations r sorted descending
-and the Hamiltonian levels eps sorted ascending, so a single Hermitian
-eigendecomposition per state is all that is ever needed.  A trajectory's
-analyses read the one its CPTP screen made (`Trajectory.spectra`/`.vectors`):
-`trajectory_records` gives the energy bookkeeping of every stored state at
-once, as one `ErgotropyRecord` of arrays, and `ergotropy` that of a single
-state.
+and the Hamiltonian levels eps sorted ascending, so the spectrum of each
+state, without its eigenvectors, is all that the energy bookkeeping needs.
+A trajectory's records read the spectra its CPTP screen computed
+(`Trajectory.spectra`): `trajectory_records` gives the energy bookkeeping
+of every stored state at once, as one `ErgotropyRecord` of arrays, and
+`ergotropy` that of a single state.  Only the branch tracker
+`eigenvalue_crossings` reads eigenvectors; it decomposes the states itself,
+one chunk at a time.  Energies and energy-basis populations are each one
+matrix product over the flattened (T, D*D) state stack.
 """
 
 from __future__ import annotations
@@ -57,7 +60,9 @@ def _batch_records(states, spectra, h_matrix) -> ErgotropyRecord:
     if states.shape[1] != h_levels.size:
         raise ValueError(
             f"state dim {states.shape[1]} does not match Hamiltonian dim {h_levels.size}")
-    energies = np.einsum("tij,ji->t", states, np.asarray(h_matrix, dtype=complex)).real
+    # Tr(rho H) = sum_ij rho_ij H_ji, one (T, D*D) @ (D*D,) product
+    h_transposed = np.asarray(h_matrix, dtype=complex).T.reshape(-1)
+    energies = (states.reshape(len(states), -1) @ h_transposed).real
     # one contiguous descending copy, so that the reduction below rounds
     # exactly like np.dot on a single descending spectrum
     descending = np.ascontiguousarray(spectra[:, ::-1])
@@ -187,18 +192,19 @@ def eigenvalue_crossings(traj: Trajectory,
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    vals, vecs, times = traj.spectra, traj.vectors, traj.times
+    states, times = traj.states, traj.times
     found: list[tuple[float, tuple[int, int]]] = []
     for start in range(1, len(traj), CROSSING_CHUNK):
         stop = min(start + CROSSING_CHUNK, len(traj))
-        perms = _greedy_match(np.abs(dagger(vecs[start - 1:stop - 1]) @ vecs[start:stop]) ** 2)
+        # the chunk's states and the one before it: step s of the chunk goes s -> s + 1
+        vals, vecs = hermitian_eig_batch(states[start - 1:stop], check=False)
+        perms = _greedy_match(np.abs(dagger(vecs[:-1]) @ vecs[1:]) ** 2)
         # swapped adjacent pairs (step, i): branch i now sits above branch i + 1
         step, i = np.nonzero(perms[:, :-1] > perms[:, 1:])
-        k = start + step
-        gap_before = vals[k - 1, i + 1] - vals[k - 1, i]
-        gap_after = vals[k, perms[step, i]] - vals[k, perms[step, i + 1]]
+        gap_before = vals[step, i + 1] - vals[step, i]
+        gap_after = vals[step + 1, perms[step, i]] - vals[step + 1, perms[step, i + 1]]
         keep = (gap_before > significance) & (gap_after > significance)
-        k, i, gap_before, gap_after = k[keep], i[keep], gap_before[keep], gap_after[keep]
+        k, i, gap_before, gap_after = start + step[keep], i[keep], gap_before[keep], gap_after[keep]
         t0, t1 = times[k - 1], times[k]
         t_cross = t0 + (t1 - t0) * gap_before / (gap_before + gap_after)
         found += [(t, (pos, pos + 1)) for t, pos in zip(t_cross.tolist(), i.tolist())]
@@ -209,4 +215,7 @@ def eigenvalue_crossings(traj: Trajectory,
 def energy_basis_populations(traj: Trajectory, h_matrix) -> np.ndarray:
     """Populations <eps_k| rho(t) |eps_k> in the ascending energy eigenbasis."""
     _, h_vecs = hermitian_eig(h_matrix)
-    return np.einsum("ik,tij,jk->tk", np.conj(h_vecs), traj.states, h_vecs).real
+    # <eps_k| rho |eps_k> = sum_ij conj(V_ik) rho_ij V_jk, one (T, D*D) @ (D*D, D) product
+    d = h_vecs.shape[0]
+    weights = (np.conj(h_vecs)[:, None, :] * h_vecs[None, :, :]).reshape(d * d, d)
+    return (traj.states.reshape(len(traj), -1) @ weights).real

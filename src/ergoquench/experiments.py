@@ -127,11 +127,19 @@ def _chain_sizes(config: ExperimentConfig) -> tuple:
     return (config.n_qubits,) if config.n_qubits is not None else (2, 4)
 
 
-def _quench(n: int, h: float, gamma: float, channel: tuple):
-    """H and L of one quench; channel is (alpha, alpha_minus, alpha_z)."""
-    model = ModelSpec(n_qubits=n, field_h=h)
-    h_matrix = build_hamiltonian(model)
-    return h_matrix, build_liouvillian(h_matrix, ChannelSpec(gamma, *channel), model)
+def _hamiltonians(pairs) -> dict:
+    """{(n, h): H} for each distinct chain size and field among pairs, each built once."""
+    return {(n, h): build_hamiltonian(ModelSpec(n_qubits=n, field_h=h)) for n, h in set(pairs)}
+
+
+def _quench(hamiltonians: dict, n: int, h: float, gamma: float, channel: tuple):
+    """H (looked up in hamiltonians) and L of one quench.
+
+    channel is (alpha, alpha_minus, alpha_z).
+    """
+    h_matrix = hamiltonians[n, h]
+    return h_matrix, build_liouvillian(h_matrix, ChannelSpec(gamma, *channel),
+                                       ModelSpec(n_qubits=n, field_h=h))
 
 
 def _maybe_svg(config, out_dir, name, series, title, ylabel="ergotropy", xlabel="time"):
@@ -175,15 +183,18 @@ def _trajectory_figure(config, out_dir, name, ids, table, grid, title, label,
                        with_spectrum: bool = True, extra=_NO_EXTRA):
     """Shared body of the trajectory figures (fig2/3/5/6/8, appB-channels, appD).
 
-    H and L are built once per table row; the (row, beta) trajectories run on
-    the thread pool and are written in table order.  label(tag, beta) names
-    the SVG series of a trajectory, or None to leave it out.  extra is
-    (columns, cells): cells(traj, h_matrix) gives each state's cells for
-    those columns, written between ergotropy and the spectrum.
+    H is built once per chain size and L once per table row; the (row, beta)
+    trajectories run on the thread pool and are written in table order.
+    label(tag, beta) names the SVG series of a trajectory, or None to leave
+    it out.  extra is (columns, cells): cells(traj, h_matrix) gives each
+    state's cells for those columns, written between ergotropy and the
+    spectrum.
     """
     for row in table:
         _require_n(config, row.n, name)
-    quenches = [_quench(row.n, config.h, config.gamma, row.channel) for row in table]
+    hamiltonians = _hamiltonians((row.n, config.h) for row in table)
+    quenches = [_quench(hamiltonians, row.n, config.h, config.gamma, row.channel)
+                for row in table]
     columns, cells = extra
 
     def run(job):
@@ -270,16 +281,18 @@ def _steady_sweep(config, out_dir, name, header, table, betas,
                   row_of=lambda tag, beta, erg: (*tag, beta, erg)):
     """Shared body of the steady-state sweeps (fig4, appB-diss/deph).
 
-    table holds (tag, n, h, channel) points.  Each point builds H and L
-    once, builds the stack of every beta's Gibbs state from one
-    decomposition of H, evolves it to t_max in one `evolve_to` call and
-    reads the ergotropies off the CPTP screen's spectra; row_of(tag, beta,
-    ergotropy) gives the CSV row.  The points run on the thread pool
-    and are written in table order.
+    table holds (tag, n, h, channel) points.  H is built once per distinct
+    (n, h), before the points run.  Each point builds its L, builds the
+    stack of every beta's Gibbs state from one decomposition of H, evolves
+    it to t_max in one `evolve_to` call and reads the ergotropies off the
+    CPTP screen's spectra; row_of(tag, beta, ergotropy) gives the CSV row.
+    The points run on the thread pool and are written in table order.
     """
+    hamiltonians = _hamiltonians((n, h) for _, n, h, _ in table)
+
     def point(job):
         tag, n, h, channel = job
-        h_matrix, liou = _quench(n, h, config.gamma, channel)
+        h_matrix, liou = _quench(hamiltonians, n, h, config.gamma, channel)
         steady = evolve_to(liou, gibbs_state(h_matrix, betas), config.t_max)
         ergs = trajectory_records(steady, h_matrix).ergotropy.tolist()
         return [row_of(tag, beta, erg) for beta, erg in zip(betas, ergs)]
@@ -348,9 +361,10 @@ def _run_appc(config: ExperimentConfig, out_dir: str):
     if min(betas) <= 0:
         raise ConfigError(f"appC-check's collective steady spectrum needs beta > 0, "
                           f"got beta_list {betas}")
-    h_matrix, liou_par = _quench(2, config.h, config.gamma, (0.0, 0.0, 0.0))
-    _, liou_col = _quench(2, config.h, config.gamma, (0.0, 1.0, 0.0))
-    _, liou_dep = _quench(2, config.h, config.gamma, (1.0, 0.0, 0.0))
+    hamiltonians = _hamiltonians([(2, config.h)])
+    h_matrix, liou_par = _quench(hamiltonians, 2, config.h, config.gamma, (0.0, 0.0, 0.0))
+    _, liou_col = _quench(hamiltonians, 2, config.h, config.gamma, (0.0, 1.0, 0.0))
+    _, liou_dep = _quench(hamiltonians, 2, config.h, config.gamma, (1.0, 0.0, 0.0))
     rows = []
     for beta in betas:
         rho0 = gibbs_state(h_matrix, beta)

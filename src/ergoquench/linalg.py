@@ -1,12 +1,16 @@
 """Dense complex matrix kernel.
 
 Everything downstream (operators, Liouvillians, propagators, spectra) is
-built on the four routines in this module: Kronecker products, Hermitian
-eigendecomposition, the matrix exponential and Hermitian null spaces.
+built on the routines in this module: Kronecker products, Hermitian
+eigendecomposition (with eigenvectors, or eigenvalues only), the linear
+solve, the matrix exponential and Hermitian null spaces.
 
-The eigendecomposition and the linear solve are LAPACK's, through
+The eigendecompositions and the linear solve are LAPACK's, through
 ``numpy.linalg``; this module adds the Hermiticity check, symmetrization and
-the translation of failures into `LinalgError`.  numpy has no matrix
+the translation of failures into `LinalgError`.  Readers that need only a
+spectrum (the CPTP screen and the density-matrix check) take the
+values-only `hermitian_eigvals_batch`, which skips the eigenvectors and
+reads an already-Hermitian stack as it is.  numpy has no matrix
 exponential, so `expm` is Pade(13) scaling-and-squaring, implemented here.
 `kron` is numpy's broadcast product of two matrices without np.kron's
 general-rank wrapper; it builds the site operators.  States are at most
@@ -109,6 +113,22 @@ def hermitian_eig_batch(ms, check: bool = True):
     except np.linalg.LinAlgError as exc:
         raise LinalgError(f"Hermitian eigendecomposition failed: {exc}") from exc
     return vals, vecs
+
+
+def hermitian_eigvals_batch(ms) -> np.ndarray:
+    """Ascending eigenvalues of every matrix in a (B, D, D) batch, by ``numpy.linalg.eigvalsh``.
+
+    The batch must already be Hermitian (say, symmetrized by the caller):
+    it is neither copied nor checked nor symmetrized again, and eigvalsh
+    reads its lower triangle only.  Returns a (B, D) float array.
+    """
+    a = np.asarray(ms)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise LinalgError(f"expected a (B, D, D) batch, got shape {a.shape}")
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise LinalgError(f"Hermitian eigenvalue computation failed: {exc}") from exc
 
 
 def solve(a, b) -> np.ndarray:

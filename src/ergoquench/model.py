@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, hermitian_eig, hermitian_eig_batch, kron
+from .linalg import dagger, hermitian_eig, hermitian_eigvals_batch, kron
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -108,9 +108,9 @@ def gibbs_state(h_matrix, beta) -> np.ndarray:
 def check_density_matrix(rho, context: str = "state") -> None:
     """Raise ValueError unless rho is Hermitian, unit-trace and PSD within tolerance.
 
-    rho is one (D, D) state or a (B, D, D) stack, checked with one batched
-    decomposition; for a stack the message ends with the index of the first
-    member that fails.
+    rho is one (D, D) state or a (B, D, D) stack; positivity is read from
+    one batched, values-only decomposition of its Hermitian part.  For a
+    stack the message ends with the index of the first member that fails.
     """
     rho = np.asarray(rho)
     stack = rho.reshape((-1,) + rho.shape[-2:])
@@ -121,10 +121,11 @@ def check_density_matrix(rho, context: str = "state") -> None:
             at = "" if rho.ndim == 2 else f" at index {k}"
             raise ValueError(f"{context}: {template.format(values[k])}{at}")
 
-    herm = np.abs(stack - dagger(stack)).max(axis=(1, 2))
+    adj = dagger(stack)
+    herm = np.abs(stack - adj).max(axis=(1, 2))
     require(herm > DENSITY_HERM_TOL, herm,
             f"Hermiticity defect {{:.3e}} > {DENSITY_HERM_TOL:.0e}")
     trace_dev = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
     require(trace_dev > DENSITY_TRACE_TOL, trace_dev, "trace deviates from 1 by {:.3e}")
-    lowest = hermitian_eig_batch(0.5 * (stack + dagger(stack)), check=False)[0][:, 0]
+    lowest = hermitian_eigvals_batch(0.5 * (stack + adj))[:, 0]
     require(lowest < -DENSITY_PSD_TOL, lowest, "negative eigenvalue {:.3e}")

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import numpy as np
@@ -10,7 +11,7 @@ from ergoquench.ergotropy import (CROSSING_CHUNK, _greedy_match, activation_time
                                   energy_basis_populations, ergotropy,
                                   ergotropy_difference, ergotropy_series,
                                   passive_state, trajectory_records)
-from ergoquench.linalg import dagger, expm, hermitian_eig
+from ergoquench.linalg import dagger, expm, hermitian_eig, hermitian_eig_batch
 from ergoquench.oracles import activation_time_analytic
 
 from conftest import random_density, random_hermitian
@@ -124,7 +125,7 @@ def _greedy_match_reference(overlap):
 
 def _crossings_reference(traj, significance=1e-10):
     """Step-by-step branch tracking, the reference for eigenvalue_crossings."""
-    vals, vecs = traj.spectra, traj.vectors
+    vals, vecs = hermitian_eig_batch(traj.states)
     found = []
     for k in range(1, len(traj)):
         perm = _greedy_match_reference(np.abs(dagger(vecs[k - 1]) @ vecs[k]) ** 2)
@@ -165,6 +166,17 @@ def test_eigenvalue_crossings_equal_per_step_tracking():
         assert found
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 256])
+def test_eigenvalue_crossings_do_not_depend_on_the_chunk(monkeypatch, chunk):
+    # each chunk decomposes its own states; the grid spans several 256-step chunks
+    traj, _ = _traj(4, 0.2, TimeGrid(t_max=0.1 * 600, dt=0.1), gamma=0.05)
+    whole = eigenvalue_crossings(traj)
+    assert whole
+    # the package re-exports the function ergotropy under the module's name
+    monkeypatch.setattr(importlib.import_module("ergoquench.ergotropy"), "CROSSING_CHUNK", chunk)
+    assert eigenvalue_crossings(traj) == whole
+
+
 def test_hotter_states_cross_earlier_four_qubits():
     # compare observable crossings: a cold state also reshuffles its
     # exponentially small spectral tail right away, which is not what the
@@ -197,6 +209,18 @@ def test_energy_basis_populations_of_gibbs(h4):
     boltzmann /= boltzmann.sum()
     assert np.abs(pops[0] - boltzmann).max() <= 1e-10
     assert np.abs(pops.sum(axis=1) - 1.0).max() <= 1e-9
+
+
+def test_energy_and_population_products_equal_the_einsum_formulas(h4):
+    # appD's quench and grid: N=4 parallel dissipation, dt = 0.1 up to t = 250
+    model = ModelSpec(n_qubits=4, field_h=0.1)
+    liou = build_liouvillian(h4, ChannelSpec(gamma=0.05), model)
+    traj = propagate(liou, gibbs_state(h4, 0.2), TimeGrid(t_max=250.0, dt=0.1))
+    _, h_vecs = hermitian_eig(h4)
+    populations = np.einsum("ik,tij,jk->tk", np.conj(h_vecs), traj.states, h_vecs).real
+    energies = np.einsum("tij,ji->t", traj.states, h4).real
+    assert np.abs(energy_basis_populations(traj, h4) - populations).max() <= 1e-14
+    assert np.abs(trajectory_records(traj, h4).energy - energies).max() <= 1e-14
 
 
 def test_hotter_initial_population_row_is_flatter(h4):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ergoquench.linalg import (LinalgError, dagger, expm, hermitian_eig,
-                               hermitian_eig_batch, kron, null_space_hermitian, solve)
+                               hermitian_eig_batch, hermitian_eigvals_batch, kron,
+                               null_space_hermitian, solve)
 from ergoquench.model import PAULI
 
 from conftest import random_hermitian
@@ -110,7 +111,19 @@ def test_eig_residual_sweep_1000_matrices():
         spectral = np.abs(vals).max(axis=1)
         worst = max(worst, float((residual / spectral).max()))
         assert np.abs(dagger(vecs) @ vecs - np.eye(d)).max() <= 1e-10
+        # the values-only routine reads the same (exactly Hermitian) matrices
+        assert (np.abs(hermitian_eigvals_batch(mats) - vals).max(axis=1) / spectral).max() <= 1e-14
     assert worst < 1e-10
+
+
+@pytest.mark.parametrize("ms,match", [
+    (np.eye(3), "expected a \\(B, D, D\\) batch"),
+    (np.zeros((2, 3, 4)), "expected a \\(B, D, D\\) batch"),
+    (np.full((1, 3, 3), np.nan + 0j), "eigenvalue computation failed"),
+], ids=["matrix", "non-square", "nan"])
+def test_eigvals_batch_rejects_what_it_cannot_decompose(ms, match):
+    with pytest.raises(LinalgError, match=match):
+        hermitian_eigvals_batch(ms)
 
 
 def test_expm_zero():

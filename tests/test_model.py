@@ -155,7 +155,10 @@ def test_check_density_matrix_rejects_bad_states():
     (np.array([[1.0, 0.5], [0.0, 0.0]], dtype=complex),
      "Hermiticity defect 5.000e-01 > 1e-10 at index 2"),
     (np.diag([1.5, -0.5]).astype(complex), "negative eigenvalue -5.000e-01 at index 2"),
-], ids=["trace", "hermiticity", "positivity"])
+    # Hermitian, unit trace and non-diagonal: only the spectrum shows the defect
+    (np.array([[0.6, 0.8j], [0.8j, 0.6]]) @ np.diag([1.0 + 1e-5, -1e-5])
+     @ np.array([[0.6, -0.8j], [-0.8j, 0.6]]), "negative eigenvalue -1.000e-05 at index 2"),
+], ids=["trace", "hermiticity", "positivity", "small-negative-eigenvalue"])
 def test_check_density_matrix_names_the_first_bad_member_of_a_stack(bad, message):
     good = np.diag([0.75, 0.25]).astype(complex)
     stack = np.array([good, good, bad, bad])
