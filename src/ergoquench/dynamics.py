@@ -4,11 +4,15 @@ The primary propagator works block by block: L never couples two of its
 invariant blocks (`Liouvillian.blocks`), so exp(L t) is block-diagonal
 too.  `propagate` and `evolve_to` exponentiate L[b, b] t once for each
 block b that vec(rho0) touches and step or apply only those blocks; every
-entry outside them stays exactly zero, as exact evolution leaves it.  With
-dissipation on, the chain's blocks are the sectors of fixed ket-minus-bra
-excitation number, and a Gibbs state touches only the largest (70 of 256
-indices at four qubits).  A classical fourth-order integrator on the full
-dense generator is kept alongside purely as a cross-check.  Every stored
+entry outside them stays exactly zero, as exact evolution leaves it.
+`propagate` steps by doubling: with P = exp(L[b, b] dt)^m, one matrix
+product turns the first m stored states into the next m, and P squares,
+so a grid of T steps costs ceil(log2(T + 1)) products per block rather
+than T mat-vecs.  With dissipation on, the chain's blocks are the sectors
+of fixed ket-minus-bra excitation number, and a Gibbs state touches only
+the largest (70 of 256 indices at four qubits).  A classical fourth-order
+integrator on the full dense generator, stepped one mat-vec at a time, is
+kept alongside purely as a cross-check.  Every stored
 state is re-symmetrized and screened against the CPTP invariants (trace,
 Hermiticity, positivity); a violation beyond the guard tolerance aborts
 with the offending step index, because it can only mean a bug in the
@@ -104,14 +108,24 @@ def _initial_vector(liou: Liouvillian, rho0) -> np.ndarray:
     return vec(rho0)
 
 
-def _stepped(v, n_steps: int, advance) -> np.ndarray:
-    """v and advance applied to it 1..n_steps times, as an (n_steps + 1, v.size) stack."""
-    stacked = np.empty((n_steps + 1, v.size), dtype=complex)
-    stacked[0] = v
-    for k in range(1, n_steps + 1):
-        v = advance(v)
-        stacked[k] = v
-    return stacked
+def _powers(step, v, n_steps: int) -> np.ndarray:
+    """v and step^k v for k = 1..n_steps, as an (n_steps + 1, v.size) stack, by doubling.
+
+    With P = step^m, the rows m..2m-1 are the rows 0..m-1 times P^T, one
+    product for the whole block of rows; then P squares.  Every row comes
+    from ceil(log2(n_steps + 1)) products, not n_steps mat-vecs in a loop.
+    """
+    rows = np.empty((n_steps + 1, v.size), dtype=complex)
+    rows[0] = v
+    power = step.T  # (step^m)^T, so that rows @ power = (step^m rows^T)^T
+    m = 1
+    while m <= n_steps:
+        j = min(m, n_steps + 1 - m)
+        np.matmul(rows[:j], power, out=rows[m:m + j])
+        m *= 2
+        if m <= n_steps:
+            power = power @ power
+    return rows
 
 
 def _block_exponentials(liou: Liouvillian, vs, t: float):
@@ -121,11 +135,11 @@ def _block_exponentials(liou: Liouvillian, vs, t: float):
 
 
 def propagate(liou: Liouvillian, rho0, grid: TimeGrid) -> Trajectory:
-    """Evolve rho0 with the one-step blocks exp(L[b, b] dt) applied repeatedly."""
+    """Evolve rho0 with the one-step blocks exp(L[b, b] dt), their powers formed by doubling."""
     v = _initial_vector(liou, rho0)
     stacked = np.zeros((grid.n_steps + 1, v.size), dtype=complex)
     for b, step in _block_exponentials(liou, v[None], grid.dt):
-        stacked[:, b] = _stepped(v[b], grid.n_steps, step.__matmul__)
+        stacked[:, b] = _powers(step, v[b], grid.n_steps)
     return Trajectory.screened(grid.times(), unvec_batch(stacked, liou.dim_state))
 
 
@@ -137,16 +151,16 @@ def propagate_rk4(liou: Liouvillian, rho0, grid: TimeGrid, substeps: int = 20) -
     mat = liou.matrix
     h = grid.dt / substeps
 
-    def advance(v):
+    stacked = np.empty((grid.n_steps + 1, v.size), dtype=complex)
+    stacked[0] = v
+    for k in range(1, grid.n_steps + 1):
         for _ in range(substeps):
             k1 = mat @ v
             k2 = mat @ (v + 0.5 * h * k1)
             k3 = mat @ (v + 0.5 * h * k2)
             k4 = mat @ (v + h * k3)
             v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return v
-
-    stacked = _stepped(v, grid.n_steps, advance)
+        stacked[k] = v
     return Trajectory.screened(grid.times(), unvec_batch(stacked, liou.dim_state))
 
 

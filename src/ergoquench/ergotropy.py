@@ -27,6 +27,7 @@ ERGOTROPY_CLIP = 1e-10        # admissible negative rounding before clipping to 
 ACTIVATION_THRESHOLD = 1e-6   # default "ergotropy has switched on" level
 CROSSING_SIGNIFICANCE = 1e-10  # eigenvalue-gap noise floor for crossing reports
 DIFFERENCE_NOISE_FLOOR = 1e-9  # |dE| below this never counts as a signed value
+LEVEL_TOL = 1e-9              # relative gap below which two levels of H are one level
 
 
 @dataclass(frozen=True)
@@ -213,9 +214,21 @@ def eigenvalue_crossings(traj: Trajectory,
 
 
 def energy_basis_populations(traj: Trajectory, h_matrix) -> np.ndarray:
-    """Populations <eps_k| rho(t) |eps_k> in the ascending energy eigenbasis."""
-    _, h_vecs = hermitian_eig(h_matrix)
-    # <eps_k| rho |eps_k> = sum_ij conj(V_ik) rho_ij V_jk, one (T, D*D) @ (D*D, D) product
+    """Populations of the ascending energy levels, Tr[P_E rho(t)] / g_E in each of E's g_E columns.
+
+    Levels are the eigenvalues of H grouped where neighbours differ by at
+    most LEVEL_TOL * max(1, |E|).  A level's projector P_E, unlike a basis
+    inside it, is fixed by H, so every column is basis-independent; a
+    non-degenerate level's column is <eps_k| rho |eps_k>.
+    """
+    h_levels, h_vecs = hermitian_eig(h_matrix)
+    # <eps_k| rho |eps_k> = sum_ij conj(V_ik) rho_ij V_jk, one (D*D, D) weight per vector ...
     d = h_vecs.shape[0]
     weights = (np.conj(h_vecs)[:, None, :] * h_vecs[None, :, :]).reshape(d * d, d)
-    return (traj.states.reshape(len(traj), -1) @ weights).real
+    # ... averaged over each level: column k of `spread` is 1/g_E on the vectors of k's level
+    gaps = np.diff(h_levels) > LEVEL_TOL * np.maximum(1.0, np.abs(h_levels[1:]))
+    level = np.concatenate(([0], np.cumsum(gaps)))
+    same = level[:, None] == level[None, :]
+    spread = same / same.sum(axis=0)
+    # then one (T, D*D) @ (D*D, D) product
+    return (traj.states.reshape(len(traj), -1) @ (weights @ spread)).real

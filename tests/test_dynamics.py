@@ -5,7 +5,7 @@ from ergoquench import (ChannelSpec, InvariantViolation, ModelSpec, TimeGrid,
                         build_hamiltonian, build_liouvillian, evolve_to, gibbs_state,
                         propagate, propagate_rk4)
 from ergoquench.channels import Liouvillian, lindblad_matrix, unvec_batch, vec
-from ergoquench.dynamics import Trajectory
+from ergoquench.dynamics import Trajectory, _powers
 from ergoquench.jc import default_jc_spec, jc_full_evolution
 from ergoquench.linalg import dagger, expm, hermitian_eig_batch
 from ergoquench.model import site_operator
@@ -288,3 +288,67 @@ def test_untouched_blocks_stay_exactly_zero(h4):
     traj = propagate(liou, rho0, TimeGrid(t_max=10.0, dt=0.5))
     assert np.all(np.array([vec(s) for s in traj.states])[:, outside] == 0)
     assert np.all(vec(evolve_to(liou, rho0, 10.0).states[0])[outside] == 0)
+
+
+def _stepped_reference(step, v, n_steps):
+    """One mat-vec per step, the loop that doubling replaces."""
+    rows = [v]
+    for _ in range(n_steps):
+        rows.append(step @ rows[-1])
+    return np.array(rows)
+
+
+_DOUBLING_BLOCKS = {  # (n, channel, block size)
+    "1-index": (4, dict(gamma=0.05, alpha=1.0), 1),     # pure dephasing
+    "6-index": (2, dict(gamma=0.05), 6),
+    "70-index": (4, dict(gamma=0.05), 70),
+}
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 7, 8, 9, 1600, 4000])
+@pytest.mark.parametrize("block", list(_DOUBLING_BLOCKS))
+def test_powers_by_doubling_equal_sequential_steps(block, n_steps):
+    n, channel, size = _DOUBLING_BLOCKS[block]
+    liou, _ = _liouvillian(n, 0.1, **channel)
+    b = next(b for b in liou.blocks if len(b) == size)
+    step = expm(liou.matrix[np.ix_(b, b)] * 0.5)
+    v = vec(random_density(np.random.default_rng(17), 2 ** n))[b]
+    rows = _powers(step, v, n_steps)
+    assert rows.shape == (n_steps + 1, size)
+    assert np.abs(rows - _stepped_reference(step, v, n_steps)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n,channel,grid", [
+    (4, dict(gamma=0.05), TimeGrid(t_max=800.0, dt=0.5)),
+    (2, dict(gamma=0.05, alpha=0.5), TimeGrid(t_max=400.0, dt=0.1)),
+], ids=["N4-1600", "N2-4000"])
+def test_propagate_matches_one_jump_per_stored_step(n, channel, grid):
+    liou, h = _liouvillian(n, 0.1, **channel)
+    rho0 = gibbs_state(h, 0.5)
+    traj = propagate(liou, rho0, grid)
+    j = int(np.log2(grid.n_steps))
+    for k in (1, 2 ** j - 1, 2 ** j, 2 ** j + 1, grid.n_steps):
+        exact = np.zeros(liou.matrix.shape[0], dtype=complex)
+        for b in liou.blocks:
+            exact[b] = expm(liou.matrix[np.ix_(b, b)] * (k * grid.dt)) @ vec(rho0)[b]
+        assert np.abs(traj.states[k] - unvec_batch(exact[None], liou.dim_state)[0]).max() <= 1e-12
+
+
+def test_doubling_screen_names_the_first_bad_step_of_sequential_steps(h4):
+    # L - eps I loses trace as exp(-eps t); the guard trips first at t = 350.5
+    liou, _ = _liouvillian(4, 0.1, gamma=0.05)
+    eps = 1e-6 / 350.25
+    leaky = Liouvillian(matrix=liou.matrix - eps * np.eye(256), dim_state=16)
+    rho0 = gibbs_state(h4, 0.5)
+    grid = TimeGrid(t_max=800.0, dt=0.5)
+    v = vec(rho0)
+    stacked = np.zeros((grid.n_steps + 1, v.size), dtype=complex)
+    for b in leaky.blocks:
+        if np.any(v[b]):
+            step = expm(leaky.matrix[np.ix_(b, b)] * grid.dt)
+            stacked[:, b] = _stepped_reference(step, v[b], grid.n_steps)
+    where = r"trace defect .* at step 701 \(t=350.5\)"
+    with pytest.raises(InvariantViolation, match=where):
+        Trajectory.screened(grid.times(), unvec_batch(stacked, 16))
+    with pytest.raises(InvariantViolation, match=where):
+        propagate(leaky, rho0, grid)

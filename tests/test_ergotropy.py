@@ -216,11 +216,45 @@ def test_energy_and_population_products_equal_the_einsum_formulas(h4):
     model = ModelSpec(n_qubits=4, field_h=0.1)
     liou = build_liouvillian(h4, ChannelSpec(gamma=0.05), model)
     traj = propagate(liou, gibbs_state(h4, 0.2), TimeGrid(t_max=250.0, dt=0.1))
-    _, h_vecs = hermitian_eig(h4)
+    levels, h_vecs = hermitian_eig(h4)
     populations = np.einsum("ik,tij,jk->tk", np.conj(h_vecs), traj.states, h_vecs).real
+    # E = 0 is the one degenerate level (vectors 7 and 8): Tr[P_0 rho] / 2 in both columns
+    assert np.diff(levels).min() == levels[8] - levels[7] <= 1e-12
+    p_zero = h_vecs[:, 7:9] @ dagger(h_vecs[:, 7:9])
+    populations[:, 7:9] = (np.einsum("ij,tji->t", p_zero, traj.states).real / 2.0)[:, None]
     energies = np.einsum("tij,ji->t", traj.states, h4).real
     assert np.abs(energy_basis_populations(traj, h4) - populations).max() <= 1e-14
     assert np.abs(trajectory_records(traj, h4).energy - energies).max() <= 1e-14
+
+
+@pytest.mark.parametrize("field", [0.05, 0.1, 0.23, 0.4])
+def test_energy_basis_populations_do_not_depend_on_the_basis_of_a_degenerate_level(
+        field, monkeypatch):
+    model = ModelSpec(n_qubits=4, field_h=field)
+    h = build_hamiltonian(model)
+    liou = build_liouvillian(h, ChannelSpec(gamma=0.05), model)
+    traj = propagate(liou, gibbs_state(h, 0.2), TimeGrid(t_max=100.0, dt=0.5))
+    levels, h_vecs = hermitian_eig(h)
+    assert abs(levels[8] - levels[7]) <= 1e-12 and abs(levels[7]) <= 1e-12
+    rng = np.random.default_rng(23)
+    unitary, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    rotated = h_vecs.copy()
+    rotated[:, 7:9] = h_vecs[:, 7:9] @ unitary
+
+    def single(vecs):
+        return np.einsum("ik,tij,jk->tk", np.conj(vecs), traj.states, vecs).real
+
+    # the single-vector populations of the level do depend on its basis ...
+    assert np.abs(single(rotated) - single(h_vecs))[:, 7:9].max() > 1e-6
+    pops = energy_basis_populations(traj, h)
+    monkeypatch.setattr(importlib.import_module("ergoquench.ergotropy"), "hermitian_eig",
+                        lambda m: (levels, rotated) if m is h else hermitian_eig(m))
+    # ... the level's populations do not
+    assert np.abs(energy_basis_populations(traj, h) - pops).max() <= 1e-14
+    others = np.r_[0:7, 9:16]
+    assert np.abs(pops[:, others] - single(h_vecs)[:, others]).max() <= 1e-14
+    assert np.array_equal(pops[:, 7], pops[:, 8])
+    assert np.abs(pops.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 def test_hotter_initial_population_row_is_flatter(h4):
