@@ -11,7 +11,9 @@ Gamma = gamma [(1 - a) I + a 11^T] of `rate_matrix`.  That Gamma is
 diagonal in the basis of the N site jumps plus their sum, so the generator
 is assembled in diagonal form, gamma (1 - a) sum_i D[A_i] + gamma a
 D[sum_i A_i]: N + 1 jumps instead of N^2 terms, exact for every a, each
-vectorized once by `lindblad_matrix`.  The double sum lives on as
+vectorized once by `lindblad_matrix`.  The jumps depend on N and the
+channel kind alone, so each set is built once and shared, read-only, by
+every generator.  The double sum lives on as
 `dissipator_apply`, the reference the tests hold the assembly to.
 
 Assembly writes each term only where it can be nonzero.  I (x) X and
@@ -30,6 +32,7 @@ step each block on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -206,6 +209,16 @@ def lindblad_matrix(h_matrix, jumps, rates) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _site_jumps(n: int, kind: str) -> tuple:
+    """The n site operators sigma^kind and their sum, built once per (n, kind), read-only."""
+    site = [site_operator(ModelSpec(n_qubits=n), s, kind) for s in range(1, n + 1)]
+    jumps = (*site, np.sum(site, axis=0))
+    for jump in jumps:
+        jump.setflags(write=False)
+    return jumps
+
+
 def build_liouvillian(h_matrix, spec: ChannelSpec, model: ModelSpec) -> Liouvillian:
     """Full quench generator: commutator plus the alpha-mixed channels, in diagonal form."""
     if model.n_qubits > MAX_LIOUVILLIAN_QUBITS:
@@ -219,8 +232,7 @@ def build_liouvillian(h_matrix, spec: ChannelSpec, model: ModelSpec) -> Liouvill
                                  (spec.alpha, "z", spec.alpha_z)):
         if weight > 0.0 and spec.gamma > 0.0:
             # rate_matrix(gamma, interp, n) in diagonal form: the site jumps plus their sum
-            site = [site_operator(model, s, kind) for s in range(1, model.n_qubits + 1)]
-            jumps += site + [np.sum(site, axis=0)]
+            jumps += _site_jumps(model.n_qubits, kind)
             rates += ([weight * spec.gamma * (1.0 - interp)] * model.n_qubits
                       + [weight * spec.gamma * interp])
     return Liouvillian(matrix=lindblad_matrix(h, jumps, rates), dim_state=model.dim)

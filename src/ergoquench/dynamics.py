@@ -17,6 +17,10 @@ state is re-symmetrized and screened against the CPTP invariants (trace,
 Hermiticity, positivity); a violation beyond the guard tolerance aborts
 with the offending step index, because it can only mean a bug in the
 generator or the integrator.  Positivity is monitored, never projected.
+The screen works through the stack SCREEN_CHUNK states at a time and, in
+the propagators, writes each symmetrized chunk over the propagator's own
+buffer once it has read it, so a trajectory holds one full-size array
+and only chunk-sized temporaries.
 The screen computes the spectrum of each state, values only: the
 `Trajectory` carries it, and the energy bookkeeping reads it from there.
 Eigenvectors are computed only where they are read, by the branch
@@ -37,6 +41,7 @@ from .linalg import dagger, expm, hermitian_eigvals_batch
 from .model import check_density_matrix
 
 GUARD_TOL = 1e-6  # runtime CPTP guard; test-level bounds are far tighter
+SCREEN_CHUNK = 256  # states whose (16x16 at N=4) screen temporaries are held at once
 
 
 class InvariantViolation(RuntimeError):
@@ -79,16 +84,31 @@ class Trajectory:
         return len(self.times)
 
     @classmethod
-    def screened(cls, times, raw_states) -> "Trajectory":
-        """Symmetrize the stored states, enforce the CPTP guard and keep their spectra."""
+    def screened(cls, times, raw_states, out=None) -> "Trajectory":
+        """Symmetrize the stored states, enforce the CPTP guard and keep their spectra.
+
+        The stack is screened SCREEN_CHUNK states at a time.  The symmetrized
+        states go to `out`, a C-contiguous array of the stack's shape, which
+        may share memory with raw_states state by state (each chunk is read
+        before it is overwritten); without `out` a new array is allocated and
+        raw_states is left as it was.  The deviations of every state are
+        checked after the last chunk, so the first bad step is reported
+        whichever chunk it lies in.
+        """
         raw = np.asarray(raw_states)
-        states = dagger(raw)
-        herm = np.abs(raw - states).max(axis=(1, 2))
-        # 0.5 * (raw + raw^H), formed in the adjoint's buffer
-        states += raw
-        states *= 0.5
-        trace_dev = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
-        vals = hermitian_eigvals_batch(states)
+        states = np.empty(raw.shape, dtype=raw.dtype) if out is None else out
+        herm, trace_dev = np.empty(len(raw)), np.empty(len(raw))
+        vals = np.empty(raw.shape[:2])
+        for a in range(0, len(raw), SCREEN_CHUNK):
+            chunk = raw[a:a + SCREEN_CHUNK]
+            sym = dagger(chunk)
+            herm[a:a + SCREEN_CHUNK] = np.abs(chunk - sym).max(axis=(1, 2))
+            # 0.5 * (raw + raw^H), formed in the adjoint's buffer
+            sym += chunk
+            sym *= 0.5
+            trace_dev[a:a + SCREEN_CHUNK] = np.abs(np.trace(sym, axis1=1, axis2=2) - 1.0)
+            vals[a:a + SCREEN_CHUNK] = hermitian_eigvals_batch(sym)
+            states[a:a + SCREEN_CHUNK] = sym
         neg = -vals[:, 0]
         for name, dev in (("Hermiticity", herm), ("trace", trace_dev), ("positivity", neg)):
             bad = np.nonzero(dev > GUARD_TOL)[0]
@@ -106,6 +126,12 @@ def _initial_vector(liou: Liouvillian, rho0) -> np.ndarray:
     if np.asarray(rho0).shape != (d, d):
         raise ValueError(f"state shape {np.asarray(rho0).shape} does not match dim {d}")
     return vec(rho0)
+
+
+def _screened_in_place(times, stacked, dim: int) -> Trajectory:
+    """The screened Trajectory of a (T, D*D) stack of vec'd states, symmetrized over its buffer."""
+    return Trajectory.screened(times, unvec_batch(stacked, dim),
+                               out=stacked.reshape(-1, dim, dim))
 
 
 def _powers(step, v, n_steps: int) -> np.ndarray:
@@ -140,7 +166,7 @@ def propagate(liou: Liouvillian, rho0, grid: TimeGrid) -> Trajectory:
     stacked = np.zeros((grid.n_steps + 1, v.size), dtype=complex)
     for b, step in _block_exponentials(liou, v[None], grid.dt):
         stacked[:, b] = _powers(step, v[b], grid.n_steps)
-    return Trajectory.screened(grid.times(), unvec_batch(stacked, liou.dim_state))
+    return _screened_in_place(grid.times(), stacked, liou.dim_state)
 
 
 def propagate_rk4(liou: Liouvillian, rho0, grid: TimeGrid, substeps: int = 20) -> Trajectory:
@@ -161,7 +187,7 @@ def propagate_rk4(liou: Liouvillian, rho0, grid: TimeGrid, substeps: int = 20) -
             k4 = mat @ (v + h * k3)
             v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         stacked[k] = v
-    return Trajectory.screened(grid.times(), unvec_batch(stacked, liou.dim_state))
+    return _screened_in_place(grid.times(), stacked, liou.dim_state)
 
 
 def evolve_to(liou: Liouvillian, rho0, t: float) -> Trajectory:
@@ -188,4 +214,4 @@ def evolve_to(liou: Liouvillian, rho0, t: float) -> Trajectory:
     for b, step in _block_exponentials(liou, initial, t):
         for v, out in zip(initial, final):
             out[b] = step @ v[b]
-    return Trajectory.screened(np.full(len(initial), t), unvec_batch(final, d))
+    return _screened_in_place(np.full(len(initial), t), final, d)

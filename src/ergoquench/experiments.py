@@ -6,6 +6,11 @@ produce byte-identical files.  Rows are streamed to the file, each
 formatted with one %-template per file that the first row fixes: %.17g
 for floats, %d for ints and bools, %s for strings; a later cell whose type
 would need another template raises instead of being written differently.
+A trajectory figure writes each trajectory's rows as soon as it is
+computed, so a serial run holds one trajectory's rows at a time.  The
+file is written beside its path and moved into place only when complete:
+a run that fails leaves no partial CSV, and an older file at that path
+stays as it was.
 Parameter points inside a sweep may run on a thread pool (capped by
 ERGOQUENCH_THREADS, default serial; any value but an integer >= 1 is a
 ConfigError); rows are always written in deterministic parameter order.
@@ -51,14 +56,14 @@ def _thread_count() -> int:
     return count
 
 
-def _pmap(fn: Callable, items):
-    """Map preserving input order; threaded when ERGOQUENCH_THREADS > 1."""
+def _ordered_map(fn: Callable, items):
+    """fn over items, yielded lazily in input order; threaded when ERGOQUENCH_THREADS > 1."""
     workers = _thread_count()
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+    if workers <= 1:
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        yield from pool.map(fn, items)
 
 
 def _cell_template(value) -> str:
@@ -95,9 +100,22 @@ def _lines(header, rows):
 
 
 def _write_csv(path: str, header, rows) -> str:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        handle.writelines(_lines(header, rows))
+    """Write header and rows to path, all or nothing.
+
+    The lines go to a temporary file beside path, which replaces path only
+    once every row is written; on any error it is removed, and a file
+    already at path is left as it was.
+    """
+    partial = f"{path}.partial"
+    try:
+        with open(partial, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(",".join(header) + "\n")
+            handle.writelines(_lines(header, rows))
+        os.replace(partial, path)
+    except BaseException:
+        if os.path.exists(partial):
+            os.remove(partial)
+        raise
     return path
 
 
@@ -184,7 +202,8 @@ def _trajectory_figure(config, out_dir, name, ids, table, grid, title, label,
     """Shared body of the trajectory figures (fig2/3/5/6/8, appB-channels, appD).
 
     H is built once per chain size and L once per table row; the (row, beta)
-    trajectories run on the thread pool and are written in table order.
+    trajectories run on the thread pool, and each one's rows are written in
+    table order as soon as it returns.
     label(tag, beta) names the SVG series of a trajectory, or None to leave
     it out.  extra is (columns, cells): cells(traj, h_matrix) gives each
     state's cells for those columns, written between ergotropy and the
@@ -204,15 +223,20 @@ def _trajectory_figure(config, out_dir, name, ids, table, grid, title, label,
                                      cells(traj, h_matrix), with_spectrum)
         return rows, (label(row.tag, beta), traj.times, erg)
 
-    results = _pmap(run, [(row, quench, beta) for row, quench in zip(table, quenches)
-                          for beta in row.betas])
+    series = []
+
+    def streamed_rows():  # each trajectory's rows, written as soon as its job returns
+        jobs = [(row, quench, beta) for row, quench in zip(table, quenches) for beta in row.betas]
+        for new_rows, labelled in _ordered_map(run, jobs):
+            if labelled[0] is not None:
+                series.append(labelled)
+            yield from new_rows
+
     header = list(ids) + ["beta", "time", "energy", "passive_energy", "ergotropy"] + list(columns)
     if with_spectrum:
         header += [f"lambda_{k}" for k in range(2 ** table[0].n)]
-    rows = [row for new_rows, _ in results for row in new_rows]
-    paths = [_write_csv(os.path.join(out_dir, f"{name}.csv"), header, rows)]
-    paths += _maybe_svg(config, out_dir, name,
-                        [series for _, series in results if series[0] is not None], title)
+    paths = [_write_csv(os.path.join(out_dir, f"{name}.csv"), header, streamed_rows())]
+    paths += _maybe_svg(config, out_dir, name, series, title)
     return paths
 
 
@@ -297,7 +321,7 @@ def _steady_sweep(config, out_dir, name, header, table, betas,
         ergs = trajectory_records(steady, h_matrix).ergotropy.tolist()
         return [row_of(tag, beta, erg) for beta, erg in zip(betas, ergs)]
 
-    rows = [row for part in _pmap(point, table) for row in part]
+    rows = (row for part in _ordered_map(point, table) for row in part)
     return [_write_csv(os.path.join(out_dir, f"{name}.csv"), header, rows)]
 
 

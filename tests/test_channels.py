@@ -348,3 +348,26 @@ def test_lindblad_matrix_names_the_first_misshaped_jump(model2, h2):
             lindblad_matrix(h2, [good, bad, bad], [0.05, 0.05, 0.05])
     with pytest.raises(ValueError, match="square"):
         lindblad_matrix(np.zeros((4, 2)), [], [])
+
+
+def test_site_jumps_are_built_once_per_size_and_kind(monkeypatch):
+    # the jumps depend on (n, kind) only: fields and channel mixes share them
+    calls = []
+
+    def counting(spec, site, kind):
+        calls.append((spec.n_qubits, site, kind))
+        return site_operator(spec, site, kind)
+
+    monkeypatch.setattr(ergoquench.channels, "site_operator", counting)
+    ergoquench.channels._site_jumps.cache_clear()
+    try:
+        for h_field in (0.0, 0.1, 0.45):
+            model = ModelSpec(n_qubits=2, field_h=h_field)
+            for case in CHANNEL_CASES.values():
+                build_liouvillian(build_hamiltonian(model), ChannelSpec(**case), model)
+    finally:
+        ergoquench.channels._site_jumps.cache_clear()
+    assert sorted(calls) == sorted((2, s, kind) for kind in ("minus", "z") for s in (1, 2))
+    jumps = ergoquench.channels._site_jumps(2, "minus")
+    assert not any(jump.flags.writeable for jump in jumps)
+    assert np.array_equal(jumps[-1], collective_operator(ModelSpec(n_qubits=2), "minus"))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from ergoquench import (ChannelSpec, InvariantViolation, ModelSpec, TimeGrid,
                         build_hamiltonian, build_liouvillian, evolve_to, gibbs_state,
                         propagate, propagate_rk4)
 from ergoquench.channels import Liouvillian, lindblad_matrix, unvec_batch, vec
-from ergoquench.dynamics import Trajectory, _powers
+from ergoquench.dynamics import GUARD_TOL, SCREEN_CHUNK, Trajectory, _powers
 from ergoquench.jc import default_jc_spec, jc_full_evolution
 from ergoquench.linalg import dagger, expm, hermitian_eig_batch
 from ergoquench.model import site_operator
@@ -352,3 +354,82 @@ def test_doubling_screen_names_the_first_bad_step_of_sequential_steps(h4):
         Trajectory.screened(grid.times(), unvec_batch(stacked, 16))
     with pytest.raises(InvariantViolation, match=where):
         propagate(leaky, rho0, grid)
+
+
+def _whole_stack_screen(raw):
+    """The screen in one pass over the whole stack: states, spectra, first violation or None."""
+    states = dagger(raw)
+    herm = np.abs(raw - states).max(axis=(1, 2))
+    states += raw
+    states *= 0.5
+    trace_dev = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
+    vals = np.linalg.eigvalsh(states)
+    for name, dev in (("Hermiticity", herm), ("trace", trace_dev), ("positivity", -vals[:, 0])):
+        bad = np.nonzero(dev > GUARD_TOL)[0]
+        if bad.size:
+            return states, vals, (name, int(bad[0]))
+    return states, vals, None
+
+
+def _noisy_stack(n_states, seed=19):
+    """Column-stacked density matrices with a Hermiticity defect far inside the guard."""
+    rng = np.random.default_rng(seed)
+    stack = np.array([random_density(rng, 4) for _ in range(n_states)])
+    stack += 1e-12 * (rng.normal(size=stack.shape) + 1j * rng.normal(size=stack.shape))
+    return np.swapaxes(stack, -1, -2).reshape(n_states, 16)  # row k is vec(stack[k])
+
+
+@pytest.mark.parametrize("n_states", [1, SCREEN_CHUNK - 1, SCREEN_CHUNK, SCREEN_CHUNK + 1,
+                                      2 * SCREEN_CHUNK + 1])
+def test_chunked_screen_equals_the_whole_stack_screen(n_states):
+    stacked = _noisy_stack(n_states)
+    times = np.arange(n_states, dtype=float)
+    states, vals, violation = _whole_stack_screen(unvec_batch(stacked, 4))
+    assert violation is None
+    fresh = Trajectory.screened(times, unvec_batch(stacked, 4))
+    in_place = Trajectory.screened(times, unvec_batch(stacked, 4), out=stacked.reshape(-1, 4, 4))
+    for traj in (fresh, in_place):
+        assert traj.states.flags.c_contiguous
+        assert np.array_equal(traj.states, states) and np.array_equal(traj.spectra, vals)
+    assert np.shares_memory(in_place.states, stacked)
+
+
+def test_chunked_screen_reports_the_violation_of_the_whole_stack_screen():
+    # a trace defect in the first chunk, a Hermiticity defect in the last:
+    # Hermiticity is checked first, over every step, as in one whole-stack pass
+    n_states = 2 * SCREEN_CHUNK + 1
+    raw = unvec_batch(_noisy_stack(n_states), 4).copy()
+    raw[3] *= 1.0 + 1e-5
+    raw[n_states - 1, 0, 1] += 1e-5
+    _, _, (name, step) = _whole_stack_screen(raw)
+    assert (name, step) == ("Hermiticity", n_states - 1)
+    with pytest.raises(InvariantViolation, match=rf"Hermiticity defect .* at step {step} "):
+        Trajectory.screened(np.arange(n_states, dtype=float), raw)
+    raw[n_states - 1, 0, 1] -= 1e-5
+    with pytest.raises(InvariantViolation, match=r"trace defect .* at step 3 "):
+        Trajectory.screened(np.arange(n_states, dtype=float), raw)
+
+
+def test_screen_without_out_leaves_the_callers_array_alone():
+    stacked = _noisy_stack(SCREEN_CHUNK + 5)
+    raw = unvec_batch(stacked, 4)
+    kept = stacked.copy()
+    traj = Trajectory.screened(np.arange(len(raw), dtype=float), raw)
+    assert not np.array_equal(traj.states, raw)  # symmetrizing changed the states ...
+    assert np.array_equal(stacked, kept)         # ... but not the caller's buffer
+    assert not np.shares_memory(traj.states, stacked)
+
+
+def test_propagate_holds_one_full_size_array(h4):
+    # the stored stack plus chunk-sized temporaries; the whole-stack screen peaked at 3.5x
+    liou, _ = _liouvillian(4, 0.1, gamma=0.05)
+    rho0, grid = gibbs_state(h4, 0.2), TimeGrid(t_max=250.0, dt=0.1)
+    propagate(liou, rho0, grid)
+    tracemalloc.start()
+    try:
+        traj = propagate(liou, rho0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 2501
+    assert peak <= 1.5 * traj.states.nbytes

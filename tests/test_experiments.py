@@ -9,8 +9,9 @@ from ergoquench import (ChannelSpec, ModelSpec, TimeGrid, build_hamiltonian,
                         trajectory_records)
 from ergoquench import experiments
 from ergoquench.config import ExperimentConfig
-from ergoquench.experiments import (EXPERIMENTS, _lines, _trajectory_rows, _write_csv,
-                                    run_experiment)
+from ergoquench.dynamics import InvariantViolation
+from ergoquench.experiments import (EXPERIMENTS, _lines, _ordered_map, _trajectory_rows,
+                                    _write_csv, run_experiment)
 
 
 def _config(**kwargs):
@@ -213,3 +214,49 @@ def test_csv_row_that_does_not_fit_its_columns_raises(tmp_path, later):
 def test_csv_first_row_must_match_the_header(tmp_path):
     with pytest.raises(ValueError):
         _write_csv(str(tmp_path / "bad.csv"), ["a", "b"], [[1.0, 2.0, 3.0]])
+
+
+def test_csv_with_a_bad_row_leaves_no_file(tmp_path):
+    header = [f"c{k}" for k in range(len(CELLS))]
+    rows = [CELLS] * 5000 + [CELLS[:-1]]  # far past the first buffered write
+    with pytest.raises(ValueError):
+        _write_csv(str(tmp_path / "bad.csv"), header, rows)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_csv_with_a_bad_row_leaves_the_older_file_intact(tmp_path):
+    header = [f"c{k}" for k in range(len(CELLS))]
+    path = _write_csv(str(tmp_path / "kept.csv"), header, [CELLS])
+    before = open(path, "rb").read()
+    with pytest.raises(ValueError):
+        _write_csv(path, header, [CELLS] * 5000 + [CELLS + [1.0]])
+    assert open(path, "rb").read() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_trajectory_figure_failing_at_its_second_beta_leaves_no_csv(tmp_path, monkeypatch,
+                                                                    threads):
+    calls = []
+
+    def failing_second(liou, rho0, grid):
+        calls.append(1)
+        if len(calls) == 2:
+            raise InvariantViolation("dynamics: trace defect 1e-3 at step 7 (t=3.5)")
+        return propagate(liou, rho0, grid)
+
+    monkeypatch.setattr(experiments, "propagate", failing_second)
+    monkeypatch.setenv("ERGOQUENCH_THREADS", threads)
+    config = _config(experiment="fig2", output_dir=str(tmp_path), t_max=10.0,
+                     beta_list=(0.2, 0.5, 1.0))
+    with pytest.raises(InvariantViolation, match="step 7"):
+        run_experiment(config)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ordered_map_is_lazy_when_serial(monkeypatch):
+    monkeypatch.setenv("ERGOQUENCH_THREADS", "1")
+    seen = []
+    results = _ordered_map(lambda x: seen.append(x) or 2 * x, [1, 2, 3])
+    assert next(results) == 2 and seen == [1]
+    assert list(results) == [4, 6] and seen == [1, 2, 3]
