@@ -3,7 +3,8 @@
     ergoquench run --experiment <name> [--config <path>] [--out <dir>] [--svg]
     ergoquench list
 
-Exit codes: 0 success, 2 configuration error, 3 numerical invariant
+Exit codes: 0 success, 2 configuration error (including an unreadable
+--config or an output that cannot be written), 3 numerical invariant
 violation during propagation.
 """
 
@@ -71,6 +72,9 @@ def _cmd_run(args) -> int:
     except InvariantViolation as exc:
         print(f"numerical invariant violation: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:  # creating the output directory or writing a file
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     for path in paths:
         print(path)
     return EXIT_OK

@@ -12,15 +12,20 @@ than T mat-vecs.  With dissipation on, the chain's blocks are the sectors
 of fixed ket-minus-bra excitation number, and a Gibbs state touches only
 the largest (70 of 256 indices at four qubits).  A classical fourth-order
 integrator on the full dense generator, stepped one mat-vec at a time, is
-kept alongside purely as a cross-check.  Every stored
-state is re-symmetrized and screened against the CPTP invariants (trace,
-Hermiticity, positivity); a violation beyond the guard tolerance aborts
-with the offending step index, because it can only mean a bug in the
-generator or the integrator.  Positivity is monitored, never projected.
-The screen works through the stack SCREEN_CHUNK states at a time and, in
-the propagators, writes each symmetrized chunk over the propagator's own
-buffer once it has read it, so a trajectory holds one full-size array
-and only chunk-sized temporaries.
+kept alongside purely as a cross-check.
+A `Trajectory` stores each state at its support only: the (D, D) entries
+of the blocks the propagator touched, as one (T, S) array that `propagate`
+and `evolve_to` write their block powers and jumps into (S = 70 of 256 at
+four qubits, 6 of 16 at two).  Its readers materialize the full states a
+chunk at a time; the whole (T, D, D) stack is built only on request.
+Every stored state is re-symmetrized and screened against the CPTP
+invariants (trace, Hermiticity, positivity); a violation beyond the guard
+tolerance aborts with the offending step index, because it can only mean
+a bug in the generator or the integrator.  Positivity is monitored, never
+projected.  The screen works through the stack SCREEN_CHUNK states at a
+time, each scattered into one reusable zero-filled buffer, and writes the
+symmetrized entries back over the support, so a trajectory holds its
+(T, S) array and only chunk-sized temporaries.
 The screen computes the spectrum of each state, values only: the
 `Trajectory` carries it, and the energy bookkeeping reads it from there.
 Eigenvectors are computed only where they are read, by the branch
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Liouvillian, unvec_batch, vec
+from .channels import Liouvillian, vec
 from .linalg import dagger, expm, hermitian_eigvals_batch
 from .model import check_density_matrix
 
@@ -74,49 +79,106 @@ class TimeGrid:
 
 @dataclass
 class Trajectory:
-    """Stored states and their times, with the spectra the CPTP screen computed of each."""
+    """Stored states and their times, with the spectra the CPTP screen computed of each.
+
+    A state is kept at its support only: `values[k, s]` is the entry of
+    state k at the row-major (D, D) index `support[s]`, and every entry off
+    the support is exactly zero.  A propagator's support is the indices of
+    the blocks of L it touched, so a four-qubit Gibbs trajectory stores 70
+    of each state's 256 entries.  Readers take the full (D, D) states a
+    chunk at a time (`chunks`, `materialize`); `states` builds the whole
+    (T, D, D) stack on each access.
+    """
 
     times: np.ndarray
-    states: np.ndarray
+    values: np.ndarray   # (T, S): each state's entries at `support`
+    support: np.ndarray  # (S,) row-major indices into a (D, D) state
+    dim: int
     spectra: np.ndarray  # (T, D), ascending
 
     def __len__(self) -> int:
         return len(self.times)
 
-    @classmethod
-    def screened(cls, times, raw_states, out=None) -> "Trajectory":
-        """Symmetrize the stored states, enforce the CPTP guard and keep their spectra.
+    def materialize(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The full (D, D) states of steps start..stop-1, as a fresh C-contiguous stack."""
+        rows = self.values[start:stop]
+        full = np.zeros((len(rows), self.dim * self.dim), dtype=complex)
+        _scatter(full, rows, self.support)
+        return full.reshape(-1, self.dim, self.dim)
 
-        The stack is screened SCREEN_CHUNK states at a time.  The symmetrized
-        states go to `out`, a C-contiguous array of the stack's shape, which
-        may share memory with raw_states state by state (each chunk is read
-        before it is overwritten); without `out` a new array is allocated and
-        raw_states is left as it was.  The deviations of every state are
-        checked after the last chunk, so the first bad step is reported
-        whichever chunk it lies in.
+    def chunks(self):
+        """(start, states) for consecutive runs of SCREEN_CHUNK steps, each materialized in turn.
+
+        A lone last step joins the run before it.  numpy multiplies a single
+        row by a dot product, which rounds differently from the BLAS matrix
+        product it takes for two rows or more, so with no one-state chunk a
+        reader's chunk-by-chunk products give the bytes of one product over
+        the whole stack.
         """
+        starts = range(0, max(len(self) - 1, 1), SCREEN_CHUNK)
+        for start, stop in zip(starts, [*starts[1:], len(self)]):
+            yield start, self.materialize(start, stop)
+
+    @property
+    def states(self) -> np.ndarray:
+        """Every stored state as one (T, D, D) stack, built anew on each access."""
+        return self.materialize()
+
+    @classmethod
+    def screened(cls, times, raw_states) -> "Trajectory":
+        """The screened Trajectory of a full (T, D, D) stack; raw_states is left as it was."""
         raw = np.asarray(raw_states)
-        states = np.empty(raw.shape, dtype=raw.dtype) if out is None else out
-        herm, trace_dev = np.empty(len(raw)), np.empty(len(raw))
-        vals = np.empty(raw.shape[:2])
-        for a in range(0, len(raw), SCREEN_CHUNK):
-            chunk = raw[a:a + SCREEN_CHUNK]
-            sym = dagger(chunk)
-            herm[a:a + SCREEN_CHUNK] = np.abs(chunk - sym).max(axis=(1, 2))
-            # 0.5 * (raw + raw^H), formed in the adjoint's buffer
-            sym += chunk
-            sym *= 0.5
-            trace_dev[a:a + SCREEN_CHUNK] = np.abs(np.trace(sym, axis1=1, axis2=2) - 1.0)
-            vals[a:a + SCREEN_CHUNK] = hermitian_eigvals_batch(sym)
-            states[a:a + SCREEN_CHUNK] = sym
-        neg = -vals[:, 0]
-        for name, dev in (("Hermiticity", herm), ("trace", trace_dev), ("positivity", neg)):
-            bad = np.nonzero(dev > GUARD_TOL)[0]
-            if bad.size:
-                k = int(bad[0])
-                raise InvariantViolation(
-                    f"dynamics: {name} defect {dev[k]:.3e} at step {k} (t={times[k]:g})")
-        return cls(times=times, states=states, spectra=vals)
+        dim = raw.shape[-1]
+        values = np.array(raw, dtype=complex).reshape(len(raw), dim * dim)
+        return _screen(times, values, np.arange(dim * dim), dim)
+
+
+def _scatter(full, rows, support) -> None:
+    """full[k, support] = rows[k] for every k; rows is C-contiguous.
+
+    One flat index does it: numpy's 2-D fancy assignment costs about three
+    times as much.
+    """
+    index = np.arange(len(rows))[:, None] * full.shape[1] + support
+    full.reshape(-1)[index.reshape(-1)] = rows.reshape(-1)
+
+
+def _screen(times, values, support, dim: int) -> Trajectory:
+    """Symmetrize the (T, S) raw entries in place, enforce the CPTP guard and keep the spectra.
+
+    The states are screened SCREEN_CHUNK at a time: each chunk is scattered
+    into one reusable zero-filled (SCREEN_CHUNK, D*D) buffer, and its
+    symmetrized entries are written back over `values`.  support must be
+    closed under transposition, so that symmetrizing leaves nothing outside
+    it.  The deviations of every state are checked after the last chunk, so
+    the first bad step is reported whichever chunk it lies in.
+    """
+    herm, trace_dev = np.empty(len(values)), np.empty(len(values))
+    vals = np.empty((len(values), dim))
+    buffer = np.zeros((min(len(values), SCREEN_CHUNK), dim * dim), dtype=complex)
+    transposed = _row_major(support, dim)  # entry (i, j) of sym is entry (j, i) of sym^T
+    for a in range(0, len(values), SCREEN_CHUNK):
+        rows = values[a:a + SCREEN_CHUNK]
+        flat = buffer[:len(rows)]
+        _scatter(flat, rows, support)
+        chunk = flat.reshape(-1, dim, dim)
+        sym = dagger(chunk)
+        herm[a:a + SCREEN_CHUNK] = np.abs(chunk - sym).max(axis=(1, 2))
+        # 0.5 * (raw + raw^H), formed in the adjoint's buffer
+        sym += chunk
+        sym *= 0.5
+        trace_dev[a:a + SCREEN_CHUNK] = np.abs(np.trace(sym, axis1=1, axis2=2) - 1.0)
+        vals[a:a + SCREEN_CHUNK] = hermitian_eigvals_batch(sym)
+        # sym^T is C-contiguous (dagger keeps the transposed layout), so this reads it in place
+        np.take(np.swapaxes(sym, 1, 2).reshape(len(rows), -1), transposed, axis=1, out=rows)
+    neg = -vals[:, 0]
+    for name, dev in (("Hermiticity", herm), ("trace", trace_dev), ("positivity", neg)):
+        bad = np.nonzero(dev > GUARD_TOL)[0]
+        if bad.size:
+            k = int(bad[0])
+            raise InvariantViolation(
+                f"dynamics: {name} defect {dev[k]:.3e} at step {k} (t={times[k]:g})")
+    return Trajectory(times=times, values=values, support=support, dim=dim, spectra=vals)
 
 
 def _initial_vector(liou: Liouvillian, rho0) -> np.ndarray:
@@ -128,20 +190,38 @@ def _initial_vector(liou: Liouvillian, rho0) -> np.ndarray:
     return vec(rho0)
 
 
-def _screened_in_place(times, stacked, dim: int) -> Trajectory:
-    """The screened Trajectory of a (T, D*D) stack of vec'd states, symmetrized over its buffer."""
-    return Trajectory.screened(times, unvec_batch(stacked, dim),
-                               out=stacked.reshape(-1, dim, dim))
+def _row_major(vec_indices, dim: int) -> np.ndarray:
+    """Row-major (D, D) indices of column-stacked ones: vec index j*D + i is entry (i, j)."""
+    return (vec_indices % dim) * dim + vec_indices // dim
 
 
-def _powers(step, v, n_steps: int) -> np.ndarray:
-    """v and step^k v for k = 1..n_steps, as an (n_steps + 1, v.size) stack, by doubling.
+def _layout(blocks, dim: int):
+    """The support of states spanned by blocks of vec indices, and each block's column slice.
+
+    The blocks' entries come first, block after block, so that each block
+    fills one run of columns; transposes of them that no block holds follow
+    (zero until symmetrized), so the support is closed under transposition.
+    """
+    spans, start = [], 0
+    for b in blocks:
+        spans.append(slice(start, start + len(b)))
+        start += len(b)
+    support = _row_major(np.concatenate(blocks), dim)
+    held = np.zeros(dim * dim, dtype=bool)
+    held[support] = True
+    transposes = _row_major(support, dim)  # the map is its own inverse: (i, j) -> (j, i)
+    return np.concatenate((support, transposes[~held[transposes]])), spans
+
+
+def _powers(step, v, rows) -> None:
+    """Fill the (n_steps + 1, v.size) rows with v and step^k v for k = 1..n_steps, by doubling.
 
     With P = step^m, the rows m..2m-1 are the rows 0..m-1 times P^T, one
     product for the whole block of rows; then P squares.  Every row comes
     from ceil(log2(n_steps + 1)) products, not n_steps mat-vecs in a loop.
+    rows may be a run of columns of a wider array.
     """
-    rows = np.empty((n_steps + 1, v.size), dtype=complex)
+    n_steps = len(rows) - 1
     rows[0] = v
     power = step.T  # (step^m)^T, so that rows @ power = (step^m rows^T)^T
     m = 1
@@ -151,7 +231,6 @@ def _powers(step, v, n_steps: int) -> np.ndarray:
         m *= 2
         if m <= n_steps:
             power = power @ power
-    return rows
 
 
 def _block_exponentials(liou: Liouvillian, vs, t: float):
@@ -163,10 +242,12 @@ def _block_exponentials(liou: Liouvillian, vs, t: float):
 def propagate(liou: Liouvillian, rho0, grid: TimeGrid) -> Trajectory:
     """Evolve rho0 with the one-step blocks exp(L[b, b] dt), their powers formed by doubling."""
     v = _initial_vector(liou, rho0)
-    stacked = np.zeros((grid.n_steps + 1, v.size), dtype=complex)
-    for b, step in _block_exponentials(liou, v[None], grid.dt):
-        stacked[:, b] = _powers(step, v[b], grid.n_steps)
-    return _screened_in_place(grid.times(), stacked, liou.dim_state)
+    jumps = _block_exponentials(liou, v[None], grid.dt)
+    support, spans = _layout([b for b, _ in jumps], liou.dim_state)
+    values = np.zeros((grid.n_steps + 1, support.size), dtype=complex)
+    for (b, step), cols in zip(jumps, spans):
+        _powers(step, v[b], values[:, cols])
+    return _screen(grid.times(), values, support, liou.dim_state)
 
 
 def propagate_rk4(liou: Liouvillian, rho0, grid: TimeGrid, substeps: int = 20) -> Trajectory:
@@ -187,7 +268,8 @@ def propagate_rk4(liou: Liouvillian, rho0, grid: TimeGrid, substeps: int = 20) -
             k4 = mat @ (v + h * k3)
             v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         stacked[k] = v
-    return _screened_in_place(grid.times(), stacked, liou.dim_state)
+    support = _row_major(np.arange(v.size), liou.dim_state)
+    return _screen(grid.times(), stacked, support, liou.dim_state)
 
 
 def evolve_to(liou: Liouvillian, rho0, t: float) -> Trajectory:
@@ -210,8 +292,10 @@ def evolve_to(liou: Liouvillian, rho0, t: float) -> Trajectory:
     initial = np.swapaxes(rho0, -1, -2).reshape(-1, d * d).astype(complex, copy=False)
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    final = np.zeros_like(initial)
-    for b, step in _block_exponentials(liou, initial, t):
-        for v, out in zip(initial, final):
-            out[b] = step @ v[b]
-    return _screened_in_place(np.full(len(initial), t), final, d)
+    jumps = _block_exponentials(liou, initial, t)
+    support, spans = _layout([b for b, _ in jumps], d)
+    values = np.zeros((len(initial), support.size), dtype=complex)
+    for (b, step), cols in zip(jumps, spans):
+        for v, out in zip(initial, values):
+            out[cols] = step @ v[b]
+    return _screen(np.full(len(initial), t), values, support, d)

@@ -10,7 +10,8 @@ of every stored state at once, as one `ErgotropyRecord` of arrays, and
 `ergotropy` that of a single state.  Only the branch tracker
 `eigenvalue_crossings` reads eigenvectors; it decomposes the states itself,
 one chunk at a time.  Energies and energy-basis populations are each one
-matrix product over the flattened (T, D*D) state stack.
+matrix product per chunk of states, read from the trajectory's compact
+storage a chunk at a time (`Trajectory.chunks`), never as a whole stack.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import Trajectory
-from .linalg import dagger, hermitian_eig, hermitian_eig_batch
+from .linalg import dagger, hermitian_eig, hermitian_eig_batch, hermitian_eigvals_batch
 
 ERGOTROPY_CLIP = 1e-10        # admissible negative rounding before clipping to 0
 ACTIVATION_THRESHOLD = 1e-6   # default "ergotropy has switched on" level
@@ -54,18 +55,22 @@ def _clip(values):
     return np.maximum(values, 0.0)
 
 
-def _batch_records(states, spectra, h_matrix) -> ErgotropyRecord:
-    """ErgotropyRecord of arrays for a (T, D, D) stack, from its ascending spectra."""
-    states = np.asarray(states)
+def _batch_records(chunks, spectra, h_matrix) -> ErgotropyRecord:
+    """ErgotropyRecord of arrays for a stack of states, from their ascending spectra.
+
+    chunks yields (start, states) pairs that cover the stack in order, each
+    states a (k, D, D) run of it; the energies are formed chunk by chunk.
+    """
     h_levels, _ = hermitian_eig(h_matrix)
-    if states.shape[1] != h_levels.size:
+    if spectra.shape[1] != h_levels.size:
         raise ValueError(
-            f"state dim {states.shape[1]} does not match Hamiltonian dim {h_levels.size}")
-    # Tr(rho H) = sum_ij rho_ij H_ji, one (T, D*D) @ (D*D,) product
+            f"state dim {spectra.shape[1]} does not match Hamiltonian dim {h_levels.size}")
+    # Tr(rho H) = sum_ij rho_ij H_ji, one (k, D*D) @ (D*D,) product per chunk
     h_transposed = np.asarray(h_matrix, dtype=complex).T.reshape(-1)
-    energies = (states.reshape(len(states), -1) @ h_transposed).real
-    # one contiguous descending copy, so that the reduction below rounds
-    # exactly like np.dot on a single descending spectrum
+    energies = np.empty(len(spectra))
+    for start, states in chunks:
+        energies[start:start + len(states)] = (states.reshape(len(states), -1) @ h_transposed).real
+    # one contiguous descending copy, one (T, D) @ (D,) product
     descending = np.ascontiguousarray(spectra[:, ::-1])
     passive = descending @ h_levels
     return ErgotropyRecord(energy=energies, passive_energy=passive,
@@ -73,11 +78,17 @@ def _batch_records(states, spectra, h_matrix) -> ErgotropyRecord:
 
 
 def ergotropy(rho, h_matrix) -> ErgotropyRecord:
-    """Maximum unitarily extractable work of a single state."""
+    """Maximum unitarily extractable work of a single state.
+
+    The spectrum is that of the Hermitian part of rho, values only, by the
+    CPTP screen's path, so a screened state gives the spectrum of its
+    `trajectory_records` entry bit for bit.  Its energies agree with that
+    entry to rounding: numpy forms the products of one state by dot
+    products and those of a stack by BLAS matrix products.
+    """
     rho = np.asarray(rho, dtype=complex)
     rho = 0.5 * (rho + dagger(rho))[None]
-    spectra, _ = hermitian_eig_batch(rho, check=False)
-    record = _batch_records(rho, spectra, h_matrix)
+    record = _batch_records([(0, rho)], hermitian_eigvals_batch(rho), h_matrix)
     return ErgotropyRecord(energy=float(record.energy[0]),
                            passive_energy=float(record.passive_energy[0]),
                            ergotropy=float(record.ergotropy[0]),
@@ -102,7 +113,7 @@ def passive_state(rho, h_matrix) -> np.ndarray:
 
 def trajectory_records(traj: Trajectory, h_matrix) -> ErgotropyRecord:
     """ErgotropyRecord of every stored state, as arrays, from the screen's spectra."""
-    return _batch_records(traj.states, traj.spectra, h_matrix)
+    return _batch_records(traj.chunks(), traj.spectra, h_matrix)
 
 
 def ergotropy_series(traj: Trajectory, h_matrix) -> np.ndarray:
@@ -193,12 +204,12 @@ def eigenvalue_crossings(traj: Trajectory,
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    states, times = traj.states, traj.times
+    times = traj.times
     found: list[tuple[float, tuple[int, int]]] = []
     for start in range(1, len(traj), CROSSING_CHUNK):
         stop = min(start + CROSSING_CHUNK, len(traj))
         # the chunk's states and the one before it: step s of the chunk goes s -> s + 1
-        vals, vecs = hermitian_eig_batch(states[start - 1:stop], check=False)
+        vals, vecs = hermitian_eig_batch(traj.materialize(start - 1, stop), check=False)
         perms = _greedy_match(np.abs(dagger(vecs[:-1]) @ vecs[1:]) ** 2)
         # swapped adjacent pairs (step, i): branch i now sits above branch i + 1
         step, i = np.nonzero(perms[:, :-1] > perms[:, 1:])
@@ -230,5 +241,10 @@ def energy_basis_populations(traj: Trajectory, h_matrix) -> np.ndarray:
     level = np.concatenate(([0], np.cumsum(gaps)))
     same = level[:, None] == level[None, :]
     spread = same / same.sum(axis=0)
-    # then one (T, D*D) @ (D*D, D) product
-    return (traj.states.reshape(len(traj), -1) @ (weights @ spread)).real
+    # then one (k, D*D) @ (D*D, D) product per chunk of states
+    level_weights = weights @ spread
+    populations = np.empty((len(traj), d))
+    for start, states in traj.chunks():
+        populations[start:start + len(states)] = (
+            states.reshape(len(states), -1) @ level_weights).real
+    return populations

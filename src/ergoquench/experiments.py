@@ -7,7 +7,8 @@ formatted with one %-template per file that the first row fixes: %.17g
 for floats, %d for ints and bools, %s for strings; a later cell whose type
 would need another template raises instead of being written differently.
 A trajectory figure writes each trajectory's rows as soon as it is
-computed, so a serial run holds one trajectory's rows at a time.  The
+computed, formatting them from its records a chunk of rows at a time, so
+no run holds a whole trajectory's rows or its full state stack.  The
 file is written beside its path and moved into place only when complete:
 a run that fails leaves no partial CSV, and an older file at that path
 stays as it was.
@@ -19,6 +20,7 @@ ConfigError); rows are always written in deterministic parameter order.
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -27,7 +29,7 @@ import numpy as np
 
 from .channels import ChannelSpec, build_liouvillian
 from .config import ConfigError, ExperimentConfig
-from .dynamics import TimeGrid, evolve_to, propagate
+from .dynamics import SCREEN_CHUNK, TimeGrid, evolve_to, propagate
 from .ergotropy import eigenvalue_crossings, energy_basis_populations, trajectory_records
 from .jc import compare_jc, default_jc_spec
 from .linalg import hermitian_eig  # noqa: F401 (ergobench's tracer test patches it here)
@@ -43,6 +45,7 @@ JC_RATIOS = (1.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 FIG3_BETA_GRID = (0.2, 0.3, 0.4, 0.5, 1.0, 2.0, 5.0)
 MIXING_ALPHA_GRID = (0.0, 0.3, 0.5, 0.7, 0.9, 1.0)
 INTERP_ALPHA_GRID = tuple(round(0.1 * k, 1) for k in range(11))
+IN_FLIGHT_PER_WORKER = 2  # jobs submitted to the thread pool per worker, ahead of the consumer
 
 
 def _thread_count() -> int:
@@ -57,13 +60,23 @@ def _thread_count() -> int:
 
 
 def _ordered_map(fn: Callable, items):
-    """fn over items, yielded lazily in input order; threaded when ERGOQUENCH_THREADS > 1."""
+    """fn over items, yielded lazily in input order; threaded when ERGOQUENCH_THREADS > 1.
+
+    The pool is given at most IN_FLIGHT_PER_WORKER jobs per worker ahead of
+    the consumer, so finished results waiting for an earlier one stay few.
+    """
     workers = _thread_count()
     if workers <= 1:
         yield from map(fn, items)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, items)
+        pending = deque()
+        for item in items:
+            if len(pending) == IN_FLIGHT_PER_WORKER * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
 
 
 def _cell_template(value) -> str:
@@ -179,22 +192,28 @@ class _Row(NamedTuple):
     betas: tuple
 
 
-_NO_EXTRA = ((), lambda traj, h_matrix: [[]] * len(traj))
+def _no_cells(start: int, stop: int) -> list:
+    return [[]] * (stop - start)
 
 
-def _trajectory_rows(lead, traj, h_matrix, added, with_spectrum: bool):
-    """CSV rows of one trajectory, and its ergotropy series.
+_NO_EXTRA = ((), lambda traj, h_matrix: _no_cells)
+
+
+def _trajectory_rows(lead, times, rec, added, with_spectrum: bool):
+    """CSV rows of one trajectory, built SCREEN_CHUNK rows at a time.
 
     Each row is lead + [time, energy, passive energy, ergotropy] + that
-    state's added cells + (its descending spectrum if with_spectrum).
+    state's added cells + (its descending spectrum if with_spectrum), where
+    rec is the trajectory's ErgotropyRecord and added(start, stop) gives
+    the added cells of the rows start..stop-1.
     """
-    rec = trajectory_records(traj, h_matrix)
-    erg = rec.ergotropy.tolist()
-    spectra = rec.rho_spectrum.tolist() if with_spectrum else [[]] * len(traj)
-    rows = [[*lead, tk, ek, pk, wk, *more, *sk] for tk, ek, pk, wk, more, sk
-            in zip(traj.times.tolist(), rec.energy.tolist(), rec.passive_energy.tolist(),
-                   erg, added, spectra)]
-    return rows, erg
+    for start in range(0, len(times), SCREEN_CHUNK):
+        stop = min(start + SCREEN_CHUNK, len(times))
+        part = slice(start, stop)
+        spectra = rec.rho_spectrum[part].tolist() if with_spectrum else [[]] * (stop - start)
+        yield from [[*lead, tk, ek, pk, wk, *more, *sk] for tk, ek, pk, wk, more, sk in zip(
+            times[part].tolist(), rec.energy[part].tolist(), rec.passive_energy[part].tolist(),
+            rec.ergotropy[part].tolist(), added(start, stop), spectra)]
 
 
 def _trajectory_figure(config, out_dir, name, ids, table, grid, title, label,
@@ -203,11 +222,12 @@ def _trajectory_figure(config, out_dir, name, ids, table, grid, title, label,
 
     H is built once per chain size and L once per table row; the (row, beta)
     trajectories run on the thread pool, and each one's rows are written in
-    table order as soon as it returns.
+    table order as soon as it returns, SCREEN_CHUNK rows at a time, from its
+    records: no job returns its states or a whole trajectory's rows.
     label(tag, beta) names the SVG series of a trajectory, or None to leave
-    it out.  extra is (columns, cells): cells(traj, h_matrix) gives each
-    state's cells for those columns, written between ergotropy and the
-    spectrum.
+    it out.  extra is (columns, cells): cells(traj, h_matrix) returns a
+    function of a row range (start, stop) that gives the cells of those
+    rows for those columns, written between ergotropy and the spectrum.
     """
     for row in table:
         _require_n(config, row.n, name)
@@ -219,18 +239,17 @@ def _trajectory_figure(config, out_dir, name, ids, table, grid, title, label,
     def run(job):
         row, (h_matrix, liou), beta = job
         traj = propagate(liou, gibbs_state(h_matrix, beta), grid)
-        rows, erg = _trajectory_rows([*row.tag, beta], traj, h_matrix,
-                                     cells(traj, h_matrix), with_spectrum)
-        return rows, (label(row.tag, beta), traj.times, erg)
+        return ([*row.tag, beta], traj.times, trajectory_records(traj, h_matrix),
+                cells(traj, h_matrix), label(row.tag, beta))
 
     series = []
 
     def streamed_rows():  # each trajectory's rows, written as soon as its job returns
         jobs = [(row, quench, beta) for row, quench in zip(table, quenches) for beta in row.betas]
-        for new_rows, labelled in _ordered_map(run, jobs):
-            if labelled[0] is not None:
-                series.append(labelled)
-            yield from new_rows
+        for lead, times, rec, added, series_label in _ordered_map(run, jobs):
+            if series_label is not None:
+                series.append((series_label, times, rec.ergotropy))
+            yield from _trajectory_rows(lead, times, rec, added, with_spectrum)
 
     header = list(ids) + ["beta", "time", "energy", "passive_energy", "ergotropy"] + list(columns)
     if with_spectrum:
@@ -269,7 +288,8 @@ def _run_fig6(config: ExperimentConfig, out_dir: str):
     dark = dark_subspace(ModelSpec(n_qubits=4, field_h=config.h))
 
     def cells(traj, h_matrix):
-        return [[p] for p in dark_population_series(traj.states, dark)]
+        p_dark_series = dark_population_series(traj, dark)
+        return lambda start, stop: [[p] for p in p_dark_series[start:stop].tolist()]
 
     return _single_size_figure(config, out_dir, "fig6", 4, (0.0, 1.0, config.alpha_z),
                                _betas_from(config), "four-qubit collective dissipation",
@@ -395,9 +415,10 @@ def _run_appc(config: ExperimentConfig, out_dir: str):
         traj_par = propagate(liou_par, rho0, grid)
         traj_col = propagate(liou_col, rho0, grid)
         traj_dep = propagate(liou_dep, rho0, grid)
-        init = TwoQubitBlockState.from_density(traj_par.states[0])
+        par_states = traj_par.states
+        init = TwoQubitBlockState.from_density(par_states[0])
         dev_par = np.abs(two_qubit_parallel_block(init, config.gamma, traj_par.times).to_density()
-                         - traj_par.states).max()
+                         - par_states).max()
         dev_dep = np.abs(dephasing_two_qubit_block(init, config.gamma, traj_dep.times).to_density()
                          - traj_dep.states).max()
         s_val, c_val = two_qubit_collective_sc(init, config.gamma, traj_col.times)
@@ -419,13 +440,14 @@ def _run_appd(config: ExperimentConfig, out_dir: str):
     betas = _betas_from(config, (0.2, 5.0))
 
     def cells(traj, h_matrix):
-        populations = energy_basis_populations(traj, h_matrix).tolist()
+        populations = energy_basis_populations(traj, h_matrix)
         marks = {}
         for t_cross, pair in eigenvalue_crossings(traj):
             k = int(round((t_cross - traj.times[0]) / grid.dt))
             marks.setdefault(k, []).append(f"{pair[0]}-{pair[1]}")
-        return [[1 if k in marks else 0, ";".join(marks.get(k, []))] + populations[k]
-                for k in range(len(traj))]
+        return lambda start, stop: [
+            [1 if k in marks else 0, ";".join(marks.get(k, []))] + pops
+            for k, pops in enumerate(populations[start:stop].tolist(), start)]
 
     columns = ["crossing", "crossing_pair"] + [f"pop_{k}" for k in range(16)]
     return _trajectory_figure(config, out_dir, "appD", (), [_Row((), 4, (0.0, 0.0, 0.0), betas)],

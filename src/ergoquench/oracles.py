@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import Trajectory
 from .linalg import dagger, hermitian_eig, null_space_hermitian, NULL_TOL
 from .model import ModelSpec, build_hamiltonian, collective_operator, gibbs_state
 
@@ -334,5 +335,10 @@ def p_dark_derivative(beta: float, model: ModelSpec, dark: DarkSubspace | None =
 
 
 def dark_population_series(states, dark: DarkSubspace) -> np.ndarray:
-    """Tr[P_dark rho(t)] along a stack of states."""
-    return np.einsum("tij,ji->t", np.asarray(states), dark.projector).real
+    """Tr[P_dark rho(t)] along a (T, D, D) stack of states, or along a Trajectory chunk by chunk."""
+    if not isinstance(states, Trajectory):
+        return np.einsum("tij,ji->t", np.asarray(states), dark.projector).real
+    series = np.empty(len(states))
+    for start, chunk in states.chunks():
+        series[start:start + len(chunk)] = np.einsum("tij,ji->t", chunk, dark.projector).real
+    return series

@@ -19,7 +19,8 @@ from ergoquench.ergotropy import (activation_time, eigenvalue_crossings, ergotro
                                   ergotropy_difference, ergotropy_series)
 from ergoquench.experiments import run_experiment
 from ergoquench.jc import compare_jc, default_jc_spec, effective_atom_evolution, jc_full_evolution
-from ergoquench.linalg import dagger, expm, hermitian_eig, hermitian_eig_batch
+from ergoquench.linalg import (dagger, expm, hermitian_eig, hermitian_eig_batch,
+                              hermitian_eigvals_batch)
 from ergoquench.oracles import (TwoQubitBlockState, activation_time_analytic,
                                 beta_critical, collective_steady_spectrum,
                                 dark_population_series, dark_subspace,
@@ -370,7 +371,8 @@ def test_criterion_11_ergotropy_correctness():
         rho = random_density(rng, dim)
         h = random_hermitian(rng, dim)
         record = ergotropy(rho, h)
-        populations, _ = hermitian_eig(rho)
+        # the spectrum ergotropy() reads: its Hermitian part, values only
+        populations = hermitian_eigvals_batch(0.5 * (rho + dagger(rho))[None])[0]
         levels, _ = hermitian_eig(h)
         r_desc = populations[::-1]
         best = min(float(np.dot(r_desc[list(perm)], levels))

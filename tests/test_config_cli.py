@@ -117,6 +117,21 @@ def test_cli_missing_config_file(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_cli_output_directory_that_cannot_be_made(tmp_path, capsys):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    assert main(["run", "--experiment", "fig7", "--out", str(blocker / "sub")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and "Traceback" not in err
+
+
+def test_cli_csv_that_cannot_be_written(tmp_path, capsys):
+    (tmp_path / "fig7.csv").mkdir()  # no file can replace a directory
+    assert main(["run", "--experiment", "fig7", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig7.csv"]
+
+
 def test_config_rejects_non_finite_values():
     with pytest.raises(ConfigError):
         validate_config("gamma = nan")

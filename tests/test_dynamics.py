@@ -8,9 +8,13 @@ from ergoquench import (ChannelSpec, InvariantViolation, ModelSpec, TimeGrid,
                         propagate, propagate_rk4)
 from ergoquench.channels import Liouvillian, lindblad_matrix, unvec_batch, vec
 from ergoquench.dynamics import GUARD_TOL, SCREEN_CHUNK, Trajectory, _powers
+from ergoquench.ergotropy import (CROSSING_SIGNIFICANCE, LEVEL_TOL, _greedy_match,
+                                  eigenvalue_crossings, energy_basis_populations,
+                                  trajectory_records)
 from ergoquench.jc import default_jc_spec, jc_full_evolution
-from ergoquench.linalg import dagger, expm, hermitian_eig_batch
+from ergoquench.linalg import dagger, expm, hermitian_eig, hermitian_eig_batch
 from ergoquench.model import site_operator
+from ergoquench.oracles import dark_population_series, dark_subspace
 
 from conftest import random_density
 
@@ -220,6 +224,8 @@ def _dense_states(liou, rho0, dt, n_steps):
 _ENGINE_CASES = {
     "N2-parallel": (2, dict(gamma=0.05)),
     "N2-collective": (2, dict(gamma=0.05, alpha_minus=1.0)),
+    "N2-dephasing": (2, dict(gamma=0.05, alpha=1.0, alpha_z=0.3)),
+    "N2-mixed": (2, dict(gamma=0.05, alpha=0.5, alpha_minus=0.5, alpha_z=0.7)),
     "N4-parallel": (4, dict(gamma=0.05)),
     "N4-collective": (4, dict(gamma=0.05, alpha_minus=1.0)),
     "N4-interpolated": (4, dict(gamma=0.05, alpha_minus=0.4)),
@@ -315,8 +321,8 @@ def test_powers_by_doubling_equal_sequential_steps(block, n_steps):
     b = next(b for b in liou.blocks if len(b) == size)
     step = expm(liou.matrix[np.ix_(b, b)] * 0.5)
     v = vec(random_density(np.random.default_rng(17), 2 ** n))[b]
-    rows = _powers(step, v, n_steps)
-    assert rows.shape == (n_steps + 1, size)
+    rows = np.empty((n_steps + 1, size), dtype=complex)
+    _powers(step, v, rows)
     assert np.abs(rows - _stepped_reference(step, v, n_steps)).max() <= 1e-12
 
 
@@ -386,12 +392,9 @@ def test_chunked_screen_equals_the_whole_stack_screen(n_states):
     times = np.arange(n_states, dtype=float)
     states, vals, violation = _whole_stack_screen(unvec_batch(stacked, 4))
     assert violation is None
-    fresh = Trajectory.screened(times, unvec_batch(stacked, 4))
-    in_place = Trajectory.screened(times, unvec_batch(stacked, 4), out=stacked.reshape(-1, 4, 4))
-    for traj in (fresh, in_place):
-        assert traj.states.flags.c_contiguous
-        assert np.array_equal(traj.states, states) and np.array_equal(traj.spectra, vals)
-    assert np.shares_memory(in_place.states, stacked)
+    traj = Trajectory.screened(times, unvec_batch(stacked, 4))
+    assert traj.states.flags.c_contiguous
+    assert np.array_equal(traj.states, states) and np.array_equal(traj.spectra, vals)
 
 
 def test_chunked_screen_reports_the_violation_of_the_whole_stack_screen():
@@ -410,7 +413,7 @@ def test_chunked_screen_reports_the_violation_of_the_whole_stack_screen():
         Trajectory.screened(np.arange(n_states, dtype=float), raw)
 
 
-def test_screen_without_out_leaves_the_callers_array_alone():
+def test_screen_leaves_the_callers_array_alone():
     stacked = _noisy_stack(SCREEN_CHUNK + 5)
     raw = unvec_batch(stacked, 4)
     kept = stacked.copy()
@@ -420,8 +423,9 @@ def test_screen_without_out_leaves_the_callers_array_alone():
     assert not np.shares_memory(traj.states, stacked)
 
 
-def test_propagate_holds_one_full_size_array(h4):
-    # the stored stack plus chunk-sized temporaries; the whole-stack screen peaked at 3.5x
+def test_propagate_holds_the_support_and_chunk_temporaries(h4):
+    # 70 of 256 entries per state plus chunk-sized temporaries; a full (T, D, D)
+    # stack screened in place peaked at 1.3x its bytes, the whole-stack screen at 3.5x
     liou, _ = _liouvillian(4, 0.1, gamma=0.05)
     rho0, grid = gibbs_state(h4, 0.2), TimeGrid(t_max=250.0, dt=0.1)
     propagate(liou, rho0, grid)
@@ -431,5 +435,140 @@ def test_propagate_holds_one_full_size_array(h4):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(traj) == 2501
-    assert peak <= 1.5 * traj.states.nbytes
+    assert len(traj) == 2501 and traj.values.shape == (2501, 70)
+    assert peak <= 0.75 * 2501 * 16 ** 2 * 16
+
+
+
+def _whole_stack_engine(stacked, dim):
+    """States and spectra of a zero-filled (T, D*D) vec stack under the whole-stack screen."""
+    states, vals, violation = _whole_stack_screen(unvec_batch(stacked, dim))
+    assert violation is None
+    return states, vals
+
+
+@pytest.mark.parametrize("case", list(_ENGINE_CASES))
+def test_states_at_the_support_equal_the_whole_stack_engine(case):
+    n, channel = _ENGINE_CASES[case]
+    liou, h = _liouvillian(n, 0.1, **channel)
+    rho0, grid = gibbs_state(h, 0.5), TimeGrid(t_max=30.0, dt=0.1)  # 301 states: two chunks
+    v = vec(rho0)
+    touched = [b for b in liou.blocks if np.any(v[b])]
+    assert len(touched) == (n + 1 if "dephasing" in case else 1)  # 1+4+1, 1+16+36+16+1 entries
+    stacked = np.zeros((grid.n_steps + 1, v.size), dtype=complex)
+    for b in touched:
+        rows = np.empty((grid.n_steps + 1, len(b)), dtype=complex)
+        _powers(expm(liou.matrix[np.ix_(b, b)] * grid.dt), v[b], rows)
+        stacked[:, b] = rows
+    states, vals = _whole_stack_engine(stacked, liou.dim_state)
+    traj = propagate(liou, rho0, grid)
+    assert traj.values.shape == (len(traj), sum(map(len, touched)))
+    assert np.array_equal(traj.states, states) and np.array_equal(traj.spectra, vals)
+
+    stack = gibbs_state(h, np.array([0.2, 1.0, 5.0]))
+    initial = np.swapaxes(stack, -1, -2).reshape(len(stack), -1).astype(complex)
+    final = np.zeros_like(initial)
+    for b in touched:
+        step = expm(liou.matrix[np.ix_(b, b)] * 20.0)
+        for x, out in zip(initial, final):
+            out[b] = step @ x[b]
+    states, vals = _whole_stack_engine(final, liou.dim_state)
+    jumped = evolve_to(liou, stack, 20.0)
+    assert np.array_equal(jumped.states, states) and np.array_equal(jumped.spectra, vals)
+
+
+_CHUNK_BOUNDARIES = [1, SCREEN_CHUNK - 1, SCREEN_CHUNK, SCREEN_CHUNK + 1, 2 * SCREEN_CHUNK + 1]
+
+
+@pytest.mark.parametrize("n_states", _CHUNK_BOUNDARIES)
+def test_chunks_cover_the_stored_states_in_order(n_states):
+    traj = Trajectory.screened(np.arange(n_states, dtype=float),
+                               unvec_batch(_noisy_stack(n_states), 4))
+    parts = list(traj.chunks())
+    # runs of SCREEN_CHUNK states; a lone last state joins the run before it
+    starts = list(range(0, max(n_states - 1, 1), SCREEN_CHUNK))
+    assert [start for start, _ in parts] == starts
+    assert [len(chunk) for _, chunk in parts] == np.diff([*starts, n_states]).tolist()
+    states = traj.states
+    assert np.array_equal(np.concatenate([chunk for _, chunk in parts]), states)
+    assert np.array_equal(traj.materialize(n_states - 1, n_states), states[-1:])
+
+
+def _prefix(traj, n_states):
+    """The first n_states stored states of traj, as a Trajectory of their own."""
+    return Trajectory(times=traj.times[:n_states], values=traj.values[:n_states],
+                      support=traj.support, dim=traj.dim, spectra=traj.spectra[:n_states])
+
+
+def _whole_stack_crossings(states, times):
+    """eigenvalue_crossings' matching done over every step of the stack at once."""
+    vals, vecs = hermitian_eig_batch(states, check=False)
+    perms = _greedy_match(np.abs(dagger(vecs[:-1]) @ vecs[1:]) ** 2)
+    step, i = np.nonzero(perms[:, :-1] > perms[:, 1:])
+    gap_before = vals[step, i + 1] - vals[step, i]
+    gap_after = vals[step + 1, perms[step, i]] - vals[step + 1, perms[step, i + 1]]
+    keep = (gap_before > CROSSING_SIGNIFICANCE) & (gap_after > CROSSING_SIGNIFICANCE)
+    k, i, gap_before, gap_after = 1 + step[keep], i[keep], gap_before[keep], gap_after[keep]
+    t_cross = times[k - 1] + (times[k] - times[k - 1]) * gap_before / (gap_before + gap_after)
+    return sorted(((t, (pos, pos + 1)) for t, pos in zip(t_cross.tolist(), i.tolist())),
+                  key=lambda item: item[0])
+
+
+@pytest.fixture(scope="module")
+def long_n4_trajectory(h4):
+    liou, _ = _liouvillian(4, 0.1, gamma=0.05, alpha_minus=1.0)
+    return propagate(liou, gibbs_state(h4, 0.5), TimeGrid(t_max=256.0, dt=0.5))
+
+
+@pytest.mark.parametrize("n_states", _CHUNK_BOUNDARIES)
+def test_crossings_over_chunks_equal_the_whole_stack_matching(long_n4_trajectory, n_states):
+    traj = _prefix(long_n4_trajectory, n_states)
+    expected = _whole_stack_crossings(traj.states, traj.times) if n_states > 1 else []
+    assert eigenvalue_crossings(traj) == expected
+    assert n_states < SCREEN_CHUNK or len(expected) > 10
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_readers_over_chunks_equal_their_whole_stack_formulas(n, long_n4_trajectory):
+    model = ModelSpec(n_qubits=n, field_h=0.1)
+    h = build_hamiltonian(model)
+    if n == 4:
+        traj = long_n4_trajectory
+    else:
+        liou = build_liouvillian(h, ChannelSpec(gamma=0.05, alpha_minus=0.5), model)
+        traj = propagate(liou, gibbs_state(h, 0.5), TimeGrid(t_max=256.0, dt=0.5))
+    assert len(traj) == 2 * SCREEN_CHUNK + 1
+    states = traj.states
+    flat = states.reshape(len(states), -1)
+    energies = (flat @ np.asarray(h, dtype=complex).T.reshape(-1)).real
+    assert np.array_equal(trajectory_records(traj, h).energy, energies)
+
+    levels, vecs = hermitian_eig(h)
+    d = len(levels)
+    weights = (np.conj(vecs)[:, None, :] * vecs[None, :, :]).reshape(d * d, d)
+    level = np.concatenate(([0], np.cumsum(
+        np.diff(levels) > LEVEL_TOL * np.maximum(1.0, np.abs(levels[1:])))))
+    same = level[:, None] == level[None, :]
+    populations = (flat @ (weights @ (same / same.sum(axis=0)))).real
+    assert np.array_equal(energy_basis_populations(traj, h), populations)
+
+    assert eigenvalue_crossings(traj) == _whole_stack_crossings(states, traj.times)
+    if n == 4:
+        dark = dark_subspace(model)
+        whole = np.einsum("tij,ji->t", states, dark.projector).real
+        assert np.array_equal(dark_population_series(traj, dark), whole)
+        assert np.array_equal(dark_population_series(states, dark), whole)
+
+
+def test_support_holds_the_transposes_that_symmetrizing_fills():
+    # a generator that feeds rho_10 from rho_00 but leaves rho_01 alone: the touched
+    # block holds (0, 0) and (1, 0) only, and the screen's symmetrizing fills (0, 1)
+    generator = np.zeros((4, 4), dtype=complex)
+    generator[1, 0] = 1e-8  # vec index 1 is entry (1, 0), vec index 0 entry (0, 0)
+    liou = Liouvillian(matrix=generator, dim_state=2)
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    traj = propagate(liou, rho0, TimeGrid(t_max=2.0, dt=0.5))
+    states = traj.states
+    assert np.array_equal(states, dagger(states))
+    assert np.allclose(states[:, 0, 1], 0.5e-8 * traj.times, rtol=1e-12, atol=0)
+    assert np.abs(evolve_to(liou, rho0, 2.0).states[0] - states[-1]).max() <= 1e-15

@@ -11,7 +11,8 @@ from ergoquench.ergotropy import (CROSSING_CHUNK, _greedy_match, activation_time
                                   energy_basis_populations, ergotropy,
                                   ergotropy_difference, ergotropy_series,
                                   passive_state, trajectory_records)
-from ergoquench.linalg import dagger, expm, hermitian_eig, hermitian_eig_batch
+from ergoquench.linalg import (dagger, expm, hermitian_eig, hermitian_eig_batch,
+                              hermitian_eigvals_batch)
 from ergoquench.oracles import activation_time_analytic
 
 from conftest import random_density, random_hermitian
@@ -276,7 +277,8 @@ def test_sorted_pairing_is_global_minimum_over_permutations(dim):
     rho = random_density(rng, dim)
     h = random_hermitian(rng, dim)
     record = ergotropy(rho, h)
-    populations, _ = hermitian_eig(rho)
+    # the spectrum ergotropy() reads: its Hermitian part, values only
+    populations = hermitian_eigvals_batch(0.5 * (rho + dagger(rho))[None])[0]
     levels, _ = hermitian_eig(h)
     r_desc = populations[::-1]
     best = min(float(np.dot(r_desc[list(perm)], levels))
@@ -309,3 +311,18 @@ def test_ergotropy_nonnegative_along_trajectory():
 def test_dimension_mismatch_rejected(h2):
     with pytest.raises(ValueError):
         ergotropy(np.eye(8, dtype=complex) / 8.0, h2)
+
+
+@pytest.mark.parametrize("n,channel", [(2, dict(gamma=0.05, alpha_minus=0.5)), (4, dict(gamma=0.05))],
+                         ids=["N2", "N4"])
+def test_single_state_ergotropy_reads_the_screen_spectrum(n, channel):
+    # the spectra agree bit for bit; the energies only to rounding, because numpy
+    # forms the products of one state by dot products and those of a stack by BLAS gemv
+    traj, h = _traj(n, 0.5, TimeGrid(t_max=300.0, dt=0.5), **channel)
+    rec = trajectory_records(traj, h)
+    states = traj.states
+    for k in (0, 1, 255, 256, 300, len(traj) - 1):
+        single = ergotropy(states[k], h)
+        assert np.array_equal(single.rho_spectrum, rec.rho_spectrum[k])
+        for field in ("energy", "passive_energy", "ergotropy"):
+            assert abs(getattr(single, field) - getattr(rec, field)[k]) <= 2e-15

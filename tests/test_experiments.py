@@ -1,5 +1,6 @@
 import ast
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from ergoquench import (ChannelSpec, ModelSpec, TimeGrid, build_hamiltonian,
                         trajectory_records)
 from ergoquench import experiments
 from ergoquench.config import ExperimentConfig
-from ergoquench.dynamics import InvariantViolation
+from ergoquench.dynamics import SCREEN_CHUNK, InvariantViolation, Trajectory
 from ergoquench.experiments import (EXPERIMENTS, _lines, _ordered_map, _trajectory_rows,
                                     _write_csv, run_experiment)
 
@@ -168,7 +169,7 @@ def test_trajectory_rows_equal_the_record_path(n, channel, with_spectrum, extra)
     model = ModelSpec(n_qubits=n, field_h=0.1)
     h = build_hamiltonian(model)
     traj = propagate(build_liouvillian(h, channel, model), gibbs_state(h, 0.5),
-                     TimeGrid(t_max=25.0, dt=0.1))
+                     TimeGrid(t_max=60.0, dt=0.1))  # 601 rows: three slices
     added = ([[k % 2, "2-3" if k % 2 else ""] + pops
               for k, pops in enumerate(energy_basis_populations(traj, h).tolist())]
              if extra else [[]] * len(traj))
@@ -177,10 +178,14 @@ def test_trajectory_rows_equal_the_record_path(n, channel, with_spectrum, extra)
     expected = [lead + [traj.times[k], rec.energy[k], rec.passive_energy[k], rec.ergotropy[k]]
                 + added[k] + (rec.rho_spectrum[k].tolist() if with_spectrum else [])
                 for k in range(len(traj))]
-    rows, erg = _trajectory_rows(lead, traj, h, added, with_spectrum)
+    ranges = []
+    rows = _trajectory_rows(lead, traj.times, rec,
+                            lambda start, stop: ranges.append((start, stop)) or added[start:stop],
+                            with_spectrum)
     header = [f"c{k}" for k in range(len(expected[0]))]
     assert list(_lines(header, rows)) == list(_lines(header, expected))
-    assert erg == rec.ergotropy.tolist()
+    assert ranges == [(0, SCREEN_CHUNK), (SCREEN_CHUNK, 2 * SCREEN_CHUNK),
+                      (2 * SCREEN_CHUNK, len(traj))]
 
 
 CELLS = ["panel-a", True, np.False_, 7, np.int64(-3), 0.1, np.float64(2.5e-7),
@@ -260,3 +265,58 @@ def test_ordered_map_is_lazy_when_serial(monkeypatch):
     results = _ordered_map(lambda x: seen.append(x) or 2 * x, [1, 2, 3])
     assert next(results) == 2 and seen == [1]
     assert list(results) == [4, 6] and seen == [1, 2, 3]
+
+
+class _CountingPool(experiments.ThreadPoolExecutor):
+    """A thread pool that records how many submitted jobs its consumer has not yet taken."""
+
+    submitted = 0
+    taken = 0
+    peak = 0
+
+    def submit(self, fn, *args):
+        type(self).submitted += 1
+        type(self).peak = max(type(self).peak, type(self).submitted - type(self).taken)
+        return super().submit(fn, *args)
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_ordered_map_keeps_few_jobs_in_flight(monkeypatch, threads):
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", _CountingPool)
+    monkeypatch.setattr(_CountingPool, "submitted", 0)
+    monkeypatch.setattr(_CountingPool, "taken", 0)
+    monkeypatch.setattr(_CountingPool, "peak", 0)
+    monkeypatch.setenv("ERGOQUENCH_THREADS", str(threads))
+    results = []
+    for value in _ordered_map(lambda x: 2 * x, range(50)):
+        _CountingPool.taken += 1
+        results.append(value)
+    assert results == [2 * x for x in range(50)]
+    assert _CountingPool.submitted == 50
+    assert _CountingPool.peak == experiments.IN_FLIGHT_PER_WORKER * threads
+
+
+@pytest.mark.parametrize("name", ["fig5", "fig6", "fig8", "appD"])
+def test_n4_experiments_never_build_a_whole_state_stack(tmp_path, monkeypatch, name):
+    def refuse(traj):
+        raise AssertionError("the whole (T, D, D) stack was built")
+
+    monkeypatch.setattr(Trajectory, "states", property(refuse))
+    config = _config(experiment=name, output_dir=str(tmp_path), t_max=30.0, dt=0.1,
+                     beta_list=(0.2, 5.0))
+    header, rows = _read(run_experiment(config)[0])
+    assert len(rows) % 301 == 0 and len(rows) >= 2 * 301  # each trajectory spans two slices
+
+
+def test_default_appd_peaks_near_one_full_state_stack(tmp_path):
+    # a (2501, 16, 16) complex stack is 10.2 MB; the trajectory keeps 70 of 256
+    # entries per state, and its rows are formatted a slice at a time
+    config = _config(experiment="appD", output_dir=str(tmp_path))
+    run_experiment(config)
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 2501 * 16 ** 2 * 16
