@@ -6,14 +6,12 @@ the ergotropy of the resulting trajectories is analyzed and cross-checked
 against closed-form sector solutions.
 """
 
-from .channels import (ChannelSpec, Liouvillian, build_liouvillian, dissipator_apply,
-                       rate_matrix, unvec, vec)
+from .channels import ChannelSpec, Liouvillian, build_liouvillian, vec
 from .config import ConfigError, ExperimentConfig, validate_config
-from .dynamics import (InvariantViolation, TimeGrid, Trajectory, evolve_to, propagate,
-                       propagate_rk4)
+from .dynamics import InvariantViolation, TimeGrid, Trajectory, evolve_to, propagate
 from .ergotropy import (ErgotropyRecord, activation_time, eigenvalue_crossings,
                         energy_basis_populations, ergotropy, ergotropy_difference,
-                        ergotropy_series, passive_state, trajectory_records)
+                        trajectory_records)
 from .jc import (JCSpec, compare_jc, default_jc_spec, effective_atom_evolution,
                  jc_full_evolution, jc_hamiltonian)
 from .linalg import expm, hermitian_eig, hermitian_eig_batch, kron, null_space_hermitian
@@ -23,8 +21,7 @@ from .oracles import (DarkSubspace, TwoQubitBlockState, activation_time_analytic
                       beta_critical, collective_steady_spectrum, dark_population_series,
                       dark_subspace, dephasing_two_qubit_block, p_dark,
                       p_dark_derivative, steady_s_infinity, steady_state_is_passive,
-                      two_qubit_collective_block, two_qubit_collective_sc,
-                      two_qubit_parallel_block)
+                      two_qubit_collective_sc, two_qubit_parallel_block)
 from .experiments import EXPERIMENTS, run_experiment
 
 __version__ = "0.1.0"

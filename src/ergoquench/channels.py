@@ -7,14 +7,14 @@ defined by the N x N rate-matrix double sum
     D[rho] = sum_ij Gamma_ij (A_i rho A_j^dag - {A_j^dag A_i, rho} / 2)
 
 with A = sigma^- (dissipation) or sigma^z (dephasing) and the rate matrix
-Gamma = gamma [(1 - a) I + a 11^T] of `rate_matrix`.  That Gamma is
-diagonal in the basis of the N site jumps plus their sum, so the generator
-is assembled in diagonal form, gamma (1 - a) sum_i D[A_i] + gamma a
-D[sum_i A_i]: N + 1 jumps instead of N^2 terms, exact for every a, each
-vectorized once by `lindblad_matrix`.  The jumps depend on N and the
-channel kind alone, so each set is built once and shared, read-only, by
-every generator.  The double sum lives on as
-`dissipator_apply`, the reference the tests hold the assembly to.
+Gamma = gamma [(1 - a) I + a 11^T].  That Gamma is diagonal in the basis
+of the N site jumps plus their sum, so the generator is assembled in
+diagonal form, gamma (1 - a) sum_i D[A_i] + gamma a D[sum_i A_i]: N + 1
+jumps instead of N^2 terms, exact for every a, each vectorized once by
+`lindblad_matrix`.  The jumps depend on N and the channel kind alone, so
+each set is built once and shared, read-only, by every generator.  The
+tests hold the assembly to the double sum itself, applied to states by
+the reference in tests/reference.py.
 
 Assembly writes each term only where it can be nonzero.  I (x) X and
 Y (x) I fill d^3 entries each, reached through diagonal views of the
@@ -109,59 +109,12 @@ def _invariant_blocks(matrix) -> tuple:
 
 
 def vec(rho) -> np.ndarray:
-    """Column-stack a matrix."""
-    return np.asarray(rho, dtype=complex).reshape(-1, order="F")
+    """Column-stack one (D, D) matrix, or each of a (B, D, D) stack into a (B, D*D) row.
 
-
-def unvec(v, dim: int | None = None) -> np.ndarray:
-    """Inverse of vec()."""
-    v = np.asarray(v)
-    d = dim or int(round(np.sqrt(v.size)))
-    return v.reshape((d, d), order="F")
-
-
-def unvec_batch(vs, dim: int) -> np.ndarray:
-    """Unvec a (T, D*D) stack of column-stacked states into (T, D, D)."""
-    return np.asarray(vs).reshape(-1, dim, dim).transpose(0, 2, 1)
-
-
-def rate_matrix(gamma: float, alpha_interp: float, n: int) -> np.ndarray:
-    """Interpolated rate matrix gamma * [(1 - alpha) I + alpha * ones].
-
-    Positive semidefinite for alpha in [0, 1]: eigenvalues gamma*(1-alpha)
-    (n-1 fold) and gamma*(1 - alpha + n*alpha).
+    Column-stacking is the row-major order of the transpose.
     """
-    if not 0.0 <= alpha_interp <= 1.0:
-        raise ValueError(f"interpolation parameter out of [0,1]: {alpha_interp}")
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    return gamma * ((1.0 - alpha_interp) * np.eye(n) + alpha_interp * np.ones((n, n)))
-
-
-def dissipator_apply(rates, jumps, rho) -> np.ndarray:
-    """Apply sum_ij Gamma_ij (A_i rho A_j^dag - {A_j^dag A_i, rho} / 2) to rho."""
-    rates = np.asarray(rates, dtype=float)
     rho = np.asarray(rho, dtype=complex)
-    n = len(jumps)
-    if rates.shape != (n, n):
-        raise ValueError(f"rate matrix shape {rates.shape} does not match {n} jumps")
-    if any(a.shape != rho.shape for a in jumps):
-        raise ValueError("jump operator dimension does not match the state")
-    out = np.zeros_like(rho)
-    for i in range(n):
-        for j in range(n):
-            g = rates[i, j]
-            if g == 0.0:
-                continue
-            ajd_ai = dagger(jumps[j]) @ jumps[i]
-            out += g * (jumps[i] @ rho @ dagger(jumps[j])
-                        - 0.5 * (ajd_ai @ rho + rho @ ajd_ai))
-    return out
-
-
-def hamiltonian_superoperator(h_matrix) -> np.ndarray:
-    """Vectorized commutator -i[H, .]."""
-    return lindblad_matrix(h_matrix, [], [])
+    return np.swapaxes(rho, -1, -2).reshape(*rho.shape[:-2], -1)
 
 
 def lindblad_matrix(h_matrix, jumps, rates) -> np.ndarray:
@@ -231,7 +184,7 @@ def build_liouvillian(h_matrix, spec: ChannelSpec, model: ModelSpec) -> Liouvill
     for weight, kind, interp in ((1.0 - spec.alpha, "minus", spec.alpha_minus),
                                  (spec.alpha, "z", spec.alpha_z)):
         if weight > 0.0 and spec.gamma > 0.0:
-            # rate_matrix(gamma, interp, n) in diagonal form: the site jumps plus their sum
+            # gamma [(1 - interp) I + interp 11^T] in diagonal form: the site jumps plus their sum
             jumps += _site_jumps(model.n_qubits, kind)
             rates += ([weight * spec.gamma * (1.0 - interp)] * model.n_qubits
                       + [weight * spec.gamma * interp])

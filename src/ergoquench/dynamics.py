@@ -10,9 +10,7 @@ product turns the first m stored states into the next m, and P squares,
 so a grid of T steps costs ceil(log2(T + 1)) products per block rather
 than T mat-vecs.  With dissipation on, the chain's blocks are the sectors
 of fixed ket-minus-bra excitation number, and a Gibbs state touches only
-the largest (70 of 256 indices at four qubits).  A classical fourth-order
-integrator on the full dense generator, stepped one mat-vec at a time, is
-kept alongside purely as a cross-check.
+the largest (70 of 256 indices at four qubits).
 A `Trajectory` stores each state at its support only: the (D, D) entries
 of the blocks the propagator touched, as one (T, S) array that `propagate`
 and `evolve_to` write their block powers and jumps into (S = 70 of 256 at
@@ -30,9 +28,8 @@ The screen computes the spectrum of each state, values only: the
 `Trajectory` carries it, and the energy bookkeeping reads it from there.
 Eigenvectors are computed only where they are read, by the branch
 tracker in `ergotropy.eigenvalue_crossings`, one chunk of states at a time.
-Every propagator returns such a `Trajectory`: `propagate` and
-`propagate_rk4` one entry per grid time, `evolve_to` one entry per input
-state, all at the target time.
+Both propagators return such a `Trajectory`: `propagate` one entry per
+grid time, `evolve_to` one entry per input state, all at the target time.
 """
 
 from __future__ import annotations
@@ -181,13 +178,18 @@ def _screen(times, values, support, dim: int) -> Trajectory:
     return Trajectory(times=times, values=values, support=support, dim=dim, spectra=vals)
 
 
-def _initial_vector(liou: Liouvillian, rho0) -> np.ndarray:
-    """vec(rho0), once rho0 is checked to be a density matrix of the generator's dim."""
+def _initial_vectors(liou: Liouvillian, rho0) -> np.ndarray:
+    """Rows vec(rho0[k]) of one (D, D) state or a (B, D, D) stack, as a (B, D*D) array.
+
+    rho0 is first checked, as a whole, to hold density matrices of the
+    generator's dim.
+    """
+    rho0 = np.asarray(rho0)
     check_density_matrix(rho0, context="initial state")
     d = liou.dim_state
-    if np.asarray(rho0).shape != (d, d):
-        raise ValueError(f"state shape {np.asarray(rho0).shape} does not match dim {d}")
-    return vec(rho0)
+    if rho0.shape[-2:] != (d, d):
+        raise ValueError(f"state shape {rho0.shape[-2:]} does not match dim {d}")
+    return vec(rho0).reshape(-1, d * d)
 
 
 def _row_major(vec_indices, dim: int) -> np.ndarray:
@@ -240,36 +242,16 @@ def _block_exponentials(liou: Liouvillian, vs, t: float):
 
 
 def propagate(liou: Liouvillian, rho0, grid: TimeGrid) -> Trajectory:
-    """Evolve rho0 with the one-step blocks exp(L[b, b] dt), their powers formed by doubling."""
-    v = _initial_vector(liou, rho0)
-    jumps = _block_exponentials(liou, v[None], grid.dt)
+    """Evolve one state rho0 with the one-step blocks exp(L[b, b] dt), their powers by doubling."""
+    if np.ndim(rho0) != 2:
+        raise ValueError(f"propagate takes one (D, D) state, got shape {np.shape(rho0)}")
+    vs = _initial_vectors(liou, rho0)
+    jumps = _block_exponentials(liou, vs, grid.dt)
     support, spans = _layout([b for b, _ in jumps], liou.dim_state)
     values = np.zeros((grid.n_steps + 1, support.size), dtype=complex)
     for (b, step), cols in zip(jumps, spans):
-        _powers(step, v[b], values[:, cols])
+        _powers(step, vs[0, b], values[:, cols])
     return _screen(grid.times(), values, support, liou.dim_state)
-
-
-def propagate_rk4(liou: Liouvillian, rho0, grid: TimeGrid, substeps: int = 20) -> Trajectory:
-    """Classical RK4 on the vectorized master equation; integrator cross-check."""
-    if substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
-    v = _initial_vector(liou, rho0)
-    mat = liou.matrix
-    h = grid.dt / substeps
-
-    stacked = np.empty((grid.n_steps + 1, v.size), dtype=complex)
-    stacked[0] = v
-    for k in range(1, grid.n_steps + 1):
-        for _ in range(substeps):
-            k1 = mat @ v
-            k2 = mat @ (v + 0.5 * h * k1)
-            k3 = mat @ (v + 0.5 * h * k2)
-            k4 = mat @ (v + h * k3)
-            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        stacked[k] = v
-    support = _row_major(np.arange(v.size), liou.dim_state)
-    return _screen(grid.times(), stacked, support, liou.dim_state)
 
 
 def evolve_to(liou: Liouvillian, rho0, t: float) -> Trajectory:
@@ -283,19 +265,13 @@ def evolve_to(liou: Liouvillian, rho0, t: float) -> Trajectory:
     state in turn, so a state evolves to the same bytes alone or inside a
     stack.
     """
-    rho0 = np.asarray(rho0)
-    check_density_matrix(rho0, context="initial state")
-    d = liou.dim_state
-    if rho0.shape[-2:] != (d, d):
-        raise ValueError(f"state shape {rho0.shape[-2:]} does not match dim {d}")
-    # row k is vec(rho0[k]): column-stacking is row-major order of the transpose
-    initial = np.swapaxes(rho0, -1, -2).reshape(-1, d * d).astype(complex, copy=False)
+    initial = _initial_vectors(liou, rho0)
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     jumps = _block_exponentials(liou, initial, t)
-    support, spans = _layout([b for b, _ in jumps], d)
+    support, spans = _layout([b for b, _ in jumps], liou.dim_state)
     values = np.zeros((len(initial), support.size), dtype=complex)
     for (b, step), cols in zip(jumps, spans):
         for v, out in zip(initial, values):
             out[cols] = step @ v[b]
-    return _screen(np.full(len(initial), t), values, support, d)
+    return _screen(np.full(len(initial), t), values, support, liou.dim_state)

@@ -1,4 +1,4 @@
-"""Ergotropy, passive states and spectral analysis of trajectories.
+"""Ergotropy, passive energies and spectral analysis of trajectories.
 
 The unitary minimization in the ergotropy definition has the closed form
 E_passive = sum_k r_k eps_k with the state populations r sorted descending
@@ -7,11 +7,13 @@ state, without its eigenvectors, is all that the energy bookkeeping needs.
 A trajectory's records read the spectra its CPTP screen computed
 (`Trajectory.spectra`): `trajectory_records` gives the energy bookkeeping
 of every stored state at once, as one `ErgotropyRecord` of arrays, and
-`ergotropy` that of a single state.  Only the branch tracker
-`eigenvalue_crossings` reads eigenvectors; it decomposes the states itself,
-one chunk at a time.  Energies and energy-basis populations are each one
-matrix product per chunk of states, read from the trajectory's compact
-storage a chunk at a time (`Trajectory.chunks`), never as a whole stack.
+`ergotropy` that of a single state; `activation_time` and
+`ergotropy_difference` read the ergotropy of those records.  Only the
+branch tracker `eigenvalue_crossings` reads eigenvectors; it decomposes
+the states itself, one chunk at a time.  Energies and energy-basis
+populations are each one matrix product per chunk of states, read from
+the trajectory's compact storage a chunk at a time (`Trajectory.chunks`),
+never as a whole stack.
 """
 
 from __future__ import annotations
@@ -95,30 +97,9 @@ def ergotropy(rho, h_matrix) -> ErgotropyRecord:
                            rho_spectrum=record.rho_spectrum[0])
 
 
-def passive_state(rho, h_matrix) -> np.ndarray:
-    """State with the same spectrum, reordered to be passive with respect to H.
-
-    Descending populations are paired with the ascending-energy eigenvectors
-    of H; the result commutes with H.  Under level degeneracy only the
-    pairing of eigenvalue multisets is determined, so compare spectra and
-    energies rather than matrices.
-    """
-    vals, _ = hermitian_eig(rho)
-    h_levels, h_vecs = hermitian_eig(h_matrix)
-    if vals.size != h_levels.size:
-        raise ValueError("dimension mismatch between state and Hamiltonian")
-    populations = vals[::-1]
-    return (h_vecs * populations) @ dagger(h_vecs)
-
-
 def trajectory_records(traj: Trajectory, h_matrix) -> ErgotropyRecord:
     """ErgotropyRecord of every stored state, as arrays, from the screen's spectra."""
     return _batch_records(traj.chunks(), traj.spectra, h_matrix)
-
-
-def ergotropy_series(traj: Trajectory, h_matrix) -> np.ndarray:
-    """Ergotropy of every stored state."""
-    return trajectory_records(traj, h_matrix).ergotropy
 
 
 def activation_time(traj: Trajectory, h_matrix,
@@ -129,7 +110,7 @@ def activation_time(traj: Trajectory, h_matrix,
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    erg = ergotropy_series(traj, h_matrix)
+    erg = trajectory_records(traj, h_matrix).ergotropy
     above = np.nonzero(erg > threshold)[0]
     if above.size == 0:
         return None
@@ -157,7 +138,8 @@ def ergotropy_difference(traj_a: Trajectory, traj_b: Trajectory, h_matrix,
     """
     if len(traj_a) != len(traj_b) or np.abs(traj_a.times - traj_b.times).max() > 1e-12:
         raise ValueError("trajectories must share the same time grid")
-    delta = ergotropy_series(traj_a, h_matrix) - ergotropy_series(traj_b, h_matrix)
+    delta = (trajectory_records(traj_a, h_matrix).ergotropy
+             - trajectory_records(traj_b, h_matrix).ergotropy)
     crossings: list[float] = []
     last_idx = None
     for k in np.nonzero(np.abs(delta) > noise_floor)[0]:

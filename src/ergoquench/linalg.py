@@ -61,7 +61,7 @@ def one_norm(m) -> float:
     return float(np.abs(np.asarray(m)).sum(axis=0).max())
 
 
-def hermitian_eig(m, check: bool = True):
+def hermitian_eig(m):
     """Eigendecomposition of a Hermitian matrix.
 
     Parameters
@@ -69,8 +69,6 @@ def hermitian_eig(m, check: bool = True):
     m : (D, D) array_like
         Hermitian within HERM_TOL (relative to its largest entry); the
         input is symmetrized before the decomposition.
-    check : bool
-        Skip the Hermiticity check when the caller already guarantees it.
 
     Returns
     -------
@@ -82,7 +80,7 @@ def hermitian_eig(m, check: bool = True):
     LinalgError
         If the input is not Hermitian within tolerance.
     """
-    vals, vecs = hermitian_eig_batch(np.asarray(m, dtype=complex)[None], check=check)
+    vals, vecs = hermitian_eig_batch(np.asarray(m, dtype=complex)[None])
     return vals[0], vecs[0]
 
 

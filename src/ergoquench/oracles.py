@@ -4,7 +4,9 @@ Every routine here is an independent code path: the two-qubit sector
 equations are hand-assembled 6x6 real systems integrated with a local
 scaled-Taylor exponential (deliberately not the Pade kernel the engine
 uses), the collective-channel results are explicit formulas, and the dark
-subspace comes from the kernel of S^+ S^-.  The sector solutions take a
+subspace comes from the kernel of S^+ S^-.  The collective channel's own
+6x6 sector system, which no experiment integrates, is kept with the test
+references in tests/reference.py.  The sector solutions take a
 whole time grid at once: exp(G t) for every grid time is one batched
 Taylor evaluation of the (T, 6, 6) stack, still with the local kernel, and
 each of the T states passes the same checks as a single one.  The
@@ -153,17 +155,6 @@ def _parallel_generator(gamma: float) -> np.ndarray:
     return m
 
 
-def _collective_generator(gamma: float) -> np.ndarray:
-    m = _parallel_generator(gamma)
-    m[0, 4] += 2.0 * gamma
-    m[1, 4] += -gamma
-    m[2, 4] += -gamma
-    m[4, 1] += -0.5 * gamma
-    m[4, 2] += -0.5 * gamma
-    m[4, 3] += gamma
-    return m
-
-
 def _dephasing_generator(gamma: float) -> np.ndarray:
     m = np.zeros((6, 6))
     m[1, 5] = -4.0
@@ -195,11 +186,6 @@ def two_qubit_parallel_block(init: TwoQubitBlockState, gamma: float, t) -> TwoQu
     the same holds for the other sector solutions below.
     """
     return _evolve_block(_parallel_generator(gamma), init, t)
-
-
-def two_qubit_collective_block(init: TwoQubitBlockState, gamma: float, t) -> TwoQubitBlockState:
-    """Exact sector solution for the collective dissipative channel."""
-    return _evolve_block(_collective_generator(gamma), init, t)
 
 
 def dephasing_two_qubit_block(init: TwoQubitBlockState, gamma: float, t) -> TwoQubitBlockState:
@@ -334,11 +320,9 @@ def p_dark_derivative(beta: float, model: ModelSpec, dark: DarkSubspace | None =
     return -(mean_h_dark - mean_h) * pop
 
 
-def dark_population_series(states, dark: DarkSubspace) -> np.ndarray:
-    """Tr[P_dark rho(t)] along a (T, D, D) stack of states, or along a Trajectory chunk by chunk."""
-    if not isinstance(states, Trajectory):
-        return np.einsum("tij,ji->t", np.asarray(states), dark.projector).real
-    series = np.empty(len(states))
-    for start, chunk in states.chunks():
+def dark_population_series(traj: Trajectory, dark: DarkSubspace) -> np.ndarray:
+    """Tr[P_dark rho(t)] along a trajectory, chunk by chunk."""
+    series = np.empty(len(traj))
+    for start, chunk in traj.chunks():
         series[start:start + len(chunk)] = np.einsum("tij,ji->t", chunk, dark.projector).real
     return series

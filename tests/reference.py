@@ -1,0 +1,112 @@
+"""Independent references the tests hold the package to; no experiment runs them.
+
+- `propagate_rk4`: classical fourth-order Runge-Kutta on the full dense
+  generator, one mat-vec at a time, against the block-wise exact stepping.
+- `dissipator_apply` with `rate_matrix`: the N x N rate-matrix double sum
+  applied to a state, against the diagonal-form assembly of the generator.
+- `passive_state`: the passive state itself, from the eigenvectors of H.
+- `two_qubit_collective_block`: the collective channel's two-qubit sector
+  system, against propagated states.
+- `unvec`: the inverse of `channels.vec`.
+"""
+
+import numpy as np
+
+from ergoquench import Trajectory, check_density_matrix, vec
+from ergoquench.linalg import dagger, hermitian_eig
+from ergoquench.oracles import _evolve_block, _parallel_generator
+
+
+def unvec(vs, dim: int) -> np.ndarray:
+    """(D, D) matrix of one column-stacked vector, or (T, D, D) stack of a (T, D*D) one."""
+    return np.swapaxes(np.reshape(vs, (*np.shape(vs)[:-1], dim, dim)), -1, -2)
+
+
+def propagate_rk4(liou, rho0, grid, substeps: int = 20) -> Trajectory:
+    """Classical RK4 on the vectorized master equation; integrator cross-check."""
+    d = liou.dim_state
+    check_density_matrix(rho0, context="initial state")
+    if np.shape(rho0) != (d, d):
+        raise ValueError(f"state shape {np.shape(rho0)} does not match dim {d}")
+    v = vec(rho0)
+    mat = liou.matrix
+    h = grid.dt / substeps
+
+    stacked = np.empty((grid.n_steps + 1, v.size), dtype=complex)
+    stacked[0] = v
+    for k in range(1, grid.n_steps + 1):
+        for _ in range(substeps):
+            k1 = mat @ v
+            k2 = mat @ (v + 0.5 * h * k1)
+            k3 = mat @ (v + 0.5 * h * k2)
+            k4 = mat @ (v + h * k3)
+            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        stacked[k] = v
+    return Trajectory.screened(grid.times(), unvec(stacked, d))
+
+
+def rate_matrix(gamma: float, alpha_interp: float, n: int) -> np.ndarray:
+    """Interpolated rate matrix gamma * [(1 - alpha) I + alpha * ones].
+
+    Positive semidefinite for alpha in [0, 1]: eigenvalues gamma*(1-alpha)
+    (n-1 fold) and gamma*(1 - alpha + n*alpha).
+    """
+    if not 0.0 <= alpha_interp <= 1.0:
+        raise ValueError(f"interpolation parameter out of [0,1]: {alpha_interp}")
+    if gamma < 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    return gamma * ((1.0 - alpha_interp) * np.eye(n) + alpha_interp * np.ones((n, n)))
+
+
+def dissipator_apply(rates, jumps, rho) -> np.ndarray:
+    """Apply sum_ij Gamma_ij (A_i rho A_j^dag - {A_j^dag A_i, rho} / 2) to rho."""
+    rates = np.asarray(rates, dtype=float)
+    rho = np.asarray(rho, dtype=complex)
+    n = len(jumps)
+    if rates.shape != (n, n):
+        raise ValueError(f"rate matrix shape {rates.shape} does not match {n} jumps")
+    if any(a.shape != rho.shape for a in jumps):
+        raise ValueError("jump operator dimension does not match the state")
+    out = np.zeros_like(rho)
+    for i in range(n):
+        for j in range(n):
+            g = rates[i, j]
+            if g == 0.0:
+                continue
+            ajd_ai = dagger(jumps[j]) @ jumps[i]
+            out += g * (jumps[i] @ rho @ dagger(jumps[j])
+                        - 0.5 * (ajd_ai @ rho + rho @ ajd_ai))
+    return out
+
+
+def passive_state(rho, h_matrix) -> np.ndarray:
+    """State with the same spectrum, reordered to be passive with respect to H.
+
+    Descending populations are paired with the ascending-energy eigenvectors
+    of H; the result commutes with H.  Under level degeneracy only the
+    pairing of eigenvalue multisets is determined, so compare spectra and
+    energies rather than matrices.
+    """
+    vals, _ = hermitian_eig(rho)
+    h_levels, h_vecs = hermitian_eig(h_matrix)
+    if vals.size != h_levels.size:
+        raise ValueError("dimension mismatch between state and Hamiltonian")
+    populations = vals[::-1]
+    return (h_vecs * populations) @ dagger(h_vecs)
+
+
+def _collective_generator(gamma: float) -> np.ndarray:
+    """Sector generator of the collective channel on y = (p_gg, p_eg, p_ge, p_ee, Re c, Im c)."""
+    m = _parallel_generator(gamma)
+    m[0, 4] += 2.0 * gamma
+    m[1, 4] += -gamma
+    m[2, 4] += -gamma
+    m[4, 1] += -0.5 * gamma
+    m[4, 2] += -0.5 * gamma
+    m[4, 3] += gamma
+    return m
+
+
+def two_qubit_collective_block(init, gamma: float, t):
+    """Exact sector solution for the collective dissipative channel."""
+    return _evolve_block(_collective_generator(gamma), init, t)

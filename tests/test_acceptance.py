@@ -16,7 +16,7 @@ from ergoquench import (ChannelSpec, ModelSpec, TimeGrid, build_hamiltonian,
                         build_liouvillian, evolve_to, gibbs_state, propagate)
 from ergoquench.config import ExperimentConfig
 from ergoquench.ergotropy import (activation_time, eigenvalue_crossings, ergotropy,
-                                  ergotropy_difference, ergotropy_series)
+                                  ergotropy_difference, trajectory_records)
 from ergoquench.experiments import run_experiment
 from ergoquench.jc import compare_jc, default_jc_spec, effective_atom_evolution, jc_full_evolution
 from ergoquench.linalg import (dagger, expm, hermitian_eig, hermitian_eig_batch,
@@ -185,7 +185,7 @@ def test_criterion_05_mpemba_crossings(fig5_trajs):
             missing.append(beta)
     for beta in BETA_GRID:
         traj, _ = fig5_trajs[beta]
-        finals.append(ergotropy_series(traj, h)[-1])
+        finals.append(trajectory_records(traj, h).ergotropy[-1])
     spread = max(finals) - min(finals)
     ok = not missing and spread <= 1e-3
     _report(5, ok, f"crossings found for all betas (missing: {missing}), "
@@ -199,8 +199,8 @@ def test_criterion_06_collective_four_qubits(fig6_trajs):
     drift = {}
     for beta in BETA_GRID:
         traj, h = fig6_trajs[beta]
-        steady.append(ergotropy_series(traj, h)[-1])
-        pd_t = dark_population_series(traj.states, dark)
+        steady.append(trajectory_records(traj, h).ergotropy[-1])
+        pd_t = dark_population_series(traj, dark)
         drift[beta] = float(np.abs(pd_t - pd_t[0]).max())
     monotone = all(b >= a - 1e-9 for a, b in zip(steady, steady[1:]))
     pd_grid = [p_dark(b, model, dark=dark) for b in BETA_GRID]
@@ -268,7 +268,7 @@ def test_criterion_08_dephasing(fig8_trajs):
     rho0 = gibbs_state(h, 1.0)
     frozen = _register("crit8-frozen", propagate(liou, rho0, TimeGrid(800.0, 0.5)))
     frozen_dev = max(float(np.sqrt((np.abs(s - rho0) ** 2).sum())) for s in frozen.states)
-    frozen_erg = ergotropy_series(frozen, h).max()
+    frozen_erg = trajectory_records(frozen, h).ergotropy.max()
     ok = rate_dev <= 0.01 and crossing_count == 0 and frozen_dev < 1e-9 and frozen_erg < 1e-9
     _report(8, ok, f"decay-rate rel dev {rate_dev:.2e} (<=1%), "
                    f"dephasing dE sign changes {crossing_count} (expect 0), "
@@ -321,7 +321,7 @@ def test_criterion_09_interpolation_sweeps():
                 model2)
             traj = _register(f"crit9c-{panel}-{alpha}",
                              propagate(liou, gibbs_state(h2, beta), grid))
-            erg = ergotropy_series(traj, h2)
+            erg = trajectory_records(traj, h2).ergotropy
             finals.append(erg[-1])
             above = np.nonzero(np.abs(erg - erg[-1]) > 1e-3)[0]
             settles.append(float(traj.times[above[-1]]) if above.size else 0.0)

@@ -3,13 +3,12 @@ import pytest
 
 import ergoquench.channels
 from ergoquench import ChannelSpec, ModelSpec, build_hamiltonian, gibbs_state
-from ergoquench.channels import (Liouvillian, build_liouvillian, dissipator_apply,
-                                 hamiltonian_superoperator, lindblad_matrix, rate_matrix,
-                                 unvec, vec)
+from ergoquench.channels import Liouvillian, build_liouvillian, lindblad_matrix, vec
 from ergoquench.linalg import dagger, hermitian_eig, kron
 from ergoquench.model import collective_operator, site_operator
 
 from conftest import random_density, random_hermitian
+from reference import dissipator_apply, rate_matrix, unvec
 
 
 def _dense_kron(a, b):
@@ -258,7 +257,7 @@ def test_collective_double_sum_equals_single_jump(model4, h4):
 
 def test_hamiltonian_superoperator_anti_hermitian_generator(h2):
     # gamma = 0: i * L is Hermitian, so the propagator is unitary
-    mat = hamiltonian_superoperator(h2)
+    mat = lindblad_matrix(h2, [], [])
     assert np.abs((1j * mat) - dagger(1j * mat)).max() <= 1e-14
 
 
@@ -302,7 +301,7 @@ def test_lindblad_matrix_is_bit_identical_for_complex_and_overlapping_jumps():
         rates = [0.3, 0.05, 0.0, 1.7, 0.2]
         assert np.array_equal(lindblad_matrix(h, jumps, rates),
                               _dense_lindblad_matrix(h, jumps, rates))
-        assert np.array_equal(hamiltonian_superoperator(h), _dense_lindblad_matrix(h, [], []))
+        assert np.array_equal(lindblad_matrix(h, [], []), _dense_lindblad_matrix(h, [], []))
 
 
 def _random_pattern(rng, dim, density, symmetric):

@@ -5,8 +5,8 @@ import pytest
 
 from ergoquench import (ChannelSpec, InvariantViolation, ModelSpec, TimeGrid,
                         build_hamiltonian, build_liouvillian, evolve_to, gibbs_state,
-                        propagate, propagate_rk4)
-from ergoquench.channels import Liouvillian, lindblad_matrix, unvec_batch, vec
+                        propagate)
+from ergoquench.channels import Liouvillian, lindblad_matrix, vec
 from ergoquench.dynamics import GUARD_TOL, SCREEN_CHUNK, Trajectory, _powers
 from ergoquench.ergotropy import (CROSSING_SIGNIFICANCE, LEVEL_TOL, _greedy_match,
                                   eigenvalue_crossings, energy_basis_populations,
@@ -17,6 +17,7 @@ from ergoquench.model import site_operator
 from ergoquench.oracles import dark_population_series, dark_subspace
 
 from conftest import random_density
+from reference import propagate_rk4, unvec
 
 
 def _liouvillian(n, h_field, **channel):
@@ -171,6 +172,15 @@ def test_propagate_rejects_invalid_initial_state(h2):
         propagate(liou, np.eye(4, dtype=complex), TimeGrid(t_max=1.0, dt=0.5))
 
 
+def test_propagate_rejects_a_stack_of_states(h2):
+    liou, _ = _liouvillian(2, 0.1, gamma=0.05)
+    stack = np.array([gibbs_state(h2, beta) for beta in (0.5, 1.0)])
+    with pytest.raises(ValueError, match=r"one \(D, D\) state, got shape \(2, 4, 4\)"):
+        propagate(liou, stack, TimeGrid(t_max=1.0, dt=0.5))
+    with pytest.raises(ValueError, match=r"one \(D, D\) state"):
+        propagate(liou, stack[:1], TimeGrid(t_max=1.0, dt=0.5))
+
+
 @pytest.mark.parametrize("evolve", [
     lambda liou, rho: propagate(liou, rho, TimeGrid(t_max=1.0, dt=0.5)),
     lambda liou, rho: propagate_rk4(liou, rho, TimeGrid(t_max=1.0, dt=0.5)),
@@ -218,7 +228,7 @@ def _dense_states(liou, rho0, dt, n_steps):
     vs = [vec(rho0)]
     for _ in range(n_steps):
         vs.append(step @ vs[-1])
-    return unvec_batch(np.array(vs), liou.dim_state)
+    return unvec(np.array(vs), liou.dim_state)
 
 
 _ENGINE_CASES = {
@@ -249,7 +259,7 @@ def test_blocked_engine_matches_dense_reference(case, state):
     assert np.abs(traj.states - dense).max() <= 1e-12
     jumped = evolve_to(liou, rho0, 20.0).states[0]
     assert np.abs(jumped - dense[-1]).max() <= 1e-12
-    far = unvec_batch((expm(liou.matrix * 800.0) @ vec(rho0))[None], liou.dim_state)[0]
+    far = unvec((expm(liou.matrix * 800.0) @ vec(rho0))[None], liou.dim_state)[0]
     assert np.abs(evolve_to(liou, rho0, 800.0).states[0] - far).max() <= 1e-12
 
 
@@ -339,7 +349,7 @@ def test_propagate_matches_one_jump_per_stored_step(n, channel, grid):
         exact = np.zeros(liou.matrix.shape[0], dtype=complex)
         for b in liou.blocks:
             exact[b] = expm(liou.matrix[np.ix_(b, b)] * (k * grid.dt)) @ vec(rho0)[b]
-        assert np.abs(traj.states[k] - unvec_batch(exact[None], liou.dim_state)[0]).max() <= 1e-12
+        assert np.abs(traj.states[k] - unvec(exact[None], liou.dim_state)[0]).max() <= 1e-12
 
 
 def test_doubling_screen_names_the_first_bad_step_of_sequential_steps(h4):
@@ -357,7 +367,7 @@ def test_doubling_screen_names_the_first_bad_step_of_sequential_steps(h4):
             stacked[:, b] = _stepped_reference(step, v[b], grid.n_steps)
     where = r"trace defect .* at step 701 \(t=350.5\)"
     with pytest.raises(InvariantViolation, match=where):
-        Trajectory.screened(grid.times(), unvec_batch(stacked, 16))
+        Trajectory.screened(grid.times(), unvec(stacked, 16))
     with pytest.raises(InvariantViolation, match=where):
         propagate(leaky, rho0, grid)
 
@@ -390,9 +400,9 @@ def _noisy_stack(n_states, seed=19):
 def test_chunked_screen_equals_the_whole_stack_screen(n_states):
     stacked = _noisy_stack(n_states)
     times = np.arange(n_states, dtype=float)
-    states, vals, violation = _whole_stack_screen(unvec_batch(stacked, 4))
+    states, vals, violation = _whole_stack_screen(unvec(stacked, 4))
     assert violation is None
-    traj = Trajectory.screened(times, unvec_batch(stacked, 4))
+    traj = Trajectory.screened(times, unvec(stacked, 4))
     assert traj.states.flags.c_contiguous
     assert np.array_equal(traj.states, states) and np.array_equal(traj.spectra, vals)
 
@@ -401,7 +411,7 @@ def test_chunked_screen_reports_the_violation_of_the_whole_stack_screen():
     # a trace defect in the first chunk, a Hermiticity defect in the last:
     # Hermiticity is checked first, over every step, as in one whole-stack pass
     n_states = 2 * SCREEN_CHUNK + 1
-    raw = unvec_batch(_noisy_stack(n_states), 4).copy()
+    raw = unvec(_noisy_stack(n_states), 4).copy()
     raw[3] *= 1.0 + 1e-5
     raw[n_states - 1, 0, 1] += 1e-5
     _, _, (name, step) = _whole_stack_screen(raw)
@@ -415,7 +425,7 @@ def test_chunked_screen_reports_the_violation_of_the_whole_stack_screen():
 
 def test_screen_leaves_the_callers_array_alone():
     stacked = _noisy_stack(SCREEN_CHUNK + 5)
-    raw = unvec_batch(stacked, 4)
+    raw = unvec(stacked, 4)
     kept = stacked.copy()
     traj = Trajectory.screened(np.arange(len(raw), dtype=float), raw)
     assert not np.array_equal(traj.states, raw)  # symmetrizing changed the states ...
@@ -442,7 +452,7 @@ def test_propagate_holds_the_support_and_chunk_temporaries(h4):
 
 def _whole_stack_engine(stacked, dim):
     """States and spectra of a zero-filled (T, D*D) vec stack under the whole-stack screen."""
-    states, vals, violation = _whole_stack_screen(unvec_batch(stacked, dim))
+    states, vals, violation = _whole_stack_screen(unvec(stacked, dim))
     assert violation is None
     return states, vals
 
@@ -483,7 +493,7 @@ _CHUNK_BOUNDARIES = [1, SCREEN_CHUNK - 1, SCREEN_CHUNK, SCREEN_CHUNK + 1, 2 * SC
 @pytest.mark.parametrize("n_states", _CHUNK_BOUNDARIES)
 def test_chunks_cover_the_stored_states_in_order(n_states):
     traj = Trajectory.screened(np.arange(n_states, dtype=float),
-                               unvec_batch(_noisy_stack(n_states), 4))
+                               unvec(_noisy_stack(n_states), 4))
     parts = list(traj.chunks())
     # runs of SCREEN_CHUNK states; a lone last state joins the run before it
     starts = list(range(0, max(n_states - 1, 1), SCREEN_CHUNK))
@@ -557,7 +567,6 @@ def test_readers_over_chunks_equal_their_whole_stack_formulas(n, long_n4_traject
         dark = dark_subspace(model)
         whole = np.einsum("tij,ji->t", states, dark.projector).real
         assert np.array_equal(dark_population_series(traj, dark), whole)
-        assert np.array_equal(dark_population_series(states, dark), whole)
 
 
 def test_support_holds_the_transposes_that_symmetrizing_fills():

