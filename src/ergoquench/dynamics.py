@@ -14,16 +14,19 @@ the largest (70 of 256 indices at four qubits).
 A `Trajectory` stores each state at its support only: the (D, D) entries
 of the blocks the propagator touched, as one (T, S) array that `propagate`
 and `evolve_to` write their block powers and jumps into (S = 70 of 256 at
-four qubits, 6 of 16 at two).  Its readers materialize the full states a
-chunk at a time; the whole (T, D, D) stack is built only on request.
+four qubits, 6 of 16 at two).  Every linear readout Tr(rho A) (energies,
+energy-basis populations, the dark population) is `Trajectory.expect`,
+one fixed-order sum over those entries, so a state reads the same bytes
+alone or inside a stack; the whole (T, D, D) stack is built only on
+request.
 Every stored state is re-symmetrized and screened against the CPTP
 invariants (trace, Hermiticity, positivity); a violation beyond the guard
 tolerance aborts with the offending step index, because it can only mean
 a bug in the generator or the integrator.  Positivity is monitored, never
 projected.  The screen works through the stack SCREEN_CHUNK states at a
 time, each scattered into one reusable zero-filled buffer, and writes the
-symmetrized entries back over the support, so a trajectory holds its
-(T, S) array and only chunk-sized temporaries.
+symmetrized entries back over the support in ascending row-major order,
+so a trajectory holds its (T, S) array and only chunk-sized temporaries.
 The screen computes the spectrum of each state, values only: the
 `Trajectory` carries it, and the energy bookkeeping reads it from there.
 Eigenvectors are computed only where they are read, by the branch
@@ -79,12 +82,13 @@ class Trajectory:
     """Stored states and their times, with the spectra the CPTP screen computed of each.
 
     A state is kept at its support only: `values[k, s]` is the entry of
-    state k at the row-major (D, D) index `support[s]`, and every entry off
-    the support is exactly zero.  A propagator's support is the indices of
-    the blocks of L it touched, so a four-qubit Gibbs trajectory stores 70
-    of each state's 256 entries.  Readers take the full (D, D) states a
-    chunk at a time (`chunks`, `materialize`); `states` builds the whole
-    (T, D, D) stack on each access.
+    state k at the row-major (D, D) index `support[s]`, ascending, and
+    every entry off the support is exactly zero.  A propagator's support is
+    the indices of the blocks of L it touched, so a four-qubit Gibbs
+    trajectory stores 70 of each state's 256 entries.  `expect` reads
+    Tr(rho A) from those entries; `materialize` builds full (D, D) states
+    of a run of steps, and `states` the whole (T, D, D) stack on each
+    access.
     """
 
     times: np.ndarray
@@ -103,18 +107,22 @@ class Trajectory:
         _scatter(full, rows, self.support)
         return full.reshape(-1, self.dim, self.dim)
 
-    def chunks(self):
-        """(start, states) for consecutive runs of SCREEN_CHUNK steps, each materialized in turn.
+    def expect(self, ops) -> np.ndarray:
+        """Re Tr(rho_t A) of every stored state: (T,) for one (D, D) operator, (T, K) for a stack.
 
-        A lone last step joins the run before it.  numpy multiplies a single
-        row by a dot product, which rounds differently from the BLAS matrix
-        product it takes for two rows or more, so with no one-state chunk a
-        reader's chunk-by-chunk products give the bytes of one product over
-        the whole stack.
+        The sum runs over the support in ascending row-major order, each
+        state's own sum in the same order (einsum without BLAS), so a state
+        gives the same bytes alone or inside a stack, and as it would over
+        all D*D entries: the ones off the support are exact zeros.
         """
-        starts = range(0, max(len(self) - 1, 1), SCREEN_CHUNK)
-        for start, stop in zip(starts, [*starts[1:], len(self)]):
-            yield start, self.materialize(start, stop)
+        ops = np.asarray(ops)
+        if ops.shape[-2:] != (self.dim, self.dim):
+            raise ValueError(
+                f"operator shape {ops.shape[-2:]} does not match state dim {self.dim}")
+        # Tr(rho A) = sum_ij rho_ij A_ji: A^T's entries at the support
+        transposed = np.swapaxes(ops, -1, -2).reshape(*ops.shape[:-2], -1)[..., self.support]
+        # a float array of its own: a .real view would keep the complex sums alive
+        return np.einsum("ts,...s->t...", self.values, transposed, optimize=False).real.copy()
 
     @property
     def states(self) -> np.ndarray:
@@ -148,12 +156,15 @@ def _screen(times, values, support, dim: int) -> Trajectory:
     symmetrized entries are written back over `values`.  support must be
     closed under transposition, so that symmetrizing leaves nothing outside
     it.  The deviations of every state are checked after the last chunk, so
-    the first bad step is reported whichever chunk it lies in.
+    the first bad step is reported whichever chunk it lies in.  Each
+    chunk's entries are written back in ascending row-major order, the
+    order of the returned Trajectory's support.
     """
     herm, trace_dev = np.empty(len(values)), np.empty(len(values))
     vals = np.empty((len(values), dim))
     buffer = np.zeros((min(len(values), SCREEN_CHUNK), dim * dim), dtype=complex)
-    transposed = _row_major(support, dim)  # entry (i, j) of sym is entry (j, i) of sym^T
+    stored = np.sort(support)
+    transposed = _row_major(stored, dim)  # entry (i, j) of sym is entry (j, i) of sym^T
     for a in range(0, len(values), SCREEN_CHUNK):
         rows = values[a:a + SCREEN_CHUNK]
         flat = buffer[:len(rows)]
@@ -175,7 +186,7 @@ def _screen(times, values, support, dim: int) -> Trajectory:
             k = int(bad[0])
             raise InvariantViolation(
                 f"dynamics: {name} defect {dev[k]:.3e} at step {k} (t={times[k]:g})")
-    return Trajectory(times=times, values=values, support=support, dim=dim, spectra=vals)
+    return Trajectory(times=times, values=values, support=stored, dim=dim, spectra=vals)
 
 
 def _initial_vectors(liou: Liouvillian, rho0) -> np.ndarray:

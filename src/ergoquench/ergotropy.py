@@ -11,9 +11,10 @@ of every stored state at once, as one `ErgotropyRecord` of arrays, and
 `ergotropy_difference` read the ergotropy of those records.  Only the
 branch tracker `eigenvalue_crossings` reads eigenvectors; it decomposes
 the states itself, one chunk at a time.  Energies and energy-basis
-populations are each one matrix product per chunk of states, read from
-the trajectory's compact storage a chunk at a time (`Trajectory.chunks`),
-never as a whole stack.
+populations are read from the trajectory's compact storage by
+`Trajectory.expect`, and passive energies by one fixed-order sum per
+state, so every record of a state is the same bytes whichever other
+states share its trajectory; `ergotropy` is the one-state case.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import Trajectory
-from .linalg import dagger, hermitian_eig, hermitian_eig_batch, hermitian_eigvals_batch
+from .linalg import dagger, hermitian_eig, hermitian_eig_batch
 
 ERGOTROPY_CLIP = 1e-10        # admissible negative rounding before clipping to 0
 ACTIVATION_THRESHOLD = 1e-6   # default "ergotropy has switched on" level
@@ -57,40 +58,15 @@ def _clip(values):
     return np.maximum(values, 0.0)
 
 
-def _batch_records(chunks, spectra, h_matrix) -> ErgotropyRecord:
-    """ErgotropyRecord of arrays for a stack of states, from their ascending spectra.
-
-    chunks yields (start, states) pairs that cover the stack in order, each
-    states a (k, D, D) run of it; the energies are formed chunk by chunk.
-    """
-    h_levels, _ = hermitian_eig(h_matrix)
-    if spectra.shape[1] != h_levels.size:
-        raise ValueError(
-            f"state dim {spectra.shape[1]} does not match Hamiltonian dim {h_levels.size}")
-    # Tr(rho H) = sum_ij rho_ij H_ji, one (k, D*D) @ (D*D,) product per chunk
-    h_transposed = np.asarray(h_matrix, dtype=complex).T.reshape(-1)
-    energies = np.empty(len(spectra))
-    for start, states in chunks:
-        energies[start:start + len(states)] = (states.reshape(len(states), -1) @ h_transposed).real
-    # one contiguous descending copy, one (T, D) @ (D,) product
-    descending = np.ascontiguousarray(spectra[:, ::-1])
-    passive = descending @ h_levels
-    return ErgotropyRecord(energy=energies, passive_energy=passive,
-                           ergotropy=_clip(energies - passive), rho_spectrum=descending)
-
-
 def ergotropy(rho, h_matrix) -> ErgotropyRecord:
     """Maximum unitarily extractable work of a single state.
 
-    The spectrum is that of the Hermitian part of rho, values only, by the
-    CPTP screen's path, so a screened state gives the spectrum of its
-    `trajectory_records` entry bit for bit.  Its energies agree with that
-    entry to rounding: numpy forms the products of one state by dot
-    products and those of a stack by BLAS matrix products.
+    The state is screened as a one-state trajectory and read by
+    `trajectory_records`, so it must pass the CPTP screen
+    (`InvariantViolation` otherwise), and a screened state gives its
+    `trajectory_records` entry bit for bit.
     """
-    rho = np.asarray(rho, dtype=complex)
-    rho = 0.5 * (rho + dagger(rho))[None]
-    record = _batch_records([(0, rho)], hermitian_eigvals_batch(rho), h_matrix)
+    record = trajectory_records(Trajectory.screened(np.zeros(1), np.asarray(rho)[None]), h_matrix)
     return ErgotropyRecord(energy=float(record.energy[0]),
                            passive_energy=float(record.passive_energy[0]),
                            ergotropy=float(record.ergotropy[0]),
@@ -98,8 +74,17 @@ def ergotropy(rho, h_matrix) -> ErgotropyRecord:
 
 
 def trajectory_records(traj: Trajectory, h_matrix) -> ErgotropyRecord:
-    """ErgotropyRecord of every stored state, as arrays, from the screen's spectra."""
-    return _batch_records(traj.chunks(), traj.spectra, h_matrix)
+    """ErgotropyRecord of every stored state, as arrays, from the screen's spectra.
+
+    Both energies are fixed-order sums per state, so a state's record does
+    not depend on the other states it is stored with.
+    """
+    energies = traj.expect(h_matrix)  # ValueError unless h_matrix is (dim, dim)
+    h_levels, _ = hermitian_eig(h_matrix)
+    descending = np.ascontiguousarray(traj.spectra[:, ::-1])
+    passive = np.einsum("td,d->t", descending, h_levels, optimize=False)
+    return ErgotropyRecord(energy=energies, passive_energy=passive,
+                           ergotropy=_clip(energies - passive), rho_spectrum=descending)
 
 
 def activation_time(traj: Trajectory, h_matrix,
@@ -191,7 +176,7 @@ def eigenvalue_crossings(traj: Trajectory,
     for start in range(1, len(traj), CROSSING_CHUNK):
         stop = min(start + CROSSING_CHUNK, len(traj))
         # the chunk's states and the one before it: step s of the chunk goes s -> s + 1
-        vals, vecs = hermitian_eig_batch(traj.materialize(start - 1, stop), check=False)
+        vals, vecs = hermitian_eig_batch(traj.materialize(start - 1, stop))
         perms = _greedy_match(np.abs(dagger(vecs[:-1]) @ vecs[1:]) ** 2)
         # swapped adjacent pairs (step, i): branch i now sits above branch i + 1
         step, i = np.nonzero(perms[:, :-1] > perms[:, 1:])
@@ -215,18 +200,10 @@ def energy_basis_populations(traj: Trajectory, h_matrix) -> np.ndarray:
     non-degenerate level's column is <eps_k| rho |eps_k>.
     """
     h_levels, h_vecs = hermitian_eig(h_matrix)
-    # <eps_k| rho |eps_k> = sum_ij conj(V_ik) rho_ij V_jk, one (D*D, D) weight per vector ...
-    d = h_vecs.shape[0]
-    weights = (np.conj(h_vecs)[:, None, :] * h_vecs[None, :, :]).reshape(d * d, d)
-    # ... averaged over each level: column k of `spread` is 1/g_E on the vectors of k's level
     gaps = np.diff(h_levels) > LEVEL_TOL * np.maximum(1.0, np.abs(h_levels[1:]))
     level = np.concatenate(([0], np.cumsum(gaps)))
     same = level[:, None] == level[None, :]
-    spread = same / same.sum(axis=0)
-    # then one (k, D*D) @ (D*D, D) product per chunk of states
-    level_weights = weights @ spread
-    populations = np.empty((len(traj), d))
-    for start, states in traj.chunks():
-        populations[start:start + len(states)] = (
-            states.reshape(len(states), -1) @ level_weights).real
-    return populations
+    # column k reads P_E / g_E of k's level: sum_m |eps_m><eps_m| / g_E over the level's vectors
+    projectors = np.einsum("im,jm,mk->kij", h_vecs, np.conj(h_vecs), same / same.sum(axis=0),
+                           optimize=False)
+    return traj.expect(projectors)

@@ -84,7 +84,7 @@ def hermitian_eig(m):
     return vals[0], vecs[0]
 
 
-def hermitian_eig_batch(ms, check: bool = True):
+def hermitian_eig_batch(ms):
     """`hermitian_eig` of every matrix in a (B, D, D) batch, by ``numpy.linalg.eigh``.
 
     Returns (B, D) eigenvalues, ascending along each row, and the (B, D, D)
@@ -94,7 +94,8 @@ def hermitian_eig_batch(ms, check: bool = True):
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise LinalgError(f"expected a (B, D, D) batch, got shape {a.shape}")
     adj = dagger(a)
-    if check and a.size:
+    # an exactly Hermitian batch (a screened stack of states) needs no defect temporaries
+    if not np.array_equal(a, adj):
         defect = float(np.abs(a - adj).max())
         scale = max(1.0, float(np.abs(a).max()))
         if defect > HERM_TOL * scale:

@@ -321,8 +321,5 @@ def p_dark_derivative(beta: float, model: ModelSpec, dark: DarkSubspace | None =
 
 
 def dark_population_series(traj: Trajectory, dark: DarkSubspace) -> np.ndarray:
-    """Tr[P_dark rho(t)] along a trajectory, chunk by chunk."""
-    series = np.empty(len(traj))
-    for start, chunk in traj.chunks():
-        series[start:start + len(chunk)] = np.einsum("tij,ji->t", chunk, dark.projector).real
-    return series
+    """Tr[P_dark rho(t)] along a trajectory, read by `Trajectory.expect`."""
+    return traj.expect(dark.projector)

@@ -19,8 +19,7 @@ from ergoquench.ergotropy import (activation_time, eigenvalue_crossings, ergotro
                                   ergotropy_difference, trajectory_records)
 from ergoquench.experiments import run_experiment
 from ergoquench.jc import compare_jc, default_jc_spec, effective_atom_evolution, jc_full_evolution
-from ergoquench.linalg import (dagger, expm, hermitian_eig, hermitian_eig_batch,
-                              hermitian_eigvals_batch)
+from ergoquench.linalg import dagger, expm, hermitian_eig, hermitian_eigvals_batch
 from ergoquench.oracles import (TwoQubitBlockState, activation_time_analytic,
                                 beta_critical, collective_steady_spectrum,
                                 dark_population_series, dark_subspace,
@@ -406,7 +405,7 @@ def test_criterion_12_jc_validation():
                   float(np.abs(eff.states[:, 0, 1]).max()))
     cptp_dev = 0.0
     for traj in (full, eff):
-        vals, _ = hermitian_eig_batch(traj.states, check=False)
+        vals = hermitian_eigvals_batch(traj.states)
         cptp_dev = max(cptp_dev,
                        float(np.abs(np.trace(traj.states, axis1=1, axis2=2) - 1.0).max()),
                        float(max(0.0, -vals[:, 0].min())))
@@ -424,7 +423,7 @@ def test_criterion_13_cptp_suite(fig5_trajs, fig6_trajs, fig8_trajs, n2_channel_
         worst_trace = max(worst_trace,
                           float(np.abs(np.trace(states, axis1=1, axis2=2) - 1.0).max()))
         worst_herm = max(worst_herm, float(np.abs(states - dagger(states)).max()))
-        vals, _ = hermitian_eig_batch(states, check=False)
+        vals = hermitian_eigvals_batch(states)
         worst_neg = max(worst_neg, float(max(0.0, -vals[:, 0].min())))
     ok = worst_trace < 1e-9 and worst_herm < 1e-9 and worst_neg < 1e-9
     _report(13, ok, f"{n_states} stored states over {len(_ALL_STATES)} trajectories: "

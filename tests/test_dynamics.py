@@ -12,7 +12,8 @@ from ergoquench.ergotropy import (CROSSING_SIGNIFICANCE, LEVEL_TOL, _greedy_matc
                                   eigenvalue_crossings, energy_basis_populations,
                                   trajectory_records)
 from ergoquench.jc import default_jc_spec, jc_full_evolution
-from ergoquench.linalg import dagger, expm, hermitian_eig, hermitian_eig_batch
+from ergoquench.linalg import (dagger, expm, hermitian_eig, hermitian_eig_batch,
+                               hermitian_eigvals_batch)
 from ergoquench.model import site_operator
 from ergoquench.oracles import dark_population_series, dark_subspace
 
@@ -98,7 +99,7 @@ def test_cptp_suite_and_purity(h2):
     traces = np.trace(traj.states, axis1=1, axis2=2)
     assert np.abs(traces - 1.0).max() < 1e-9
     assert np.abs(traj.states - dagger(traj.states)).max() < 1e-9
-    vals, _ = hermitian_eig_batch(traj.states, check=False)
+    vals = hermitian_eigvals_batch(traj.states)
     assert vals[:, 0].min() > -1e-9
     purity = np.einsum("tij,tji->t", traj.states, traj.states).real
     assert purity.max() <= 1.0 + 1e-9
@@ -204,7 +205,7 @@ def test_state_of_the_wrong_dim_is_rejected(evolve):
 def test_trajectory_carries_the_screened_decomposition(h2, run):
     liou, _ = _liouvillian(2, 0.1, gamma=0.05, alpha_minus=0.5)
     traj = run(liou, gibbs_state(h2, 0.5))
-    vals, _ = hermitian_eig_batch(traj.states, check=False)
+    vals = hermitian_eigvals_batch(traj.states)
     assert traj.spectra.shape == vals.shape
     assert np.abs(traj.spectra - vals).max() <= 1e-14
     assert not hasattr(traj, "vectors")
@@ -490,20 +491,6 @@ def test_states_at_the_support_equal_the_whole_stack_engine(case):
 _CHUNK_BOUNDARIES = [1, SCREEN_CHUNK - 1, SCREEN_CHUNK, SCREEN_CHUNK + 1, 2 * SCREEN_CHUNK + 1]
 
 
-@pytest.mark.parametrize("n_states", _CHUNK_BOUNDARIES)
-def test_chunks_cover_the_stored_states_in_order(n_states):
-    traj = Trajectory.screened(np.arange(n_states, dtype=float),
-                               unvec(_noisy_stack(n_states), 4))
-    parts = list(traj.chunks())
-    # runs of SCREEN_CHUNK states; a lone last state joins the run before it
-    starts = list(range(0, max(n_states - 1, 1), SCREEN_CHUNK))
-    assert [start for start, _ in parts] == starts
-    assert [len(chunk) for _, chunk in parts] == np.diff([*starts, n_states]).tolist()
-    states = traj.states
-    assert np.array_equal(np.concatenate([chunk for _, chunk in parts]), states)
-    assert np.array_equal(traj.materialize(n_states - 1, n_states), states[-1:])
-
-
 def _prefix(traj, n_states):
     """The first n_states stored states of traj, as a Trajectory of their own."""
     return Trajectory(times=traj.times[:n_states], values=traj.values[:n_states],
@@ -512,7 +499,7 @@ def _prefix(traj, n_states):
 
 def _whole_stack_crossings(states, times):
     """eigenvalue_crossings' matching done over every step of the stack at once."""
-    vals, vecs = hermitian_eig_batch(states, check=False)
+    vals, vecs = hermitian_eig_batch(states)
     perms = _greedy_match(np.abs(dagger(vecs[:-1]) @ vecs[1:]) ** 2)
     step, i = np.nonzero(perms[:, :-1] > perms[:, 1:])
     gap_before = vals[step, i + 1] - vals[step, i]
@@ -538,6 +525,23 @@ def test_crossings_over_chunks_equal_the_whole_stack_matching(long_n4_trajectory
     assert n_states < SCREEN_CHUNK or len(expected) > 10
 
 
+def _fixed_order_readout(states, ops):
+    """Re Tr(rho_t A) over all D*D entries of a full stack, by Trajectory.expect's sum."""
+    flat = states.reshape(len(states), -1)
+    transposed = np.swapaxes(ops, -1, -2).reshape(*ops.shape[:-2], -1)
+    return np.einsum("ts,...s->t...", flat, transposed, optimize=False).real
+
+
+def _level_projectors(h):
+    """energy_basis_populations' (D, D, D) stack: column k reads P_E / g_E of k's level."""
+    levels, vecs = hermitian_eig(h)
+    level = np.concatenate(([0], np.cumsum(
+        np.diff(levels) > LEVEL_TOL * np.maximum(1.0, np.abs(levels[1:])))))
+    same = level[:, None] == level[None, :]
+    return np.einsum("im,jm,mk->kij", vecs, np.conj(vecs), same / same.sum(axis=0),
+                     optimize=False)
+
+
 @pytest.mark.parametrize("n", [2, 4])
 def test_readers_over_chunks_equal_their_whole_stack_formulas(n, long_n4_trajectory):
     model = ModelSpec(n_qubits=n, field_h=0.1)
@@ -549,24 +553,58 @@ def test_readers_over_chunks_equal_their_whole_stack_formulas(n, long_n4_traject
         traj = propagate(liou, gibbs_state(h, 0.5), TimeGrid(t_max=256.0, dt=0.5))
     assert len(traj) == 2 * SCREEN_CHUNK + 1
     states = traj.states
-    flat = states.reshape(len(states), -1)
-    energies = (flat @ np.asarray(h, dtype=complex).T.reshape(-1)).real
+    energies = _fixed_order_readout(states, np.asarray(h, dtype=complex))
     assert np.array_equal(trajectory_records(traj, h).energy, energies)
-
-    levels, vecs = hermitian_eig(h)
-    d = len(levels)
-    weights = (np.conj(vecs)[:, None, :] * vecs[None, :, :]).reshape(d * d, d)
-    level = np.concatenate(([0], np.cumsum(
-        np.diff(levels) > LEVEL_TOL * np.maximum(1.0, np.abs(levels[1:])))))
-    same = level[:, None] == level[None, :]
-    populations = (flat @ (weights @ (same / same.sum(axis=0)))).real
+    populations = _fixed_order_readout(states, _level_projectors(h))
     assert np.array_equal(energy_basis_populations(traj, h), populations)
 
     assert eigenvalue_crossings(traj) == _whole_stack_crossings(states, traj.times)
     if n == 4:
         dark = dark_subspace(model)
-        whole = np.einsum("tij,ji->t", states, dark.projector).real
+        whole = _fixed_order_readout(states, dark.projector)
         assert np.array_equal(dark_population_series(traj, dark), whole)
+
+
+_READOUT_CASES = {
+    "N2-alpha-minus-0.5": (2, dict(gamma=0.05, alpha_minus=0.5)),
+    "N4-parallel": (4, dict(gamma=0.05)),
+    "N4-dephasing": (4, dict(gamma=0.05, alpha=1.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(_READOUT_CASES))
+def test_expect_reads_the_same_bytes_over_the_support_the_full_stack_and_one_state(case):
+    n, channel = _READOUT_CASES[case]
+    liou, h = _liouvillian(n, 0.1, **channel)
+    traj = propagate(liou, gibbs_state(h, 0.5), TimeGrid(t_max=150.0, dt=0.5))
+    assert np.all(np.diff(traj.support) > 0)  # ascending row-major order
+    assert traj.support.size < traj.dim ** 2
+    full = Trajectory.screened(traj.times, traj.states)
+    assert full.support.size == traj.dim ** 2
+    for ops in (np.asarray(h, dtype=complex), _level_projectors(h)):
+        whole = traj.expect(ops)
+        assert whole.shape == (len(traj), *ops.shape[:-2])
+        assert np.array_equal(full.expect(ops), whole)
+        assert np.array_equal(_fixed_order_readout(traj.states, ops), whole)
+        for k in range(len(traj)):
+            single = Trajectory(times=traj.times[k:k + 1], values=traj.values[k:k + 1],
+                                support=traj.support, dim=traj.dim,
+                                spectra=traj.spectra[k:k + 1])
+            assert np.array_equal(single.expect(ops), whole[k:k + 1])
+
+
+@pytest.mark.parametrize("n,other", [(2, 4), (4, 2)])
+def test_readers_reject_an_operator_of_the_other_chain_size(n, other):
+    liou, h = _liouvillian(n, 0.1, gamma=0.05)
+    traj = propagate(liou, gibbs_state(h, 0.5), TimeGrid(t_max=2.0, dt=0.5))
+    other_model = ModelSpec(n_qubits=other, field_h=0.1)
+    other_h = build_hamiltonian(other_model)
+    with pytest.raises(ValueError, match="does not match state dim"):
+        trajectory_records(traj, other_h)
+    with pytest.raises(ValueError, match="does not match state dim"):
+        energy_basis_populations(traj, other_h)
+    with pytest.raises(ValueError, match="does not match state dim"):
+        dark_population_series(traj, dark_subspace(other_model))
 
 
 def test_support_holds_the_transposes_that_symmetrizing_fills():

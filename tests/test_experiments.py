@@ -87,6 +87,17 @@ def test_appb_sweeps_smoke(tmp_path):
     assert header == ["n_qubits", "alpha_z", "beta", "steady_ergotropy"]
 
 
+def test_steady_rows_do_not_depend_on_the_other_betas(tmp_path):
+    def rows_at_half(betas):
+        config = _config(experiment="appB-diss", output_dir=str(tmp_path), beta_list=betas)
+        _, rows = _read(run_experiment(config)[0])
+        return [row for row in rows if float(row[2]) == 0.5]
+
+    alone = rows_at_half((0.5,))
+    assert len(alone) == 22  # 11 values of alpha_minus at N=2 and at N=4
+    assert rows_at_half((0.2, 0.5, 1.0)) == alone
+
+
 def test_steady_sweep_decomposes_h_once_per_point(tmp_path, monkeypatch):
     # every beta's Gibbs state of a point comes from one decomposition of H
     from ergoquench import model
