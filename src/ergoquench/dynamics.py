@@ -23,14 +23,20 @@ Every stored state is re-symmetrized and screened against the CPTP
 invariants (trace, Hermiticity, positivity); a violation beyond the guard
 tolerance aborts with the offending step index, because it can only mean
 a bug in the generator or the integrator.  Positivity is monitored, never
-projected.  The screen works through the stack SCREEN_CHUNK states at a
-time, each scattered into one reusable zero-filled buffer, and writes the
-symmetrized entries back over the support in ascending row-major order,
-so a trajectory holds its (T, S) array and only chunk-sized temporaries.
-The screen computes the spectrum of each state, values only: the
-`Trajectory` carries it, and the energy bookkeeping reads it from there.
-Eigenvectors are computed only where they are read, by the branch
-tracker in `ergotropy.eigenvalue_crossings`, one chunk of states at a time.
+projected.  The screen works on the stored entries themselves,
+SCREEN_CHUNK states at a time, and writes the symmetrized entries back
+over the support in ascending row-major order, so a trajectory holds its
+(T, S) array and only (SCREEN_CHUNK, S)-sized temporaries.
+A support also fixes the sectors of its states (`sector_layout`): the
+connected components of its (D, D) pattern, which no stored state
+couples.  H conserves excitation number and the sigma^- and sigma^z jumps
+move a state only between excitation sectors, so a Gibbs quench stays
+block-diagonal over them for all time: 1+4+6+4+1 at four qubits, 1+2+1
+at two.  The screen computes the spectrum of each state, values only,
+sector by sector: the `Trajectory` carries it, and the energy bookkeeping
+reads it from there.  Eigenvectors are computed only where they are read,
+by the branch tracker in `ergotropy.eigenvalue_crossings`, one chunk of
+states and one sector at a time.
 Both propagators return such a `Trajectory`: `propagate` one entry per
 grid time, `evolve_to` one entry per input state, all at the target time.
 """
@@ -38,15 +44,17 @@ grid time, `evolve_to` one entry per input state, all at the target time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .channels import Liouvillian, vec
-from .linalg import dagger, expm, hermitian_eigvals_batch
+from .channels import Liouvillian, _invariant_blocks, vec
+from .linalg import expm, hermitian_eigvals_batch
 from .model import check_density_matrix
 
 GUARD_TOL = 1e-6  # runtime CPTP guard; test-level bounds are far tighter
-SCREEN_CHUNK = 256  # states whose (16x16 at N=4) screen temporaries are held at once
+SCREEN_CHUNK = 256  # states whose screen temporaries (70 entries each at N=4) are held at once
 
 
 class InvariantViolation(RuntimeError):
@@ -85,10 +93,12 @@ class Trajectory:
     state k at the row-major (D, D) index `support[s]`, ascending, and
     every entry off the support is exactly zero.  A propagator's support is
     the indices of the blocks of L it touched, so a four-qubit Gibbs
-    trajectory stores 70 of each state's 256 entries.  `expect` reads
-    Tr(rho A) from those entries; `materialize` builds full (D, D) states
-    of a run of steps, and `states` the whole (T, D, D) stack on each
-    access.
+    trajectory stores 70 of each state's 256 entries; a stack given to
+    `screened` is kept at the entries nonzero in some state.  The support's
+    sectors (`sector_layout`) are where the screen took the spectra and
+    where the branch tracker takes eigenvectors.  `expect` reads Tr(rho A)
+    from those entries, and `states` builds the whole (T, D, D) stack on
+    each access.
     """
 
     times: np.ndarray
@@ -99,13 +109,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def materialize(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """The full (D, D) states of steps start..stop-1, as a fresh C-contiguous stack."""
-        rows = self.values[start:stop]
-        full = np.zeros((len(rows), self.dim * self.dim), dtype=complex)
-        _scatter(full, rows, self.support)
-        return full.reshape(-1, self.dim, self.dim)
 
     def expect(self, ops) -> np.ndarray:
         """Re Tr(rho_t A) of every stored state: (T,) for one (D, D) operator, (T, K) for a stack.
@@ -126,59 +129,124 @@ class Trajectory:
 
     @property
     def states(self) -> np.ndarray:
-        """Every stored state as one (T, D, D) stack, built anew on each access."""
-        return self.materialize()
+        """Every stored state as one fresh C-contiguous (T, D, D) stack, built anew on each access."""
+        full = np.zeros((len(self), self.dim, self.dim), dtype=complex)
+        # full[k, support] = values[k] through one flat index: numpy's 2-D fancy
+        # assignment costs about three times as much
+        index = np.arange(len(self))[:, None] * self.dim ** 2 + self.support
+        full.reshape(-1)[index.reshape(-1)] = self.values.reshape(-1)
+        return full
 
     @classmethod
     def screened(cls, times, raw_states) -> "Trajectory":
-        """The screened Trajectory of a full (T, D, D) stack; raw_states is left as it was."""
+        """The screened Trajectory of a full (T, D, D) stack; raw_states is left as it was.
+
+        It is kept at the entries that are nonzero in some state, closed
+        under transposition, so a state on its own finds the sectors it has
+        inside its trajectory whenever its support fills them.
+        """
         raw = np.asarray(raw_states)
         dim = raw.shape[-1]
-        values = np.array(raw, dtype=complex).reshape(len(raw), dim * dim)
-        return _screen(times, values, np.arange(dim * dim), dim)
+        flat = raw.reshape(len(raw), dim * dim)
+        held = np.any(flat != 0, axis=0)
+        held |= held.reshape(dim, dim).T.ravel()  # closed under transposition
+        support = np.flatnonzero(held)
+        return _screen(times, np.asarray(flat[:, support], dtype=complex), support, dim)
 
 
-def _scatter(full, rows, support) -> None:
-    """full[k, support] = rows[k] for every k; rows is C-contiguous.
+class SectorGroup(NamedTuple):
+    """The k sectors of one size m, gathered as k (m, m) blocks per state."""
 
-    One flat index does it: numpy's 2-D fancy assignment costs about three
-    times as much.
+    size: int            # m
+    entries: np.ndarray  # (k*m*m,) row-major (D, D) index of each block entry, block after block
+    present: np.ndarray  # positions in `entries` that the support holds; the others are zero
+    columns: np.ndarray  # stored column of each present entry
+    basis: np.ndarray    # (k*m,) the blocks' basis indices, block after block
+
+
+class SectorLayout(NamedTuple):
+    """How the states stored at one support decompose into sectors; see `sector_layout`."""
+
+    stored: np.ndarray     # (S,) the support, ascending
+    order: np.ndarray      # (S,) input column of each stored entry
+    transpose: np.ndarray  # (S,) input column of each stored entry's transpose
+    diagonal: np.ndarray   # stored columns of the diagonal entries, ascending
+    groups: tuple          # one SectorGroup per sector size, ascending
+
+
+@lru_cache(maxsize=64)
+def sector_layout(dim: int, support: tuple) -> SectorLayout:
+    """The sector layout of (D, D) states held at the row-major indices `support`, in that order.
+
+    The sectors are the connected components of the support's (D, D)
+    pattern: no state held there couples two of them, so each state is
+    block-diagonal over them, 1+4+6+4+1 at four qubits under the paper's
+    channels and one sector for a dense support.  support must be closed
+    under transposition.  Computed once per (dim, support), read-only.
     """
-    index = np.arange(len(rows))[:, None] * full.shape[1] + support
-    full.reshape(-1)[index.reshape(-1)] = rows.reshape(-1)
+    support = np.array(support, dtype=int)
+    order = np.argsort(support)
+    stored = support[order]
+    column = np.full(dim * dim, -1)
+    column[support] = np.arange(support.size)
+    transpose = column[_row_major(stored, dim)]  # (i, j) -> (j, i)
+    position = np.full(dim * dim, -1)
+    position[stored] = np.arange(stored.size)
+    diagonal = position[np.arange(dim) * (dim + 1)]
+    sectors = _invariant_blocks(position.reshape(dim, dim) >= 0)
+    groups = []
+    for size in sorted({len(b) for b in sectors}):
+        same = [b for b in sectors if len(b) == size]
+        entries = np.concatenate([(b[:, None] * dim + b).ravel() for b in same])
+        present = np.flatnonzero(position[entries] >= 0)
+        groups.append(SectorGroup(size, entries, present, position[entries[present]],
+                                  np.concatenate(same)))
+    layout = SectorLayout(stored, order, transpose, diagonal[diagonal >= 0], tuple(groups))
+    for array in (*layout[:4], *(a for g in groups for a in g[1:])):
+        array.setflags(write=False)
+    return layout
+
+
+def sector_blocks(rows, group: SectorGroup) -> np.ndarray:
+    """The (C*k, m, m) blocks of a group's sectors, of C states given by their stored entries."""
+    blocks = np.zeros((len(rows), group.entries.size), dtype=complex)
+    blocks[:, group.present] = rows[:, group.columns]
+    return blocks.reshape(-1, group.size, group.size)
 
 
 def _screen(times, values, support, dim: int) -> Trajectory:
     """Symmetrize the (T, S) raw entries in place, enforce the CPTP guard and keep the spectra.
 
-    The states are screened SCREEN_CHUNK at a time: each chunk is scattered
-    into one reusable zero-filled (SCREEN_CHUNK, D*D) buffer, and its
-    symmetrized entries are written back over `values`.  support must be
-    closed under transposition, so that symmetrizing leaves nothing outside
-    it.  The deviations of every state are checked after the last chunk, so
-    the first bad step is reported whichever chunk it lies in.  Each
-    chunk's entries are written back in ascending row-major order, the
-    order of the returned Trajectory's support.
+    The states are screened SCREEN_CHUNK at a time, at their support:
+    each check reads the chunk's (C, S) entries and the transposes the
+    layout maps them to, and the spectrum is taken sector by sector
+    (`sector_layout`), one values-only batch per sector size, and merged
+    by a row sort.  No (D, D) matrix is formed.  support must be closed
+    under transposition, so that symmetrizing leaves nothing outside it.
+    The deviations of every state are checked after the last chunk, so the
+    first bad step is reported whichever chunk it lies in.  Each chunk's
+    symmetrized entries are written back over `values` in ascending
+    row-major order, the order of the returned Trajectory's support.
     """
+    layout = sector_layout(dim, tuple(support.tolist()))
     herm, trace_dev = np.empty(len(values)), np.empty(len(values))
     vals = np.empty((len(values), dim))
-    buffer = np.zeros((min(len(values), SCREEN_CHUNK), dim * dim), dtype=complex)
-    stored = np.sort(support)
-    transposed = _row_major(stored, dim)  # entry (i, j) of sym is entry (j, i) of sym^T
     for a in range(0, len(values), SCREEN_CHUNK):
         rows = values[a:a + SCREEN_CHUNK]
-        flat = buffer[:len(rows)]
-        _scatter(flat, rows, support)
-        chunk = flat.reshape(-1, dim, dim)
-        sym = dagger(chunk)
-        herm[a:a + SCREEN_CHUNK] = np.abs(chunk - sym).max(axis=(1, 2))
+        raw = rows[:, layout.order]
+        sym = rows[:, layout.transpose]
+        np.conjugate(sym, out=sym)  # raw^H at each stored entry
+        herm[a:a + SCREEN_CHUNK] = np.abs(raw - sym).max(axis=1, initial=0.0)
         # 0.5 * (raw + raw^H), formed in the adjoint's buffer
-        sym += chunk
+        sym += raw
         sym *= 0.5
-        trace_dev[a:a + SCREEN_CHUNK] = np.abs(np.trace(sym, axis1=1, axis2=2) - 1.0)
-        vals[a:a + SCREEN_CHUNK] = hermitian_eigvals_batch(sym)
-        # sym^T is C-contiguous (dagger keeps the transposed layout), so this reads it in place
-        np.take(np.swapaxes(sym, 1, 2).reshape(len(rows), -1), transposed, axis=1, out=rows)
+        trace_dev[a:a + SCREEN_CHUNK] = np.abs(sym[:, layout.diagonal].sum(axis=1) - 1.0)
+        chunk = vals[a:a + SCREEN_CHUNK]
+        for group in layout.groups:
+            chunk[:, group.basis] = hermitian_eigvals_batch(
+                sector_blocks(sym, group)).reshape(len(rows), -1)
+        chunk.sort(axis=1)
+        rows[...] = sym
     neg = -vals[:, 0]
     for name, dev in (("Hermiticity", herm), ("trace", trace_dev), ("positivity", neg)):
         bad = np.nonzero(dev > GUARD_TOL)[0]
@@ -186,7 +254,7 @@ def _screen(times, values, support, dim: int) -> Trajectory:
             k = int(bad[0])
             raise InvariantViolation(
                 f"dynamics: {name} defect {dev[k]:.3e} at step {k} (t={times[k]:g})")
-    return Trajectory(times=times, values=values, support=stored, dim=dim, spectra=vals)
+    return Trajectory(times=times, values=values, support=layout.stored, dim=dim, spectra=vals)
 
 
 def _initial_vectors(liou: Liouvillian, rho0) -> np.ndarray:

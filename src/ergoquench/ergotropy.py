@@ -10,7 +10,9 @@ of every stored state at once, as one `ErgotropyRecord` of arrays, and
 `ergotropy` that of a single state; `activation_time` and
 `ergotropy_difference` read the ergotropy of those records.  Only the
 branch tracker `eigenvalue_crossings` reads eigenvectors; it decomposes
-the states itself, one chunk at a time.  Energies and energy-basis
+the states itself, one chunk at a time and, like the screen, one sector
+of the trajectory's support at a time (`dynamics.sector_layout`): a
+sector's eigenvectors vanish outside it.  Energies and energy-basis
 populations are read from the trajectory's compact storage by
 `Trajectory.expect`, and passive energies by one fixed-order sum per
 state, so every record of a state is the same bytes whichever other
@@ -24,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import Trajectory
+from .dynamics import Trajectory, sector_blocks, sector_layout
 from .linalg import dagger, hermitian_eig, hermitian_eig_batch
 
 ERGOTROPY_CLIP = 1e-10        # admissible negative rounding before clipping to 0
@@ -157,6 +159,25 @@ def _greedy_match(overlaps) -> np.ndarray:
     return perms
 
 
+def _sector_eig(rows, layout, dim: int):
+    """Ascending eigenvalues and (D, D) eigenvector columns of states given by their stored entries.
+
+    Each sector's block is decomposed on its own; its eigenvectors fill
+    the sector's rows of the columns of its basis indices, so the (D, D)
+    matrix is block-diagonal, and a stable sort by eigenvalue orders the
+    columns.
+    """
+    vals = np.empty((len(rows), dim))
+    vecs = np.zeros((len(rows), dim * dim), dtype=complex)
+    for group in layout.groups:
+        block_vals, block_vecs = hermitian_eig_batch(sector_blocks(rows, group))
+        vals[:, group.basis] = block_vals.reshape(len(rows), -1)
+        vecs[:, group.entries] = block_vecs.reshape(len(rows), -1)
+    order = np.argsort(vals, axis=1, kind="stable")
+    return (np.take_along_axis(vals, order, axis=1),
+            np.take_along_axis(vecs.reshape(-1, dim, dim), order[:, None, :], axis=2))
+
+
 def eigenvalue_crossings(traj: Trajectory,
                          significance: float = CROSSING_SIGNIFICANCE) -> list[tuple[float, tuple[int, int]]]:
     """Times at which tracked eigenvalue branches of rho(t) swap order.
@@ -167,16 +188,20 @@ def eigenvalue_crossings(traj: Trajectory,
     `significance` on both sides of the swap, is reported with the linearly
     interpolated crossing time and the (sorted) position pair.  Raising
     `significance` selects only crossings among non-negligible populations.
-    The grid is matched CROSSING_CHUNK steps at a time.
+    The grid is matched CROSSING_CHUNK steps at a time, each state
+    decomposed sector by sector (`_sector_eig`); inside a level degenerate
+    across sectors, the eigenvectors are therefore the sectors' own, not an
+    arbitrary basis of the level.
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
     times = traj.times
+    layout = sector_layout(traj.dim, tuple(traj.support.tolist()))
     found: list[tuple[float, tuple[int, int]]] = []
     for start in range(1, len(traj), CROSSING_CHUNK):
         stop = min(start + CROSSING_CHUNK, len(traj))
         # the chunk's states and the one before it: step s of the chunk goes s -> s + 1
-        vals, vecs = hermitian_eig_batch(traj.materialize(start - 1, stop))
+        vals, vecs = _sector_eig(traj.values[start - 1:stop], layout, traj.dim)
         perms = _greedy_match(np.abs(dagger(vecs[:-1]) @ vecs[1:]) ** 2)
         # swapped adjacent pairs (step, i): branch i now sits above branch i + 1
         step, i = np.nonzero(perms[:, :-1] > perms[:, 1:])

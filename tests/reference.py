@@ -8,6 +8,10 @@
 - `two_qubit_collective_block`: the collective channel's two-qubit sector
   system, against propagated states.
 - `unvec`: the inverse of `channels.vec`.
+- `sector_eigvalsh` and `sector_eigh`: spectra and eigenvectors of a
+  stack block by block over the connected components of its nonzero
+  pattern, found by a breadth-first search, against the screen and the
+  branch tracker, which find them from the support.
 """
 
 import numpy as np
@@ -20,6 +24,46 @@ from ergoquench.oracles import _evolve_block, _parallel_generator
 def unvec(vs, dim: int) -> np.ndarray:
     """(D, D) matrix of one column-stacked vector, or (T, D, D) stack of a (T, D*D) one."""
     return np.swapaxes(np.reshape(vs, (*np.shape(vs)[:-1], dim, dim)), -1, -2)
+
+
+def sectors(states) -> list:
+    """Ascending basis-index arrays of the connected components of a stack's nonzero pattern."""
+    coupled = np.any(np.asarray(states) != 0, axis=0)
+    coupled |= coupled.T
+    unseen, found = set(range(len(coupled))), []
+    while unseen:
+        frontier = [min(unseen)]
+        sector = set(frontier)
+        while frontier:
+            reached = {int(j) for i in frontier for j in np.flatnonzero(coupled[i])} - sector
+            sector |= reached
+            frontier = sorted(reached)
+        unseen -= sector
+        found.append(np.array(sorted(sector)))
+    return sorted(found, key=lambda b: b[0])
+
+
+def sector_eigvalsh(states) -> np.ndarray:
+    """Ascending spectra of a (T, D, D) Hermitian stack: eigvalsh of each sector's blocks, sorted."""
+    vals = np.empty(np.shape(states)[:2])
+    for b in sectors(states):
+        vals[:, b] = np.linalg.eigvalsh(states[:, b[:, None], b])
+    return np.sort(vals, axis=1)
+
+
+def sector_eigh(states):
+    """Ascending spectra and eigenvector columns of a (T, D, D) Hermitian stack, sector by sector.
+
+    Each sector's eigenvectors fill its rows of the columns of its basis
+    indices, and a stable sort by eigenvalue orders the columns.
+    """
+    vals = np.empty(np.shape(states)[:2])
+    vecs = np.zeros(np.shape(states), dtype=complex)
+    for b in sectors(states):
+        vals[:, b], vecs[:, b[:, None], b] = np.linalg.eigh(states[:, b[:, None], b])
+    order = np.argsort(vals, axis=1, kind="stable")
+    return (np.take_along_axis(vals, order, axis=1),
+            np.take_along_axis(vecs, order[:, None, :], axis=2))
 
 
 def propagate_rk4(liou, rho0, grid, substeps: int = 20) -> Trajectory:

@@ -374,7 +374,7 @@ def test_criterion_11_ergotropy_correctness():
         populations = hermitian_eigvals_batch(0.5 * (rho + dagger(rho))[None])[0]
         levels, _ = hermitian_eig(h)
         r_desc = populations[::-1]
-        best = min(float(np.dot(r_desc[list(perm)], levels))
+        best = min(float(np.einsum("d,d->", r_desc[list(perm)], levels, optimize=False))
                    for perm in itertools.permutations(range(dim)))
         exact &= best == record.passive_energy
     rho = random_density(rng, 4)

@@ -7,7 +7,8 @@ from ergoquench import (ChannelSpec, InvariantViolation, ModelSpec, TimeGrid,
                         build_hamiltonian, build_liouvillian, evolve_to, gibbs_state,
                         propagate)
 from ergoquench.channels import Liouvillian, lindblad_matrix, vec
-from ergoquench.dynamics import GUARD_TOL, SCREEN_CHUNK, Trajectory, _powers
+from ergoquench.dynamics import (GUARD_TOL, SCREEN_CHUNK, Trajectory, _powers, _screen,
+                                 sector_layout)
 from ergoquench.ergotropy import (CROSSING_SIGNIFICANCE, LEVEL_TOL, _greedy_match,
                                   eigenvalue_crossings, energy_basis_populations,
                                   trajectory_records)
@@ -18,7 +19,7 @@ from ergoquench.model import site_operator
 from ergoquench.oracles import dark_population_series, dark_subspace
 
 from conftest import random_density
-from reference import propagate_rk4, unvec
+from reference import propagate_rk4, sector_eigh, sector_eigvalsh, unvec
 
 
 def _liouvillian(n, h_field, **channel):
@@ -374,13 +375,17 @@ def test_doubling_screen_names_the_first_bad_step_of_sequential_steps(h4):
 
 
 def _whole_stack_screen(raw):
-    """The screen in one pass over the whole stack: states, spectra, first violation or None."""
+    """The screen in one pass over the whole stack: states, spectra, first violation or None.
+
+    The spectra are the per-sector ones the package's screen computes, here
+    taken of the full symmetrized matrices by an independent sector search.
+    """
     states = dagger(raw)
     herm = np.abs(raw - states).max(axis=(1, 2))
     states += raw
     states *= 0.5
     trace_dev = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
-    vals = np.linalg.eigvalsh(states)
+    vals = sector_eigvalsh(states)
     for name, dev in (("Hermiticity", herm), ("trace", trace_dev), ("positivity", -vals[:, 0])):
         bad = np.nonzero(dev > GUARD_TOL)[0]
         if bad.size:
@@ -497,9 +502,13 @@ def _prefix(traj, n_states):
                       support=traj.support, dim=traj.dim, spectra=traj.spectra[:n_states])
 
 
-def _whole_stack_crossings(states, times):
-    """eigenvalue_crossings' matching done over every step of the stack at once."""
-    vals, vecs = hermitian_eig_batch(states)
+def _tracked_crossings(states, times, decompose):
+    """eigenvalue_crossings' matching done over every step of the stack at once.
+
+    Returns the step, lower position, time and gap sum (before plus after)
+    of every reported crossing, in step order.
+    """
+    vals, vecs = decompose(states)
     perms = _greedy_match(np.abs(dagger(vecs[:-1]) @ vecs[1:]) ** 2)
     step, i = np.nonzero(perms[:, :-1] > perms[:, 1:])
     gap_before = vals[step, i + 1] - vals[step, i]
@@ -507,6 +516,12 @@ def _whole_stack_crossings(states, times):
     keep = (gap_before > CROSSING_SIGNIFICANCE) & (gap_after > CROSSING_SIGNIFICANCE)
     k, i, gap_before, gap_after = 1 + step[keep], i[keep], gap_before[keep], gap_after[keep]
     t_cross = times[k - 1] + (times[k] - times[k - 1]) * gap_before / (gap_before + gap_after)
+    return k, i, t_cross, gap_before + gap_after
+
+
+def _whole_stack_crossings(states, times):
+    """eigenvalue_crossings' result, from its matching done over the whole stack at once."""
+    _, i, t_cross, _ = _tracked_crossings(states, times, sector_eigh)
     return sorted(((t, (pos, pos + 1)) for t, pos in zip(t_cross.tolist(), i.tolist())),
                   key=lambda item: item[0])
 
@@ -580,7 +595,7 @@ def test_expect_reads_the_same_bytes_over_the_support_the_full_stack_and_one_sta
     assert np.all(np.diff(traj.support) > 0)  # ascending row-major order
     assert traj.support.size < traj.dim ** 2
     full = Trajectory.screened(traj.times, traj.states)
-    assert full.support.size == traj.dim ** 2
+    assert np.array_equal(full.support, traj.support)  # every stored entry is nonzero somewhere
     for ops in (np.asarray(h, dtype=complex), _level_projectors(h)):
         whole = traj.expect(ops)
         assert whole.shape == (len(traj), *ops.shape[:-2])
@@ -619,3 +634,110 @@ def test_support_holds_the_transposes_that_symmetrizing_fills():
     assert np.array_equal(states, dagger(states))
     assert np.allclose(states[:, 0, 1], 0.5e-8 * traj.times, rtol=1e-12, atol=0)
     assert np.abs(evolve_to(liou, rho0, 2.0).states[0] - states[-1]).max() <= 1e-15
+
+
+def _sectors(layout):
+    """The basis-index tuples of a layout's sectors, ordered by their first index."""
+    return sorted(tuple(g.basis[a:a + g.size].tolist())
+                  for g in layout.groups for a in range(0, g.basis.size, g.size))
+
+
+@pytest.mark.parametrize("case", ["N2-parallel", "N4-parallel", "N4-dephasing", "N4-mixed"])
+def test_sectors_of_a_gibbs_support_are_the_excitation_number_classes(case):
+    n, channel = _ENGINE_CASES[case]
+    liou, h = _liouvillian(n, 0.1, **channel)
+    traj = propagate(liou, gibbs_state(h, 0.5), TimeGrid(t_max=2.0, dt=0.5))
+    sectors = _sectors(sector_layout(traj.dim, tuple(traj.support.tolist())))
+    excitations = [bin(i).count("1") for i in range(traj.dim)]
+    classes = sorted(tuple(i for i in range(traj.dim) if excitations[i] == k) for k in range(n + 1))
+    assert sectors == classes
+    assert [len(s) for s in sectors] == ([1, 4, 6, 4, 1] if n == 4 else [1, 2, 1])
+
+
+def test_a_dense_support_is_one_sector():
+    layout = sector_layout(16, tuple(range(256)))
+    assert _sectors(layout) == [tuple(range(16))]
+    (group,) = layout.groups
+    assert np.array_equal(group.entries, np.arange(256))
+    assert np.array_equal(group.columns, np.arange(256))
+
+
+def _rotated_jc_stack():
+    """fig9-jc's reduced atom states, diagonal, and the same states in a rotated basis, dense."""
+    traj = jc_full_evolution(default_jc_spec(kappa_over_g=1.0),
+                             np.diag([1.0, 0.0]).astype(complex), TimeGrid(t_max=20.0, dt=0.05))
+    u = expm(1j * np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.4]]))
+    return traj, Trajectory.screened(traj.times, u @ traj.states @ dagger(u))
+
+
+@pytest.mark.parametrize("case", [*_ENGINE_CASES, "JC", "JC-rotated"])
+def test_sector_spectra_agree_with_full_matrix_eigvalsh(case):
+    if case.startswith("JC"):
+        diagonal, rotated = _rotated_jc_stack()
+        traj, n_sectors = (rotated, 1) if case == "JC-rotated" else (diagonal, 2)
+    else:
+        n, channel = _ENGINE_CASES[case]
+        liou, h = _liouvillian(n, 0.1, **channel)
+        traj = propagate(liou, gibbs_state(h, 0.2), TimeGrid(t_max=300.0, dt=0.5))
+        n_sectors = n + 1
+    assert len(_sectors(sector_layout(traj.dim, tuple(traj.support.tolist())))) == n_sectors
+    assert np.abs(traj.spectra - np.linalg.eigvalsh(traj.states)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("beta", [0.2, 5.0])
+@pytest.mark.parametrize("case", ["N2-parallel", "N2-collective", "N4-parallel", "N4-collective",
+                                  "N4-interpolated", "N4-dephasing", "N4-mixed"])
+def test_sector_tracker_finds_the_crossings_of_the_full_matrix_tracker(case, beta):
+    n, channel = _ENGINE_CASES[case]
+    liou, h = _liouvillian(n, 0.1, **channel)
+    grid = TimeGrid(t_max=150.0, dt=0.1)
+    traj = propagate(liou, gibbs_state(h, beta), grid)
+    # the Gibbs state's degenerate levels span sectors at N=4, where a full-matrix eigh
+    # returns an arbitrary basis of each level: compare the steps after the first
+    found = {(step, pair): t for t, pair in eigenvalue_crossings(traj)
+             if (step := int(np.searchsorted(traj.times, t))) > 1}
+    k, i, t_cross, gaps = _tracked_crossings(traj.states, traj.times, hermitian_eig_batch)
+    full = {(step, (pos, pos + 1)): (t, gap)
+            for step, pos, t, gap in zip(k.tolist(), i.tolist(), t_cross, gaps) if step > 1}
+    assert found.keys() == full.keys()
+    # a crossing time moves by dt * (eigenvalue error) / (gap sum)
+    assert all(abs(found[key] - t) <= 1e-12 + grid.dt * 1e-15 / gap
+               for key, (t, gap) in full.items())
+    assert found or "dephasing" in case
+
+
+def test_a_negative_eigenvalue_inside_the_six_state_sector_is_reported_at_its_step(h4):
+    liou, _ = _liouvillian(4, 0.1, gamma=0.05)
+    traj = propagate(liou, gibbs_state(h4, 0.5), TimeGrid(t_max=300.0, dt=0.5))
+    sector = np.ix_(*2 * [[i for i in range(16) if bin(i).count("1") == 2]])
+    raw, first = traj.states, SCREEN_CHUNK + 44
+    for k in (first, first + 100):  # both in the second chunk, the first one reported
+        vals, vecs = hermitian_eig(raw[k][sector])
+        vals[-1] += vals[0] + 1e-5  # the trace stays 1
+        vals[0] = -1e-5
+        raw[k][sector] = (vecs * vals) @ dagger(vecs)
+    assert np.linalg.eigvalsh(raw[first])[0] < -0.9e-5
+    _, _, violation = _whole_stack_screen(raw)
+    assert violation == ("positivity", first)
+    with pytest.raises(InvariantViolation, match=rf"positivity defect .* at step {first} "):
+        Trajectory.screened(traj.times, raw)
+    values = raw.reshape(len(raw), -1)[:, traj.support]
+    with pytest.raises(InvariantViolation, match=rf"positivity defect .* at step {first} "):
+        _screen(traj.times, values, traj.support, traj.dim)
+
+
+def test_the_screen_holds_chunks_of_the_support_only(h4):
+    liou, _ = _liouvillian(4, 0.1, gamma=0.05)
+    traj = propagate(liou, gibbs_state(h4, 0.5), TimeGrid(t_max=300.0, dt=0.5))
+    values = traj.values.copy()
+    _screen(traj.times, values.copy(), traj.support, traj.dim)
+    tracemalloc.start()
+    try:
+        _screen(traj.times, values, traj.support, traj.dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # at most four (SCREEN_CHUNK, S) arrays at once: the gathered entries, their
+    # adjoint, and the difference with its modulus for the Hermiticity defect
+    assert traj.support.size == 70
+    assert peak <= 4 * SCREEN_CHUNK * 70 * 16 + traj.spectra.nbytes

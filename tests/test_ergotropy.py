@@ -10,12 +10,11 @@ from ergoquench.ergotropy import (CROSSING_CHUNK, _greedy_match, activation_time
                                   eigenvalue_crossings,
                                   energy_basis_populations, ergotropy,
                                   ergotropy_difference, trajectory_records)
-from ergoquench.linalg import (dagger, expm, hermitian_eig, hermitian_eig_batch,
-                              hermitian_eigvals_batch)
+from ergoquench.linalg import dagger, expm, hermitian_eig, hermitian_eigvals_batch
 from ergoquench.oracles import activation_time_analytic
 
 from conftest import random_density, random_hermitian
-from reference import passive_state
+from reference import passive_state, sector_eigh
 
 
 def _traj(n, beta, grid, **channel):
@@ -126,7 +125,7 @@ def _greedy_match_reference(overlap):
 
 def _crossings_reference(traj, significance=1e-10):
     """Step-by-step branch tracking, the reference for eigenvalue_crossings."""
-    vals, vecs = hermitian_eig_batch(traj.states)
+    vals, vecs = sector_eigh(traj.states)
     found = []
     for k in range(1, len(traj)):
         perm = _greedy_match_reference(np.abs(dagger(vecs[k - 1]) @ vecs[k]) ** 2)
