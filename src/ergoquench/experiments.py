@@ -2,16 +2,16 @@
 
 Each experiment writes exactly one CSV with a fixed per-experiment schema
 and full double precision (17 significant digits), so identical configs
-produce byte-identical files.  Rows are streamed to the file, each
-formatted with one %-template per file that the first row fixes: %.17g
-for floats, %d for ints and bools, %s for strings; a later cell whose type
-would need another template raises instead of being written differently.
-A trajectory figure writes each trajectory's rows as soon as it is
-computed, formatting them from its records a chunk of rows at a time, so
-no run holds a whole trajectory's rows or its full state stack.  The
-file is written beside its path and moved into place only when complete:
-a run that fails leaves no partial CSV, and an older file at that path
-stays as it was.
+produce byte-identical files.  Rows are streamed to the file in blocks,
+each formatted by one %-operation with the templates the first block
+fixes (%.17g for floats, %d for ints and bools, %s for strings); a block
+whose cells would need other templates raises instead of being written
+differently.  A trajectory figure writes each trajectory's rows as soon
+as it is computed, CSV_BLOCK_ROWS rows per block from its record arrays,
+so no run holds a whole trajectory's rows, a list per row or its full
+state stack.  The file is written beside its path and moved into place only
+when complete: a run that fails leaves no partial CSV, and an older file
+at that path stays as it was.
 Parameter points inside a sweep may run on a thread pool (capped by
 ERGOQUENCH_THREADS, default serial; any value but an integer >= 1 is a
 ConfigError); rows are always written in deterministic parameter order.
@@ -23,13 +23,14 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .channels import ChannelSpec, build_liouvillian
 from .config import ConfigError, ExperimentConfig
-from .dynamics import SCREEN_CHUNK, TimeGrid, evolve_to, propagate
+from .dynamics import TimeGrid, evolve_to, propagate
 from .ergotropy import eigenvalue_crossings, energy_basis_populations, trajectory_records
 from .jc import compare_jc, default_jc_spec
 from .linalg import hermitian_eig  # noqa: F401 (ergobench's tracer test patches it here)
@@ -46,6 +47,10 @@ FIG3_BETA_GRID = (0.2, 0.3, 0.4, 0.5, 1.0, 2.0, 5.0)
 MIXING_ALPHA_GRID = (0.0, 0.3, 0.5, 0.7, 0.9, 1.0)
 INTERP_ALPHA_GRID = tuple(round(0.1 * k, 1) for k in range(11))
 IN_FLIGHT_PER_WORKER = 2  # jobs submitted to the thread pool per worker, ahead of the consumer
+# Rows per block of a trajectory's CSV: 128 rows of appD are about 100 KB, under
+# glibc's initial 128 KiB mmap threshold; freeing larger blocks raises it, and
+# 256-row blocks raised the peak RSS of repeated trajectory passes by up to 10%.
+CSV_BLOCK_ROWS = 128
 
 
 def _thread_count() -> int:
@@ -79,51 +84,70 @@ def _ordered_map(fn: Callable, items):
             yield pending.popleft().result()
 
 
-def _cell_template(value) -> str:
-    if isinstance(value, str):
+def _template(cls) -> str:
+    """The %-template of a cell of type cls."""
+    if issubclass(cls, str):
         return "%s"
-    if isinstance(value, (bool, np.bool_, int, np.integer)):
+    if issubclass(cls, (bool, np.bool_, int, np.integer)):
         return "%d"
     return "%.17g"
 
 
-def _lines(header, rows):
-    """CSV lines of rows, each formatted with the template of the file's first row.
+def _lines(header, blocks):
+    """CSV text of blocks of rows, one string per block, each made by one %-operation.
 
-    A row whose length differs from the header's, or with a cell whose type
-    asks for another template than its column's (a float in an int column,
-    say), raises ValueError instead of being written differently.
+    A block is a sequence of column items: a scalar is one cell, the same
+    on every row, formatted once and written %-escaped into the block's
+    template; a list or 1-D array gives one cell per row, a (rows, k) array
+    k cells per row.  Templates come from an array's dtype, a list's
+    element types and a scalar's type.  The first block fixes the file's
+    templates; a block that asks for others (a float in an int column, say)
+    or another count of them, or whose columns differ in length, raises
+    ValueError.
     """
     columns = None
-    checked = set()  # cell-type tuples already known to fit the columns
-    for index, row in enumerate(rows):
-        row = tuple(row)
-        kinds = tuple(map(type, row))
-        if kinds not in checked:
-            cells = [_cell_template(value) for value in row]
-            if columns is None:
-                if len(cells) != len(header):
-                    raise ValueError(f"row 0 has {len(cells)} cells, header has {len(header)}")
-                columns = cells
-                template = ",".join(columns) + "\n"
-            elif cells != columns:
-                raise ValueError(f"row {index} {row!r} does not fit the columns {columns}")
-            checked.add(kinds)
-        yield template % row
+    for index, block in enumerate(blocks):
+        kinds, pieces, per_row = [], [], []
+        for item in block:
+            if isinstance(item, np.ndarray):
+                cells = [_template(item.dtype.type)] * (item.shape[1] if item.ndim == 2 else 1)
+                kinds += cells
+                pieces += cells
+                per_row += item.T.tolist() if item.ndim == 2 else [item.tolist()]
+            elif isinstance(item, list):
+                found = {_template(cls) for cls in set(map(type, item))}
+                if len(found) != 1:
+                    raise ValueError(f"block {index} has a list column with templates {found}")
+                kinds += found
+                pieces += found
+                per_row.append(item)
+            else:
+                kinds.append(_template(type(item)))
+                pieces.append((kinds[-1] % item).replace("%", "%%"))
+        if columns is None:
+            if len(kinds) != len(header):
+                raise ValueError(f"block 0 has {len(kinds)} cells a row, header has {len(header)}")
+            columns = kinds
+        elif kinds != columns:
+            raise ValueError(f"block {index} {kinds} does not fit the columns {columns}")
+        rows = {len(cells) for cells in per_row} or {1}
+        if len(rows) != 1:
+            raise ValueError(f"block {index} has columns of lengths {sorted(rows)}")
+        yield (",".join(pieces) + "\n") * rows.pop() % tuple(chain.from_iterable(zip(*per_row)))
 
 
-def _write_csv(path: str, header, rows) -> str:
-    """Write header and rows to path, all or nothing.
+def _write_csv(path: str, header, blocks) -> str:
+    """Write header and blocks of rows (see `_lines`) to path, all or nothing.
 
-    The lines go to a temporary file beside path, which replaces path only
-    once every row is written; on any error it is removed, and a file
-    already at path is left as it was.
+    A row of scalars is a one-row block.  The text goes to a temporary file
+    beside path, which replaces path only once every block is written; on
+    any error it is removed, and a file already at path is left as it was.
     """
     partial = f"{path}.partial"
     try:
         with open(partial, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(",".join(header) + "\n")
-            handle.writelines(_lines(header, rows))
+            handle.writelines(_lines(header, blocks))
         os.replace(partial, path)
     except BaseException:
         if os.path.exists(partial):
@@ -192,28 +216,22 @@ class _Row(NamedTuple):
     betas: tuple
 
 
-def _no_cells(start: int, stop: int) -> list:
-    return [[]] * (stop - start)
+_NO_EXTRA = ((), lambda traj, h_matrix: ())
 
 
-_NO_EXTRA = ((), lambda traj, h_matrix: _no_cells)
+def _trajectory_blocks(lead, times, rec, added, with_spectrum: bool):
+    """One trajectory's CSV rows in blocks of CSV_BLOCK_ROWS rows (see `_lines`).
 
-
-def _trajectory_rows(lead, times, rec, added, with_spectrum: bool):
-    """CSV rows of one trajectory, built SCREEN_CHUNK rows at a time.
-
-    Each row is lead + [time, energy, passive energy, ergotropy] + that
-    state's added cells + (its descending spectrum if with_spectrum), where
-    rec is the trajectory's ErgotropyRecord and added(start, stop) gives
-    the added cells of the rows start..stop-1.
+    A row is lead (the cells that are the same on every row), the state's
+    time, energy, passive energy and ergotropy from the ErgotropyRecord
+    rec, its cells of each added column and, if with_spectrum, its spectrum.
     """
-    for start in range(0, len(times), SCREEN_CHUNK):
-        stop = min(start + SCREEN_CHUNK, len(times))
-        part = slice(start, stop)
-        spectra = rec.rho_spectrum[part].tolist() if with_spectrum else [[]] * (stop - start)
-        yield from [[*lead, tk, ek, pk, wk, *more, *sk] for tk, ek, pk, wk, more, sk in zip(
-            times[part].tolist(), rec.energy[part].tolist(), rec.passive_energy[part].tolist(),
-            rec.ergotropy[part].tolist(), added(start, stop), spectra)]
+    columns = [times, rec.energy, rec.passive_energy, rec.ergotropy, *added]
+    if with_spectrum:
+        columns.append(rec.rho_spectrum)
+    for start in range(0, len(times), CSV_BLOCK_ROWS):
+        part = slice(start, start + CSV_BLOCK_ROWS)
+        yield [*lead, *(column[part] for column in columns)]
 
 
 def _trajectory_figure(config, out_dir, name, ids, table, grid, title, label,
@@ -222,12 +240,11 @@ def _trajectory_figure(config, out_dir, name, ids, table, grid, title, label,
 
     H is built once per chain size and L once per table row; the (row, beta)
     trajectories run on the thread pool, and each one's rows are written in
-    table order as soon as it returns, SCREEN_CHUNK rows at a time, from its
-    records: no job returns its states or a whole trajectory's rows.
-    label(tag, beta) names the SVG series of a trajectory, or None to leave
-    it out.  extra is (columns, cells): cells(traj, h_matrix) returns a
-    function of a row range (start, stop) that gives the cells of those
-    rows for those columns, written between ergotropy and the spectrum.
+    table order as soon as it returns (see `_trajectory_blocks`): no job
+    returns its states.  label(tag, beta) names the SVG series of a
+    trajectory, or None to leave it out.  extra is (columns, cells):
+    cells(traj, h_matrix) returns the added columns, written between
+    ergotropy and the spectrum.
     """
     for row in table:
         _require_n(config, row.n, name)
@@ -239,22 +256,22 @@ def _trajectory_figure(config, out_dir, name, ids, table, grid, title, label,
     def run(job):
         row, (h_matrix, liou), beta = job
         traj = propagate(liou, gibbs_state(h_matrix, beta), grid)
-        return ([*row.tag, beta], traj.times, trajectory_records(traj, h_matrix),
+        return ((*row.tag, beta), traj.times, trajectory_records(traj, h_matrix),
                 cells(traj, h_matrix), label(row.tag, beta))
 
     series = []
 
-    def streamed_rows():  # each trajectory's rows, written as soon as its job returns
+    def streamed_blocks():  # each trajectory's rows, written as soon as its job returns
         jobs = [(row, quench, beta) for row, quench in zip(table, quenches) for beta in row.betas]
         for lead, times, rec, added, series_label in _ordered_map(run, jobs):
             if series_label is not None:
                 series.append((series_label, times, rec.ergotropy))
-            yield from _trajectory_rows(lead, times, rec, added, with_spectrum)
+            yield from _trajectory_blocks(lead, times, rec, added, with_spectrum)
 
     header = list(ids) + ["beta", "time", "energy", "passive_energy", "ergotropy"] + list(columns)
     if with_spectrum:
         header += [f"lambda_{k}" for k in range(2 ** table[0].n)]
-    paths = [_write_csv(os.path.join(out_dir, f"{name}.csv"), header, streamed_rows())]
+    paths = [_write_csv(os.path.join(out_dir, f"{name}.csv"), header, streamed_blocks())]
     paths += _maybe_svg(config, out_dir, name, series, title)
     return paths
 
@@ -288,8 +305,7 @@ def _run_fig6(config: ExperimentConfig, out_dir: str):
     dark = dark_subspace(ModelSpec(n_qubits=4, field_h=config.h))
 
     def cells(traj, h_matrix):
-        p_dark_series = dark_population_series(traj, dark)
-        return lambda start, stop: [[p] for p in p_dark_series[start:stop].tolist()]
+        return [dark_population_series(traj, dark)]
 
     return _single_size_figure(config, out_dir, "fig6", 4, (0.0, 1.0, config.alpha_z),
                                _betas_from(config), "four-qubit collective dissipation",
@@ -322,27 +338,27 @@ def _run_appb_channels(config: ExperimentConfig, out_dir: str):
 # --- steady-state experiments ------------------------------------------------
 
 def _steady_sweep(config, out_dir, name, header, table, betas,
-                  row_of=lambda tag, beta, erg: (*tag, beta, erg)):
+                  block_of=lambda tag, betas, ergs: (*tag, betas, ergs)):
     """Shared body of the steady-state sweeps (fig4, appB-diss/deph).
 
     table holds (tag, n, h, channel) points.  H is built once per distinct
     (n, h), before the points run.  Each point builds its L, builds the
     stack of every beta's Gibbs state from one decomposition of H, evolves
     it to t_max in one `evolve_to` call and reads the ergotropies off the
-    CPTP screen's spectra; row_of(tag, beta, ergotropy) gives the CSV row.
-    The points run on the thread pool and are written in table order.
+    CPTP screen's spectra; block_of(tag, betas, ergotropies) gives its rows
+    as one block (see `_lines`).  The points run on the thread pool and are
+    written in table order.
     """
     hamiltonians = _hamiltonians((n, h) for _, n, h, _ in table)
+    betas = np.asarray(betas, dtype=float)
 
     def point(job):
         tag, n, h, channel = job
         h_matrix, liou = _quench(hamiltonians, n, h, config.gamma, channel)
         steady = evolve_to(liou, gibbs_state(h_matrix, betas), config.t_max)
-        ergs = trajectory_records(steady, h_matrix).ergotropy.tolist()
-        return [row_of(tag, beta, erg) for beta, erg in zip(betas, ergs)]
+        return block_of(tag, betas, trajectory_records(steady, h_matrix).ergotropy)
 
-    rows = (row for part in _ordered_map(point, table) for row in part)
-    return [_write_csv(os.path.join(out_dir, f"{name}.csv"), header, rows)]
+    return [_write_csv(os.path.join(out_dir, f"{name}.csv"), header, _ordered_map(point, table))]
 
 
 def _run_fig4(config: ExperimentConfig, out_dir: str):
@@ -352,8 +368,9 @@ def _run_fig4(config: ExperimentConfig, out_dir: str):
     paths = _steady_sweep(
         config, out_dir, "fig4", header, [(h, 2, h, (0.0, 1.0, 0.0)) for h in fields],
         np.linspace(0.1, 3.0, 50),
-        lambda h, beta, erg: (beta, h, erg, steady_state_is_passive(beta, h),
-                              erg <= STEADY_ERGOTROPY_EPS))
+        lambda h, betas, ergs: (betas, h, ergs,
+                                [steady_state_is_passive(beta, h) for beta in betas],
+                                ergs <= STEADY_ERGOTROPY_EPS))
     if config.emit_svg:
         boundary = [beta_critical(h_value) for h_value in fields]
         paths += _maybe_svg(config, out_dir, "fig4",
@@ -445,9 +462,9 @@ def _run_appd(config: ExperimentConfig, out_dir: str):
         for t_cross, pair in eigenvalue_crossings(traj):
             k = int(round((t_cross - traj.times[0]) / grid.dt))
             marks.setdefault(k, []).append(f"{pair[0]}-{pair[1]}")
-        return lambda start, stop: [
-            [1 if k in marks else 0, ";".join(marks.get(k, []))] + pops
-            for k, pops in enumerate(populations[start:stop].tolist(), start)]
+        steps = range(len(traj))
+        return [[1 if k in marks else 0 for k in steps],
+                [";".join(marks.get(k, [])) for k in steps], populations]
 
     columns = ["crossing", "crossing_pair"] + [f"pop_{k}" for k in range(16)]
     return _trajectory_figure(config, out_dir, "appD", (), [_Row((), 4, (0.0, 0.0, 0.0), betas)],

@@ -12,6 +12,9 @@
   stack block by block over the connected components of its nonzero
   pattern, found by a breadth-first search, against the screen and the
   branch tracker, which find them from the support.
+- `row_lines`: CSV lines formatted one row at a time with the template
+  that the first row's cell types fix, against the writer's blocks of
+  rows with their fixed cells formatted once per block.
 """
 
 import numpy as np
@@ -154,3 +157,31 @@ def _collective_generator(gamma: float) -> np.ndarray:
 def two_qubit_collective_block(init, gamma: float, t):
     """Exact sector solution for the collective dissipative channel."""
     return _evolve_block(_collective_generator(gamma), init, t)
+
+
+def _cell_template(value) -> str:
+    if isinstance(value, str):
+        return "%s"
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
+        return "%d"
+    return "%.17g"
+
+
+def row_lines(header, rows):
+    """CSV lines of rows, each formatted with the template of the first row.
+
+    A row whose length differs from the header's, or with a cell whose type
+    asks for another template than its column's, raises ValueError.
+    """
+    columns = None
+    for index, row in enumerate(rows):
+        row = tuple(row)
+        cells = [_cell_template(value) for value in row]
+        if columns is None:
+            if len(cells) != len(header):
+                raise ValueError(f"row 0 has {len(cells)} cells, header has {len(header)}")
+            columns = cells
+            template = ",".join(columns) + "\n"
+        elif cells != columns:
+            raise ValueError(f"row {index} {row!r} does not fit the columns {columns}")
+        yield template % row

@@ -5,14 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ergoquench import (ChannelSpec, ModelSpec, TimeGrid, build_hamiltonian,
-                        build_liouvillian, energy_basis_populations, gibbs_state, propagate,
-                        trajectory_records)
+from ergoquench import (ChannelSpec, ErgotropyRecord, ModelSpec, TimeGrid,
+                        build_hamiltonian, build_liouvillian, energy_basis_populations,
+                        gibbs_state, propagate, trajectory_records)
 from ergoquench import experiments
 from ergoquench.config import ExperimentConfig
-from ergoquench.dynamics import SCREEN_CHUNK, InvariantViolation, Trajectory
-from ergoquench.experiments import (EXPERIMENTS, _lines, _ordered_map, _trajectory_rows,
-                                    _write_csv, run_experiment)
+from ergoquench.dynamics import InvariantViolation, Trajectory
+from ergoquench.experiments import (CSV_BLOCK_ROWS, EXPERIMENTS, _lines, _ordered_map,
+                                    _trajectory_blocks, _write_csv, run_experiment)
+from reference import row_lines
 
 
 def _config(**kwargs):
@@ -158,8 +159,10 @@ def test_fig9_table(tmp_path):
     assert all(b < a for a, b in zip(devs, devs[1:]))
 
 
-# 4x4, 16x16, steady sweep, and the extra-column hooks of fig6 and appD
-@pytest.mark.parametrize("name", ["fig2", "fig5", "appB-diss", "fig6", "appD"])
+# 4x4, 16x16, steady sweep, the extra-column hooks of fig6 and appD, fixed
+# text and float cells (appB-channels) and a fixed int cell over two sizes (fig8)
+@pytest.mark.parametrize("name", ["fig2", "fig5", "appB-diss", "fig6", "appD",
+                                  "appB-channels", "fig8"])
 def test_threaded_run_is_identical(tmp_path, monkeypatch, name):
     config = _config(experiment=name, output_dir=str(tmp_path / "serial"),
                      t_max=10.0, beta_list=(0.2, 0.5, 1.0))
@@ -171,32 +174,58 @@ def test_threaded_run_is_identical(tmp_path, monkeypatch, name):
     assert open(serial, "rb").read() == open(threaded, "rb").read()
 
 
-@pytest.mark.parametrize("n,channel,with_spectrum,extra", [
-    (2, ChannelSpec(gamma=0.05), True, False),                      # fig2-like
-    (2, ChannelSpec(gamma=0.05, alpha=0.5), False, False),           # appB-channels-like
-    (4, ChannelSpec(gamma=0.05), True, True),                        # appD-like
-], ids=["fig2", "appB-channels", "appD"])
-def test_trajectory_rows_equal_the_record_path(n, channel, with_spectrum, extra):
-    model = ModelSpec(n_qubits=n, field_h=0.1)
-    h = build_hamiltonian(model)
-    traj = propagate(build_liouvillian(h, channel, model), gibbs_state(h, 0.5),
-                     TimeGrid(t_max=60.0, dt=0.1))  # 601 rows: three slices
-    added = ([[k % 2, "2-3" if k % 2 else ""] + pops
-              for k, pops in enumerate(energy_basis_populations(traj, h).tolist())]
-             if extra else [[]] * len(traj))
-    lead = ["panel", 0.5]
-    rec = trajectory_records(traj, h)
-    expected = [lead + [traj.times[k], rec.energy[k], rec.passive_energy[k], rec.ergotropy[k]]
-                + added[k] + (rec.rho_spectrum[k].tolist() if with_spectrum else [])
-                for k in range(len(traj))]
-    ranges = []
-    rows = _trajectory_rows(lead, traj.times, rec,
-                            lambda start, stop: ranges.append((start, stop)) or added[start:stop],
-                            with_spectrum)
+_TRAJECTORY_CASES = {  # (n, channel, lead, with_spectrum, extra columns)
+    "fig2": (2, ChannelSpec(gamma=0.05), (0.5,), True, False),
+    "appB-channels": (2, ChannelSpec(gamma=0.05, alpha=0.5), ("parallel-hot", 0.3, 0.2),
+                      False, False),
+    "appD": (4, ChannelSpec(gamma=0.05), (0.5,), True, True),
+}
+
+
+@pytest.fixture(scope="module")
+def trajectory_cases():
+    """case -> (times, records, added columns) of a 513-state trajectory."""
+    cases = {}
+    for case, (n, channel, _, _, extra) in _TRAJECTORY_CASES.items():
+        model = ModelSpec(n_qubits=n, field_h=0.1)
+        h = build_hamiltonian(model)
+        traj = propagate(build_liouvillian(h, channel, model), gibbs_state(h, 0.5),
+                         TimeGrid(t_max=51.2, dt=0.1))
+        steps = range(len(traj))
+        added = ([[k % 2 for k in steps], ["2-3" if k % 3 else "" for k in steps],
+                  energy_basis_populations(traj, h)] if extra else [])
+        cases[case] = traj.times, trajectory_records(traj, h), added
+    return cases
+
+
+@pytest.mark.parametrize("rows", [1, 255, 256, 257, 513])
+@pytest.mark.parametrize("case", list(_TRAJECTORY_CASES))
+def test_trajectory_blocks_equal_the_per_row_reference(trajectory_cases, case, rows):
+    _, _, lead, with_spectrum, _ = _TRAJECTORY_CASES[case]
+    times, rec, added = trajectory_cases[case]
+    rec = ErgotropyRecord(rec.energy[:rows], rec.passive_energy[:rows], rec.ergotropy[:rows],
+                          rec.rho_spectrum[:rows])
+    added = [column[:rows] for column in added]
+    expected = [[*lead, times[k], rec.energy[k], rec.passive_energy[k], rec.ergotropy[k]]
+                + ([added[0][k], added[1][k], *added[2][k]] if added else [])
+                + (list(rec.rho_spectrum[k]) if with_spectrum else [])
+                for k in range(rows)]
     header = [f"c{k}" for k in range(len(expected[0]))]
-    assert list(_lines(header, rows)) == list(_lines(header, expected))
-    assert ranges == [(0, SCREEN_CHUNK), (SCREEN_CHUNK, 2 * SCREEN_CHUNK),
-                      (2 * SCREEN_CHUNK, len(traj))]
+    blocks = list(_lines(header, _trajectory_blocks(lead, times[:rows], rec, added,
+                                                   with_spectrum)))
+    assert "".join(blocks) == "".join(row_lines(header, expected))
+    assert [block.count("\n") for block in blocks] == [
+        min(CSV_BLOCK_ROWS, rows - start) for start in range(0, rows, CSV_BLOCK_ROWS)]
+
+
+def test_percent_in_text_cells_is_written_verbatim(tmp_path):
+    # a fixed cell is written into the block's template as text, so its % must be escaped
+    header = ["panel", "alpha", "pair", "x", "y"]
+    blocks = [["50%", 0.5, ["a%d", "100%"], np.array([1.0, 2.0]), np.array([[3.0], [4.0]])],
+              ["5%s", 0.25, ["%"], np.array([5.0]), np.array([[6.0]])]]
+    path = _write_csv(str(tmp_path / "percent.csv"), header, blocks)
+    assert open(path, encoding="utf-8").read() == (
+        "panel,alpha,pair,x,y\n50%,0.5,a%d,1,3\n50%,0.5,100%,2,4\n5%s,0.25,%,5,6\n")
 
 
 CELLS = ["panel-a", True, np.False_, 7, np.int64(-3), 0.1, np.float64(2.5e-7),
@@ -206,9 +235,16 @@ WRITTEN = ["panel-a", "1", "0", "7", "-3", "0.10000000000000001", "2.49999999999
            "nan", "inf", "-0", "4.9406564584124654e-324"]
 
 
-def test_csv_cells_are_written_like_the_per_cell_formatter(tmp_path):
+# CELLS twice: as rows of scalars, and as blocks of list, array and fixed columns
+@pytest.mark.parametrize("blocks", [
+    [CELLS, tuple(CELLS)],
+    [[CELLS[0], np.array([True, True]), [np.False_] * 2, 7, np.array([-3, -3]),
+      np.array([CELLS[5:]] * 2)]],
+    [CELLS[:5] + [[0.1], CELLS[6], np.array([CELLS[7:]])]] * 2,
+], ids=["rows", "one-block", "blocks"])
+def test_csv_cells_are_written_like_the_per_cell_formatter(tmp_path, blocks):
     header = [f"c{k}" for k in range(len(CELLS))]
-    path = _write_csv(str(tmp_path / "mixed.csv"), header, [CELLS, tuple(CELLS)])
+    path = _write_csv(str(tmp_path / "mixed.csv"), header, blocks)
     line = ",".join(WRITTEN) + "\n"
     assert open(path, encoding="utf-8").read() == ",".join(header) + "\n" + line + line
 
@@ -220,11 +256,26 @@ def test_csv_cells_are_written_like_the_per_cell_formatter(tmp_path):
     CELLS[1:2] + CELLS[1:],           # bool in a string column
     CELLS[:-1],                       # a cell short
     CELLS + [1.0],                    # a cell too many
-], ids=["float-as-int", "str-as-int", "int-as-float", "bool-as-str", "short", "long"])
+    CELLS[:5] + [0, np.full((2, 5), 0.5)],            # block whose fixed float cell is an int
+    CELLS[:3] + [np.array([7.0, 8.0])] + CELLS[4:],   # float array in an int column
+    CELLS[:3] + [[7, 7.0]] + CELLS[4:],               # list mixing int and float cells
+    CELLS[:6] + [np.full((2, 4), 0.5)],               # 2-D column a cell too narrow
+    CELLS[:6] + [np.full((2, 6), 0.5)],               # 2-D column a cell too wide
+    CELLS[:9] + [np.zeros(2), np.zeros(3)],           # columns of different lengths
+], ids=["float-as-int", "str-as-int", "int-as-float", "bool-as-str", "short", "long",
+        "fixed-int-as-float", "float-array-as-int", "mixed-list", "narrow-2d", "wide-2d",
+        "ragged"])
 def test_csv_row_that_does_not_fit_its_columns_raises(tmp_path, later):
     header = [f"c{k}" for k in range(len(CELLS))]
+    path = str(tmp_path / "bad.csv")
     with pytest.raises(ValueError):
-        _write_csv(str(tmp_path / "bad.csv"), header, [CELLS, CELLS, later])
+        _write_csv(path, header, [CELLS, CELLS, later])
+    assert list(tmp_path.iterdir()) == []
+    before = open(_write_csv(path, header, [CELLS]), "rb").read()
+    with pytest.raises(ValueError):
+        _write_csv(path, header, [CELLS, CELLS, later])
+    assert open(path, "rb").read() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.csv"]
 
 
 def test_csv_first_row_must_match_the_header(tmp_path):
