@@ -35,8 +35,8 @@ block-diagonal over them for all time: 1+4+6+4+1 at four qubits, 1+2+1
 at two.  The screen computes the spectrum of each state, values only,
 sector by sector: the `Trajectory` carries it, and the energy bookkeeping
 reads it from there.  Eigenvectors are computed only where they are read,
-by the branch tracker in `ergotropy.eigenvalue_crossings`, one chunk of
-states and one sector at a time.
+by the branch tracker in `ergotropy.eigenvalue_crossings`, SCREEN_CHUNK
+states and one sector at a time, and matched inside their sector.
 Both propagators return such a `Trajectory`: `propagate` one entry per
 grid time, `evolve_to` one entry per input state, all at the target time.
 """
@@ -54,7 +54,7 @@ from .linalg import expm, hermitian_eigvals_batch
 from .model import check_density_matrix
 
 GUARD_TOL = 1e-6  # runtime CPTP guard; test-level bounds are far tighter
-SCREEN_CHUNK = 256  # states whose screen temporaries (70 entries each at N=4) are held at once
+SCREEN_CHUNK = 256  # states whose screen or branch-tracker temporaries are held at once
 
 
 class InvariantViolation(RuntimeError):

@@ -11,12 +11,13 @@ of every stored state at once, as one `ErgotropyRecord` of arrays, and
 `ergotropy_difference` read the ergotropy of those records.  Only the
 branch tracker `eigenvalue_crossings` reads eigenvectors; it decomposes
 the states itself, one chunk at a time and, like the screen, one sector
-of the trajectory's support at a time (`dynamics.sector_layout`): a
-sector's eigenvectors vanish outside it.  Energies and energy-basis
-populations are read from the trajectory's compact storage by
-`Trajectory.expect`, and passive energies by one fixed-order sum per
-state, so every record of a state is the same bytes whichever other
-states share its trajectory; `ergotropy` is the one-state case.
+of the trajectory's support at a time (`dynamics.sector_layout`), and
+matches branches inside each sector: a sector's eigenvectors vanish
+outside it.  Energies and energy-basis populations are read from the
+trajectory's compact storage by `Trajectory.expect`, and passive
+energies by one fixed-order sum per state, so every record of a state is
+the same bytes whichever other states share its trajectory; `ergotropy`
+is the one-state case.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import Trajectory, sector_blocks, sector_layout
+from .dynamics import SCREEN_CHUNK, Trajectory, sector_blocks, sector_layout
 from .linalg import dagger, hermitian_eig, hermitian_eig_batch
 
 ERGOTROPY_CLIP = 1e-10        # admissible negative rounding before clipping to 0
@@ -138,9 +139,6 @@ def ergotropy_difference(traj_a: Trajectory, traj_b: Trajectory, h_matrix,
     return ErgotropyDifference(times=traj_a.times.copy(), delta=delta, crossings=crossings)
 
 
-CROSSING_CHUNK = 256  # grid steps whose (16x16 at N=4) overlaps are held at once
-
-
 def _greedy_match(overlaps) -> np.ndarray:
     """Map row branches to column branches of each (d, d) overlap in a stack.
 
@@ -159,25 +157,6 @@ def _greedy_match(overlaps) -> np.ndarray:
     return perms
 
 
-def _sector_eig(rows, layout, dim: int):
-    """Ascending eigenvalues and (D, D) eigenvector columns of states given by their stored entries.
-
-    Each sector's block is decomposed on its own; its eigenvectors fill
-    the sector's rows of the columns of its basis indices, so the (D, D)
-    matrix is block-diagonal, and a stable sort by eigenvalue orders the
-    columns.
-    """
-    vals = np.empty((len(rows), dim))
-    vecs = np.zeros((len(rows), dim * dim), dtype=complex)
-    for group in layout.groups:
-        block_vals, block_vecs = hermitian_eig_batch(sector_blocks(rows, group))
-        vals[:, group.basis] = block_vals.reshape(len(rows), -1)
-        vecs[:, group.entries] = block_vecs.reshape(len(rows), -1)
-    order = np.argsort(vals, axis=1, kind="stable")
-    return (np.take_along_axis(vals, order, axis=1),
-            np.take_along_axis(vecs.reshape(-1, dim, dim), order[:, None, :], axis=2))
-
-
 def eigenvalue_crossings(traj: Trajectory,
                          significance: float = CROSSING_SIGNIFICANCE) -> list[tuple[float, tuple[int, int]]]:
     """Times at which tracked eigenvalue branches of rho(t) swap order.
@@ -188,21 +167,41 @@ def eigenvalue_crossings(traj: Trajectory,
     `significance` on both sides of the swap, is reported with the linearly
     interpolated crossing time and the (sorted) position pair.  Raising
     `significance` selects only crossings among non-negligible populations.
-    The grid is matched CROSSING_CHUNK steps at a time, each state
-    decomposed sector by sector (`_sector_eig`); inside a level degenerate
-    across sectors, the eigenvectors are therefore the sectors' own, not an
-    arbitrary basis of the level.
+    The grid is tracked SCREEN_CHUNK steps at a time.  Each sector
+    (`dynamics.sector_layout`) is decomposed and greedily matched on its
+    own, and a stable sort of the spectrum places its branches among the
+    other sectors'; a level degenerate across sectors keeps the sectors'
+    own vectors, not an arbitrary basis of the level.  This is the greedy
+    matching of the full (D, D) overlaps, whose cross-sector entries are
+    exact zeros: each sector's overlaps are doubly stochastic, so the full
+    greedy pairs across sectors only in a round whose best remaining
+    overlap is exactly 0.0, and a sector's basis indices ascend, so the
+    stable sort keeps eigh's order and with it the row-major tie rule.
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
     times = traj.times
     layout = sector_layout(traj.dim, tuple(traj.support.tolist()))
     found: list[tuple[float, tuple[int, int]]] = []
-    for start in range(1, len(traj), CROSSING_CHUNK):
-        stop = min(start + CROSSING_CHUNK, len(traj))
+    for start in range(1, len(traj), SCREEN_CHUNK):
+        stop = min(start + SCREEN_CHUNK, len(traj))
         # the chunk's states and the one before it: step s of the chunk goes s -> s + 1
-        vals, vecs = _sector_eig(traj.values[start - 1:stop], layout, traj.dim)
-        perms = _greedy_match(np.abs(dagger(vecs[:-1]) @ vecs[1:]) ** 2)
+        rows = traj.values[start - 1:stop]
+        vals = np.empty((len(rows), traj.dim))
+        # moves[s, b]: the basis index that the branch at basis index b takes at step s + 1
+        moves = np.empty((len(rows) - 1, traj.dim), dtype=int)
+        for group in layout.groups:
+            block_vals, vecs = hermitian_eig_batch(sector_blocks(rows, group))
+            vals[:, group.basis] = block_vals.reshape(len(rows), -1)
+            basis = group.basis.reshape(-1, group.size)  # (k, m), block after block
+            # block b of step s is vecs[s * k + b], and vecs[(s + 1) * k + b] at step s + 1
+            local = _greedy_match(np.abs(dagger(vecs[:-len(basis)]) @ vecs[len(basis):]) ** 2)
+            moves[:, basis] = np.take_along_axis(
+                basis[None], local.reshape(len(rows) - 1, *basis.shape), axis=2)
+        order = np.argsort(vals, axis=1, kind="stable")  # sorted position -> basis index
+        rank = np.argsort(order, axis=1)  # basis index -> sorted position
+        perms = np.take_along_axis(rank[1:], np.take_along_axis(moves, order[:-1], axis=1), axis=1)
+        vals = np.take_along_axis(vals, order, axis=1)
         # swapped adjacent pairs (step, i): branch i now sits above branch i + 1
         step, i = np.nonzero(perms[:, :-1] > perms[:, 1:])
         gap_before = vals[step, i + 1] - vals[step, i]

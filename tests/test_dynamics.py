@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -685,16 +686,17 @@ def test_sector_spectra_agree_with_full_matrix_eigvalsh(case):
 
 
 @pytest.mark.parametrize("beta", [0.2, 5.0])
-@pytest.mark.parametrize("case", ["N2-parallel", "N2-collective", "N4-parallel", "N4-collective",
-                                  "N4-interpolated", "N4-dephasing", "N4-mixed"])
+@pytest.mark.parametrize("case", list(_ENGINE_CASES))
 def test_sector_tracker_finds_the_crossings_of_the_full_matrix_tracker(case, beta):
     n, channel = _ENGINE_CASES[case]
     liou, h = _liouvillian(n, 0.1, **channel)
     grid = TimeGrid(t_max=150.0, dt=0.1)
     traj = propagate(liou, gibbs_state(h, beta), grid)
+    crossings = eigenvalue_crossings(traj)
+    assert crossings == _whole_stack_crossings(traj.states, traj.times)
     # the Gibbs state's degenerate levels span sectors at N=4, where a full-matrix eigh
     # returns an arbitrary basis of each level: compare the steps after the first
-    found = {(step, pair): t for t, pair in eigenvalue_crossings(traj)
+    found = {(step, pair): t for t, pair in crossings
              if (step := int(np.searchsorted(traj.times, t))) > 1}
     k, i, t_cross, gaps = _tracked_crossings(traj.states, traj.times, hermitian_eig_batch)
     full = {(step, (pos, pos + 1)): (t, gap)
@@ -704,6 +706,55 @@ def test_sector_tracker_finds_the_crossings_of_the_full_matrix_tracker(case, bet
     assert all(abs(found[key] - t) <= 1e-12 + grid.dt * 1e-15 / gap
                for key, (t, gap) in full.items())
     assert found or "dephasing" in case
+
+
+def _rotating_in_clusters(rng, rotated):
+    """hermitian_eig_batch, each matrix's eigenvectors turned by a random unitary in every cluster.
+
+    A cluster is a run of eigenvalues whose neighbour gaps are at most
+    1e-11, where eigh's choice of basis is arbitrary; `rotated` counts
+    the clusters turned.
+    """
+    def eig(blocks):
+        vals, vecs = hermitian_eig_batch(blocks)
+        close = np.diff(vals, axis=1) <= 1e-11
+        for b in np.flatnonzero(close.any(axis=1)):
+            cluster = np.concatenate(([0], np.cumsum(~close[b])))
+            for c in np.unique(cluster):
+                cols = np.flatnonzero(cluster == c)
+                if cols.size > 1:
+                    z = rng.normal(size=(2, cols.size, cols.size))
+                    vecs[b][:, cols] = vecs[b][:, cols] @ np.linalg.qr(z[0] + 1j * z[1])[0]
+                    rotated[0] += 1
+        return vals, vecs
+    return eig
+
+
+@pytest.mark.parametrize("beta", [0.2, 5.0])
+@pytest.mark.parametrize("case", ["N4-parallel", "N4-collective", "N4-dephasing", "N4-mixed"])
+def test_crossings_do_not_depend_on_the_eigenvector_basis_inside_a_cluster(case, beta, monkeypatch):
+    n, channel = _ENGINE_CASES[case]
+    liou, h = _liouvillian(n, 0.1, **channel)
+    traj = propagate(liou, gibbs_state(h, beta), TimeGrid(t_max=150.0, dt=0.1))
+
+    def after_first_step(crossings):
+        return [(t, pair) for t, pair in crossings if np.searchsorted(traj.times, t) > 1]
+
+    found = eigenvalue_crossings(traj)
+    assert found
+    for seed in range(4):
+        rotated = [0]
+        # the package re-exports the function ergotropy under the module's name
+        monkeypatch.setattr(sys.modules["ergoquench.ergotropy"], "hermitian_eig_batch",
+                            _rotating_in_clusters(np.random.default_rng(seed), rotated))
+        turned = eigenvalue_crossings(traj)
+        assert rotated[0] > 0
+        if case == "N4-parallel":  # appD's channel
+            assert turned == found
+        else:
+            # the Gibbs state's exactly degenerate levels leave the first step's
+            # matching to eigh's basis under dephasing and mixed channels at beta = 5
+            assert after_first_step(turned) == after_first_step(found)
 
 
 def test_a_negative_eigenvalue_inside_the_six_state_sector_is_reported_at_its_step(h4):

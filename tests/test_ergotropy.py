@@ -6,8 +6,8 @@ import pytest
 
 from ergoquench import (ChannelSpec, ModelSpec, TimeGrid, build_hamiltonian,
                         build_liouvillian, gibbs_state, propagate)
-from ergoquench.ergotropy import (CROSSING_CHUNK, _greedy_match, activation_time,
-                                  eigenvalue_crossings,
+from ergoquench.dynamics import SCREEN_CHUNK
+from ergoquench.ergotropy import (_greedy_match, activation_time, eigenvalue_crossings,
                                   energy_basis_populations, ergotropy,
                                   ergotropy_difference, trajectory_records)
 from ergoquench.linalg import dagger, expm, hermitian_eig, hermitian_eigvals_batch
@@ -143,21 +143,22 @@ def _crossings_reference(traj, significance=1e-10):
     return found
 
 
-def test_batched_greedy_match_equals_per_step_loop():
+@pytest.mark.parametrize("d", [1, 2, 4, 6, 16])  # the sector sizes at N = 2 and 4, and D = 16
+def test_batched_greedy_match_equals_per_step_loop(d):
     rng = np.random.default_rng(7)
     # coarse values force exact ties, inside rows, columns and across both
-    overlaps = rng.integers(0, 4, size=(300, 16, 16)) / 4.0
-    overlaps[:50] = rng.random((50, 16, 16))
+    overlaps = rng.integers(0, 4, size=(300, d, d)) / 4.0
+    overlaps[:50] = rng.random((50, d, d))
     overlaps[50:60] = 0.5
     perms = _greedy_match(overlaps)
     for overlap, perm in zip(overlaps, perms):
         assert np.array_equal(perm, _greedy_match_reference(overlap))
-        assert sorted(perm) == list(range(16))
+        assert sorted(perm) == list(range(d))
 
 
 def test_eigenvalue_crossings_equal_per_step_tracking():
     # appD's channel and step, long enough to span several chunks
-    grid = TimeGrid(t_max=0.1 * (2 * CROSSING_CHUNK + 17), dt=0.1)
+    grid = TimeGrid(t_max=0.1 * (2 * SCREEN_CHUNK + 17), dt=0.1)
     for beta in (0.2, 5.0):
         traj, _ = _traj(4, beta, grid, gamma=0.05)
         for significance in (1e-10, 1e-3):
@@ -173,7 +174,7 @@ def test_eigenvalue_crossings_do_not_depend_on_the_chunk(monkeypatch, chunk):
     whole = eigenvalue_crossings(traj)
     assert whole
     # the package re-exports the function ergotropy under the module's name
-    monkeypatch.setattr(importlib.import_module("ergoquench.ergotropy"), "CROSSING_CHUNK", chunk)
+    monkeypatch.setattr(importlib.import_module("ergoquench.ergotropy"), "SCREEN_CHUNK", chunk)
     assert eigenvalue_crossings(traj) == whole
 
 
