@@ -32,11 +32,19 @@ connected components of its (D, D) pattern, which no stored state
 couples.  H conserves excitation number and the sigma^- and sigma^z jumps
 move a state only between excitation sectors, so a Gibbs quench stays
 block-diagonal over them for all time: 1+4+6+4+1 at four qubits, 1+2+1
-at two.  The screen computes the spectrum of each state, values only,
-sector by sector: the `Trajectory` carries it, and the energy bookkeeping
-reads it from there.  Eigenvectors are computed only where they are read,
-by the branch tracker in `ergotropy.eigenvalue_crossings`, SCREEN_CHUNK
-states and one sector at a time, and matched inside their sector.
+at two.  The chain's mirror (site i <-> N+1-i) is a weak symmetry of every
+channel the paper uses, and rho(t) commutes with it to rounding, so the
+screen reads each sector on its mirror-parity blocks: 1,2,2,4,2,2,2,1 at
+four qubits, 1,1,1,1 at two.  A 1x1 block is its diagonal entry and a 2x2
+block has a closed form, so the only eigensolver call left is one batch
+of 4x4 blocks per chunk at four qubits.  A state whose even-odd entries
+exceed OFF_PARITY_TOL, or any state at a support the mirror does not map
+onto itself, is read sector by sector instead (`_sector_spectra`).  The
+screen keeps the values only: the `Trajectory` carries them, and the
+energy bookkeeping reads them from there.  Eigenvectors are computed only
+where they are read, by the branch tracker in
+`ergotropy.eigenvalue_crossings`, SCREEN_CHUNK states and one excitation
+sector at a time, and matched inside their sector.
 Both propagators return such a `Trajectory`: `propagate` one entry per
 grid time, `evolve_to` one entry per input state, all at the target time.
 """
@@ -55,6 +63,12 @@ from .model import check_density_matrix
 
 GUARD_TOL = 1e-6  # runtime CPTP guard; test-level bounds are far tighter
 SCREEN_CHUNK = 256  # states whose screen or branch-tracker temporaries are held at once
+# A state is read on its parity blocks only if the Frobenius norm of its
+# even-odd entries X is at most this.  Dropping them is a Hermitian
+# perturbation of spectral norm ||X||_2 <= ||X||_F, so by Weyl's inequality
+# no eigenvalue moves by more than the bound the sector spectra are held to
+# against full-matrix eigvalsh.
+OFF_PARITY_TOL = 1e-14
 
 
 class InvariantViolation(RuntimeError):
@@ -164,6 +178,26 @@ class SectorGroup(NamedTuple):
     basis: np.ndarray    # (k*m,) the blocks' basis indices, block after block
 
 
+class ParityLayout(NamedTuple):
+    """The mirror-parity blocks of the states at one support; see `_parity_layout`.
+
+    Each of the E parity-basis entries is the sum, in order, of its four
+    terms sign * (stored entry), times its weight; term 0's sign is +1 and
+    a term of sign 0 is padding.  The entries lie in this order: the
+    even-odd ones (one triangle), the 1x1 blocks, the a = (0, 0), d = (1, 1)
+    and c = (1, 0) entries of the 2x2 blocks, then each larger size's
+    blocks, row-major, block after block.
+    """
+
+    sources: np.ndarray  # (4, E) stored column of each entry's terms
+    signs: np.ndarray    # (4, E) +1, -1 or 0, as complex numbers
+    weights: np.ndarray  # (E,) 1, 1/sqrt(2) or 1/2, as complex numbers
+    off: slice           # the even-odd entries
+    ones: slice          # the 1x1 blocks
+    twos: tuple          # slices of the 2x2 blocks' a, d and c
+    groups: tuple        # (m, slice) of the m x m blocks of each m >= 3, ascending
+
+
 class SectorLayout(NamedTuple):
     """How the states stored at one support decompose into sectors; see `sector_layout`."""
 
@@ -172,6 +206,7 @@ class SectorLayout(NamedTuple):
     transpose: np.ndarray  # (S,) input column of each stored entry's transpose
     diagonal: np.ndarray   # stored columns of the diagonal entries, ascending
     groups: tuple          # one SectorGroup per sector size, ascending
+    parity: ParityLayout | None  # the sectors' parity blocks; None if the mirror does not act
 
 
 @lru_cache(maxsize=64)
@@ -182,7 +217,8 @@ def sector_layout(dim: int, support: tuple) -> SectorLayout:
     pattern: no state held there couples two of them, so each state is
     block-diagonal over them, 1+4+6+4+1 at four qubits under the paper's
     channels and one sector for a dense support.  support must be closed
-    under transposition.  Computed once per (dim, support), read-only.
+    under transposition.  Computed once per (dim, support), with the
+    sectors' parity blocks (`_parity_layout`), read-only.
     """
     support = np.array(support, dtype=int)
     order = np.argsort(support)
@@ -201,10 +237,63 @@ def sector_layout(dim: int, support: tuple) -> SectorLayout:
         present = np.flatnonzero(position[entries] >= 0)
         groups.append(SectorGroup(size, entries, present, position[entries[present]],
                                   np.concatenate(same)))
-    layout = SectorLayout(stored, order, transpose, diagonal[diagonal >= 0], tuple(groups))
-    for array in (*layout[:4], *(a for g in groups for a in g[1:])):
+    parity = _parity_layout(dim, sectors, position)
+    layout = SectorLayout(stored, order, transpose, diagonal[diagonal >= 0], tuple(groups), parity)
+    for array in (*layout[:4], *(a for g in groups for a in g[1:]), *(parity or ())[:3]):
         array.setflags(write=False)
     return layout
+
+
+def _parity_layout(dim: int, sectors, position) -> ParityLayout | None:
+    """The excitation x mirror-parity blocks of sectors held whole, or None where there are none.
+
+    The chain's mirror reverses the bits of a basis index.  Where it maps
+    a sector onto itself, the sector's parity basis holds |b> for each
+    fixed point b and (|b> +- |m(b)>)/sqrt(2) for each pair b < m(b),
+    ordered by b, even vectors and odd vectors apart; each entry of a
+    state in that basis combines at most four of its stored entries.  None
+    if dim is not a power of two >= 4, or if the mirror does not map some
+    sector onto itself or the support does not hold some sector's block
+    whole.  position maps a row-major (D, D) index to its stored column.
+    """
+    bits = dim.bit_length() - 1
+    if dim < 4 or dim != 1 << bits:
+        return None
+    mirror = np.array([int(f"{i:0{bits}b}"[::-1], 2) for i in range(dim)])
+    off, blocks = [], {}
+    for b in sectors:
+        if (set(mirror[b].tolist()) != set(b.tolist())
+                or np.any(position[(b[:, None] * dim + b).ravel()] < 0)):
+            return None
+        heads = [int(i) for i in b if i <= mirror[i]]
+        even = [((i, int(mirror[i])), (1, 1)) if i < mirror[i] else ((i,), (1,)) for i in heads]
+        odd = [((i, int(mirror[i])), (1, -1)) for i in heads if i < mirror[i]]
+        off += [(u, v) for u in even for v in odd]
+        for block in (even, odd):
+            if block:
+                blocks.setdefault(len(block), []).append(block)
+    pairs = []  # (row vector, column vector) of each entry, in storage order
+
+    def span(new):
+        pairs.extend(new)
+        return slice(len(pairs) - len(new), len(pairs))
+
+    off_entries = span(off)
+    ones = span([(u, u) for (u,) in blocks.pop(1, ())])
+    twos = blocks.pop(2, ())
+    two_entries = tuple(span([(block[r], block[c]) for block in twos])
+                        for r, c in ((0, 0), (1, 1), (1, 0)))
+    larger = tuple((size, span([(u, v) for block in blocks[size] for u in block for v in block]))
+                   for size in sorted(blocks))
+    sources = np.zeros((4, len(pairs)), dtype=int)
+    signs = np.zeros((4, len(pairs)), dtype=complex)  # complex: no cast buffers in the products
+    for e, ((rows, row_signs), (cols, col_signs)) in enumerate(pairs):
+        terms = [(position[i * dim + j], si * sj)
+                 for i, si in zip(rows, row_signs) for j, sj in zip(cols, col_signs)]
+        terms += [(terms[0][0], 0)] * (4 - len(terms))
+        sources[:, e], signs[:, e] = zip(*terms)
+    weights = np.array([np.sqrt(1 / (len(u[0]) * len(v[0]))) for u, v in pairs], dtype=complex)
+    return ParityLayout(sources, signs, weights, off_entries, ones, two_entries, larger)
 
 
 def sector_blocks(rows, group: SectorGroup) -> np.ndarray:
@@ -214,15 +303,97 @@ def sector_blocks(rows, group: SectorGroup) -> np.ndarray:
     return blocks.reshape(-1, group.size, group.size)
 
 
+def _sector_spectra(rows, layout: SectorLayout, out) -> None:
+    """Write the spectra, unsorted, of C states given by their stored entries into the (C, D) out.
+
+    One values-only batch per sector size.
+    """
+    for group in layout.groups:
+        out[:, group.basis] = hermitian_eigvals_batch(
+            sector_blocks(rows, group)).reshape(len(rows), -1)
+
+
+def _parity_entries(rows, parity: ParityLayout, out) -> None:
+    """Write the (C, E) parity-basis entries of C states, given by their (C, S) stored entries.
+
+    Both arrays are read by entry, one contiguous (C,) column each, as the
+    screen's column gathers lay them out (Fortran order); mode="clip" lets
+    `take` write into its output directly, every source being in range.
+    """
+    stored, by_entry = rows.T, out.T
+    term = np.empty_like(by_entry)
+    np.take(stored, parity.sources[0], axis=0, out=by_entry, mode="clip")
+    for sources, signs in zip(parity.sources[1:], parity.signs[1:]):
+        np.take(stored, sources, axis=0, out=term, mode="clip")
+        term *= signs[:, None]
+        by_entry += term
+    by_entry *= parity.weights[:, None]
+
+
+def _hermitian_2x2_eigvals(a, d, c):
+    """Ascending eigenvalues of [[a, conj(c)], [c, d]], a and d real.
+
+    They are mid -+ hypot((a - d)/2, |c|) with mid = (a + d)/2.
+    """
+    mid = (a + d) * 0.5
+    radius = np.hypot((a - d) * 0.5, np.abs(c))
+    return mid - radius, mid + radius
+
+
+def _parity_spectra(entries, parity: ParityLayout, out) -> None:
+    """Write the spectra, unsorted, of C states given by their parity-basis entries into out.
+
+    The 1x1 blocks are their diagonal entries, the 2x2 blocks are read in
+    closed form and each larger size is one `hermitian_eigvals_batch`.
+    """
+    a, d, c = (entries[:, span] for span in parity.twos)
+    parts = [entries[:, parity.ones].real, *_hermitian_2x2_eigvals(a.real, d.real, c)]
+    parts += [hermitian_eigvals_batch(entries[:, span].reshape(-1, size, size))
+              .reshape(len(entries), -1) for size, span in parity.groups]
+    column = 0
+    for part in parts:
+        out[:, column:column + part.shape[1]] = part
+        column += part.shape[1]
+
+
+def _chunk_spectra(sym, spare, layout: SectorLayout, out) -> None:
+    """Write the spectra, unsorted, of C symmetrized states, given by their stored entries.
+
+    A state is read on its parity blocks if its even-odd entries have a
+    Frobenius norm of at most OFF_PARITY_TOL, and sector by sector
+    otherwise, so that its bytes do not depend on the other states.
+    spare is a contiguous (C, S) complex buffer free for the parity-basis
+    entries, which fill its first C*E elements, entry by entry (E <= S: a
+    sector held whole stores more entries than its parity blocks read).
+    """
+    parity = layout.parity
+    if parity is None:
+        _sector_spectra(sym, layout, out)
+        return
+    size = parity.weights.size * len(spare)
+    entries = np.ravel(spare, order="K")[:size].reshape(-1, len(spare)).T
+    _parity_entries(sym, parity, entries)
+    held = np.linalg.norm(entries[:, parity.off], axis=1) <= OFF_PARITY_TOL
+    if held.any():
+        _parity_spectra(entries, parity, out)
+    if not held.all():  # overwrite the others' rows
+        rest = ~held
+        part = np.empty((np.count_nonzero(rest), out.shape[1]))
+        _sector_spectra(sym[rest], layout, part)
+        out[rest] = part
+
+
 def _screen(times, values, support, dim: int) -> Trajectory:
     """Symmetrize the (T, S) raw entries in place, enforce the CPTP guard and keep the spectra.
 
     The states are screened SCREEN_CHUNK at a time, at their support:
     each check reads the chunk's (C, S) entries and the transposes the
-    layout maps them to, and the spectrum is taken sector by sector
-    (`sector_layout`), one values-only batch per sector size, and merged
-    by a row sort.  No (D, D) matrix is formed.  support must be closed
-    under transposition, so that symmetrizing leaves nothing outside it.
+    layout maps them to.  The spectra are taken on the sectors' parity
+    blocks (`_chunk_spectra`), formed in the buffer of the raw entries
+    once the symmetrized ones hold them, or sector by sector, one
+    values-only batch per sector size; each state's are merged by a row
+    sort.  No (D, D) matrix is formed.  support must be closed under
+    transposition, so that symmetrizing leaves nothing outside it.
     The deviations of every state are checked after the last chunk, so the
     first bad step is reported whichever chunk it lies in.  Each chunk's
     symmetrized entries are written back over `values` in ascending
@@ -242,9 +413,7 @@ def _screen(times, values, support, dim: int) -> Trajectory:
         sym *= 0.5
         trace_dev[a:a + SCREEN_CHUNK] = np.abs(sym[:, layout.diagonal].sum(axis=1) - 1.0)
         chunk = vals[a:a + SCREEN_CHUNK]
-        for group in layout.groups:
-            chunk[:, group.basis] = hermitian_eigvals_batch(
-                sector_blocks(sym, group)).reshape(len(rows), -1)
+        _chunk_spectra(sym, raw, layout, chunk)  # raw's buffer is free now
         chunk.sort(axis=1)
         rows[...] = sym
     neg = -vals[:, 0]

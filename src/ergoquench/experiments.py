@@ -426,18 +426,18 @@ def _run_appc(config: ExperimentConfig, out_dir: str):
     h_matrix, liou_par = _quench(hamiltonians, 2, config.h, config.gamma, (0.0, 0.0, 0.0))
     _, liou_col = _quench(hamiltonians, 2, config.h, config.gamma, (0.0, 1.0, 0.0))
     _, liou_dep = _quench(hamiltonians, 2, config.h, config.gamma, (1.0, 0.0, 0.0))
+    rho0s = [gibbs_state(h_matrix, beta) for beta in betas]
+    pars = [propagate(liou_par, rho0, grid) for rho0 in rho0s]
+    inits = [TwoQubitBlockState.from_density(traj.states[0]) for traj in pars]
+    # each oracle builds its exp(G t) stack once for all betas
+    solutions = zip(two_qubit_parallel_block(inits, config.gamma, grid.times()),
+                    dephasing_two_qubit_block(inits, config.gamma, grid.times()))
     rows = []
-    for beta in betas:
-        rho0 = gibbs_state(h_matrix, beta)
-        traj_par = propagate(liou_par, rho0, grid)
+    for beta, rho0, traj_par, init, (par, dep) in zip(betas, rho0s, pars, inits, solutions):
         traj_col = propagate(liou_col, rho0, grid)
         traj_dep = propagate(liou_dep, rho0, grid)
-        par_states = traj_par.states
-        init = TwoQubitBlockState.from_density(par_states[0])
-        dev_par = np.abs(two_qubit_parallel_block(init, config.gamma, traj_par.times).to_density()
-                         - par_states).max()
-        dev_dep = np.abs(dephasing_two_qubit_block(init, config.gamma, traj_dep.times).to_density()
-                         - traj_dep.states).max()
+        dev_par = np.abs(par.to_density() - traj_par.states).max()
+        dev_dep = np.abs(dep.to_density() - traj_dep.states).max()
         s_val, c_val = two_qubit_collective_sc(init, config.gamma, traj_col.times)
         states = traj_col.states
         dev_sc = max(np.abs(s_val - (states[:, 1, 1].real + states[:, 2, 2].real)).max(),

@@ -173,22 +173,36 @@ def _times(t) -> np.ndarray:
     return times
 
 
-def _evolve_block(generator, init: TwoQubitBlockState, t) -> TwoQubitBlockState:
+def _evolve_block(generator, init, t):
+    """exp(G t) y(0) of one initial state, or a list of them for a sequence of initial states.
+
+    The (T, 6, 6) stack exp(G t) is built once per call, so each state of
+    a sequence gets the same bytes as from a call of its own.
+    """
     times = _times(t)
-    y = _expm_taylor(generator * times.reshape(-1, 1, 1)) @ init._vector()
-    return TwoQubitBlockState._from_vector(y.reshape(times.shape + (6,)))
+    stack = _expm_taylor(generator * times.reshape(-1, 1, 1))
+
+    def solution(state: TwoQubitBlockState) -> TwoQubitBlockState:
+        y = stack @ state._vector()
+        return TwoQubitBlockState._from_vector(y.reshape(times.shape + (6,)))
+
+    if isinstance(init, TwoQubitBlockState):
+        return solution(init)
+    return [solution(state) for state in init]
 
 
-def two_qubit_parallel_block(init: TwoQubitBlockState, gamma: float, t) -> TwoQubitBlockState:
+def two_qubit_parallel_block(init, gamma: float, t):
     """Exact sector solution for two parallel dissipative channels.
 
     t is a time or a 1-D array of times (then every field is a (T,) array);
-    the same holds for the other sector solutions below.
+    the same holds for the other sector solutions below.  init is one
+    TwoQubitBlockState, or a sequence of them for a list of solutions that
+    share one exp(G t) stack, here and in `dephasing_two_qubit_block`.
     """
     return _evolve_block(_parallel_generator(gamma), init, t)
 
 
-def dephasing_two_qubit_block(init: TwoQubitBlockState, gamma: float, t) -> TwoQubitBlockState:
+def dephasing_two_qubit_block(init, gamma: float, t):
     """Exact sector solution for two parallel dephasing channels.
 
     Populations are frozen; the two-site coherence mixes with the

@@ -12,6 +12,10 @@
   stack block by block over the connected components of its nonzero
   pattern, found by a breadth-first search, against the screen and the
   branch tracker, which find them from the support.
+- `mirror`, `parity_bases`, `parity_blocks` and `parity_eigvalsh`: the
+  chain's mirror as an explicit permutation of site occupations, each
+  sector's parity basis read off the projectors (1 +- M)/2, and the
+  spectra on those blocks, against the screen's parity layout.
 - `row_lines`: CSV lines formatted one row at a time with the template
   that the first row's cell types fix, against the writer's blocks of
   rows with their fixed cells formatted once per block.
@@ -67,6 +71,107 @@ def sector_eigh(states):
     order = np.argsort(vals, axis=1, kind="stable")
     return (np.take_along_axis(vals, order, axis=1),
             np.take_along_axis(vecs, order[:, None, :], axis=2))
+
+
+def mirror(dim: int) -> np.ndarray:
+    """The (D, D) permutation matrix of the chain's mirror: site i's occupation moves to N+1-i."""
+    n = round(np.log2(dim))
+    m = np.zeros((dim, dim))
+    for i in range(dim):
+        sites = np.unravel_index(i, (2,) * n)
+        m[np.ravel_multi_index(sites[::-1], (2,) * n), i] = 1.0
+    return m
+
+
+def parity_bases(states):
+    """(even, odd) (D, k) orthonormal columns of each sector of a (T, D, D) stack, or None.
+
+    Column i of the projector (1 + s M)/2 restricted to a sector is kept,
+    normalized, where i is its first nonzero row: the fixed points and the
+    pairs (i, m(i)) with i < m(i), ascending.  None if D is not a power of
+    two >= 4, or if some sector is not mapped onto itself or is not wholly
+    nonzero in the stack.
+    """
+    dim = np.shape(states)[-1]
+    if dim < 4 or dim & (dim - 1):
+        return None
+    m, pattern = mirror(dim), np.any(np.asarray(states) != 0, axis=0)
+    bases = []
+    for b in sectors(states):
+        inside = np.zeros(dim, dtype=bool)
+        inside[b] = True
+        if np.any(m[~inside][:, b]) or not pattern[np.ix_(b, b)].all():
+            return None
+        pair = []
+        for sign in (1.0, -1.0):
+            projector = (np.eye(dim) + sign * m) / 2
+            kept = [projector[:, i] / np.linalg.norm(projector[:, i]) for i in b
+                    if np.any(projector[:, i]) and np.flatnonzero(projector[:, i])[0] == i]
+            pair.append(np.array(kept).T.reshape(dim, len(kept)))
+        bases.append(tuple(pair))
+    return bases
+
+
+def parity_blocks(states):
+    """The even and odd blocks U^T rho U of each sector of a (T, D, D) stack, with their couplings.
+
+    Returns a list of (even (T, k, k), odd (T, l, l), even-odd (T, k, l))
+    per sector, by matrix products, or None where `parity_bases` is None.
+    """
+    bases = parity_bases(states)
+    if bases is None:
+        return None
+    return [(even.T @ states @ even, odd.T @ states @ odd, even.T @ states @ odd)
+            for even, odd in bases]
+
+
+def _entry(states, u, v):
+    """<u|rho|v> of each state, with the screen's arithmetic.
+
+    The terms sign * rho_ij run over the nonzero entries of u and v in
+    row-major order and add left to right; the sum is then scaled by
+    sqrt(1 / (nonzeros of u * nonzeros of v)).
+    """
+    rows, cols = np.flatnonzero(u), np.flatnonzero(v)
+    terms = [(i, j, np.sign(u[i]) * np.sign(v[j])) for i in rows for j in cols]
+    total = states[:, terms[0][0], terms[0][1]].copy()
+    for i, j, sign in terms[1:]:
+        total = total + sign * states[:, i, j]
+    return total * np.sqrt(1 / (len(rows) * len(cols)))
+
+
+def parity_eigvalsh(states) -> np.ndarray:
+    """Ascending spectra of a (T, D, D) Hermitian stack, each state on its parity blocks if it can.
+
+    A state whose even-odd entries have a Frobenius norm above 1e-14, or
+    a stack without parity bases, gets `sector_eigvalsh`.  A 1x1 block is
+    its real entry, a 2x2 block [[a, conj(c)], [c, d]] has the eigenvalues
+    mid -+ hypot((a - d)/2, |c|) with mid = (a + d)/2, and a larger block
+    goes to eigvalsh; every block entry comes from `_entry`.
+    """
+    states = np.asarray(states)
+    vals = sector_eigvalsh(states)
+    bases = parity_bases(states)
+    if bases is None:
+        return vals
+    parts, off = [], np.zeros(len(states))
+    for even, odd in bases:
+        off += sum(np.abs(_entry(states, u, v)) ** 2 for u in even.T for v in odd.T)
+        for basis in (even, odd):
+            k = basis.shape[1]
+            block = np.array([[_entry(states, u, v) for v in basis.T] for u in basis.T])
+            block = np.moveaxis(block, -1, 0).reshape(len(states), k, k)
+            if k == 1:
+                parts.append(block[:, 0, :].real)
+            elif k == 2:
+                a, d, c = block[:, 0, 0].real, block[:, 1, 1].real, block[:, 1, 0]
+                mid, radius = (a + d) * 0.5, np.hypot((a - d) * 0.5, np.abs(c))
+                parts.append(np.stack([mid - radius, mid + radius], axis=1))
+            elif k:
+                parts.append(np.linalg.eigvalsh(block))
+    held = np.sqrt(off) <= 1e-14
+    vals[held] = np.sort(np.concatenate(parts, axis=1), axis=1)[held]
+    return vals
 
 
 def propagate_rk4(liou, rho0, grid, substeps: int = 20) -> Trajectory:

@@ -8,7 +8,9 @@ from ergoquench import (ChannelSpec, InvariantViolation, ModelSpec, TimeGrid,
                         build_hamiltonian, build_liouvillian, evolve_to, gibbs_state,
                         propagate)
 from ergoquench.channels import Liouvillian, lindblad_matrix, vec
-from ergoquench.dynamics import (GUARD_TOL, SCREEN_CHUNK, Trajectory, _powers, _screen,
+from ergoquench import dynamics
+from ergoquench.dynamics import (GUARD_TOL, OFF_PARITY_TOL, SCREEN_CHUNK, Trajectory,
+                                 _hermitian_2x2_eigvals, _parity_entries, _powers, _screen,
                                  sector_layout)
 from ergoquench.ergotropy import (CROSSING_SIGNIFICANCE, LEVEL_TOL, _greedy_match,
                                   eigenvalue_crossings, energy_basis_populations,
@@ -20,7 +22,8 @@ from ergoquench.model import site_operator
 from ergoquench.oracles import dark_population_series, dark_subspace
 
 from conftest import random_density
-from reference import propagate_rk4, sector_eigh, sector_eigvalsh, unvec
+from reference import (parity_bases, parity_blocks, parity_eigvalsh, propagate_rk4,
+                       sector_eigh, sector_eigvalsh, unvec)
 
 
 def _liouvillian(n, h_field, **channel):
@@ -378,15 +381,16 @@ def test_doubling_screen_names_the_first_bad_step_of_sequential_steps(h4):
 def _whole_stack_screen(raw):
     """The screen in one pass over the whole stack: states, spectra, first violation or None.
 
-    The spectra are the per-sector ones the package's screen computes, here
-    taken of the full symmetrized matrices by an independent sector search.
+    The spectra are the parity-block or per-sector ones the package's
+    screen computes, here taken of the full symmetrized matrices by an
+    independent sector search and parity basis.
     """
     states = dagger(raw)
     herm = np.abs(raw - states).max(axis=(1, 2))
     states += raw
     states *= 0.5
     trace_dev = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
-    vals = sector_eigvalsh(states)
+    vals = parity_eigvalsh(states)
     for name, dev in (("Hermiticity", herm), ("trace", trace_dev), ("positivity", -vals[:, 0])):
         bad = np.nonzero(dev > GUARD_TOL)[0]
         if bad.size:
@@ -775,6 +779,165 @@ def test_a_negative_eigenvalue_inside_the_six_state_sector_is_reported_at_its_st
     values = raw.reshape(len(raw), -1)[:, traj.support]
     with pytest.raises(InvariantViolation, match=rf"positivity defect .* at step {first} "):
         _screen(traj.times, values, traj.support, traj.dim)
+
+
+def _package_parity_blocks(traj):
+    """The parity blocks the screen reads, by size, and the even-odd entries, of a Trajectory."""
+    parity = sector_layout(traj.dim, tuple(traj.support.tolist())).parity
+    entries = np.empty((len(traj), parity.weights.size), dtype=complex)
+    _parity_entries(traj.values, parity, entries)
+    blocks = {1: list(entries[:, parity.ones].T[:, :, None, None])}
+    a, d, c = (entries[:, span].T for span in parity.twos)
+    blocks[2] = [np.stack([np.stack([x, np.conj(z)], -1), np.stack([z, y], -1)], -2)
+                 for x, y, z in zip(a, d, c)]
+    for size, span in parity.groups:
+        blocks[size] = list(np.moveaxis(entries[:, span].reshape(len(traj), -1, size, size), 1, 0))
+    return {size: parts for size, parts in blocks.items() if parts}, entries[:, parity.off]
+
+
+@pytest.mark.parametrize("case", list(_ENGINE_CASES))
+def test_parity_blocks_equal_those_of_the_explicit_mirror_and_its_projectors(case):
+    n, channel = _ENGINE_CASES[case]
+    liou, h = _liouvillian(n, 0.1, **channel)
+    traj = propagate(liou, gibbs_state(h, 0.5), TimeGrid(t_max=30.0, dt=0.5))
+    blocks, off = _package_parity_blocks(traj)
+    reference = parity_blocks(traj.states)
+    parts = [part for even, odd, _ in reference for part in (even, odd) if part.shape[-1]]
+    assert [part.shape[-1] for part in parts] == ([1, 2, 2, 4, 2, 2, 2, 1] if n == 4 else [1] * 4)
+    by_size = {}
+    for part in parts:
+        by_size.setdefault(part.shape[-1], []).append(part)
+    assert sorted(blocks) == sorted(by_size)
+    for size, parts in by_size.items():
+        assert len(blocks[size]) == len(parts)
+        for mine, theirs in zip(blocks[size], parts):
+            assert np.abs(mine - theirs).max() <= 1e-15
+    couplings = np.concatenate([c.reshape(len(traj), -1) for _, _, c in reference], axis=1)
+    assert np.abs(off - couplings).max() <= 1e-15
+    assert np.linalg.norm(off, axis=1).max() <= 1e-15  # rho(t) commutes with the mirror
+
+
+def _counting_eigvals(monkeypatch):
+    """Record the shape of every batch the screen gives to `hermitian_eigvals_batch`."""
+    shapes = []
+
+    def counted(blocks):
+        shapes.append(blocks.shape)
+        return hermitian_eigvals_batch(blocks)
+
+    monkeypatch.setattr(dynamics, "hermitian_eigvals_batch", counted)
+    return shapes
+
+
+@pytest.mark.parametrize("case", list(_ENGINE_CASES))
+def test_the_screen_calls_the_eigensolver_once_per_four_qubit_chunk_only(case, monkeypatch):
+    n, channel = _ENGINE_CASES[case]
+    liou, h = _liouvillian(n, 0.1, **channel)
+    grid = TimeGrid(t_max=300.0, dt=0.5)  # 601 states: three chunks
+    shapes = _counting_eigvals(monkeypatch)
+    traj = propagate(liou, gibbs_state(h, 0.2), grid)
+    expected = [(SCREEN_CHUNK, 4, 4), (SCREEN_CHUNK, 4, 4), (601 - 2 * SCREEN_CHUNK, 4, 4)]
+    assert shapes == (expected if n == 4 else [])
+    assert np.array_equal(traj.spectra, parity_eigvalsh(traj.states))
+
+
+def _mirror_broken(states, size):
+    """states with (1, 2) and (2, 1) raised by size: entries off the parity blocks of a sector."""
+    broken = states.copy()
+    broken[:, 1, 2] += size
+    broken[:, 2, 1] += size
+    return broken
+
+
+def test_a_mirror_symmetric_state_reads_the_same_bytes_alone_and_beside_broken_ones(h4):
+    liou, _ = _liouvillian(4, 0.1, gamma=0.05)
+    traj = propagate(liou, gibbs_state(h4, 0.5), TimeGrid(t_max=150.0, dt=0.5))
+    states = traj.states
+    stack = np.empty((2 * len(states), 16, 16), dtype=complex)
+    stack[0::2], stack[1::2] = states, _mirror_broken(states, 1e-6)
+    mixed = Trajectory.screened(np.repeat(traj.times, 2), stack)
+    assert mixed.support.size == 70
+    for k in range(0, len(states), 37):
+        alone = Trajectory.screened(traj.times[k:k + 1], states[k:k + 1])
+        assert sector_layout(16, tuple(alone.support.tolist())).parity is not None
+        assert np.array_equal(alone.spectra[0], mixed.spectra[2 * k])
+        assert np.array_equal(alone.spectra[0], traj.spectra[k])
+    assert np.array_equal(mixed.spectra[1::2], sector_eigvalsh(mixed.states[1::2]))
+
+
+@pytest.mark.parametrize("size", [2e-14, 1e-9, 1e-6])
+def test_a_state_with_off_parity_entries_above_the_bound_reads_its_sector_spectrum(h4, size):
+    liou, _ = _liouvillian(4, 0.1, gamma=0.05)
+    traj = propagate(liou, gibbs_state(h4, 0.5), TimeGrid(t_max=150.0, dt=0.5))
+    states, k = traj.states, 123
+    states[k] = _mirror_broken(states[k:k + 1], size)[0]
+    screened = Trajectory.screened(traj.times, states)
+    *_, coupling = zip(*parity_blocks(screened.states[k:k + 1]))
+    assert np.sqrt(sum(np.linalg.norm(c) ** 2 for c in coupling)) > OFF_PARITY_TOL
+    assert np.array_equal(screened.spectra[k], sector_eigvalsh(screened.states)[k])
+    others = np.arange(len(traj)) != k
+    assert np.array_equal(screened.spectra[others], traj.spectra[others])
+
+
+def _plant_negative_eigenvalue(state, basis):
+    """Turn the lowest eigenvalue of state's block on the orthonormal columns of basis into -1e-5.
+
+    The highest takes up the difference, so the trace stays 1.
+    """
+    block = basis.T @ state @ basis
+    vals, vecs = hermitian_eig(block)
+    planted = vals.copy()
+    planted[-1] += vals[0] + 1e-5
+    planted[0] = -1e-5
+    state += basis @ ((vecs * (planted - vals)) @ dagger(vecs)) @ basis.T
+
+
+@pytest.mark.parametrize("sector,parity,size", [(2, 0, 4), (1, 1, 2), (3, 1, 2), (2, 1, 2)])
+def test_a_negative_eigenvalue_inside_a_parity_block_is_reported_at_its_step(
+        h4, sector, parity, size, monkeypatch):
+    liou, _ = _liouvillian(4, 0.1, gamma=0.05)
+    traj = propagate(liou, gibbs_state(h4, 0.5), TimeGrid(t_max=300.0, dt=0.5))
+    basis = parity_bases(traj.states)[sector][parity]
+    assert basis.shape[1] == size
+    raw, first = traj.states, SCREEN_CHUNK + 44
+    for k in (first, first + 100):  # both in the second chunk, the first one reported
+        _plant_negative_eigenvalue(raw[k], basis)
+    assert np.linalg.eigvalsh(raw[first])[0] < -0.9e-5
+    *_, coupling = zip(*parity_blocks(raw[first:first + 1]))
+    assert np.sqrt(sum(np.linalg.norm(c) ** 2 for c in coupling)) <= 1e-15  # read on parity blocks
+    _, _, violation = _whole_stack_screen(raw)
+    assert violation == ("positivity", first)
+    shapes = _counting_eigvals(monkeypatch)
+    with pytest.raises(InvariantViolation, match=rf"positivity defect .* at step {first} "):
+        Trajectory.screened(traj.times, raw)
+    values = raw.reshape(len(raw), -1)[:, traj.support]
+    with pytest.raises(InvariantViolation, match=rf"positivity defect .* at step {first} "):
+        _screen(traj.times, values, traj.support, traj.dim)
+    assert {shape[1:] for shape in shapes} == {(4, 4)}  # no state fell back to its sectors
+
+
+@pytest.mark.parametrize("kind", ["random", "rank-one", "degenerate"])
+def test_the_2x2_closed_form_agrees_with_eigvalsh(kind):
+    rng = np.random.default_rng(29)
+    n = 4000
+    if kind == "random":
+        x = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+        blocks = x + dagger(x)
+        blocks *= (rng.uniform(size=n) / np.linalg.norm(blocks, ord=2, axis=(1, 2)))[:, None, None]
+    elif kind == "rank-one":  # pure states, trace in (0, 1]
+        v = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        v *= np.sqrt(rng.uniform(size=n) / np.linalg.norm(v, axis=1) ** 2)[:, None]
+        blocks = v[:, :, None] * np.conj(v[:, None, :])
+    else:
+        blocks = rng.uniform(-1, 1, size=n)[:, None, None] * np.eye(2)
+    a, d, c = blocks[:, 0, 0].real, blocks[:, 1, 1].real, blocks[:, 1, 0]
+    lower, upper = _hermitian_2x2_eigvals(a, d, c)
+    assert np.all(lower <= upper)
+    assert np.abs(np.stack([lower, upper], axis=1) - np.linalg.eigvalsh(blocks)).max() <= 1e-15
+    if kind == "rank-one":
+        assert np.all(np.abs(lower) <= 2.2e-16 * (a + d))
+    if kind == "degenerate":
+        assert np.array_equal(lower, a) and np.array_equal(upper, a)
 
 
 def test_the_screen_holds_chunks_of_the_support_only(h4):

@@ -8,7 +8,7 @@ import pytest
 from ergoquench import (ChannelSpec, ErgotropyRecord, ModelSpec, TimeGrid,
                         build_hamiltonian, build_liouvillian, energy_basis_populations,
                         gibbs_state, propagate, trajectory_records)
-from ergoquench import experiments
+from ergoquench import dynamics, experiments, oracles
 from ergoquench.config import ExperimentConfig
 from ergoquench.dynamics import InvariantViolation, Trajectory
 from ergoquench.experiments import (CSV_BLOCK_ROWS, EXPERIMENTS, _lines, _ordered_map,
@@ -136,6 +136,22 @@ def test_appc_check_smoke(tmp_path):
     assert devs["parallel_block"] <= 1e-8
     assert devs["collective_sc"] <= 1e-8
     assert devs["dephasing_block"] <= 1e-8
+
+
+def test_appc_check_builds_each_oracle_propagator_stack_once(tmp_path, monkeypatch):
+    calls = []
+    taylor = oracles._expm_taylor
+
+    def counted(stack):
+        calls.append(np.shape(stack))
+        return taylor(stack)
+
+    monkeypatch.setattr(oracles, "_expm_taylor", counted)
+    config = _config(experiment="appC-check", output_dir=str(tmp_path),
+                     t_max=50.0, beta_list=(0.5, 1.0, 2.0))
+    _, rows = _read(run_experiment(config)[0])
+    assert len(rows) == 12
+    assert calls == [(101, 6, 6), (101, 6, 6)]  # parallel and dephasing generators
 
 
 def test_appd_smoke(tmp_path):
@@ -368,6 +384,23 @@ def test_n4_experiments_never_build_a_whole_state_stack(tmp_path, monkeypatch, n
                      beta_list=(0.2, 5.0))
     header, rows = _read(run_experiment(config)[0])
     assert len(rows) % 301 == 0 and len(rows) >= 2 * 301  # each trajectory spans two slices
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_default_experiments_read_every_state_on_parity_blocks(tmp_path, monkeypatch, name):
+    fallbacks = []
+    by_sector = dynamics._sector_spectra
+
+    def counted(rows, layout, out):
+        fallbacks.append(len(rows))
+        by_sector(rows, layout, out)
+
+    monkeypatch.setattr(dynamics, "_sector_spectra", counted)
+    run_experiment(_config(experiment=name, output_dir=str(tmp_path)))
+    if name == "fig9-jc":  # the atom-cavity basis {|g,0>, |e,0>, |g,1>, |e,1>} has no mirror
+        assert fallbacks
+    else:
+        assert not fallbacks
 
 
 def test_default_appd_peaks_near_one_full_state_stack(tmp_path):

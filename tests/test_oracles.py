@@ -301,6 +301,17 @@ def test_array_of_times_equals_scalar_calls(h2):
         two_qubit_parallel_block(init, GAMMA, times.reshape(1, -1))
 
 
+def test_a_sequence_of_initial_states_equals_one_call_each(h2):
+    inits = [_gibbs_block(h2, beta) for beta in (0.2, 1.0, 5.0)]
+    times = np.arange(0.0, 400.5, 12.5)
+    for oracle in (two_qubit_parallel_block, dephasing_two_qubit_block,
+                   two_qubit_collective_block):
+        together = oracle(inits, GAMMA, times)
+        assert isinstance(together, list) and len(together) == len(inits)
+        for init, solution in zip(inits, together):
+            assert np.array_equal(solution.to_density(), oracle(init, GAMMA, times).to_density())
+
+
 @pytest.mark.parametrize("bad", [
     dict(p_gg=0.9, p_eg=0.3, p_ge=0.0, p_ee=-0.2, c=0.0),    # population out of [0, 1]
     dict(p_gg=0.5, p_eg=0.25, p_ge=0.25, p_ee=0.1, c=0.0),   # populations sum to 1.1
