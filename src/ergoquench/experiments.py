@@ -6,7 +6,13 @@ produce byte-identical files.  Rows are streamed to the file in blocks,
 each formatted by one %-operation with the templates the first block
 fixes (%.17g for floats, %d for ints and bools, %s for strings); a block
 whose cells would need other templates raises instead of being written
-differently.  A trajectory figure writes each trajectory's rows as soon
+differently.  The cells of float array columns are written by the numpy
+%.17g kernel of `floattext`, byte for byte as %.17g writes them: its
+exact product is off by under 5e-15 in the 17th digit, and each cell it
+cannot prove (0, -0, inf, nan, a fraction within 1e-12 of a rounding
+tie, a missed decade, |x| outside 1e-279..1e290) is written by % itself.
+Consecutive blocks share one kernel call until they hold CSV_BATCH_CELLS
+such cells.  A trajectory figure writes each trajectory's rows as soon
 as it is computed, CSV_BLOCK_ROWS rows per block from its record arrays,
 so no run holds a whole trajectory's rows, a list per row or its full
 state stack.  The file is written beside its path and moved into place only
@@ -32,6 +38,7 @@ from .channels import ChannelSpec, build_liouvillian
 from .config import ConfigError, ExperimentConfig
 from .dynamics import TimeGrid, evolve_to, propagate
 from .ergotropy import eigenvalue_crossings, energy_basis_populations, trajectory_records
+from .floattext import float_text, warm_up
 from .jc import compare_jc, default_jc_spec
 from .linalg import hermitian_eig  # noqa: F401 (ergobench's tracer test patches it here)
 from .model import ModelSpec, build_hamiltonian, gibbs_state
@@ -51,6 +58,10 @@ IN_FLIGHT_PER_WORKER = 2  # jobs submitted to the thread pool per worker, ahead 
 # glibc's initial 128 KiB mmap threshold; freeing larger blocks raises it, and
 # 256-row blocks raised the peak RSS of repeated trajectory passes by up to 10%.
 CSV_BLOCK_ROWS = 128
+# Float array cells that consecutive blocks gather for one call of the %.17g
+# kernel, whose fixed cost (about 0.1 ms) would otherwise dominate the 10-cell
+# blocks of the steady sweeps and the 512-cell ones of appB-channels.
+CSV_BATCH_CELLS = 2048
 
 
 def _thread_count() -> int:
@@ -93,6 +104,33 @@ def _template(cls) -> str:
     return "%.17g"
 
 
+def _format_runs(runs) -> None:
+    """Fill each run's texts by one `float_text` call.
+
+    A run is (texts, arrays): arrays are consecutive float array columns of
+    one block, and texts receives one string per row, the row's cells of
+    those columns joined by commas.
+    """
+    tables = [np.column_stack(arrays) for _, arrays in runs]
+    seps = [np.full(table.shape, ord(","), np.uint8) for table in tables]
+    for sep in seps:
+        sep[:, -1] = ord("\n")
+    lines = float_text(np.concatenate([table.ravel() for table in tables]),
+                       np.concatenate([sep.ravel() for sep in seps])).split("\n")
+    start = 0
+    for (texts, _), table in zip(runs, tables):
+        texts[:] = lines[start:start + len(table)]
+        start += len(table)
+
+
+def _batch_text(batch, runs):
+    """The text of each (template, per_row) block of batch, once runs are formatted."""
+    if runs:
+        _format_runs(runs)
+    for template, per_row in batch:
+        yield template % tuple(chain.from_iterable(zip(*per_row)))
+
+
 def _lines(header, blocks):
     """CSV text of blocks of rows, one string per block, each made by one %-operation.
 
@@ -102,18 +140,42 @@ def _lines(header, blocks):
     k cells per row.  Templates come from an array's dtype, a list's
     element types and a scalar's type.  The first block fixes the file's
     templates; a block that asks for others (a float in an int column, say)
-    or another count of them, or whose columns differ in length, raises
-    ValueError.
+    or another count of them, whose columns differ in length, or with an
+    array whose dtype has no template (complex, object) raises ValueError.
+
+    The cells of consecutive float array columns fill one %s of the
+    template, written by the %.17g kernel of `floattext` byte for byte as
+    %.17g writes them: it rounds a product that is off by under 5e-15 in
+    the 17th digit, and leaves each cell it cannot prove (within 1e-12 of a
+    rounding tie, 0, inf, nan, ...) to %.  Blocks are gathered until they
+    hold CSV_BATCH_CELLS such cells, so that one kernel call serves several
+    small blocks.
     """
     columns = None
+    batch, runs, pending = [], [], 0
     for index, block in enumerate(blocks):
-        kinds, pieces, per_row = [], [], []
+        kinds, pieces, per_row, lengths, block_runs, run = [], [], [], [], [], None
         for item in block:
             if isinstance(item, np.ndarray):
+                if item.dtype.kind not in "biufU":
+                    name = header[len(kinds)] if len(kinds) < len(header) else len(kinds)
+                    raise ValueError(f"block {index} column {name!r} is a {item.dtype} array, "
+                                     "which has no CSV template")
                 cells = [_template(item.dtype.type)] * (item.shape[1] if item.ndim == 2 else 1)
                 kinds += cells
-                pieces += cells
-                per_row += item.T.tolist() if item.ndim == 2 else [item.tolist()]
+                if cells:
+                    lengths.append(len(item))
+                if cells[:1] != ["%.17g"]:
+                    pieces += cells
+                    per_row += item.T.tolist() if item.ndim == 2 else [item.tolist()]
+                    run = None
+                elif run is None:  # a float array opens a run: one %s cell, kernel-written
+                    run = ([], [item])
+                    block_runs.append(run)
+                    pieces.append("%s")
+                    per_row.append(run[0])
+                else:
+                    run[1].append(item)
             elif isinstance(item, list):
                 found = {_template(cls) for cls in set(map(type, item))}
                 if len(found) != 1:
@@ -121,19 +183,28 @@ def _lines(header, blocks):
                 kinds += found
                 pieces += found
                 per_row.append(item)
+                lengths.append(len(item))
+                run = None
             else:
                 kinds.append(_template(type(item)))
                 pieces.append((kinds[-1] % item).replace("%", "%%"))
+                run = None
         if columns is None:
             if len(kinds) != len(header):
                 raise ValueError(f"block 0 has {len(kinds)} cells a row, header has {len(header)}")
             columns = kinds
         elif kinds != columns:
             raise ValueError(f"block {index} {kinds} does not fit the columns {columns}")
-        rows = {len(cells) for cells in per_row} or {1}
+        rows = set(lengths) or {1}
         if len(rows) != 1:
             raise ValueError(f"block {index} has columns of lengths {sorted(rows)}")
-        yield (",".join(pieces) + "\n") * rows.pop() % tuple(chain.from_iterable(zip(*per_row)))
+        batch.append(((",".join(pieces) + "\n") * rows.pop(), per_row))
+        runs += block_runs
+        pending += sum(array.size for _, arrays in block_runs for array in arrays)
+        if pending >= CSV_BATCH_CELLS:
+            yield from _batch_text(batch, runs)
+            batch, runs, pending = [], [], 0
+    yield from _batch_text(batch, runs)
 
 
 def _write_csv(path: str, header, blocks) -> str:
@@ -143,6 +214,7 @@ def _write_csv(path: str, header, blocks) -> str:
     beside path, which replaces path only once every block is written; on
     any error it is removed, and a file already at path is left as it was.
     """
+    warm_up()  # before any block is computed
     partial = f"{path}.partial"
     try:
         with open(partial, "w", encoding="utf-8", newline="\n") as handle:

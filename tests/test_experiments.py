@@ -11,8 +11,10 @@ from ergoquench import (ChannelSpec, ErgotropyRecord, ModelSpec, TimeGrid,
 from ergoquench import dynamics, experiments, oracles
 from ergoquench.config import ExperimentConfig
 from ergoquench.dynamics import InvariantViolation, Trajectory
-from ergoquench.experiments import (CSV_BLOCK_ROWS, EXPERIMENTS, _lines, _ordered_map,
-                                    _trajectory_blocks, _write_csv, run_experiment)
+from ergoquench.experiments import (CSV_BATCH_CELLS, CSV_BLOCK_ROWS, EXPERIMENTS, _lines,
+                                    _ordered_map, _trajectory_blocks, _write_csv,
+                                    run_experiment)
+from ergoquench.floattext import float_text
 from reference import row_lines
 
 
@@ -190,23 +192,23 @@ def test_threaded_run_is_identical(tmp_path, monkeypatch, name):
     assert open(serial, "rb").read() == open(threaded, "rb").read()
 
 
-_TRAJECTORY_CASES = {  # (n, channel, lead, with_spectrum, extra columns)
-    "fig2": (2, ChannelSpec(gamma=0.05), (0.5,), True, False),
-    "appB-channels": (2, ChannelSpec(gamma=0.05, alpha=0.5), ("parallel-hot", 0.3, 0.2),
-                      False, False),
-    "appD": (4, ChannelSpec(gamma=0.05), (0.5,), True, True),
+_TRAJECTORY_CASES = {  # (n, channel, grid, lead, with_spectrum, extra columns)
+    "fig2": (2, ChannelSpec(gamma=0.05), TimeGrid(t_max=51.2, dt=0.1), (0.5,), True, False),
+    # appB-channels' own default grid and fixed text and float cells
+    "appB-channels": (2, ChannelSpec(gamma=0.05, alpha=0.5), TimeGrid(t_max=4000.0, dt=1.0),
+                      ("parallel-hot", 0.3, 0.2), False, False),
+    "appD": (4, ChannelSpec(gamma=0.05), TimeGrid(t_max=51.2, dt=0.1), (0.5,), True, True),
 }
 
 
 @pytest.fixture(scope="module")
 def trajectory_cases():
-    """case -> (times, records, added columns) of a 513-state trajectory."""
+    """case -> (times, records, added columns) of a 513-state (appB-channels: 4001) trajectory."""
     cases = {}
-    for case, (n, channel, _, _, extra) in _TRAJECTORY_CASES.items():
+    for case, (n, channel, grid, _, _, extra) in _TRAJECTORY_CASES.items():
         model = ModelSpec(n_qubits=n, field_h=0.1)
         h = build_hamiltonian(model)
-        traj = propagate(build_liouvillian(h, channel, model), gibbs_state(h, 0.5),
-                         TimeGrid(t_max=51.2, dt=0.1))
+        traj = propagate(build_liouvillian(h, channel, model), gibbs_state(h, 0.5), grid)
         steps = range(len(traj))
         added = ([[k % 2 for k in steps], ["2-3" if k % 3 else "" for k in steps],
                   energy_basis_populations(traj, h)] if extra else [])
@@ -214,11 +216,26 @@ def trajectory_cases():
     return cases
 
 
-@pytest.mark.parametrize("rows", [1, 255, 256, 257, 513])
+def _counted_float_text(monkeypatch):
+    """The cell counts of each call the CSV writer makes to the %.17g kernel."""
+    calls = []
+
+    def counted(values, seps):
+        calls.append(len(values))
+        return float_text(values, seps)
+
+    monkeypatch.setattr(experiments, "float_text", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rows", [1, 255, 256, 257, 513, pytest.param(None, id="all")])
 @pytest.mark.parametrize("case", list(_TRAJECTORY_CASES))
-def test_trajectory_blocks_equal_the_per_row_reference(trajectory_cases, case, rows):
-    _, _, lead, with_spectrum, _ = _TRAJECTORY_CASES[case]
+def test_trajectory_blocks_equal_the_per_row_reference(trajectory_cases, monkeypatch, case,
+                                                        rows):
+    _, _, _, lead, with_spectrum, _ = _TRAJECTORY_CASES[case]
     times, rec, added = trajectory_cases[case]
+    rows = rows or len(times)
+    calls = _counted_float_text(monkeypatch)
     rec = ErgotropyRecord(rec.energy[:rows], rec.passive_energy[:rows], rec.ergotropy[:rows],
                           rec.rho_spectrum[:rows])
     added = [column[:rows] for column in added]
@@ -232,6 +249,25 @@ def test_trajectory_blocks_equal_the_per_row_reference(trajectory_cases, case, r
     assert "".join(blocks) == "".join(row_lines(header, expected))
     assert [block.count("\n") for block in blocks] == [
         min(CSV_BLOCK_ROWS, rows - start) for start in range(0, rows, CSV_BLOCK_ROWS)]
+    # every float array cell goes through the kernel, a batch of at least
+    # CSV_BATCH_CELLS cells a call but the last
+    assert sum(calls) == rows * (4 + (16 if added else 0) + (rec.rho_spectrum.shape[1]
+                                                             if with_spectrum else 0))
+    assert all(count >= CSV_BATCH_CELLS for count in calls[:-1])
+
+
+def test_steady_sweep_blocks_share_one_kernel_call(monkeypatch):
+    # the points of appB-diss and appB-deph, 2 sizes x 11 alphas each: one block of 5 betas a point
+    rng = np.random.default_rng(3)
+    betas = np.array([0.2, 0.5, 1.0, 2.0, 5.0])
+    blocks = [(n, alpha, betas, rng.random(5) * rng.choice([1.0, 1e-9, 1e-17, 0.0], 5))
+              for _ in ("diss", "deph") for n in (2, 4) for alpha in experiments.INTERP_ALPHA_GRID]
+    header = ["n_qubits", "alpha", "beta", "steady_ergotropy"]
+    calls = _counted_float_text(monkeypatch)
+    text = list(_lines(header, blocks))
+    assert len(text) == 44 and calls == [440]
+    expected = [(n, alpha, beta, erg) for n, alpha, bs, es in blocks for beta, erg in zip(bs, es)]
+    assert "".join(text) == "".join(row_lines(header, expected))
 
 
 def test_percent_in_text_cells_is_written_verbatim(tmp_path):
@@ -278,9 +314,11 @@ def test_csv_cells_are_written_like_the_per_cell_formatter(tmp_path, blocks):
     CELLS[:6] + [np.full((2, 4), 0.5)],               # 2-D column a cell too narrow
     CELLS[:6] + [np.full((2, 6), 0.5)],               # 2-D column a cell too wide
     CELLS[:9] + [np.zeros(2), np.zeros(3)],           # columns of different lengths
+    CELLS[:5] + [np.array([0.1 + 1j])] + CELLS[6:],   # complex array: no template
+    CELLS[:5] + [np.array([0.1], dtype=object)] + CELLS[6:],  # object array: no template
 ], ids=["float-as-int", "str-as-int", "int-as-float", "bool-as-str", "short", "long",
         "fixed-int-as-float", "float-array-as-int", "mixed-list", "narrow-2d", "wide-2d",
-        "ragged"])
+        "ragged", "complex-array", "object-array"])
 def test_csv_row_that_does_not_fit_its_columns_raises(tmp_path, later):
     header = [f"c{k}" for k in range(len(CELLS))]
     path = str(tmp_path / "bad.csv")
@@ -292,6 +330,27 @@ def test_csv_row_that_does_not_fit_its_columns_raises(tmp_path, later):
         _write_csv(path, header, [CELLS, CELLS, later])
     assert open(path, "rb").read() == before
     assert [p.name for p in tmp_path.iterdir()] == ["bad.csv"]
+
+
+def test_csv_array_without_a_template_is_named_in_the_error(tmp_path):
+    header = ["time", "energy", "rho"]
+    with pytest.raises(ValueError, match="block 0 column 'rho' is a complex128 array"):
+        _write_csv(str(tmp_path / "bad.csv"), header,
+                   [[np.zeros(3), np.zeros(3), np.zeros(3, complex)]])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_kernel_warms_up_before_the_first_block_is_computed(tmp_path, monkeypatch):
+    # what its first call keeps for good must not land above a run's state stacks
+    events = []
+    monkeypatch.setattr(experiments, "warm_up", lambda: events.append("warm up"))
+
+    def blocks():
+        events.append("block")
+        yield [np.array([0.5, 0.25])]
+
+    _write_csv(str(tmp_path / "warm.csv"), ["x"], blocks())
+    assert events == ["warm up", "block"]
 
 
 def test_csv_first_row_must_match_the_header(tmp_path):
