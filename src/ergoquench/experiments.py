@@ -18,16 +18,11 @@ so no run holds a whole trajectory's rows, a list per row or its full
 state stack.  The file is written beside its path and moved into place only
 when complete: a run that fails leaves no partial CSV, and an older file
 at that path stays as it was.
-Parameter points inside a sweep may run on a thread pool (capped by
-ERGOQUENCH_THREADS, default serial; any value but an integer >= 1 is a
-ConfigError); rows are always written in deterministic parameter order.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, NamedTuple
@@ -53,7 +48,6 @@ JC_RATIOS = (1.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 FIG3_BETA_GRID = (0.2, 0.3, 0.4, 0.5, 1.0, 2.0, 5.0)
 MIXING_ALPHA_GRID = (0.0, 0.3, 0.5, 0.7, 0.9, 1.0)
 INTERP_ALPHA_GRID = tuple(round(0.1 * k, 1) for k in range(11))
-IN_FLIGHT_PER_WORKER = 2  # jobs submitted to the thread pool per worker, ahead of the consumer
 # Rows per block of a trajectory's CSV: 128 rows of appD are about 100 KB, under
 # glibc's initial 128 KiB mmap threshold; freeing larger blocks raises it, and
 # 256-row blocks raised the peak RSS of repeated trajectory passes by up to 10%.
@@ -64,44 +58,13 @@ CSV_BLOCK_ROWS = 128
 CSV_BATCH_CELLS = 2048
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("ERGOQUENCH_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ConfigError(f"ERGOQUENCH_THREADS must be an integer >= 1, got {raw!r}")
-    return count
-
-
-def _ordered_map(fn: Callable, items):
-    """fn over items, yielded lazily in input order; threaded when ERGOQUENCH_THREADS > 1.
-
-    The pool is given at most IN_FLIGHT_PER_WORKER jobs per worker ahead of
-    the consumer, so finished results waiting for an earlier one stay few.
-    """
-    workers = _thread_count()
-    if workers <= 1:
-        yield from map(fn, items)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-        for item in items:
-            if len(pending) == IN_FLIGHT_PER_WORKER * workers:
-                yield pending.popleft().result()
-            pending.append(pool.submit(fn, item))
-        while pending:
-            yield pending.popleft().result()
-
-
-def _template(cls) -> str:
-    """The %-template of a cell of type cls."""
+def _template(cls) -> str | None:
+    """The %-template of a cell of type cls, or None if it has none (complex, object)."""
     if issubclass(cls, str):
         return "%s"
     if issubclass(cls, (bool, np.bool_, int, np.integer)):
         return "%d"
-    return "%.17g"
+    return "%.17g" if issubclass(cls, (float, np.floating)) else None
 
 
 def _format_runs(runs) -> None:
@@ -140,17 +103,17 @@ def _lines(header, blocks):
     k cells per row.  Templates come from an array's dtype, a list's
     element types and a scalar's type.  The first block fixes the file's
     templates; a block that asks for others (a float in an int column, say)
-    or another count of them, whose columns differ in length, or with an
-    array whose dtype has no template (complex, object) raises ValueError.
+    or another count of them, whose columns differ in length, or with a
+    cell that has no template (complex, object) raises ValueError.
 
     The cells of consecutive float array columns fill one %s of the
-    template, written by the %.17g kernel of `floattext` byte for byte as
-    %.17g writes them: it rounds a product that is off by under 5e-15 in
-    the 17th digit, and leaves each cell it cannot prove (within 1e-12 of a
-    rounding tie, 0, inf, nan, ...) to %.  Blocks are gathered until they
-    hold CSV_BATCH_CELLS such cells, so that one kernel call serves several
-    small blocks.
+    template, written by the %.17g kernel of `floattext` (see the module
+    docstring), one call serving consecutive blocks until they hold CSV_BATCH_CELLS cells.
     """
+    def untemplated(what):  # the error for the next cell of block index, a cell of what
+        name = header[len(kinds)] if len(kinds) < len(header) else len(kinds)
+        return ValueError(f"block {index} column {name!r} is {what}, which has no CSV template")
+
     columns = None
     batch, runs, pending = [], [], 0
     for index, block in enumerate(blocks):
@@ -158,9 +121,7 @@ def _lines(header, blocks):
         for item in block:
             if isinstance(item, np.ndarray):
                 if item.dtype.kind not in "biufU":
-                    name = header[len(kinds)] if len(kinds) < len(header) else len(kinds)
-                    raise ValueError(f"block {index} column {name!r} is a {item.dtype} array, "
-                                     "which has no CSV template")
+                    raise untemplated(f"a {item.dtype} array")
                 cells = [_template(item.dtype.type)] * (item.shape[1] if item.ndim == 2 else 1)
                 kinds += cells
                 if cells:
@@ -177,7 +138,10 @@ def _lines(header, blocks):
                 else:
                     run[1].append(item)
             elif isinstance(item, list):
-                found = {_template(cls) for cls in set(map(type, item))}
+                classes = set(map(type, item))
+                found = set(map(_template, classes))
+                if None in found:
+                    raise untemplated(f"a list of {', '.join(sorted(c.__name__ for c in classes))}")
                 if len(found) != 1:
                     raise ValueError(f"block {index} has a list column with templates {found}")
                 kinds += found
@@ -185,8 +149,10 @@ def _lines(header, blocks):
                 per_row.append(item)
                 lengths.append(len(item))
                 run = None
+            elif (template := _template(type(item))) is None:
+                raise untemplated(f"a {type(item).__name__}")
             else:
-                kinds.append(_template(type(item)))
+                kinds.append(template)
                 pieces.append((kinds[-1] % item).replace("%", "%%"))
                 run = None
         if columns is None:
@@ -311,12 +277,12 @@ def _trajectory_figure(config, out_dir, name, ids, table, grid, title, label,
     """Shared body of the trajectory figures (fig2/3/5/6/8, appB-channels, appD).
 
     H is built once per chain size and L once per table row; the (row, beta)
-    trajectories run on the thread pool, and each one's rows are written in
-    table order as soon as it returns (see `_trajectory_blocks`): no job
-    returns its states.  label(tag, beta) names the SVG series of a
-    trajectory, or None to leave it out.  extra is (columns, cells):
-    cells(traj, h_matrix) returns the added columns, written between
-    ergotropy and the spectrum.
+    trajectories run one at a time in table order, and each one's rows are
+    written as soon as it returns (see `_trajectory_blocks`): a job returns
+    only records, so its states are freed before its rows are formatted.
+    label(tag, beta) names the SVG series of a trajectory, or None to leave
+    it out.  extra is (columns, cells): cells(traj, h_matrix) returns the
+    added columns, written between ergotropy and the spectrum.
     """
     for row in table:
         _require_n(config, row.n, name)
@@ -335,7 +301,7 @@ def _trajectory_figure(config, out_dir, name, ids, table, grid, title, label,
 
     def streamed_blocks():  # each trajectory's rows, written as soon as its job returns
         jobs = [(row, quench, beta) for row, quench in zip(table, quenches) for beta in row.betas]
-        for lead, times, rec, added, series_label in _ordered_map(run, jobs):
+        for lead, times, rec, added, series_label in map(run, jobs):
             if series_label is not None:
                 series.append((series_label, times, rec.ergotropy))
             yield from _trajectory_blocks(lead, times, rec, added, with_spectrum)
@@ -418,8 +384,8 @@ def _steady_sweep(config, out_dir, name, header, table, betas,
     stack of every beta's Gibbs state from one decomposition of H, evolves
     it to t_max in one `evolve_to` call and reads the ergotropies off the
     CPTP screen's spectra; block_of(tag, betas, ergotropies) gives its rows
-    as one block (see `_lines`).  The points run on the thread pool and are
-    written in table order.
+    as one block (see `_lines`).  The points run and are written one at a
+    time, in table order.
     """
     hamiltonians = _hamiltonians((n, h) for _, n, h, _ in table)
     betas = np.asarray(betas, dtype=float)
@@ -430,7 +396,7 @@ def _steady_sweep(config, out_dir, name, header, table, betas,
         steady = evolve_to(liou, gibbs_state(h_matrix, betas), config.t_max)
         return block_of(tag, betas, trajectory_records(steady, h_matrix).ergotropy)
 
-    return [_write_csv(os.path.join(out_dir, f"{name}.csv"), header, _ordered_map(point, table))]
+    return [_write_csv(os.path.join(out_dir, f"{name}.csv"), header, map(point, table))]
 
 
 def _run_fig4(config: ExperimentConfig, out_dir: str):
@@ -601,6 +567,5 @@ def run_experiment(config: ExperimentConfig) -> list[str]:
     if config.experiment not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise ConfigError(f"unknown experiment {config.experiment!r} (known: {known})")
-    _thread_count()  # a bad ERGOQUENCH_THREADS fails before any work starts
     os.makedirs(config.output_dir, exist_ok=True)
     return EXPERIMENTS[config.experiment].runner(config, config.output_dir)

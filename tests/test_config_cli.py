@@ -87,23 +87,28 @@ def test_cli_svg_flag(tmp_path, capsys):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
-@pytest.mark.parametrize("name,text,threads,fragment", [
-    ("fig2", "alpha = 1.5", "1", "alpha out of [0,1]"),
-    ("fig2", "t_max = 10.3", "1", "not a multiple of dt"),
-    ("appB-channels", "dt = 0.3", "1", "not a multiple of dt"),  # default t_max 4000
-    ("fig7", "", "abc", "ERGOQUENCH_THREADS must be an integer >= 1, got 'abc'"),
-    ("fig7", "", "0", "ERGOQUENCH_THREADS must be an integer >= 1, got '0'"),
-    ("appC-check", "beta_list = 0, 1\nt_max = 10", "1", "needs beta > 0"),
-], ids=["alpha-out-of-range", "t_max-off-grid", "dt-off-grid", "threads-not-integer",
-        "threads-below-one", "appc-beta-zero"])
-def test_cli_config_error_exit_code(tmp_path, capsys, monkeypatch, name, text, threads,
-                                    fragment):
-    monkeypatch.setenv("ERGOQUENCH_THREADS", threads)
+@pytest.mark.parametrize("name,text,fragment", [
+    ("fig2", "alpha = 1.5", "alpha out of [0,1]"),
+    ("fig2", "t_max = 10.3", "not a multiple of dt"),
+    ("appB-channels", "dt = 0.3", "not a multiple of dt"),  # default t_max 4000
+    ("appC-check", "beta_list = 0, 1\nt_max = 10", "needs beta > 0"),
+], ids=["alpha-out-of-range", "t_max-off-grid", "dt-off-grid", "appc-beta-zero"])
+def test_cli_config_error_exit_code(tmp_path, capsys, name, text, fragment):
     config = tmp_path / "bad.cfg"
     config.write_text(text + "\n")
     assert main(["run", "--experiment", name, "--config", str(config),
                  "--out", str(tmp_path / "out")]) == 2
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["abc", "0"], ids=["threads-not-integer",
+                                                     "threads-below-one"])
+def test_cli_ignores_the_removed_threads_variable(tmp_path, capsys, monkeypatch, threads):
+    # every sweep runs serially; a value that once exited with status 2 changes nothing
+    monkeypatch.setenv("ERGOQUENCH_THREADS", threads)
+    assert main(["run", "--experiment", "fig7", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "fig7.csv").exists()
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_unknown_experiment(tmp_path, capsys):

@@ -10,10 +10,9 @@ from ergoquench import (ChannelSpec, ErgotropyRecord, ModelSpec, TimeGrid,
                         gibbs_state, propagate, trajectory_records)
 from ergoquench import dynamics, experiments, oracles
 from ergoquench.config import ExperimentConfig
-from ergoquench.dynamics import InvariantViolation, Trajectory
+from ergoquench.dynamics import InvariantViolation, Trajectory, evolve_to
 from ergoquench.experiments import (CSV_BATCH_CELLS, CSV_BLOCK_ROWS, EXPERIMENTS, _lines,
-                                    _ordered_map, _trajectory_blocks, _write_csv,
-                                    run_experiment)
+                                    _trajectory_blocks, _write_csv, run_experiment)
 from ergoquench.floattext import float_text
 from reference import row_lines
 
@@ -181,15 +180,11 @@ def test_fig9_table(tmp_path):
 # text and float cells (appB-channels) and a fixed int cell over two sizes (fig8)
 @pytest.mark.parametrize("name", ["fig2", "fig5", "appB-diss", "fig6", "appD",
                                   "appB-channels", "fig8"])
-def test_threaded_run_is_identical(tmp_path, monkeypatch, name):
-    config = _config(experiment=name, output_dir=str(tmp_path / "serial"),
-                     t_max=10.0, beta_list=(0.2, 0.5, 1.0))
-    serial = run_experiment(config)[0]
-    monkeypatch.setenv("ERGOQUENCH_THREADS", "4")
-    config = _config(experiment=name, output_dir=str(tmp_path / "threads"),
-                     t_max=10.0, beta_list=(0.2, 0.5, 1.0))
-    threaded = run_experiment(config)[0]
-    assert open(serial, "rb").read() == open(threaded, "rb").read()
+def test_repeated_run_is_identical(tmp_path, name):
+    first, second = (run_experiment(_config(experiment=name, output_dir=str(tmp_path / run),
+                                             t_max=10.0, beta_list=(0.2, 0.5, 1.0)))[0]
+                     for run in ("first", "second"))
+    assert open(first, "rb").read() == open(second, "rb").read()
 
 
 _TRAJECTORY_CASES = {  # (n, channel, grid, lead, with_spectrum, extra columns)
@@ -316,9 +311,11 @@ def test_csv_cells_are_written_like_the_per_cell_formatter(tmp_path, blocks):
     CELLS[:9] + [np.zeros(2), np.zeros(3)],           # columns of different lengths
     CELLS[:5] + [np.array([0.1 + 1j])] + CELLS[6:],   # complex array: no template
     CELLS[:5] + [np.array([0.1], dtype=object)] + CELLS[6:],  # object array: no template
+    CELLS[:5] + [0.1 + 1j] + CELLS[6:],               # complex scalar: no template
+    CELLS[:5] + [[0.1 + 1j]] + CELLS[6:],             # list of complex cells: no template
 ], ids=["float-as-int", "str-as-int", "int-as-float", "bool-as-str", "short", "long",
         "fixed-int-as-float", "float-array-as-int", "mixed-list", "narrow-2d", "wide-2d",
-        "ragged", "complex-array", "object-array"])
+        "ragged", "complex-array", "object-array", "complex-scalar", "complex-list"])
 def test_csv_row_that_does_not_fit_its_columns_raises(tmp_path, later):
     header = [f"c{k}" for k in range(len(CELLS))]
     path = str(tmp_path / "bad.csv")
@@ -337,6 +334,16 @@ def test_csv_array_without_a_template_is_named_in_the_error(tmp_path):
     with pytest.raises(ValueError, match="block 0 column 'rho' is a complex128 array"):
         _write_csv(str(tmp_path / "bad.csv"), header,
                    [[np.zeros(3), np.zeros(3), np.zeros(3, complex)]])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("block,fragment", [
+    ([0.5, 1j], "block 0 column 'rho' is a complex"),
+    ([[0.5, 0.5], [1j, 2j]], "block 0 column 'rho' is a list of complex"),
+], ids=["scalar", "list"])
+def test_csv_cell_without_a_template_is_named_in_the_error(tmp_path, block, fragment):
+    with pytest.raises(ValueError, match=fragment + ", which has no CSV template"):
+        _write_csv(str(tmp_path / "bad.csv"), ["time", "rho"], [block])
     assert list(tmp_path.iterdir()) == []
 
 
@@ -376,9 +383,7 @@ def test_csv_with_a_bad_row_leaves_the_older_file_intact(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
 
 
-@pytest.mark.parametrize("threads", ["1", "4"])
-def test_trajectory_figure_failing_at_its_second_beta_leaves_no_csv(tmp_path, monkeypatch,
-                                                                    threads):
+def test_trajectory_figure_failing_at_its_second_beta_leaves_no_csv(tmp_path, monkeypatch):
     calls = []
 
     def failing_second(liou, rho0, grid):
@@ -388,7 +393,6 @@ def test_trajectory_figure_failing_at_its_second_beta_leaves_no_csv(tmp_path, mo
         return propagate(liou, rho0, grid)
 
     monkeypatch.setattr(experiments, "propagate", failing_second)
-    monkeypatch.setenv("ERGOQUENCH_THREADS", threads)
     config = _config(experiment="fig2", output_dir=str(tmp_path), t_max=10.0,
                      beta_list=(0.2, 0.5, 1.0))
     with pytest.raises(InvariantViolation, match="step 7"):
@@ -396,41 +400,39 @@ def test_trajectory_figure_failing_at_its_second_beta_leaves_no_csv(tmp_path, mo
     assert list(tmp_path.iterdir()) == []
 
 
-def test_ordered_map_is_lazy_when_serial(monkeypatch):
-    monkeypatch.setenv("ERGOQUENCH_THREADS", "1")
-    seen = []
-    results = _ordered_map(lambda x: seen.append(x) or 2 * x, [1, 2, 3])
-    assert next(results) == 2 and seen == [1]
-    assert list(results) == [4, 6] and seen == [1, 2, 3]
+def test_steady_sweep_failing_at_its_second_point_leaves_no_csv(tmp_path, monkeypatch):
+    calls = []
+
+    def failing_second(liou, rho, t_max):
+        calls.append(1)
+        if len(calls) == 2:
+            raise InvariantViolation("point 2")
+        return evolve_to(liou, rho, t_max)
+
+    monkeypatch.setattr(experiments, "evolve_to", failing_second)
+    config = _config(experiment="appB-diss", output_dir=str(tmp_path), t_max=10.0,
+                     beta_list=(0.5,), n_qubits=2)
+    with pytest.raises(InvariantViolation, match="point 2"):
+        run_experiment(config)
+    assert list(tmp_path.iterdir()) == []
 
 
-class _CountingPool(experiments.ThreadPoolExecutor):
-    """A thread pool that records how many submitted jobs its consumer has not yet taken."""
+def test_trajectory_figure_writes_each_trajectory_before_the_next_runs(tmp_path, monkeypatch):
+    events = []
 
-    submitted = 0
-    taken = 0
-    peak = 0
+    def logged_propagate(liou, rho0, grid):
+        events.append("propagate")
+        return propagate(liou, rho0, grid)
 
-    def submit(self, fn, *args):
-        type(self).submitted += 1
-        type(self).peak = max(type(self).peak, type(self).submitted - type(self).taken)
-        return super().submit(fn, *args)
+    def logged_blocks(*args):  # logged when the writer asks for its first block
+        events.append("blocks")
+        yield from _trajectory_blocks(*args)
 
-
-@pytest.mark.parametrize("threads", [2, 3])
-def test_ordered_map_keeps_few_jobs_in_flight(monkeypatch, threads):
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", _CountingPool)
-    monkeypatch.setattr(_CountingPool, "submitted", 0)
-    monkeypatch.setattr(_CountingPool, "taken", 0)
-    monkeypatch.setattr(_CountingPool, "peak", 0)
-    monkeypatch.setenv("ERGOQUENCH_THREADS", str(threads))
-    results = []
-    for value in _ordered_map(lambda x: 2 * x, range(50)):
-        _CountingPool.taken += 1
-        results.append(value)
-    assert results == [2 * x for x in range(50)]
-    assert _CountingPool.submitted == 50
-    assert _CountingPool.peak == experiments.IN_FLIGHT_PER_WORKER * threads
+    monkeypatch.setattr(experiments, "propagate", logged_propagate)
+    monkeypatch.setattr(experiments, "_trajectory_blocks", logged_blocks)
+    run_experiment(_config(experiment="fig2", output_dir=str(tmp_path), t_max=10.0,
+                           beta_list=(0.2, 0.5, 1.0)))
+    assert events == ["propagate", "blocks"] * 3
 
 
 @pytest.mark.parametrize("name", ["fig5", "fig6", "fig8", "appD"])
