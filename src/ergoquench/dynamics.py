@@ -35,16 +35,17 @@ block-diagonal over them for all time: 1+4+6+4+1 at four qubits, 1+2+1
 at two.  The chain's mirror (site i <-> N+1-i) is a weak symmetry of every
 channel the paper uses, and rho(t) commutes with it to rounding, so the
 screen reads each sector on its mirror-parity blocks: 1,2,2,4,2,2,2,1 at
-four qubits, 1,1,1,1 at two.  A 1x1 block is its diagonal entry and a 2x2
-block has a closed form, so the only eigensolver call left is one batch
-of 4x4 blocks per chunk at four qubits.  A state whose even-odd entries
-exceed OFF_PARITY_TOL, or any state at a support the mirror does not map
-onto itself, is read sector by sector instead (`_sector_spectra`).  The
-screen keeps the values only: the `Trajectory` carries them, and the
-energy bookkeeping reads them from there.  Eigenvectors are computed only
-where they are read, by the branch tracker in
-`ergotropy.eigenvalue_crossings`, SCREEN_CHUNK states and one excitation
-sector at a time, and matched inside their sector.
+four qubits, 1,1,1,1 at two.  One layout serves both block kinds: each
+block entry combines stored entries with fixed weights, the mirror's
+layout giving the parity blocks and the identity's each sector's own
+block.  A 1x1 block is its diagonal entry and a parity 2x2 block has a
+closed form, so the only eigensolver call left is one batch of 4x4
+blocks per chunk at four qubits.  A state whose even-odd entries exceed
+OFF_PARITY_TOL, and every state at a support without parity blocks, is
+read on its sectors' own blocks instead.  The screen keeps the values
+only; eigenvectors are computed by the branch tracker in
+`ergotropy.eigenvalue_crossings` alone, on the sectors' own blocks,
+SCREEN_CHUNK states at a time, and matched inside their sector.
 Both propagators return such a `Trajectory`: `propagate` one entry per
 grid time, `evolve_to` one entry per input state, all at the target time.
 """
@@ -168,45 +169,33 @@ class Trajectory:
         return _screen(times, np.asarray(flat[:, support], dtype=complex), support, dim)
 
 
-class SectorGroup(NamedTuple):
-    """The k sectors of one size m, gathered as k (m, m) blocks per state."""
+class BlockLayout(NamedTuple):
+    """The blocks of the states at one support in one orthonormal basis; see `_block_layout`.
 
-    size: int            # m
-    entries: np.ndarray  # (k*m*m,) row-major (D, D) index of each block entry, block after block
-    present: np.ndarray  # positions in `entries` that the support holds; the others are zero
-    columns: np.ndarray  # stored column of each present entry
-    basis: np.ndarray    # (k*m,) the blocks' basis indices, block after block
-
-
-class ParityLayout(NamedTuple):
-    """The mirror-parity blocks of the states at one support; see `_parity_layout`.
-
-    Each of the E parity-basis entries is the sum, in order, of its four
-    terms sign * (stored entry), times its weight; term 0's sign is +1 and
-    a term of sign 0 is padding.  The entries lie in this order: the
-    even-odd ones (one triangle), the 1x1 blocks, the a = (0, 0), d = (1, 1)
-    and c = (1, 0) entries of the 2x2 blocks, then each larger size's
-    blocks, row-major, block after block.
+    Each of the E entries of a state in that basis is the sum, in order, of
+    its K terms sign * (stored entry), times its weight; term 0's sign is
+    +1, a term of sign 0 is padding, and an entry that the support does not
+    hold has weight 0.  The entries lie in this order: the even-odd ones
+    (one triangle), then every block whole and row-major, block after
+    block, the blocks of one size together and the sizes ascending.
     """
 
-    sources: np.ndarray  # (4, E) stored column of each entry's terms
-    signs: np.ndarray    # (4, E) +1, -1 or 0, as complex numbers
-    weights: np.ndarray  # (E,) 1, 1/sqrt(2) or 1/2, as complex numbers
+    sources: np.ndarray  # (K, E) stored column of each entry's terms
+    signs: np.ndarray    # (K, E) +1, -1 or 0, as complex numbers
+    weights: np.ndarray  # (E,) 1, 1/sqrt(2), 1/2 or 0, as complex numbers
     off: slice           # the even-odd entries
-    ones: slice          # the 1x1 blocks
-    twos: tuple          # slices of the 2x2 blocks' a, d and c
-    groups: tuple        # (m, slice) of the m x m blocks of each m >= 3, ascending
+    blocks: tuple        # (m, slice, basis) of each size m, ascending; basis labels the vectors
 
 
 class SectorLayout(NamedTuple):
-    """How the states stored at one support decompose into sectors; see `sector_layout`."""
+    """How the states stored at one support decompose into blocks; see `sector_layout`."""
 
     stored: np.ndarray     # (S,) the support, ascending
     order: np.ndarray      # (S,) input column of each stored entry
     transpose: np.ndarray  # (S,) input column of each stored entry's transpose
     diagonal: np.ndarray   # stored columns of the diagonal entries, ascending
-    groups: tuple          # one SectorGroup per sector size, ascending
-    parity: ParityLayout | None  # the sectors' parity blocks; None if the mirror does not act
+    sectors: BlockLayout   # each sector's own block, in the product basis
+    parity: BlockLayout | None  # the sectors' parity blocks; None if the mirror does not act
 
 
 @lru_cache(maxsize=64)
@@ -217,8 +206,12 @@ def sector_layout(dim: int, support: tuple) -> SectorLayout:
     pattern: no state held there couples two of them, so each state is
     block-diagonal over them, 1+4+6+4+1 at four qubits under the paper's
     channels and one sector for a dense support.  support must be closed
-    under transposition.  Computed once per (dim, support), with the
-    sectors' parity blocks (`_parity_layout`), read-only.
+    under transposition.  The identity's `_block_layout` gives each sector
+    its own block; the chain's mirror, which reverses the bits of a basis
+    index, gives the sectors' parity blocks where dim is a power of two
+    >= 4, the mirror maps every sector onto itself and the support holds
+    every sector's block whole.  Computed once per (dim, support),
+    read-only.
     """
     support = np.array(support, dtype=int)
     order = np.argsort(support)
@@ -230,104 +223,84 @@ def sector_layout(dim: int, support: tuple) -> SectorLayout:
     position[stored] = np.arange(stored.size)
     diagonal = position[np.arange(dim) * (dim + 1)]
     sectors = _invariant_blocks(position.reshape(dim, dim) >= 0)
-    groups = []
-    for size in sorted({len(b) for b in sectors}):
-        same = [b for b in sectors if len(b) == size]
-        entries = np.concatenate([(b[:, None] * dim + b).ravel() for b in same])
-        present = np.flatnonzero(position[entries] >= 0)
-        groups.append(SectorGroup(size, entries, present, position[entries[present]],
-                                  np.concatenate(same)))
-    parity = _parity_layout(dim, sectors, position)
-    layout = SectorLayout(stored, order, transpose, diagonal[diagonal >= 0], tuple(groups), parity)
-    for array in (*layout[:4], *(a for g in groups for a in g[1:]), *(parity or ())[:3]):
+    parity, bits = None, dim.bit_length() - 1
+    # every held entry lies in a sector's block: the blocks are held whole iff they hold S
+    if dim >= 4 and dim == 1 << bits and sum(b.size ** 2 for b in sectors) == stored.size:
+        mirror = np.array([int(f"{i:0{bits}b}"[::-1], 2) for i in range(dim)])
+        if all(np.array_equal(np.sort(mirror[b]), b) for b in sectors):
+            parity = _block_layout(dim, sectors, position, mirror)
+    layout = SectorLayout(stored, order, transpose, diagonal[diagonal >= 0],
+                          _block_layout(dim, sectors, position, np.arange(dim)), parity)
+    for array in layout[:4]:
         array.setflags(write=False)
     return layout
 
 
-def _parity_layout(dim: int, sectors, position) -> ParityLayout | None:
-    """The excitation x mirror-parity blocks of sectors held whole, or None where there are none.
+def _block_layout(dim: int, sectors, position, perm) -> BlockLayout:
+    """The blocks of the sectors in the basis that an involution perm of the basis indices gives.
 
-    The chain's mirror reverses the bits of a basis index.  Where it maps
-    a sector onto itself, the sector's parity basis holds |b> for each
-    fixed point b and (|b> +- |m(b)>)/sqrt(2) for each pair b < m(b),
-    ordered by b, even vectors and odd vectors apart; each entry of a
-    state in that basis combines at most four of its stored entries.  None
-    if dim is not a power of two >= 4, or if the mirror does not map some
-    sector onto itself or the support does not hold some sector's block
-    whole.  position maps a row-major (D, D) index to its stored column.
+    Each fixed point b gives the vector |b>, labelled b; each pair
+    b < perm(b) gives the even vector (|b> + |perm(b)>)/sqrt(2), labelled b,
+    and the odd one (|b> - |perm(b)>)/sqrt(2), labelled perm(b).  A
+    sector's even vectors, ordered by b, form one block and its odd ones
+    another.  The identity gives each sector's own block, one stored entry
+    per entry, or none where the support does not hold it: such an entry
+    reads stored column 0 (for a positive state, a population) with weight
+    0.  perm maps each sector onto itself.  position maps a row-major
+    (D, D) index to its stored column, or -1.  Read-only.
     """
-    bits = dim.bit_length() - 1
-    if dim < 4 or dim != 1 << bits:
-        return None
-    mirror = np.array([int(f"{i:0{bits}b}"[::-1], 2) for i in range(dim)])
     off, blocks = [], {}
     for b in sectors:
-        if (set(mirror[b].tolist()) != set(b.tolist())
-                or np.any(position[(b[:, None] * dim + b).ravel()] < 0)):
-            return None
-        heads = [int(i) for i in b if i <= mirror[i]]
-        even = [((i, int(mirror[i])), (1, 1)) if i < mirror[i] else ((i,), (1,)) for i in heads]
-        odd = [((i, int(mirror[i])), (1, -1)) for i in heads if i < mirror[i]]
+        heads = [int(i) for i in b if i <= perm[i]]
+        even = [((i, int(perm[i])), (1, 1), i) if i < perm[i] else ((i,), (1,), i) for i in heads]
+        odd = [((i, int(perm[i])), (1, -1), int(perm[i])) for i in heads if i < perm[i]]
         off += [(u, v) for u in even for v in odd]
         for block in (even, odd):
             if block:
                 blocks.setdefault(len(block), []).append(block)
-    pairs = []  # (row vector, column vector) of each entry, in storage order
-
-    def span(new):
-        pairs.extend(new)
-        return slice(len(pairs) - len(new), len(pairs))
-
-    off_entries = span(off)
-    ones = span([(u, u) for (u,) in blocks.pop(1, ())])
-    twos = blocks.pop(2, ())
-    two_entries = tuple(span([(block[r], block[c]) for block in twos])
-                        for r, c in ((0, 0), (1, 1), (1, 0)))
-    larger = tuple((size, span([(u, v) for block in blocks[size] for u in block for v in block]))
-                   for size in sorted(blocks))
-    sources = np.zeros((4, len(pairs)), dtype=int)
-    signs = np.zeros((4, len(pairs)), dtype=complex)  # complex: no cast buffers in the products
-    for e, ((rows, row_signs), (cols, col_signs)) in enumerate(pairs):
+    pairs, groups = list(off), []  # (row vector, column vector) of each entry, in storage order
+    for size in sorted(blocks):
+        groups.append((size, slice(len(pairs), len(pairs) + len(blocks[size]) * size ** 2),
+                       np.array([u[2] for block in blocks[size] for u in block])))
+        pairs += [(u, v) for block in blocks[size] for u in block for v in block]
+    k = max(len(u[0]) * len(v[0]) for u, v in pairs)  # terms per entry
+    sources = np.zeros((k, len(pairs)), dtype=int)
+    signs = np.zeros((k, len(pairs)), dtype=complex)  # complex: no cast buffers in the products
+    for e, ((rows, row_signs, _), (cols, col_signs, _)) in enumerate(pairs):
         terms = [(position[i * dim + j], si * sj)
                  for i, si in zip(rows, row_signs) for j, sj in zip(cols, col_signs)]
-        terms += [(terms[0][0], 0)] * (4 - len(terms))
+        terms += [(terms[0][0], 0)] * (k - len(terms))
         sources[:, e], signs[:, e] = zip(*terms)
     weights = np.array([np.sqrt(1 / (len(u[0]) * len(v[0]))) for u, v in pairs], dtype=complex)
-    return ParityLayout(sources, signs, weights, off_entries, ones, two_entries, larger)
+    weights[np.any(sources < 0, axis=0)] = 0
+    sources[sources < 0] = 0
+    for array in (sources, signs, weights, *(basis for *_, basis in groups)):
+        array.setflags(write=False)
+    return BlockLayout(sources, signs, weights, slice(0, len(off)), tuple(groups))
 
 
-def sector_blocks(rows, group: SectorGroup) -> np.ndarray:
-    """The (C*k, m, m) blocks of a group's sectors, of C states given by their stored entries."""
-    blocks = np.zeros((len(rows), group.entries.size), dtype=complex)
-    blocks[:, group.present] = rows[:, group.columns]
-    return blocks.reshape(-1, group.size, group.size)
-
-
-def _sector_spectra(rows, layout: SectorLayout, out) -> None:
-    """Write the spectra, unsorted, of C states given by their stored entries into the (C, D) out.
-
-    One values-only batch per sector size.
-    """
-    for group in layout.groups:
-        out[:, group.basis] = hermitian_eigvals_batch(
-            sector_blocks(rows, group)).reshape(len(rows), -1)
-
-
-def _parity_entries(rows, parity: ParityLayout, out) -> None:
-    """Write the (C, E) parity-basis entries of C states, given by their (C, S) stored entries.
+def block_entries(rows, blocks: BlockLayout, spare=None) -> np.ndarray:
+    """The (C, E) entries of C states in a layout's basis, given by their (C, S) stored entries.
 
     Both arrays are read by entry, one contiguous (C,) column each, as the
     screen's column gathers lay them out (Fortran order); mode="clip" lets
     `take` write into its output directly, every source being in range.
+    The entries fill the first C*E elements of the contiguous buffer
+    spare if it has that many, and a new array otherwise.
     """
-    stored, by_entry = rows.T, out.T
-    term = np.empty_like(by_entry)
-    np.take(stored, parity.sources[0], axis=0, out=by_entry, mode="clip")
-    for sources, signs in zip(parity.sources[1:], parity.signs[1:]):
+    size = len(rows) * blocks.weights.size
+    flat = np.ravel(spare, order="K") if spare is not None else ()
+    if len(flat) < size:
+        flat = np.empty(size, dtype=complex)
+    stored, by_entry = rows.T, flat[:size].reshape(blocks.weights.size, len(rows))
+    term = np.empty_like(by_entry) if len(blocks.sources) > 1 else None
+    np.take(stored, blocks.sources[0], axis=0, out=by_entry, mode="clip")
+    for sources, signs in zip(blocks.sources[1:], blocks.signs[1:]):
         np.take(stored, sources, axis=0, out=term, mode="clip")
         term *= signs[:, None]
         by_entry += term
-    by_entry *= parity.weights[:, None]
+    by_entry *= blocks.weights[:, None]
+    return by_entry.T
 
 
 def _hermitian_2x2_eigvals(a, d, c):
@@ -340,46 +313,47 @@ def _hermitian_2x2_eigvals(a, d, c):
     return mid - radius, mid + radius
 
 
-def _parity_spectra(entries, parity: ParityLayout, out) -> None:
-    """Write the spectra, unsorted, of C states given by their parity-basis entries into out.
+def _block_spectra(entries, blocks: BlockLayout, out, closed_twos: bool) -> None:
+    """Write the spectra, unsorted, of C states given by their (C, E) block entries into out.
 
-    The 1x1 blocks are their diagonal entries, the 2x2 blocks are read in
-    closed form and each larger size is one `hermitian_eigvals_batch`.
+    Each block's eigenvalues go to the (C, D) out's columns at its vectors'
+    labels.  A 1x1 block is its real entry, a 2x2 block is read in closed
+    form if closed_twos (parity blocks; a sector's stays on eigvalsh, whose
+    bytes `ergotropy` is held to) and larger ones by `hermitian_eigvals_batch`.
     """
-    a, d, c = (entries[:, span] for span in parity.twos)
-    parts = [entries[:, parity.ones].real, *_hermitian_2x2_eigvals(a.real, d.real, c)]
-    parts += [hermitian_eigvals_batch(entries[:, span].reshape(-1, size, size))
-              .reshape(len(entries), -1) for size, span in parity.groups]
-    column = 0
-    for part in parts:
-        out[:, column:column + part.shape[1]] = part
-        column += part.shape[1]
+    for size, span, basis in blocks.blocks:
+        block = entries[:, span]
+        if size == 1:
+            out[:, basis] = block.real
+        elif size == 2 and closed_twos:
+            out[:, basis[0::2]], out[:, basis[1::2]] = _hermitian_2x2_eigvals(
+                block[:, 0::4].real, block[:, 3::4].real, block[:, 2::4])
+        else:
+            out[:, basis] = hermitian_eigvals_batch(
+                block.reshape(-1, size, size)).reshape(len(entries), -1)
 
 
 def _chunk_spectra(sym, spare, layout: SectorLayout, out) -> None:
     """Write the spectra, unsorted, of C symmetrized states, given by their stored entries.
 
-    A state is read on its parity blocks if its even-odd entries have a
-    Frobenius norm of at most OFF_PARITY_TOL, and sector by sector
-    otherwise, so that its bytes do not depend on the other states.
-    spare is a contiguous (C, S) complex buffer free for the parity-basis
-    entries, which fill its first C*E elements, entry by entry (E <= S: a
-    sector held whole stores more entries than its parity blocks read).
+    A state is read on its parity blocks, whose 2x2 blocks have a closed
+    form, if its even-odd entries have a Frobenius norm of at most
+    OFF_PARITY_TOL, and on its sectors' own blocks otherwise, so that its
+    bytes do not depend on the other states.  spare is a contiguous (C, S)
+    complex buffer free for the block entries; the parity entries always
+    fit (a sector held whole stores more entries than its parity blocks read).
     """
+    rest = np.ones(len(sym), dtype=bool)
     parity = layout.parity
-    if parity is None:
-        _sector_spectra(sym, layout, out)
-        return
-    size = parity.weights.size * len(spare)
-    entries = np.ravel(spare, order="K")[:size].reshape(-1, len(spare)).T
-    _parity_entries(sym, parity, entries)
-    held = np.linalg.norm(entries[:, parity.off], axis=1) <= OFF_PARITY_TOL
-    if held.any():
-        _parity_spectra(entries, parity, out)
-    if not held.all():  # overwrite the others' rows
-        rest = ~held
+    if parity is not None:
+        entries = block_entries(sym, parity, spare)
+        rest = ~(np.linalg.norm(entries[:, parity.off], axis=1) <= OFF_PARITY_TOL)
+        if not rest.all():
+            _block_spectra(entries, parity, out, closed_twos=True)
+    if rest.any():  # overwrite the others' rows
         part = np.empty((np.count_nonzero(rest), out.shape[1]))
-        _sector_spectra(sym[rest], layout, part)
+        entries = block_entries(sym[rest], layout.sectors, spare)
+        _block_spectra(entries, layout.sectors, part, closed_twos=False)
         out[rest] = part
 
 
@@ -389,13 +363,14 @@ def _screen(times, values, support, dim: int) -> Trajectory:
     The states are screened SCREEN_CHUNK at a time, at their support:
     each check reads the chunk's (C, S) entries and the transposes the
     layout maps them to.  The spectra are taken on the sectors' parity
-    blocks (`_chunk_spectra`), formed in the buffer of the raw entries
-    once the symmetrized ones hold them, or sector by sector, one
-    values-only batch per sector size; each state's are merged by a row
-    sort.  No (D, D) matrix is formed.  support must be closed under
-    transposition, so that symmetrizing leaves nothing outside it.
-    The deviations of every state are checked after the last chunk, so the
-    first bad step is reported whichever chunk it lies in.  Each chunk's
+    blocks or on the sectors' own blocks (`_chunk_spectra`), their entries
+    formed in the buffer of the raw entries once the symmetrized ones hold
+    them; each state's are merged by a row sort.  No (D, D) matrix is
+    formed.  support must be closed under transposition, so that
+    symmetrizing leaves nothing outside it.  The deviations of every state
+    are checked after the last chunk, so the first bad step is reported
+    whichever chunk it lies in; a deviation that is not a number (a NaN
+    entry) fails the check like one above GUARD_TOL.  Each chunk's
     symmetrized entries are written back over `values` in ascending
     row-major order, the order of the returned Trajectory's support.
     """
@@ -412,13 +387,16 @@ def _screen(times, values, support, dim: int) -> Trajectory:
         sym += raw
         sym *= 0.5
         trace_dev[a:a + SCREEN_CHUNK] = np.abs(sym[:, layout.diagonal].sum(axis=1) - 1.0)
+        # a non-finite entry makes the Hermiticity defect non-finite, which the guard
+        # rejects; such a state is not given to the eigensolver, which may refuse it
+        sym[~np.isfinite(herm[a:a + SCREEN_CHUNK])] = 0.0
         chunk = vals[a:a + SCREEN_CHUNK]
         _chunk_spectra(sym, raw, layout, chunk)  # raw's buffer is free now
         chunk.sort(axis=1)
         rows[...] = sym
     neg = -vals[:, 0]
     for name, dev in (("Hermiticity", herm), ("trace", trace_dev), ("positivity", neg)):
-        bad = np.nonzero(dev > GUARD_TOL)[0]
+        bad = np.nonzero(~(dev <= GUARD_TOL))[0]
         if bad.size:
             k = int(bad[0])
             raise InvariantViolation(

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import SCREEN_CHUNK, Trajectory, sector_blocks, sector_layout
+from .dynamics import SCREEN_CHUNK, Trajectory, block_entries, sector_layout
 from .linalg import dagger, hermitian_eig, hermitian_eig_batch
 
 ERGOTROPY_CLIP = 1e-10        # admissible negative rounding before clipping to 0
@@ -181,7 +181,7 @@ def eigenvalue_crossings(traj: Trajectory,
     if len(traj) == 0:
         raise ValueError("empty trajectory")
     times = traj.times
-    layout = sector_layout(traj.dim, tuple(traj.support.tolist()))
+    sectors = sector_layout(traj.dim, tuple(traj.support.tolist())).sectors
     found: list[tuple[float, tuple[int, int]]] = []
     for start in range(1, len(traj), SCREEN_CHUNK):
         stop = min(start + SCREEN_CHUNK, len(traj))
@@ -190,10 +190,11 @@ def eigenvalue_crossings(traj: Trajectory,
         vals = np.empty((len(rows), traj.dim))
         # moves[s, b]: the basis index that the branch at basis index b takes at step s + 1
         moves = np.empty((len(rows) - 1, traj.dim), dtype=int)
-        for group in layout.groups:
-            block_vals, vecs = hermitian_eig_batch(sector_blocks(rows, group))
-            vals[:, group.basis] = block_vals.reshape(len(rows), -1)
-            basis = group.basis.reshape(-1, group.size)  # (k, m), block after block
+        entries = block_entries(rows, sectors)
+        for size, span, basis in sectors.blocks:
+            block_vals, vecs = hermitian_eig_batch(entries[:, span].reshape(-1, size, size))
+            vals[:, basis] = block_vals.reshape(len(rows), -1)
+            basis = basis.reshape(-1, size)  # (k, m), block after block
             # block b of step s is vecs[s * k + b], and vecs[(s + 1) * k + b] at step s + 1
             local = _greedy_match(np.abs(dagger(vecs[:-len(basis)]) @ vecs[len(basis):]) ** 2)
             moves[:, basis] = np.take_along_axis(

@@ -110,7 +110,8 @@ def check_density_matrix(rho, context: str = "state") -> None:
 
     rho is one (D, D) state or a (B, D, D) stack; positivity is read from
     one batched, values-only decomposition of its Hermitian part.  For a
-    stack the message ends with the index of the first member that fails.
+    stack the message ends with the index of the first member that fails;
+    a NaN deviation fails too.
     """
     rho = np.asarray(rho)
     stack = rho.reshape((-1,) + rho.shape[-2:])
@@ -123,9 +124,9 @@ def check_density_matrix(rho, context: str = "state") -> None:
 
     adj = dagger(stack)
     herm = np.abs(stack - adj).max(axis=(1, 2))
-    require(herm > DENSITY_HERM_TOL, herm,
+    require(~(herm <= DENSITY_HERM_TOL), herm,
             f"Hermiticity defect {{:.3e}} > {DENSITY_HERM_TOL:.0e}")
     trace_dev = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
-    require(trace_dev > DENSITY_TRACE_TOL, trace_dev, "trace deviates from 1 by {:.3e}")
+    require(~(trace_dev <= DENSITY_TRACE_TOL), trace_dev, "trace deviates from 1 by {:.3e}")
     lowest = hermitian_eigvals_batch(0.5 * (stack + adj))[:, 0]
-    require(lowest < -DENSITY_PSD_TOL, lowest, "negative eigenvalue {:.3e}")
+    require(~(lowest >= -DENSITY_PSD_TOL), lowest, "negative eigenvalue {:.3e}")

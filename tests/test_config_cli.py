@@ -33,6 +33,14 @@ def test_parse_and_explicit_tracking():
     assert not config.is_explicit("gamma")
 
 
+def test_string_keys_and_a_false_flag_parse_from_config_text():
+    config = validate_config("experiment = fig4\noutput_dir = out/run 1\nemit_svg = false\n")
+    assert config.experiment == "fig4"
+    assert config.output_dir == "out/run 1"
+    assert config.emit_svg is False
+    assert config.explicit == {"experiment", "output_dir", "emit_svg"}
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("alpha = 1.5", "alpha out of [0,1]"),
     ("alpha_minus = -0.1", "alpha_minus out of [0,1]"),

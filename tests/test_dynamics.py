@@ -10,7 +10,7 @@ from ergoquench import (ChannelSpec, InvariantViolation, ModelSpec, TimeGrid,
 from ergoquench.channels import Liouvillian, lindblad_matrix, vec
 from ergoquench import dynamics
 from ergoquench.dynamics import (GUARD_TOL, OFF_PARITY_TOL, SCREEN_CHUNK, Trajectory,
-                                 _hermitian_2x2_eigvals, _parity_entries, _powers, _screen,
+                                 _hermitian_2x2_eigvals, _powers, _screen, block_entries,
                                  sector_layout)
 from ergoquench.ergotropy import (CROSSING_SIGNIFICANCE, LEVEL_TOL, _greedy_match,
                                   eigenvalue_crossings, energy_basis_populations,
@@ -643,8 +643,8 @@ def test_support_holds_the_transposes_that_symmetrizing_fills():
 
 def _sectors(layout):
     """The basis-index tuples of a layout's sectors, ordered by their first index."""
-    return sorted(tuple(g.basis[a:a + g.size].tolist())
-                  for g in layout.groups for a in range(0, g.basis.size, g.size))
+    return sorted(tuple(basis[a:a + size].tolist())
+                  for size, _, basis in layout.sectors.blocks for a in range(0, basis.size, size))
 
 
 @pytest.mark.parametrize("case", ["N2-parallel", "N4-parallel", "N4-dephasing", "N4-mixed"])
@@ -662,9 +662,44 @@ def test_sectors_of_a_gibbs_support_are_the_excitation_number_classes(case):
 def test_a_dense_support_is_one_sector():
     layout = sector_layout(16, tuple(range(256)))
     assert _sectors(layout) == [tuple(range(16))]
-    (group,) = layout.groups
-    assert np.array_equal(group.entries, np.arange(256))
-    assert np.array_equal(group.columns, np.arange(256))
+    (block,) = layout.sectors.blocks
+    assert block[:2] == (16, slice(0, 256))
+    assert np.array_equal(layout.sectors.sources, np.arange(256)[None])
+    assert np.all(layout.sectors.weights == 1)
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                          np.ascontiguousarray(b).view(np.uint64))
+
+
+@pytest.mark.parametrize("case", ["N2-gibbs", "N4-gibbs", "dense", "not-whole"])
+def test_sector_blocks_are_the_states_blocks_bit_for_bit(case, h2, h4):
+    rng = np.random.default_rng(31)
+    times = np.arange(40, dtype=float)
+    if case.endswith("gibbs"):
+        n, h = (2, h2) if case == "N2-gibbs" else (4, h4)
+        liou, _ = _liouvillian(n, 0.1, gamma=0.05)
+        traj = propagate(liou, gibbs_state(h, 0.5), TimeGrid(t_max=20.0, dt=0.5))
+    elif case == "dense":
+        traj = Trajectory.screened(times, np.array([random_density(rng, 16) for _ in times]))
+    else:  # (0, 1) and (1, 2) couple the sector {0, 1, 2}, whose (0, 2) entry no state holds
+        states = np.zeros((len(times), 4, 4), dtype=complex)
+        states[:] = np.diag([0.4, 0.3, 0.2, 0.1])
+        for i, j in ((0, 1), (1, 2)):
+            z = rng.normal(size=(2, len(times)))
+            states[:, i, j] = 0.05 * (z[0] + 1j * z[1])
+            states[:, j, i] = np.conj(states[:, i, j])
+        traj = Trajectory.screened(times, states)
+    sectors = sector_layout(traj.dim, tuple(traj.support.tolist())).sectors
+    assert sectors.sources.shape[0] == 1  # one term per entry: one take per state
+    assert np.any(sectors.weights == 0) == (case == "not-whole")
+    states, entries = traj.states, block_entries(traj.values, sectors)
+    for size, span, basis in sectors.blocks:
+        blocks = entries[:, span].reshape(len(traj), -1, size, size)
+        for mine, b in zip(np.moveaxis(blocks, 1, 0), basis.reshape(-1, size)):
+            assert _same_bits(mine, states[:, b[:, None], b])
+    assert np.array_equal(traj.spectra, parity_eigvalsh(states))
 
 
 def _rotated_jc_stack():
@@ -761,6 +796,34 @@ def test_crossings_do_not_depend_on_the_eigenvector_basis_inside_a_cluster(case,
             assert after_first_step(turned) == after_first_step(found)
 
 
+def test_a_nan_initial_state_is_refused():
+    liou, _ = _liouvillian(2, 0.1, gamma=0.05)
+    rho0 = np.diag([np.nan, 0.5, 0.5, 0.0])
+    with pytest.raises(ValueError, match="initial state: Hermiticity defect nan"):
+        propagate(liou, rho0, TimeGrid(t_max=2.0, dt=0.5))
+    with pytest.raises(ValueError, match="initial state: Hermiticity defect nan"):
+        evolve_to(liou, rho0, 2.0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (5, 5), (3, 5)], ids=["1x1", "6-diagonal", "6-off"])
+def test_a_non_finite_entry_is_reported_at_its_step(h4, entry, value):
+    # NaN > tol is false; and inside the 6-state sector a non-finite entry would
+    # reach the eigensolver, which refuses it, before the guard ran
+    liou, _ = _liouvillian(4, 0.1, gamma=0.05)
+    traj = propagate(liou, gibbs_state(h4, 0.5), TimeGrid(t_max=300.0, dt=0.5))
+    raw, first = traj.states, SCREEN_CHUNK + 44
+    for k in (first, first + 100):
+        raw[k][entry] = value
+    where = rf"Hermiticity defect (nan|inf) at step {first} "
+    with pytest.raises(InvariantViolation, match=where):
+        Trajectory.screened(traj.times, raw)
+    values = raw.reshape(len(raw), -1)[:, traj.support]
+    with pytest.raises(InvariantViolation, match=where):
+        _screen(traj.times, values, traj.support, traj.dim)
+
+
 def test_a_negative_eigenvalue_inside_the_six_state_sector_is_reported_at_its_step(h4):
     liou, _ = _liouvillian(4, 0.1, gamma=0.05)
     traj = propagate(liou, gibbs_state(h4, 0.5), TimeGrid(t_max=300.0, dt=0.5))
@@ -784,15 +847,10 @@ def test_a_negative_eigenvalue_inside_the_six_state_sector_is_reported_at_its_st
 def _package_parity_blocks(traj):
     """The parity blocks the screen reads, by size, and the even-odd entries, of a Trajectory."""
     parity = sector_layout(traj.dim, tuple(traj.support.tolist())).parity
-    entries = np.empty((len(traj), parity.weights.size), dtype=complex)
-    _parity_entries(traj.values, parity, entries)
-    blocks = {1: list(entries[:, parity.ones].T[:, :, None, None])}
-    a, d, c = (entries[:, span].T for span in parity.twos)
-    blocks[2] = [np.stack([np.stack([x, np.conj(z)], -1), np.stack([z, y], -1)], -2)
-                 for x, y, z in zip(a, d, c)]
-    for size, span in parity.groups:
-        blocks[size] = list(np.moveaxis(entries[:, span].reshape(len(traj), -1, size, size), 1, 0))
-    return {size: parts for size, parts in blocks.items() if parts}, entries[:, parity.off]
+    entries = block_entries(traj.values, parity)
+    blocks = {size: list(np.moveaxis(entries[:, span].reshape(len(traj), -1, size, size), 1, 0))
+              for size, span, _ in parity.blocks}
+    return blocks, entries[:, parity.off]
 
 
 @pytest.mark.parametrize("case", list(_ENGINE_CASES))

@@ -6,7 +6,7 @@ import pytest
 
 from ergoquench import (ChannelSpec, ModelSpec, TimeGrid, build_hamiltonian,
                         build_liouvillian, gibbs_state, propagate)
-from ergoquench.dynamics import SCREEN_CHUNK
+from ergoquench.dynamics import SCREEN_CHUNK, InvariantViolation
 from ergoquench.ergotropy import (_greedy_match, activation_time, eigenvalue_crossings,
                                   energy_basis_populations, ergotropy,
                                   ergotropy_difference, trajectory_records)
@@ -312,6 +312,12 @@ def test_ergotropy_nonnegative_along_trajectory():
 def test_dimension_mismatch_rejected(h2):
     with pytest.raises(ValueError):
         ergotropy(np.eye(8, dtype=complex) / 8.0, h2)
+
+
+def test_ergotropy_of_a_nan_state_raises(h2):
+    # NaN > tol is false: the screen must flag what is not within its bound
+    with pytest.raises(InvariantViolation, match="Hermiticity defect nan at step 0"):
+        ergotropy(np.diag([np.nan, 0.5, 0.5, 0.0]), h2)
 
 
 @pytest.mark.parametrize("n,channel", [(2, dict(gamma=0.05, alpha_minus=0.5)),

@@ -150,6 +150,12 @@ def test_check_density_matrix_rejects_bad_states():
         check_density_matrix(np.diag([1.5, -0.5]).astype(complex))  # negative weight
 
 
+def test_check_density_matrix_rejects_a_nan_state():
+    # NaN > tol is false: each check must flag what is not within its bound
+    with pytest.raises(ValueError, match="Hermiticity defect nan > 1e-10"):
+        check_density_matrix(np.diag([np.nan, 0.5, 0.5, 0.0]))
+
+
 @pytest.mark.parametrize("bad,message", [
     (np.diag([0.6, 0.6]).astype(complex), "trace deviates from 1 by 2.000e-01 at index 2"),
     (np.array([[1.0, 0.5], [0.0, 0.0]], dtype=complex),
