@@ -6,6 +6,10 @@
 Exit codes: 0 success, 2 configuration error (including an unreadable
 --config or an output that cannot be written), 3 numerical invariant
 violation during propagation.
+
+`list`, `--help` and a config or experiment-name error answer from
+`config` and `registry` alone; the engine, and with it numpy, loads only
+once `run` has a valid config and a registered name.
 """
 
 from __future__ import annotations
@@ -15,8 +19,7 @@ import sys
 from dataclasses import replace
 
 from .config import ConfigError, validate_config
-from .dynamics import InvariantViolation
-from .experiments import EXPERIMENTS, run_experiment
+from .registry import DESCRIPTIONS, check_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,10 +41,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def run_experiment(config):
+    """`experiments.run_experiment`, importing the engine on the first call."""
+    from .experiments import run_experiment as run
+    return run(config)
+
+
 def _cmd_list() -> int:
-    width = max(len(name) for name in EXPERIMENTS)
-    for name in EXPERIMENTS:
-        print(f"{name:<{width}}  {EXPERIMENTS[name].description}")
+    width = max(len(name) for name in DESCRIPTIONS)
+    for name, description in DESCRIPTIONS.items():
+        print(f"{name:<{width}}  {description}")
     return EXIT_OK
 
 
@@ -65,13 +74,16 @@ def _cmd_run(args) -> int:
             updates["emit_svg"] = True
             explicit.add("emit_svg")
         config = replace(config, explicit=frozenset(explicit), **updates)
-        paths = run_experiment(config)
+        check_experiment(config.experiment)
+        from .dynamics import InvariantViolation  # the engine loads only for a valid run
+        try:
+            paths = run_experiment(config)
+        except InvariantViolation as exc:
+            print(f"numerical invariant violation: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except InvariantViolation as exc:
-        print(f"numerical invariant violation: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except OSError as exc:  # creating the output directory or writing a file
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG

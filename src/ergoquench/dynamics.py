@@ -382,11 +382,12 @@ def _screen(times, values, support, dim: int) -> Trajectory:
         raw = rows[:, layout.order]
         sym = rows[:, layout.transpose]
         np.conjugate(sym, out=sym)  # raw^H at each stored entry
-        herm[a:a + SCREEN_CHUNK] = np.abs(raw - sym).max(axis=1, initial=0.0)
-        # 0.5 * (raw + raw^H), formed in the adjoint's buffer
-        sym += raw
-        sym *= 0.5
-        trace_dev[a:a + SCREEN_CHUNK] = np.abs(sym[:, layout.diagonal].sum(axis=1) - 1.0)
+        with np.errstate(invalid="ignore"):  # inf - inf: a NaN defect, reported below
+            herm[a:a + SCREEN_CHUNK] = np.abs(raw - sym).max(axis=1, initial=0.0)
+            # 0.5 * (raw + raw^H), formed in the adjoint's buffer
+            sym += raw
+            sym *= 0.5
+            trace_dev[a:a + SCREEN_CHUNK] = np.abs(sym[:, layout.diagonal].sum(axis=1) - 1.0)
         # a non-finite entry makes the Hermiticity defect non-finite, which the guard
         # rejects; such a state is not given to the eigensolver, which may refuse it
         sym[~np.isfinite(herm[a:a + SCREEN_CHUNK])] = 0.0

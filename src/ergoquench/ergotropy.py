@@ -7,23 +7,21 @@ state, without its eigenvectors, is all that the energy bookkeeping needs.
 A trajectory's records read the spectra its CPTP screen computed
 (`Trajectory.spectra`): `trajectory_records` gives the energy bookkeeping
 of every stored state at once, as one `ErgotropyRecord` of arrays, and
-`ergotropy` that of a single state; `activation_time` and
-`ergotropy_difference` read the ergotropy of those records.  Only the
-branch tracker `eigenvalue_crossings` reads eigenvectors; it decomposes
-the states itself, one chunk at a time and, like the screen, one sector
-of the trajectory's support at a time (`dynamics.sector_layout`), and
-matches branches inside each sector: a sector's eigenvectors vanish
-outside it.  Energies and energy-basis populations are read from the
-trajectory's compact storage by `Trajectory.expect`, and passive
-energies by one fixed-order sum per state, so every record of a state is
-the same bytes whichever other states share its trajectory; `ergotropy`
-is the one-state case.
+`ergotropy` that of a single state.  Only the branch tracker
+`eigenvalue_crossings` reads eigenvectors; it decomposes the states
+itself, one chunk at a time and, like the screen, one sector of the
+trajectory's support at a time (`dynamics.sector_layout`), and matches
+branches inside each sector: a sector's eigenvectors vanish outside it.
+Energies and energy-basis populations are read from the trajectory's
+compact storage by `Trajectory.expect`, and passive energies by one
+fixed-order sum per state, so every record of a state is the same bytes
+whichever other states share its trajectory; `ergotropy` is the
+one-state case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,9 +29,7 @@ from .dynamics import SCREEN_CHUNK, Trajectory, block_entries, sector_layout
 from .linalg import dagger, hermitian_eig, hermitian_eig_batch
 
 ERGOTROPY_CLIP = 1e-10        # admissible negative rounding before clipping to 0
-ACTIVATION_THRESHOLD = 1e-6   # default "ergotropy has switched on" level
 CROSSING_SIGNIFICANCE = 1e-10  # eigenvalue-gap noise floor for crossing reports
-DIFFERENCE_NOISE_FLOOR = 1e-9  # |dE| below this never counts as a signed value
 LEVEL_TOL = 1e-9              # relative gap below which two levels of H are one level
 
 
@@ -88,55 +84,6 @@ def trajectory_records(traj: Trajectory, h_matrix) -> ErgotropyRecord:
     passive = np.einsum("td,d->t", descending, h_levels, optimize=False)
     return ErgotropyRecord(energy=energies, passive_energy=passive,
                            ergotropy=_clip(energies - passive), rho_spectrum=descending)
-
-
-def activation_time(traj: Trajectory, h_matrix,
-                    threshold: float = ACTIVATION_THRESHOLD) -> float | None:
-    """First time the ergotropy exceeds `threshold` (linearly interpolated).
-
-    Returns None when the trajectory never activates.
-    """
-    if len(traj) == 0:
-        raise ValueError("empty trajectory")
-    erg = trajectory_records(traj, h_matrix).ergotropy
-    above = np.nonzero(erg > threshold)[0]
-    if above.size == 0:
-        return None
-    k = int(above[0])
-    if k == 0:
-        return float(traj.times[0])
-    t0, t1 = traj.times[k - 1], traj.times[k]
-    e0, e1 = erg[k - 1], erg[k]
-    return float(t0 + (t1 - t0) * (threshold - e0) / (e1 - e0))
-
-
-class ErgotropyDifference(NamedTuple):
-    times: np.ndarray
-    delta: np.ndarray
-    crossings: list[float]
-
-
-def ergotropy_difference(traj_a: Trajectory, traj_b: Trajectory, h_matrix,
-                         noise_floor: float = DIFFERENCE_NOISE_FLOOR) -> ErgotropyDifference:
-    """Pointwise ergotropy difference and its sign-change times.
-
-    A crossing is recorded when the difference flips sign between two values
-    both exceeding `noise_floor` in magnitude (intervening sub-floor samples
-    are ignored); the time is linearly interpolated.
-    """
-    if len(traj_a) != len(traj_b) or np.abs(traj_a.times - traj_b.times).max() > 1e-12:
-        raise ValueError("trajectories must share the same time grid")
-    delta = (trajectory_records(traj_a, h_matrix).ergotropy
-             - trajectory_records(traj_b, h_matrix).ergotropy)
-    crossings: list[float] = []
-    last_idx = None
-    for k in np.nonzero(np.abs(delta) > noise_floor)[0]:
-        if last_idx is not None and delta[k] * delta[last_idx] < 0:
-            t0, t1 = traj_a.times[last_idx], traj_a.times[k]
-            d0, d1 = delta[last_idx], delta[k]
-            crossings.append(float(t0 + (t1 - t0) * (-d0) / (d1 - d0)))
-        last_idx = int(k)
-    return ErgotropyDifference(times=traj_a.times.copy(), delta=delta, crossings=crossings)
 
 
 def _greedy_match(overlaps) -> np.ndarray:

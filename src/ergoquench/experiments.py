@@ -41,6 +41,7 @@ from .oracles import (TwoQubitBlockState, beta_critical, collective_steady_spect
                       dark_population_series, dark_subspace, dephasing_two_qubit_block,
                       p_dark, p_dark_derivative, steady_state_is_passive,
                       two_qubit_collective_sc, two_qubit_parallel_block)
+from .registry import DESCRIPTIONS, check_experiment
 from .svgplot import line_plot_svg
 
 STEADY_ERGOTROPY_EPS = 1e-4  # classification threshold for "non-passive steady state"
@@ -453,7 +454,7 @@ def _run_appb_deph(config: ExperimentConfig, out_dir: str):
 
 # --- validation experiments ---------------------------------------------------
 
-def _run_appc(config: ExperimentConfig, out_dir: str):
+def _run_appc_check(config: ExperimentConfig, out_dir: str):
     _require_n(config, 2, "appC-check")
     grid = _grid_from(config)
     betas = _betas_from(config)
@@ -510,7 +511,7 @@ def _run_appd(config: ExperimentConfig, out_dir: str):
                               extra=(columns, cells))
 
 
-def _run_fig9(config: ExperimentConfig, out_dir: str):
+def _run_fig9_jc(config: ExperimentConfig, out_dir: str):
     table = compare_jc(default_jc_spec(kappa_over_g=JC_RATIOS[0]), JC_RATIOS)
     header = ["kappa_over_g", "max_pee_deviation"]
     paths = [_write_csv(os.path.join(out_dir, "fig9-jc.csv"), header, table)]
@@ -528,44 +529,17 @@ class ExperimentInfo:
     description: str
 
 
-EXPERIMENTS = {
-    info.name: info for info in (
-        ExperimentInfo("fig2", _run_fig2,
-                       "N=2 parallel dissipation: ergotropy activation and the 2(1-h) plateau"),
-        ExperimentInfo("fig3", _run_fig3,
-                       "N=2 collective dissipation: temperature-dependent steady ergotropy"),
-        ExperimentInfo("fig4", _run_fig4,
-                       "steady-state passivity phase diagram on a 50x50 (beta, h) grid"),
-        ExperimentInfo("fig5", _run_fig5,
-                       "N=4 parallel dissipation: transient ergotropy crossings"),
-        ExperimentInfo("fig6", _run_fig6,
-                       "N=4 collective dissipation: dark-subspace protected ergotropy"),
-        ExperimentInfo("fig7", _run_fig7,
-                       "dark-subspace thermal occupation p_dark versus beta (N=4)"),
-        ExperimentInfo("fig8", _run_fig8,
-                       "parallel dephasing for N=2 and N=4: no transient crossings"),
-        ExperimentInfo("fig9-jc", _run_fig9,
-                       "lossy-cavity two-level model versus its effective decay equation"),
-        ExperimentInfo("appB-diss", _run_appb_diss,
-                       "steady ergotropy versus dissipative collectivity alpha_minus"),
-        ExperimentInfo("appB-deph", _run_appb_deph,
-                       "steady ergotropy versus dephasing collectivity alpha_z"),
-        ExperimentInfo("appB-channels", _run_appb_channels,
-                       "dissipation/dephasing mixing: same plateau, slower settling"),
-        ExperimentInfo("appC-check", _run_appc,
-                       "engine versus closed-form sector solutions (max deviations)"),
-        ExperimentInfo("appD", _run_appd,
-                       "N=4 eigenvalue-crossing analysis with energy-basis populations"),
-    )
-}
+def _runner(name: str) -> Callable:
+    """The runner of experiment name: _run_<name>, lower-cased, with '-' read as '_'."""
+    return globals()["_run_" + name.lower().replace("-", "_")]
+
+
+EXPERIMENTS = {name: ExperimentInfo(name, _runner(name), description)
+               for name, description in DESCRIPTIONS.items()}
 
 
 def run_experiment(config: ExperimentConfig) -> list[str]:
     """Run one registered experiment; returns the written file paths."""
-    if not config.experiment:
-        raise ConfigError("no experiment selected")
-    if config.experiment not in EXPERIMENTS:
-        known = ", ".join(sorted(EXPERIMENTS))
-        raise ConfigError(f"unknown experiment {config.experiment!r} (known: {known})")
+    check_experiment(config.experiment)
     os.makedirs(config.output_dir, exist_ok=True)
     return EXPERIMENTS[config.experiment].runner(config, config.output_dir)

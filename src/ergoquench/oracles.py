@@ -255,18 +255,6 @@ def steady_state_is_passive(beta: float, h: float) -> bool:
     return bool(np.sinh(2.0 * beta) >= np.cosh(2.0 * beta * h))
 
 
-def activation_time_analytic(beta: float, h: float, gamma: float) -> float:
-    """Ergotropy activation time ln(1 + tanh(beta - beta h)) / gamma.
-
-    Only meaningful below the critical field (h < 1 in coupling units).
-    """
-    if h >= 1.0:
-        raise ValueError("activation formula requires h < 1")
-    if beta <= 0 or gamma <= 0:
-        raise ValueError("beta and gamma must be > 0")
-    return float(np.log(1.0 + np.tanh(beta - beta * h)) / gamma)
-
-
 def beta_critical(h: float, tol: float = 1e-10) -> float:
     """Positive root of sinh(2b) = cosh(2bh), by bracketing bisection on (0, 20]."""
     if not 0.0 <= h < 1.0:

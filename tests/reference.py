@@ -19,11 +19,18 @@
 - `row_lines`: CSV lines formatted one row at a time with the template
   that the first row's cell types fix, against the writer's blocks of
   rows with their fixed cells formatted once per block.
+- `activation_time`, `ergotropy_difference` and `activation_time_analytic`:
+  the ergotropy's switch-on time, read off a trajectory's records and from
+  its closed form, and the signed ergotropy gap of two trajectories with
+  its sign changes, for the acceptance criteria on activation and
+  crossings.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
-from ergoquench import Trajectory, check_density_matrix, vec
+from ergoquench import Trajectory, check_density_matrix, trajectory_records, vec
 from ergoquench.linalg import dagger, hermitian_eig
 from ergoquench.oracles import _evolve_block, _parallel_generator
 
@@ -290,3 +297,68 @@ def row_lines(header, rows):
         elif cells != columns:
             raise ValueError(f"row {index} {row!r} does not fit the columns {columns}")
         yield template % row
+
+
+ACTIVATION_THRESHOLD = 1e-6   # default "ergotropy has switched on" level
+DIFFERENCE_NOISE_FLOOR = 1e-9  # |dE| below this never counts as a signed value
+
+
+def activation_time(traj: Trajectory, h_matrix,
+                    threshold: float = ACTIVATION_THRESHOLD) -> float | None:
+    """First time the ergotropy exceeds `threshold` (linearly interpolated).
+
+    Returns None when the trajectory never activates.
+    """
+    if len(traj) == 0:
+        raise ValueError("empty trajectory")
+    erg = trajectory_records(traj, h_matrix).ergotropy
+    above = np.nonzero(erg > threshold)[0]
+    if above.size == 0:
+        return None
+    k = int(above[0])
+    if k == 0:
+        return float(traj.times[0])
+    t0, t1 = traj.times[k - 1], traj.times[k]
+    e0, e1 = erg[k - 1], erg[k]
+    return float(t0 + (t1 - t0) * (threshold - e0) / (e1 - e0))
+
+
+class ErgotropyDifference(NamedTuple):
+    times: np.ndarray
+    delta: np.ndarray
+    crossings: list[float]
+
+
+def ergotropy_difference(traj_a: Trajectory, traj_b: Trajectory, h_matrix,
+                         noise_floor: float = DIFFERENCE_NOISE_FLOOR) -> ErgotropyDifference:
+    """Pointwise ergotropy difference and its sign-change times.
+
+    A crossing is recorded when the difference flips sign between two values
+    both exceeding `noise_floor` in magnitude (intervening sub-floor samples
+    are ignored); the time is linearly interpolated.
+    """
+    if len(traj_a) != len(traj_b) or np.abs(traj_a.times - traj_b.times).max() > 1e-12:
+        raise ValueError("trajectories must share the same time grid")
+    delta = (trajectory_records(traj_a, h_matrix).ergotropy
+             - trajectory_records(traj_b, h_matrix).ergotropy)
+    crossings: list[float] = []
+    last_idx = None
+    for k in np.nonzero(np.abs(delta) > noise_floor)[0]:
+        if last_idx is not None and delta[k] * delta[last_idx] < 0:
+            t0, t1 = traj_a.times[last_idx], traj_a.times[k]
+            d0, d1 = delta[last_idx], delta[k]
+            crossings.append(float(t0 + (t1 - t0) * (-d0) / (d1 - d0)))
+        last_idx = int(k)
+    return ErgotropyDifference(times=traj_a.times.copy(), delta=delta, crossings=crossings)
+
+
+def activation_time_analytic(beta: float, h: float, gamma: float) -> float:
+    """Ergotropy activation time ln(1 + tanh(beta - beta h)) / gamma.
+
+    Only meaningful below the critical field (h < 1 in coupling units).
+    """
+    if h >= 1.0:
+        raise ValueError("activation formula requires h < 1")
+    if beta <= 0 or gamma <= 0:
+        raise ValueError("beta and gamma must be > 0")
+    return float(np.log(1.0 + np.tanh(beta - beta * h)) / gamma)

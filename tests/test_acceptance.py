@@ -15,19 +15,18 @@ import pytest
 from ergoquench import (ChannelSpec, ModelSpec, TimeGrid, build_hamiltonian,
                         build_liouvillian, evolve_to, gibbs_state, propagate)
 from ergoquench.config import ExperimentConfig
-from ergoquench.ergotropy import (activation_time, eigenvalue_crossings, ergotropy,
-                                  ergotropy_difference, trajectory_records)
+from ergoquench.ergotropy import eigenvalue_crossings, ergotropy, trajectory_records
 from ergoquench.experiments import run_experiment
 from ergoquench.jc import compare_jc, default_jc_spec, effective_atom_evolution, jc_full_evolution
 from ergoquench.linalg import dagger, expm, hermitian_eig, hermitian_eigvals_batch
-from ergoquench.oracles import (TwoQubitBlockState, activation_time_analytic,
-                                beta_critical, collective_steady_spectrum,
+from ergoquench.oracles import (TwoQubitBlockState, beta_critical, collective_steady_spectrum,
                                 dark_population_series, dark_subspace,
                                 dephasing_two_qubit_block, p_dark, p_dark_derivative,
                                 steady_state_is_passive, two_qubit_collective_sc,
                                 two_qubit_parallel_block)
 
 from conftest import random_density, random_hermitian
+from reference import activation_time, activation_time_analytic, ergotropy_difference
 
 H_FIELD = 0.1
 GAMMA = 0.05

@@ -805,7 +805,7 @@ def test_a_nan_initial_state_is_refused():
         evolve_to(liou, rho0, 2.0)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("entry", [(0, 0), (5, 5), (3, 5)], ids=["1x1", "6-diagonal", "6-off"])
 def test_a_non_finite_entry_is_reported_at_its_step(h4, entry, value):

@@ -7,14 +7,13 @@ import pytest
 from ergoquench import (ChannelSpec, ModelSpec, TimeGrid, build_hamiltonian,
                         build_liouvillian, gibbs_state, propagate)
 from ergoquench.dynamics import SCREEN_CHUNK, InvariantViolation
-from ergoquench.ergotropy import (_greedy_match, activation_time, eigenvalue_crossings,
-                                  energy_basis_populations, ergotropy,
-                                  ergotropy_difference, trajectory_records)
+from ergoquench.ergotropy import (_greedy_match, eigenvalue_crossings, energy_basis_populations,
+                                  ergotropy, trajectory_records)
 from ergoquench.linalg import dagger, expm, hermitian_eig, hermitian_eigvals_batch
-from ergoquench.oracles import activation_time_analytic
 
 from conftest import random_density, random_hermitian
-from reference import passive_state, sector_eigh
+from reference import (activation_time, activation_time_analytic, ergotropy_difference,
+                       passive_state, sector_eigh)
 
 
 def _traj(n, beta, grid, **channel):

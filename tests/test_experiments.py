@@ -16,6 +16,7 @@ from ergoquench.dynamics import InvariantViolation, Trajectory, evolve_to
 from ergoquench.experiments import (CSV_BATCH_CELLS, CSV_BLOCK_ROWS, EXPERIMENTS, _lines,
                                     _trajectory_blocks, _write_csv, run_experiment)
 from ergoquench.floattext import float_text
+from ergoquench.svgplot import line_plot_svg
 from reference import row_lines
 
 
@@ -456,6 +457,20 @@ def test_fig4_svg_draws_the_passivity_boundary_and_leaves_the_csv_alone(tmp_path
         fit = np.polyval(np.polyfit(data, pixels, 1), data)
         assert np.abs(fit - pixels).max() <= 0.01
     assert np.all(np.diff(x) > 0) and np.all(np.diff(y) < 0)  # h rises up the page
+
+
+@pytest.mark.parametrize("xs,ys", [([2.0, 2.0, 2.0], [0.0, 1.0, 4.0]),
+                                   ([0.0, 1.0, 4.0], [3.0, 3.0, 3.0])],
+                         ids=["constant-x", "constant-y"])
+def test_a_constant_series_is_drawn_at_finite_pixels(tmp_path, xs, ys):
+    path = tmp_path / "flat.svg"
+    line_plot_svg(str(path), [("flat", xs, ys)])
+    text = path.read_text(encoding="utf-8")
+    assert "nan" not in text
+    points = re.search(r'points="([^"]*)"', text).group(1).split()
+    pixels = np.array([p.split(",") for p in points], dtype=float)
+    assert pixels.shape == (3, 2) and np.all(np.isfinite(pixels))
+    assert np.all((pixels >= 0) & (pixels <= [720, 480]))
 
 
 @pytest.mark.parametrize("name", ["fig5", "fig6", "fig8", "appD"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ergoquench import TimeGrid
-from ergoquench.jc import (JCSpec, compare_jc, default_jc_spec,
+from ergoquench.jc import (JCSpec, _auto_grid, compare_jc, default_jc_spec,
                            effective_atom_evolution, jc_full_evolution, jc_hamiltonian)
 from ergoquench.linalg import dagger, hermitian_eig
 
@@ -103,3 +103,12 @@ def test_comparison_trivial_without_coupling():
 def test_compare_rejects_nonpositive_ratio():
     with pytest.raises(ValueError):
         compare_jc(default_jc_spec(kappa_over_g=1.0), (1.0, -2.0))
+
+
+def test_auto_grid_of_a_slow_decay_takes_whole_unit_steps():
+    spec = JCSpec(omega_q=10.0, omega_c=10.0, g=0.03, kappa=1.0)  # gamma_eff = 0.0036
+    span = 8.0 / spec.gamma_eff  # 2222.2..., so 400 points would be 5.6 apart
+    grid = _auto_grid(spec)
+    assert grid.dt == 1.0
+    assert grid.t_max == np.ceil(span) and grid.t_max >= span
+    assert grid.times()[-1] == grid.t_max

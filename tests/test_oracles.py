@@ -5,15 +5,14 @@ from ergoquench import (ChannelSpec, ModelSpec, TimeGrid, build_hamiltonian,
                         build_liouvillian, gibbs_state, propagate)
 from ergoquench.linalg import dagger, hermitian_eig
 from ergoquench.model import collective_operator
-from ergoquench.oracles import (DarkSubspace, TwoQubitBlockState, _expm_taylor,
-                                activation_time_analytic, beta_critical,
+from ergoquench.oracles import (DarkSubspace, TwoQubitBlockState, _expm_taylor, beta_critical,
                                 collective_steady_spectrum, dark_population_series,
                                 dark_subspace, dephasing_two_qubit_block, p_dark,
                                 p_dark_derivative, steady_s_infinity,
                                 steady_state_is_passive, two_qubit_collective_sc,
                                 two_qubit_parallel_block)
 
-from reference import two_qubit_collective_block
+from reference import activation_time_analytic, two_qubit_collective_block
 
 GAMMA = 0.05
 

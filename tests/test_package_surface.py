@@ -1,31 +1,36 @@
 """The package exports only what its own modules use, plus a few names kept on purpose.
 
 Code that only the tests call belongs in tests/reference.py, not in the
-package.  Every name `ergoquench/__init__.py` imports must be referenced in
+package.  Every name `ergoquench.__all__` exports must be referenced in
 some other module of the package outside its own definition, or be listed
 in KEEP with the reason it stays public.
+
+The exports load lazily.  The tests of that run each case in a fresh
+interpreter, so that what is imported first, and whether numpy is
+loaded, is real and not left over from another test.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import ergoquench
+from ergoquench import EXPERIMENTS
 
 PACKAGE = Path(ergoquench.__file__).resolve().parent
 
 # exported names no package module calls, each with the reason it stays
 KEEP = {
     "ergotropy": "the benchmark's tracer wraps it as the single-state ergotropy layer",
-    "activation_time": "the run manifest planned in ROADMAP item 4 will call it",
-    "ergotropy_difference": "the run manifest planned in ROADMAP item 4 will call it",
-    "activation_time_analytic": "the run manifest planned in ROADMAP item 4 will call it",
 }
 
 
 def _exported_names() -> set:
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    return {alias.asname or alias.name for node in tree.body
-            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return set(ergoquench.__all__)
 
 
 def _loaded_names(tree) -> set:
@@ -57,3 +62,85 @@ def test_every_kept_name_is_exported_and_still_unused():
     assert KEEP.keys() <= _exported_names()
     assert all(KEEP.values())
     assert sorted(KEEP.keys() & _used_names()) == []
+
+
+def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code with args in a new interpreter that imports the package from this tree."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
+# the command line's main, then one line saying whether numpy was loaded
+_CLI = """
+import sys
+from ergoquench.cli import main
+try:
+    code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+except SystemExit as done:
+    code = done.code
+print("numpy loaded:", "numpy" in sys.modules)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("args,status,err", [
+    ((), 0, ""),
+    (("list",), 0, ""),
+    (("--help",), 0, ""),
+    (("run", "--experiment", "fig99"), 2, "config error: unknown experiment 'fig99'"),
+    (("run", "--experiment", "fig2", "--config", "no-such.cfg"), 2, "error: cannot read config"),
+], ids=["import", "list", "help", "unknown-name", "unreadable-config"])
+def test_the_command_line_answers_without_numpy(args, status, err):
+    proc = _fresh(_CLI, *args)
+    assert proc.returncode == status, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "numpy loaded: False"
+    assert proc.stderr.startswith(err)
+
+
+def test_a_config_value_error_answers_without_numpy(tmp_path):
+    config = tmp_path / "bad.cfg"
+    config.write_text("alpha = 1.5\n")
+    proc = _fresh(_CLI, "run", "--experiment", "fig2", "--config", str(config))
+    assert proc.returncode == 2
+    assert proc.stdout.splitlines()[-1] == "numpy loaded: False"
+    assert "alpha out of [0,1]" in proc.stderr
+
+
+def test_list_prints_the_registry_in_its_order():
+    proc = _fresh(_CLI, "list")
+    lines = proc.stdout.splitlines()[:-1]
+    width = max(map(len, EXPERIMENTS))
+    assert [line.split()[0] for line in lines] == list(EXPERIMENTS)
+    assert lines == [f"{name:<{width}}  {EXPERIMENTS[name].description}" for name in EXPERIMENTS]
+
+
+@pytest.mark.parametrize("first", [
+    "from ergoquench import ergotropy",
+    "ergoquench.run_experiment",
+    "import ergoquench.experiments",
+    "import ergoquench.ergotropy",
+])
+def test_the_export_ergotropy_is_the_function_whatever_is_imported_first(first):
+    proc = _fresh(f"""
+import sys
+import ergoquench
+{first}
+import ergoquench.ergotropy
+import ergoquench.experiments
+print(ergoquench.ergotropy is sys.modules["ergoquench.ergotropy"].ergotropy)
+""")
+    assert proc.stdout.split() == ["True"], proc.stderr
+
+
+def test_every_export_resolves_and_is_listed():
+    proc = _fresh("""
+import sys
+import ergoquench
+for name in ergoquench.__all__:
+    value = getattr(ergoquench, name)
+    assert value is getattr(sys.modules["ergoquench." + ergoquench._EXPORTS[name]], name), name
+    assert name in dir(ergoquench), name
+print(len(ergoquench.__all__))
+""")
+    assert proc.stdout.split() == [str(len(ergoquench.__all__))], proc.stderr
