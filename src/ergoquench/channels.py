@@ -31,6 +31,7 @@ step each block on its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -71,16 +72,22 @@ class ChannelSpec:
 class Liouvillian:
     """Dense D^2 x D^2 generator acting on column-stacked states.
 
-    `blocks` partitions the D^2 indices into the index arrays of the
-    invariant blocks of `matrix`: no entry of `matrix` couples two blocks.
-    A fully coupled generator is a single block.
+    `dim_state` is D, read off the shape of `matrix`.  `blocks` partitions
+    the D^2 indices into the index arrays of the invariant blocks of
+    `matrix`: no entry of `matrix` couples two blocks.  A fully coupled
+    generator is a single block.
     """
 
     matrix: np.ndarray
-    dim_state: int
+    dim_state: int = field(init=False)
     blocks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        shape = np.shape(self.matrix)
+        dim = math.isqrt(shape[0]) if len(shape) == 2 else 0
+        if dim == 0 or shape != (dim * dim, dim * dim):
+            raise ValueError(f"a Liouvillian matrix is D^2 x D^2 with D >= 1, got shape {shape}")
+        object.__setattr__(self, "dim_state", dim)
         object.__setattr__(self, "blocks", _invariant_blocks(self.matrix))
 
 
@@ -172,20 +179,23 @@ def _site_jumps(n: int, kind: str) -> tuple:
     return jumps
 
 
-def build_liouvillian(h_matrix, spec: ChannelSpec, model: ModelSpec) -> Liouvillian:
-    """Full quench generator: commutator plus the alpha-mixed channels, in diagonal form."""
-    if model.n_qubits > MAX_LIOUVILLIAN_QUBITS:
-        raise ValueError(
-            f"dense Liouvillians are limited to {MAX_LIOUVILLIAN_QUBITS} qubits")
+def build_liouvillian(h_matrix, spec: ChannelSpec) -> Liouvillian:
+    """Full quench generator: commutator plus the alpha-mixed channels, in diagonal form.
+
+    h_matrix is the 2^N x 2^N Hamiltonian of an N-qubit chain; N is read
+    off its shape and must be at most MAX_LIOUVILLIAN_QUBITS.
+    """
     h = np.asarray(h_matrix, dtype=complex)
-    if h.shape != (model.dim, model.dim):
-        raise ValueError(f"Hamiltonian shape {h.shape} does not match dim {model.dim}")
+    n_qubits = len(h).bit_length() - 1 if h.ndim == 2 else 0
+    if not 1 <= n_qubits <= MAX_LIOUVILLIAN_QUBITS or h.shape != (2 ** n_qubits,) * 2:
+        raise ValueError(f"the Hamiltonian must be 2^N x 2^N with 1 <= N <= "
+                         f"{MAX_LIOUVILLIAN_QUBITS} (dense Liouvillians), got shape {h.shape}")
     jumps, rates = [], []
     for weight, kind, interp in ((1.0 - spec.alpha, "minus", spec.alpha_minus),
                                  (spec.alpha, "z", spec.alpha_z)):
         if weight > 0.0 and spec.gamma > 0.0:
             # gamma [(1 - interp) I + interp 11^T] in diagonal form: the site jumps plus their sum
-            jumps += _site_jumps(model.n_qubits, kind)
-            rates += ([weight * spec.gamma * (1.0 - interp)] * model.n_qubits
+            jumps += _site_jumps(n_qubits, kind)
+            rates += ([weight * spec.gamma * (1.0 - interp)] * n_qubits
                       + [weight * spec.gamma * interp])
-    return Liouvillian(matrix=lindblad_matrix(h, jumps, rates), dim_state=model.dim)
+    return Liouvillian(matrix=lindblad_matrix(h, jumps, rates))

@@ -1,10 +1,11 @@
 """Flat key=value experiment configuration.
 
-An empty file (or no file) yields the default parameter set: h = 0.1,
-gamma = 0.05, j = 1, dt = 0.5, t_max = 800 and the inverse-temperature
-grid (0.2, 0.5, 1, 2, 5).  Individual experiments refine unset values
-(for example appD runs at dt = 0.1); explicitly provided keys always win,
-and the `explicit` set records which ones those are.
+An empty file (or no file) yields the default parameter set, in units of
+the chain coupling J = 1: h = 0.1, gamma = 0.05, dt = 0.5, t_max = 800
+and the inverse-temperature grid (0.2, 0.5, 1, 2, 5).  Individual
+experiments refine unset values (for example appD runs at dt = 0.1);
+explicitly provided keys always win, and the `explicit` set records which
+ones those are.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ class ExperimentConfig:
     n_qubits: int | None = None
     h: float = 0.1
     gamma: float = 0.05
-    j: float = 1.0
     beta_list: tuple[float, ...] = DEFAULT_BETA_GRID
     alpha: float = 0.0
     alpha_minus: float = 0.0
@@ -40,7 +40,7 @@ class ExperimentConfig:
         return key in self.explicit
 
 
-_FLOAT_KEYS = ("h", "gamma", "j", "alpha", "alpha_minus", "alpha_z", "t_max", "dt")
+_FLOAT_KEYS = ("h", "gamma", "alpha", "alpha_minus", "alpha_z", "t_max", "dt")
 _KNOWN_KEYS = _FLOAT_KEYS + ("experiment", "n_qubits", "beta_list", "output_dir", "emit_svg")
 
 
@@ -112,8 +112,6 @@ def _check_ranges(config: ExperimentConfig) -> None:
         raise ConfigError(f"gamma must be >= 0, got {config.gamma}")
     if config.h < 0:
         raise ConfigError(f"h must be >= 0, got {config.h}")
-    if config.j != 1.0:
-        raise ConfigError(f"j must be 1 (the analytic cross-checks assume unit coupling), got {config.j}")
     if config.n_qubits is not None and not 1 <= config.n_qubits <= 4:
         raise ConfigError(f"n_qubits must be in 1..4, got {config.n_qubits}")
     if not config.beta_list:

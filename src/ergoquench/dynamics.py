@@ -119,11 +119,15 @@ class Trajectory:
     times: np.ndarray
     values: np.ndarray   # (T, S): each state's entries at `support`
     support: np.ndarray  # (S,) row-major indices into a (D, D) state
-    dim: int
     spectra: np.ndarray  # (T, D), ascending
 
     def __len__(self) -> int:
         return len(self.times)
+
+    @property
+    def dim(self) -> int:
+        """D, the dimension of each state."""
+        return self.spectra.shape[1]
 
     def expect(self, ops) -> np.ndarray:
         """Re Tr(rho_t A) of every stored state: (T,) for one (D, D) operator, (T, K) for a stack.
@@ -402,7 +406,7 @@ def _screen(times, values, support, dim: int) -> Trajectory:
             k = int(bad[0])
             raise InvariantViolation(
                 f"dynamics: {name} defect {dev[k]:.3e} at step {k} (t={times[k]:g})")
-    return Trajectory(times=times, values=values, support=layout.stored, dim=dim, spectra=vals)
+    return Trajectory(times=times, values=values, support=layout.stored, spectra=vals)
 
 
 def _initial_vectors(liou: Liouvillian, rho0) -> np.ndarray:

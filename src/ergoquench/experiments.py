@@ -211,9 +211,9 @@ def _betas_from(config: ExperimentConfig, default: tuple | None = None) -> tuple
     return default
 
 
-def _require_n(config: ExperimentConfig, n: int, name: str) -> None:
+def _require_n(config: ExperimentConfig, n: int) -> None:
     if config.n_qubits is not None and config.n_qubits != n:
-        raise ConfigError(f"experiment {name!r} fixes n_qubits={n}")
+        raise ConfigError(f"experiment {config.experiment!r} fixes n_qubits={n}")
 
 
 def _chain_sizes(config: ExperimentConfig) -> tuple:
@@ -232,14 +232,18 @@ def _quench(hamiltonians: dict, n: int, h: float, gamma: float, channel: tuple):
     channel is (alpha, alpha_minus, alpha_z).
     """
     h_matrix = hamiltonians[n, h]
-    return h_matrix, build_liouvillian(h_matrix, ChannelSpec(gamma, *channel),
-                                       ModelSpec(n_qubits=n, field_h=h))
+    return h_matrix, build_liouvillian(h_matrix, ChannelSpec(gamma, *channel))
 
 
-def _maybe_svg(config, out_dir, name, series, title, ylabel="ergotropy", xlabel="time"):
+def _output(config: ExperimentConfig, extension: str) -> str:
+    """The path of the run's output file <output_dir>/<experiment>.<extension>."""
+    return os.path.join(config.output_dir, f"{config.experiment}.{extension}")
+
+
+def _maybe_svg(config, series, title, ylabel="ergotropy", xlabel="time"):
     if not config.emit_svg:
         return []
-    path = os.path.join(out_dir, f"{name}.svg")
+    path = _output(config, "svg")
     line_plot_svg(path, series, title=title, xlabel=xlabel, ylabel=ylabel)
     return [path]
 
@@ -273,8 +277,8 @@ def _trajectory_blocks(lead, times, rec, added, with_spectrum: bool):
         yield [*lead, *(column[part] for column in columns)]
 
 
-def _trajectory_figure(config, out_dir, name, ids, table, grid, title, label,
-                       with_spectrum: bool = True, extra=_NO_EXTRA):
+def _trajectory_figure(config, ids, table, grid, title, label, with_spectrum: bool = True,
+                       extra=_NO_EXTRA):
     """Shared body of the trajectory figures (fig2/3/5/6/8, appB-channels, appD).
 
     H is built once per chain size and L once per table row; the (row, beta)
@@ -286,7 +290,7 @@ def _trajectory_figure(config, out_dir, name, ids, table, grid, title, label,
     added columns, written between ergotropy and the spectrum.
     """
     for row in table:
-        _require_n(config, row.n, name)
+        _require_n(config, row.n)
     hamiltonians = _hamiltonians((row.n, config.h) for row in table)
     quenches = [_quench(hamiltonians, row.n, config.h, config.gamma, row.channel)
                 for row in table]
@@ -310,56 +314,53 @@ def _trajectory_figure(config, out_dir, name, ids, table, grid, title, label,
     header = list(ids) + ["beta", "time", "energy", "passive_energy", "ergotropy"] + list(columns)
     if with_spectrum:
         header += [f"lambda_{k}" for k in range(2 ** table[0].n)]
-    paths = [_write_csv(os.path.join(out_dir, f"{name}.csv"), header, streamed_blocks())]
-    paths += _maybe_svg(config, out_dir, name, series, title)
+    paths = [_write_csv(_output(config, "csv"), header, streamed_blocks())]
+    paths += _maybe_svg(config, series, title)
     return paths
 
 
-def _single_size_figure(config, out_dir, name, n, channel, betas, title, extra=_NO_EXTRA):
+def _single_size_figure(config, n, channel, betas, title, extra=_NO_EXTRA):
     """fig2/3/5/6: one chain size and channel, swept over beta."""
-    return _trajectory_figure(config, out_dir, name, (), [_Row((), n, channel, betas)],
-                              _grid_from(config), title, lambda tag, b: f"beta={b:g}",
-                              extra=extra)
+    return _trajectory_figure(config, (), [_Row((), n, channel, betas)], _grid_from(config),
+                              title, lambda tag, b: f"beta={b:g}", extra=extra)
 
 
-def _run_fig2(config: ExperimentConfig, out_dir: str):
-    return _single_size_figure(config, out_dir, "fig2", 2,
-                               (config.alpha, config.alpha_minus, config.alpha_z),
+def _run_fig2(config: ExperimentConfig):
+    return _single_size_figure(config, 2, (config.alpha, config.alpha_minus, config.alpha_z),
                                _betas_from(config), "two-qubit parallel dissipation")
 
 
-def _run_fig3(config: ExperimentConfig, out_dir: str):
-    return _single_size_figure(config, out_dir, "fig3", 2, (0.0, 1.0, config.alpha_z),
+def _run_fig3(config: ExperimentConfig):
+    return _single_size_figure(config, 2, (0.0, 1.0, config.alpha_z),
                                _betas_from(config, FIG3_BETA_GRID),
                                "two-qubit collective dissipation")
 
 
-def _run_fig5(config: ExperimentConfig, out_dir: str):
-    return _single_size_figure(config, out_dir, "fig5", 4,
-                               (config.alpha, config.alpha_minus, config.alpha_z),
+def _run_fig5(config: ExperimentConfig):
+    return _single_size_figure(config, 4, (config.alpha, config.alpha_minus, config.alpha_z),
                                _betas_from(config), "four-qubit parallel dissipation")
 
 
-def _run_fig6(config: ExperimentConfig, out_dir: str):
+def _run_fig6(config: ExperimentConfig):
     dark = dark_subspace(ModelSpec(n_qubits=4, field_h=config.h))
 
     def cells(traj, h_matrix):
         return [dark_population_series(traj, dark)]
 
-    return _single_size_figure(config, out_dir, "fig6", 4, (0.0, 1.0, config.alpha_z),
+    return _single_size_figure(config, 4, (0.0, 1.0, config.alpha_z),
                                _betas_from(config), "four-qubit collective dissipation",
                                extra=(["p_dark"], cells))
 
 
-def _run_fig8(config: ExperimentConfig, out_dir: str):
+def _run_fig8(config: ExperimentConfig):
     betas = _betas_from(config)
     table = [_Row((n,), n, (1.0, config.alpha_minus, 0.0), betas) for n in _chain_sizes(config)]
-    return _trajectory_figure(config, out_dir, "fig8", ("n_qubits",), table,
-                              _grid_from(config), "parallel dephasing",
-                              lambda tag, b: f"N={tag[0]} beta={b:g}", with_spectrum=False)
+    return _trajectory_figure(config, ("n_qubits",), table, _grid_from(config),
+                              "parallel dephasing", lambda tag, b: f"N={tag[0]} beta={b:g}",
+                              with_spectrum=False)
 
 
-def _run_appb_channels(config: ExperimentConfig, out_dir: str):
+def _run_appb_channels(config: ExperimentConfig):
     # mixing slows relaxation by (1 - alpha); the long default grid lets
     # every mix settle
     grid = _grid_from(config, default_t_max=4000.0, default_dt=1.0)
@@ -368,15 +369,14 @@ def _run_appb_channels(config: ExperimentConfig, out_dir: str):
     table = [_Row((panel, alpha), 2, (alpha, am, az), (beta,))
              for panel, am, az, beta in panels for alpha in MIXING_ALPHA_GRID]
     return _trajectory_figure(
-        config, out_dir, "appB-channels", ("panel", "alpha"), table, grid,
-        "channel mixing (parallel, beta=0.2)",
+        config, ("panel", "alpha"), table, grid, "channel mixing (parallel, beta=0.2)",
         lambda tag, b: f"alpha={tag[1]:g}" if tag[0] == "parallel-hot" else None,
         with_spectrum=False)
 
 
 # --- steady-state experiments ------------------------------------------------
 
-def _steady_sweep(config, out_dir, name, header, table, betas,
+def _steady_sweep(config, header, table, betas,
                   block_of=lambda tag, betas, ergs: (*tag, betas, ergs)):
     """Shared body of the steady-state sweeps (fig4, appB-diss/deph).
 
@@ -397,30 +397,28 @@ def _steady_sweep(config, out_dir, name, header, table, betas,
         steady = evolve_to(liou, gibbs_state(h_matrix, betas), config.t_max)
         return block_of(tag, betas, trajectory_records(steady, h_matrix).ergotropy)
 
-    return [_write_csv(os.path.join(out_dir, f"{name}.csv"), header, map(point, table))]
+    return [_write_csv(_output(config, "csv"), header, map(point, table))]
 
 
-def _run_fig4(config: ExperimentConfig, out_dir: str):
-    _require_n(config, 2, "fig4")
+def _run_fig4(config: ExperimentConfig):
+    _require_n(config, 2)
     fields = np.linspace(0.0, 0.9, 50)
     header = ["beta", "h", "steady_ergotropy", "passive_predicted", "passive_observed"]
     paths = _steady_sweep(
-        config, out_dir, "fig4", header, [(h, 2, h, (0.0, 1.0, 0.0)) for h in fields],
+        config, header, [(h, 2, h, (0.0, 1.0, 0.0)) for h in fields],
         np.linspace(0.1, 3.0, 50),
         lambda h, betas, ergs: (betas, h, ergs,
                                 [steady_state_is_passive(beta, h) for beta in betas],
                                 ergs <= STEADY_ERGOTROPY_EPS))
     if config.emit_svg:
         boundary = [beta_critical(h_value) for h_value in fields]
-        paths += _maybe_svg(config, out_dir, "fig4",
-                            [("beta_c(h)", boundary, fields)],
-                            "steady-state passivity boundary",
-                            ylabel="h", xlabel="beta")
+        paths += _maybe_svg(config, [("beta_c(h)", boundary, fields)],
+                            "steady-state passivity boundary", ylabel="h", xlabel="beta")
     return paths
 
 
-def _run_fig7(config: ExperimentConfig, out_dir: str):
-    _require_n(config, 4, "fig7")
+def _run_fig7(config: ExperimentConfig):
+    _require_n(config, 4)
     model = ModelSpec(n_qubits=4, field_h=config.h)
     dark = dark_subspace(model)
     h_matrix = build_hamiltonian(model)
@@ -428,25 +426,22 @@ def _run_fig7(config: ExperimentConfig, out_dir: str):
     rows = [(beta, p_dark(beta, model, dark=dark, h_matrix=h_matrix),
              p_dark_derivative(beta, model, dark=dark, h_matrix=h_matrix)) for beta in betas]
     header = ["beta", "p_dark", "dp_dark_dbeta"]
-    paths = [_write_csv(os.path.join(out_dir, "fig7.csv"), header, rows)]
-    paths += _maybe_svg(config, out_dir, "fig7",
-                        [("p_dark", betas, [r[1] for r in rows])],
+    paths = [_write_csv(_output(config, "csv"), header, rows)]
+    paths += _maybe_svg(config, [("p_dark", betas, [r[1] for r in rows])],
                         "dark-subspace occupation of the thermal state",
                         ylabel="p_dark", xlabel="beta")
     return paths
 
 
-def _run_appb_diss(config: ExperimentConfig, out_dir: str):
-    return _steady_sweep(config, out_dir, "appB-diss",
-                         ["n_qubits", "alpha_minus", "beta", "steady_ergotropy"],
+def _run_appb_diss(config: ExperimentConfig):
+    return _steady_sweep(config, ["n_qubits", "alpha_minus", "beta", "steady_ergotropy"],
                          [((n, a), n, config.h, (0.0, a, 0.0))
                           for n in _chain_sizes(config) for a in INTERP_ALPHA_GRID],
                          _betas_from(config))
 
 
-def _run_appb_deph(config: ExperimentConfig, out_dir: str):
-    return _steady_sweep(config, out_dir, "appB-deph",
-                         ["n_qubits", "alpha_z", "beta", "steady_ergotropy"],
+def _run_appb_deph(config: ExperimentConfig):
+    return _steady_sweep(config, ["n_qubits", "alpha_z", "beta", "steady_ergotropy"],
                          [((n, a), n, config.h, (1.0, 0.0, a))
                           for n in _chain_sizes(config) for a in INTERP_ALPHA_GRID],
                          _betas_from(config))
@@ -454,8 +449,8 @@ def _run_appb_deph(config: ExperimentConfig, out_dir: str):
 
 # --- validation experiments ---------------------------------------------------
 
-def _run_appc_check(config: ExperimentConfig, out_dir: str):
-    _require_n(config, 2, "appC-check")
+def _run_appc_check(config: ExperimentConfig):
+    _require_n(config, 2)
     grid = _grid_from(config)
     betas = _betas_from(config)
     if min(betas) <= 0:
@@ -488,10 +483,10 @@ def _run_appc_check(config: ExperimentConfig, out_dir: str):
         rows.append(("dephasing_block", beta, dev_dep))
         rows.append(("collective_steady_spectrum", beta, dev_spec))
     header = ["quantity", "beta", "max_abs_deviation"]
-    return [_write_csv(os.path.join(out_dir, "appC-check.csv"), header, rows)]
+    return [_write_csv(_output(config, "csv"), header, rows)]
 
 
-def _run_appd(config: ExperimentConfig, out_dir: str):
+def _run_appd(config: ExperimentConfig):
     grid = _grid_from(config, default_t_max=250.0, default_dt=0.1)
     betas = _betas_from(config, (0.2, 5.0))
 
@@ -506,17 +501,16 @@ def _run_appd(config: ExperimentConfig, out_dir: str):
                 [";".join(marks.get(k, [])) for k in steps], populations]
 
     columns = ["crossing", "crossing_pair"] + [f"pop_{k}" for k in range(16)]
-    return _trajectory_figure(config, out_dir, "appD", (), [_Row((), 4, (0.0, 0.0, 0.0), betas)],
+    return _trajectory_figure(config, (), [_Row((), 4, (0.0, 0.0, 0.0), betas)],
                               grid, "four-qubit crossing analysis", lambda tag, b: f"beta={b:g}",
                               extra=(columns, cells))
 
 
-def _run_fig9_jc(config: ExperimentConfig, out_dir: str):
+def _run_fig9_jc(config: ExperimentConfig):
     table = compare_jc(default_jc_spec(kappa_over_g=JC_RATIOS[0]), JC_RATIOS)
     header = ["kappa_over_g", "max_pee_deviation"]
-    paths = [_write_csv(os.path.join(out_dir, "fig9-jc.csv"), header, table)]
-    paths += _maybe_svg(config, out_dir, "fig9-jc",
-                        [("max deviation", [r for r, _ in table], [d for _, d in table])],
+    paths = [_write_csv(_output(config, "csv"), header, table)]
+    paths += _maybe_svg(config, [("max deviation", [r for r, _ in table], [d for _, d in table])],
                         "lossy-cavity model vs adiabatic elimination",
                         ylabel="max |p_ee deviation|", xlabel="kappa/g")
     return paths
@@ -542,4 +536,4 @@ def run_experiment(config: ExperimentConfig) -> list[str]:
     """Run one registered experiment; returns the written file paths."""
     check_experiment(config.experiment)
     os.makedirs(config.output_dir, exist_ok=True)
-    return EXPERIMENTS[config.experiment].runner(config, config.output_dir)
+    return EXPERIMENTS[config.experiment].runner(config)

@@ -21,8 +21,6 @@ from .channels import Liouvillian, lindblad_matrix
 from .dynamics import TimeGrid, Trajectory, propagate
 from .model import PAULI
 
-ATOM_COHERENCE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class JCSpec:
@@ -54,9 +52,9 @@ class JCSpec:
         return -self.g ** 2 * self.delta / (self.kappa ** 2 / 4.0 + self.delta ** 2)
 
 
-def default_jc_spec(kappa_over_g: float, g: float = 1.0) -> JCSpec:
-    """Resonant spec with omega_q = omega_c = 10 g (configurable elsewhere)."""
-    return JCSpec(omega_q=10.0 * g, omega_c=10.0 * g, g=g, kappa=kappa_over_g * g)
+def default_jc_spec(kappa_over_g: float) -> JCSpec:
+    """Resonant spec with g = 1 and omega_q = omega_c = 10 g."""
+    return JCSpec(omega_q=10.0, omega_c=10.0, g=1.0, kappa=kappa_over_g)
 
 
 def jc_hamiltonian(spec: JCSpec) -> np.ndarray:
@@ -103,8 +101,7 @@ def _trace_out_cavity(states4) -> np.ndarray:
 def jc_full_evolution(spec: JCSpec, rho0_atom, grid: TimeGrid) -> Trajectory:
     """Propagate the joint master equation from |atom> x |0> and trace out the cavity."""
     generator = lindblad_matrix(jc_hamiltonian(spec), [_cavity_annihilator()], [spec.kappa])
-    joint = propagate(Liouvillian(matrix=generator, dim_state=4),
-                      _embed_atom_vacuum(rho0_atom), grid)
+    joint = propagate(Liouvillian(matrix=generator), _embed_atom_vacuum(rho0_atom), grid)
     return Trajectory.screened(joint.times, _trace_out_cavity(joint.states))
 
 
@@ -112,27 +109,26 @@ def effective_atom_evolution(spec: JCSpec, rho0_atom, grid: TimeGrid) -> Traject
     """Two-level master equation with jump sigma^- at Gamma_eff and the Lamb shift."""
     h_ls = np.diag([spec.lamb_shift, 0.0]).astype(complex)
     generator = lindblad_matrix(h_ls, [PAULI["minus"]], [spec.gamma_eff])
-    return propagate(Liouvillian(matrix=generator, dim_state=2),
-                     np.asarray(rho0_atom, dtype=complex), grid)
+    return propagate(Liouvillian(matrix=generator), np.asarray(rho0_atom, dtype=complex), grid)
 
 
-def _auto_grid(spec: JCSpec, points: int = 400) -> TimeGrid:
-    """Span eight effective lifetimes so every decay curve is resolved."""
+def _auto_grid(spec: JCSpec) -> TimeGrid:
+    """Span eight effective lifetimes in 400 steps, or in steps of 1 if those would be longer."""
     t_max = 8.0 / spec.gamma_eff if spec.gamma_eff > 0 else 1.0
-    dt = t_max / points
+    dt = t_max / 400
     if dt > 1.0:
         dt = 1.0
         t_max = float(np.ceil(t_max))
     return TimeGrid(t_max=t_max, dt=dt)
 
 
-def compare_jc(spec_base: JCSpec, kappa_over_g, grid: TimeGrid | None = None):
+def compare_jc(spec_base: JCSpec, kappa_over_g):
     """Maximum excited-population deviation between the two descriptions.
 
     For each ratio the cavity loss is set to ratio * g (frequencies and
-    coupling from spec_base) and both evolutions start from |e, 0>.
-    Returns [(ratio, max |p_ee_full - p_ee_eff|)] in input order; with no
-    explicit grid each ratio spans eight of its own effective lifetimes.
+    coupling from spec_base) and both evolutions start from |e, 0>, on a
+    grid spanning eight of that ratio's own effective lifetimes.
+    Returns [(ratio, max |p_ee_full - p_ee_eff|)] in input order.
     """
     if any(r <= 0 for r in kappa_over_g):
         raise ValueError("kappa/g ratios must be positive")
@@ -141,9 +137,9 @@ def compare_jc(spec_base: JCSpec, kappa_over_g, grid: TimeGrid | None = None):
     for ratio in kappa_over_g:
         spec = JCSpec(omega_q=spec_base.omega_q, omega_c=spec_base.omega_c,
                       g=spec_base.g, kappa=ratio * spec_base.g)
-        run_grid = grid or _auto_grid(spec)
-        full = jc_full_evolution(spec, excited, run_grid)
-        eff = effective_atom_evolution(spec, excited, run_grid)
+        grid = _auto_grid(spec)
+        full = jc_full_evolution(spec, excited, grid)
+        eff = effective_atom_evolution(spec, excited, grid)
         deviation = np.abs(full.states[:, 0, 0].real - eff.states[:, 0, 0].real).max()
         table.append((float(ratio), float(deviation)))
     return table

@@ -27,7 +27,7 @@ import numpy as np
 
 # Tolerances, fixed repo-wide.
 HERM_TOL = 1e-12   # admissible Hermiticity defect of eigensolver inputs
-NULL_TOL = 1e-10   # default eigenvalue cutoff for null spaces
+NULL_TOL = 1e-10   # eigenvalue cutoff for null spaces
 
 
 class LinalgError(RuntimeError):
@@ -179,11 +179,11 @@ def expm(m) -> np.ndarray:
     return x
 
 
-def null_space_hermitian(m, tol: float = NULL_TOL) -> np.ndarray:
+def null_space_hermitian(m) -> np.ndarray:
     """Orthonormal basis of the small-eigenvalue subspace of a Hermitian PSD matrix.
 
-    Returns the eigenvectors whose eigenvalue is below ``tol`` as the
+    Returns the eigenvectors whose eigenvalue is below NULL_TOL as the
     columns of a (D, k) array (k may be zero).
     """
     vals, vecs = hermitian_eig(m)
-    return vecs[:, vals < tol]
+    return vecs[:, vals < NULL_TOL]

@@ -31,19 +31,16 @@ DENSITY_PSD_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Chain size, coupling and transverse field of the XX battery."""
+    """Chain size and transverse field of the XX battery, in units of the coupling J = 1."""
 
     n_qubits: int
     field_h: float = 0.1
-    j_coupling: float = 1.0
 
     def __post_init__(self):
         if not 1 <= self.n_qubits <= 6:
             raise ValueError(f"n_qubits must be in 1..6, got {self.n_qubits}")
         if self.field_h < 0:
             raise ValueError(f"field_h must be >= 0, got {self.field_h}")
-        if self.j_coupling <= 0:
-            raise ValueError(f"j_coupling must be > 0, got {self.j_coupling}")
 
     @property
     def dim(self) -> int:
@@ -71,12 +68,11 @@ def collective_operator(spec: ModelSpec, kind: str) -> np.ndarray:
 
 
 def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
-    """Open-boundary XX Hamiltonian J*sum(xx + yy) + h*sum(z)."""
+    """Open-boundary XX Hamiltonian sum(xx + yy) + h*sum(z), in units of J."""
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
     for site in range(1, spec.n_qubits):
         for kind in ("x", "y"):
-            h += spec.j_coupling * (site_operator(spec, site, kind)
-                                    @ site_operator(spec, site + 1, kind))
+            h += site_operator(spec, site, kind) @ site_operator(spec, site + 1, kind)
     for site in range(1, spec.n_qubits + 1):
         h += spec.field_h * site_operator(spec, site, "z")
     return h

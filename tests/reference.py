@@ -24,14 +24,18 @@
   its closed form, and the signed ergotropy gap of two trajectories with
   its sign changes, for the acceptance criteria on activation and
   crossings.
+- `decoherence_free_subspace`: the largest H-invariant subspace of
+  ker S^-, which the collective channel neither decays nor leaves, against
+  the four-qubit collective limit that criterion 6 reads.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from ergoquench import Trajectory, check_density_matrix, trajectory_records, vec
-from ergoquench.linalg import dagger, hermitian_eig
+from ergoquench import (Trajectory, build_hamiltonian, check_density_matrix, dark_subspace,
+                        trajectory_records, vec)
+from ergoquench.linalg import dagger, hermitian_eig, null_space_hermitian
 from ergoquench.oracles import _evolve_block, _parallel_generator
 
 
@@ -362,3 +366,23 @@ def activation_time_analytic(beta: float, h: float, gamma: float) -> float:
     if beta <= 0 or gamma <= 0:
         raise ValueError("beta and gamma must be > 0")
     return float(np.log(1.0 + np.tanh(beta - beta * h)) / gamma)
+
+
+def decoherence_free_subspace(model) -> np.ndarray:
+    """Orthonormal basis, as columns, of the largest H-invariant subspace of ker S^-.
+
+    Starting from B = `dark_subspace(model).basis`, each pass keeps the
+    vectors x = B c of the current span with (1 - P) H x = 0, P = B B^dag:
+    the c in the kernel of M^dag M for M = (1 - P) H B.  It stops when a
+    pass keeps the whole span.  That span is the decoherence-free subspace
+    of the collective decay channel (Zanardi & Rasetti, PRL 79, 3306
+    (1997)): its states neither decay nor leave it under H.
+    """
+    h = build_hamiltonian(model)
+    basis = dark_subspace(model).basis
+    while True:
+        leak = h @ basis - basis @ (dagger(basis) @ h @ basis)
+        kept = basis @ null_space_hermitian(dagger(leak) @ leak)
+        if kept.shape[1] == basis.shape[1]:
+            return basis
+        basis = kept

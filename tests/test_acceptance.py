@@ -49,7 +49,7 @@ def _report(num, ok, detail):
 def _run(n, beta, grid, name=None, **channel):
     model = ModelSpec(n_qubits=n, field_h=H_FIELD)
     h = build_hamiltonian(model)
-    liou = build_liouvillian(h, ChannelSpec(gamma=GAMMA, **channel), model)
+    liou = build_liouvillian(h, ChannelSpec(gamma=GAMMA, **channel))
     traj = propagate(liou, gibbs_state(h, beta), grid)
     if name:
         _register(name, traj)
@@ -132,7 +132,7 @@ def test_criterion_02_cold_limit_activation_bound():
 def test_criterion_03_collective_critical_temperature():
     model = ModelSpec(n_qubits=2, field_h=H_FIELD)
     h = build_hamiltonian(model)
-    liou = build_liouvillian(h, ChannelSpec(gamma=GAMMA, alpha_minus=1.0), model)
+    liou = build_liouvillian(h, ChannelSpec(gamma=GAMMA, alpha_minus=1.0))
     steady = {}
     for beta in (0.2, 0.3, 0.4, 0.5, 1.0, 2.0, 5.0):
         state = evolve_to(liou, gibbs_state(h, beta), 800.0).states[0]
@@ -241,7 +241,7 @@ def test_criterion_08_dephasing(fig8_trajs):
     for n in (2, 4):
         model = ModelSpec(n_qubits=n, field_h=H_FIELD)
         h = build_hamiltonian(model)
-        liou = build_liouvillian(h, ChannelSpec(gamma=GAMMA, alpha=1.0), model)
+        liou = build_liouvillian(h, ChannelSpec(gamma=GAMMA, alpha=1.0))
         dim = model.dim
         plus = np.full((dim, dim), 1.0 / dim, dtype=complex)
         traj = _register(f"crit8-plus-{n}",
@@ -262,7 +262,7 @@ def test_criterion_08_dephasing(fig8_trajs):
             crossing_count += len(ergotropy_difference(traj, ref, h).crossings)
     model = ModelSpec(n_qubits=2, field_h=H_FIELD)
     h = build_hamiltonian(model)
-    liou = build_liouvillian(h, ChannelSpec(gamma=GAMMA, alpha=1.0, alpha_z=1.0), model)
+    liou = build_liouvillian(h, ChannelSpec(gamma=GAMMA, alpha=1.0, alpha_z=1.0))
     rho0 = gibbs_state(h, 1.0)
     frozen = _register("crit8-frozen", propagate(liou, rho0, TimeGrid(800.0, 0.5)))
     frozen_dev = max(float(np.sqrt((np.abs(s - rho0) ** 2).sum())) for s in frozen.states)
@@ -282,7 +282,7 @@ def test_criterion_09_interpolation_sweeps():
     for beta in (1.0, 2.0, 5.0):
         ergs = []
         for am in alpha_tail:
-            liou = build_liouvillian(h2, ChannelSpec(gamma=GAMMA, alpha_minus=am), model2)
+            liou = build_liouvillian(h2, ChannelSpec(gamma=GAMMA, alpha_minus=am))
             state = evolve_to(liou, gibbs_state(h2, beta), 800.0).states[0]
             ergs.append(ergotropy(state, h2).ergotropy)
         tail_ok &= all(b <= a + 1e-9 for a, b in zip(ergs, ergs[1:]))
@@ -296,7 +296,7 @@ def test_criterion_09_interpolation_sweeps():
     for beta in BETA_GRID:
         local = None
         for am in (0.0, 0.5, 0.8, 0.9):
-            liou = build_liouvillian(h4, ChannelSpec(gamma=GAMMA, alpha_minus=am), model4)
+            liou = build_liouvillian(h4, ChannelSpec(gamma=GAMMA, alpha_minus=am))
             erg = ergotropy(evolve_to(liou, gibbs_state(h4, beta), 800.0).states[0],
                             h4).ergotropy
             if am == 0.0:
@@ -315,8 +315,7 @@ def test_criterion_09_interpolation_sweeps():
         finals, settles = [], []
         for alpha in (0.0, 0.3, 0.5, 0.7, 0.9):
             liou = build_liouvillian(
-                h2, ChannelSpec(gamma=GAMMA, alpha=alpha, alpha_minus=am, alpha_z=az),
-                model2)
+                h2, ChannelSpec(gamma=GAMMA, alpha=alpha, alpha_minus=am, alpha_z=az))
             traj = _register(f"crit9c-{panel}-{alpha}",
                              propagate(liou, gibbs_state(h2, beta), grid))
             erg = trajectory_records(traj, h2).ergotropy

@@ -3,7 +3,8 @@ import pytest
 
 import ergoquench.channels
 from ergoquench import ChannelSpec, ModelSpec, build_hamiltonian, gibbs_state
-from ergoquench.channels import Liouvillian, build_liouvillian, lindblad_matrix, vec
+from ergoquench.channels import (Liouvillian, _invariant_blocks, build_liouvillian,
+                                 lindblad_matrix, vec)
 from ergoquench.linalg import dagger, hermitian_eig, kron
 from ergoquench.model import collective_operator, site_operator
 
@@ -157,8 +158,8 @@ def test_dissipator_dimension_mismatch(model2):
         dissipator_apply(rate_matrix(0.05, 0.0, 2), jumps, np.eye(2, dtype=complex) / 2)
 
 
-def test_liouvillian_pure_hamiltonian(model2, h2):
-    liou = build_liouvillian(h2, ChannelSpec(gamma=0.0), model2)
+def test_liouvillian_pure_hamiltonian(h2):
+    liou = build_liouvillian(h2, ChannelSpec(gamma=0.0))
     eye = np.eye(4, dtype=complex)
     expected = -1j * (kron(eye, h2) - kron(h2.T, eye))
     assert np.abs(liou.matrix - expected).max() <= 1e-15
@@ -168,7 +169,7 @@ def test_liouvillian_matches_direct_application(model2, h2):
     # two-path equivalence: superoperator vs commutator + dissipator on states
     rng = np.random.default_rng(5)
     spec = ChannelSpec(gamma=0.05, alpha=0.3, alpha_minus=0.4, alpha_z=0.7)
-    liou = build_liouvillian(h2, spec, model2)
+    liou = build_liouvillian(h2, spec)
     minus = [site_operator(model2, s, "minus") for s in (1, 2)]
     zs = [site_operator(model2, s, "z") for s in (1, 2)]
     for _ in range(10):
@@ -188,7 +189,7 @@ def test_diagonal_form_matches_the_double_sum(n, kind, interp):
     model = ModelSpec(n_qubits=n, field_h=0.1)
     spec = (ChannelSpec(gamma=0.05, alpha_minus=interp) if kind == "minus"
             else ChannelSpec(gamma=0.05, alpha=1.0, alpha_z=interp))
-    liou = build_liouvillian(np.zeros((model.dim, model.dim)), spec, model)
+    liou = build_liouvillian(np.zeros((model.dim, model.dim)), spec)
     jumps = [site_operator(model, s, kind) for s in range(1, n + 1)]
     rng = np.random.default_rng(17)
     for _ in range(5):
@@ -197,16 +198,16 @@ def test_diagonal_form_matches_the_double_sum(n, kind, interp):
         assert np.abs(unvec(liou.matrix @ vec(rho), model.dim) - reference).max() <= 1e-14
 
 
-def test_collective_dephasing_liouvillian_freezes_gibbs(model2, h2):
-    liou = build_liouvillian(h2, ChannelSpec(gamma=0.05, alpha=1.0, alpha_z=1.0), model2)
+def test_collective_dephasing_liouvillian_freezes_gibbs(h2):
+    liou = build_liouvillian(h2, ChannelSpec(gamma=0.05, alpha=1.0, alpha_z=1.0))
     residual = liou.matrix @ vec(gibbs_state(h2, 1.0))
     assert np.abs(residual).max() <= 1e-13
 
 
-def test_trace_and_hermiticity_preservation(model2, h2):
+def test_trace_and_hermiticity_preservation(h2):
     rng = np.random.default_rng(7)
     spec = ChannelSpec(gamma=0.05, alpha=0.5, alpha_minus=0.5, alpha_z=0.5)
-    liou = build_liouvillian(h2, spec, model2)
+    liou = build_liouvillian(h2, spec)
     for _ in range(100):
         rho = random_density(rng, 4)
         out = unvec(liou.matrix @ vec(rho), 4)
@@ -234,7 +235,7 @@ def test_elementwise_dephasing_law(n):
 
 
 def test_parallel_dissipation_never_raises_excitations(model2, h2):
-    liou = build_liouvillian(h2, ChannelSpec(gamma=0.05), model2)
+    liou = build_liouvillian(h2, ChannelSpec(gamma=0.05))
     n = model2.n_qubits
     dim = model2.dim
     for a in range(dim):
@@ -250,7 +251,7 @@ def test_parallel_dissipation_never_raises_excitations(model2, h2):
 
 def test_collective_double_sum_equals_single_jump(model4, h4):
     # alpha_minus = 1 must coincide with the single collective jump S^-
-    liou = build_liouvillian(h4, ChannelSpec(gamma=0.05, alpha_minus=1.0), model4)
+    liou = build_liouvillian(h4, ChannelSpec(gamma=0.05, alpha_minus=1.0))
     single = lindblad_matrix(h4, [collective_operator(model4, "minus")], [0.05])
     assert np.abs(liou.matrix - single).max() <= 1e-13
 
@@ -272,11 +273,23 @@ def test_channel_spec_validation():
         ChannelSpec(gamma=0.05, alpha_z=2.0)
 
 
-def test_liouvillian_rejects_large_chains():
-    model = ModelSpec(n_qubits=5, field_h=0.1)
-    h = build_hamiltonian(model)
-    with pytest.raises(ValueError):
-        build_liouvillian(h, ChannelSpec(gamma=0.05), model)
+@pytest.mark.parametrize("h", [build_hamiltonian(ModelSpec(n_qubits=5, field_h=0.1)),
+                               np.eye(3), np.eye(1), np.zeros((4, 2)), np.zeros(4)],
+                         ids=["five-qubits", "3x3", "1x1", "4x2", "vector"])
+def test_liouvillian_takes_a_one_to_four_qubit_hamiltonian_only(h):
+    with pytest.raises(ValueError, match=r"2\^N x 2\^N with 1 <= N <= 4"):
+        build_liouvillian(h, ChannelSpec(gamma=0.05))
+
+
+@pytest.mark.parametrize("shape", [(15, 15), (4, 16), (16,), (0, 0)])
+def test_liouvillian_matrix_must_be_square_of_a_square(shape):
+    with pytest.raises(ValueError, match=r"D\^2 x D\^2"):
+        Liouvillian(matrix=np.zeros(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 16])
+def test_liouvillian_reads_the_state_dimension_off_its_matrix(dim):
+    assert Liouvillian(matrix=np.zeros((dim * dim, dim * dim), dtype=complex)).dim_state == dim
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -285,7 +298,7 @@ def test_assembly_is_bit_identical_to_the_dense_kronecker_formula(n, case):
     model = ModelSpec(n_qubits=n, field_h=0.1)
     spec = ChannelSpec(**CHANNEL_CASES[case])
     for h in (build_hamiltonian(model), random_hermitian(np.random.default_rng(n), model.dim)):
-        liou = build_liouvillian(h, spec, model)
+        liou = build_liouvillian(h, spec)
         reference = _dense_lindblad_matrix(h, *_channel_jumps(spec, model))
         assert np.array_equal(liou.matrix, reference)
         assert _same_blocks(liou.blocks, _bfs_blocks(reference))
@@ -321,11 +334,11 @@ def test_block_finder_matches_breadth_first_search(dim):
         patterns += [_random_pattern(rng, dim, density, symmetric)
                      for symmetric in (False, True)]
     for matrix in patterns:
-        blocks = Liouvillian(matrix=matrix, dim_state=1).blocks
+        blocks = _invariant_blocks(matrix)
         assert _same_blocks(blocks, _bfs_blocks(matrix))
 
 
-def test_four_qubit_assembly_makes_no_full_size_kron(monkeypatch, model4, h4):
+def test_four_qubit_assembly_makes_no_full_size_kron(monkeypatch, h4):
     # every term is written at its support: no D^2 x D^2 Kronecker product at all
     shapes = []
 
@@ -336,7 +349,7 @@ def test_four_qubit_assembly_makes_no_full_size_kron(monkeypatch, model4, h4):
 
     monkeypatch.setattr(ergoquench.channels, "kron", counting_kron)
     for case in CHANNEL_CASES.values():
-        build_liouvillian(h4, ChannelSpec(**case), model4)
+        build_liouvillian(h4, ChannelSpec(**case))
     assert (256, 256) not in shapes
 
 
@@ -363,7 +376,7 @@ def test_site_jumps_are_built_once_per_size_and_kind(monkeypatch):
         for h_field in (0.0, 0.1, 0.45):
             model = ModelSpec(n_qubits=2, field_h=h_field)
             for case in CHANNEL_CASES.values():
-                build_liouvillian(build_hamiltonian(model), ChannelSpec(**case), model)
+                build_liouvillian(build_hamiltonian(model), ChannelSpec(**case))
     finally:
         ergoquench.channels._site_jumps.cache_clear()
     assert sorted(calls) == sorted((2, s, kind) for kind in ("minus", "z") for s in (1, 2))

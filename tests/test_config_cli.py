@@ -10,7 +10,6 @@ def test_empty_config_gives_defaults():
     config = validate_config("")
     assert config.h == 0.1
     assert config.gamma == 0.05
-    assert config.j == 1.0
     assert config.dt == 0.5
     assert config.t_max == 800.0
     assert config.beta_list == DEFAULT_BETA_GRID
@@ -44,7 +43,7 @@ def test_string_keys_and_a_false_flag_parse_from_config_text():
 @pytest.mark.parametrize("text,fragment", [
     ("alpha = 1.5", "alpha out of [0,1]"),
     ("alpha_minus = -0.1", "alpha_minus out of [0,1]"),
-    ("j = 2", "j must be 1"),
+    ("j = 1", "unknown key 'j'"),
     ("beta_list =", "beta_list must not be empty"),
     ("mystery = 3", "unknown key"),
     ("gamma = fast", "expected a number"),

@@ -29,7 +29,7 @@ from reference import (parity_bases, parity_blocks, parity_eigvalsh, propagate_r
 def _liouvillian(n, h_field, **channel):
     model = ModelSpec(n_qubits=n, field_h=h_field)
     h = build_hamiltonian(model)
-    return build_liouvillian(h, ChannelSpec(**channel), model), h
+    return build_liouvillian(h, ChannelSpec(**channel)), h
 
 
 def test_time_grid_validation():
@@ -84,7 +84,7 @@ def test_rk4_free_precession_phase():
 
 
 def test_zero_liouvillian_keeps_state():
-    liou = Liouvillian(matrix=np.zeros((4, 4), dtype=complex), dim_state=2)
+    liou = Liouvillian(matrix=np.zeros((4, 4), dtype=complex))
     rho0 = np.diag([0.75, 0.25]).astype(complex)
     traj = propagate_rk4(liou, rho0, TimeGrid(t_max=5.0, dt=0.5), substeps=3)
     assert np.abs(traj.states - rho0).max() == 0.0
@@ -166,7 +166,7 @@ def test_collective_steady_state_remembers_initial_condition(h2):
 
 def test_invariant_violation_names_step():
     # a trace-growing generator is not CPTP and must abort with a step index
-    liou = Liouvillian(matrix=0.1 * np.eye(4, dtype=complex), dim_state=2)
+    liou = Liouvillian(matrix=0.1 * np.eye(4, dtype=complex))
     rho0 = np.diag([0.5, 0.5]).astype(complex)
     with pytest.raises(InvariantViolation, match="step"):
         propagate(liou, rho0, TimeGrid(t_max=5.0, dt=1.0))
@@ -193,7 +193,7 @@ def test_propagate_rejects_a_stack_of_states(h2):
     lambda liou, rho: evolve_to(liou, rho, 1.0),
 ], ids=["propagate", "propagate_rk4", "evolve_to"])
 def test_state_of_the_wrong_dim_is_rejected(evolve):
-    liou = Liouvillian(matrix=np.zeros((16, 16), dtype=complex), dim_state=4)
+    liou = Liouvillian(matrix=np.zeros((16, 16), dtype=complex))
     with pytest.raises(ValueError, match="does not match dim"):
         evolve(liou, np.diag([0.5, 0.5]).astype(complex))
 
@@ -296,7 +296,7 @@ def test_four_qubit_dissipation_blocks_are_the_excitation_sectors():
 ])
 def test_cross_coupling_jumps_merge_blocks_and_match_dense(h2, model2, axis, n_blocks):
     jumps = [sum(site_operator(model2, s, kind) for kind in axis) for s in (1, 2)]
-    liou = Liouvillian(matrix=lindblad_matrix(h2, jumps, [0.05, 0.05]), dim_state=4)
+    liou = Liouvillian(matrix=lindblad_matrix(h2, jumps, [0.05, 0.05]))
     assert len(liou.blocks) == n_blocks
     rho0 = random_density(np.random.default_rng(13), 4)
     dense = _dense_states(liou, rho0, 0.5, 40)
@@ -362,7 +362,7 @@ def test_doubling_screen_names_the_first_bad_step_of_sequential_steps(h4):
     # L - eps I loses trace as exp(-eps t); the guard trips first at t = 350.5
     liou, _ = _liouvillian(4, 0.1, gamma=0.05)
     eps = 1e-6 / 350.25
-    leaky = Liouvillian(matrix=liou.matrix - eps * np.eye(256), dim_state=16)
+    leaky = Liouvillian(matrix=liou.matrix - eps * np.eye(256))
     rho0 = gibbs_state(h4, 0.5)
     grid = TimeGrid(t_max=800.0, dt=0.5)
     v = vec(rho0)
@@ -504,7 +504,7 @@ _CHUNK_BOUNDARIES = [1, SCREEN_CHUNK - 1, SCREEN_CHUNK, SCREEN_CHUNK + 1, 2 * SC
 def _prefix(traj, n_states):
     """The first n_states stored states of traj, as a Trajectory of their own."""
     return Trajectory(times=traj.times[:n_states], values=traj.values[:n_states],
-                      support=traj.support, dim=traj.dim, spectra=traj.spectra[:n_states])
+                      support=traj.support, spectra=traj.spectra[:n_states])
 
 
 def _tracked_crossings(states, times, decompose):
@@ -569,7 +569,7 @@ def test_readers_over_chunks_equal_their_whole_stack_formulas(n, long_n4_traject
     if n == 4:
         traj = long_n4_trajectory
     else:
-        liou = build_liouvillian(h, ChannelSpec(gamma=0.05, alpha_minus=0.5), model)
+        liou = build_liouvillian(h, ChannelSpec(gamma=0.05, alpha_minus=0.5))
         traj = propagate(liou, gibbs_state(h, 0.5), TimeGrid(t_max=256.0, dt=0.5))
     assert len(traj) == 2 * SCREEN_CHUNK + 1
     states = traj.states
@@ -608,7 +608,7 @@ def test_expect_reads_the_same_bytes_over_the_support_the_full_stack_and_one_sta
         assert np.array_equal(_fixed_order_readout(traj.states, ops), whole)
         for k in range(len(traj)):
             single = Trajectory(times=traj.times[k:k + 1], values=traj.values[k:k + 1],
-                                support=traj.support, dim=traj.dim,
+                                support=traj.support,
                                 spectra=traj.spectra[k:k + 1])
             assert np.array_equal(single.expect(ops), whole[k:k + 1])
 
@@ -632,7 +632,7 @@ def test_support_holds_the_transposes_that_symmetrizing_fills():
     # block holds (0, 0) and (1, 0) only, and the screen's symmetrizing fills (0, 1)
     generator = np.zeros((4, 4), dtype=complex)
     generator[1, 0] = 1e-8  # vec index 1 is entry (1, 0), vec index 0 entry (0, 0)
-    liou = Liouvillian(matrix=generator, dim_state=2)
+    liou = Liouvillian(matrix=generator)
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     traj = propagate(liou, rho0, TimeGrid(t_max=2.0, dt=0.5))
     states = traj.states

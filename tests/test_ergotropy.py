@@ -19,7 +19,7 @@ from reference import (activation_time, activation_time_analytic, ergotropy_diff
 def _traj(n, beta, grid, **channel):
     model = ModelSpec(n_qubits=n, field_h=0.1)
     h = build_hamiltonian(model)
-    liou = build_liouvillian(h, ChannelSpec(**channel), model)
+    liou = build_liouvillian(h, ChannelSpec(**channel))
     return propagate(liou, gibbs_state(h, beta), grid), h
 
 
@@ -199,8 +199,7 @@ def test_parallel_difference_vanishes_at_long_times():
 
 
 def test_energy_basis_populations_of_gibbs(h4):
-    model = ModelSpec(n_qubits=4, field_h=0.1)
-    liou = build_liouvillian(h4, ChannelSpec(gamma=0.05), model)
+    liou = build_liouvillian(h4, ChannelSpec(gamma=0.05))
     beta = 0.7
     traj = propagate(liou, gibbs_state(h4, beta), TimeGrid(t_max=2.0, dt=0.5))
     pops = energy_basis_populations(traj, h4)
@@ -213,8 +212,7 @@ def test_energy_basis_populations_of_gibbs(h4):
 
 def test_energy_and_population_products_equal_the_einsum_formulas(h4):
     # appD's quench and grid: N=4 parallel dissipation, dt = 0.1 up to t = 250
-    model = ModelSpec(n_qubits=4, field_h=0.1)
-    liou = build_liouvillian(h4, ChannelSpec(gamma=0.05), model)
+    liou = build_liouvillian(h4, ChannelSpec(gamma=0.05))
     traj = propagate(liou, gibbs_state(h4, 0.2), TimeGrid(t_max=250.0, dt=0.1))
     levels, h_vecs = hermitian_eig(h4)
     populations = np.einsum("ik,tij,jk->tk", np.conj(h_vecs), traj.states, h_vecs).real
@@ -232,7 +230,7 @@ def test_energy_basis_populations_do_not_depend_on_the_basis_of_a_degenerate_lev
         field, monkeypatch):
     model = ModelSpec(n_qubits=4, field_h=field)
     h = build_hamiltonian(model)
-    liou = build_liouvillian(h, ChannelSpec(gamma=0.05), model)
+    liou = build_liouvillian(h, ChannelSpec(gamma=0.05))
     traj = propagate(liou, gibbs_state(h, 0.2), TimeGrid(t_max=100.0, dt=0.5))
     levels, h_vecs = hermitian_eig(h)
     assert abs(levels[8] - levels[7]) <= 1e-12 and abs(levels[7]) <= 1e-12
@@ -262,8 +260,7 @@ def test_hotter_initial_population_row_is_flatter(h4):
         row = row[row > 1e-300]
         return float(-(row * np.log(row)).sum())
 
-    model = ModelSpec(n_qubits=4, field_h=0.1)
-    liou = build_liouvillian(h4, ChannelSpec(gamma=0.05), model)
+    liou = build_liouvillian(h4, ChannelSpec(gamma=0.05))
     grid = TimeGrid(t_max=1.0, dt=0.5)
     hot = energy_basis_populations(propagate(liou, gibbs_state(h4, 0.2), grid), h4)
     cold = energy_basis_populations(propagate(liou, gibbs_state(h4, 5.0), grid), h4)

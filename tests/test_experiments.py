@@ -3,6 +3,7 @@ import csv
 import os
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,7 +188,7 @@ def test_repeated_run_is_identical(tmp_path, name):
     first, second = (run_experiment(_config(experiment=name, output_dir=str(tmp_path / run),
                                              t_max=10.0, beta_list=(0.2, 0.5, 1.0)))[0]
                      for run in ("first", "second"))
-    assert open(first, "rb").read() == open(second, "rb").read()
+    assert Path(first).read_bytes() == Path(second).read_bytes()
 
 
 _TRAJECTORY_CASES = {  # (n, channel, grid, lead, with_spectrum, extra columns)
@@ -206,7 +207,7 @@ def trajectory_cases():
     for case, (n, channel, grid, _, _, extra) in _TRAJECTORY_CASES.items():
         model = ModelSpec(n_qubits=n, field_h=0.1)
         h = build_hamiltonian(model)
-        traj = propagate(build_liouvillian(h, channel, model), gibbs_state(h, 0.5), grid)
+        traj = propagate(build_liouvillian(h, channel), gibbs_state(h, 0.5), grid)
         steps = range(len(traj))
         added = ([[k % 2 for k in steps], ["2-3" if k % 3 else "" for k in steps],
                   energy_basis_populations(traj, h)] if extra else [])
@@ -274,7 +275,7 @@ def test_percent_in_text_cells_is_written_verbatim(tmp_path):
     blocks = [["50%", 0.5, ["a%d", "100%"], np.array([1.0, 2.0]), np.array([[3.0], [4.0]])],
               ["5%s", 0.25, ["%"], np.array([5.0]), np.array([[6.0]])]]
     path = _write_csv(str(tmp_path / "percent.csv"), header, blocks)
-    assert open(path, encoding="utf-8").read() == (
+    assert Path(path).read_text(encoding="utf-8") == (
         "panel,alpha,pair,x,y\n50%,0.5,a%d,1,3\n50%,0.5,100%,2,4\n5%s,0.25,%,5,6\n")
 
 
@@ -296,7 +297,7 @@ def test_csv_cells_are_written_like_the_per_cell_formatter(tmp_path, blocks):
     header = [f"c{k}" for k in range(len(CELLS))]
     path = _write_csv(str(tmp_path / "mixed.csv"), header, blocks)
     line = ",".join(WRITTEN) + "\n"
-    assert open(path, encoding="utf-8").read() == ",".join(header) + "\n" + line + line
+    assert Path(path).read_text(encoding="utf-8") == ",".join(header) + "\n" + line + line
 
 
 @pytest.mark.parametrize("later", [
@@ -325,10 +326,10 @@ def test_csv_row_that_does_not_fit_its_columns_raises(tmp_path, later):
     with pytest.raises(ValueError):
         _write_csv(path, header, [CELLS, CELLS, later])
     assert list(tmp_path.iterdir()) == []
-    before = open(_write_csv(path, header, [CELLS]), "rb").read()
+    before = Path(_write_csv(path, header, [CELLS])).read_bytes()
     with pytest.raises(ValueError):
         _write_csv(path, header, [CELLS, CELLS, later])
-    assert open(path, "rb").read() == before
+    assert Path(path).read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["bad.csv"]
 
 
@@ -379,10 +380,10 @@ def test_csv_with_a_bad_row_leaves_no_file(tmp_path):
 def test_csv_with_a_bad_row_leaves_the_older_file_intact(tmp_path):
     header = [f"c{k}" for k in range(len(CELLS))]
     path = _write_csv(str(tmp_path / "kept.csv"), header, [CELLS])
-    before = open(path, "rb").read()
+    before = Path(path).read_bytes()
     with pytest.raises(ValueError):
         _write_csv(path, header, [CELLS] * 5000 + [CELLS + [1.0]])
-    assert open(path, "rb").read() == before
+    assert Path(path).read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ergoquench import (ChannelSpec, ModelSpec, TimeGrid, build_hamiltonian,
-                        build_liouvillian, gibbs_state, propagate)
+                        build_liouvillian, ergotropy, evolve_to, gibbs_state, propagate)
 from ergoquench.linalg import dagger, hermitian_eig
 from ergoquench.model import collective_operator
 from ergoquench.oracles import (DarkSubspace, TwoQubitBlockState, _expm_taylor, beta_critical,
@@ -12,7 +12,8 @@ from ergoquench.oracles import (DarkSubspace, TwoQubitBlockState, _expm_taylor, 
                                 steady_state_is_passive, two_qubit_collective_sc,
                                 two_qubit_parallel_block)
 
-from reference import activation_time_analytic, two_qubit_collective_block
+from reference import (activation_time_analytic, decoherence_free_subspace,
+                       two_qubit_collective_block)
 
 GAMMA = 0.05
 
@@ -22,8 +23,7 @@ def _gibbs_block(h2, beta):
 
 
 def _engine(h2, beta, grid, **channel):
-    model = ModelSpec(n_qubits=2, field_h=0.1)
-    liou = build_liouvillian(h2, ChannelSpec(**channel), model)
+    liou = build_liouvillian(h2, ChannelSpec(**channel))
     return propagate(liou, gibbs_state(h2, beta), grid)
 
 
@@ -169,6 +169,40 @@ def test_dark_subspace_two_qubits_content():
     assert np.abs(proj - expected).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n,dark_dim,dfs_dim", [(2, 2, 2), (4, 6, 3)])
+def test_decoherence_free_subspace_is_the_h_invariant_part_of_the_dark_subspace(
+        n, dark_dim, dfs_dim):
+    # the open N=4 chain's H moves half of ker S^- out of it; at N=2 all of it stays
+    model = ModelSpec(n_qubits=n, field_h=0.1)
+    dark = dark_subspace(model)
+    basis = decoherence_free_subspace(model)
+    proj = basis @ dagger(basis)
+    h = build_hamiltonian(model)
+    assert (dark.dimension, basis.shape[1]) == (dark_dim, dfs_dim)
+    assert np.abs(dagger(basis) @ basis - np.eye(dfs_dim)).max() <= 1e-12
+    assert np.abs(dark.projector @ proj - proj).max() <= 1e-12
+    assert np.abs(h @ proj - proj @ h).max() <= 1e-12
+    if n == 2:
+        assert np.abs(proj - dark.projector).max() <= 1e-12
+
+
+def test_four_qubit_collective_limit_lies_in_the_decoherence_free_subspace(model4, h4):
+    # at t = 6000 the slowest decaying mode, exp(-0.00528 t), is down to 2e-14
+    basis = decoherence_free_subspace(model4)
+    proj = basis @ dagger(basis)
+    liou = build_liouvillian(h4, ChannelSpec(gamma=GAMMA, alpha_minus=1.0))
+    betas = np.array([0.2, 0.5, 1.0, 2.0, 5.0])
+    limits = evolve_to(liou, gibbs_state(h4, betas), 6000.0).states
+    steady = []
+    for rho in limits:
+        inside = proj @ rho @ proj
+        assert np.trace(inside).real >= 1.0 - 1e-10
+        steady.append(ergotropy(rho, h4).ergotropy)
+        assert abs(steady[-1] - ergotropy(inside, h4).ergotropy) <= 1e-10
+    # not monotone in beta: the dip criterion 6 reports is in the limit too
+    assert np.abs(np.array(steady) - [3.0204, 2.7236, 2.8147, 3.5091, 4.0475]).max() <= 1e-4
+
+
 def test_p_dark_values(model4):
     dark = dark_subspace(model4)
     assert abs(p_dark(0.0, model4, dark=dark) - 0.375) <= 1e-12
@@ -193,12 +227,6 @@ def test_p_dark_and_its_derivative_reject_negative_beta(model4):
             oracle(-1.0, model4)
 
 
-def test_oracles_refuse_nonunit_coupling():
-    model = ModelSpec(n_qubits=4, field_h=0.1, j_coupling=2.0)
-    with pytest.raises(ValueError):
-        p_dark(1.0, model)
-
-
 def test_dephasing_block_constants_and_engine(h2):
     grid = TimeGrid(t_max=800.0, dt=0.5)
     traj = _engine(h2, 1.0, grid, gamma=GAMMA, alpha=1.0)
@@ -216,7 +244,7 @@ def test_engine_coherence_decay_rates():
     for n in (2, 4):
         model = ModelSpec(n_qubits=n, field_h=0.1)
         h = build_hamiltonian(model)
-        liou = build_liouvillian(h, ChannelSpec(gamma=GAMMA, alpha=1.0), model)
+        liou = build_liouvillian(h, ChannelSpec(gamma=GAMMA, alpha=1.0))
         dim = model.dim
         plus = np.full((dim, dim), 1.0 / dim, dtype=complex)
         traj = propagate(liou, plus, TimeGrid(t_max=100.0, dt=0.5))
@@ -242,7 +270,7 @@ def test_block_state_validation_and_roundtrip(h2):
 
 def test_dark_population_series_shape(model4, h4):
     dark = dark_subspace(model4)
-    liou = build_liouvillian(h4, ChannelSpec(gamma=GAMMA, alpha_minus=1.0), model4)
+    liou = build_liouvillian(h4, ChannelSpec(gamma=GAMMA, alpha_minus=1.0))
     traj = propagate(liou, gibbs_state(h4, 1.0), TimeGrid(t_max=5.0, dt=0.5))
     series = dark_population_series(traj, dark)
     assert series.shape == (len(traj),)

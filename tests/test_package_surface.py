@@ -3,7 +3,8 @@
 Code that only the tests call belongs in tests/reference.py, not in the
 package.  Every name `ergoquench.__all__` exports must be referenced in
 some other module of the package outside its own definition, or be listed
-in KEEP with the reason it stays public.
+in KEEP with the reason it stays public.  Every top-level definition of a
+package module must be read by package code, exported, or found by name.
 
 The exports load lazily.  The tests of that run each case in a fresh
 interpreter, so that what is imported first, and whether numpy is
@@ -62,6 +63,38 @@ def test_every_kept_name_is_exported_and_still_unused():
     assert KEEP.keys() <= _exported_names()
     assert all(KEEP.values())
     assert sorted(KEEP.keys() & _used_names()) == []
+
+
+def _definitions(node) -> set:
+    """The names a top-level statement defines: a def, a class or an assignment target."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {name.id for target in targets for name in ast.walk(target)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)}
+    return set()
+
+
+def _reads(tree) -> set:
+    """Every bare name and every attribute name tree reads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_package_definition_is_read():
+    # a read is a name or an attribute in package code outside the definition, or an
+    # export; experiments._runner finds each registered runner by its name
+    defined, read = set(), set(ergoquench._EXPORTS)
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = _definitions(node)
+            defined |= {(path.stem, name) for name in names}
+            read |= _reads(node) - names
+    exempt = {"__version__", "__all__"} | {info.runner.__name__ for info in EXPERIMENTS.values()}
+    unread = sorted(f"{module}.{name}" for module, name in defined
+                    if name not in read | exempt)
+    assert unread == [], f"defined but read by no package code: {unread}"
 
 
 def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:
