@@ -12,7 +12,8 @@ of the N site jumps plus their sum, so the generator is assembled in
 diagonal form, gamma (1 - a) sum_i D[A_i] + gamma a D[sum_i A_i]: N + 1
 jumps instead of N^2 terms, exact for every a, each vectorized once by
 `lindblad_matrix`.  The jumps depend on N and the channel kind alone, so
-each set is built once and shared, read-only, by every generator.  The
+each set is built once and shared, read-only, by every generator; the
+site operators are those `build_hamiltonian` sums, from one cache.  The
 tests hold the assembly to the double sum itself, applied to states by
 the reference in tests/reference.py.
 
@@ -38,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import dagger, kron
-from .model import ModelSpec, site_operator
+from .model import _site_operators
 
 # Largest chain with a dense Liouvillian; 256x256 at four qubits.
 MAX_LIOUVILLIAN_QUBITS = 4
@@ -68,19 +69,20 @@ class ChannelSpec:
                 raise ValueError(f"{name} out of [0,1]: {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Liouvillian:
     """Dense D^2 x D^2 generator acting on column-stacked states.
 
     `dim_state` is D, read off the shape of `matrix`.  `blocks` partitions
     the D^2 indices into the index arrays of the invariant blocks of
     `matrix`: no entry of `matrix` couples two blocks.  A fully coupled
-    generator is a single block.
+    generator is a single block.  `==` compares identity: an array field
+    has no single truth value.
     """
 
     matrix: np.ndarray
     dim_state: int = field(init=False)
-    blocks: tuple = field(init=False, repr=False, compare=False)
+    blocks: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         shape = np.shape(self.matrix)
@@ -171,12 +173,11 @@ def lindblad_matrix(h_matrix, jumps, rates) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _site_jumps(n: int, kind: str) -> tuple:
-    """The n site operators sigma^kind and their sum, built once per (n, kind), read-only."""
-    site = [site_operator(ModelSpec(n_qubits=n), s, kind) for s in range(1, n + 1)]
-    jumps = (*site, np.sum(site, axis=0))
-    for jump in jumps:
-        jump.setflags(write=False)
-    return jumps
+    """The n site operators sigma^kind (shared with H) and their sum, per (n, kind), read-only."""
+    site = _site_operators(n, kind)
+    total = np.sum(site, axis=0)
+    total.setflags(write=False)
+    return (*site, total)
 
 
 def build_liouvillian(h_matrix, spec: ChannelSpec) -> Liouvillian:

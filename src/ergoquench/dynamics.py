@@ -5,6 +5,13 @@ invariant blocks (`Liouvillian.blocks`), so exp(L t) is block-diagonal
 too.  `propagate` and `evolve_to` exponentiate L[b, b] t once for each
 block b that vec(rho0) touches and step or apply only those blocks; every
 entry outside them stays exactly zero, as exact evolution leaves it.
+`evolve_points` jumps many (L, rho0) points at once, `evolve_to` being
+its one-point case: the points that touch the same blocks share one
+stacked `expm` per block (up to EXPM_CHUNK_CELLS generator cells a call),
+one stacked apply and one CPTP screen, each acting on every matrix and
+state as on it alone, so a point evolves to the same bytes alone or
+among others.  A steady sweep's dozens of 6x6 problems then cost a few
+numpy calls rather than a dozen each.
 `propagate` steps by doubling: with P = exp(L[b, b] dt)^m, one matrix
 product turns the first m stored states into the next m, and P squares,
 so a grid of T steps costs ceil(log2(T + 1)) products per block rather
@@ -13,7 +20,7 @@ of fixed ket-minus-bra excitation number, and a Gibbs state touches only
 the largest (70 of 256 indices at four qubits).
 A `Trajectory` stores each state at its support only: the (D, D) entries
 of the blocks the propagator touched, as one (T, S) array that `propagate`
-and `evolve_to` write their block powers and jumps into (S = 70 of 256 at
+and `evolve_points` write their block powers and jumps into (S = 70 of 256 at
 four qubits, 6 of 16 at two).  Every linear readout Tr(rho A) (energies,
 energy-basis populations, the dark population) is `Trajectory.expect`,
 one fixed-order sum over those entries, so a state reads the same bytes
@@ -47,7 +54,8 @@ only; eigenvectors are computed by the branch tracker in
 `ergotropy.eigenvalue_crossings` alone, on the sectors' own blocks,
 SCREEN_CHUNK states at a time, and matched inside their sector.
 Both propagators return such a `Trajectory`: `propagate` one entry per
-grid time, `evolve_to` one entry per input state, all at the target time.
+grid time, `evolve_to` one entry per input state, all at the target time,
+and `evolve_points` one such Trajectory per point.
 """
 
 from __future__ import annotations
@@ -64,6 +72,10 @@ from .model import check_density_matrix
 
 GUARD_TOL = 1e-6  # runtime CPTP guard; test-level bounds are far tighter
 SCREEN_CHUNK = 256  # states whose screen or branch-tracker temporaries are held at once
+# Generator cells (P n^2) per stacked `expm` call of `evolve_points`: the Pade
+# temporaries of a whole stack of 70x70 blocks raised the steady sweeps' peak
+# memory by a fifth, and a 70x70 block (4,900 cells) gains nothing from company.
+EXPM_CHUNK_CELLS = 4096
 # A state is read on its parity blocks only if the Frobenius norm of its
 # even-odd entries X is at most this.  Dropping them is a Hermitian
 # perturbation of spectral norm ||X||_2 <= ||X||_F, so by Weyl's inequality
@@ -100,7 +112,7 @@ class TimeGrid:
         return np.arange(self.n_steps + 1) * self.dt
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Stored states and their times, with the spectra the CPTP screen computed of each.
 
@@ -113,7 +125,8 @@ class Trajectory:
     sectors (`sector_layout`) are where the screen took the spectra and
     where the branch tracker takes eigenvectors.  `expect` reads Tr(rho A)
     from those entries, and `states` builds the whole (T, D, D) stack on
-    each access.
+    each access.  `==` compares identity: an array field has no single
+    truth value.
     """
 
     times: np.ndarray
@@ -361,7 +374,7 @@ def _chunk_spectra(sym, spare, layout: SectorLayout, out) -> None:
         out[rest] = part
 
 
-def _screen(times, values, support, dim: int) -> Trajectory:
+def _screen(times, values, support, dim: int, per_point: int | None = None) -> Trajectory:
     """Symmetrize the (T, S) raw entries in place, enforce the CPTP guard and keep the spectra.
 
     The states are screened SCREEN_CHUNK at a time, at their support:
@@ -374,9 +387,12 @@ def _screen(times, values, support, dim: int) -> Trajectory:
     symmetrizing leaves nothing outside it.  The deviations of every state
     are checked after the last chunk, so the first bad step is reported
     whichever chunk it lies in; a deviation that is not a number (a NaN
-    entry) fails the check like one above GUARD_TOL.  Each chunk's
-    symmetrized entries are written back over `values` in ascending
-    row-major order, the order of the returned Trajectory's support.
+    entry) fails the check like one above GUARD_TOL.  The states may be
+    the runs of per_point states of consecutive points (a many-point
+    jump): a violation is then reported for the first run that has one,
+    at its step inside that run.  Each chunk's symmetrized entries are
+    written back over `values` in ascending row-major order, the order of
+    the returned Trajectory's support.
     """
     layout = sector_layout(dim, tuple(support.tolist()))
     herm, trace_dev = np.empty(len(values)), np.empty(len(values))
@@ -399,13 +415,19 @@ def _screen(times, values, support, dim: int) -> Trajectory:
         _chunk_spectra(sym, raw, layout, chunk)  # raw's buffer is free now
         chunk.sort(axis=1)
         rows[...] = sym
-    neg = -vals[:, 0]
-    for name, dev in (("Hermiticity", herm), ("trace", trace_dev), ("positivity", neg)):
-        bad = np.nonzero(~(dev <= GUARD_TOL))[0]
-        if bad.size:
-            k = int(bad[0])
-            raise InvariantViolation(
-                f"dynamics: {name} defect {dev[k]:.3e} at step {k} (t={times[k]:g})")
+    checks = (("Hermiticity", herm), ("trace", trace_dev), ("positivity", -vals[:, 0]))
+    failed = np.zeros(len(values), dtype=bool)
+    for _, dev in checks:
+        failed |= ~(dev <= GUARD_TOL)
+    if failed.any():
+        run = per_point or len(values)
+        start = int(np.argmax(failed)) // run * run
+        for name, dev in checks:
+            bad = np.flatnonzero(~(dev[start:start + run] <= GUARD_TOL))
+            if bad.size:
+                k = int(bad[0])
+                raise InvariantViolation(f"dynamics: {name} defect {dev[start + k]:.3e} "
+                                         f"at step {k} (t={times[start + k]:g})")
     return Trajectory(times=times, values=values, support=layout.stored, spectra=vals)
 
 
@@ -466,10 +488,10 @@ def _powers(step, v, rows) -> None:
             power = power @ power
 
 
-def _block_exponentials(liou: Liouvillian, vs, t: float):
-    """(b, exp(L[b, b] t)) for every invariant block b of L that a vector of vs touches."""
-    return [(b, expm(liou.matrix[np.ix_(b, b)] * t))
-            for b in liou.blocks if np.any(vs[:, b])]
+def _touched_blocks(liou: Liouvillian, vs) -> list:
+    """The invariant blocks of L, in its order, that some vector of vs has an entry in."""
+    held = np.any(vs, axis=0)
+    return [b for b in liou.blocks if held[b].any()]
 
 
 def propagate(liou: Liouvillian, rho0, grid: TimeGrid) -> Trajectory:
@@ -477,12 +499,85 @@ def propagate(liou: Liouvillian, rho0, grid: TimeGrid) -> Trajectory:
     if np.ndim(rho0) != 2:
         raise ValueError(f"propagate takes one (D, D) state, got shape {np.shape(rho0)}")
     vs = _initial_vectors(liou, rho0)
-    jumps = _block_exponentials(liou, vs, grid.dt)
+    jumps = [(b, expm(liou.matrix[np.ix_(b, b)] * grid.dt)) for b in _touched_blocks(liou, vs)]
     support, spans = _layout([b for b, _ in jumps], liou.dim_state)
     values = np.zeros((grid.n_steps + 1, support.size), dtype=complex)
     for (b, step), cols in zip(jumps, spans):
         _powers(step, vs[0, b], values[:, cols])
     return _screen(grid.times(), values, support, liou.dim_state)
+
+
+class _Group(NamedTuple):
+    """The points of a many-point jump whose states touch the same blocks; see `evolve_points`."""
+
+    indices: list  # each point's place in the input
+    blocks: list   # the touched blocks of L, ascending by first index
+    pending: list  # per block: the (L[b, b] t, vs[:, b]) of the points not yet evolved
+    done: list     # per block: the (c, B, len(b)) evolved entries of each stacked call
+
+
+def _evolve_pending(pending, done) -> None:
+    """Exponentiate the pending blocks by one stacked `expm`, apply each to its point's entries."""
+    generators, entries = zip(*pending)
+    steps = expm(np.stack(generators))
+    done.append(np.matmul(steps[:, None], np.stack(entries)[..., None])[..., 0])
+    pending.clear()
+
+
+def evolve_points(points, t: float) -> list:
+    """Single-jump evolution exp(L t) rho0 of every point (liou, rho0), as `evolve_to` gives it.
+
+    points is an iterable of (Liouvillian, state or stack of states),
+    read once.  Points whose states touch the same blocks of generators
+    of one dim, with as many states, form a group.  A point keeps only
+    what its states touch, L[b, b] t and its entries vs[:, b] of each
+    touched block b, and only until its group holds EXPM_CHUNK_CELLS
+    generator cells of b: those blocks are then exponentiated by one
+    stacked `expm` call and applied to their points' entries by one
+    stacked matrix-vector product.  So a caller that builds each L as it
+    is read holds one dense L at a time.  Each group's states are then
+    screened by one `_screen` call.  Each step acts on every matrix and
+    state as on it alone, so a point evolves to the same bytes alone or
+    among other points.  Groups are screened in the order of their first
+    points; a violation names the step, inside its own point, of the
+    group's first failing point, as `evolve_to` on that point reports it.
+    """
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    groups, count = {}, 0
+    for liou, rho0 in points:  # not enumerate: its reused result tuple would hold this L
+        vs = _initial_vectors(liou, rho0)
+        touched = _touched_blocks(liou, vs)
+        key = (liou.dim_state, len(vs), tuple(b.tobytes() for b in touched))
+        group = groups.setdefault(key, _Group([], touched, [[] for _ in touched],
+                                              [[] for _ in touched]))
+        group.indices.append(count)
+        count += 1
+        for b, pending in zip(touched, group.pending):
+            pending.append((liou.matrix[np.ix_(b, b)] * t, vs[:, b]))
+        del liou, vs  # the dense L goes before the stacked calls and the next point's L
+        for b, pending, done in zip(touched, group.pending, group.done):
+            if len(pending) == max(1, EXPM_CHUNK_CELLS // b.size ** 2):
+                _evolve_pending(pending, done)
+    results = [None] * count
+    for (dim, states, _), group in groups.items():
+        support, spans = _layout(group.blocks, dim)
+        values = np.zeros((len(group.indices), states, support.size), dtype=complex)
+        for pending, done, cols in zip(group.pending, group.done, spans):
+            if pending:
+                _evolve_pending(pending, done)
+            start = 0
+            for part in done:
+                values[start:start + len(part), :, cols] = part
+                start += len(part)
+            done.clear()
+        traj = _screen(np.full(values.shape[0] * states, t), values.reshape(-1, support.size),
+                       support, dim, per_point=states)
+        for p, index in enumerate(group.indices):
+            rows = slice(p * states, (p + 1) * states)
+            results[index] = Trajectory(traj.times[rows], traj.values[rows], traj.support,
+                                        traj.spectra[rows])
+    return results
 
 
 def evolve_to(liou: Liouvillian, rho0, t: float) -> Trajectory:
@@ -491,18 +586,9 @@ def evolve_to(liou: Liouvillian, rho0, t: float) -> Trajectory:
     rho0 is one (D, D) state or a (B, D, D) stack of states, checked as a
     whole by one `check_density_matrix` call (a failure names the index of
     the first bad member); the result is the screened Trajectory with one
-    entry per input state, all at time t.
-    Each touched block's exp(L[b, b] t) is computed once and applied to each
-    state in turn, so a state evolves to the same bytes alone or inside a
-    stack.
+    entry per input state, all at time t.  It is the one-point case of
+    `evolve_points`: each touched block's exp(L[b, b] t) is computed once
+    and applied to each state by one stacked matrix-vector product, so a
+    state evolves to the same bytes alone or inside a stack.
     """
-    initial = _initial_vectors(liou, rho0)
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    jumps = _block_exponentials(liou, initial, t)
-    support, spans = _layout([b for b, _ in jumps], liou.dim_state)
-    values = np.zeros((len(initial), support.size), dtype=complex)
-    for (b, step), cols in zip(jumps, spans):
-        for v, out in zip(initial, values):
-            out[cols] = step @ v[b]
-    return _screen(np.full(len(initial), t), values, support, liou.dim_state)
+    return evolve_points([(liou, rho0)], t)[0]

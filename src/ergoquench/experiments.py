@@ -24,14 +24,15 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .channels import ChannelSpec, build_liouvillian
 from .config import ConfigError, ExperimentConfig
-from .dynamics import TimeGrid, evolve_to, propagate
+from .dynamics import TimeGrid, evolve_points, propagate
 from .ergotropy import eigenvalue_crossings, energy_basis_populations, trajectory_records
 from .floattext import float_text, warm_up
 from .jc import compare_jc, default_jc_spec
@@ -381,23 +382,29 @@ def _steady_sweep(config, header, table, betas,
     """Shared body of the steady-state sweeps (fig4, appB-diss/deph).
 
     table holds (tag, n, h, channel) points.  H is built once per distinct
-    (n, h), before the points run.  Each point builds its L, builds the
-    stack of every beta's Gibbs state from one decomposition of H, evolves
-    it to t_max in one `evolve_to` call and reads the ergotropies off the
-    CPTP screen's spectra; block_of(tag, betas, ergotropies) gives its rows
-    as one block (see `_lines`).  The points run and are written one at a
-    time, in table order.
+    (n, h), before the points run.  The stack of every beta's Gibbs state
+    is built from one decomposition of H once per run of consecutive points
+    of one (n, h): once per distinct (n, h) in the sweeps' tables, whose
+    points of one (n, h) are adjacent.  All points are evolved to t_max by
+    one `evolve_points` call, which reads each point's L as it is built and
+    keeps only the blocks its states touch.  Each point's ergotropies are
+    read off the CPTP screen's spectra, and block_of(tag, betas,
+    ergotropies) gives its rows as one block (see `_lines`), written in
+    table order once every point has evolved.
     """
     hamiltonians = _hamiltonians((n, h) for _, n, h, _ in table)
     betas = np.asarray(betas, dtype=float)
 
-    def point(job):
-        tag, n, h, channel = job
-        h_matrix, liou = _quench(hamiltonians, n, h, config.gamma, channel)
-        steady = evolve_to(liou, gibbs_state(h_matrix, betas), config.t_max)
-        return block_of(tag, betas, trajectory_records(steady, h_matrix).ergotropy)
+    def points():  # (L, Gibbs stack) of each point, L built as it is read
+        for (n, h), rows in groupby(table, key=itemgetter(1, 2)):
+            rho0 = gibbs_state(hamiltonians[n, h], betas)
+            for _, _, _, channel in rows:
+                yield _quench(hamiltonians, n, h, config.gamma, channel)[1], rho0
 
-    return [_write_csv(_output(config, "csv"), header, map(point, table))]
+    steady = evolve_points(points(), config.t_max)
+    blocks = (block_of(tag, betas, trajectory_records(traj, hamiltonians[n, h]).ergotropy)
+              for (tag, n, h, _), traj in zip(table, steady))
+    return [_write_csv(_output(config, "csv"), header, blocks)]
 
 
 def _run_fig4(config: ExperimentConfig):
@@ -408,7 +415,7 @@ def _run_fig4(config: ExperimentConfig):
         config, header, [(h, 2, h, (0.0, 1.0, 0.0)) for h in fields],
         np.linspace(0.1, 3.0, 50),
         lambda h, betas, ergs: (betas, h, ergs,
-                                [steady_state_is_passive(beta, h) for beta in betas],
+                                steady_state_is_passive(betas, h),
                                 ergs <= STEADY_ERGOTROPY_EPS))
     if config.emit_svg:
         boundary = [beta_critical(h_value) for h_value in fields]

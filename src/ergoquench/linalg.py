@@ -11,14 +11,18 @@ the translation of failures into `LinalgError`.  Readers that need only a
 spectrum (the CPTP screen and the density-matrix check) take the
 values-only `hermitian_eigvals_batch`, which skips the eigenvectors and
 reads an already-Hermitian stack as it is.  numpy has no matrix
-exponential, so `expm` is Pade(13) scaling-and-squaring, implemented here.
+exponential, so `expm` is Pade(13) scaling-and-squaring, implemented here,
+of one matrix or of a stack at once.
 `kron` is numpy's broadcast product of two matrices without np.kron's
 general-rank wrapper; it builds the site operators.  States are at most
 16x16.  Superoperators are assembled at up to 256x256 (from their nonzero
 terms, not from full Kronecker products; see `channels`) but
-exponentiated one invariant block at a time: 70x70 at most for the
-experiments' four-qubit Gibbs inputs (1, 16, 36, 16, 1 under pure
-dephasing), 6x6 at two qubits.
+exponentiated one invariant block at a time, the same block of many
+generators in one stacked call: 70x70 at most for the experiments'
+four-qubit Gibbs inputs (1, 16, 36, 16, 1 under pure dephasing), 6x6 at
+two qubits.  numpy's stacked matmul and solve call BLAS and LAPACK once
+per matrix, so a stacked product or solve gives each matrix the bytes of
+its own 2-D call.
 """
 
 from __future__ import annotations
@@ -54,11 +58,6 @@ def dagger(m) -> np.ndarray:
     """Conjugate transpose (of a matrix or a batch of matrices)."""
     m = np.asarray(m)
     return np.conj(np.swapaxes(m, -1, -2))
-
-
-def one_norm(m) -> float:
-    """Maximum absolute column sum."""
-    return float(np.abs(np.asarray(m)).sum(axis=0).max())
 
 
 def hermitian_eig(m):
@@ -131,11 +130,16 @@ def hermitian_eigvals_batch(ms) -> np.ndarray:
 
 
 def solve(a, b) -> np.ndarray:
-    """Solve a x = b, b of shape (N,) or (N, K), by LU with partial pivoting."""
+    """Solve a x = b by LU with partial pivoting.
+
+    a is (N, N) with b of shape (N,) or (N, K), or a is a (P, N, N) stack
+    with b a (P, N, K) one, each system solved as it would be alone.
+    """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if (a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim not in (1, 2)
-            or b.shape[0] != a.shape[0]):
+    if (a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]
+            or b.ndim not in ((1, 2) if a.ndim == 2 else (3,))
+            or b.shape[:a.ndim - 1] != a.shape[:-1]):
         raise LinalgError(f"incompatible shapes {a.shape} and {b.shape}")
     try:
         return np.linalg.solve(a, b)
@@ -153,16 +157,27 @@ _THETA13 = 5.371920351148152
 
 
 def expm(m) -> np.ndarray:
-    """Matrix exponential by Pade(13) with scaling and squaring."""
+    """Matrix exponential by Pade(13) with scaling and squaring, of one matrix or of a stack.
+
+    m is one (n, n) matrix or a (P, n, n) stack, and the result has its
+    shape.  Each matrix of a stack is scaled by the power of two its own
+    one-norm asks for and squared back as many times, and every product
+    and the solve act on each matrix as on it alone, so expm(stack)[k] has
+    the bytes of expm(stack[k]).
+    """
     a = np.asarray(m, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise LinalgError(f"expm expects a square matrix, got {a.shape}")
+    shape = a.shape
+    if a.ndim not in (2, 3) or shape[-1] != shape[-2]:
+        raise LinalgError(f"expm expects a square matrix or a (P, n, n) stack, got {shape}")
     if not np.all(np.isfinite(a)):
         raise LinalgError("expm input has non-finite entries")
-    nrm = one_norm(a)
-    squarings = max(0, int(np.ceil(np.log2(nrm / _THETA13)))) if nrm > _THETA13 else 0
-    a = a / (2.0 ** squarings)
+    n = shape[-1]
+    a = a.reshape(-1, n, n)
+    norms = np.abs(a).sum(axis=1).max(axis=1, initial=0.0)  # each matrix's one-norm
+    squarings = np.zeros(len(a), dtype=int)
+    big = norms > _THETA13
+    squarings[big] = np.ceil(np.log2(norms[big] / _THETA13))
+    a = a / (2.0 ** squarings)[:, None, None]
 
     b = _PADE13
     eye = np.eye(n, dtype=complex)
@@ -174,9 +189,10 @@ def expm(m) -> np.ndarray:
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
     x = solve(v - u, v + u)
-    for _ in range(squarings):
-        x = x @ x
-    return x
+    for done in range(squarings.max(initial=0)):
+        more = np.flatnonzero(squarings > done)
+        x[more] = x[more] @ x[more]
+    return x.reshape(shape)
 
 
 def null_space_hermitian(m) -> np.ndarray:

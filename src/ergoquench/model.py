@@ -10,6 +10,7 @@ i.e. index 0 is |ee...e> and index 2^N - 1 is |gg...g>.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,14 +68,28 @@ def collective_operator(spec: ModelSpec, kind: str) -> np.ndarray:
     return total
 
 
+@lru_cache(maxsize=None)
+def _site_operators(n: int, kind: str) -> tuple:
+    """sigma^kind at each site 1..n of an n-qubit chain, built once per (n, kind), read-only."""
+    ops = tuple(site_operator(ModelSpec(n_qubits=n), site, kind) for site in range(1, n + 1))
+    for op in ops:
+        op.setflags(write=False)
+    return ops
+
+
 def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
-    """Open-boundary XX Hamiltonian sum(xx + yy) + h*sum(z), in units of J."""
+    """Open-boundary XX Hamiltonian sum(xx + yy) + h*sum(z), in units of J.
+
+    The site operators come from a cache keyed on the chain size alone,
+    so fields of one size share them.
+    """
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for site in range(1, spec.n_qubits):
+    for site in range(spec.n_qubits - 1):
         for kind in ("x", "y"):
-            h += site_operator(spec, site, kind) @ site_operator(spec, site + 1, kind)
-    for site in range(1, spec.n_qubits + 1):
-        h += spec.field_h * site_operator(spec, site, "z")
+            ops = _site_operators(spec.n_qubits, kind)
+            h += ops[site] @ ops[site + 1]
+    for z in _site_operators(spec.n_qubits, "z"):
+        h += spec.field_h * z
     return h
 
 

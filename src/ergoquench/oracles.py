@@ -243,9 +243,14 @@ def collective_steady_spectrum(beta: float, h: float) -> np.ndarray:
     return np.sort(np.array([0.0, 0.0, 1.0 - s, s]))
 
 
-def steady_state_is_passive(beta: float, h: float) -> bool:
-    """Passivity of the two-qubit collective steady state: sinh(2b) >= cosh(2bh)."""
-    return bool(np.sinh(2.0 * beta) >= np.cosh(2.0 * beta * h))
+def steady_state_is_passive(beta, h: float):
+    """Passivity of the two-qubit collective steady state: sinh(2b) >= cosh(2bh).
+
+    A scalar beta gives a bool, an array of betas a bool array of its shape.
+    """
+    beta = np.asarray(beta, dtype=float)
+    passive = np.sinh(2.0 * beta) >= np.cosh(2.0 * beta * h)
+    return bool(passive) if passive.ndim == 0 else passive
 
 
 def beta_critical(h: float) -> float:

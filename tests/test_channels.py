@@ -363,23 +363,28 @@ def test_lindblad_matrix_names_the_first_misshaped_jump(model2, h2):
 
 
 def test_site_jumps_are_built_once_per_size_and_kind(monkeypatch):
-    # the jumps depend on (n, kind) only: fields and channel mixes share them
+    # the jumps and H depend on (n, kind) only: fields and channel mixes share
+    # them, and H's sigma^z are the dephasing jumps
     calls = []
 
     def counting(spec, site, kind):
         calls.append((spec.n_qubits, site, kind))
         return site_operator(spec, site, kind)
 
-    monkeypatch.setattr(ergoquench.channels, "site_operator", counting)
-    ergoquench.channels._site_jumps.cache_clear()
+    monkeypatch.setattr(ergoquench.model, "site_operator", counting)
+    caches = (ergoquench.channels._site_jumps, ergoquench.model._site_operators)
+    for cache in caches:
+        cache.cache_clear()
     try:
         for h_field in (0.0, 0.1, 0.45):
             model = ModelSpec(n_qubits=2, field_h=h_field)
             for case in CHANNEL_CASES.values():
                 build_liouvillian(build_hamiltonian(model), ChannelSpec(**case))
     finally:
-        ergoquench.channels._site_jumps.cache_clear()
-    assert sorted(calls) == sorted((2, s, kind) for kind in ("minus", "z") for s in (1, 2))
+        for cache in caches:
+            cache.cache_clear()
+    assert sorted(calls) == sorted((2, s, kind) for kind in ("minus", "x", "y", "z")
+                                   for s in (1, 2))
     jumps = ergoquench.channels._site_jumps(2, "minus")
     assert not any(jump.flags.writeable for jump in jumps)
     assert np.array_equal(jumps[-1], collective_operator(ModelSpec(n_qubits=2), "minus"))

@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -138,6 +139,67 @@ def test_evolve_to_stack_of_mixed_support_equals_single_calls(h4):
     jumped = evolve_to(liou, stack, 7.0).states
     single = np.concatenate([evolve_to(liou, rho, 7.0).states for rho in stack])
     assert jumped.tobytes() == single.tobytes()
+
+
+def _bits(traj):
+    return (traj.times.tobytes(), traj.values.tobytes(), traj.support.tobytes(),
+            traj.spectra.tobytes())
+
+
+def test_many_point_jump_gives_each_point_the_bytes_of_evolve_to_alone(h2, h4):
+    # N=2 and N=4, dissipation and dephasing: several groups, a 70x70 block alone per
+    # expm call and smaller ones stacked, points of one group not adjacent in the input
+    betas = np.array([0.2, 1.0, 5.0])
+    cases = [(2, {"alpha_minus": 0.3}), (4, {"alpha_minus": 0.5}), (4, {"alpha": 1.0}),
+             (2, {"alpha_minus": 1.0}), (4, {"alpha": 1.0, "alpha_z": 0.4}),
+             (2, {"alpha": 1.0, "alpha_z": 0.7}), (4, {"alpha_minus": 1.0}),
+             (2, {"alpha_minus": 0.0})]
+    points = [(_liouvillian(n, 0.1, gamma=0.05, **channel)[0],
+               gibbs_state(h2 if n == 2 else h4, betas)) for n, channel in cases]
+    together = dynamics.evolve_points(iter(points), 800.0)
+    assert len(together) == len(points)
+    for (liou, rho0), traj in zip(points, together):
+        assert _bits(traj) == _bits(evolve_to(liou, rho0, 800.0))
+
+
+def test_many_point_jump_drops_each_dense_generator(h4):
+    rho0 = gibbs_state(h4, np.array([0.5, 2.0]))
+    refs = []
+
+    def points():
+        for alpha_minus in (0.0, 0.5, 1.0):
+            liou = _liouvillian(4, 0.1, gamma=0.05, alpha_minus=alpha_minus)[0]
+            refs.append(weakref.ref(liou))
+            yield liou, rho0
+            del liou
+            assert refs[-1]() is None  # the jump kept only the blocks it touched
+
+    assert len(dynamics.evolve_points(points(), 800.0)) == 3
+
+
+def test_many_point_jump_reports_a_violation_at_its_step_in_its_own_point():
+    # identity generators and one that drains the population of level 3: all
+    # singleton blocks, so the three points form one group; the second point's
+    # third state loses trace, and so does the third point's first
+    drain = np.zeros((16, 16), dtype=complex)
+    drain[15, 15] = -1.0  # vec index of (3, 3)
+    stack = np.array([np.diag(np.eye(4)[k]).astype(complex) for k in (0, 1, 3)])
+    points = [(Liouvillian(np.zeros((16, 16), dtype=complex)), stack),
+              (Liouvillian(drain), stack), (Liouvillian(drain), stack[::-1].copy())]
+    with pytest.raises(InvariantViolation, match=r"trace defect 6\.321e-01 at step 2 \(t=1\)"):
+        dynamics.evolve_points(points, 1.0)
+    with pytest.raises(InvariantViolation, match=r"trace defect 6\.321e-01 at step 2 \(t=1\)"):
+        evolve_to(*points[1], 1.0)
+
+
+def test_generators_and_trajectories_compare_by_identity(h2):
+    liou, _ = _liouvillian(2, 0.1, gamma=0.05)
+    twin = Liouvillian(liou.matrix.copy())
+    assert (liou == twin) is False and liou == liou and liou != twin
+    traj = evolve_to(liou, gibbs_state(h2, 0.5), 1.0)
+    copy = Trajectory(traj.times.copy(), traj.values.copy(), traj.support.copy(),
+                      traj.spectra.copy())
+    assert (traj == copy) is False and traj == traj
 
 
 def test_evolve_to_stack_rejects_a_non_density_matrix(h2):

@@ -13,7 +13,7 @@ from ergoquench import (ChannelSpec, ErgotropyRecord, ModelSpec, TimeGrid,
                         gibbs_state, propagate, trajectory_records)
 from ergoquench import dynamics, experiments, oracles
 from ergoquench.config import ExperimentConfig
-from ergoquench.dynamics import InvariantViolation, Trajectory, evolve_to
+from ergoquench.dynamics import InvariantViolation, Trajectory, evolve_points
 from ergoquench.experiments import (CSV_BATCH_CELLS, CSV_BLOCK_ROWS, EXPERIMENTS, _lines,
                                     _trajectory_blocks, _write_csv, run_experiment)
 from ergoquench.floattext import float_text
@@ -104,8 +104,9 @@ def test_steady_rows_do_not_depend_on_the_other_betas(tmp_path):
     assert rows_at_half((0.2, 0.5, 1.0)) == alone
 
 
-def test_steady_sweep_decomposes_h_once_per_point(tmp_path, monkeypatch):
-    # every beta's Gibbs state of a point comes from one decomposition of H
+def test_steady_sweep_decomposes_h_once_per_chain_and_field(tmp_path, monkeypatch):
+    # every beta's Gibbs state comes from one decomposition of H, shared by the
+    # 11 points of one (n, h)
     from ergoquench import model
     calls = []
     original = model.hermitian_eig
@@ -119,7 +120,7 @@ def test_steady_sweep_decomposes_h_once_per_point(tmp_path, monkeypatch):
                      t_max=10.0, n_qubits=2)
     _, rows = _read(run_experiment(config)[0])
     assert len(rows) == 11 * len(config.beta_list)
-    assert len(calls) == 11
+    assert len(calls) == 1
 
 
 def test_appb_channels_smoke(tmp_path):
@@ -405,15 +406,15 @@ def test_trajectory_figure_failing_at_its_second_beta_leaves_no_csv(tmp_path, mo
 
 
 def test_steady_sweep_failing_at_its_second_point_leaves_no_csv(tmp_path, monkeypatch):
-    calls = []
+    def failing_second(points, t_max):
+        def counted():
+            for k, point in enumerate(points):
+                if k == 1:
+                    raise InvariantViolation("point 2")
+                yield point
+        return evolve_points(counted(), t_max)
 
-    def failing_second(liou, rho, t_max):
-        calls.append(1)
-        if len(calls) == 2:
-            raise InvariantViolation("point 2")
-        return evolve_to(liou, rho, t_max)
-
-    monkeypatch.setattr(experiments, "evolve_to", failing_second)
+    monkeypatch.setattr(experiments, "evolve_points", failing_second)
     config = _config(experiment="appB-diss", output_dir=str(tmp_path), t_max=10.0,
                      beta_list=(0.5,), n_qubits=2)
     with pytest.raises(InvariantViolation, match="point 2"):

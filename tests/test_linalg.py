@@ -157,6 +157,49 @@ def test_expm_anti_hermitian_is_unitary():
             assert np.abs(dagger(u) @ u - np.eye(dim)).max() <= 1e-9
 
 
+def _same_bytes(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [1, 6, 16, 70])
+def test_expm_of_a_stack_gives_each_matrix_the_bytes_of_its_own_call(n):
+    # anti-Hermitian, one-norms from 0 to ~1e4: from no squaring up to about 11,
+    # each matrix its own count
+    rng = np.random.default_rng(n)
+    stack = np.array([1j * scale * random_hermitian(rng, n)
+                      for scale in (0.0, 0.1, 1.0, 10.0, 300.0, 3000.0)])
+    together = expm(stack)
+    assert together.shape == stack.shape
+    for k, m in enumerate(stack):
+        assert _same_bytes(together[k], expm(m))
+    assert np.allclose(together[0], np.eye(n), rtol=0, atol=1e-15)
+
+
+def test_expm_refuses_what_is_not_a_matrix_or_a_stack():
+    for bad in (np.ones(3), np.ones((2, 3)), np.ones((2, 3, 4)), np.ones((1, 2, 2, 2))):
+        with pytest.raises(LinalgError, match="expm expects"):
+            expm(bad)
+
+
+@pytest.mark.parametrize("n", [1, 4, 6, 16, 36, 70])
+def test_stacked_blas_and_lapack_calls_give_the_bytes_of_per_matrix_calls(n):
+    # the premise of the stacked expm and of the many-point jump: numpy calls BLAS and
+    # LAPACK once per matrix of a stack, so a numpy or BLAS build that does otherwise
+    # fails here rather than as a changed CSV
+    rng = np.random.default_rng(100 + n)
+    a = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+    b = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+    v = rng.normal(size=(5, 3, n)) + 1j * rng.normal(size=(5, 3, n))
+    products, squares, solved = a @ b, a @ a, solve(a, b)
+    applied = np.matmul(a[:, None], v[..., None])[..., 0]
+    for k in range(5):
+        assert _same_bytes(products[k], a[k] @ b[k])
+        assert _same_bytes(squares[k], a[k] @ a[k])
+        assert _same_bytes(solved[k], solve(a[k], b[k]))
+        for j in range(3):
+            assert _same_bytes(applied[k, j], a[k] @ v[k, j].copy())
+
+
 def test_null_space_diag():
     basis = null_space_hermitian(np.diag([0.0, 1.0]).astype(complex))
     assert basis.shape == (2, 1)
@@ -187,3 +230,7 @@ def test_solve_failures_raise_linalg_error():
         solve(np.eye(3), np.ones(2))
     with pytest.raises(LinalgError):
         solve(np.ones((2, 3)), np.ones(2))
+    with pytest.raises(LinalgError):  # a stack takes a stack of right-hand sides
+        solve(np.ones((2, 3, 3)), np.ones((2, 3)))
+    with pytest.raises(LinalgError):
+        solve(np.ones((2, 3, 3)), np.ones((3, 3, 1)))

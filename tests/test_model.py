@@ -36,6 +36,31 @@ def test_site_operator_equals_the_chained_kron(n, kind):
         assert np.array_equal(site_operator(spec, site, kind), reference)
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_hamiltonian_from_cached_site_operators_keeps_its_bytes(n):
+    # the XX chain written out from fresh site operators, in the order it is summed
+    for h_field in (0.0, 0.1, 0.37, 0.9, 2.5):
+        spec = ModelSpec(n_qubits=n, field_h=h_field)
+        expected = np.zeros((spec.dim, spec.dim), dtype=complex)
+        for site in range(1, n):
+            for kind in ("x", "y"):
+                expected += site_operator(spec, site, kind) @ site_operator(spec, site + 1, kind)
+        for site in range(1, n + 1):
+            expected += h_field * site_operator(spec, site, "z")
+        assert build_hamiltonian(spec).tobytes() == expected.tobytes()
+
+
+def test_site_operators_are_cached_read_only_and_handed_out_fresh():
+    from ergoquench.model import _site_operators
+    cached = _site_operators(3, "x")
+    assert cached is _site_operators(3, "x")
+    assert not any(op.flags.writeable for op in cached)
+    fresh = site_operator(ModelSpec(n_qubits=3, field_h=0.4), 2, "x")
+    assert fresh.flags.writeable and np.array_equal(fresh, cached[1])
+    fresh[0, 0] = 7.0
+    assert cached[1][0, 0] == 0
+
+
 def test_site_operator_placement(model2):
     assert np.array_equal(site_operator(model2, 1, "z"), kron(PAULI["z"], np.eye(2)))
     assert np.array_equal(site_operator(model2, 2, "minus"), kron(np.eye(2), PAULI["minus"]))

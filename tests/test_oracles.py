@@ -42,6 +42,16 @@ def test_activation_time_preconditions():
         activation_time_analytic(1.0, 0.1, 0.0)
 
 
+def test_passivity_of_an_array_of_betas_equals_the_scalar_calls():
+    # fig4's grid: one call per field over its 50 betas
+    betas = np.linspace(0.1, 3.0, 50)
+    for h in np.linspace(0.0, 0.9, 50):
+        together = steady_state_is_passive(betas, h)
+        assert together.dtype == bool and together.shape == betas.shape
+        assert together.tolist() == [steady_state_is_passive(beta, h) for beta in betas]
+    assert type(steady_state_is_passive(5.0, 0.1)) is bool
+
+
 def test_beta_critical_values():
     assert 0.43 <= beta_critical(0.1) <= 0.45
     assert abs(beta_critical(0.0) - 0.5 * np.log(1.0 + np.sqrt(2.0))) <= 1e-9

@@ -27,6 +27,8 @@ PACKAGE = Path(ergoquench.__file__).resolve().parent
 # exported names no package module calls, each with the reason it stays
 KEEP = {
     "ergotropy": "the benchmark's tracer wraps it as the single-state ergotropy layer",
+    "evolve_to": "the one-point jump, which the steady sweeps run many points at a time; "
+                 "the benchmark's tracer wraps it as the evolve_to layer",
 }
 
 
