@@ -38,11 +38,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import MAX_QUBITS
 from .linalg import dagger, kron
 from .model import _site_operators
-
-# Largest chain with a dense Liouvillian; 256x256 at four qubits.
-MAX_LIOUVILLIAN_QUBITS = 4
 
 
 @dataclass(frozen=True)
@@ -184,13 +182,13 @@ def build_liouvillian(h_matrix, spec: ChannelSpec) -> Liouvillian:
     """Full quench generator: commutator plus the alpha-mixed channels, in diagonal form.
 
     h_matrix is the 2^N x 2^N Hamiltonian of an N-qubit chain; N is read
-    off its shape and must be at most MAX_LIOUVILLIAN_QUBITS.
+    off its shape and must be at most `config.MAX_QUBITS`.
     """
     h = np.asarray(h_matrix, dtype=complex)
     n_qubits = len(h).bit_length() - 1 if h.ndim == 2 else 0
-    if not 1 <= n_qubits <= MAX_LIOUVILLIAN_QUBITS or h.shape != (2 ** n_qubits,) * 2:
+    if not 1 <= n_qubits <= MAX_QUBITS or h.shape != (2 ** n_qubits,) * 2:
         raise ValueError(f"the Hamiltonian must be 2^N x 2^N with 1 <= N <= "
-                         f"{MAX_LIOUVILLIAN_QUBITS} (dense Liouvillians), got shape {h.shape}")
+                         f"{MAX_QUBITS} (dense Liouvillians), got shape {h.shape}")
     jumps, rates = [], []
     for weight, kind, interp in ((1.0 - spec.alpha, "minus", spec.alpha_minus),
                                  (spec.alpha, "z", spec.alpha_z)):

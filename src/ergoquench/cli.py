@@ -7,9 +7,9 @@ Exit codes: 0 success, 2 configuration error (including an unreadable
 --config or an output that cannot be written), 3 numerical invariant
 violation during propagation.
 
-`list`, `--help` and a config or experiment-name error answer from
-`config` and `registry` alone; the engine, and with it numpy, loads only
-once `run` has a valid config and a registered name.
+`list`, `--help` and a config error, an experiment's name or chain size
+included, answer from `config` and `registry` alone; the engine, and with
+it numpy, loads only once `run` has a config `registry.resolve` accepts.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 
 from .config import ConfigError, validate_config
-from .registry import DESCRIPTIONS, check_experiment
+from .registry import DESCRIPTIONS, resolve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -73,8 +73,7 @@ def _cmd_run(args) -> int:
         if args.svg:
             updates["emit_svg"] = True
             explicit.add("emit_svg")
-        config = replace(config, explicit=frozenset(explicit), **updates)
-        check_experiment(config.experiment)
+        config = resolve(replace(config, explicit=frozenset(explicit), **updates))
         from .dynamics import InvariantViolation  # the engine loads only for a valid run
         try:
             paths = run_experiment(config)

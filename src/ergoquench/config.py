@@ -2,10 +2,10 @@
 
 An empty file (or no file) yields the default parameter set, in units of
 the chain coupling J = 1: h = 0.1, gamma = 0.05, dt = 0.5, t_max = 800
-and the inverse-temperature grid (0.2, 0.5, 1, 2, 5).  Individual
-experiments refine unset values (for example appD runs at dt = 0.1);
-explicitly provided keys always win, and the `explicit` set records which
-ones those are.
+and the inverse-temperature grid (0.2, 0.5, 1, 2, 5); the `explicit` set
+records which keys the file provides.  `registry.resolve` fixes each
+experiment's chain size and refines the keys left unset (appD runs at
+dt = 0.1, for example).  MAX_QUBITS is the one chain-size limit.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 DEFAULT_BETA_GRID = (0.2, 0.5, 1.0, 2.0, 5.0)
+# Largest chain anything builds: its dense Liouvillian is 256x256 at four qubits.
+MAX_QUBITS = 4
 
 
 class ConfigError(Exception):
@@ -112,8 +114,8 @@ def _check_ranges(config: ExperimentConfig) -> None:
         raise ConfigError(f"gamma must be >= 0, got {config.gamma}")
     if config.h < 0:
         raise ConfigError(f"h must be >= 0, got {config.h}")
-    if config.n_qubits is not None and not 1 <= config.n_qubits <= 4:
-        raise ConfigError(f"n_qubits must be in 1..4, got {config.n_qubits}")
+    if config.n_qubits is not None and not 1 <= config.n_qubits <= MAX_QUBITS:
+        raise ConfigError(f"n_qubits must be in 1..{MAX_QUBITS}, got {config.n_qubits}")
     if not config.beta_list:
         raise ConfigError("beta_list must not be empty")
     if any(b < 0 for b in config.beta_list):

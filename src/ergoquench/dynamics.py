@@ -528,7 +528,10 @@ def evolve_points(points, t: float) -> list:
     """Single-jump evolution exp(L t) rho0 of every point (liou, rho0), as `evolve_to` gives it.
 
     points is an iterable of (Liouvillian, state or stack of states),
-    read once.  Points whose states touch the same blocks of generators
+    read once.  Each point's states are checked as `evolve_to` checks
+    them, except that a read-only array passed again by the next point,
+    the very same object at the same dim, is not checked or vectorised
+    again.  Points whose states touch the same blocks of generators
     of one dim, with as many states, form a group.  A point keeps only
     what its states touch, L[b, b] t and its entries vs[:, b] of each
     touched block b, and only until its group holds EXPM_CHUNK_CELLS
@@ -544,9 +547,14 @@ def evolve_points(points, t: float) -> list:
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    groups, count = {}, 0
+    groups, count, last = {}, 0, None  # last: (rho0, dim, vs) of a read-only rho0 just checked
     for liou, rho0 in points:  # not enumerate: its reused result tuple would hold this L
-        vs = _initial_vectors(liou, rho0)
+        if last is not None and rho0 is last[0] and liou.dim_state == last[1]:
+            vs = last[2]
+        else:
+            vs = _initial_vectors(liou, rho0)
+            frozen = isinstance(rho0, np.ndarray) and not rho0.flags.writeable
+            last = (rho0, liou.dim_state, vs) if frozen else None
         touched = _touched_blocks(liou, vs)
         key = (liou.dim_state, len(vs), tuple(b.tobytes() for b in touched))
         group = groups.setdefault(key, _Group([], touched, [[] for _ in touched],

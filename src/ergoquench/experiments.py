@@ -35,19 +35,18 @@ from .config import ConfigError, ExperimentConfig
 from .dynamics import TimeGrid, evolve_points, propagate
 from .ergotropy import eigenvalue_crossings, energy_basis_populations, trajectory_records
 from .floattext import float_text, warm_up
-from .jc import compare_jc, default_jc_spec
+from .jc import compare_jc
 from .linalg import hermitian_eig  # noqa: F401 (ergobench's tracer test patches it here)
 from .model import ModelSpec, build_hamiltonian, gibbs_state
 from .oracles import (TwoQubitBlockState, beta_critical, collective_steady_spectrum,
                       dark_population_series, dark_subspace, dephasing_two_qubit_block,
                       p_dark, p_dark_derivative, steady_state_is_passive,
                       two_qubit_collective_sc, two_qubit_parallel_block)
-from .registry import DESCRIPTIONS, check_experiment
+from .registry import DESCRIPTIONS, resolve
 from .svgplot import line_plot_svg
 
 STEADY_ERGOTROPY_EPS = 1e-4  # classification threshold for "non-passive steady state"
 JC_RATIOS = (1.0, 5.0, 10.0, 20.0, 50.0, 100.0)
-FIG3_BETA_GRID = (0.2, 0.3, 0.4, 0.5, 1.0, 2.0, 5.0)
 MIXING_ALPHA_GRID = (0.0, 0.3, 0.5, 0.7, 0.9, 1.0)
 INTERP_ALPHA_GRID = tuple(round(0.1 * k, 1) for k in range(11))
 # Rows per block of a trajectory's CSV: 128 rows of appD are about 100 KB, under
@@ -196,25 +195,11 @@ def _write_csv(path: str, header, blocks) -> str:
     return path
 
 
-def _grid_from(config: ExperimentConfig, default_t_max: float | None = None,
-               default_dt: float | None = None) -> TimeGrid:
-    t_max = config.t_max if config.is_explicit("t_max") or default_t_max is None else default_t_max
-    dt = config.dt if config.is_explicit("dt") or default_dt is None else default_dt
+def _grid_from(config: ExperimentConfig) -> TimeGrid:
     try:
-        return TimeGrid(t_max=t_max, dt=dt)
+        return TimeGrid(t_max=config.t_max, dt=config.dt)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _betas_from(config: ExperimentConfig, default: tuple | None = None) -> tuple:
-    if default is None or config.is_explicit("beta_list"):
-        return config.beta_list
-    return default
-
-
-def _require_n(config: ExperimentConfig, n: int) -> None:
-    if config.n_qubits is not None and config.n_qubits != n:
-        raise ConfigError(f"experiment {config.experiment!r} fixes n_qubits={n}")
 
 
 def _chain_sizes(config: ExperimentConfig) -> tuple:
@@ -290,8 +275,6 @@ def _trajectory_figure(config, ids, table, grid, title, label, with_spectrum: bo
     it out.  extra is (columns, cells): cells(traj, h_matrix) returns the
     added columns, written between ergotropy and the spectrum.
     """
-    for row in table:
-        _require_n(config, row.n)
     hamiltonians = _hamiltonians((row.n, config.h) for row in table)
     quenches = [_quench(hamiltonians, row.n, config.h, config.gamma, row.channel)
                 for row in table]
@@ -320,57 +303,54 @@ def _trajectory_figure(config, ids, table, grid, title, label, with_spectrum: bo
     return paths
 
 
-def _single_size_figure(config, n, channel, betas, title, extra=_NO_EXTRA):
-    """fig2/3/5/6: one chain size and channel, swept over beta."""
-    return _trajectory_figure(config, (), [_Row((), n, channel, betas)], _grid_from(config),
-                              title, lambda tag, b: f"beta={b:g}", extra=extra)
+def _single_size_figure(config, channel, title, extra=_NO_EXTRA):
+    """fig2/3/5/6/appD: the config's chain size and one channel, swept over its betas."""
+    row = _Row((), config.n_qubits, channel, config.beta_list)
+    return _trajectory_figure(config, (), [row], _grid_from(config), title,
+                              lambda tag, b: f"beta={b:g}", extra=extra)
 
 
 def _run_fig2(config: ExperimentConfig):
-    return _single_size_figure(config, 2, (config.alpha, config.alpha_minus, config.alpha_z),
-                               _betas_from(config), "two-qubit parallel dissipation")
+    return _single_size_figure(config, (config.alpha, config.alpha_minus, config.alpha_z),
+                               "two-qubit parallel dissipation")
 
 
 def _run_fig3(config: ExperimentConfig):
-    return _single_size_figure(config, 2, (0.0, 1.0, config.alpha_z),
-                               _betas_from(config, FIG3_BETA_GRID),
+    return _single_size_figure(config, (0.0, 1.0, config.alpha_z),
                                "two-qubit collective dissipation")
 
 
 def _run_fig5(config: ExperimentConfig):
-    return _single_size_figure(config, 4, (config.alpha, config.alpha_minus, config.alpha_z),
-                               _betas_from(config), "four-qubit parallel dissipation")
+    return _single_size_figure(config, (config.alpha, config.alpha_minus, config.alpha_z),
+                               "four-qubit parallel dissipation")
 
 
 def _run_fig6(config: ExperimentConfig):
-    dark = dark_subspace(ModelSpec(n_qubits=4, field_h=config.h))
+    dark = dark_subspace(ModelSpec(n_qubits=config.n_qubits, field_h=config.h))
 
     def cells(traj, h_matrix):
         return [dark_population_series(traj, dark)]
 
-    return _single_size_figure(config, 4, (0.0, 1.0, config.alpha_z),
-                               _betas_from(config), "four-qubit collective dissipation",
-                               extra=(["p_dark"], cells))
+    return _single_size_figure(config, (0.0, 1.0, config.alpha_z),
+                               "four-qubit collective dissipation", extra=(["p_dark"], cells))
 
 
 def _run_fig8(config: ExperimentConfig):
-    betas = _betas_from(config)
-    table = [_Row((n,), n, (1.0, config.alpha_minus, 0.0), betas) for n in _chain_sizes(config)]
+    table = [_Row((n,), n, (1.0, config.alpha_minus, 0.0), config.beta_list)
+             for n in _chain_sizes(config)]
     return _trajectory_figure(config, ("n_qubits",), table, _grid_from(config),
                               "parallel dephasing", lambda tag, b: f"N={tag[0]} beta={b:g}",
                               with_spectrum=False)
 
 
 def _run_appb_channels(config: ExperimentConfig):
-    # mixing slows relaxation by (1 - alpha); the long default grid lets
-    # every mix settle
-    grid = _grid_from(config, default_t_max=4000.0, default_dt=1.0)
     panels = (("parallel-hot", 0.0, 0.0, 0.2), ("parallel-cold", 0.0, 0.0, 5.0),
               ("collective-hot", 1.0, 1.0, 0.2))
-    table = [_Row((panel, alpha), 2, (alpha, am, az), (beta,))
+    table = [_Row((panel, alpha), config.n_qubits, (alpha, am, az), (beta,))
              for panel, am, az, beta in panels for alpha in MIXING_ALPHA_GRID]
     return _trajectory_figure(
-        config, ("panel", "alpha"), table, grid, "channel mixing (parallel, beta=0.2)",
+        config, ("panel", "alpha"), table, _grid_from(config),
+        "channel mixing (parallel, beta=0.2)",
         lambda tag, b: f"alpha={tag[1]:g}" if tag[0] == "parallel-hot" else None,
         with_spectrum=False)
 
@@ -398,6 +378,7 @@ def _steady_sweep(config, header, table, betas,
     def points():  # (L, Gibbs stack) of each point, L built as it is read
         for (n, h), rows in groupby(table, key=itemgetter(1, 2)):
             rho0 = gibbs_state(hamiltonians[n, h], betas)
+            rho0.setflags(write=False)  # so evolve_points checks it once for all its points
             for _, _, _, channel in rows:
                 yield _quench(hamiltonians, n, h, config.gamma, channel)[1], rho0
 
@@ -408,11 +389,10 @@ def _steady_sweep(config, header, table, betas,
 
 
 def _run_fig4(config: ExperimentConfig):
-    _require_n(config, 2)
     fields = np.linspace(0.0, 0.9, 50)
     header = ["beta", "h", "steady_ergotropy", "passive_predicted", "passive_observed"]
     paths = _steady_sweep(
-        config, header, [(h, 2, h, (0.0, 1.0, 0.0)) for h in fields],
+        config, header, [(h, config.n_qubits, h, (0.0, 1.0, 0.0)) for h in fields],
         np.linspace(0.1, 3.0, 50),
         lambda h, betas, ergs: (betas, h, ergs,
                                 steady_state_is_passive(betas, h),
@@ -425,8 +405,7 @@ def _run_fig4(config: ExperimentConfig):
 
 
 def _run_fig7(config: ExperimentConfig):
-    _require_n(config, 4)
-    model = ModelSpec(n_qubits=4, field_h=config.h)
+    model = ModelSpec(n_qubits=config.n_qubits, field_h=config.h)
     dark = dark_subspace(model)
     h_matrix = build_hamiltonian(model)
     betas = np.linspace(0.0, 5.0, 51)
@@ -444,29 +423,28 @@ def _run_appb_diss(config: ExperimentConfig):
     return _steady_sweep(config, ["n_qubits", "alpha_minus", "beta", "steady_ergotropy"],
                          [((n, a), n, config.h, (0.0, a, 0.0))
                           for n in _chain_sizes(config) for a in INTERP_ALPHA_GRID],
-                         _betas_from(config))
+                         config.beta_list)
 
 
 def _run_appb_deph(config: ExperimentConfig):
     return _steady_sweep(config, ["n_qubits", "alpha_z", "beta", "steady_ergotropy"],
                          [((n, a), n, config.h, (1.0, 0.0, a))
                           for n in _chain_sizes(config) for a in INTERP_ALPHA_GRID],
-                         _betas_from(config))
+                         config.beta_list)
 
 
 # --- validation experiments ---------------------------------------------------
 
 def _run_appc_check(config: ExperimentConfig):
-    _require_n(config, 2)
     grid = _grid_from(config)
-    betas = _betas_from(config)
+    betas, n = config.beta_list, config.n_qubits
     if min(betas) <= 0:
         raise ConfigError(f"appC-check's collective steady spectrum needs beta > 0, "
                           f"got beta_list {betas}")
-    hamiltonians = _hamiltonians([(2, config.h)])
-    h_matrix, liou_par = _quench(hamiltonians, 2, config.h, config.gamma, (0.0, 0.0, 0.0))
-    _, liou_col = _quench(hamiltonians, 2, config.h, config.gamma, (0.0, 1.0, 0.0))
-    _, liou_dep = _quench(hamiltonians, 2, config.h, config.gamma, (1.0, 0.0, 0.0))
+    hamiltonians = _hamiltonians([(n, config.h)])
+    h_matrix, liou_par = _quench(hamiltonians, n, config.h, config.gamma, (0.0, 0.0, 0.0))
+    _, liou_col = _quench(hamiltonians, n, config.h, config.gamma, (0.0, 1.0, 0.0))
+    _, liou_dep = _quench(hamiltonians, n, config.h, config.gamma, (1.0, 0.0, 0.0))
     rho0s = [gibbs_state(h_matrix, beta) for beta in betas]
     pars = [propagate(liou_par, rho0, grid) for rho0 in rho0s]
     inits = [TwoQubitBlockState.from_density(traj.states[0]) for traj in pars]
@@ -494,27 +472,23 @@ def _run_appc_check(config: ExperimentConfig):
 
 
 def _run_appd(config: ExperimentConfig):
-    grid = _grid_from(config, default_t_max=250.0, default_dt=0.1)
-    betas = _betas_from(config, (0.2, 5.0))
-
     def cells(traj, h_matrix):
         populations = energy_basis_populations(traj, h_matrix)
         marks = {}
         for t_cross, pair in eigenvalue_crossings(traj):
-            k = int(round((t_cross - traj.times[0]) / grid.dt))
+            k = int(round((t_cross - traj.times[0]) / config.dt))
             marks.setdefault(k, []).append(f"{pair[0]}-{pair[1]}")
         steps = range(len(traj))
         return [[1 if k in marks else 0 for k in steps],
                 [";".join(marks.get(k, [])) for k in steps], populations]
 
-    columns = ["crossing", "crossing_pair"] + [f"pop_{k}" for k in range(16)]
-    return _trajectory_figure(config, (), [_Row((), 4, (0.0, 0.0, 0.0), betas)],
-                              grid, "four-qubit crossing analysis", lambda tag, b: f"beta={b:g}",
-                              extra=(columns, cells))
+    columns = ["crossing", "crossing_pair"] + [f"pop_{k}" for k in range(2 ** config.n_qubits)]
+    return _single_size_figure(config, (0.0, 0.0, 0.0), "four-qubit crossing analysis",
+                               extra=(columns, cells))
 
 
 def _run_fig9_jc(config: ExperimentConfig):
-    table = compare_jc(default_jc_spec(kappa_over_g=JC_RATIOS[0]), JC_RATIOS)
+    table = compare_jc(JC_RATIOS)
     header = ["kappa_over_g", "max_pee_deviation"]
     paths = [_write_csv(_output(config, "csv"), header, table)]
     paths += _maybe_svg(config, [("max deviation", [r for r, _ in table], [d for _, d in table])],
@@ -540,7 +514,7 @@ EXPERIMENTS = {name: ExperimentInfo(name, _runner(name), description)
 
 
 def run_experiment(config: ExperimentConfig) -> list[str]:
-    """Run one registered experiment; returns the written file paths."""
-    check_experiment(config.experiment)
+    """Run one registered experiment on `registry.resolve(config)`; returns the written paths."""
+    config = resolve(config)
     os.makedirs(config.output_dir, exist_ok=True)
     return EXPERIMENTS[config.experiment].runner(config)

@@ -122,21 +122,19 @@ def _auto_grid(spec: JCSpec) -> TimeGrid:
     return TimeGrid(t_max=t_max, dt=dt)
 
 
-def compare_jc(spec_base: JCSpec, kappa_over_g):
+def compare_jc(kappa_over_g):
     """Maximum excited-population deviation between the two descriptions.
 
-    For each ratio the cavity loss is set to ratio * g (frequencies and
-    coupling from spec_base) and both evolutions start from |e, 0>, on a
-    grid spanning eight of that ratio's own effective lifetimes.
-    Returns [(ratio, max |p_ee_full - p_ee_eff|)] in input order.
+    Each ratio runs on its `default_jc_spec`, and both evolutions start
+    from |e, 0>, on a grid spanning eight of that ratio's own effective
+    lifetimes.  Returns [(ratio, max |p_ee_full - p_ee_eff|)] in input order.
     """
     if any(r <= 0 for r in kappa_over_g):
         raise ValueError("kappa/g ratios must be positive")
     excited = np.diag([1.0, 0.0]).astype(complex)
     table = []
     for ratio in kappa_over_g:
-        spec = JCSpec(omega_q=spec_base.omega_q, omega_c=spec_base.omega_c,
-                      g=spec_base.g, kappa=ratio * spec_base.g)
+        spec = default_jc_spec(ratio)
         grid = _auto_grid(spec)
         full = jc_full_evolution(spec, excited, grid)
         eff = effective_atom_evolution(spec, excited, grid)

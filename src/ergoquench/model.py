@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import MAX_QUBITS
 from .linalg import dagger, hermitian_eig, hermitian_eigvals_batch, kron
 
 PAULI = {
@@ -38,8 +39,8 @@ class ModelSpec:
     field_h: float = 0.1
 
     def __post_init__(self):
-        if not 1 <= self.n_qubits <= 6:
-            raise ValueError(f"n_qubits must be in 1..6, got {self.n_qubits}")
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {self.n_qubits}")
         if self.field_h < 0:
             raise ValueError(f"field_h must be >= 0, got {self.field_h}")
 

@@ -1,11 +1,13 @@
-"""The experiment registry's names, order and descriptions, readable without numpy.
+"""The experiment registry, readable without numpy: names, order and descriptions,
+and the chain size and refined defaults of each experiment.
 
-`ergoquench list` and the name check of `ergoquench run` read this table
-before the engine loads; `experiments.EXPERIMENTS` pairs each entry, in
-this order, with its runner.
+`ergoquench list` and `resolve` read these tables before the engine loads;
+`experiments.EXPERIMENTS` pairs each entry, in this order, with its runner.
 """
 
-from .config import ConfigError
+from dataclasses import replace
+
+from .config import ConfigError, ExperimentConfig
 
 DESCRIPTIONS = {
     "fig2": "N=2 parallel dissipation: ergotropy activation and the 2(1-h) plateau",
@@ -23,11 +25,34 @@ DESCRIPTIONS = {
     "appD": "N=4 eigenvalue-crossing analysis with energy-basis populations",
 }
 
+# The chain size each experiment fixes.  fig8, appB-diss and appB-deph run
+# N=2 and N=4 unless n_qubits is set; fig9-jc has no chain.
+CHAIN_SIZES = {"fig2": 2, "fig3": 2, "fig4": 2, "appB-channels": 2, "appC-check": 2,
+               "fig5": 4, "fig6": 4, "fig7": 4, "appD": 4}
 
-def check_experiment(name: str | None) -> None:
-    """Raise ConfigError unless name is a registered experiment."""
+# Defaults an experiment refines; a key the config sets explicitly wins.
+REFINED = {
+    "fig3": {"beta_list": (0.2, 0.3, 0.4, 0.5, 1.0, 2.0, 5.0)},  # near-critical beta
+    "appB-channels": {"t_max": 4000.0, "dt": 1.0},  # mixing slows relaxation by (1 - alpha)
+    "appD": {"t_max": 250.0, "dt": 0.1, "beta_list": (0.2, 5.0)},  # dt resolves the crossings
+}
+
+
+def resolve(config: ExperimentConfig) -> ExperimentConfig:
+    """config as its experiment runs it, with its chain size fixed and unset keys refined.
+
+    Raises ConfigError unless config names a registered experiment and any
+    n_qubits agrees with the size it fixes.  `explicit` is kept as it is.
+    """
+    name = config.experiment
     if not name:
         raise ConfigError("no experiment selected")
     if name not in DESCRIPTIONS:
         known = ", ".join(sorted(DESCRIPTIONS))
         raise ConfigError(f"unknown experiment {name!r} (known: {known})")
+    n = CHAIN_SIZES.get(name, config.n_qubits)
+    if config.n_qubits not in (None, n):
+        raise ConfigError(f"experiment {name!r} fixes n_qubits={n}")
+    refined = {key: value for key, value in REFINED.get(name, {}).items()
+               if not config.is_explicit(key)}
+    return replace(config, n_qubits=n, **refined)

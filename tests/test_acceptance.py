@@ -390,8 +390,7 @@ def test_criterion_11_ergotropy_correctness():
 
 
 def test_criterion_12_jc_validation():
-    table = compare_jc(default_jc_spec(kappa_over_g=1.0),
-                       (1.0, 5.0, 10.0, 20.0, 50.0, 100.0))
+    table = compare_jc((1.0, 5.0, 10.0, 20.0, 50.0, 100.0))
     deviations = [dev for _, dev in table]
     decreasing = all(b < a for a, b in zip(deviations, deviations[1:]))
     excited = np.diag([1.0, 0.0]).astype(complex)

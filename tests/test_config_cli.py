@@ -4,6 +4,11 @@ import pytest
 from ergoquench.cli import main
 from ergoquench.config import (DEFAULT_BETA_GRID, ConfigError, ExperimentConfig,
                                validate_config)
+from ergoquench.registry import resolve
+
+# the chain size each experiment fixes, as the paper runs it
+FIXED_N = {"fig2": 2, "fig3": 2, "fig4": 2, "appB-channels": 2, "appC-check": 2,
+           "fig5": 4, "fig6": 4, "fig7": 4, "appD": 4}
 
 
 def test_empty_config_gives_defaults():
@@ -175,3 +180,55 @@ def test_config_dataclass_direct_use():
     config = ExperimentConfig(experiment="fig2", beta_list=(1.0,))
     assert config.experiment == "fig2"
     assert not config.is_explicit("t_max")
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_N))
+def test_resolve_fixes_the_chain_size_of_each_fixed_size_experiment(name):
+    n = FIXED_N[name]
+    assert resolve(ExperimentConfig(experiment=name)).n_qubits == n
+    assert resolve(validate_config(f"n_qubits = {n}\nexperiment = {name}")).n_qubits == n
+    other = 6 - n
+    for config in (validate_config(f"n_qubits = {other}\nexperiment = {name}"),
+                   ExperimentConfig(experiment=name, n_qubits=other)):  # explicit or not
+        with pytest.raises(ConfigError, match=f"^experiment {name!r} fixes n_qubits={n}$"):
+            resolve(config)
+
+
+@pytest.mark.parametrize("name", ["fig8", "appB-diss", "appB-deph", "fig9-jc"])
+def test_resolve_leaves_the_chain_size_of_the_other_experiments_as_set(name):
+    for n in (None, 1, 3):
+        assert resolve(ExperimentConfig(experiment=name, n_qubits=n)).n_qubits == n
+
+
+@pytest.mark.parametrize("text,grid", [
+    ("", (250.0, 0.1, (0.2, 5.0))),
+    ("t_max = 5", (5.0, 0.1, (0.2, 5.0))),
+    ("dt = 0.5\nbeta_list = 1", (250.0, 0.5, (1.0,))),
+    ("t_max = 800\ndt = 0.5\nbeta_list = 0.2, 0.5, 1, 2, 5", (800.0, 0.5, DEFAULT_BETA_GRID)),
+], ids=["empty", "t_max", "dt-and-betas", "all-at-the-package-defaults"])
+def test_resolve_refines_only_the_keys_the_config_leaves_unset(text, grid):
+    config = validate_config(text + "\nexperiment = appD")
+    resolved = resolve(config)
+    assert (resolved.t_max, resolved.dt, resolved.beta_list) == grid
+    assert resolved.explicit == config.explicit
+    assert resolve(resolved) == resolved
+
+
+def test_resolve_refinements_of_fig3_and_appb_channels():
+    fig3 = resolve(ExperimentConfig(experiment="fig3"))
+    assert fig3.beta_list == (0.2, 0.3, 0.4, 0.5, 1.0, 2.0, 5.0)
+    assert (fig3.t_max, fig3.dt) == (800.0, 0.5)
+    channels = resolve(ExperimentConfig(experiment="appB-channels"))
+    assert (channels.t_max, channels.dt, channels.beta_list) == (4000.0, 1.0, DEFAULT_BETA_GRID)
+    plain = ExperimentConfig(experiment="fig5", h=0.3)
+    assert resolve(plain) == ExperimentConfig(experiment="fig5", h=0.3, n_qubits=4)
+
+
+@pytest.mark.parametrize("experiment,fragment", [
+    (None, "no experiment selected"), ("", "no experiment selected"),
+    ("fig99", "unknown experiment 'fig99' (known: appB-channels, "),
+])
+def test_resolve_refuses_a_missing_or_unknown_name(experiment, fragment):
+    with pytest.raises(ConfigError) as info:
+        resolve(ExperimentConfig(experiment=experiment))
+    assert str(info.value).startswith(fragment)

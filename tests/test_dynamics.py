@@ -177,6 +177,55 @@ def test_many_point_jump_drops_each_dense_generator(h4):
     assert len(dynamics.evolve_points(points(), 800.0)) == 3
 
 
+def _counting_checks(monkeypatch):
+    calls = []
+    original = dynamics.check_density_matrix
+
+    def counting(rho, *args, **kwargs):
+        calls.append(rho)
+        return original(rho, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "check_density_matrix", counting)
+    return calls
+
+
+@pytest.mark.parametrize("frozen,checks", [(True, 1), (False, 3)])
+def test_many_point_jump_checks_a_repeated_read_only_stack_once(h2, monkeypatch, frozen, checks):
+    rho0 = gibbs_state(h2, np.array([0.5, 2.0]))
+    rho0.setflags(write=not frozen)
+    points = [(_liouvillian(2, 0.1, gamma=0.05, alpha_minus=a)[0], rho0) for a in (0.0, 0.5, 1.0)]
+    calls = _counting_checks(monkeypatch)
+    together = dynamics.evolve_points(points, 800.0)
+    assert len(calls) == checks
+    monkeypatch.undo()
+    for (liou, _), traj in zip(points, together):
+        assert _bits(traj) == _bits(evolve_to(liou, rho0, 800.0))
+
+
+def test_many_point_jump_checks_an_equal_copy_or_another_dim_again(h2, h4, monkeypatch):
+    rho2 = gibbs_state(h2, np.array([0.5, 2.0]))
+    rho4 = gibbs_state(h4, np.array([0.5, 2.0]))
+    for rho in (rho2, rho4):
+        rho.setflags(write=False)
+    copy = rho2.copy()
+    copy.setflags(write=False)
+    liou2, liou4 = _liouvillian(2, 0.1, gamma=0.05)[0], _liouvillian(4, 0.1, gamma=0.05)[0]
+    calls = _counting_checks(monkeypatch)
+    dynamics.evolve_points([(liou2, rho2), (liou2, copy), (liou4, rho4), (liou2, rho2)], 1.0)
+    assert len(calls) == 4
+    # a 4x4 stack read-only and checked, then passed again with a 16x16 generator
+    with pytest.raises(ValueError, match="does not match dim 16"):
+        dynamics.evolve_points([(liou2, rho2), (liou4, rho2)], 1.0)
+
+
+def test_many_point_jump_still_rejects_a_bad_read_only_first_stack(h2):
+    bad = 2.0 * gibbs_state(h2, np.array([0.5, 2.0]))
+    bad.setflags(write=False)
+    liou = _liouvillian(2, 0.1, gamma=0.05)[0]
+    with pytest.raises(ValueError, match=r"initial state: trace deviates from 1 by 1\.000e\+00"):
+        dynamics.evolve_points([(liou, bad), (liou, bad)], 1.0)
+
+
 def test_many_point_jump_reports_a_violation_at_its_step_in_its_own_point():
     # identity generators and one that drains the population of level 3: all
     # singleton blocks, so the three points form one group; the second point's

@@ -12,7 +12,7 @@ from ergoquench import (ChannelSpec, ErgotropyRecord, ModelSpec, TimeGrid,
                         build_hamiltonian, build_liouvillian, energy_basis_populations,
                         gibbs_state, propagate, trajectory_records)
 from ergoquench import dynamics, experiments, oracles
-from ergoquench.config import ExperimentConfig
+from ergoquench.config import ConfigError, ExperimentConfig
 from ergoquench.dynamics import InvariantViolation, Trajectory, evolve_points
 from ergoquench.experiments import (CSV_BATCH_CELLS, CSV_BLOCK_ROWS, EXPERIMENTS, _lines,
                                     _trajectory_blocks, _write_csv, run_experiment)
@@ -123,6 +123,22 @@ def test_steady_sweep_decomposes_h_once_per_chain_and_field(tmp_path, monkeypatc
     assert len(calls) == 1
 
 
+def test_steady_sweep_checks_each_gibbs_stack_once(tmp_path, monkeypatch):
+    # the 11 points of one chain size share one read-only Gibbs stack
+    calls = []
+    original = dynamics.check_density_matrix
+
+    def counting(rho, *args, **kwargs):
+        calls.append(rho.shape)
+        return original(rho, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "check_density_matrix", counting)
+    config = _config(experiment="appB-diss", output_dir=str(tmp_path), t_max=10.0)
+    _, rows = _read(run_experiment(config)[0])
+    assert len(rows) == 2 * 11 * len(config.beta_list)
+    assert calls == [(5, 4, 4), (5, 16, 16)]
+
+
 def test_appb_channels_smoke(tmp_path):
     config = _config(experiment="appB-channels", output_dir=str(tmp_path),
                      t_max=10.0, dt=0.5)
@@ -169,6 +185,25 @@ def test_appd_smoke(tmp_path):
     assert len(header) == 7 + 16 + 16
     pops = np.array([[float(x) for x in row[7:23]] for row in rows])
     assert np.abs(pops.sum(axis=1) - 1.0).max() <= 1e-9
+
+
+@pytest.mark.parametrize("overrides,steps", [({}, 2501), ({"t_max": 5.0}, 51)],
+                         ids=["refined", "explicit-t_max"])
+def test_appd_refines_its_grid_and_betas_unless_set(tmp_path, overrides, steps):
+    # appD's own defaults are t_max 250, dt 0.1 and beta 0.2 and 5; a set key wins
+    _, rows = _read(run_experiment(_config(experiment="appD", output_dir=str(tmp_path),
+                                           **overrides))[0])
+    betas = [float(row[0]) for row in rows]
+    times = np.array([float(row[1]) for row in rows]).reshape(2, steps)
+    assert betas == [0.2] * steps + [5.0] * steps
+    assert np.abs(times - 0.1 * np.arange(steps)).max() <= 1e-9
+
+
+def test_run_experiment_refuses_a_chain_the_experiment_does_not_run(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="^experiment 'fig7' fixes n_qubits=4$"):
+        run_experiment(ExperimentConfig(experiment="fig7", n_qubits=2, output_dir=str(out)))
+    assert not out.exists()
 
 
 def test_fig9_table(tmp_path):

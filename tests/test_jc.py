@@ -85,8 +85,7 @@ def test_effective_evolution_thermal_initial_state():
 
 
 def test_comparison_improves_with_loss_rate():
-    table = compare_jc(default_jc_spec(kappa_over_g=1.0),
-                       (1.0, 5.0, 10.0, 20.0, 50.0, 100.0))
+    table = compare_jc((1.0, 5.0, 10.0, 20.0, 50.0, 100.0))
     deviations = [dev for _, dev in table]
     assert all(b < a for a, b in zip(deviations, deviations[1:]))
     assert deviations[0] > 10.0 * deviations[-1]
@@ -102,7 +101,7 @@ def test_comparison_trivial_without_coupling():
 
 def test_compare_rejects_nonpositive_ratio():
     with pytest.raises(ValueError):
-        compare_jc(default_jc_spec(kappa_over_g=1.0), (1.0, -2.0))
+        compare_jc((1.0, -2.0))
 
 
 def test_auto_grid_of_a_slow_decay_takes_whole_unit_steps():

@@ -3,6 +3,7 @@ import pytest
 
 from ergoquench import (ModelSpec, build_hamiltonian, check_density_matrix,
                         collective_operator, gibbs_state, site_operator)
+from ergoquench.config import MAX_QUBITS
 from ergoquench.ergotropy import ergotropy
 from ergoquench.linalg import hermitian_eig, kron
 from ergoquench.model import PAULI
@@ -25,7 +26,7 @@ def test_discharged_state_energy_gap(h2):
     assert abs((e_gg - vals[0]) - 1.8) <= 1e-12
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 5))
 @pytest.mark.parametrize("kind", sorted(PAULI))
 def test_site_operator_equals_the_chained_kron(n, kind):
     spec = ModelSpec(n_qubits=n)
@@ -162,6 +163,10 @@ def test_model_spec_validation():
         ModelSpec(n_qubits=0)
     with pytest.raises(ValueError):
         ModelSpec(n_qubits=7)
+    # the chain-size limit of the config and of build_liouvillian
+    assert ModelSpec(n_qubits=MAX_QUBITS).dim == 16
+    with pytest.raises(ValueError, match=r"n_qubits must be in 1\.\.4, got 5"):
+        ModelSpec(n_qubits=5)
     with pytest.raises(ValueError):
         ModelSpec(n_qubits=2, field_h=-0.1)
 

@@ -142,6 +142,17 @@ def test_a_config_value_error_answers_without_numpy(tmp_path):
     assert "alpha out of [0,1]" in proc.stderr
 
 
+def test_a_chain_size_the_experiment_does_not_run_answers_without_numpy(tmp_path):
+    config = tmp_path / "n4.cfg"
+    config.write_text("n_qubits = 4\n")
+    out = tmp_path / "out"
+    proc = _fresh(_CLI, "run", "--experiment", "fig2", "--config", str(config), "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout.splitlines()[-1] == "numpy loaded: False"
+    assert proc.stderr == "config error: experiment 'fig2' fixes n_qubits=2\n"
+    assert not out.exists()
+
+
 def test_list_prints_the_registry_in_its_order():
     proc = _fresh(_CLI, "list")
     lines = proc.stdout.splitlines()[:-1]
