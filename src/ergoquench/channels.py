@@ -40,7 +40,7 @@ import numpy as np
 
 from .config import MAX_QUBITS
 from .linalg import dagger, kron
-from .model import _site_operators
+from .model import ModelSpec, _site_operators, collective_operator
 
 
 @dataclass(frozen=True)
@@ -172,10 +172,9 @@ def lindblad_matrix(h_matrix, jumps, rates) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _site_jumps(n: int, kind: str) -> tuple:
     """The n site operators sigma^kind (shared with H) and their sum, per (n, kind), read-only."""
-    site = _site_operators(n, kind)
-    total = np.sum(site, axis=0)
+    total = collective_operator(ModelSpec(n_qubits=n), kind)
     total.setflags(write=False)
-    return (*site, total)
+    return (*_site_operators(n, kind), total)
 
 
 def build_liouvillian(h_matrix, spec: ChannelSpec) -> Liouvillian:

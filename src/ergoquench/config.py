@@ -5,7 +5,9 @@ the chain coupling J = 1: h = 0.1, gamma = 0.05, dt = 0.5, t_max = 800
 and the inverse-temperature grid (0.2, 0.5, 1, 2, 5); the `explicit` set
 records which keys the file provides.  `registry.resolve` fixes each
 experiment's chain size and refines the keys left unset (appD runs at
-dt = 0.1, for example).  MAX_QUBITS is the one chain-size limit.
+dt = 0.1, for example).  MAX_QUBITS is the one chain-size limit, and
+`grid_error` the one multiple-of-dt rule, read by `registry.resolve` and
+`dynamics.TimeGrid`.
 """
 
 from __future__ import annotations
@@ -98,6 +100,13 @@ def validate_config(raw: str) -> ExperimentConfig:
     config = ExperimentConfig(**values, explicit=frozenset(values))
     _check_ranges(config)
     return config
+
+
+def grid_error(t_max: float, dt: float) -> str | None:
+    """Why t_max is no whole number of dt steps (to 1e-9 relative), or None if it is."""
+    if abs(round(t_max / dt) * dt - t_max) > 1e-9 * max(1.0, t_max):
+        return f"t_max {t_max} is not a multiple of dt {dt}"
+    return None
 
 
 def _check_ranges(config: ExperimentConfig) -> None:

@@ -5,13 +5,13 @@ invariant blocks (`Liouvillian.blocks`), so exp(L t) is block-diagonal
 too.  `propagate` and `evolve_to` exponentiate L[b, b] t once for each
 block b that vec(rho0) touches and step or apply only those blocks; every
 entry outside them stays exactly zero, as exact evolution leaves it.
-`evolve_points` jumps many (L, rho0) points at once, `evolve_to` being
-its one-point case: the points that touch the same blocks share one
-stacked `expm` per block (up to EXPM_CHUNK_CELLS generator cells a call),
-one stacked apply and one CPTP screen, each acting on every matrix and
-state as on it alone, so a point evolves to the same bytes alone or
-among others.  A steady sweep's dozens of 6x6 problems then cost a few
-numpy calls rather than a dozen each.
+`evolve_points` jumps runs of generators that start from one state or
+stack (a steady sweep's Gibbs stack), `evolve_to` being its one-point
+case: the points that touch the same blocks share stacked `expm` calls
+per block (up to EXPM_CHUNK_CELLS generator cells a call), one stacked
+apply and one CPTP screen, each acting on every matrix and state as on
+it alone, so a point evolves to the same bytes alone or among others.  A
+steady sweep's dozens of 6x6 problems cost a few numpy calls.
 `propagate` steps by doubling: with P = exp(L[b, b] dt)^m, one matrix
 product turns the first m stored states into the next m, and P squares,
 so a grid of T steps costs ceil(log2(T + 1)) products per block rather
@@ -60,6 +60,7 @@ and `evolve_points` one such Trajectory per point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -67,6 +68,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import Liouvillian, _invariant_blocks, vec
+from .config import grid_error
 from .linalg import expm, hermitian_eigvals_batch
 from .model import check_density_matrix
 
@@ -100,9 +102,8 @@ class TimeGrid:
             raise ValueError(f"dt must be in (0, 1], got {self.dt}")
         if self.t_max < self.dt:
             raise ValueError(f"t_max must be >= dt, got {self.t_max}")
-        n = round(self.t_max / self.dt)
-        if abs(n * self.dt - self.t_max) > 1e-9 * max(1.0, self.t_max):
-            raise ValueError(f"t_max {self.t_max} is not a multiple of dt {self.dt}")
+        if error := grid_error(self.t_max, self.dt):
+            raise ValueError(error)
 
     @property
     def n_steps(self) -> int:
@@ -431,18 +432,14 @@ def _screen(times, values, support, dim: int, per_point: int | None = None) -> T
     return Trajectory(times=times, values=values, support=layout.stored, spectra=vals)
 
 
-def _initial_vectors(liou: Liouvillian, rho0) -> np.ndarray:
+def _initial_vectors(rho0) -> np.ndarray:
     """Rows vec(rho0[k]) of one (D, D) state or a (B, D, D) stack, as a (B, D*D) array.
 
-    rho0 is first checked, as a whole, to hold density matrices of the
-    generator's dim.
+    rho0 is first checked, as a whole, to hold density matrices.
     """
     rho0 = np.asarray(rho0)
     check_density_matrix(rho0, context="initial state")
-    d = liou.dim_state
-    if rho0.shape[-2:] != (d, d):
-        raise ValueError(f"state shape {rho0.shape[-2:]} does not match dim {d}")
-    return vec(rho0).reshape(-1, d * d)
+    return vec(rho0).reshape(-1, rho0.shape[-1] ** 2)
 
 
 def _row_major(vec_indices, dim: int) -> np.ndarray:
@@ -489,7 +486,10 @@ def _powers(step, v, rows) -> None:
 
 
 def _touched_blocks(liou: Liouvillian, vs) -> list:
-    """The invariant blocks of L, in its order, that some vector of vs has an entry in."""
+    """The invariant blocks of L, in its order, that some vector of vs (L's dim) has an entry in."""
+    side = math.isqrt(vs.shape[1])
+    if side != liou.dim_state:
+        raise ValueError(f"state shape {(side, side)} does not match dim {liou.dim_state}")
     held = np.any(vs, axis=0)
     return [b for b in liou.blocks if held[b].any()]
 
@@ -498,7 +498,7 @@ def propagate(liou: Liouvillian, rho0, grid: TimeGrid) -> Trajectory:
     """Evolve one state rho0 with the one-step blocks exp(L[b, b] dt), their powers by doubling."""
     if np.ndim(rho0) != 2:
         raise ValueError(f"propagate takes one (D, D) state, got shape {np.shape(rho0)}")
-    vs = _initial_vectors(liou, rho0)
+    vs = _initial_vectors(rho0)
     jumps = [(b, expm(liou.matrix[np.ix_(b, b)] * grid.dt)) for b in _touched_blocks(liou, vs)]
     support, spans = _layout([b for b, _ in jumps], liou.dim_state)
     values = np.zeros((grid.n_steps + 1, support.size), dtype=complex)
@@ -507,81 +507,52 @@ def propagate(liou: Liouvillian, rho0, grid: TimeGrid) -> Trajectory:
     return _screen(grid.times(), values, support, liou.dim_state)
 
 
-class _Group(NamedTuple):
-    """The points of a many-point jump whose states touch the same blocks; see `evolve_points`."""
+def evolve_points(runs, t: float) -> list:
+    """Single-jump evolution exp(L t) rho0 of each generator of each run, as `evolve_to` gives it.
 
-    indices: list  # each point's place in the input
-    blocks: list   # the touched blocks of L, ascending by first index
-    pending: list  # per block: the (L[b, b] t, vs[:, b]) of the points not yet evolved
-    done: list     # per block: the (c, B, len(b)) evolved entries of each stacked call
-
-
-def _evolve_pending(pending, done) -> None:
-    """Exponentiate the pending blocks by one stacked `expm`, apply each to its point's entries."""
-    generators, entries = zip(*pending)
-    steps = expm(np.stack(generators))
-    done.append(np.matmul(steps[:, None], np.stack(entries)[..., None])[..., 0])
-    pending.clear()
-
-
-def evolve_points(points, t: float) -> list:
-    """Single-jump evolution exp(L t) rho0 of every point (liou, rho0), as `evolve_to` gives it.
-
-    points is an iterable of (Liouvillian, state or stack of states),
-    read once.  Each point's states are checked as `evolve_to` checks
-    them, except that a read-only array passed again by the next point,
-    the very same object at the same dim, is not checked or vectorised
-    again.  Points whose states touch the same blocks of generators
-    of one dim, with as many states, form a group.  A point keeps only
-    what its states touch, L[b, b] t and its entries vs[:, b] of each
-    touched block b, and only until its group holds EXPM_CHUNK_CELLS
-    generator cells of b: those blocks are then exponentiated by one
-    stacked `expm` call and applied to their points' entries by one
-    stacked matrix-vector product.  So a caller that builds each L as it
-    is read holds one dense L at a time.  Each group's states are then
-    screened by one `_screen` call.  Each step acts on every matrix and
-    state as on it alone, so a point evolves to the same bytes alone or
-    among other points.  Groups are screened in the order of their first
-    points; a violation names the step, inside its own point, of the
-    group's first failing point, as `evolve_to` on that point reports it.
+    runs is an iterable of (rho0, liouvillians), read once: a state or
+    stack of states, checked once as `evolve_to` checks it, and the
+    generators of its dim that all start from it.  Each generator keeps
+    only L[b, b] t and vs[:, b] of the blocks b its states touch, and is
+    dropped before the next is read.  The generators whose states touch
+    the same blocks, at one dim and with as many states, form a group;
+    once every run is read, each group's blocks are exponentiated by
+    stacked `expm` calls over consecutive members, at most EXPM_CHUNK_CELLS
+    cells a call, applied by stacked matrix-vector products and screened
+    by one `_screen` call.  Each acts on every matrix and state as on it
+    alone, so a point gets the bytes it gets alone.  Returns one Trajectory
+    per generator, in input order.  A violation names the step, inside its
+    own point, of the first failing point of the first group (in the order
+    of their first points) that has one.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    groups, count, last = {}, 0, None  # last: (rho0, dim, vs) of a read-only rho0 just checked
-    for liou, rho0 in points:  # not enumerate: its reused result tuple would hold this L
-        if last is not None and rho0 is last[0] and liou.dim_state == last[1]:
-            vs = last[2]
-        else:
-            vs = _initial_vectors(liou, rho0)
-            frozen = isinstance(rho0, np.ndarray) and not rho0.flags.writeable
-            last = (rho0, liou.dim_state, vs) if frozen else None
-        touched = _touched_blocks(liou, vs)
-        key = (liou.dim_state, len(vs), tuple(b.tobytes() for b in touched))
-        group = groups.setdefault(key, _Group([], touched, [[] for _ in touched],
-                                              [[] for _ in touched]))
-        group.indices.append(count)
-        count += 1
-        for b, pending in zip(touched, group.pending):
-            pending.append((liou.matrix[np.ix_(b, b)] * t, vs[:, b]))
-        del liou, vs  # the dense L goes before the stacked calls and the next point's L
-        for b, pending, done in zip(touched, group.pending, group.done):
-            if len(pending) == max(1, EXPM_CHUNK_CELLS // b.size ** 2):
-                _evolve_pending(pending, done)
+    groups, count = {}, 0  # key -> (indices, touched blocks, per block its (L[b, b] t, vs[:, b]))
+    for rho0, liouvillians in runs:
+        vs = _initial_vectors(rho0)
+        for liou in liouvillians:
+            touched = _touched_blocks(liou, vs)
+            key = (liou.dim_state, len(vs), tuple(b.tobytes() for b in touched))
+            indices, _, held = groups.setdefault(key, ([], touched, [[] for _ in touched]))
+            indices.append(count)
+            count += 1
+            for b, pairs in zip(touched, held):
+                pairs.append((liou.matrix[np.ix_(b, b)] * t, vs[:, b]))
+            del liou  # the dense L goes before the next one is built
     results = [None] * count
-    for (dim, states, _), group in groups.items():
-        support, spans = _layout(group.blocks, dim)
-        values = np.zeros((len(group.indices), states, support.size), dtype=complex)
-        for pending, done, cols in zip(group.pending, group.done, spans):
-            if pending:
-                _evolve_pending(pending, done)
-            start = 0
-            for part in done:
-                values[start:start + len(part), :, cols] = part
-                start += len(part)
-            done.clear()
+    for (dim, states, _), (indices, blocks, held) in groups.items():
+        support, spans = _layout(blocks, dim)
+        values = np.zeros((len(indices), states, support.size), dtype=complex)
+        for b, pairs, cols in zip(blocks, held, spans):
+            chunk = max(1, EXPM_CHUNK_CELLS // b.size ** 2)
+            for a in range(0, len(pairs), chunk):
+                generators, entries = zip(*pairs[a:a + chunk])
+                steps = expm(np.stack(generators))
+                values[a:a + chunk, :, cols] = np.matmul(steps[:, None],
+                                                         np.stack(entries)[..., None])[..., 0]
         traj = _screen(np.full(values.shape[0] * states, t), values.reshape(-1, support.size),
                        support, dim, per_point=states)
-        for p, index in enumerate(group.indices):
+        for p, index in enumerate(indices):
             rows = slice(p * states, (p + 1) * states)
             results[index] = Trajectory(traj.times[rows], traj.values[rows], traj.support,
                                         traj.spectra[rows])
@@ -594,9 +565,9 @@ def evolve_to(liou: Liouvillian, rho0, t: float) -> Trajectory:
     rho0 is one (D, D) state or a (B, D, D) stack of states, checked as a
     whole by one `check_density_matrix` call (a failure names the index of
     the first bad member); the result is the screened Trajectory with one
-    entry per input state, all at time t.  It is the one-point case of
-    `evolve_points`: each touched block's exp(L[b, b] t) is computed once
+    entry per input state, all at time t.  It is `evolve_points` on one
+    run of one generator: each touched block's exp(L[b, b] t) is computed once
     and applied to each state by one stacked matrix-vector product, so a
     state evolves to the same bytes alone or inside a stack.
     """
-    return evolve_points([(liou, rho0)], t)[0]
+    return evolve_points([(rho0, [liou])], t)[0]

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channels import ChannelSpec, build_liouvillian
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 from .dynamics import TimeGrid, evolve_points, propagate
 from .ergotropy import eigenvalue_crossings, energy_basis_populations, trajectory_records
 from .floattext import float_text, warm_up
@@ -195,13 +195,6 @@ def _write_csv(path: str, header, blocks) -> str:
     return path
 
 
-def _grid_from(config: ExperimentConfig) -> TimeGrid:
-    try:
-        return TimeGrid(t_max=config.t_max, dt=config.dt)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _chain_sizes(config: ExperimentConfig) -> tuple:
     """The configured chain size, or both N=2 and N=4 (fig8, appB-diss/deph)."""
     return (config.n_qubits,) if config.n_qubits is not None else (2, 4)
@@ -263,7 +256,7 @@ def _trajectory_blocks(lead, times, rec, added, with_spectrum: bool):
         yield [*lead, *(column[part] for column in columns)]
 
 
-def _trajectory_figure(config, ids, table, grid, title, label, with_spectrum: bool = True,
+def _trajectory_figure(config, ids, table, title, label, with_spectrum: bool = True,
                        extra=_NO_EXTRA):
     """Shared body of the trajectory figures (fig2/3/5/6/8, appB-channels, appD).
 
@@ -275,6 +268,7 @@ def _trajectory_figure(config, ids, table, grid, title, label, with_spectrum: bo
     it out.  extra is (columns, cells): cells(traj, h_matrix) returns the
     added columns, written between ergotropy and the spectrum.
     """
+    grid = TimeGrid(t_max=config.t_max, dt=config.dt)
     hamiltonians = _hamiltonians((row.n, config.h) for row in table)
     quenches = [_quench(hamiltonians, row.n, config.h, config.gamma, row.channel)
                 for row in table]
@@ -306,8 +300,7 @@ def _trajectory_figure(config, ids, table, grid, title, label, with_spectrum: bo
 def _single_size_figure(config, channel, title, extra=_NO_EXTRA):
     """fig2/3/5/6/appD: the config's chain size and one channel, swept over its betas."""
     row = _Row((), config.n_qubits, channel, config.beta_list)
-    return _trajectory_figure(config, (), [row], _grid_from(config), title,
-                              lambda tag, b: f"beta={b:g}", extra=extra)
+    return _trajectory_figure(config, (), [row], title, lambda tag, b: f"beta={b:g}", extra=extra)
 
 
 def _run_fig2(config: ExperimentConfig):
@@ -338,9 +331,8 @@ def _run_fig6(config: ExperimentConfig):
 def _run_fig8(config: ExperimentConfig):
     table = [_Row((n,), n, (1.0, config.alpha_minus, 0.0), config.beta_list)
              for n in _chain_sizes(config)]
-    return _trajectory_figure(config, ("n_qubits",), table, _grid_from(config),
-                              "parallel dephasing", lambda tag, b: f"N={tag[0]} beta={b:g}",
-                              with_spectrum=False)
+    return _trajectory_figure(config, ("n_qubits",), table, "parallel dephasing",
+                              lambda tag, b: f"N={tag[0]} beta={b:g}", with_spectrum=False)
 
 
 def _run_appb_channels(config: ExperimentConfig):
@@ -349,8 +341,7 @@ def _run_appb_channels(config: ExperimentConfig):
     table = [_Row((panel, alpha), config.n_qubits, (alpha, am, az), (beta,))
              for panel, am, az, beta in panels for alpha in MIXING_ALPHA_GRID]
     return _trajectory_figure(
-        config, ("panel", "alpha"), table, _grid_from(config),
-        "channel mixing (parallel, beta=0.2)",
+        config, ("panel", "alpha"), table, "channel mixing (parallel, beta=0.2)",
         lambda tag, b: f"alpha={tag[1]:g}" if tag[0] == "parallel-hot" else None,
         with_spectrum=False)
 
@@ -362,27 +353,26 @@ def _steady_sweep(config, header, table, betas,
     """Shared body of the steady-state sweeps (fig4, appB-diss/deph).
 
     table holds (tag, n, h, channel) points.  H is built once per distinct
-    (n, h), before the points run.  The stack of every beta's Gibbs state
-    is built from one decomposition of H once per run of consecutive points
-    of one (n, h): once per distinct (n, h) in the sweeps' tables, whose
-    points of one (n, h) are adjacent.  All points are evolved to t_max by
-    one `evolve_points` call, which reads each point's L as it is built and
-    keeps only the blocks its states touch.  Each point's ergotropies are
-    read off the CPTP screen's spectra, and block_of(tag, betas,
-    ergotropies) gives its rows as one block (see `_lines`), written in
-    table order once every point has evolved.
+    (n, h), before the points run.  Each run of consecutive points of one
+    (n, h), once per (n, h) in the sweeps' tables, is one `evolve_points`
+    run: the stack of every beta's Gibbs state, from one decomposition of
+    H, and the points' generators, each L built as it is read.  One call
+    evolves all points to t_max.  Each point's ergotropies are read off the
+    CPTP screen's spectra, and block_of(tag, betas, ergotropies) gives its
+    rows as one block (see `_lines`), written in table order once every
+    point has evolved.
     """
     hamiltonians = _hamiltonians((n, h) for _, n, h, _ in table)
     betas = np.asarray(betas, dtype=float)
 
-    def points():  # (L, Gibbs stack) of each point, L built as it is read
+    # (Gibbs stack, its generators) of each (n, h), each L built as it is read;
+    # evolve_points reads a run's generators before the next run, as groupby requires
+    def runs():
         for (n, h), rows in groupby(table, key=itemgetter(1, 2)):
-            rho0 = gibbs_state(hamiltonians[n, h], betas)
-            rho0.setflags(write=False)  # so evolve_points checks it once for all its points
-            for _, _, _, channel in rows:
-                yield _quench(hamiltonians, n, h, config.gamma, channel)[1], rho0
+            yield gibbs_state(hamiltonians[n, h], betas), (
+                _quench(hamiltonians, n, h, config.gamma, channel)[1] for *_, channel in rows)
 
-    steady = evolve_points(points(), config.t_max)
+    steady = evolve_points(runs(), config.t_max)
     blocks = (block_of(tag, betas, trajectory_records(traj, hamiltonians[n, h]).ergotropy)
               for (tag, n, h, _), traj in zip(table, steady))
     return [_write_csv(_output(config, "csv"), header, blocks)]
@@ -436,11 +426,8 @@ def _run_appb_deph(config: ExperimentConfig):
 # --- validation experiments ---------------------------------------------------
 
 def _run_appc_check(config: ExperimentConfig):
-    grid = _grid_from(config)
+    grid = TimeGrid(t_max=config.t_max, dt=config.dt)
     betas, n = config.beta_list, config.n_qubits
-    if min(betas) <= 0:
-        raise ConfigError(f"appC-check's collective steady spectrum needs beta > 0, "
-                          f"got beta_list {betas}")
     hamiltonians = _hamiltonians([(n, config.h)])
     h_matrix, liou_par = _quench(hamiltonians, n, config.h, config.gamma, (0.0, 0.0, 0.0))
     _, liou_col = _quench(hamiltonians, n, config.h, config.gamma, (0.0, 1.0, 0.0))

@@ -60,12 +60,12 @@ def site_operator(spec: ModelSpec, site: int, kind: str) -> np.ndarray:
 
 
 def collective_operator(spec: ModelSpec, kind: str) -> np.ndarray:
-    """Sum of the same single-site operator over all sites (S^- or S_z)."""
+    """Sum of the same single-site operator over all sites (S^- or S_z), from the cached ones."""
     if kind not in ("minus", "z"):
         raise ValueError(f"collective operator kind must be 'minus' or 'z', got {kind!r}")
     total = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for site in range(1, spec.n_qubits + 1):
-        total += site_operator(spec, site, kind)
+    for op in _site_operators(spec.n_qubits, kind):
+        total += op
     return total
 
 

@@ -1,5 +1,5 @@
 """The experiment registry, readable without numpy: names, order and descriptions,
-and the chain size and refined defaults of each experiment.
+the chain size and refined defaults of each experiment, and which ones build a grid.
 
 `ergoquench list` and `resolve` read these tables before the engine loads;
 `experiments.EXPERIMENTS` pairs each entry, in this order, with its runner.
@@ -7,7 +7,7 @@ and the chain size and refined defaults of each experiment.
 
 from dataclasses import replace
 
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, grid_error
 
 DESCRIPTIONS = {
     "fig2": "N=2 parallel dissipation: ergotropy activation and the 2(1-h) plateau",
@@ -37,12 +37,17 @@ REFINED = {
     "appD": {"t_max": 250.0, "dt": 0.1, "beta_list": (0.2, 5.0)},  # dt resolves the crossings
 }
 
+# The experiments that propagate on a t_max/dt grid, so t_max must be a multiple of dt.
+GRID_EXPERIMENTS = {"fig2", "fig3", "fig5", "fig6", "fig8", "appB-channels", "appC-check", "appD"}
+
 
 def resolve(config: ExperimentConfig) -> ExperimentConfig:
     """config as its experiment runs it, with its chain size fixed and unset keys refined.
 
-    Raises ConfigError unless config names a registered experiment and any
-    n_qubits agrees with the size it fixes.  `explicit` is kept as it is.
+    Raises ConfigError unless config names a registered experiment, any
+    n_qubits agrees with the size it fixes, a grid experiment's t_max is a
+    multiple of its dt and appC-check's betas are positive, all read after
+    refining.  `explicit` is kept as it is.
     """
     name = config.experiment
     if not name:
@@ -55,4 +60,10 @@ def resolve(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"experiment {name!r} fixes n_qubits={n}")
     refined = {key: value for key, value in REFINED.get(name, {}).items()
                if not config.is_explicit(key)}
-    return replace(config, n_qubits=n, **refined)
+    config = replace(config, n_qubits=n, **refined)
+    if name in GRID_EXPERIMENTS and (error := grid_error(config.t_max, config.dt)):
+        raise ConfigError(error)
+    if name == "appC-check" and min(config.beta_list) <= 0:
+        raise ConfigError(f"appC-check's collective steady spectrum needs beta > 0, "
+                          f"got beta_list {config.beta_list}")
+    return config

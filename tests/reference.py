@@ -27,15 +27,19 @@
 - `decoherence_free_subspace`: the largest H-invariant subspace of
   ker S^-, which the collective channel neither decays nor leaves, against
   the four-qubit collective limit that criterion 6 reads.
+- `closed_form_steady`: the t -> infinity limit of a Gibbs quench where
+  the channel's structure gives it without a generator, against long
+  single jumps of the engine.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from ergoquench import (Trajectory, build_hamiltonian, check_density_matrix, dark_subspace,
-                        trajectory_records, vec)
+from ergoquench import (ModelSpec, Trajectory, build_hamiltonian, check_density_matrix,
+                        dark_subspace, gibbs_state, trajectory_records, vec)
 from ergoquench.linalg import dagger, hermitian_eig, null_space_hermitian
+from ergoquench.model import site_operator
 from ergoquench.oracles import _evolve_block, _parallel_generator
 
 
@@ -386,3 +390,44 @@ def decoherence_free_subspace(model) -> np.ndarray:
         if kept.shape[1] == basis.shape[1]:
             return basis
         basis = kept
+
+
+def closed_form_steady(n: int, h: float, channel: tuple, beta: float):
+    """The t -> infinity limit of the quench of an n-site chain from its Gibbs state at beta.
+
+    channel is (alpha, alpha_minus, alpha_z), at any gamma > 0.  The limit
+    comes from H, the Gibbs state and the site operators alone, or is None
+    where no closed form is known here:
+    - pure dissipation (alpha = 0) with alpha_minus < 1: every site jump
+      sigma^-_i has a positive rate, so the one state all of them
+      annihilate, the all-down |g...g> (index 2^N - 1), is the unique
+      steady state; H conserves excitation number, so it is an eigenstate
+      of H (Spohn, Rep. Math. Phys. 10, 189 (1976); Frigerio, Commun. Math.
+      Phys. 63, 269 (1978));
+    - pure dephasing (alpha = 1) with alpha_z < 1: the channel is unital
+      and H conserves excitation number, so the limit is sum_k p_k I_k / d_k
+      over the excitation sectors k, p_k the Gibbs weight of sector k and
+      I_k / d_k its normalised identity;
+    - pure dephasing with alpha_z = 1: sum_i sigma^z_i is 2k - N on sector
+      k, so on the sector blocks the Gibbs state touches L = -i[H, .], and
+      the Gibbs state is its own limit.
+    """
+    alpha, alpha_minus, alpha_z = channel
+    model = ModelSpec(n_qubits=n, field_h=h)
+    gibbs = gibbs_state(build_hamiltonian(model), beta)
+    if alpha == 0.0 and alpha_minus < 1.0:
+        limit = np.zeros_like(gibbs)
+        limit[-1, -1] = 1.0
+        return limit
+    if alpha != 1.0:
+        return None
+    if alpha_z == 1.0:
+        return gibbs
+    # 2k - N on the basis states of sector k
+    z = sum(np.diagonal(site_operator(model, site, "z")).real for site in range(1, n + 1))
+    populations = np.diagonal(gibbs).real
+    spread = np.zeros(model.dim)
+    for k in np.unique(z):
+        sector = z == k
+        spread[sector] = populations[sector].sum() / np.count_nonzero(sector)
+    return np.diag(spread).astype(complex)

@@ -363,7 +363,8 @@ def test_lindblad_matrix_names_the_first_misshaped_jump(model2, h2):
 
 def test_site_jumps_are_built_once_per_size_and_kind(monkeypatch):
     # the jumps and H depend on (n, kind) only: fields and channel mixes share
-    # them, and H's sigma^z are the dephasing jumps
+    # them, H's sigma^z are the dephasing jumps, and the collective operators
+    # sum the same cached site operators
     calls = []
 
     def counting(spec, site, kind):
@@ -379,6 +380,8 @@ def test_site_jumps_are_built_once_per_size_and_kind(monkeypatch):
             model = ModelSpec(n_qubits=2, field_h=h_field)
             for case in CHANNEL_CASES.values():
                 build_liouvillian(build_hamiltonian(model), ChannelSpec(**case))
+            for kind in ("minus", "z"):
+                collective_operator(model, kind)
     finally:
         for cache in caches:
             cache.cache_clear()

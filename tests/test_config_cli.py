@@ -4,7 +4,7 @@ import pytest
 from ergoquench.cli import main
 from ergoquench.config import (DEFAULT_BETA_GRID, ConfigError, ExperimentConfig,
                                validate_config)
-from ergoquench.registry import resolve
+from ergoquench.registry import DESCRIPTIONS, resolve
 
 # the chain size each experiment fixes, as the paper runs it
 FIXED_N = {"fig2": 2, "fig3": 2, "fig4": 2, "appB-channels": 2, "appC-check": 2,
@@ -111,6 +111,40 @@ def test_cli_config_error_exit_code(tmp_path, capsys, name, text, fragment):
     assert main(["run", "--experiment", name, "--config", str(config),
                  "--out", str(tmp_path / "out")]) == 2
     assert fragment in capsys.readouterr().err
+
+
+# the experiments that propagate on a t_max/dt grid
+GRID = {"fig2", "fig3", "fig5", "fig6", "fig8", "appB-channels", "appC-check", "appD"}
+
+
+@pytest.mark.parametrize("name", sorted(DESCRIPTIONS))
+def test_resolve_refuses_an_off_grid_t_max_only_where_a_grid_is_built(name):
+    config = ExperimentConfig(experiment=name, t_max=1000.0, dt=0.3,
+                              explicit=frozenset({"experiment", "t_max", "dt"}))
+    if name in GRID:
+        with pytest.raises(ConfigError, match=r"^t_max 1000\.0 is not a multiple of dt 0\.3$"):
+            resolve(config)
+    else:
+        assert (resolve(config).t_max, resolve(config).dt) == (1000.0, 0.3)
+
+
+def test_resolve_refuses_a_zero_beta_for_appc_check_only():
+    for name in DESCRIPTIONS:
+        config = ExperimentConfig(experiment=name, beta_list=(0.0, 1.0))
+        if name == "appC-check":
+            with pytest.raises(ConfigError, match="needs beta > 0, got beta_list \\(0.0, 1.0\\)"):
+                resolve(config)
+        else:
+            resolve(config)
+
+
+def test_cli_fig4_builds_no_grid_and_runs_at_an_off_grid_dt(tmp_path, capsys):
+    config = tmp_path / "dt.cfg"
+    config.write_text("dt = 0.3\n")  # 800 is no multiple of 0.3
+    assert main(["run", "--experiment", "fig4", "--config", str(config),
+                 "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == f"{tmp_path / 'fig4.csv'}\n"
+    assert len((tmp_path / "fig4.csv").read_text().splitlines()) == 1 + 50 * 50
 
 
 @pytest.mark.parametrize("threads", ["abc", "0"], ids=["threads-not-integer",

@@ -148,16 +148,19 @@ def _bits(traj):
 
 def test_many_point_jump_gives_each_point_the_bytes_of_evolve_to_alone(h2, h4):
     # N=2 and N=4, dissipation and dephasing: several groups, a 70x70 block alone per
-    # expm call and smaller ones stacked, points of one group not adjacent in the input
+    # expm call and smaller ones stacked, points of one group in different runs and
+    # not adjacent in the input
     betas = np.array([0.2, 1.0, 5.0])
-    cases = [(2, {"alpha_minus": 0.3}), (4, {"alpha_minus": 0.5}), (4, {"alpha": 1.0}),
-             (2, {"alpha_minus": 1.0}), (4, {"alpha": 1.0, "alpha_z": 0.4}),
-             (2, {"alpha": 1.0, "alpha_z": 0.7}), (4, {"alpha_minus": 1.0}),
-             (2, {"alpha_minus": 0.0})]
-    points = [(_liouvillian(n, 0.1, gamma=0.05, **channel)[0],
-               gibbs_state(h2 if n == 2 else h4, betas)) for n, channel in cases]
-    together = dynamics.evolve_points(iter(points), 800.0)
-    assert len(together) == len(points)
+    stacks = {2: gibbs_state(h2, betas), 4: gibbs_state(h4, betas)}
+    cases = [(2, [{"alpha_minus": 0.3}]), (4, [{"alpha_minus": 0.5}, {"alpha": 1.0}]),
+             (2, [{"alpha_minus": 1.0}]), (4, [{"alpha": 1.0, "alpha_z": 0.4}]),
+             (2, [{"alpha": 1.0, "alpha_z": 0.7}]), (4, [{"alpha_minus": 1.0}]),
+             (2, [{"alpha_minus": 0.0}])]
+    runs = [(stacks[n], [_liouvillian(n, 0.1, gamma=0.05, **channel)[0] for channel in channels])
+            for n, channels in cases]
+    together = dynamics.evolve_points(((rho0, iter(lious)) for rho0, lious in runs), 800.0)
+    points = [(liou, rho0) for rho0, lious in runs for liou in lious]
+    assert len(together) == len(points) == 8
     for (liou, rho0), traj in zip(points, together):
         assert _bits(traj) == _bits(evolve_to(liou, rho0, 800.0))
 
@@ -166,15 +169,15 @@ def test_many_point_jump_drops_each_dense_generator(h4):
     rho0 = gibbs_state(h4, np.array([0.5, 2.0]))
     refs = []
 
-    def points():
+    def liouvillians():
         for alpha_minus in (0.0, 0.5, 1.0):
             liou = _liouvillian(4, 0.1, gamma=0.05, alpha_minus=alpha_minus)[0]
             refs.append(weakref.ref(liou))
-            yield liou, rho0
+            yield liou
             del liou
             assert refs[-1]() is None  # the jump kept only the blocks it touched
 
-    assert len(dynamics.evolve_points(points(), 800.0)) == 3
+    assert len(dynamics.evolve_points([(rho0, liouvillians())], 800.0)) == 3
 
 
 def _counting_checks(monkeypatch):
@@ -189,41 +192,47 @@ def _counting_checks(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("frozen,checks", [(True, 1), (False, 3)])
-def test_many_point_jump_checks_a_repeated_read_only_stack_once(h2, monkeypatch, frozen, checks):
+@pytest.mark.parametrize("writable", [False, True], ids=["read-only", "writable"])
+def test_many_point_jump_checks_a_run_stack_once_however_many_generators(h2, monkeypatch,
+                                                                         writable):
     rho0 = gibbs_state(h2, np.array([0.5, 2.0]))
-    rho0.setflags(write=not frozen)
-    points = [(_liouvillian(2, 0.1, gamma=0.05, alpha_minus=a)[0], rho0) for a in (0.0, 0.5, 1.0)]
+    rho0.setflags(write=writable)
+    lious = [_liouvillian(2, 0.1, gamma=0.05, alpha_minus=a)[0] for a in (0.0, 0.5, 1.0)]
     calls = _counting_checks(monkeypatch)
-    together = dynamics.evolve_points(points, 800.0)
-    assert len(calls) == checks
+    together = dynamics.evolve_points([(rho0, lious)], 800.0)
+    assert len(calls) == 1
     monkeypatch.undo()
-    for (liou, _), traj in zip(points, together):
+    for liou, traj in zip(lious, together):
         assert _bits(traj) == _bits(evolve_to(liou, rho0, 800.0))
 
 
-def test_many_point_jump_checks_an_equal_copy_or_another_dim_again(h2, h4, monkeypatch):
+def test_many_point_jump_checks_each_run_and_rejects_a_generator_of_another_dim(h2, h4,
+                                                                               monkeypatch):
     rho2 = gibbs_state(h2, np.array([0.5, 2.0]))
     rho4 = gibbs_state(h4, np.array([0.5, 2.0]))
-    for rho in (rho2, rho4):
-        rho.setflags(write=False)
-    copy = rho2.copy()
-    copy.setflags(write=False)
     liou2, liou4 = _liouvillian(2, 0.1, gamma=0.05)[0], _liouvillian(4, 0.1, gamma=0.05)[0]
     calls = _counting_checks(monkeypatch)
-    dynamics.evolve_points([(liou2, rho2), (liou2, copy), (liou4, rho4), (liou2, rho2)], 1.0)
+    # an equal copy of a stack is a run of its own, checked again
+    dynamics.evolve_points([(rho2, [liou2]), (rho2.copy(), [liou2]), (rho4, [liou4]),
+                            (rho2, [liou2])], 1.0)
     assert len(calls) == 4
-    # a 4x4 stack read-only and checked, then passed again with a 16x16 generator
+    # a 4x4 stack, checked, with a 16x16 generator later in its run
     with pytest.raises(ValueError, match="does not match dim 16"):
-        dynamics.evolve_points([(liou2, rho2), (liou4, rho2)], 1.0)
+        dynamics.evolve_points([(rho2, [liou2, liou4])], 1.0)
 
 
-def test_many_point_jump_still_rejects_a_bad_read_only_first_stack(h2):
+def test_many_point_jump_rejects_a_bad_run_stack_before_reading_a_generator(h2):
     bad = 2.0 * gibbs_state(h2, np.array([0.5, 2.0]))
-    bad.setflags(write=False)
     liou = _liouvillian(2, 0.1, gamma=0.05)[0]
+    read = []
+
+    def liouvillians():
+        read.append(1)
+        yield liou
+
     with pytest.raises(ValueError, match=r"initial state: trace deviates from 1 by 1\.000e\+00"):
-        dynamics.evolve_points([(liou, bad), (liou, bad)], 1.0)
+        dynamics.evolve_points([(bad, liouvillians())], 1.0)
+    assert read == []
 
 
 def test_many_point_jump_reports_a_violation_at_its_step_in_its_own_point():
@@ -233,12 +242,12 @@ def test_many_point_jump_reports_a_violation_at_its_step_in_its_own_point():
     drain = np.zeros((16, 16), dtype=complex)
     drain[15, 15] = -1.0  # vec index of (3, 3)
     stack = np.array([np.diag(np.eye(4)[k]).astype(complex) for k in (0, 1, 3)])
-    points = [(Liouvillian(np.zeros((16, 16), dtype=complex)), stack),
-              (Liouvillian(drain), stack), (Liouvillian(drain), stack[::-1].copy())]
+    runs = [(stack, [Liouvillian(np.zeros((16, 16), dtype=complex)), Liouvillian(drain)]),
+            (stack[::-1].copy(), [Liouvillian(drain)])]
     with pytest.raises(InvariantViolation, match=r"trace defect 6\.321e-01 at step 2 \(t=1\)"):
-        dynamics.evolve_points(points, 1.0)
+        dynamics.evolve_points(runs, 1.0)
     with pytest.raises(InvariantViolation, match=r"trace defect 6\.321e-01 at step 2 \(t=1\)"):
-        evolve_to(*points[1], 1.0)
+        evolve_to(Liouvillian(drain), stack, 1.0)
 
 
 def test_generators_and_trajectories_compare_by_identity(h2):

@@ -124,7 +124,7 @@ def test_steady_sweep_decomposes_h_once_per_chain_and_field(tmp_path, monkeypatc
 
 
 def test_steady_sweep_checks_each_gibbs_stack_once(tmp_path, monkeypatch):
-    # the 11 points of one chain size share one read-only Gibbs stack
+    # the 11 points of one chain size are one run on one Gibbs stack
     calls = []
     original = dynamics.check_density_matrix
 
@@ -137,6 +137,33 @@ def test_steady_sweep_checks_each_gibbs_stack_once(tmp_path, monkeypatch):
     _, rows = _read(run_experiment(config)[0])
     assert len(rows) == 2 * 11 * len(config.beta_list)
     assert calls == [(5, 4, 4), (5, 16, 16)]
+
+
+def test_one_steady_pass_keeps_its_checks_and_stacked_expm_calls(tmp_path, monkeypatch):
+    # fig4, appB-diss and appB-deph at the default config: one check per Gibbs
+    # stack (fig4's 50 fields, N=2 and N=4 of each appB sweep), and each group's
+    # blocks in stacked expm calls of at most EXPM_CHUNK_CELLS cells
+    checks, shapes = [], []
+    check, expm = dynamics.check_density_matrix, dynamics.expm
+
+    def counting_check(rho, *args, **kwargs):
+        checks.append(1)
+        return check(rho, *args, **kwargs)
+
+    def counting_expm(matrices):
+        shapes.append(np.shape(matrices))
+        return expm(matrices)
+
+    monkeypatch.setattr(dynamics, "check_density_matrix", counting_check)
+    monkeypatch.setattr(dynamics, "expm", counting_expm)
+    for name in ("fig4", "appB-diss", "appB-deph"):
+        run_experiment(_config(experiment=name, output_dir=str(tmp_path)))
+    assert len(checks) == 54
+    assert len(shapes) == 24 and sum(shape[0] for shape in shapes) == 160
+    assert sorted(shapes) == sorted(
+        [(50, 6, 6), (11, 6, 6)] + [(1, 70, 70)] * 11  # fig4; appB-diss N=2, N=4
+        + [(11, 1, 1)] * 2 + [(11, 4, 4)]  # appB-deph N=2
+        + [(11, 1, 1)] * 2 + [(11, 16, 16)] * 2 + [(3, 36, 36)] * 3 + [(2, 36, 36)])  # N=4
 
 
 def test_appb_channels_smoke(tmp_path):
@@ -441,13 +468,16 @@ def test_trajectory_figure_failing_at_its_second_beta_leaves_no_csv(tmp_path, mo
 
 
 def test_steady_sweep_failing_at_its_second_point_leaves_no_csv(tmp_path, monkeypatch):
-    def failing_second(points, t_max):
-        def counted():
-            for k, point in enumerate(points):
-                if k == 1:
+    def failing_second(runs, t_max):
+        count = []
+
+        def counted(liouvillians):
+            for liou in liouvillians:
+                count.append(1)
+                if len(count) == 2:
                     raise InvariantViolation("point 2")
-                yield point
-        return evolve_points(counted(), t_max)
+                yield liou
+        return evolve_points(((rho0, counted(lious)) for rho0, lious in runs), t_max)
 
     monkeypatch.setattr(experiments, "evolve_points", failing_second)
     config = _config(experiment="appB-diss", output_dir=str(tmp_path), t_max=10.0,

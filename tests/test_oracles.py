@@ -12,8 +12,8 @@ from ergoquench.oracles import (DarkSubspace, TwoQubitBlockState, _expm_taylor, 
                                 steady_state_is_passive, two_qubit_collective_sc,
                                 two_qubit_parallel_block)
 
-from reference import (activation_time_analytic, decoherence_free_subspace,
-                       two_qubit_collective_block)
+from reference import (activation_time_analytic, closed_form_steady,
+                       decoherence_free_subspace, two_qubit_collective_block)
 
 GAMMA = 0.05
 
@@ -211,6 +211,28 @@ def test_four_qubit_collective_limit_lies_in_the_decoherence_free_subspace(model
         assert abs(steady[-1] - ergotropy(inside, h4).ergotropy) <= 1e-10
     # not monotone in beta: the dip criterion 6 reports is in the limit too
     assert np.abs(np.array(steady) - [3.0204, 2.7236, 2.8147, 3.5091, 4.0475]).max() <= 1e-4
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("channel", [
+    (0.0, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.9, 0.0),
+    (1.0, 0.0, 0.0), (1.0, 0.0, 0.5), (1.0, 0.0, 0.9), (1.0, 0.0, 1.0),
+], ids=lambda channel: "alpha={}-alpha_minus={}-alpha_z={}".format(*channel))
+def test_closed_form_steady_is_the_long_time_limit_of_the_engine(n, channel):
+    # t = 2e5: the slowest gap these channels leave, gamma (1 - alpha_minus) = 0.005
+    # at alpha_minus = 0.9, has decayed to exp(-1000)
+    betas = (0.2, 1.0, 5.0)
+    h = build_hamiltonian(ModelSpec(n_qubits=n, field_h=0.1))
+    liou = build_liouvillian(h, ChannelSpec(GAMMA, *channel))
+    limits = evolve_to(liou, gibbs_state(h, np.array(betas)), 2e5).states
+    for beta, rho in zip(betas, limits):
+        closed = closed_form_steady(n, 0.1, channel, beta)
+        assert np.abs(rho - closed).max() <= 1e-10
+
+
+@pytest.mark.parametrize("channel", [(0.0, 1.0, 0.0), (0.5, 0.0, 0.0), (0.3, 0.5, 1.0)])
+def test_closed_form_steady_knows_no_form_for_collective_decay_or_a_mix(channel):
+    assert closed_form_steady(2, 0.1, channel, 1.0) is None
 
 
 def test_p_dark_values(model4):

@@ -153,6 +153,22 @@ def test_a_chain_size_the_experiment_does_not_run_answers_without_numpy(tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name,text,err", [
+    ("appB-channels", "dt = 0.3", "t_max 4000.0 is not a multiple of dt 0.3"),
+    ("appC-check", "beta_list = 0, 1\nt_max = 10",
+     "appC-check's collective steady spectrum needs beta > 0, got beta_list (0.0, 1.0)"),
+], ids=["off-grid", "appc-beta-zero"])
+def test_a_config_the_runner_cannot_run_answers_without_numpy(tmp_path, name, text, err):
+    config = tmp_path / "bad.cfg"
+    config.write_text(text + "\n")
+    out = tmp_path / "out"
+    proc = _fresh(_CLI, "run", "--experiment", name, "--config", str(config), "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout.splitlines()[-1] == "numpy loaded: False"
+    assert proc.stderr == f"config error: {err}\n"
+    assert not out.exists()
+
+
 def test_list_prints_the_registry_in_its_order():
     proc = _fresh(_CLI, "list")
     lines = proc.stdout.splitlines()[:-1]
