@@ -11,7 +11,12 @@ case: the points that touch the same blocks share stacked `expm` calls
 per block (up to EXPM_CHUNK_CELLS generator cells a call), one stacked
 apply and one CPTP screen, each acting on every matrix and state as on
 it alone, so a point evolves to the same bytes alone or among others.  A
-steady sweep's dozens of 6x6 problems cost a few numpy calls.
+steady sweep's dozens of 6x6 problems cost a few numpy calls.  A steady
+sweep asks `evolve_points` for limits: a touched block whose generator
+has a one-dimensional kernel, found by one stacked solve of the blocks
+bordered by their trace rows (`_block_limits`), is read at t -> infinity,
+its unique steady state times each state's trace on it; every other
+block, and every `evolve_to`, keeps the exact jump to t.
 `propagate` steps by doubling: with P = exp(L[b, b] dt)^m, one matrix
 product turns the first m stored states into the next m, and P squares,
 so a grid of T steps costs ceil(log2(T + 1)) products per block rather
@@ -69,7 +74,7 @@ import numpy as np
 
 from .channels import Liouvillian, _invariant_blocks, vec
 from .config import grid_error
-from .linalg import expm, hermitian_eigvals_batch
+from .linalg import LinalgError, expm, hermitian_eigvals_batch, solve
 from .model import check_density_matrix
 
 GUARD_TOL = 1e-6  # runtime CPTP guard; test-level bounds are far tighter
@@ -78,6 +83,12 @@ SCREEN_CHUNK = 256  # states whose screen or branch-tracker temporaries are held
 # temporaries of a whole stack of 70x70 blocks raised the steady sweeps' peak
 # memory by a fifth, and a 70x70 block (4,900 cells) gains nothing from company.
 EXPM_CHUNK_CELLS = 4096
+# Largest ||M||_1 ||M^-1||_1 of a bordered generator block M (`_block_limits`) whose
+# kernel is read as one-dimensional.  A block with a kernel of dimension 2 or more
+# gives an M that is singular in exact arithmetic: 6e16 to 1e18 here, or a zero pivot.
+LIMIT_COND = 1e10
+# Largest |ell L_b| and |L_b x|, relative to ||L_b||_1, of a block whose limit is read.
+LIMIT_TOL = 1e-12
 # A state is read on its parity blocks only if the Frobenius norm of its
 # even-odd entries X is at most this.  Dropping them is a Hermitian
 # perturbation of spectral norm ||X||_2 <= ||X||_F, so by Weyl's inequality
@@ -507,13 +518,87 @@ def propagate(liou: Liouvillian, rho0, grid: TimeGrid) -> Trajectory:
     return _screen(grid.times(), values, support, liou.dim_state)
 
 
-def evolve_points(runs, t: float) -> list:
+def _stack(arrays, members) -> np.ndarray:
+    """The arrays at the indices members, stacked."""
+    return np.stack([arrays[k] for k in members])
+
+
+def _diagonal_sum(stack, diagonal) -> np.ndarray:
+    """stack's entries at the positions `diagonal` along its last axis, summed in ascending order.
+
+    Each sum is its own run of elementwise adds, so an entry gets the same
+    bytes alone or inside a stack (a BLAS product over the stack need not).
+    """
+    first, *rest = np.flatnonzero(diagonal)
+    total = stack[..., first].copy()
+    for position in rest:
+        total += stack[..., position]
+    return total
+
+
+def _inverses(bordered) -> np.ndarray:
+    """M^-1 of each matrix of a (P, n, n) stack, by one stacked solve; NaN for a singular one.
+
+    If some member is exactly singular, the stacked solve raises and each
+    member is solved alone, so every inverse has the bytes of its own call.
+    """
+    eye = np.broadcast_to(np.eye(bordered.shape[-1], dtype=complex), bordered.shape)
+    try:
+        return solve(bordered, eye)
+    except LinalgError:
+        inverses = np.full(bordered.shape, np.nan, dtype=complex)
+        for k, matrix in enumerate(bordered):
+            try:
+                inverses[k] = solve(matrix, eye[k])
+            except LinalgError:
+                pass
+        return inverses
+
+
+def _block_limits(generators, diagonal):
+    """The t -> infinity limits of the generator blocks L_b of a (P, n, n) stack that have one.
+
+    diagonal marks the block's vec indices of diagonal entries: its trace
+    row ell.  Given ell L_b = 0, the bordered M (L_b with its row r, the
+    first that ell marks, replaced by ell) is nonsingular iff the kernel
+    of L_b is one-dimensional.  Then L_b's unique steady state (Spohn, Rep.
+    Math. Phys. 10, 189 (1976)) is x = M^-1[:, r], of trace 1, and
+    exp(L_b t) v tends to (ell v) x.  A block's limit is read only if it
+    is finite, |ell L_b| <= LIMIT_TOL ||L_b||_1, ||M||_1 ||M^-1||_1 <=
+    LIMIT_COND and |L_b x| <= LIMIT_TOL ||L_b||_1.  Returns the (P,)
+    mask of the blocks that pass and the (P, n) limits x (rows of the
+    others are not read).
+    """
+    count, n = generators.shape[:2]
+    passed, limits = np.zeros(count, dtype=bool), np.zeros((count, n), dtype=complex)
+    if not diagonal.any():
+        return passed, limits
+    with np.errstate(invalid="ignore", over="ignore"):
+        scale = LIMIT_TOL * np.abs(generators).sum(axis=1).max(axis=1)
+        leak = np.abs(_diagonal_sum(np.swapaxes(generators, -1, -2), diagonal)).max(axis=1)
+    candidates = np.flatnonzero(np.isfinite(generators).all(axis=(1, 2)) & (leak <= scale))
+    if candidates.size == 0:
+        return passed, limits
+    r = int(np.argmax(diagonal))
+    bordered = generators[candidates]
+    bordered[:, r, :] = diagonal
+    inverses = _inverses(bordered)
+    x = inverses[:, :, r]
+    with np.errstate(invalid="ignore", over="ignore"):
+        cond = np.abs(bordered).sum(axis=1).max(axis=1) * np.abs(inverses).sum(axis=1).max(axis=1)
+        residual = np.abs(np.matmul(generators[candidates], x[..., None])[..., 0]).max(axis=1)
+        passed[candidates] = (cond <= LIMIT_COND) & (residual <= scale[candidates])
+    limits[candidates] = x
+    return passed, limits
+
+
+def evolve_points(runs, t: float, limit: bool = False) -> list:
     """Single-jump evolution exp(L t) rho0 of each generator of each run, as `evolve_to` gives it.
 
     runs is an iterable of (rho0, liouvillians), read once: a state or
     stack of states, checked once as `evolve_to` checks it, and the
     generators of its dim that all start from it.  Each generator keeps
-    only L[b, b] t and vs[:, b] of the blocks b its states touch, and is
+    only L[b, b] and vs[:, b] of the blocks b its states touch, and is
     dropped before the next is read.  The generators whose states touch
     the same blocks, at one dim and with as many states, form a group;
     once every run is read, each group's blocks are exponentiated by
@@ -524,10 +609,18 @@ def evolve_points(runs, t: float) -> list:
     per generator, in input order.  A violation names the step, inside its
     own point, of the first failing point of the first group (in the order
     of their first points) that has one.
+
+    With limit, each chunk's blocks larger than 1x1 are first tested by
+    one stacked bordered solve (`_block_limits`): a block with a
+    one-dimensional kernel is read at t -> infinity, each state as (ell v)
+    x with ell v its own fixed-order sum of diagonal entries, and only the
+    others go to `expm` at t.  The states are screened as before and their
+    times still read t; the decision and the limit of a block do not
+    depend on its company.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    groups, count = {}, 0  # key -> (indices, touched blocks, per block its (L[b, b] t, vs[:, b]))
+    groups, count = {}, 0  # key -> (indices, touched blocks, per block its (L[b, b], vs[:, b]))
     for rho0, liouvillians in runs:
         vs = _initial_vectors(rho0)
         for liou in liouvillians:
@@ -537,7 +630,7 @@ def evolve_points(runs, t: float) -> list:
             indices.append(count)
             count += 1
             for b, pairs in zip(touched, held):
-                pairs.append((liou.matrix[np.ix_(b, b)] * t, vs[:, b]))
+                pairs.append((liou.matrix[np.ix_(b, b)], vs[:, b]))
             del liou  # the dense L goes before the next one is built
     results = [None] * count
     for (dim, states, _), (indices, blocks, held) in groups.items():
@@ -545,11 +638,23 @@ def evolve_points(runs, t: float) -> list:
         values = np.zeros((len(indices), states, support.size), dtype=complex)
         for b, pairs, cols in zip(blocks, held, spans):
             chunk = max(1, EXPM_CHUNK_CELLS // b.size ** 2)
+            diagonal = b % (dim + 1) == 0  # vec index i*D + i is entry (i, i)
             for a in range(0, len(pairs), chunk):
                 generators, entries = zip(*pairs[a:a + chunk])
-                steps = expm(np.stack(generators))
-                values[a:a + chunk, :, cols] = np.matmul(steps[:, None],
-                                                         np.stack(entries)[..., None])[..., 0]
+                part = values[a:a + chunk, :, cols]
+                # a 1x1 block keeps its jump: expm reads exp(0) as 1 - 2^-53, so a limit
+                # read as exactly 1 would move the rows of points that have no limit
+                passed, limits = (_block_limits(np.stack(generators), diagonal)
+                                  if limit and b.size > 1
+                                  else (np.zeros(len(generators), dtype=bool), None))
+                read, jumped = np.flatnonzero(passed), np.flatnonzero(~passed)
+                if read.size:
+                    part[read] = (_diagonal_sum(_stack(entries, read), diagonal)[..., None]
+                                  * limits[read, None])
+                if jumped.size:
+                    steps = expm(_stack(generators, jumped) * t)
+                    part[jumped] = np.matmul(steps[:, None],
+                                             _stack(entries, jumped)[..., None])[..., 0]
         traj = _screen(np.full(values.shape[0] * states, t), values.reshape(-1, support.size),
                        support, dim, per_point=states)
         for p, index in enumerate(indices):

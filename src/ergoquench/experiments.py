@@ -357,7 +357,10 @@ def _steady_sweep(config, header, table, betas,
     (n, h), once per (n, h) in the sweeps' tables, is one `evolve_points`
     run: the stack of every beta's Gibbs state, from one decomposition of
     H, and the points' generators, each L built as it is read.  One call
-    evolves all points to t_max.  Each point's ergotropies are read off the
+    evolves all points in limit mode: each touched block with a
+    one-dimensional kernel is read at t -> infinity (appB-diss at
+    alpha_minus < 1, appB-deph at alpha_z < 1), and the other blocks (fig4,
+    the alpha = 1 rows) jump to t_max.  Each point's ergotropies are read off the
     CPTP screen's spectra, and block_of(tag, betas, ergotropies) gives its
     rows as one block (see `_lines`), written in table order once every
     point has evolved.
@@ -372,7 +375,7 @@ def _steady_sweep(config, header, table, betas,
             yield gibbs_state(hamiltonians[n, h], betas), (
                 _quench(hamiltonians, n, h, config.gamma, channel)[1] for *_, channel in rows)
 
-    steady = evolve_points(runs(), config.t_max)
+    steady = evolve_points(runs(), config.t_max, limit=True)
     blocks = (block_of(tag, betas, trajectory_records(traj, hamiltonians[n, h]).ergotropy)
               for (tag, n, h, _), traj in zip(table, steady))
     return [_write_csv(_output(config, "csv"), header, blocks)]

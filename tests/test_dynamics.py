@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -17,7 +18,7 @@ from ergoquench.ergotropy import (CROSSING_SIGNIFICANCE, LEVEL_TOL, _greedy_matc
                                   eigenvalue_crossings, energy_basis_populations,
                                   trajectory_records)
 from ergoquench.jc import default_jc_spec, jc_full_evolution
-from ergoquench.linalg import (dagger, expm, hermitian_eig, hermitian_eig_batch,
+from ergoquench.linalg import (LinalgError, dagger, expm, hermitian_eig, hermitian_eig_batch,
                                hermitian_eigvals_batch)
 from ergoquench.model import site_operator
 from ergoquench.oracles import dark_population_series, dark_subspace
@@ -248,6 +249,139 @@ def test_many_point_jump_reports_a_violation_at_its_step_in_its_own_point():
         dynamics.evolve_points(runs, 1.0)
     with pytest.raises(InvariantViolation, match=r"trace defect 6\.321e-01 at step 2 \(t=1\)"):
         evolve_to(Liouvillian(drain), stack, 1.0)
+
+
+def _limit_jumps(runs, t=800.0):
+    return dynamics.evolve_points(runs, t, limit=True)
+
+
+def test_limit_jump_gives_a_point_its_bytes_alone_in_a_stacked_or_a_fallback_chunk(h2, h4,
+                                                                                  monkeypatch):
+    # N=2 dephasing: the 4x4 blocks of one chunk share one stacked solve; at
+    # alpha_z = 1 the bordered block is exactly singular, the stacked solve
+    # raises and the chunk is solved member by member
+    betas = np.array([0.2, 1.0, 5.0])
+    rho2 = gibbs_state(h2, betas)
+    deph = {a: _liouvillian(2, 0.1, gamma=0.05, alpha=1.0, alpha_z=a)[0] for a in (0.3, 0.6, 1.0)}
+    solves, original = [], dynamics.solve
+
+    def counting(a, b):
+        solves.append(np.ndim(a))
+        return original(a, b)
+
+    monkeypatch.setattr(dynamics, "solve", counting)
+    stacked = _limit_jumps([(rho2, [deph[0.3], deph[0.6]])])
+    assert solves == [3]
+    solves.clear()
+    fallback = _limit_jumps([(rho2, [deph[0.3], deph[1.0], deph[0.6]])])
+    assert solves == [3, 2, 2, 2]
+    solves.clear()
+    alone = [_limit_jumps([(rho2, [deph[a]])])[0] for a in (0.3, 0.6)]
+    assert solves == [3, 3]
+    assert _bits(stacked[0]) == _bits(fallback[0]) == _bits(alone[0])
+    assert _bits(stacked[1]) == _bits(fallback[2]) == _bits(alone[1])
+    # the limit was read: it is not the t = 800 jump
+    assert stacked[1].values.tobytes() != evolve_to(deph[0.6], rho2, 800.0).values.tobytes()
+    # N=4 dissipation, a 70x70 block a chunk, next to points without a limit
+    rho4 = gibbs_state(h4, betas)
+    diss = [_liouvillian(4, 0.1, gamma=0.05, alpha_minus=a)[0] for a in (0.9, 1.0, 0.4)]
+    together = _limit_jumps([(rho4, diss), (rho2, [deph[0.6]])])
+    for liou, rho0, traj in zip(diss + [deph[0.6]], [rho4] * 3 + [rho2], together):
+        assert _bits(traj) == _bits(_limit_jumps([(rho0, [liou])])[0])
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_limit_jump_keeps_the_jump_of_a_1x1_block(h2, h4, n):
+    # expm reads exp(0) as 1 - 2^-53, so each 1x1 population block under
+    # dephasing keeps its jump's bytes, and a point whose other blocks have no
+    # limit (alpha_z = 1) is the finite-t jump byte for byte
+    rho0 = gibbs_state({2: h2, 4: h4}[n], np.array([0.2, 1.0, 5.0]))
+    for alpha_z in (0.3, 1.0):
+        liou = _liouvillian(n, 0.1, gamma=0.05, alpha=1.0, alpha_z=alpha_z)[0]
+        limit = _limit_jumps([(rho0, [liou])])[0]
+        jump = evolve_to(liou, rho0, 800.0)
+        corners = np.isin(limit.support, [0, 4 ** n - 1])  # |1..1><1..1| and |0..0><0..0|
+        assert np.count_nonzero(corners) == 2
+        assert limit.values[:, corners].tobytes() == jump.values[:, corners].tobytes()
+        assert (_bits(limit) == _bits(jump)) == (alpha_z == 1.0)
+
+
+def test_limit_jump_at_zero_rate_is_the_jump_and_leaves_no_ergotropy(h2, h4):
+    betas = np.array([0.2, 0.5, 1.0, 2.0, 5.0])
+    channels = [(0.0, 0.5, 0.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.5), (1.0, 0.0, 1.0)]
+    for h in (h2, h4):
+        rho0 = gibbs_state(h, betas)
+        lious = [build_liouvillian(h, ChannelSpec(0.0, *channel)) for channel in channels]
+        for liou, traj in zip(lious, _limit_jumps([(rho0, lious)])):
+            assert _bits(traj) == _bits(evolve_to(liou, rho0, 800.0))
+            assert np.abs(trajectory_records(traj, h).ergotropy).max() <= 1e-12
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_limit_jump_sends_a_non_finite_generator_to_expm(h2, value):
+    matrix = _liouvillian(2, 0.1, gamma=0.05, alpha_minus=0.5)[0].matrix.copy()
+    matrix[0, 0] = value  # inside the 6x6 block the Gibbs state touches
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(LinalgError, match="expm input has non-finite entries"):
+            _limit_jumps([(gibbs_state(h2, 0.5), [Liouvillian(matrix)])])
+    # as evolve_to: only inf * 0, in the complex product L_b t, warns
+    assert [str(w.message) for w in caught] == (
+        ["invalid value encountered in multiply"] if np.isinf(value) else [])
+
+
+def test_limit_jump_leaves_a_generator_that_is_not_trace_preserving_on_its_jump(h2):
+    # a loss of 1e-10 on the population of (0, 0): |ell L_b| = 1e-10 fails the
+    # trace test, while the trace it loses by t = 800 stays inside the guard
+    matrix = _liouvillian(2, 0.1, gamma=0.05, alpha_minus=0.5)[0].matrix.copy()
+    matrix[0, 0] -= 1e-10
+    liou, rho0 = Liouvillian(matrix), gibbs_state(h2, np.array([0.2, 5.0]))
+    assert _bits(_limit_jumps([(rho0, [liou])])[0]) == _bits(evolve_to(liou, rho0, 800.0))
+    # a generator that drains level 3: its 1x1 block loses trace, still reported at its step
+    drain = np.zeros((16, 16), dtype=complex)
+    drain[15, 15] = -1.0
+    with pytest.raises(InvariantViolation, match=r"trace defect 6\.321e-01 at step 0 \(t=1\)"):
+        _limit_jumps([(np.diag(np.eye(4)[3]).astype(complex), [Liouvillian(drain)])], 1.0)
+
+
+ALPHAS = tuple(round(0.1 * k, 1) for k in range(11))
+DEFAULT_BETAS = (0.2, 0.5, 1.0, 2.0, 5.0)
+
+
+def _steady_points(h, betas, gamma=0.05, sizes=(2, 4), fig4=True):
+    """(n, h, gamma, channel, betas) of the steady sweeps: fig4's 50 fields, appB's 44 points."""
+    points = [(2, field, gamma, (0.0, 1.0, 0.0), np.linspace(0.1, 3.0, 50))
+              for field in np.linspace(0.0, 0.9, 50)] if fig4 else []
+    for n in sizes:
+        for a in ALPHAS:
+            points += [(n, h, gamma, (0.0, a, 0.0), betas), (n, h, gamma, (1.0, 0.0, a), betas)]
+    return points
+
+
+@pytest.mark.parametrize("points,limits", [
+    (_steady_points(0.1, DEFAULT_BETAS), 60),
+    (_steady_points(0.215, (0.595, 0.793, 1.435, 3.434, 4.589)), 60),
+    (_steady_points(0.056, (0.554, 1.12, 1.353, 3.418, 4.046)), 60),
+    (_steady_points(0.1, DEFAULT_BETAS, gamma=0.0), 0),
+    (_steady_points(0.1, DEFAULT_BETAS, sizes=(1, 3), fig4=False), 41),  # N=1 decays locally at alpha_minus = 1 too
+], ids=["default", "h=0.215", "h=0.056", "gamma=0", "N=1,3"])
+def test_limit_decision_is_a_one_dimensional_kernel(points, limits):
+    # the bordered test of every block the sweep's Gibbs stacks touch agrees with the
+    # dimension of the numerical kernel, read off the singular values of L_b
+    passed = 0
+    for n, h, gamma, channel, betas in points:
+        hamiltonian = build_hamiltonian(ModelSpec(n_qubits=n, field_h=h))
+        liou = build_liouvillian(hamiltonian, ChannelSpec(gamma, *channel))
+        held = np.any(vec(gibbs_state(hamiltonian, np.asarray(betas))), axis=0)
+        for b in liou.blocks:
+            if not held[b].any():
+                continue
+            block = liou.matrix[np.ix_(b, b)]
+            ok, _ = dynamics._block_limits(block[None], b % (liou.dim_state + 1) == 0)
+            sigma = np.linalg.svd(block, compute_uv=False)
+            assert ok[0] == (np.count_nonzero(sigma <= 1e-10 * sigma[0]) == 1), (n, channel, b)
+            passed += bool(ok[0]) and b.size > 1
+    assert passed == limits
 
 
 def test_generators_and_trajectories_compare_by_identity(h2):

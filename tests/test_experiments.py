@@ -10,7 +10,7 @@ import pytest
 
 from ergoquench import (ChannelSpec, ErgotropyRecord, ModelSpec, TimeGrid,
                         build_hamiltonian, build_liouvillian, energy_basis_populations,
-                        gibbs_state, propagate, trajectory_records)
+                        ergotropy, gibbs_state, propagate, trajectory_records)
 from ergoquench import dynamics, experiments, oracles
 from ergoquench.config import ConfigError, ExperimentConfig
 from ergoquench.dynamics import InvariantViolation, Trajectory, evolve_points
@@ -18,7 +18,7 @@ from ergoquench.experiments import (CSV_BATCH_CELLS, CSV_BLOCK_ROWS, EXPERIMENTS
                                     _trajectory_blocks, _write_csv, run_experiment)
 from ergoquench.floattext import float_text
 from ergoquench.svgplot import line_plot_svg
-from reference import row_lines
+from reference import closed_form_steady, row_lines
 
 
 def _config(**kwargs):
@@ -104,6 +104,29 @@ def test_steady_rows_do_not_depend_on_the_other_betas(tmp_path):
     assert rows_at_half((0.2, 0.5, 1.0)) == alone
 
 
+@pytest.mark.parametrize("overrides", [
+    {}, dict(h=0.215, beta_list=(0.595, 0.793, 1.435, 3.434, 4.589)),
+    dict(h=0.056, beta_list=(0.554, 1.12, 1.353, 3.418, 4.046)),
+], ids=["default", "h=0.215", "h=0.056"])
+def test_steady_rows_equal_the_closed_form_limit(tmp_path, overrides):
+    # every appB row whose t -> infinity limit has a closed form: all but alpha_minus = 1
+    h = overrides.get("h", 0.1)
+    hamiltonians = {n: build_hamiltonian(ModelSpec(n_qubits=n, field_h=h)) for n in (2, 4)}
+    for name, kind in (("appB-diss", lambda a: (0.0, a, 0.0)),
+                       ("appB-deph", lambda a: (1.0, 0.0, a))):
+        config = _config(experiment=name, output_dir=str(tmp_path), **overrides)
+        _, rows = _read(run_experiment(config)[0])
+        covered = 0
+        for n, alpha, beta, steady in ((int(r[0]), float(r[1]), float(r[2]), float(r[3]))
+                                       for r in rows):
+            closed = closed_form_steady(n, h, kind(alpha), beta)
+            if closed is not None:
+                covered += 1
+                limit = ergotropy(closed, hamiltonians[n]).ergotropy
+                assert abs(steady - limit) <= 1e-10, (name, n, alpha, beta)
+        assert covered == {"appB-diss": 100, "appB-deph": 110}[name]
+
+
 def test_steady_sweep_decomposes_h_once_per_chain_and_field(tmp_path, monkeypatch):
     # every beta's Gibbs state comes from one decomposition of H, shared by the
     # 11 points of one (n, h)
@@ -141,10 +164,12 @@ def test_steady_sweep_checks_each_gibbs_stack_once(tmp_path, monkeypatch):
 
 def test_one_steady_pass_keeps_its_checks_and_stacked_expm_calls(tmp_path, monkeypatch):
     # fig4, appB-diss and appB-deph at the default config: one check per Gibbs
-    # stack (fig4's 50 fields, N=2 and N=4 of each appB sweep), and each group's
-    # blocks in stacked expm calls of at most EXPM_CHUNK_CELLS cells
-    checks, shapes = [], []
-    check, expm = dynamics.check_density_matrix, dynamics.expm
+    # stack (fig4's 50 fields, N=2 and N=4 of each appB sweep); the 60 blocks
+    # larger than 1x1 of the 40 alpha < 1 points read their limit, and each
+    # group's other blocks go in stacked expm calls of at most EXPM_CHUNK_CELLS cells
+    checks, shapes, limits = [], [], []
+    check, expm, block_limits = (dynamics.check_density_matrix, dynamics.expm,
+                                 dynamics._block_limits)
 
     def counting_check(rho, *args, **kwargs):
         checks.append(1)
@@ -154,16 +179,23 @@ def test_one_steady_pass_keeps_its_checks_and_stacked_expm_calls(tmp_path, monke
         shapes.append(np.shape(matrices))
         return expm(matrices)
 
+    def counting_limits(generators, diagonal):
+        passed, found = block_limits(generators, diagonal)
+        limits.append(int(np.count_nonzero(passed)))
+        return passed, found
+
     monkeypatch.setattr(dynamics, "check_density_matrix", counting_check)
     monkeypatch.setattr(dynamics, "expm", counting_expm)
+    monkeypatch.setattr(dynamics, "_block_limits", counting_limits)
     for name in ("fig4", "appB-diss", "appB-deph"):
         run_experiment(_config(experiment=name, output_dir=str(tmp_path)))
     assert len(checks) == 54
-    assert len(shapes) == 24 and sum(shape[0] for shape in shapes) == 160
+    assert sum(limits) == 60
+    assert len(shapes) == 11 and sum(shape[0] for shape in shapes) == 100
     assert sorted(shapes) == sorted(
-        [(50, 6, 6), (11, 6, 6)] + [(1, 70, 70)] * 11  # fig4; appB-diss N=2, N=4
-        + [(11, 1, 1)] * 2 + [(11, 4, 4)]  # appB-deph N=2
-        + [(11, 1, 1)] * 2 + [(11, 16, 16)] * 2 + [(3, 36, 36)] * 3 + [(2, 36, 36)])  # N=4
+        [(50, 6, 6), (1, 6, 6), (1, 70, 70)]  # fig4; appB-diss N=2, N=4 at alpha_minus = 1
+        + [(11, 1, 1)] * 2 + [(1, 4, 4)]  # appB-deph N=2
+        + [(11, 1, 1)] * 2 + [(1, 16, 16)] * 2 + [(1, 36, 36)])  # N=4
 
 
 def test_appb_channels_smoke(tmp_path):
@@ -468,7 +500,7 @@ def test_trajectory_figure_failing_at_its_second_beta_leaves_no_csv(tmp_path, mo
 
 
 def test_steady_sweep_failing_at_its_second_point_leaves_no_csv(tmp_path, monkeypatch):
-    def failing_second(runs, t_max):
+    def failing_second(runs, t_max, **kwargs):
         count = []
 
         def counted(liouvillians):
@@ -477,7 +509,7 @@ def test_steady_sweep_failing_at_its_second_point_leaves_no_csv(tmp_path, monkey
                 if len(count) == 2:
                     raise InvariantViolation("point 2")
                 yield liou
-        return evolve_points(((rho0, counted(lious)) for rho0, lious in runs), t_max)
+        return evolve_points(((rho0, counted(lious)) for rho0, lious in runs), t_max, **kwargs)
 
     monkeypatch.setattr(experiments, "evolve_points", failing_second)
     config = _config(experiment="appB-diss", output_dir=str(tmp_path), t_max=10.0,

@@ -3,6 +3,7 @@ import pytest
 
 from ergoquench import (ChannelSpec, ModelSpec, TimeGrid, build_hamiltonian,
                         build_liouvillian, ergotropy, evolve_to, gibbs_state, propagate)
+from ergoquench.dynamics import evolve_points
 from ergoquench.linalg import dagger, hermitian_eig
 from ergoquench.model import collective_operator
 from ergoquench.oracles import (DarkSubspace, TwoQubitBlockState, _expm_taylor, beta_critical,
@@ -228,6 +229,20 @@ def test_closed_form_steady_is_the_long_time_limit_of_the_engine(n, channel):
     for beta, rho in zip(betas, limits):
         closed = closed_form_steady(n, 0.1, channel, beta)
         assert np.abs(rho - closed).max() <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_closed_form_steady_is_the_limit_jump_of_the_engine(n):
+    # every channel of appB-diss and appB-deph that has a closed form, in one limit jump
+    betas = (0.2, 1.0, 5.0)
+    alphas = [round(0.1 * k, 1) for k in range(11)]
+    channels = [(0.0, a, 0.0) for a in alphas[:-1]] + [(1.0, 0.0, a) for a in alphas]
+    h = build_hamiltonian(ModelSpec(n_qubits=n, field_h=0.1))
+    lious = [build_liouvillian(h, ChannelSpec(GAMMA, *channel)) for channel in channels]
+    steady = evolve_points([(gibbs_state(h, np.array(betas)), lious)], 800.0, limit=True)
+    for channel, traj in zip(channels, steady):
+        for beta, rho in zip(betas, traj.states):
+            assert np.abs(rho - closed_form_steady(n, 0.1, channel, beta)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("channel", [(0.0, 1.0, 0.0), (0.5, 0.0, 0.0), (0.3, 0.5, 1.0)])
