@@ -13,10 +13,11 @@ apply and one CPTP screen, each acting on every matrix and state as on
 it alone, so a point evolves to the same bytes alone or among others.  A
 steady sweep's dozens of 6x6 problems cost a few numpy calls.  A steady
 sweep asks `evolve_points` for limits: a touched block whose generator
-has a one-dimensional kernel, found by one stacked solve of the blocks
-bordered by their trace rows (`_block_limits`), is read at t -> infinity,
-its unique steady state times each state's trace on it; every other
-block, and every `evolve_to`, keeps the exact jump to t.
+has a one-dimensional kernel, found by one stacked solve per chunk of the
+blocks bordered by their trace rows that are not exactly singular
+(`_block_limits`), is read at t -> infinity, its unique steady state
+times each state's trace on it; every other block, and every
+`evolve_to`, keeps the exact jump to t.
 `propagate` steps by doubling: with P = exp(L[b, b] dt)^m, one matrix
 product turns the first m stored states into the next m, and P squares,
 so a grid of T steps costs ceil(log2(T + 1)) products per block rather
@@ -74,7 +75,7 @@ import numpy as np
 
 from .channels import Liouvillian, _invariant_blocks, vec
 from .config import grid_error
-from .linalg import LinalgError, expm, hermitian_eigvals_batch, solve
+from .linalg import expm, hermitian_eigvals_batch, solve
 from .model import check_density_matrix
 
 GUARD_TOL = 1e-6  # runtime CPTP guard; test-level bounds are far tighter
@@ -518,11 +519,6 @@ def propagate(liou: Liouvillian, rho0, grid: TimeGrid) -> Trajectory:
     return _screen(grid.times(), values, support, liou.dim_state)
 
 
-def _stack(arrays, members) -> np.ndarray:
-    """The arrays at the indices members, stacked."""
-    return np.stack([arrays[k] for k in members])
-
-
 def _diagonal_sum(stack, diagonal) -> np.ndarray:
     """stack's entries at the positions `diagonal` along its last axis, summed in ascending order.
 
@@ -536,25 +532,6 @@ def _diagonal_sum(stack, diagonal) -> np.ndarray:
     return total
 
 
-def _inverses(bordered) -> np.ndarray:
-    """M^-1 of each matrix of a (P, n, n) stack, by one stacked solve; NaN for a singular one.
-
-    If some member is exactly singular, the stacked solve raises and each
-    member is solved alone, so every inverse has the bytes of its own call.
-    """
-    eye = np.broadcast_to(np.eye(bordered.shape[-1], dtype=complex), bordered.shape)
-    try:
-        return solve(bordered, eye)
-    except LinalgError:
-        inverses = np.full(bordered.shape, np.nan, dtype=complex)
-        for k, matrix in enumerate(bordered):
-            try:
-                inverses[k] = solve(matrix, eye[k])
-            except LinalgError:
-                pass
-        return inverses
-
-
 def _block_limits(generators, diagonal):
     """The t -> infinity limits of the generator blocks L_b of a (P, n, n) stack that have one.
 
@@ -564,10 +541,12 @@ def _block_limits(generators, diagonal):
     of L_b is one-dimensional.  Then L_b's unique steady state (Spohn, Rep.
     Math. Phys. 10, 189 (1976)) is x = M^-1[:, r], of trace 1, and
     exp(L_b t) v tends to (ell v) x.  A block's limit is read only if it
-    is finite, |ell L_b| <= LIMIT_TOL ||L_b||_1, ||M||_1 ||M^-1||_1 <=
-    LIMIT_COND and |L_b x| <= LIMIT_TOL ||L_b||_1.  Returns the (P,)
-    mask of the blocks that pass and the (P, n) limits x (rows of the
-    others are not read).
+    is finite, |ell L_b| <= LIMIT_TOL ||L_b||_1, M is not exactly singular
+    (slogdet's sign, from the LU factorization solve would make, is not
+    0), ||M||_1 ||M^-1||_1 <= LIMIT_COND and |L_b x| <= LIMIT_TOL
+    ||L_b||_1.  The M that remain are inverted by one stacked solve, or
+    none if no M remains.  Returns the (P,) mask of the blocks that pass
+    and the (P, n) limits x (rows of the others are not read).
     """
     count, n = generators.shape[:2]
     passed, limits = np.zeros(count, dtype=bool), np.zeros((count, n), dtype=complex)
@@ -577,12 +556,15 @@ def _block_limits(generators, diagonal):
         scale = LIMIT_TOL * np.abs(generators).sum(axis=1).max(axis=1)
         leak = np.abs(_diagonal_sum(np.swapaxes(generators, -1, -2), diagonal)).max(axis=1)
     candidates = np.flatnonzero(np.isfinite(generators).all(axis=(1, 2)) & (leak <= scale))
-    if candidates.size == 0:
-        return passed, limits
     r = int(np.argmax(diagonal))
     bordered = generators[candidates]
     bordered[:, r, :] = diagonal
-    inverses = _inverses(bordered)
+    # slogdet's sign is 0 exactly where LU meets a zero pivot, where solve would raise
+    regular = np.linalg.slogdet(bordered)[0] != 0
+    candidates, bordered = candidates[regular], bordered[regular]
+    if candidates.size == 0:
+        return passed, limits
+    inverses = solve(bordered, np.broadcast_to(np.eye(n, dtype=complex), bordered.shape))
     x = inverses[:, :, r]
     with np.errstate(invalid="ignore", over="ignore"):
         cond = np.abs(bordered).sum(axis=1).max(axis=1) * np.abs(inverses).sum(axis=1).max(axis=1)
@@ -611,12 +593,14 @@ def evolve_points(runs, t: float, limit: bool = False) -> list:
     of their first points) that has one.
 
     With limit, each chunk's blocks larger than 1x1 are first tested by
-    one stacked bordered solve (`_block_limits`): a block with a
-    one-dimensional kernel is read at t -> infinity, each state as (ell v)
-    x with ell v its own fixed-order sum of diagonal entries, and only the
-    others go to `expm` at t.  The states are screened as before and their
-    times still read t; the decision and the limit of a block do not
-    depend on its company.
+    `_block_limits`, whose one stacked solve takes the chunk's bordered
+    blocks that are not exactly singular: a block with a one-dimensional
+    kernel is read at t -> infinity, each state as (ell v) x with ell v its
+    own fixed-order sum of diagonal entries, and only the others go to
+    `expm` at t.  Both kinds are read from the chunk's one stack of
+    generators and its states, stacked once in their place in the output.
+    The states are screened as before and their times still read t; the
+    decision and the limit of a block do not depend on its company.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
@@ -641,20 +625,21 @@ def evolve_points(runs, t: float, limit: bool = False) -> list:
             diagonal = b % (dim + 1) == 0  # vec index i*D + i is entry (i, i)
             for a in range(0, len(pairs), chunk):
                 generators, entries = zip(*pairs[a:a + chunk])
-                part = values[a:a + chunk, :, cols]
+                generators = np.stack(generators)
+                # the states are stacked in their place in values, which the limits
+                # and the jumps then overwrite
+                part = np.stack(entries, out=values[a:a + chunk, :, cols])
                 # a 1x1 block keeps its jump: expm reads exp(0) as 1 - 2^-53, so a limit
                 # read as exactly 1 would move the rows of points that have no limit
-                passed, limits = (_block_limits(np.stack(generators), diagonal)
-                                  if limit and b.size > 1
+                passed, limits = (_block_limits(generators, diagonal) if limit and b.size > 1
                                   else (np.zeros(len(generators), dtype=bool), None))
-                read, jumped = np.flatnonzero(passed), np.flatnonzero(~passed)
-                if read.size:
-                    part[read] = (_diagonal_sum(_stack(entries, read), diagonal)[..., None]
-                                  * limits[read, None])
-                if jumped.size:
-                    steps = expm(_stack(generators, jumped) * t)
-                    part[jumped] = np.matmul(steps[:, None],
-                                             _stack(entries, jumped)[..., None])[..., 0]
+                if passed.any():
+                    part[passed] = (_diagonal_sum(part[passed], diagonal)[..., None]
+                                    * limits[passed, None])
+                if not passed.all():
+                    steps = expm(generators[~passed] * t)
+                    del generators  # the stack goes before the products' temporaries
+                    part[~passed] = np.matmul(steps[:, None], part[~passed, ..., None])[..., 0]
         traj = _screen(np.full(values.shape[0] * states, t), values.reshape(-1, support.size),
                        support, dim, per_point=states)
         for p, index in enumerate(indices):

@@ -163,7 +163,10 @@ def expm(m) -> np.ndarray:
     shape.  Each matrix of a stack is scaled by the power of two its own
     one-norm asks for and squared back as many times, and every product
     and the solve act on each matrix as on it alone, so expm(stack)[k] has
-    the bytes of expm(stack[k]).
+    the bytes of expm(stack[k]).  The result is accurate to rounding, not
+    exact: exp(0) reads 1 - 2^-53 on the diagonal (the Pade solve of
+    (v - u) x = v + u with u = 0 and v = b_0 I), so a 1x1 block with
+    L_b = 0 loses one ulp per jump.
     """
     a = np.asarray(m, dtype=complex)
     shape = a.shape

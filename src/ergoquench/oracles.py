@@ -227,12 +227,17 @@ def two_qubit_collective_sc(init: TwoQubitBlockState, gamma: float, t) -> tuple:
 def steady_s_infinity(beta: float, h: float) -> float:
     """Surviving one-excitation weight e^{2 beta} / Z of the collective steady state.
 
-    Z = e^{2 beta} + e^{-2 beta} + e^{2 beta h} + e^{-2 beta h}; dividing
-    through by e^{2 beta} leaves only decaying exponentials for beta > 0
-    and h <= 1, so no such beta overflows.
+    Z = e^{2 beta} + e^{-2 beta} + e^{2 beta h} + e^{-2 beta h}.  Numerator
+    and Z are divided by e^{2 beta} and then by the largest of the four
+    terms left, so every exponential is at most 1 and no beta or h
+    overflows.  For beta >= 0 and h <= 1 that largest term is the first,
+    e^0, and the quotient is 1 / (1 + e^{-4 beta} + e^{-2 beta (1 - h)} +
+    e^{-2 beta (1 + h)}), summed left to right.
     """
-    return float(1.0 / (1.0 + np.exp(-4.0 * beta) + np.exp(-2.0 * beta * (1.0 - h))
-                        + np.exp(-2.0 * beta * (1.0 + h))))
+    powers = (0.0, -4.0 * beta, -2.0 * beta * (1.0 - h), -2.0 * beta * (1.0 + h))
+    top = max(powers)
+    terms = [np.exp(p - top) for p in powers]
+    return float(np.exp(-top) / (terms[0] + terms[1] + terms[2] + terms[3]))
 
 
 def collective_steady_spectrum(beta: float, h: float) -> np.ndarray:

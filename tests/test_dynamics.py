@@ -258,8 +258,8 @@ def _limit_jumps(runs, t=800.0):
 def test_limit_jump_gives_a_point_its_bytes_alone_in_a_stacked_or_a_fallback_chunk(h2, h4,
                                                                                   monkeypatch):
     # N=2 dephasing: the 4x4 blocks of one chunk share one stacked solve; at
-    # alpha_z = 1 the bordered block is exactly singular, the stacked solve
-    # raises and the chunk is solved member by member
+    # alpha_z = 1 the bordered block is exactly singular (a zero pivot), so it
+    # is left out of its chunk's solve and keeps its jump
     betas = np.array([0.2, 1.0, 5.0])
     rho2 = gibbs_state(h2, betas)
     deph = {a: _liouvillian(2, 0.1, gamma=0.05, alpha=1.0, alpha_z=a)[0] for a in (0.3, 0.6, 1.0)}
@@ -273,13 +273,17 @@ def test_limit_jump_gives_a_point_its_bytes_alone_in_a_stacked_or_a_fallback_chu
     stacked = _limit_jumps([(rho2, [deph[0.3], deph[0.6]])])
     assert solves == [3]
     solves.clear()
-    fallback = _limit_jumps([(rho2, [deph[0.3], deph[1.0], deph[0.6]])])
-    assert solves == [3, 2, 2, 2]
+    mixed = _limit_jumps([(rho2, [deph[0.3], deph[1.0], deph[0.6]])])
+    assert solves == [3]
     solves.clear()
     alone = [_limit_jumps([(rho2, [deph[a]])])[0] for a in (0.3, 0.6)]
     assert solves == [3, 3]
-    assert _bits(stacked[0]) == _bits(fallback[0]) == _bits(alone[0])
-    assert _bits(stacked[1]) == _bits(fallback[2]) == _bits(alone[1])
+    solves.clear()
+    singular = _limit_jumps([(rho2, [deph[1.0]])])[0]
+    assert solves == []  # its chunk's only bordered block is exactly singular
+    assert _bits(stacked[0]) == _bits(mixed[0]) == _bits(alone[0])
+    assert _bits(stacked[1]) == _bits(mixed[2]) == _bits(alone[1])
+    assert _bits(mixed[1]) == _bits(singular) == _bits(evolve_to(deph[1.0], rho2, 800.0))
     # the limit was read: it is not the t = 800 jump
     assert stacked[1].values.tobytes() != evolve_to(deph[0.6], rho2, 800.0).values.tobytes()
     # N=4 dissipation, a 70x70 block a chunk, next to points without a limit

@@ -165,11 +165,12 @@ def test_steady_sweep_checks_each_gibbs_stack_once(tmp_path, monkeypatch):
 def test_one_steady_pass_keeps_its_checks_and_stacked_expm_calls(tmp_path, monkeypatch):
     # fig4, appB-diss and appB-deph at the default config: one check per Gibbs
     # stack (fig4's 50 fields, N=2 and N=4 of each appB sweep); the 60 blocks
-    # larger than 1x1 of the 40 alpha < 1 points read their limit, and each
-    # group's other blocks go in stacked expm calls of at most EXPM_CHUNK_CELLS cells
-    checks, shapes, limits = [], [], []
-    check, expm, block_limits = (dynamics.check_density_matrix, dynamics.expm,
-                                 dynamics._block_limits)
+    # larger than 1x1 of the 40 alpha < 1 points read their limit, each chunk's
+    # bordered blocks that are not exactly singular share one stacked solve, and
+    # each group's other blocks go in stacked expm calls of at most EXPM_CHUNK_CELLS cells
+    checks, shapes, limits, solved = [], [], [], []
+    check, expm, block_limits, solve = (dynamics.check_density_matrix, dynamics.expm,
+                                        dynamics._block_limits, dynamics.solve)
 
     def counting_check(rho, *args, **kwargs):
         checks.append(1)
@@ -179,6 +180,10 @@ def test_one_steady_pass_keeps_its_checks_and_stacked_expm_calls(tmp_path, monke
         shapes.append(np.shape(matrices))
         return expm(matrices)
 
+    def counting_solve(a, b):
+        solved.append(len(a))
+        return solve(a, b)
+
     def counting_limits(generators, diagonal):
         passed, found = block_limits(generators, diagonal)
         limits.append(int(np.count_nonzero(passed)))
@@ -187,10 +192,12 @@ def test_one_steady_pass_keeps_its_checks_and_stacked_expm_calls(tmp_path, monke
     monkeypatch.setattr(dynamics, "check_density_matrix", counting_check)
     monkeypatch.setattr(dynamics, "expm", counting_expm)
     monkeypatch.setattr(dynamics, "_block_limits", counting_limits)
+    monkeypatch.setattr(dynamics, "solve", counting_solve)
     for name in ("fig4", "appB-diss", "appB-deph"):
         run_experiment(_config(experiment=name, output_dir=str(tmp_path)))
     assert len(checks) == 54
     assert sum(limits) == 60
+    assert len(solved) == 20 and sum(solved) == 112
     assert len(shapes) == 11 and sum(shape[0] for shape in shapes) == 100
     assert sorted(shapes) == sorted(
         [(50, 6, 6), (1, 6, 6), (1, 70, 70)]  # fig4; appB-diss N=2, N=4 at alpha_minus = 1

@@ -120,6 +120,17 @@ def test_steady_s_infinity_is_finite_at_large_beta(h_field):
         assert np.array_equal(spectrum, [0.0, 0.0, 0.0, 1.0])
 
 
+def test_steady_s_infinity_is_finite_at_a_field_above_one():
+    # the config accepts any h >= 0: at beta (h - 1) = 495, e^{2 beta (h - 1)}
+    # overflows, so only the form that factors out the largest term stays quiet
+    assert steady_s_infinity(5.0, 100.0) == 0.0
+    assert np.array_equal(collective_steady_spectrum(5.0, 100.0), [0.0, 0.0, 0.0, 1.0])
+    for beta, h_field in ((0.5, 3.0), (2.0, 100.0)):
+        z = 2.0 * (np.cosh(2 * beta) + np.cosh(2 * beta * h_field))
+        assert steady_s_infinity(beta, h_field) == pytest.approx(np.exp(2 * beta) / z,
+                                                                 rel=1e-14)
+
+
 def test_collective_sc_requires_real_coherence(h2):
     init = TwoQubitBlockState(p_gg=0.4, p_eg=0.25, p_ge=0.25, p_ee=0.1, c=0.1j)
     with pytest.raises(ValueError):
