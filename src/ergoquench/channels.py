@@ -10,36 +10,39 @@ with A = sigma^- (dissipation) or sigma^z (dephasing) and the rate matrix
 Gamma = gamma [(1 - a) I + a 11^T].  That Gamma is diagonal in the basis
 of the N site jumps plus their sum, so the generator is assembled in
 diagonal form, gamma (1 - a) sum_i D[A_i] + gamma a D[sum_i A_i]: N + 1
-jumps instead of N^2 terms, exact for every a, each vectorized once by
-`lindblad_matrix`.  The jumps depend on N and the channel kind alone, so
-each set is built once and shared, read-only, by every generator; the
-site operators are those `build_hamiltonian` sums, from one cache.  The
-tests hold the assembly to the double sum itself, applied to states by
-the reference in tests/reference.py.
+jumps instead of N^2 terms, exact for every a.  The jumps depend on N and
+the channel kind alone, so each set is built once and shared, read-only,
+by every generator; the site operators are those `build_hamiltonian`
+sums, from one cache.  The tests hold the assembly to the double sum
+itself, applied to states by the reference in tests/reference.py.
 
-Assembly writes each term only where it can be nonzero.  I (x) X and
-Y (x) I fill d^3 entries each, reached through diagonal views of the
-(d, d, d, d) reshape of the output; a jump term rate conj(A) (x) A fills
-the outer product of A's nonzero pattern.  No D^2 x D^2 Kronecker product
-is formed, and every entry is summed in the order of the dense formula,
-so the result is bit for bit the dense one.
-
-Every `Liouvillian` carries the partition of its D^2 indices into blocks
-that the generator never couples (the connected components of its nonzero
-pattern, found in one vectorized pass).  The propagators exponentiate and
-step each block on its own.
+A `Liouvillian` keeps its terms (H, the jumps and their rates) and the
+excitation number k of each basis state: H conserves it, sigma^- lowers
+it by one and sigma^z keeps it (`_chain_labels`; `jc` declares its own
+bases' labels).  So L maps vec index i + j*D only to indices of the same
+k(i) - k(j) once a jump with a nonzero rate lowers k, and of the same
+(k(i), k(j)) otherwise: these classes are its invariant blocks, the
+weak-symmetry reduction of Buca & Prosen, New J. Phys. 14, 073007 (2012).
+They are read off the labels once per declared structure, never searched
+for in a D^2 x D^2 pattern, and a D x D check refuses an H or a jump that
+breaks them.  `Liouvillian.block` assembles L[b, b] alone: every term is
+gathered at the block's entries only, through index geometry cached per
+(labels, block), and summed in the order of the dense formula, so a block
+has the bytes of the dense matrix's slice.  The dense `matrix` is the
+all-indices block, read by the tests alone; the propagators exponentiate
+and step each touched block on its own.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import MAX_QUBITS
-from .linalg import dagger, kron
+from .linalg import dagger
 from .model import ModelSpec, _site_operators, collective_operator
 
 
@@ -69,50 +72,184 @@ class ChannelSpec:
 
 @dataclass(frozen=True, eq=False)
 class Liouvillian:
-    """Dense D^2 x D^2 generator acting on column-stacked states.
+    """GKSL generator -i[H, .] + sum_k rate_k D[A_k] on column-stacked states, kept as its terms.
 
-    `dim_state` is D, read off the shape of `matrix`.  `blocks` partitions
-    the D^2 indices into the index arrays of the invariant blocks of
-    `matrix`: no entry of `matrix` couples two blocks.  A fully coupled
-    generator is a single block.  `==` compares identity: an array field
-    has no single truth value.
+    labels[i] is the excitation number k of basis state i: H must conserve
+    it and each jump with a nonzero rate must keep it or lower it by one,
+    which a D x D check of each matrix enforces (ValueError otherwise).
+    `dim_state` is D, read off H.  `blocks` partitions the D^2 vec indices
+    into ascending index arrays, ordered by their first index, that L
+    never couples: the classes of k(i) - k(j) of vec index i + j*D when a
+    jump with a nonzero rate lowers k, and of (k(i), k(j)) otherwise.
+    `block(b)` assembles L[b, b] alone and `matrix` the whole D^2 x D^2
+    generator.  `==` compares identity: an array field has no single
+    truth value.
     """
 
-    matrix: np.ndarray
+    hamiltonian: np.ndarray
+    jumps: tuple
+    rates: tuple
+    labels: tuple
     dim_state: int = field(init=False)
     blocks: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        shape = np.shape(self.matrix)
-        dim = math.isqrt(shape[0]) if len(shape) == 2 else 0
-        if dim == 0 or shape != (dim * dim, dim * dim):
-            raise ValueError(f"a Liouvillian matrix is D^2 x D^2 with D >= 1, got shape {shape}")
-        object.__setattr__(self, "dim_state", dim)
-        object.__setattr__(self, "blocks", _invariant_blocks(self.matrix))
+        h = np.asarray(self.hamiltonian, dtype=complex)
+        d = h.shape[0] if h.ndim == 2 else 0
+        if d == 0 or h.shape != (d, d):
+            raise ValueError(f"the Hamiltonian must be D x D with D >= 1, got shape {h.shape}")
+        for k, jump in enumerate(self.jumps):
+            if np.shape(jump) != (d, d):
+                raise ValueError(
+                    f"jump {k} has shape {np.shape(jump)}, not the Hamiltonian's {(d, d)}")
+        if len(self.labels) != d:
+            raise ValueError(f"{len(self.labels)} excitation labels for a {d}-state basis")
+        off_keep, off_shift = _shift_masks(tuple(self.labels))
+        if np.count_nonzero(h.ravel()[off_keep]):
+            raise ValueError("the Hamiltonian couples states of different excitation number")
+        rates = np.asarray(self.rates, dtype=float)
+        if rates.shape != (len(self.jumps),):
+            raise ValueError(f"{rates.size} rates for {len(self.jumps)} jumps")
+        live = np.flatnonzero(rates)
+        rates = rates[live]
+        jumps = np.array([self.jumps[k] for k in live], dtype=complex).reshape(-1, d, d)
+        # per jump, its weight where k changes, and where k changes by other than -1
+        # (NaN != 0 counts as held)
+        moved = np.abs(jumps).reshape(-1, d * d) @ off_shift != 0
+        broken = moved.all(axis=1)
+        if broken.any():
+            raise ValueError(f"jump {live[np.argmax(broken)]} neither keeps nor lowers "
+                             "the excitation number by one")
+        lowering = moved[:, 0]
+        # sum_k rate_k A_k^dag A_k / 2, added in jump order (a reduce may pair the terms
+        # up); a stacked product has the bytes of its 2-D call
+        decay = np.zeros((d, d), dtype=complex)
+        for term in (0.5 * rates)[:, None, None] * np.matmul(dagger(jumps), jumps):
+            decay += term
+        x, y = -1j * h, 1j * h.T  # the commutator is I (x) x + y (x) I
+        y_off = y.copy()
+        np.fill_diagonal(y_off, 0.0)
+        put = partial(object.__setattr__, self)
+        put("dim_state", d)
+        put("blocks", _label_blocks(tuple(self.labels), bool(lowering.any())))
+        # rate conj(A) and A, flat, of the jumps that keep k and of those that lower it:
+        # each entry of L takes the jumps of one shift
+        weighted = (rates[:, None, None] * np.conj(jumps)).reshape(-1, d * d)
+        jumps = jumps.reshape(-1, d * d)
+        put("_terms", tuple((shift, weighted[mask], jumps[mask])
+                            for shift, mask in ((0, ~lowering), (-1, lowering)) if mask.any()))
+        put("_parts", (decay.ravel(), x.ravel(), np.diagonal(y).copy(), y_off.ravel()))
+
+    def block(self, b) -> np.ndarray:
+        """L[b, b] for an ascending array b of vec indices, assembled alone.
+
+        Each entry is the sum the dense formula forms, in its order: the
+        jumps rate conj(A) (x) A, in jump order, then - I (x) decay, then
+        - decay^T (x) I, then the commutator's I (x) x, whose diagonal
+        carries y's, and last y (x) I off the diagonal.  A jump term is
+        added wherever the labels let its shift reach: where the jump itself
+        cannot, its product is an exact zero, which leaves the sum's bytes
+        alone (the sum starts at +0 and never reads -0).  So L[b, b] has
+        the bytes of the dense matrix's slice.
+        """
+        b = np.ascontiguousarray(b, dtype=np.intp)
+        geometry = _block_geometry(tuple(self.labels), b.tobytes())
+        decay, x, y_diag, y_off = self._parts
+        out = np.zeros(b.size ** 2, dtype=complex)
+        for shift, weighted, jumps in self._terms:
+            at, w_at, a_at = geometry.reach[shift]
+            total = np.zeros(at.size, dtype=complex)
+            for product in weighted[:, w_at] * jumps[:, a_at]:  # in jump order
+                total += product
+            out[at] = total
+        left, right = geometry.left, geometry.right
+        out[left] -= decay[geometry.left_x]
+        out[right] -= decay[geometry.right_decay]
+        slab = x[geometry.left_x]
+        slab[geometry.left_diagonal] += y_diag[geometry.left_column]
+        out[left] += slab
+        out[right] += y_off[geometry.right_y]
+        return out.reshape(b.size, b.size)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The whole D^2 x D^2 generator, the all-indices `block`, assembled on each access."""
+        return self.block(np.arange(self.dim_state ** 2))
 
 
-def _invariant_blocks(matrix) -> tuple:
-    """Connected components of the nonzero pattern of |M| + |M|^T, as index arrays.
+@lru_cache(maxsize=None)
+def _shift_masks(labels: tuple) -> tuple:
+    """The flat (D*D,) mask of entries (i, j) with k(i) != k(j), and the (D*D, 2) weights of
+    those and of the entries with k(i) != k(j) - 1; read-only."""
+    k = np.array(labels)
+    shift = (k[:, None] - k[None, :]).ravel()  # A[i, j] takes |j> to |i>: k changes by k(i) - k(j)
+    off_keep, off_shift = shift != 0, np.stack((shift != 0, shift != -1), axis=1).astype(float)
+    off_keep.setflags(write=False)
+    off_shift.setflags(write=False)
+    return off_keep, off_shift
 
-    Each block is ascending and the blocks are ordered by their first index.
-    Every index is labelled with the smallest index of its block: labels
-    are lowered along the nonzero entries and then pointer-jumped
-    (label <- label[label]) until neither changes them.
+
+@lru_cache(maxsize=None)
+def _label_blocks(labels: tuple, lowering: bool) -> tuple:
+    """The vec indices of each class of k(i) - k(j) (lowering) or of (k(i), k(j)), read-only.
+
+    Vec index i + j*D is entry (i, j).  Each block is ascending and the
+    blocks are ordered by their first index.
     """
-    matrix = np.asarray(matrix)
-    rows, cols = np.divmod(np.flatnonzero(matrix != 0), len(matrix))
-    tails, heads = np.concatenate((rows, cols)), np.concatenate((cols, rows))  # M and M^T
-    label = np.arange(len(matrix))
-    while True:
-        lowered = label.copy()
-        np.minimum.at(lowered, tails, label[heads])
-        lowered = lowered[lowered]
-        if np.array_equal(lowered, label):
-            break
-        label = lowered
-    order = np.argsort(label, kind="stable")
-    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1), len(order)]
-    return tuple(order[a:b] for a, b in zip(cuts[:-1], cuts[1:]))
+    k = np.array(labels)
+    d = k.size
+    ket, bra = k[np.arange(d * d) % d], k[np.arange(d * d) // d]
+    classes = (ket - bra)[None] if lowering else np.stack((ket, bra))
+    key = np.unique(classes, axis=1, return_inverse=True)[1].ravel()
+    order = np.argsort(key, kind="stable")
+    blocks = sorted(np.split(order, np.flatnonzero(np.diff(key[order])) + 1), key=lambda b: b[0])
+    for b in blocks:
+        b.setflags(write=False)
+    return tuple(blocks)
+
+
+class _Geometry(NamedTuple):
+    """Where each term of L[b, b] lands, as flat (n*n) positions and flat (D*D) sources."""
+
+    reach: dict             # shift -> (positions, rate conj(A) source, A source) it reaches
+    left: np.ndarray        # positions of I (x) X: p and q share their column of rho
+    left_x: np.ndarray      # X's entry at each
+    left_diagonal: np.ndarray  # the left entries on L's diagonal, as indices into left
+    left_column: np.ndarray    # their column c, whose y[c, c] the commutator adds
+    right: np.ndarray       # positions of Y (x) I: p and q share their row of rho
+    right_decay: np.ndarray  # decay^T's entry at each, as decay's
+    right_y: np.ndarray     # y's entry at each
+
+
+@lru_cache(maxsize=None)
+def _block_geometry(labels: tuple, key: bytes) -> _Geometry:
+    """The `_Geometry` of the block whose vec indices key holds, per labels; read-only.
+
+    Entry (p, q) of L[b, b] joins vec indices p = r + c*D and q = r' + c'*D
+    (rows r, r' and columns c, c' of rho).  A jump reaches it through rate
+    conj(A)[c, c'] A[r, r'] where k(r) - k(r') and k(c) - k(c') both equal
+    its shift, I (x) X through X[r, r'] where c = c', and Y (x) I through
+    Y[c, c'] where r = r'.
+    """
+    b = np.frombuffer(key, dtype=np.intp)
+    k = np.array(labels)
+    d = k.size
+    r, c = (b % d)[:, None], (b // d)[:, None]  # p's row and column
+    r2, c2 = r.T, c.T  # q's
+    ket, bra = k[r] - k[r2], k[c] - k[c2]
+    reach = {}
+    for shift in (0, -1):
+        at = np.flatnonzero((ket == shift) & (bra == shift))
+        reach[shift] = (at, (c * d + c2).ravel()[at], (r * d + r2).ravel()[at])
+    left, right = np.flatnonzero(c == c2), np.flatnonzero(r == r2)
+    left_diagonal = np.flatnonzero((r == r2).ravel()[left])
+    geometry = _Geometry(
+        reach, left, (r * d + r2).ravel()[left], left_diagonal,
+        np.broadcast_to(c, (b.size, b.size)).ravel()[left][left_diagonal],
+        right, (c2 * d + c).ravel()[right], (c * d + c2).ravel()[right])
+    for array in (*(a for triple in reach.values() for a in triple), *geometry[1:]):
+        array.setflags(write=False)
+    return geometry
 
 
 def vec(rho) -> np.ndarray:
@@ -124,49 +261,13 @@ def vec(rho) -> np.ndarray:
     return np.swapaxes(rho, -1, -2).reshape(*rho.shape[:-2], -1)
 
 
-def lindblad_matrix(h_matrix, jumps, rates) -> np.ndarray:
-    """Generic GKSL generator -i[H, .] + sum_k rate_k D[A_k] as a superoperator.
+@lru_cache(maxsize=None)
+def _chain_labels(n: int) -> tuple:
+    """The excitation number of each basis state of an n-qubit chain: its count of |e> sites.
 
-    Jumps with rate 0 are skipped; the anticommutator terms of the others
-    are summed into one decay operator.  Each term is written only where it
-    can be nonzero: rate conj(A) (x) A at the outer product of A's nonzero
-    pattern, the identity products on their diagonal views.  Every entry is
-    the sum the dense formula forms, in its order: commutator + ((sum of
-    jumps - I (x) decay) - decay^T (x) I).
+    |e> is bit 0 of each site's digit (`model`'s basis convention).
     """
-    h = np.asarray(h_matrix, dtype=complex)
-    d = h.shape[0]
-    if h.shape != (d, d):
-        raise ValueError(f"Hamiltonian must be square, got shape {h.shape}")
-    for k, jump in enumerate(jumps):
-        if np.shape(jump) != (d, d):
-            raise ValueError(
-                f"jump {k} has shape {np.shape(jump)}, not the Hamiltonian's {(d, d)}")
-    out = np.zeros((d * d, d * d), dtype=complex)
-    # out4[i, k, j, l] is out[i*d + k, j*d + l].  I (x) X fills out4[i, k, i, l],
-    # the view `left` indexed [i, k, l]; Y (x) I fills out4[i, k, j, k], `right` [i, j, k].
-    out4 = out.reshape(d, d, d, d)
-    left, right = np.einsum("ikil->ikl", out4), np.einsum("ikjk->ijk", out4)
-    decay = np.zeros((d, d), dtype=complex)  # sum_k rate_k A_k^dag A_k / 2
-    for rate, jump in zip(np.asarray(rates, dtype=float), jumps, strict=True):
-        if rate != 0.0:
-            jump = np.asarray(jump)
-            r, c = np.nonzero(jump)
-            values = jump[r, c]
-            out4[r[:, None], r, c[:, None], c] += kron(
-                (rate * np.conj(values))[:, None], values[None, :])
-            decay += 0.5 * rate * (dagger(jump) @ jump)
-    left -= decay
-    right -= decay.T[:, :, None]
-    # commutator + dissipator (addition commutes), each entry kron(I, x) + kron(y, I)
-    x, y = -1j * h, 1j * h.T
-    diag = np.arange(d)
-    slab = np.repeat(x[None], d, axis=0)
-    slab[:, diag, diag] += np.diagonal(y)[:, None]  # both terms meet at i = j, k = l
-    left += slab
-    y[diag, diag] = 0.0
-    right += y[:, :, None]
-    return out
+    return tuple(n - bin(index).count("1") for index in range(2 ** n))
 
 
 @lru_cache(maxsize=None)
@@ -187,7 +288,7 @@ def build_liouvillian(h_matrix, spec: ChannelSpec) -> Liouvillian:
     n_qubits = len(h).bit_length() - 1 if h.ndim == 2 else 0
     if not 1 <= n_qubits <= MAX_QUBITS or h.shape != (2 ** n_qubits,) * 2:
         raise ValueError(f"the Hamiltonian must be 2^N x 2^N with 1 <= N <= "
-                         f"{MAX_QUBITS} (dense Liouvillians), got shape {h.shape}")
+                         f"{MAX_QUBITS}, got shape {h.shape}")
     jumps, rates = [], []
     for weight, kind, interp in ((1.0 - spec.alpha, "minus", spec.alpha_minus),
                                  (spec.alpha, "z", spec.alpha_z)):
@@ -196,4 +297,4 @@ def build_liouvillian(h_matrix, spec: ChannelSpec) -> Liouvillian:
             jumps += _site_jumps(n_qubits, kind)
             rates += ([weight * spec.gamma * (1.0 - interp)] * n_qubits
                       + [weight * spec.gamma * interp])
-    return Liouvillian(matrix=lindblad_matrix(h, jumps, rates))
+    return Liouvillian(h, tuple(jumps), tuple(rates), _chain_labels(n_qubits))

@@ -1,10 +1,12 @@
 """Time evolution rho(t) = exp(L t) rho(0), on uniform grids or in one jump.
 
 The primary propagator works block by block: L never couples two of its
-invariant blocks (`Liouvillian.blocks`), so exp(L t) is block-diagonal
-too.  `propagate` and `evolve_to` exponentiate L[b, b] t once for each
-block b that vec(rho0) touches and step or apply only those blocks; every
-entry outside them stays exactly zero, as exact evolution leaves it.
+invariant blocks (`Liouvillian.blocks`, declared by its excitation
+labels), so exp(L t) is block-diagonal too.  `propagate` and `evolve_to`
+exponentiate L[b, b] t once for each block b that vec(rho0) touches,
+each assembled alone by `Liouvillian.block` (no D^2 x D^2 generator is
+formed), and step or apply only those blocks; every entry outside them
+stays exactly zero, as exact evolution leaves it.
 `evolve_points` jumps runs of generators that start from one state or
 stack (a steady sweep's Gibbs stack), `evolve_to` being its one-point
 case: the points that touch the same blocks share stacked `expm` calls
@@ -73,7 +75,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import Liouvillian, _invariant_blocks, vec
+from .channels import Liouvillian, vec
 from .config import grid_error
 from .linalg import expm, hermitian_eigvals_batch, solve
 from .model import check_density_matrix
@@ -264,6 +266,30 @@ def sector_layout(dim: int, support: tuple) -> SectorLayout:
     for array in layout[:4]:
         array.setflags(write=False)
     return layout
+
+
+def _invariant_blocks(matrix) -> tuple:
+    """Connected components of the nonzero pattern of |M| + |M|^T, as index arrays.
+
+    Each block is ascending and the blocks are ordered by their first index.
+    Every index is labelled with the smallest index of its block: labels
+    are lowered along the nonzero entries and then pointer-jumped
+    (label <- label[label]) until neither changes them.
+    """
+    matrix = np.asarray(matrix)
+    rows, cols = np.divmod(np.flatnonzero(matrix != 0), len(matrix))
+    tails, heads = np.concatenate((rows, cols)), np.concatenate((cols, rows))  # M and M^T
+    label = np.arange(len(matrix))
+    while True:
+        lowered = label.copy()
+        np.minimum.at(lowered, tails, label[heads])
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, label):
+            break
+        label = lowered
+    order = np.argsort(label, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1), len(order)]
+    return tuple(order[a:b] for a, b in zip(cuts[:-1], cuts[1:]))
 
 
 def _block_layout(dim: int, sectors, position, perm) -> BlockLayout:
@@ -507,11 +533,14 @@ def _touched_blocks(liou: Liouvillian, vs) -> list:
 
 
 def propagate(liou: Liouvillian, rho0, grid: TimeGrid) -> Trajectory:
-    """Evolve one state rho0 with the one-step blocks exp(L[b, b] dt), their powers by doubling."""
+    """Evolve one state rho0 with the one-step blocks exp(L[b, b] dt), their powers by doubling.
+
+    Only the blocks b that rho0 touches are assembled (`liou.block(b)`).
+    """
     if np.ndim(rho0) != 2:
         raise ValueError(f"propagate takes one (D, D) state, got shape {np.shape(rho0)}")
     vs = _initial_vectors(rho0)
-    jumps = [(b, expm(liou.matrix[np.ix_(b, b)] * grid.dt)) for b in _touched_blocks(liou, vs)]
+    jumps = [(b, expm(liou.block(b) * grid.dt)) for b in _touched_blocks(liou, vs)]
     support, spans = _layout([b for b, _ in jumps], liou.dim_state)
     values = np.zeros((grid.n_steps + 1, support.size), dtype=complex)
     for (b, step), cols in zip(jumps, spans):
@@ -579,14 +608,15 @@ def evolve_points(runs, t: float, limit: bool = False) -> list:
 
     runs is an iterable of (rho0, liouvillians), read once: a state or
     stack of states, checked once as `evolve_to` checks it, and the
-    generators of its dim that all start from it.  Each generator keeps
-    only L[b, b] and vs[:, b] of the blocks b its states touch, and is
-    dropped before the next is read.  The generators whose states touch
-    the same blocks, at one dim and with as many states, form a group;
-    once every run is read, each group's blocks are exponentiated by
-    stacked `expm` calls over consecutive members, at most EXPM_CHUNK_CELLS
-    cells a call, applied by stacked matrix-vector products and screened
-    by one `_screen` call.  Each acts on every matrix and state as on it
+    generators of its dim that all start from it.  Each generator gives
+    only L[b, b] (`liou.block(b)`, assembled alone) and vs[:, b] of the
+    blocks b its states touch, found once per run for each tuple of
+    blocks its generators share, and is dropped before the next is read.
+    The generators whose states touch the same blocks, at one dim and with
+    as many states, form a group; once every run is read, each group's
+    blocks are exponentiated by stacked `expm` calls over consecutive
+    members, at most EXPM_CHUNK_CELLS cells a call, applied by stacked
+    matrix-vector products and screened by one `_screen` call.  Each acts on every matrix and state as on it
     alone, so a point gets the bytes it gets alone.  Returns one Trajectory
     per generator, in input order.  A violation names the step, inside its
     own point, of the first failing point of the first group (in the order
@@ -607,15 +637,21 @@ def evolve_points(runs, t: float, limit: bool = False) -> list:
     groups, count = {}, 0  # key -> (indices, touched blocks, per block its (L[b, b], vs[:, b]))
     for rho0, liouvillians in runs:
         vs = _initial_vectors(rho0)
+        # the generators of a run that share their blocks (one tuple, as the declared
+        # structures' are) touch the same ones; holding the tuple keeps its id unique
+        seen = {}
         for liou in liouvillians:
-            touched = _touched_blocks(liou, vs)
-            key = (liou.dim_state, len(vs), tuple(b.tobytes() for b in touched))
+            if id(liou.blocks) not in seen:
+                touched = _touched_blocks(liou, vs)
+                seen[id(liou.blocks)] = (liou.blocks, touched, (
+                    liou.dim_state, len(vs), tuple(b.tobytes() for b in touched)))
+            _, touched, key = seen[id(liou.blocks)]
             indices, _, held = groups.setdefault(key, ([], touched, [[] for _ in touched]))
             indices.append(count)
             count += 1
             for b, pairs in zip(touched, held):
-                pairs.append((liou.matrix[np.ix_(b, b)], vs[:, b]))
-            del liou  # the dense L goes before the next one is built
+                pairs.append((liou.block(b), vs[:, b]))
+            del liou  # a generator goes before the next one is built
     results = [None] * count
     for (dim, states, _), (indices, blocks, held) in groups.items():
         support, spans = _layout(blocks, dim)

@@ -2,7 +2,11 @@
 
 A very lossy cavity never holds more than one photon, so the joint system
 lives in the four-dimensional basis {|g,0>, |e,0>, |g,1>, |e,1>} (that
-ordering is used for the joint matrices below).  Eliminating the fast
+ordering is used for the joint matrices below).  Index bit 0 is the atom's
+excitation and bit 1 the photon, so a joint state's excitation number is
+its index's count of set bits; the atom's basis (|e>, |g>) holds 1 and 0.
+H conserves that number and the cavity's and the atom's lowering jumps
+lower it by one, which the generators declare (`channels.Liouvillian`).  Eliminating the fast
 cavity yields a two-level master equation with a single lowering jump at
 
     Gamma_eff = 4 g^2 kappa / (kappa^2 + 4 Delta^2),  Delta = omega_c - omega_q,
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Liouvillian, lindblad_matrix
+from .channels import Liouvillian
 from .dynamics import TimeGrid, Trajectory, propagate
 from .model import PAULI
 
@@ -67,6 +71,10 @@ def jc_hamiltonian(spec: JCSpec) -> np.ndarray:
     return h
 
 
+JOINT_LABELS = (0, 1, 1, 2)  # excitations of g0, e0, g1, e1
+ATOM_LABELS = (1, 0)  # excitations of e, g
+
+
 def _cavity_annihilator() -> np.ndarray:
     a = np.zeros((4, 4), dtype=complex)
     a[0, 2] = 1.0  # |g,0><g,1|
@@ -98,18 +106,26 @@ def _trace_out_cavity(states4) -> np.ndarray:
     return atoms
 
 
+def jc_generator(spec: JCSpec) -> Liouvillian:
+    """The joint atom-cavity generator: H and the cavity's loss at kappa."""
+    return Liouvillian(jc_hamiltonian(spec), (_cavity_annihilator(),), (spec.kappa,), JOINT_LABELS)
+
+
+def effective_generator(spec: JCSpec) -> Liouvillian:
+    """The eliminated atom's generator: the Lamb shift on |e><e| and sigma^- at Gamma_eff."""
+    h_ls = np.diag([spec.lamb_shift, 0.0]).astype(complex)
+    return Liouvillian(h_ls, (PAULI["minus"],), (spec.gamma_eff,), ATOM_LABELS)
+
+
 def jc_full_evolution(spec: JCSpec, rho0_atom, grid: TimeGrid) -> Trajectory:
     """Propagate the joint master equation from |atom> x |0> and trace out the cavity."""
-    generator = lindblad_matrix(jc_hamiltonian(spec), [_cavity_annihilator()], [spec.kappa])
-    joint = propagate(Liouvillian(matrix=generator), _embed_atom_vacuum(rho0_atom), grid)
+    joint = propagate(jc_generator(spec), _embed_atom_vacuum(rho0_atom), grid)
     return Trajectory.screened(joint.times, _trace_out_cavity(joint.states))
 
 
 def effective_atom_evolution(spec: JCSpec, rho0_atom, grid: TimeGrid) -> Trajectory:
     """Two-level master equation with jump sigma^- at Gamma_eff and the Lamb shift."""
-    h_ls = np.diag([spec.lamb_shift, 0.0]).astype(complex)
-    generator = lindblad_matrix(h_ls, [PAULI["minus"]], [spec.gamma_eff])
-    return propagate(Liouvillian(matrix=generator), np.asarray(rho0_atom, dtype=complex), grid)
+    return propagate(effective_generator(spec), np.asarray(rho0_atom, dtype=complex), grid)
 
 
 def _auto_grid(spec: JCSpec) -> TimeGrid:

@@ -1,5 +1,8 @@
 """Independent references the tests hold the package to; no experiment runs them.
 
+- `DenseGenerator`: a generator given as a whole D^2 x D^2 matrix, with
+  no declared structure, its blocks found in its nonzero pattern; the
+  propagators read it as they read a `Liouvillian`.
 - `propagate_rk4`: classical fourth-order Runge-Kutta on the full dense
   generator, one mat-vec at a time, against the block-wise exact stepping.
 - `dissipator_apply` with `rate_matrix`: the N x N rate-matrix double sum
@@ -32,15 +35,38 @@
   single jumps of the engine.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from ergoquench import (ModelSpec, Trajectory, build_hamiltonian, check_density_matrix,
                         dark_subspace, gibbs_state, trajectory_records, vec)
+from ergoquench.dynamics import _invariant_blocks
 from ergoquench.linalg import dagger, hermitian_eig, null_space_hermitian
 from ergoquench.model import site_operator
 from ergoquench.oracles import _evolve_block, _parallel_generator
+
+
+class DenseGenerator:
+    """A D^2 x D^2 generator given whole: `dim_state`, `blocks` and `block(b)` as a Liouvillian's.
+
+    Its blocks are the connected components of its nonzero pattern
+    (`dynamics._invariant_blocks`), so any matrix, one with no symmetry
+    included, can be propagated.
+    """
+
+    def __init__(self, matrix):
+        self.matrix = np.asarray(matrix, dtype=complex)
+        shape = self.matrix.shape
+        dim = math.isqrt(shape[0]) if len(shape) == 2 else 0
+        if dim == 0 or shape != (dim * dim, dim * dim):
+            raise ValueError(f"a generator matrix is D^2 x D^2 with D >= 1, got shape {shape}")
+        self.dim_state = dim
+        self.blocks = _invariant_blocks(self.matrix)
+
+    def block(self, b) -> np.ndarray:
+        return self.matrix[np.ix_(b, b)]
 
 
 def unvec(vs, dim: int) -> np.ndarray:

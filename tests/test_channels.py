@@ -1,15 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import ergoquench.channels
 from ergoquench import ChannelSpec, ModelSpec, build_hamiltonian, gibbs_state
-from ergoquench.channels import (Liouvillian, _invariant_blocks, build_liouvillian,
-                                 lindblad_matrix, vec)
+from ergoquench.channels import Liouvillian, _chain_labels, build_liouvillian, vec
+from ergoquench.dynamics import _invariant_blocks
 from ergoquench.linalg import dagger, hermitian_eig, kron
 from ergoquench.model import collective_operator, site_operator
 
 from conftest import random_density, random_hermitian
-from reference import dissipator_apply, rate_matrix, unvec
+from reference import DenseGenerator, dissipator_apply, rate_matrix, unvec
 
 
 def _dense_kron(a, b):
@@ -252,13 +254,14 @@ def test_parallel_dissipation_never_raises_excitations(model2, h2):
 def test_collective_double_sum_equals_single_jump(model4, h4):
     # alpha_minus = 1 must coincide with the single collective jump S^-
     liou = build_liouvillian(h4, ChannelSpec(gamma=0.05, alpha_minus=1.0))
-    single = lindblad_matrix(h4, [collective_operator(model4, "minus")], [0.05])
+    single = Liouvillian(h4, (collective_operator(model4, "minus"),), (0.05,),
+                         _chain_labels(4)).matrix
     assert np.abs(liou.matrix - single).max() <= 1e-13
 
 
 def test_hamiltonian_superoperator_anti_hermitian_generator(h2):
     # gamma = 0: i * L is Hermitian, so the propagator is unitary
-    mat = lindblad_matrix(h2, [], [])
+    mat = Liouvillian(h2, (), (), _chain_labels(2)).matrix
     assert np.abs((1j * mat) - dagger(1j * mat)).max() <= 1e-14
 
 
@@ -280,15 +283,28 @@ def test_liouvillian_takes_a_one_to_four_qubit_hamiltonian_only(h):
         build_liouvillian(h, ChannelSpec(gamma=0.05))
 
 
+@pytest.mark.parametrize("shape", [(4, 16), (16,), (0, 0), (2, 2, 2)])
+def test_liouvillian_hamiltonian_must_be_square(shape):
+    with pytest.raises(ValueError, match=r"D x D with D >= 1"):
+        Liouvillian(np.zeros(shape, dtype=complex), (), (), (0,) * 4)
+
+
 @pytest.mark.parametrize("shape", [(15, 15), (4, 16), (16,), (0, 0)])
-def test_liouvillian_matrix_must_be_square_of_a_square(shape):
+def test_dense_generator_must_be_square_of_a_square(shape):
     with pytest.raises(ValueError, match=r"D\^2 x D\^2"):
-        Liouvillian(matrix=np.zeros(shape, dtype=complex))
+        DenseGenerator(np.zeros(shape, dtype=complex))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4, 16])
-def test_liouvillian_reads_the_state_dimension_off_its_matrix(dim):
-    assert Liouvillian(matrix=np.zeros((dim * dim, dim * dim), dtype=complex)).dim_state == dim
+def test_generators_read_the_state_dimension_off_their_matrices(dim):
+    assert Liouvillian(np.zeros((dim, dim)), (), (), (0,) * dim).dim_state == dim
+    assert DenseGenerator(np.zeros((dim * dim, dim * dim), dtype=complex)).dim_state == dim
+
+
+def _conserving_hermitian(rng, n):
+    """A random Hermitian 2^n x 2^n matrix that conserves the chain's excitation number."""
+    k = np.array(_chain_labels(n))
+    return np.where(k[:, None] == k[None, :], random_hermitian(rng, 2 ** n), 0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -296,24 +312,75 @@ def test_liouvillian_reads_the_state_dimension_off_its_matrix(dim):
 def test_assembly_is_bit_identical_to_the_dense_kronecker_formula(n, case):
     model = ModelSpec(n_qubits=n, field_h=0.1)
     spec = ChannelSpec(**CHANNEL_CASES[case])
-    for h in (build_hamiltonian(model), random_hermitian(np.random.default_rng(n), model.dim)):
+    for h in (build_hamiltonian(model), _conserving_hermitian(np.random.default_rng(n), n)):
         liou = build_liouvillian(h, spec)
         reference = _dense_lindblad_matrix(h, *_channel_jumps(spec, model))
         assert np.array_equal(liou.matrix, reference)
         assert _same_blocks(liou.blocks, _bfs_blocks(reference))
 
 
-def test_lindblad_matrix_is_bit_identical_for_complex_and_overlapping_jumps():
+def test_assembly_is_bit_identical_for_complex_and_overlapping_jumps():
+    # every basis state labelled 0: any H and any jump keep the label, one block
     rng = np.random.default_rng(23)
     for d in (2, 3, 4):
         h = random_hermitian(rng, d)
         dense = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         sparse = np.where(rng.random((d, d)) < 0.4, dense, 0.0)
-        jumps = [dense, sparse, np.eye(d), sparse.T, np.zeros((d, d))]
-        rates = [0.3, 0.05, 0.0, 1.7, 0.2]
-        assert np.array_equal(lindblad_matrix(h, jumps, rates),
-                              _dense_lindblad_matrix(h, jumps, rates))
-        assert np.array_equal(lindblad_matrix(h, [], []), _dense_lindblad_matrix(h, [], []))
+        jumps = (dense, sparse, np.eye(d), sparse.T, np.zeros((d, d)))
+        rates = (0.3, 0.05, 0.0, 1.7, 0.2)
+        liou = Liouvillian(h, jumps, rates, (0,) * d)
+        assert np.array_equal(liou.matrix, _dense_lindblad_matrix(h, jumps, rates))
+        assert len(liou.blocks) == 1
+        assert np.array_equal(Liouvillian(h, (), (), (0,) * d).matrix,
+                              _dense_lindblad_matrix(h, [], []))
+
+
+# ROADMAP item 13's grid: N x h x gamma x (alpha, alpha_minus, alpha_z)
+LABEL_GRID = [(n, h, ChannelSpec(gamma, alpha, alpha_minus, alpha_z))
+              for n in (1, 2, 3, 4) for h in (0.0, 0.1, 1.0) for gamma in (0.0, 0.05)
+              for alpha in (0.0, 0.3, 1.0) for alpha_minus in (0.0, 0.4, 1.0)
+              for alpha_z in (0.0, 0.4, 1.0)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_declared_blocks_are_the_pattern_blocks_and_have_the_dense_bytes(n):
+    # the blocks read off the excitation labels are the connected components of the
+    # dense generator's pattern, and each block a Gibbs state touches has the bytes of
+    # the dense Kronecker formula's slice
+    grid = [(h, spec) for m, h, spec in LABEL_GRID if m == n]
+    assert len(grid) == 162
+    touched = 0
+    for h_field, spec in grid:
+        model = ModelSpec(n_qubits=n, field_h=h_field)
+        h = build_hamiltonian(model)
+        liou = build_liouvillian(h, spec)
+        reference = _dense_lindblad_matrix(h, *_channel_jumps(spec, model))
+        assert _same_blocks(liou.blocks, _invariant_blocks(reference))
+        held = vec(gibbs_state(h, np.array([0.2, 5.0]))).any(axis=0)
+        for b in liou.blocks:
+            if held[b].any():
+                touched += 1
+                assert np.array_equal(liou.block(b).view(np.uint64),
+                                      reference[np.ix_(b, b)].view(np.uint64))
+    assert touched >= len(grid)
+
+
+@pytest.mark.parametrize("labels,h,jumps,match", [
+    ((1, 0), np.array([[0, 1], [1, 0]]), (), "Hamiltonian couples"),
+    ((1, 0), np.diag([1.0, -1.0]), (np.array([[0, 1], [0, 0]]),), "jump 0 neither"),
+    ((1, 0), np.zeros((2, 2)), (np.zeros((2, 2)), np.array([[0, 1], [1, 0]])), "jump 1 neither"),
+    ((2, 1, 1, 0), np.zeros((4, 4)), (np.eye(4)[[3, 0, 1, 2]],), "jump 0 neither"),
+])
+def test_a_matrix_that_breaks_the_labels_is_refused(labels, h, jumps, match):
+    with pytest.raises(ValueError, match=match):
+        Liouvillian(h, jumps, (0.05,) * len(jumps), labels)
+
+
+def test_a_zero_rate_jump_is_not_checked_and_adds_nothing():
+    raising = np.array([[0, 1], [0, 0]])
+    h1 = build_hamiltonian(ModelSpec(n_qubits=1))
+    assert np.array_equal(Liouvillian(h1, (raising,), (0.0,), _chain_labels(1)).matrix,
+                          Liouvillian(h1, (), (), _chain_labels(1)).matrix)
 
 
 def _random_pattern(rng, dim, density, symmetric):
@@ -337,28 +404,32 @@ def test_block_finder_matches_breadth_first_search(dim):
         assert _same_blocks(blocks, _bfs_blocks(matrix))
 
 
-def test_four_qubit_assembly_makes_no_full_size_kron(monkeypatch, h4):
-    # every term is written at its support: no D^2 x D^2 Kronecker product at all
-    shapes = []
+def test_four_qubit_generators_never_hold_a_dense_matrix(h4):
+    # building every channel and assembling each of its blocks stays below the
+    # 1 MiB of one dense 256 x 256 generator
+    liouvillians = [build_liouvillian(h4, ChannelSpec(**case)) for case in CHANNEL_CASES.values()]
+    for liou in liouvillians:  # the geometry caches fill outside the traced region
+        for b in liou.blocks:
+            liou.block(b)
+    tracemalloc.start()
+    try:
+        for case in CHANNEL_CASES.values():
+            liou = build_liouvillian(h4, ChannelSpec(**case))
+            for b in liou.blocks:
+                liou.block(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 256 * 16
 
-    def counting_kron(a, b):
-        out = kron(a, b)
-        shapes.append(out.shape)
-        return out
 
-    monkeypatch.setattr(ergoquench.channels, "kron", counting_kron)
-    for case in CHANNEL_CASES.values():
-        build_liouvillian(h4, ChannelSpec(**case))
-    assert (256, 256) not in shapes
-
-
-def test_lindblad_matrix_names_the_first_misshaped_jump(model2, h2):
+def test_liouvillian_names_the_first_misshaped_jump(model2, h2):
     good = site_operator(model2, 1, "minus")
     for bad in (np.zeros((2, 2)), np.zeros((4, 2)), np.zeros(4), np.zeros((8, 8))):
         with pytest.raises(ValueError, match=r"jump 1 has shape"):
-            lindblad_matrix(h2, [good, bad, bad], [0.05, 0.05, 0.05])
-    with pytest.raises(ValueError, match="square"):
-        lindblad_matrix(np.zeros((4, 2)), [], [])
+            Liouvillian(h2, (good, bad, bad), (0.05, 0.05, 0.05), _chain_labels(2))
+    with pytest.raises(ValueError, match="D x D"):
+        Liouvillian(np.zeros((4, 2)), (), (), _chain_labels(2))
 
 
 def test_site_jumps_are_built_once_per_size_and_kind(monkeypatch):

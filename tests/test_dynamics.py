@@ -9,7 +9,7 @@ import pytest
 from ergoquench import (ChannelSpec, InvariantViolation, ModelSpec, TimeGrid,
                         build_hamiltonian, build_liouvillian, evolve_to, gibbs_state,
                         propagate)
-from ergoquench.channels import Liouvillian, lindblad_matrix, vec
+from ergoquench.channels import Liouvillian, vec
 from ergoquench import dynamics
 from ergoquench.dynamics import (GUARD_TOL, OFF_PARITY_TOL, SCREEN_CHUNK, Trajectory,
                                  _hermitian_2x2_eigvals, _powers, _screen, block_entries,
@@ -24,7 +24,7 @@ from ergoquench.model import site_operator
 from ergoquench.oracles import dark_population_series, dark_subspace
 
 from conftest import random_density
-from reference import (parity_bases, parity_blocks, parity_eigvalsh, propagate_rk4,
+from reference import (DenseGenerator, parity_bases, parity_blocks, parity_eigvalsh, propagate_rk4,
                        sector_eigh, sector_eigvalsh, unvec)
 
 
@@ -86,7 +86,7 @@ def test_rk4_free_precession_phase():
 
 
 def test_zero_liouvillian_keeps_state():
-    liou = Liouvillian(matrix=np.zeros((4, 4), dtype=complex))
+    liou = DenseGenerator(np.zeros((4, 4), dtype=complex))
     rho0 = np.diag([0.75, 0.25]).astype(complex)
     traj = propagate_rk4(liou, rho0, TimeGrid(t_max=5.0, dt=0.5), substeps=3)
     assert np.abs(traj.states - rho0).max() == 0.0
@@ -243,12 +243,12 @@ def test_many_point_jump_reports_a_violation_at_its_step_in_its_own_point():
     drain = np.zeros((16, 16), dtype=complex)
     drain[15, 15] = -1.0  # vec index of (3, 3)
     stack = np.array([np.diag(np.eye(4)[k]).astype(complex) for k in (0, 1, 3)])
-    runs = [(stack, [Liouvillian(np.zeros((16, 16), dtype=complex)), Liouvillian(drain)]),
-            (stack[::-1].copy(), [Liouvillian(drain)])]
+    runs = [(stack, [DenseGenerator(np.zeros((16, 16), dtype=complex)), DenseGenerator(drain)]),
+            (stack[::-1].copy(), [DenseGenerator(drain)])]
     with pytest.raises(InvariantViolation, match=r"trace defect 6\.321e-01 at step 2 \(t=1\)"):
         dynamics.evolve_points(runs, 1.0)
     with pytest.raises(InvariantViolation, match=r"trace defect 6\.321e-01 at step 2 \(t=1\)"):
-        evolve_to(Liouvillian(drain), stack, 1.0)
+        evolve_to(DenseGenerator(drain), stack, 1.0)
 
 
 def _limit_jumps(runs, t=800.0):
@@ -328,7 +328,7 @@ def test_limit_jump_sends_a_non_finite_generator_to_expm(h2, value):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(LinalgError, match="expm input has non-finite entries"):
-            _limit_jumps([(gibbs_state(h2, 0.5), [Liouvillian(matrix)])])
+            _limit_jumps([(gibbs_state(h2, 0.5), [DenseGenerator(matrix)])])
     # as evolve_to: only inf * 0, in the complex product L_b t, warns
     assert [str(w.message) for w in caught] == (
         ["invalid value encountered in multiply"] if np.isinf(value) else [])
@@ -339,13 +339,13 @@ def test_limit_jump_leaves_a_generator_that_is_not_trace_preserving_on_its_jump(
     # trace test, while the trace it loses by t = 800 stays inside the guard
     matrix = _liouvillian(2, 0.1, gamma=0.05, alpha_minus=0.5)[0].matrix.copy()
     matrix[0, 0] -= 1e-10
-    liou, rho0 = Liouvillian(matrix), gibbs_state(h2, np.array([0.2, 5.0]))
+    liou, rho0 = DenseGenerator(matrix), gibbs_state(h2, np.array([0.2, 5.0]))
     assert _bits(_limit_jumps([(rho0, [liou])])[0]) == _bits(evolve_to(liou, rho0, 800.0))
     # a generator that drains level 3: its 1x1 block loses trace, still reported at its step
     drain = np.zeros((16, 16), dtype=complex)
     drain[15, 15] = -1.0
     with pytest.raises(InvariantViolation, match=r"trace defect 6\.321e-01 at step 0 \(t=1\)"):
-        _limit_jumps([(np.diag(np.eye(4)[3]).astype(complex), [Liouvillian(drain)])], 1.0)
+        _limit_jumps([(np.diag(np.eye(4)[3]).astype(complex), [DenseGenerator(drain)])], 1.0)
 
 
 ALPHAS = tuple(round(0.1 * k, 1) for k in range(11))
@@ -380,7 +380,7 @@ def test_limit_decision_is_a_one_dimensional_kernel(points, limits):
         for b in liou.blocks:
             if not held[b].any():
                 continue
-            block = liou.matrix[np.ix_(b, b)]
+            block = liou.block(b)
             ok, _ = dynamics._block_limits(block[None], b % (liou.dim_state + 1) == 0)
             sigma = np.linalg.svd(block, compute_uv=False)
             assert ok[0] == (np.count_nonzero(sigma <= 1e-10 * sigma[0]) == 1), (n, channel, b)
@@ -390,7 +390,7 @@ def test_limit_decision_is_a_one_dimensional_kernel(points, limits):
 
 def test_generators_and_trajectories_compare_by_identity(h2):
     liou, _ = _liouvillian(2, 0.1, gamma=0.05)
-    twin = Liouvillian(liou.matrix.copy())
+    twin = Liouvillian(liou.hamiltonian, liou.jumps, liou.rates, liou.labels)
     assert (liou == twin) is False and liou == liou and liou != twin
     traj = evolve_to(liou, gibbs_state(h2, 0.5), 1.0)
     copy = Trajectory(traj.times.copy(), traj.values.copy(), traj.support.copy(),
@@ -424,7 +424,7 @@ def test_collective_steady_state_remembers_initial_condition(h2):
 
 def test_invariant_violation_names_step():
     # a trace-growing generator is not CPTP and must abort with a step index
-    liou = Liouvillian(matrix=0.1 * np.eye(4, dtype=complex))
+    liou = DenseGenerator(0.1 * np.eye(4, dtype=complex))
     rho0 = np.diag([0.5, 0.5]).astype(complex)
     with pytest.raises(InvariantViolation, match="step"):
         propagate(liou, rho0, TimeGrid(t_max=5.0, dt=1.0))
@@ -451,7 +451,7 @@ def test_propagate_rejects_a_stack_of_states(h2):
     lambda liou, rho: evolve_to(liou, rho, 1.0),
 ], ids=["propagate", "propagate_rk4", "evolve_to"])
 def test_state_of_the_wrong_dim_is_rejected(evolve):
-    liou = Liouvillian(matrix=np.zeros((16, 16), dtype=complex))
+    liou = DenseGenerator(np.zeros((16, 16), dtype=complex))
     with pytest.raises(ValueError, match="does not match dim"):
         evolve(liou, np.diag([0.5, 0.5]).astype(complex))
 
@@ -554,7 +554,7 @@ def test_four_qubit_dissipation_blocks_are_the_excitation_sectors():
 ])
 def test_cross_coupling_jumps_merge_blocks_and_match_dense(h2, model2, axis, n_blocks):
     jumps = [sum(site_operator(model2, s, kind) for kind in axis) for s in (1, 2)]
-    liou = Liouvillian(matrix=lindblad_matrix(h2, jumps, [0.05, 0.05]))
+    liou = DenseGenerator(Liouvillian(h2, tuple(jumps), (0.05, 0.05), (0,) * 4).matrix)
     assert len(liou.blocks) == n_blocks
     rho0 = random_density(np.random.default_rng(13), 4)
     dense = _dense_states(liou, rho0, 0.5, 40)
@@ -608,11 +608,12 @@ def test_propagate_matches_one_jump_per_stored_step(n, channel, grid):
     liou, h = _liouvillian(n, 0.1, **channel)
     rho0 = gibbs_state(h, 0.5)
     traj = propagate(liou, rho0, grid)
+    dense = liou.matrix
     j = int(np.log2(grid.n_steps))
     for k in (1, 2 ** j - 1, 2 ** j, 2 ** j + 1, grid.n_steps):
-        exact = np.zeros(liou.matrix.shape[0], dtype=complex)
+        exact = np.zeros(dense.shape[0], dtype=complex)
         for b in liou.blocks:
-            exact[b] = expm(liou.matrix[np.ix_(b, b)] * (k * grid.dt)) @ vec(rho0)[b]
+            exact[b] = expm(dense[np.ix_(b, b)] * (k * grid.dt)) @ vec(rho0)[b]
         assert np.abs(traj.states[k] - unvec(exact[None], liou.dim_state)[0]).max() <= 1e-12
 
 
@@ -620,7 +621,7 @@ def test_doubling_screen_names_the_first_bad_step_of_sequential_steps(h4):
     # L - eps I loses trace as exp(-eps t); the guard trips first at t = 350.5
     liou, _ = _liouvillian(4, 0.1, gamma=0.05)
     eps = 1e-6 / 350.25
-    leaky = Liouvillian(matrix=liou.matrix - eps * np.eye(256))
+    leaky = DenseGenerator(liou.matrix - eps * np.eye(256))
     rho0 = gibbs_state(h4, 0.5)
     grid = TimeGrid(t_max=800.0, dt=0.5)
     v = vec(rho0)
@@ -890,7 +891,7 @@ def test_support_holds_the_transposes_that_symmetrizing_fills():
     # block holds (0, 0) and (1, 0) only, and the screen's symmetrizing fills (0, 1)
     generator = np.zeros((4, 4), dtype=complex)
     generator[1, 0] = 1e-8  # vec index 1 is entry (1, 0), vec index 0 entry (0, 0)
-    liou = Liouvillian(matrix=generator)
+    liou = DenseGenerator(generator)
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     traj = propagate(liou, rho0, TimeGrid(t_max=2.0, dt=0.5))
     states = traj.states

@@ -12,6 +12,7 @@ from ergoquench import (ChannelSpec, ErgotropyRecord, ModelSpec, TimeGrid,
                         build_hamiltonian, build_liouvillian, energy_basis_populations,
                         ergotropy, gibbs_state, propagate, trajectory_records)
 from ergoquench import dynamics, experiments, oracles
+from ergoquench.channels import Liouvillian
 from ergoquench.config import ConfigError, ExperimentConfig
 from ergoquench.dynamics import InvariantViolation, Trajectory, evolve_points
 from ergoquench.experiments import (CSV_BATCH_CELLS, CSV_BLOCK_ROWS, EXPERIMENTS, _lines,
@@ -167,10 +168,13 @@ def test_one_steady_pass_keeps_its_checks_and_stacked_expm_calls(tmp_path, monke
     # stack (fig4's 50 fields, N=2 and N=4 of each appB sweep); the 60 blocks
     # larger than 1x1 of the 40 alpha < 1 points read their limit, each chunk's
     # bordered blocks that are not exactly singular share one stacked solve, and
-    # each group's other blocks go in stacked expm calls of at most EXPM_CHUNK_CELLS cells
-    checks, shapes, limits, solved = [], [], [], []
+    # each group's other blocks go in stacked expm calls of at most EXPM_CHUNK_CELLS cells.
+    # Only the touched blocks are assembled, from the declared labels: no dense
+    # generator and no pattern search on one
+    checks, shapes, limits, solved, cells, searched = [], [], [], [], [], []
     check, expm, block_limits, solve = (dynamics.check_density_matrix, dynamics.expm,
                                         dynamics._block_limits, dynamics.solve)
+    block, invariant_blocks = Liouvillian.block, dynamics._invariant_blocks
 
     def counting_check(rho, *args, **kwargs):
         checks.append(1)
@@ -189,12 +193,28 @@ def test_one_steady_pass_keeps_its_checks_and_stacked_expm_calls(tmp_path, monke
         limits.append(int(np.count_nonzero(passed)))
         return passed, found
 
+    def counting_block(liou, b):
+        cells.append((liou.dim_state, len(b)))
+        return block(liou, b)
+
+    def counting_search(matrix):
+        searched.append(np.asarray(matrix).dtype)
+        return invariant_blocks(matrix)
+
     monkeypatch.setattr(dynamics, "check_density_matrix", counting_check)
     monkeypatch.setattr(dynamics, "expm", counting_expm)
     monkeypatch.setattr(dynamics, "_block_limits", counting_limits)
     monkeypatch.setattr(dynamics, "solve", counting_solve)
+    monkeypatch.setattr(Liouvillian, "block", counting_block)
+    monkeypatch.setattr(dynamics, "_invariant_blocks", counting_search)
+    dynamics.sector_layout.cache_clear()  # so that the screen's layouts are searched anew
     for name in ("fig4", "appB-diss", "appB-deph"):
         run_experiment(_config(experiment=name, output_dir=str(tmp_path)))
+    assert not any(n == dim ** 2 for dim, n in cells)  # no dense D^2 x D^2 assembly
+    # fig4 50 x 6^2; appB-diss 11 x 6^2 + 11 x 70^2; appB-deph 11 x (1 + 4^2 + 1)
+    # + 11 x (1 + 16^2 + 36^2 + 16^2 + 1), against 72 x 16^2 + 22 x 256^2 = 1,460,224 dense
+    assert sum(n * n for _, n in cells) == 76_204
+    assert searched and all(dtype == bool for dtype in searched)  # (D, D) supports only
     assert len(checks) == 54
     assert sum(limits) == 60
     assert len(solved) == 20 and sum(solved) == 112

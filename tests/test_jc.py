@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from ergoquench import TimeGrid
+from ergoquench.dynamics import _invariant_blocks
+from ergoquench.experiments import JC_RATIOS
 from ergoquench.jc import (JCSpec, _auto_grid, compare_jc, default_jc_spec,
-                           effective_atom_evolution, jc_full_evolution, jc_hamiltonian)
+                           effective_atom_evolution, effective_generator, jc_full_evolution,
+                           jc_generator, jc_hamiltonian)
 from ergoquench.linalg import dagger, hermitian_eig
 
 EXCITED = np.diag([1.0, 0.0]).astype(complex)  # (e, g) ordering
@@ -111,3 +114,15 @@ def test_auto_grid_of_a_slow_decay_takes_whole_unit_steps():
     assert grid.dt == 1.0
     assert grid.t_max == np.ceil(span) and grid.t_max >= span
     assert grid.times()[-1] == grid.t_max
+
+
+@pytest.mark.parametrize("ratio", JC_RATIOS)
+def test_declared_jc_blocks_are_the_pattern_blocks(ratio):
+    # the joint generator's 6 + 4 + 4 + 1 + 1 and the atom's 2 + 1 + 1 label classes
+    # are the connected components of the dense generators' patterns
+    spec = default_jc_spec(ratio)
+    for liou, sizes in ((jc_generator(spec), [6, 4, 4, 1, 1]), (effective_generator(spec), [2, 1, 1])):
+        pattern = _invariant_blocks(liou.matrix)
+        assert len(liou.blocks) == len(pattern)
+        assert all(np.array_equal(a, b) for a, b in zip(liou.blocks, pattern))
+        assert sorted(map(len, liou.blocks), reverse=True) == sizes
