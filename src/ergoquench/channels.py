@@ -113,8 +113,8 @@ class Liouvillian:
         live = np.flatnonzero(rates)
         rates = rates[live]
         jumps = np.array([self.jumps[k] for k in live], dtype=complex).reshape(-1, d, d)
-        # per jump, its weight where k changes, and where k changes by other than -1
-        # (NaN != 0 counts as held)
+        # per jump, whether it has weight where k changes, and where k changes by other
+        # than -1 (a NaN entry counts as weight)
         moved = np.abs(jumps).reshape(-1, d * d) @ off_shift != 0
         broken = moved.all(axis=1)
         if broken.any():
@@ -179,10 +179,14 @@ class Liouvillian:
 
 @lru_cache(maxsize=None)
 def _shift_masks(labels: tuple) -> tuple:
-    """The flat (D*D,) mask of entries (i, j) with k(i) != k(j), and the (D*D, 2) weights of
-    those and of the entries with k(i) != k(j) - 1; read-only."""
+    """Where a D x D matrix changes the excitation number k, per labels; read-only.
+
+    A[i, j] takes |j> to |i>, changing k by k(i) - k(j).  Returns the flat
+    (D*D,) mask of the entries that change k, and the (D*D, 2) float
+    weights of those and of the entries that change it by other than -1.
+    """
     k = np.array(labels)
-    shift = (k[:, None] - k[None, :]).ravel()  # A[i, j] takes |j> to |i>: k changes by k(i) - k(j)
+    shift = (k[:, None] - k[None, :]).ravel()
     off_keep, off_shift = shift != 0, np.stack((shift != 0, shift != -1), axis=1).astype(float)
     off_keep.setflags(write=False)
     off_shift.setflags(write=False)

@@ -616,8 +616,9 @@ def evolve_points(runs, t: float, limit: bool = False) -> list:
     as many states, form a group; once every run is read, each group's
     blocks are exponentiated by stacked `expm` calls over consecutive
     members, at most EXPM_CHUNK_CELLS cells a call, applied by stacked
-    matrix-vector products and screened by one `_screen` call.  Each acts on every matrix and state as on it
-    alone, so a point gets the bytes it gets alone.  Returns one Trajectory
+    matrix-vector products and screened by one `_screen` call.  Each acts
+    on every matrix and state as on it alone, so a point gets the bytes it
+    gets alone.  Returns one Trajectory
     per generator, in input order.  A violation names the step, inside its
     own point, of the first failing point of the first group (in the order
     of their first points) that has one.

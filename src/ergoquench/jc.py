@@ -6,8 +6,9 @@ ordering is used for the joint matrices below).  Index bit 0 is the atom's
 excitation and bit 1 the photon, so a joint state's excitation number is
 its index's count of set bits; the atom's basis (|e>, |g>) holds 1 and 0.
 H conserves that number and the cavity's and the atom's lowering jumps
-lower it by one, which the generators declare (`channels.Liouvillian`).  Eliminating the fast
-cavity yields a two-level master equation with a single lowering jump at
+lower it by one, which the generators declare (`channels.Liouvillian`).
+Eliminating the fast cavity yields a two-level master equation with a
+single lowering jump at
 
     Gamma_eff = 4 g^2 kappa / (kappa^2 + 4 Delta^2),  Delta = omega_c - omega_q,
 

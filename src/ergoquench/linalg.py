@@ -18,9 +18,10 @@ general-rank wrapper; it builds the site operators.  States are at most
 16x16.  Superoperators are assembled and exponentiated one invariant
 block at a time (see `channels`), the same block of many generators in
 one stacked call: 70x70 at most for the experiments' four-qubit Gibbs
-inputs (1, 16, 36, 16, 1 under pure dephasing), 6x6 at two qubits.  numpy's stacked matmul and solve call BLAS and LAPACK once
-per matrix, so a stacked product or solve gives each matrix the bytes of
-its own 2-D call.
+inputs (1, 16, 36, 16, 1 under pure dephasing), 6x6 at two qubits.
+numpy's stacked matmul and solve call BLAS and LAPACK once per matrix, so
+a stacked product or solve gives each matrix the bytes of its own 2-D
+call.
 """
 
 from __future__ import annotations

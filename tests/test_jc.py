@@ -121,7 +121,8 @@ def test_declared_jc_blocks_are_the_pattern_blocks(ratio):
     # the joint generator's 6 + 4 + 4 + 1 + 1 and the atom's 2 + 1 + 1 label classes
     # are the connected components of the dense generators' patterns
     spec = default_jc_spec(ratio)
-    for liou, sizes in ((jc_generator(spec), [6, 4, 4, 1, 1]), (effective_generator(spec), [2, 1, 1])):
+    for liou, sizes in ((jc_generator(spec), [6, 4, 4, 1, 1]),
+                        (effective_generator(spec), [2, 1, 1])):
         pattern = _invariant_blocks(liou.matrix)
         assert len(liou.blocks) == len(pattern)
         assert all(np.array_equal(a, b) for a, b in zip(liou.blocks, pattern))
