@@ -155,21 +155,22 @@ class Liouvillian:
         b = np.ascontiguousarray(b, dtype=np.intp)
         geometry = _block_geometry(tuple(self.labels), b.tobytes())
         decay, x, y_diag, y_off = self._parts
-        out = np.zeros(b.size ** 2, dtype=complex)
+        out = np.zeros((b.size, b.size), dtype=complex)
+        flat = out.reshape(-1)  # a view: the caller holds out alone, with no base behind it
         for shift, weighted, jumps in self._terms:
             at, w_at, a_at = geometry.reach[shift]
             total = np.zeros(at.size, dtype=complex)
             for product in weighted[:, w_at] * jumps[:, a_at]:  # in jump order
                 total += product
-            out[at] = total
+            flat[at] = total
         left, right = geometry.left, geometry.right
-        out[left] -= decay[geometry.left_x]
-        out[right] -= decay[geometry.right_decay]
+        flat[left] -= decay[geometry.left_x]
+        flat[right] -= decay[geometry.right_decay]
         slab = x[geometry.left_x]
         slab[geometry.left_diagonal] += y_diag[geometry.left_column]
-        out[left] += slab
-        out[right] += y_off[geometry.right_y]
-        return out.reshape(b.size, b.size)
+        flat[left] += slab
+        flat[right] += y_off[geometry.right_y]
+        return out
 
     @property
     def matrix(self) -> np.ndarray:
