@@ -62,8 +62,8 @@ class ChannelSpec:
     alpha_z: float = 0.0
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not 0 <= self.gamma < np.inf:  # NaN fails it too
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         for name in ("alpha", "alpha_minus", "alpha_z"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -74,9 +74,10 @@ class ChannelSpec:
 class Liouvillian:
     """GKSL generator -i[H, .] + sum_k rate_k D[A_k] on column-stacked states, kept as its terms.
 
-    labels[i] is the excitation number k of basis state i: H must conserve
-    it and each jump with a nonzero rate must keep it or lower it by one,
-    which a D x D check of each matrix enforces (ValueError otherwise).
+    labels[i] is the excitation number k of basis state i, held as a
+    tuple whatever sequence gives it: H must conserve it and each jump
+    with a nonzero rate must keep it or lower it by one, which a D x D
+    check of each matrix enforces (ValueError otherwise).
     `dim_state` is D, read off H.  `blocks` partitions the D^2 vec indices
     into ascending index arrays, ordered by their first index, that L
     never couples: the classes of k(i) - k(j) of vec index i + j*D when a
@@ -94,6 +95,8 @@ class Liouvillian:
     blocks: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        put = partial(object.__setattr__, self)
+        put("labels", tuple(self.labels))  # hashable: the caches and the screen key on them
         h = np.asarray(self.hamiltonian, dtype=complex)
         d = h.shape[0] if h.ndim == 2 else 0
         if d == 0 or h.shape != (d, d):
@@ -104,7 +107,7 @@ class Liouvillian:
                     f"jump {k} has shape {np.shape(jump)}, not the Hamiltonian's {(d, d)}")
         if len(self.labels) != d:
             raise ValueError(f"{len(self.labels)} excitation labels for a {d}-state basis")
-        off_keep, off_shift = _shift_masks(tuple(self.labels))
+        off_keep, off_shift = _shift_masks(self.labels)
         if np.count_nonzero(h.ravel()[off_keep]):
             raise ValueError("the Hamiltonian couples states of different excitation number")
         rates = np.asarray(self.rates, dtype=float)
@@ -129,9 +132,8 @@ class Liouvillian:
         x, y = -1j * h, 1j * h.T  # the commutator is I (x) x + y (x) I
         y_off = y.copy()
         np.fill_diagonal(y_off, 0.0)
-        put = partial(object.__setattr__, self)
         put("dim_state", d)
-        put("blocks", _label_blocks(tuple(self.labels), bool(lowering.any())))
+        put("blocks", _label_blocks(self.labels, bool(lowering.any())))
         # rate conj(A) and A, flat, of the jumps that keep k and of those that lower it:
         # each entry of L takes the jumps of one shift
         weighted = (rates[:, None, None] * np.conj(jumps)).reshape(-1, d * d)
@@ -153,7 +155,7 @@ class Liouvillian:
         the bytes of the dense matrix's slice.
         """
         b = np.ascontiguousarray(b, dtype=np.intp)
-        geometry = _block_geometry(tuple(self.labels), b.tobytes())
+        geometry = _block_geometry(self.labels, b.tobytes())
         decay, x, y_diag, y_off = self._parts
         out = np.zeros((b.size, b.size), dtype=complex)
         flat = out.reshape(-1)  # a view: the caller holds out alone, with no base behind it

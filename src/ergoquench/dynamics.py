@@ -42,25 +42,27 @@ projected.  The screen works on the stored entries themselves,
 SCREEN_CHUNK states at a time, and writes the symmetrized entries back
 over the support in ascending row-major order, so a trajectory holds its
 (T, S) array and only (SCREEN_CHUNK, S)-sized temporaries.
-A support also fixes the sectors of its states (`sector_layout`): the
-connected components of its (D, D) pattern, which no stored state
-couples.  H conserves excitation number and the sigma^- and sigma^z jumps
-move a state only between excitation sectors, so a Gibbs quench stays
+A support also fixes the sectors of its states (`sector_layout`), read
+off the excitation labels its producer declares (`Liouvillian.labels`):
+H conserves excitation number and the sigma^- and sigma^z jumps move a
+state only between excitation sectors, so a Gibbs quench stays
 block-diagonal over them for all time: 1+4+6+4+1 at four qubits, 1+2+1
-at two.  The chain's mirror (site i <-> N+1-i) is a weak symmetry of every
-channel the paper uses, and rho(t) commutes with it to rounding, so the
-screen reads each sector on its mirror-parity blocks: 1,2,2,4,2,2,2,1 at
-four qubits, 1,1,1,1 at two.  One layout serves both block kinds: each
-block entry combines stored entries with fixed weights, the mirror's
-layout giving the parity blocks and the identity's each sector's own
-block.  A 1x1 block is its diagonal entry and a parity 2x2 block has a
-closed form, so the only eigensolver call left is one batch of 4x4
-blocks per chunk at four qubits.  A state whose even-odd entries exceed
-OFF_PARITY_TOL, and every state at a support without parity blocks, is
-read on its sectors' own blocks instead.  The screen keeps the values
-only; eigenvectors are computed by the branch tracker in
-`ergotropy.eigenvalue_crossings` alone, on the sectors' own blocks,
-SCREEN_CHUNK states at a time, and matched inside their sector.
+at two.  A support with an entry that joins two sectors is read as one
+whole-basis sector.  The chain's mirror (site i <-> N+1-i) is a weak
+symmetry of every channel the paper uses, and rho(t) commutes with it to
+rounding, so the screen reads each sector on its mirror-parity blocks:
+1,2,2,4,2,2,2,1 at four qubits, 1,1,1,1 at two.  One layout serves both
+block kinds: each block entry combines stored entries with fixed
+weights, the mirror's layout giving the parity blocks and the identity's
+each sector's own block.  A 1x1 block is its diagonal entry and a parity
+2x2 block has a closed form, so the only eigensolver call left is one
+batch of 4x4 blocks per chunk at four qubits.  A state whose even-odd
+entries exceed OFF_PARITY_TOL, and every state at a support without
+parity blocks, is read on its sectors' own blocks instead.  The screen
+keeps the values only; eigenvectors are computed by the branch tracker
+in `ergotropy.eigenvalue_crossings` alone, on the sectors' own blocks of
+the trajectory's layout, SCREEN_CHUNK states at a time, and matched
+inside their sector.
 Both propagators return such a `Trajectory`: `propagate` one entry per
 grid time, `evolve_to` one entry per input state, all at the target time,
 and `evolve_points` one such Trajectory per point.
@@ -75,7 +77,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import Liouvillian, vec
+from .channels import Liouvillian, _chain_labels, vec
 from .config import grid_error
 from .linalg import expm, hermitian_eigvals_batch, solve
 from .model import check_density_matrix
@@ -112,10 +114,10 @@ class TimeGrid:
     dt: float = 0.5
 
     def __post_init__(self):
-        if self.dt <= 0 or self.dt > 1.0:
+        if not 0 < self.dt <= 1.0:  # NaN fails it too
             raise ValueError(f"dt must be in (0, 1], got {self.dt}")
-        if self.t_max < self.dt:
-            raise ValueError(f"t_max must be >= dt, got {self.t_max}")
+        if not self.dt <= self.t_max < math.inf:
+            raise ValueError(f"t_max must be finite and >= dt, got {self.t_max}")
         if error := grid_error(self.t_max, self.dt):
             raise ValueError(error)
 
@@ -136,21 +138,27 @@ class Trajectory:
     every entry off the support is exactly zero.  A propagator's support is
     the indices of the blocks of L it touched, so a four-qubit Gibbs
     trajectory stores 70 of each state's 256 entries; a stack given to
-    `screened` is kept at the entries nonzero in some state.  The support's
-    sectors (`sector_layout`) are where the screen took the spectra and
-    where the branch tracker takes eigenvectors.  `expect` reads Tr(rho A)
-    from those entries, and `states` builds the whole (T, D, D) stack on
-    each access.  `==` compares identity: an array field has no single
-    truth value.
+    `screened` is kept at the entries nonzero in some state.  `layout` is
+    the `SectorLayout` the screen read: the support and the sectors, from
+    the producer's excitation labels, where the screen took the spectra
+    and where the branch tracker takes eigenvectors.  `expect` reads
+    Tr(rho A) from those entries, and `states` builds the whole (T, D, D)
+    stack on each access.  `==` compares identity: an array field has no
+    single truth value.
     """
 
     times: np.ndarray
-    values: np.ndarray   # (T, S): each state's entries at `support`
-    support: np.ndarray  # (S,) row-major indices into a (D, D) state
-    spectra: np.ndarray  # (T, D), ascending
+    values: np.ndarray     # (T, S): each state's entries at `support`
+    layout: SectorLayout   # the support's sectors, as the screen read them
+    spectra: np.ndarray    # (T, D), ascending
 
     def __len__(self) -> int:
         return len(self.times)
+
+    @property
+    def support(self) -> np.ndarray:
+        """(S,) row-major indices into a (D, D) state, ascending: the layout's, read-only."""
+        return self.layout.stored
 
     @property
     def dim(self) -> int:
@@ -190,7 +198,10 @@ class Trajectory:
 
         It is kept at the entries that are nonzero in some state, closed
         under transposition, so a state on its own finds the sectors it has
-        inside its trajectory whenever its support fills them.
+        inside its trajectory whenever its support fills them.  A stack has
+        no producer to declare its labels: a 2^N-dimensional one is read in
+        the N-qubit chain's (`channels._chain_labels`, those
+        `build_liouvillian` gives), any other as one class.
         """
         raw = np.asarray(raw_states)
         dim = raw.shape[-1]
@@ -198,7 +209,8 @@ class Trajectory:
         held = np.any(flat != 0, axis=0)
         held |= held.reshape(dim, dim).T.ravel()  # closed under transposition
         support = np.flatnonzero(held)
-        return _screen(times, np.asarray(flat[:, support], dtype=complex), support, dim)
+        labels = _chain_labels(dim.bit_length() - 1) if dim & (dim - 1) == 0 else (0,) * dim
+        return _screen(times, np.asarray(flat[:, support], dtype=complex), support, labels)
 
 
 class BlockLayout(NamedTuple):
@@ -231,18 +243,21 @@ class SectorLayout(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def sector_layout(dim: int, support: tuple) -> SectorLayout:
+def sector_layout(dim: int, support: tuple, labels: tuple) -> SectorLayout:
     """The sector layout of (D, D) states held at the row-major indices `support`, in that order.
 
-    The sectors are the connected components of the support's (D, D)
-    pattern: no state held there couples two of them, so each state is
-    block-diagonal over them, 1+4+6+4+1 at four qubits under the paper's
-    channels and one sector for a dense support.  support must be closed
-    under transposition.  The identity's `_block_layout` gives each sector
-    its own block; the chain's mirror, which reverses the bits of a basis
+    labels[i] is the excitation number of basis state i, as the states'
+    producer declares it (`Liouvillian.labels`).  The sectors are its
+    classes, ordered by their first index, when every held entry joins two
+    basis states of one class: no state held there couples two of them,
+    so each state is block-diagonal over them, 1+4+6+4+1 at four qubits
+    under the paper's channels.  A support with an entry that joins two
+    classes is one whole-basis sector.  support must be closed under
+    transposition.  The identity's `_block_layout` gives each sector its
+    own block; the chain's mirror, which reverses the bits of a basis
     index, gives the sectors' parity blocks where dim is a power of two
     >= 4, the mirror maps every sector onto itself and the support holds
-    every sector's block whole.  Computed once per (dim, support),
+    every sector's block whole.  Computed once per (dim, support, labels),
     read-only.
     """
     support = np.array(support, dtype=int)
@@ -254,7 +269,9 @@ def sector_layout(dim: int, support: tuple) -> SectorLayout:
     position = np.full(dim * dim, -1)
     position[stored] = np.arange(stored.size)
     diagonal = position[np.arange(dim) * (dim + 1)]
-    sectors = _invariant_blocks(position.reshape(dim, dim) >= 0)
+    key, (rows, cols) = np.array(labels), np.divmod(stored, dim)
+    sectors = (tuple(np.flatnonzero(key == k) for k in dict.fromkeys(labels))  # by first index
+               if np.array_equal(key[rows], key[cols]) else (np.arange(dim),))
     parity, bits = None, dim.bit_length() - 1
     # every held entry lies in a sector's block: the blocks are held whole iff they hold S
     if dim >= 4 and dim == 1 << bits and sum(b.size ** 2 for b in sectors) == stored.size:
@@ -266,30 +283,6 @@ def sector_layout(dim: int, support: tuple) -> SectorLayout:
     for array in layout[:4]:
         array.setflags(write=False)
     return layout
-
-
-def _invariant_blocks(matrix) -> tuple:
-    """Connected components of the nonzero pattern of |M| + |M|^T, as index arrays.
-
-    Each block is ascending and the blocks are ordered by their first index.
-    Every index is labelled with the smallest index of its block: labels
-    are lowered along the nonzero entries and then pointer-jumped
-    (label <- label[label]) until neither changes them.
-    """
-    matrix = np.asarray(matrix)
-    rows, cols = np.divmod(np.flatnonzero(matrix != 0), len(matrix))
-    tails, heads = np.concatenate((rows, cols)), np.concatenate((cols, rows))  # M and M^T
-    label = np.arange(len(matrix))
-    while True:
-        lowered = label.copy()
-        np.minimum.at(lowered, tails, label[heads])
-        lowered = lowered[lowered]
-        if np.array_equal(lowered, label):
-            break
-        label = lowered
-    order = np.argsort(label, kind="stable")
-    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1), len(order)]
-    return tuple(order[a:b] for a, b in zip(cuts[:-1], cuts[1:]))
 
 
 def _block_layout(dim: int, sectors, position, perm) -> BlockLayout:
@@ -413,10 +406,11 @@ def _chunk_spectra(sym, spare, layout: SectorLayout, out) -> None:
         out[rest] = part
 
 
-def _screen(times, values, support, dim: int, per_point: int | None = None) -> Trajectory:
+def _screen(times, values, support, labels: tuple, per_point: int | None = None) -> Trajectory:
     """Symmetrize the (T, S) raw entries in place, enforce the CPTP guard and keep the spectra.
 
-    The states are screened SCREEN_CHUNK at a time, at their support:
+    The states are screened SCREEN_CHUNK at a time, at their support, in
+    the `sector_layout` of the excitation labels of their D basis states:
     each check reads the chunk's (C, S) entries and the transposes the
     layout maps them to.  The spectra are taken on the sectors' parity
     blocks or on the sectors' own blocks (`_chunk_spectra`), their entries
@@ -431,9 +425,10 @@ def _screen(times, values, support, dim: int, per_point: int | None = None) -> T
     jump): a violation is then reported for the first run that has one,
     at its step inside that run.  Each chunk's symmetrized entries are
     written back over `values` in ascending row-major order, the order of
-    the returned Trajectory's support.
+    the returned Trajectory's support; the Trajectory carries the layout.
     """
-    layout = sector_layout(dim, tuple(support.tolist()))
+    dim = len(labels)
+    layout = sector_layout(dim, tuple(support.tolist()), labels)
     herm, trace_dev = np.empty(len(values)), np.empty(len(values))
     vals = np.empty((len(values), dim))
     for a in range(0, len(values), SCREEN_CHUNK):
@@ -467,7 +462,7 @@ def _screen(times, values, support, dim: int, per_point: int | None = None) -> T
                 k = int(bad[0])
                 raise InvariantViolation(f"dynamics: {name} defect {dev[start + k]:.3e} "
                                          f"at step {k} (t={times[start + k]:g})")
-    return Trajectory(times=times, values=values, support=layout.stored, spectra=vals)
+    return Trajectory(times=times, values=values, layout=layout, spectra=vals)
 
 
 def _initial_vectors(rho0) -> np.ndarray:
@@ -545,7 +540,7 @@ def propagate(liou: Liouvillian, rho0, grid: TimeGrid) -> Trajectory:
     values = np.zeros((grid.n_steps + 1, support.size), dtype=complex)
     for (b, step), cols in zip(jumps, spans):
         _powers(step, vs[0, b], values[:, cols])
-    return _screen(grid.times(), values, support, liou.dim_state)
+    return _screen(grid.times(), values, support, liou.labels)
 
 
 def _diagonal_sum(stack, diagonal) -> np.ndarray:
@@ -612,16 +607,16 @@ def evolve_points(runs, t: float, limit: bool = False) -> list:
     only L[b, b] (`liou.block(b)`, assembled alone) and vs[:, b] of the
     blocks b its states touch, found once per run for each tuple of
     blocks its generators share, and is dropped before the next is read.
-    The generators whose states touch the same blocks, at one dim and with
-    as many states, form a group; once every run is read, each group's
-    blocks are exponentiated by stacked `expm` calls over consecutive
-    members, at most EXPM_CHUNK_CELLS cells a call, applied by stacked
-    matrix-vector products and screened by one `_screen` call.  Each acts
-    on every matrix and state as on it alone, so a point gets the bytes it
-    gets alone.  Returns one Trajectory
-    per generator, in input order.  A violation names the step, inside its
-    own point, of the first failing point of the first group (in the order
-    of their first points) that has one.
+    The generators whose states touch the same blocks, with the same
+    labels and as many states, form a group; once every run is read, each
+    group's blocks are exponentiated by stacked `expm` calls over
+    consecutive members, at most EXPM_CHUNK_CELLS cells a call, applied by
+    stacked matrix-vector products and screened by one `_screen` call in
+    the group's labels.  Each acts on every matrix and state as on it
+    alone, so a point gets the bytes it gets alone.  Returns one
+    Trajectory per generator, in input order.  A violation names the step,
+    inside its own point, of the first failing point of the first group
+    (in the order of their first points) that has one.
 
     With limit, each chunk's blocks larger than 1x1 are first tested by
     `_block_limits`, whose one stacked solve takes the chunk's bordered
@@ -645,7 +640,7 @@ def evolve_points(runs, t: float, limit: bool = False) -> list:
             if id(liou.blocks) not in seen:
                 touched = _touched_blocks(liou, vs)
                 seen[id(liou.blocks)] = (liou.blocks, touched, (
-                    liou.dim_state, len(vs), tuple(b.tobytes() for b in touched)))
+                    liou.labels, len(vs), tuple(b.tobytes() for b in touched)))
             _, touched, key = seen[id(liou.blocks)]
             indices, _, held = groups.setdefault(key, ([], touched, [[] for _ in touched]))
             indices.append(count)
@@ -654,7 +649,8 @@ def evolve_points(runs, t: float, limit: bool = False) -> list:
                 pairs.append((liou.block(b), vs[:, b]))
             del liou  # a generator goes before the next one is built
     results = [None] * count
-    for (dim, states, _), (indices, blocks, held) in groups.items():
+    for (labels, states, _), (indices, blocks, held) in groups.items():
+        dim = len(labels)
         support, spans = _layout(blocks, dim)
         values = np.zeros((len(indices), states, support.size), dtype=complex)
         for b, pairs, cols in zip(blocks, held, spans):
@@ -678,10 +674,10 @@ def evolve_points(runs, t: float, limit: bool = False) -> list:
                     del generators  # the stack goes before the products' temporaries
                     part[~passed] = np.matmul(steps[:, None], part[~passed, ..., None])[..., 0]
         traj = _screen(np.full(values.shape[0] * states, t), values.reshape(-1, support.size),
-                       support, dim, per_point=states)
+                       support, labels, per_point=states)
         for p, index in enumerate(indices):
             rows = slice(p * states, (p + 1) * states)
-            results[index] = Trajectory(traj.times[rows], traj.values[rows], traj.support,
+            results[index] = Trajectory(traj.times[rows], traj.values[rows], traj.layout,
                                         traj.spectra[rows])
     return results
 

@@ -10,8 +10,9 @@ of every stored state at once, as one `ErgotropyRecord` of arrays, and
 `ergotropy` that of a single state.  Only the branch tracker
 `eigenvalue_crossings` reads eigenvectors; it decomposes the states
 itself, one chunk at a time and, like the screen, one sector of the
-trajectory's support at a time (`dynamics.sector_layout`), and matches
-branches inside each sector: a sector's eigenvectors vanish outside it.
+layout the screen read at a time (`Trajectory.layout`, whose sectors
+the states' producer declared), and matches branches inside each
+sector: a sector's eigenvectors vanish outside it.
 Energies and energy-basis populations are read from the trajectory's
 compact storage by `Trajectory.expect`, and passive energies by one
 fixed-order sum per state, so every record of a state is the same bytes
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SCREEN_CHUNK, Trajectory, block_entries, sector_layout
+from .dynamics import SCREEN_CHUNK, Trajectory, block_entries
 from .linalg import dagger, hermitian_eig, hermitian_eig_batch
 
 ERGOTROPY_CLIP = 1e-10        # admissible negative rounding before clipping to 0
@@ -114,21 +115,21 @@ def eigenvalue_crossings(traj: Trajectory,
     `significance` on both sides of the swap, is reported with the linearly
     interpolated crossing time and the (sorted) position pair.  Raising
     `significance` selects only crossings among non-negligible populations.
-    The grid is tracked SCREEN_CHUNK steps at a time.  Each sector
-    (`dynamics.sector_layout`) is decomposed and greedily matched on its
-    own, and a stable sort of the spectrum places its branches among the
-    other sectors'; a level degenerate across sectors keeps the sectors'
-    own vectors, not an arbitrary basis of the level.  This is the greedy
-    matching of the full (D, D) overlaps, whose cross-sector entries are
-    exact zeros: each sector's overlaps are doubly stochastic, so the full
-    greedy pairs across sectors only in a round whose best remaining
-    overlap is exactly 0.0, and a sector's basis indices ascend, so the
-    stable sort keeps eigh's order and with it the row-major tie rule.
+    The grid is tracked SCREEN_CHUNK steps at a time.  Each sector of the
+    screen's layout (`traj.layout.sectors`) is decomposed and greedily
+    matched on its own, and a stable sort of the spectrum places its
+    branches among the other sectors'; a level degenerate across sectors
+    keeps the sectors' own vectors, not an arbitrary basis of the level.
+    This is the greedy matching of the full (D, D) overlaps, whose
+    cross-sector entries are exact zeros: each sector's overlaps are
+    doubly stochastic, so the full greedy pairs across sectors only in a
+    round whose best remaining overlap is exactly 0.0, and a sector's
+    basis indices ascend, so the stable sort keeps eigh's order and with
+    it the row-major tie rule.
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    times = traj.times
-    sectors = sector_layout(traj.dim, tuple(traj.support.tolist())).sectors
+    times, sectors = traj.times, traj.layout.sectors
     found: list[tuple[float, tuple[int, int]]] = []
     for start in range(1, len(traj), SCREEN_CHUNK):
         stop = min(start + SCREEN_CHUNK, len(traj))

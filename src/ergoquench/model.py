@@ -41,8 +41,8 @@ class ModelSpec:
     def __post_init__(self):
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {self.n_qubits}")
-        if self.field_h < 0:
-            raise ValueError(f"field_h must be >= 0, got {self.field_h}")
+        if not 0 <= self.field_h < np.inf:  # NaN fails it too
+            raise ValueError(f"field_h must be finite and >= 0, got {self.field_h}")
 
     @property
     def dim(self) -> int:
@@ -101,13 +101,15 @@ def gibbs_state(h_matrix, beta) -> np.ndarray:
     temperatures, giving the (B, D, D) stack of their states from a single
     decomposition of H; each member has the bytes of its scalar call.
     The Boltzmann weights are exponentials of spectrum shifted by the
-    ground energy, so arbitrarily large beta (beta -> infinity) reduces to
-    the uniform mixture over the (possibly degenerate) ground space
-    without ever overflowing.
+    ground energy, so an arbitrarily large finite beta tends to the
+    uniform mixture over the (possibly degenerate) ground space without
+    ever overflowing; a NaN or infinite beta is refused.
     """
     betas = np.asarray(beta, dtype=float)
     if betas.ndim > 1:
         raise ValueError(f"beta must be a scalar or a 1-D array, got shape {betas.shape}")
+    if not np.all(np.isfinite(betas)):
+        raise ValueError(f"beta must be finite, got {beta}")
     if np.any(betas < 0):
         raise ValueError(f"beta must be >= 0, got {beta}")
     vals, vecs = hermitian_eig(h_matrix)

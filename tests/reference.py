@@ -1,8 +1,12 @@
 """Independent references the tests hold the package to; no experiment runs them.
 
 - `DenseGenerator`: a generator given as a whole D^2 x D^2 matrix, with
-  no declared structure, its blocks found in its nonzero pattern; the
-  propagators read it as they read a `Liouvillian`.
+  no declared structure, its blocks found in its nonzero pattern by
+  `_invariant_blocks`; the propagators read it as they read a
+  `Liouvillian`, with every basis state in one excitation class.
+- `_invariant_blocks`: the connected components of a matrix's nonzero
+  pattern, against the blocks a `Liouvillian` and a `sector_layout` read
+  off their declared excitation labels.
 - `propagate_rk4`: classical fourth-order Runge-Kutta on the full dense
   generator, one mat-vec at a time, against the block-wise exact stepping.
 - `dissipator_apply` with `rate_matrix`: the N x N rate-matrix double sum
@@ -14,7 +18,7 @@
 - `sector_eigvalsh` and `sector_eigh`: spectra and eigenvectors of a
   stack block by block over the connected components of its nonzero
   pattern, found by a breadth-first search, against the screen and the
-  branch tracker, which find them from the support.
+  branch tracker, which read the sectors their producer declared.
 - `mirror`, `parity_bases`, `parity_blocks` and `parity_eigvalsh`: the
   chain's mirror as an explicit permutation of site occupations, each
   sector's parity basis read off the projectors (1 +- M)/2, and the
@@ -42,18 +46,42 @@ import numpy as np
 
 from ergoquench import (ModelSpec, Trajectory, build_hamiltonian, check_density_matrix,
                         dark_subspace, gibbs_state, trajectory_records, vec)
-from ergoquench.dynamics import _invariant_blocks
 from ergoquench.linalg import dagger, hermitian_eig, null_space_hermitian
 from ergoquench.model import site_operator
 from ergoquench.oracles import _evolve_block, _parallel_generator
 
 
+def _invariant_blocks(matrix) -> tuple:
+    """Connected components of the nonzero pattern of |M| + |M|^T, as index arrays.
+
+    Each block is ascending and the blocks are ordered by their first index.
+    Every index is labelled with the smallest index of its block: labels
+    are lowered along the nonzero entries and then pointer-jumped
+    (label <- label[label]) until neither changes them.
+    """
+    matrix = np.asarray(matrix)
+    rows, cols = np.divmod(np.flatnonzero(matrix != 0), len(matrix))
+    tails, heads = np.concatenate((rows, cols)), np.concatenate((cols, rows))  # M and M^T
+    label = np.arange(len(matrix))
+    while True:
+        lowered = label.copy()
+        np.minimum.at(lowered, tails, label[heads])
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, label):
+            break
+        label = lowered
+    order = np.argsort(label, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1), len(order)]
+    return tuple(order[a:b] for a, b in zip(cuts[:-1], cuts[1:]))
+
+
 class DenseGenerator:
-    """A D^2 x D^2 generator given whole: `dim_state`, `blocks` and `block(b)` as a Liouvillian's.
+    """A D^2 x D^2 generator given whole: `dim_state`, `labels`, `blocks` and `block(b)`.
 
     Its blocks are the connected components of its nonzero pattern
-    (`dynamics._invariant_blocks`), so any matrix, one with no symmetry
-    included, can be propagated.
+    (`_invariant_blocks`), so any matrix, one with no symmetry included,
+    can be propagated; its labels put every basis state in one class, so
+    its states are screened and tracked as one whole-basis sector.
     """
 
     def __init__(self, matrix):
@@ -63,6 +91,7 @@ class DenseGenerator:
         if dim == 0 or shape != (dim * dim, dim * dim):
             raise ValueError(f"a generator matrix is D^2 x D^2 with D >= 1, got shape {shape}")
         self.dim_state = dim
+        self.labels = (0,) * dim
         self.blocks = _invariant_blocks(self.matrix)
 
     def block(self, b) -> np.ndarray:

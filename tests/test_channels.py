@@ -6,12 +6,11 @@ import pytest
 import ergoquench.channels
 from ergoquench import ChannelSpec, ModelSpec, build_hamiltonian, gibbs_state
 from ergoquench.channels import Liouvillian, _chain_labels, build_liouvillian, vec
-from ergoquench.dynamics import _invariant_blocks
 from ergoquench.linalg import dagger, hermitian_eig, kron
 from ergoquench.model import collective_operator, site_operator
 
 from conftest import random_density, random_hermitian
-from reference import DenseGenerator, dissipator_apply, rate_matrix, unvec
+from reference import DenseGenerator, _invariant_blocks, dissipator_apply, rate_matrix, unvec
 
 
 def _dense_kron(a, b):

@@ -9,7 +9,7 @@ import pytest
 from ergoquench import (ChannelSpec, InvariantViolation, ModelSpec, TimeGrid,
                         build_hamiltonian, build_liouvillian, evolve_to, gibbs_state,
                         propagate)
-from ergoquench.channels import Liouvillian, vec
+from ergoquench.channels import Liouvillian, _chain_labels, vec
 from ergoquench import dynamics
 from ergoquench.dynamics import (GUARD_TOL, OFF_PARITY_TOL, SCREEN_CHUNK, Trajectory,
                                  _hermitian_2x2_eigvals, _powers, _screen, block_entries,
@@ -24,8 +24,9 @@ from ergoquench.model import site_operator
 from ergoquench.oracles import dark_population_series, dark_subspace
 
 from conftest import random_density
-from reference import (DenseGenerator, parity_bases, parity_blocks, parity_eigvalsh, propagate_rk4,
-                       sector_eigh, sector_eigvalsh, unvec)
+from fingerprint import run_defaults
+from reference import (DenseGenerator, _invariant_blocks, mirror, parity_bases, parity_blocks,
+                       parity_eigvalsh, propagate_rk4, sector_eigh, sector_eigvalsh, unvec)
 
 
 def _liouvillian(n, h_field, **channel):
@@ -388,13 +389,22 @@ def test_limit_decision_is_a_one_dimensional_kernel(points, limits):
     assert passed == limits
 
 
+def test_labels_given_as_a_list_propagate_as_a_tuple_does(h2):
+    # the screen's layout cache and evolve_points' groups key on the labels
+    liou, _ = _liouvillian(2, 0.1, gamma=0.05)
+    listed = Liouvillian(liou.hamiltonian, liou.jumps, liou.rates, list(liou.labels))
+    assert isinstance(listed.labels, tuple) and listed.labels == liou.labels
+    rho0, grid = gibbs_state(h2, 0.5), TimeGrid(t_max=5.0, dt=0.5)
+    assert np.array_equal(propagate(listed, rho0, grid).values, propagate(liou, rho0, grid).values)
+    assert np.array_equal(evolve_to(listed, rho0, 5.0).values, evolve_to(liou, rho0, 5.0).values)
+
+
 def test_generators_and_trajectories_compare_by_identity(h2):
     liou, _ = _liouvillian(2, 0.1, gamma=0.05)
     twin = Liouvillian(liou.hamiltonian, liou.jumps, liou.rates, liou.labels)
     assert (liou == twin) is False and liou == liou and liou != twin
     traj = evolve_to(liou, gibbs_state(h2, 0.5), 1.0)
-    copy = Trajectory(traj.times.copy(), traj.values.copy(), traj.support.copy(),
-                      traj.spectra.copy())
+    copy = Trajectory(traj.times.copy(), traj.values.copy(), traj.layout, traj.spectra.copy())
     assert (traj == copy) is False and traj == traj
 
 
@@ -763,7 +773,7 @@ _CHUNK_BOUNDARIES = [1, SCREEN_CHUNK - 1, SCREEN_CHUNK, SCREEN_CHUNK + 1, 2 * SC
 def _prefix(traj, n_states):
     """The first n_states stored states of traj, as a Trajectory of their own."""
     return Trajectory(times=traj.times[:n_states], values=traj.values[:n_states],
-                      support=traj.support, spectra=traj.spectra[:n_states])
+                      layout=traj.layout, spectra=traj.spectra[:n_states])
 
 
 def _tracked_crossings(states, times, decompose):
@@ -867,8 +877,7 @@ def test_expect_reads_the_same_bytes_over_the_support_the_full_stack_and_one_sta
         assert np.array_equal(_fixed_order_readout(traj.states, ops), whole)
         for k in range(len(traj)):
             single = Trajectory(times=traj.times[k:k + 1], values=traj.values[k:k + 1],
-                                support=traj.support,
-                                spectra=traj.spectra[k:k + 1])
+                                layout=traj.layout, spectra=traj.spectra[k:k + 1])
             assert np.array_equal(single.expect(ops), whole[k:k + 1])
 
 
@@ -911,7 +920,7 @@ def test_sectors_of_a_gibbs_support_are_the_excitation_number_classes(case):
     n, channel = _ENGINE_CASES[case]
     liou, h = _liouvillian(n, 0.1, **channel)
     traj = propagate(liou, gibbs_state(h, 0.5), TimeGrid(t_max=2.0, dt=0.5))
-    sectors = _sectors(sector_layout(traj.dim, tuple(traj.support.tolist())))
+    sectors = _sectors(traj.layout)
     excitations = [bin(i).count("1") for i in range(traj.dim)]
     classes = sorted(tuple(i for i in range(traj.dim) if excitations[i] == k) for k in range(n + 1))
     assert sectors == classes
@@ -919,12 +928,79 @@ def test_sectors_of_a_gibbs_support_are_the_excitation_number_classes(case):
 
 
 def test_a_dense_support_is_one_sector():
-    layout = sector_layout(16, tuple(range(256)))
+    layout = sector_layout(16, tuple(range(256)), _chain_labels(4))
     assert _sectors(layout) == [tuple(range(16))]
     (block,) = layout.sectors.blocks
     assert block[:2] == (16, slice(0, 256))
     assert np.array_equal(layout.sectors.sources, np.arange(256)[None])
     assert np.all(layout.sectors.weights == 1)
+
+
+def _pattern_parity(dim, support, blocks):
+    """The parity layout the rule gives the pattern's own components, or None.
+
+    The mirror acts where dim is a power of two >= 4, maps every component
+    onto itself and the support holds every component's block whole.
+    """
+    perm = np.argmax(mirror(dim), axis=0) if dim >= 4 and dim & (dim - 1) == 0 else None
+    if (perm is None or sum(b.size ** 2 for b in blocks) != len(support)
+            or not all(np.array_equal(np.sort(perm[b]), b) for b in blocks)):
+        return None
+    position = np.full(dim * dim, -1)
+    position[sorted(support)] = np.arange(len(support))
+    return dynamics._block_layout(dim, blocks, position, perm)
+
+
+def _same_block_layout(a, b):
+    if a is None or b is None:
+        return a is b
+    return (all(np.array_equal(x, y) for x, y in zip(a[:3], b[:3])) and a.off == b.off
+            and len(a.blocks) == len(b.blocks)
+            and all(m == n and s == t and np.array_equal(u, v)
+                    for (m, s, u), (n, t, v) in zip(a.blocks, b.blocks)))
+
+
+def test_declared_sectors_of_every_default_support_are_its_pattern_components(tmp_path,
+                                                                              monkeypatch):
+    # the screen reads the sectors off its producer's labels; on every support the
+    # 13 default experiments screen they are the connected components of the
+    # support's (D, D) pattern, and the parity layout is the one those components give
+    seen, layout_of = {}, dynamics.sector_layout
+
+    def recording(dim, support, labels):
+        seen[dim, support, labels] = layout_of(dim, support, labels)
+        return seen[dim, support, labels]
+
+    monkeypatch.setattr(dynamics, "sector_layout", recording)
+    run_defaults(tmp_path)
+    assert {dim for dim, *_ in seen} == {2, 4, 16}
+    for (dim, support, labels), layout in seen.items():
+        pattern = np.zeros(dim * dim, dtype=bool)
+        pattern[list(support)] = True
+        blocks = _invariant_blocks(pattern.reshape(dim, dim))
+        assert _sectors(layout) == [tuple(b.tolist()) for b in blocks]
+        assert _same_block_layout(layout.parity, _pattern_parity(dim, support, blocks))
+    assert any(layout.parity is not None for layout in seen.values())
+
+
+def test_a_support_that_joins_two_excitation_classes_is_one_sector(h2):
+    # a Gibbs state with |ee> and |gg> in coherence: the lowering jumps keep the (0, 3)
+    # entry, which joins the classes k = 2 and k = 0, though the support's pattern
+    # splits into {0, 3} and {1, 2}
+    liou, _ = _liouvillian(2, 0.1, gamma=0.05)
+    psi = np.array([0.8, 0.0, 0.0, 0.6], dtype=complex)
+    rho0 = 0.7 * gibbs_state(h2, 2.0) + 0.3 * np.outer(psi, psi.conj())
+    traj = propagate(liou, rho0, TimeGrid(t_max=150.0, dt=0.1))
+    assert traj.support.size == 8
+    assert len(_invariant_blocks(np.any(traj.states != 0, axis=0))) == 2
+    assert _sectors(traj.layout) == [(0, 1, 2, 3)] and traj.layout.parity is None
+    assert np.abs(traj.spectra - np.linalg.eigvalsh(traj.states)).max() <= 1e-14
+    # one sector: the tracker is the full-matrix tracker
+    _, i, t_cross, _ = _tracked_crossings(traj.states, traj.times, hermitian_eig_batch)
+    crossings = eigenvalue_crossings(traj)
+    assert len(crossings) == 2
+    assert crossings == sorted(((t, (pos, pos + 1)) for t, pos in zip(t_cross.tolist(), i.tolist())),
+                               key=lambda item: item[0])
 
 
 def _same_bits(a, b):
@@ -950,7 +1026,7 @@ def test_sector_blocks_are_the_states_blocks_bit_for_bit(case, h2, h4):
             states[:, i, j] = 0.05 * (z[0] + 1j * z[1])
             states[:, j, i] = np.conj(states[:, i, j])
         traj = Trajectory.screened(times, states)
-    sectors = sector_layout(traj.dim, tuple(traj.support.tolist())).sectors
+    sectors = traj.layout.sectors
     assert sectors.sources.shape[0] == 1  # one term per entry: one take per state
     assert np.any(sectors.weights == 0) == (case == "not-whole")
     states, entries = traj.states, block_entries(traj.values, sectors)
@@ -979,7 +1055,7 @@ def test_sector_spectra_agree_with_full_matrix_eigvalsh(case):
         liou, h = _liouvillian(n, 0.1, **channel)
         traj = propagate(liou, gibbs_state(h, 0.2), TimeGrid(t_max=300.0, dt=0.5))
         n_sectors = n + 1
-    assert len(_sectors(sector_layout(traj.dim, tuple(traj.support.tolist())))) == n_sectors
+    assert len(_sectors(traj.layout)) == n_sectors
     assert np.abs(traj.spectra - np.linalg.eigvalsh(traj.states)).max() <= 1e-14
 
 
@@ -1080,7 +1156,7 @@ def test_a_non_finite_entry_is_reported_at_its_step(h4, entry, value):
         Trajectory.screened(traj.times, raw)
     values = raw.reshape(len(raw), -1)[:, traj.support]
     with pytest.raises(InvariantViolation, match=where):
-        _screen(traj.times, values, traj.support, traj.dim)
+        _screen(traj.times, values, traj.support, liou.labels)
 
 
 def test_a_negative_eigenvalue_inside_the_six_state_sector_is_reported_at_its_step(h4):
@@ -1100,12 +1176,12 @@ def test_a_negative_eigenvalue_inside_the_six_state_sector_is_reported_at_its_st
         Trajectory.screened(traj.times, raw)
     values = raw.reshape(len(raw), -1)[:, traj.support]
     with pytest.raises(InvariantViolation, match=rf"positivity defect .* at step {first} "):
-        _screen(traj.times, values, traj.support, traj.dim)
+        _screen(traj.times, values, traj.support, liou.labels)
 
 
 def _package_parity_blocks(traj):
     """The parity blocks the screen reads, by size, and the even-odd entries, of a Trajectory."""
-    parity = sector_layout(traj.dim, tuple(traj.support.tolist())).parity
+    parity = traj.layout.parity
     entries = block_entries(traj.values, parity)
     blocks = {size: list(np.moveaxis(entries[:, span].reshape(len(traj), -1, size, size), 1, 0))
               for size, span, _ in parity.blocks}
@@ -1176,7 +1252,7 @@ def test_a_mirror_symmetric_state_reads_the_same_bytes_alone_and_beside_broken_o
     assert mixed.support.size == 70
     for k in range(0, len(states), 37):
         alone = Trajectory.screened(traj.times[k:k + 1], states[k:k + 1])
-        assert sector_layout(16, tuple(alone.support.tolist())).parity is not None
+        assert alone.layout.parity is not None
         assert np.array_equal(alone.spectra[0], mixed.spectra[2 * k])
         assert np.array_equal(alone.spectra[0], traj.spectra[k])
     assert np.array_equal(mixed.spectra[1::2], sector_eigvalsh(mixed.states[1::2]))
@@ -1229,7 +1305,7 @@ def test_a_negative_eigenvalue_inside_a_parity_block_is_reported_at_its_step(
         Trajectory.screened(traj.times, raw)
     values = raw.reshape(len(raw), -1)[:, traj.support]
     with pytest.raises(InvariantViolation, match=rf"positivity defect .* at step {first} "):
-        _screen(traj.times, values, traj.support, traj.dim)
+        _screen(traj.times, values, traj.support, liou.labels)
     assert {shape[1:] for shape in shapes} == {(4, 4)}  # no state fell back to its sectors
 
 
@@ -1261,10 +1337,10 @@ def test_the_screen_holds_chunks_of_the_support_only(h4):
     liou, _ = _liouvillian(4, 0.1, gamma=0.05)
     traj = propagate(liou, gibbs_state(h4, 0.5), TimeGrid(t_max=300.0, dt=0.5))
     values = traj.values.copy()
-    _screen(traj.times, values.copy(), traj.support, traj.dim)
+    _screen(traj.times, values.copy(), traj.support, liou.labels)
     tracemalloc.start()
     try:
-        _screen(traj.times, values, traj.support, traj.dim)
+        _screen(traj.times, values, traj.support, liou.labels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -170,11 +170,11 @@ def test_one_steady_pass_keeps_its_checks_and_stacked_expm_calls(tmp_path, monke
     # bordered blocks that are not exactly singular share one stacked solve, and
     # each group's other blocks go in stacked expm calls of at most EXPM_CHUNK_CELLS cells.
     # Only the touched blocks are assembled, from the declared labels: no dense
-    # generator and no pattern search on one
-    checks, shapes, limits, solved, cells, searched = [], [], [], [], [], []
+    # generator, and no pattern search on a generator or a support
+    checks, shapes, limits, solved, cells = [], [], [], [], []
     check, expm, block_limits, solve = (dynamics.check_density_matrix, dynamics.expm,
                                         dynamics._block_limits, dynamics.solve)
-    block, invariant_blocks = Liouvillian.block, dynamics._invariant_blocks
+    block = Liouvillian.block
 
     def counting_check(rho, *args, **kwargs):
         checks.append(1)
@@ -197,24 +197,18 @@ def test_one_steady_pass_keeps_its_checks_and_stacked_expm_calls(tmp_path, monke
         cells.append((liou.dim_state, len(b)))
         return block(liou, b)
 
-    def counting_search(matrix):
-        searched.append(np.asarray(matrix).dtype)
-        return invariant_blocks(matrix)
-
     monkeypatch.setattr(dynamics, "check_density_matrix", counting_check)
     monkeypatch.setattr(dynamics, "expm", counting_expm)
     monkeypatch.setattr(dynamics, "_block_limits", counting_limits)
     monkeypatch.setattr(dynamics, "solve", counting_solve)
     monkeypatch.setattr(Liouvillian, "block", counting_block)
-    monkeypatch.setattr(dynamics, "_invariant_blocks", counting_search)
-    dynamics.sector_layout.cache_clear()  # so that the screen's layouts are searched anew
     for name in ("fig4", "appB-diss", "appB-deph"):
         run_experiment(_config(experiment=name, output_dir=str(tmp_path)))
     assert not any(n == dim ** 2 for dim, n in cells)  # no dense D^2 x D^2 assembly
     # fig4 50 x 6^2; appB-diss 11 x 6^2 + 11 x 70^2; appB-deph 11 x (1 + 4^2 + 1)
     # + 11 x (1 + 16^2 + 36^2 + 16^2 + 1), against 72 x 16^2 + 22 x 256^2 = 1,460,224 dense
     assert sum(n * n for _, n in cells) == 76_204
-    assert searched and all(dtype == bool for dtype in searched)  # (D, D) supports only
+    assert not hasattr(dynamics, "_invariant_blocks")  # the sectors are declared, not searched
     assert len(checks) == 54
     assert sum(limits) == 60
     assert len(solved) == 20 and sum(solved) == 112

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from ergoquench import TimeGrid
-from ergoquench.dynamics import _invariant_blocks
 from ergoquench.experiments import JC_RATIOS
 from ergoquench.jc import (JCSpec, _auto_grid, compare_jc, default_jc_spec,
                            effective_atom_evolution, effective_generator, jc_full_evolution,
                            jc_generator, jc_hamiltonian)
 from ergoquench.linalg import dagger, hermitian_eig
+
+from reference import _invariant_blocks
 
 EXCITED = np.diag([1.0, 0.0]).astype(complex)  # (e, g) ordering
 

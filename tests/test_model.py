@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ergoquench import (ModelSpec, build_hamiltonian, check_density_matrix,
-                        collective_operator, gibbs_state, site_operator)
+from ergoquench import (ChannelSpec, ModelSpec, TimeGrid, build_hamiltonian,
+                        check_density_matrix, collective_operator, gibbs_state, site_operator)
 from ergoquench.config import MAX_QUBITS
 from ergoquench.ergotropy import ergotropy
 from ergoquench.linalg import hermitian_eig, kron
@@ -156,6 +156,28 @@ def test_gibbs_stack_has_the_bytes_of_single_calls(n):
 def test_gibbs_stack_rejects_a_negative_beta_anywhere(h2, betas):
     with pytest.raises(ValueError, match="beta must be >= 0"):
         gibbs_state(h2, np.array(betas))
+
+
+_NON_FINITE_INPUTS = {
+    "t_max-inf": ("t_max", lambda h: TimeGrid(t_max=np.inf)),
+    "t_max-nan": ("t_max", lambda h: TimeGrid(np.nan, 0.5)),
+    "dt-nan": ("dt", lambda h: TimeGrid(10.0, np.nan)),
+    "gamma-nan": ("gamma", lambda h: ChannelSpec(gamma=np.nan)),
+    "gamma-inf": ("gamma", lambda h: ChannelSpec(gamma=np.inf)),
+    "field_h-nan": ("field_h", lambda h: ModelSpec(n_qubits=2, field_h=np.nan)),
+    "field_h-inf": ("field_h", lambda h: ModelSpec(n_qubits=2, field_h=np.inf)),
+    "beta-nan": ("beta", lambda h: gibbs_state(h, np.nan)),
+    "beta-inf": ("beta", lambda h: gibbs_state(h, np.inf)),
+    "beta-stack-inf": ("beta", lambda h: gibbs_state(h, np.array([0.5, np.inf]))),
+}
+
+
+@pytest.mark.parametrize("case", list(_NON_FINITE_INPUTS))
+def test_a_non_finite_spec_input_is_refused_by_name(h2, case):
+    # NaN passes every `x < 0` test: a NaN gamma would have quenched with no jump at all
+    field, make = _NON_FINITE_INPUTS[case]
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        make(h2)
 
 
 def test_model_spec_validation():
