@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 # exported name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in {
-    "channels": ("ChannelSpec", "Liouvillian", "build_liouvillian", "vec"),
+    "channels": ("ChannelSpec", "Liouvillian", "build_liouvillian"),
     "config": ("ConfigError", "ExperimentConfig", "validate_config"),
     "dynamics": ("InvariantViolation", "TimeGrid", "Trajectory", "evolve_to", "propagate"),
     "ergotropy": ("ErgotropyRecord", "eigenvalue_crossings", "energy_basis_populations",

@@ -46,6 +46,11 @@ from .linalg import dagger
 from .model import ModelSpec, _site_operators, collective_operator
 
 
+# Generator cells (members n^2) whose assembly temporaries `Liouvillian.block` holds at
+# once: a whole family's block would hold several times its own size in them.
+BLOCK_CHUNK_CELLS = 4096
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """Rate and interpolation parameters of the quench dissipator.
@@ -74,17 +79,24 @@ class ChannelSpec:
 class Liouvillian:
     """GKSL generator -i[H, .] + sum_k rate_k D[A_k] on column-stacked states, kept as its terms.
 
+    It is one generator, or a family of P that share their jumps and
+    labels: hamiltonian is one (D, D) matrix or a (P, D, D) stack, and
+    rates a (K,) sequence or P rows of K, one per member; a family whose
+    H or rates are one is read as that one for every member.
     labels[i] is the excitation number k of basis state i, held as a
-    tuple whatever sequence gives it: H must conserve it and each jump
-    with a nonzero rate must keep it or lower it by one, which a D x D
-    check of each matrix enforces (ValueError otherwise).
-    `dim_state` is D, read off H.  `blocks` partitions the D^2 vec indices
-    into ascending index arrays, ordered by their first index, that L
-    never couples: the classes of k(i) - k(j) of vec index i + j*D when a
-    jump with a nonzero rate lowers k, and of (k(i), k(j)) otherwise.
-    `block(b)` assembles L[b, b] alone and `matrix` the whole D^2 x D^2
-    generator.  `==` compares identity: an array field has no single
-    truth value.
+    tuple whatever sequence gives it: each H must conserve it and each
+    jump with a nonzero rate in some member must keep it or lower it by
+    one, which a D x D check of each matrix enforces (ValueError
+    otherwise).  A jump with a nonzero rate in any member is added for
+    every member, and the members must agree on whether one of theirs
+    lowers k.  `dim_state` is D, read off H, and `members` is P (1 for one
+    generator).  `blocks` partitions the D^2 vec indices into ascending
+    index arrays, ordered by their first index, that L never couples: the
+    classes of k(i) - k(j) of vec index i + j*D when a jump with a nonzero
+    rate lowers k, and of (k(i), k(j)) otherwise.  `block(b)` assembles
+    L[b, b] alone, (n, n) for one generator and (P, n, n) for a family, and
+    `matrix` the whole D^2 x D^2 generator (a (P, D^2, D^2) stack).  `==`
+    compares identity: an array field has no single truth value.
     """
 
     hamiltonian: np.ndarray
@@ -92,15 +104,17 @@ class Liouvillian:
     rates: tuple
     labels: tuple
     dim_state: int = field(init=False)
+    members: int = field(init=False)
     blocks: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         put = partial(object.__setattr__, self)
         put("labels", tuple(self.labels))  # hashable: the caches and the screen key on them
         h = np.asarray(self.hamiltonian, dtype=complex)
-        d = h.shape[0] if h.ndim == 2 else 0
-        if d == 0 or h.shape != (d, d):
-            raise ValueError(f"the Hamiltonian must be D x D with D >= 1, got shape {h.shape}")
+        d = h.shape[-1] if h.ndim in (2, 3) else 0
+        if d == 0 or h.shape[-2:] != (d, d):
+            raise ValueError("the Hamiltonian must be D x D with D >= 1, or a (P, D, D) stack, "
+                             f"got shape {h.shape}")
         for k, jump in enumerate(self.jumps):
             if np.shape(jump) != (d, d):
                 raise ValueError(
@@ -108,13 +122,20 @@ class Liouvillian:
         if len(self.labels) != d:
             raise ValueError(f"{len(self.labels)} excitation labels for a {d}-state basis")
         off_keep, off_shift = _shift_masks(self.labels)
-        if np.count_nonzero(h.ravel()[off_keep]):
+        h = h.reshape(-1, d, d)
+        if np.count_nonzero(h.reshape(-1, d * d)[:, off_keep]):
             raise ValueError("the Hamiltonian couples states of different excitation number")
         rates = np.asarray(self.rates, dtype=float)
-        if rates.shape != (len(self.jumps),):
-            raise ValueError(f"{rates.size} rates for {len(self.jumps)} jumps")
-        live = np.flatnonzero(rates)
-        rates = rates[live]
+        if rates.ndim not in (1, 2) or rates.shape[-1] != len(self.jumps):
+            raise ValueError(f"rates of shape {rates.shape} for {len(self.jumps)} jumps")
+        # the member counts of the stacked ones
+        counts = ([len(h)] if np.ndim(self.hamiltonian) == 3 else []) + (
+            [len(rates)] if rates.ndim == 2 else [])
+        if len(set(counts)) > 1 or 0 in counts:
+            raise ValueError(f"a family needs one member count >= 1, got {counts}")
+        rates = np.atleast_2d(rates)
+        live = np.flatnonzero(rates.any(axis=0))  # a NaN rate counts as live
+        rates = rates[:, live]
         jumps = np.array([self.jumps[k] for k in live], dtype=complex).reshape(-1, d, d)
         # per jump, whether it has weight where k changes, and where k changes by other
         # than -1 (a NaN entry counts as weight)
@@ -124,54 +145,72 @@ class Liouvillian:
             raise ValueError(f"jump {live[np.argmax(broken)]} neither keeps nor lowers "
                              "the excitation number by one")
         lowering = moved[:, 0]
+        lowers = ((rates != 0) & lowering).any(axis=1)  # per member
+        if lowers.any() != lowers.all():
+            raise ValueError(f"member {np.argmax(lowers != lowers[0])} disagrees with member 0 "
+                             "on whether a jump lowers the excitation number")
         # sum_k rate_k A_k^dag A_k / 2, added in jump order (a reduce may pair the terms
-        # up); a stacked product has the bytes of its 2-D call
-        decay = np.zeros((d, d), dtype=complex)
-        for term in (0.5 * rates)[:, None, None] * np.matmul(dagger(jumps), jumps):
-            decay += term
-        x, y = -1j * h, 1j * h.T  # the commutator is I (x) x + y (x) I
+        # up); a stacked product has the bytes of its 2-D call, and a zero-rate term adds
+        # an exact zero to a sum that starts at +0, which leaves its bytes alone
+        decay = np.zeros((len(rates), d, d), dtype=complex)
+        for half, product in zip((0.5 * rates).T, np.matmul(dagger(jumps), jumps)):
+            decay += half[:, None, None] * product
+        x, y = -1j * h, 1j * np.swapaxes(h, -1, -2)  # the commutator is I (x) x + y (x) I
+        y_diag = np.diagonal(y, axis1=1, axis2=2).copy()
         y_off = y.copy()
-        np.fill_diagonal(y_off, 0.0)
+        y_off[:, np.arange(d), np.arange(d)] = 0.0
         put("dim_state", d)
-        put("blocks", _label_blocks(self.labels, bool(lowering.any())))
-        # rate conj(A) and A, flat, of the jumps that keep k and of those that lower it:
-        # each entry of L takes the jumps of one shift
-        weighted = (rates[:, None, None] * np.conj(jumps)).reshape(-1, d * d)
+        put("members", counts[0] if counts else 1)
+        put("_lead", (self.members,) if counts else ())  # block's leading shape
+        put("blocks", _label_blocks(self.labels, bool(lowers.any())))
+
+        def rows(part):  # one row per member; a shared part's are one row, not copies
+            return np.broadcast_to(part.reshape(len(part), -1), (self.members, part[0].size))
+
+        # the rates, conj(A) and A, flat, of the jumps that keep k and of those that lower
+        # it: each entry of L takes the jumps of one shift
         jumps = jumps.reshape(-1, d * d)
-        put("_terms", tuple((shift, weighted[mask], jumps[mask])
+        put("_terms", tuple((shift, rows(rates[:, mask]), np.conj(jumps[mask]), jumps[mask])
                             for shift, mask in ((0, ~lowering), (-1, lowering)) if mask.any()))
-        put("_parts", (decay.ravel(), x.ravel(), np.diagonal(y).copy(), y_off.ravel()))
+        put("_parts", tuple(map(rows, (decay, x, y_diag, y_off))))
 
     def block(self, b) -> np.ndarray:
-        """L[b, b] for an ascending array b of vec indices, assembled alone.
+        """L[b, b] for an ascending array b of vec indices, assembled alone: (n, n) or (P, n, n).
 
         Each entry is the sum the dense formula forms, in its order: the
         jumps rate conj(A) (x) A, in jump order, then - I (x) decay, then
         - decay^T (x) I, then the commutator's I (x) x, whose diagonal
         carries y's, and last y (x) I off the diagonal.  A jump term is
         added wherever the labels let its shift reach: where the jump itself
-        cannot, its product is an exact zero, which leaves the sum's bytes
-        alone (the sum starts at +0 and never reads -0).  So L[b, b] has
-        the bytes of the dense matrix's slice.
+        cannot, or its rate in a member is 0, its product is an exact zero,
+        which leaves the sum's bytes alone (the sum starts at +0 and never
+        reads -0).  Every member's terms are formed by the same elementwise
+        operations, stacked over at most BLOCK_CHUNK_CELLS cells of members
+        at a time, so each member's L[b, b] has the bytes of the dense
+        matrix's slice, alone or in its family.
         """
         b = np.ascontiguousarray(b, dtype=np.intp)
         geometry = _block_geometry(self.labels, b.tobytes())
         decay, x, y_diag, y_off = self._parts
-        out = np.zeros((b.size, b.size), dtype=complex)
-        flat = out.reshape(-1)  # a view: the caller holds out alone, with no base behind it
-        for shift, weighted, jumps in self._terms:
-            at, w_at, a_at = geometry.reach[shift]
-            total = np.zeros(at.size, dtype=complex)
-            for product in weighted[:, w_at] * jumps[:, a_at]:  # in jump order
-                total += product
-            flat[at] = total
         left, right = geometry.left, geometry.right
-        flat[left] -= decay[geometry.left_x]
-        flat[right] -= decay[geometry.right_decay]
-        slab = x[geometry.left_x]
-        slab[geometry.left_diagonal] += y_diag[geometry.left_column]
-        flat[left] += slab
-        flat[right] += y_off[geometry.right_y]
+        out = np.zeros((*self._lead, b.size, b.size), dtype=complex)
+        # a view: the caller holds out alone, with no base behind it
+        flat = out.reshape(-1, b.size * b.size)
+        step = max(1, BLOCK_CHUNK_CELLS // b.size ** 2)
+        for members in (slice(a, a + step) for a in range(0, len(flat), step)):
+            chunk = flat[members]
+            for shift, rates, conj, jumps in self._terms:
+                at, w_at, a_at = geometry.reach[shift]
+                total = np.zeros((len(chunk), at.size), dtype=complex)
+                for k in range(len(jumps)):  # in jump order
+                    total += rates[members, k, None] * conj[k, w_at] * jumps[k, a_at]
+                chunk[:, at] = total
+            chunk[:, left] -= decay[members, geometry.left_x]
+            chunk[:, right] -= decay[members, geometry.right_decay]
+            slab = x[members, geometry.left_x]
+            slab[:, geometry.left_diagonal] += y_diag[members, geometry.left_column]
+            chunk[:, left] += slab
+            chunk[:, right] += y_off[members, geometry.right_y]
         return out
 
     @property
@@ -259,15 +298,6 @@ def _block_geometry(labels: tuple, key: bytes) -> _Geometry:
     return geometry
 
 
-def vec(rho) -> np.ndarray:
-    """Column-stack one (D, D) matrix, or each of a (B, D, D) stack into a (B, D*D) row.
-
-    Column-stacking is the row-major order of the transpose.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    return np.swapaxes(rho, -1, -2).reshape(*rho.shape[:-2], -1)
-
-
 @lru_cache(maxsize=None)
 def _chain_labels(n: int) -> tuple:
     """The excitation number of each basis state of an n-qubit chain: its count of |e> sites.
@@ -285,23 +315,42 @@ def _site_jumps(n: int, kind: str) -> tuple:
     return (*_site_operators(n, kind), total)
 
 
-def build_liouvillian(h_matrix, spec: ChannelSpec) -> Liouvillian:
+def build_liouvillian(h_matrix, spec) -> Liouvillian:
     """Full quench generator: commutator plus the alpha-mixed channels, in diagonal form.
 
-    h_matrix is the 2^N x 2^N Hamiltonian of an N-qubit chain; N is read
-    off its shape and must be at most `config.MAX_QUBITS`.
+    h_matrix is the 2^N x 2^N Hamiltonian of an N-qubit chain, or a
+    (P, 2^N, 2^N) stack of them; N is read off its shape and must be at
+    most `config.MAX_QUBITS`.  spec is one `ChannelSpec`, or a sequence of
+    P.  A stack or a sequence gives the family of P generators, member p
+    from H p and spec p (either one shared), each with the rates and the
+    bytes of its own one-generator call; its members must agree on whether
+    they dissipate (ValueError otherwise).
     """
     h = np.asarray(h_matrix, dtype=complex)
-    n_qubits = len(h).bit_length() - 1 if h.ndim == 2 else 0
-    if not 1 <= n_qubits <= MAX_QUBITS or h.shape != (2 ** n_qubits,) * 2:
+    n_qubits = h.shape[-1].bit_length() - 1 if h.ndim in (2, 3) else 0
+    if not 1 <= n_qubits <= MAX_QUBITS or h.shape[-2:] != (2 ** n_qubits,) * 2:
         raise ValueError(f"the Hamiltonian must be 2^N x 2^N with 1 <= N <= "
                          f"{MAX_QUBITS}, got shape {h.shape}")
-    jumps, rates = [], []
-    for weight, kind, interp in ((1.0 - spec.alpha, "minus", spec.alpha_minus),
-                                 (spec.alpha, "z", spec.alpha_z)):
-        if weight > 0.0 and spec.gamma > 0.0:
-            # gamma [(1 - interp) I + interp 11^T] in diagonal form: the site jumps plus their sum
+    specs = (spec,) if isinstance(spec, ChannelSpec) else tuple(spec)
+    if not specs:
+        raise ValueError("spec must be a ChannelSpec or a non-empty sequence of them")
+    jumps, rates = [], [[] for _ in specs]
+    for kind in ("minus", "z"):
+        # gamma [(1 - interp) I + interp 11^T] in diagonal form: the site jumps plus their
+        # sum, added if some member's channel is on, at rate 0 in the others
+        per_spec = [_channel_rates(s, kind, n_qubits) for s in specs]
+        if any(per_spec):
             jumps += _site_jumps(n_qubits, kind)
-            rates += ([weight * spec.gamma * (1.0 - interp)] * n_qubits
-                      + [weight * spec.gamma * interp])
-    return Liouvillian(h, tuple(jumps), tuple(rates), _chain_labels(n_qubits))
+            for row, channel in zip(rates, per_spec):
+                row += channel or [0.0] * (n_qubits + 1)
+    rates = tuple(rates[0]) if isinstance(spec, ChannelSpec) else tuple(map(tuple, rates))
+    return Liouvillian(h, tuple(jumps), rates, _chain_labels(n_qubits))
+
+
+def _channel_rates(spec: ChannelSpec, kind: str, n: int) -> list:
+    """The rates of the n site jumps sigma^kind and of their sum, or [] if the channel is off."""
+    weight, interp = ((1.0 - spec.alpha, spec.alpha_minus) if kind == "minus"
+                      else (spec.alpha, spec.alpha_z))
+    if weight > 0.0 and spec.gamma > 0.0:
+        return [weight * spec.gamma * (1.0 - interp)] * n + [weight * spec.gamma * interp]
+    return []

@@ -77,7 +77,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import Liouvillian, _chain_labels, vec
+from .channels import Liouvillian, _chain_labels
 from .config import grid_error
 from .linalg import expm, hermitian_eigvals_batch, solve
 from .model import check_density_matrix
@@ -465,14 +465,20 @@ def _screen(times, values, support, labels: tuple, per_point: int | None = None)
     return Trajectory(times=times, values=values, layout=layout, spectra=vals)
 
 
-def _initial_vectors(rho0) -> np.ndarray:
-    """Rows vec(rho0[k]) of one (D, D) state or a (B, D, D) stack, as a (B, D*D) array.
+def _initial_states(rho0) -> np.ndarray:
+    """The row-major entries of one (D, D) state or a stack, as a (B, D*D) or (P, B, D*D) array.
 
-    rho0 is first checked, as a whole, to hold density matrices.
+    rho0 is first checked, as a whole, to hold density matrices, and
+    refused if it holds none.  One state gives one row.  The rows are a
+    view of rho0 where it is contiguous: a block b of vec indices reads its
+    entries at `_row_major(b, D)`.
     """
     rho0 = np.asarray(rho0)
+    if rho0.ndim < 2 or 0 in rho0.shape:
+        raise ValueError(f"rho0 must hold at least one (D, D) state, got shape {rho0.shape}")
     check_density_matrix(rho0, context="initial state")
-    return vec(rho0).reshape(-1, rho0.shape[-1] ** 2)
+    rows = rho0.reshape(*rho0.shape[:-2], rho0.shape[-1] * rho0.shape[-2])
+    return rows if rho0.ndim > 2 else rows[None]
 
 
 def _row_major(vec_indices, dim: int) -> np.ndarray:
@@ -518,28 +524,41 @@ def _powers(step, v, rows) -> None:
             power = power @ power
 
 
-def _touched_blocks(liou: Liouvillian, vs) -> list:
-    """The invariant blocks of L, in its order, that some vector of vs (L's dim) has an entry in."""
-    side = math.isqrt(vs.shape[1])
+def _touched_blocks(liou: Liouvillian, states) -> list:
+    """The invariant blocks of L, in its order, that some state has an entry in.
+
+    states holds row-major (D*D) entries along its last axis (`_initial_states`).
+    """
+    side = math.isqrt(states.shape[-1])
     if side != liou.dim_state:
         raise ValueError(f"state shape {(side, side)} does not match dim {liou.dim_state}")
-    held = np.any(vs, axis=0)
-    return [b for b in liou.blocks if held[b].any()]
+    held = np.any(states.reshape(-1, states.shape[-1]), axis=0)
+    return [b for b in liou.blocks if held[_row_major(b, side)].any()]
+
+
+def _one_generator(liou: Liouvillian, caller: str) -> None:
+    """Refuse a family of more than one generator where one is evolved."""
+    if liou.members != 1:
+        raise ValueError(f"{caller} takes one generator, got a family of {liou.members}; "
+                         "evolve_points evolves a family")
 
 
 def propagate(liou: Liouvillian, rho0, grid: TimeGrid) -> Trajectory:
     """Evolve one state rho0 with the one-step blocks exp(L[b, b] dt), their powers by doubling.
 
     Only the blocks b that rho0 touches are assembled (`liou.block(b)`).
+    liou is one generator (or a family of one).
     """
+    _one_generator(liou, "propagate")
     if np.ndim(rho0) != 2:
         raise ValueError(f"propagate takes one (D, D) state, got shape {np.shape(rho0)}")
-    vs = _initial_vectors(rho0)
-    jumps = [(b, expm(liou.block(b) * grid.dt)) for b in _touched_blocks(liou, vs)]
+    states = _initial_states(rho0)
+    jumps = [(b, expm(liou.block(b).reshape(b.size, b.size) * grid.dt))
+             for b in _touched_blocks(liou, states)]
     support, spans = _layout([b for b, _ in jumps], liou.dim_state)
     values = np.zeros((grid.n_steps + 1, support.size), dtype=complex)
     for (b, step), cols in zip(jumps, spans):
-        _powers(step, vs[0, b], values[:, cols])
+        _powers(step, states[0, _row_major(b, liou.dim_state)], values[:, cols])
     return _screen(grid.times(), values, support, liou.labels)
 
 
@@ -599,98 +618,90 @@ def _block_limits(generators, diagonal):
 
 
 def evolve_points(runs, t: float, limit: bool = False) -> list:
-    """Single-jump evolution exp(L t) rho0 of each generator of each run, as `evolve_to` gives it.
+    """Single-jump evolution exp(L t) rho0 of each member of each run, as `evolve_to` gives it.
 
-    runs is an iterable of (rho0, liouvillians), read once: a state or
-    stack of states, checked once as `evolve_to` checks it, and the
-    generators of its dim that all start from it.  Each generator gives
-    only L[b, b] (`liou.block(b)`, assembled alone) and vs[:, b] of the
-    blocks b its states touch, found once per run for each tuple of
-    blocks its generators share, and is dropped before the next is read.
-    The generators whose states touch the same blocks, with the same
-    labels and as many states, form a group; once every run is read, each
-    group's blocks are exponentiated by stacked `expm` calls over
+    runs is an iterable of (rho0, liou), read once: liou is one generator
+    or a family of P (`Liouvillian.members`), and rho0 is a state or a
+    (B, D, D) stack that every member starts from, or a (P, B, D, D) array
+    of one stack per member.  Each rho0 is checked by one
+    `check_density_matrix` call, as `evolve_to` checks it, and refused if
+    it holds no state.  The blocks b its states touch are found once per
+    run, and each is assembled for the whole family by one `liou.block(b)`
+    call; its members are exponentiated by stacked `expm` calls over
     consecutive members, at most EXPM_CHUNK_CELLS cells a call, applied by
-    stacked matrix-vector products and screened by one `_screen` call in
-    the group's labels.  Each acts on every matrix and state as on it
-    alone, so a point gets the bytes it gets alone.  Returns one
-    Trajectory per generator, in input order.  A violation names the step,
-    inside its own point, of the first failing point of the first group
-    (in the order of their first points) that has one.
+    stacked matrix-vector products, and the stack is dropped before the
+    next block is assembled.  The run's states are screened by one
+    `_screen` call in its labels.  Each acts on every matrix and state as on
+    it alone, so a member gets the bytes it gets alone.  A run is evolved
+    and screened before the next one is read.  Returns one Trajectory per
+    member, run after run.  A violation names the step, inside its own
+    member, of the first failing member of the first run that has one.
 
     With limit, each chunk's blocks larger than 1x1 are first tested by
     `_block_limits`, whose one stacked solve takes the chunk's bordered
     blocks that are not exactly singular: a block with a one-dimensional
     kernel is read at t -> infinity, each state as (ell v) x with ell v its
     own fixed-order sum of diagonal entries, and only the others go to
-    `expm` at t.  Both kinds are read from the chunk's one stack of
-    generators and its states, stacked once in their place in the output.
-    The states are screened as before and their times still read t; the
+    `expm` at t.  Both kinds are read from the chunk's generators and its
+    states, which are written in their place in the output first.  The
+    states are screened as before and their times still read t; the
     decision and the limit of a block do not depend on its company.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    groups, count = {}, 0  # key -> (indices, touched blocks, per block its (L[b, b], vs[:, b]))
-    for rho0, liouvillians in runs:
-        vs = _initial_vectors(rho0)
-        # the generators of a run that share their blocks (one tuple, as the declared
-        # structures' are) touch the same ones; holding the tuple keeps its id unique
-        seen = {}
-        for liou in liouvillians:
-            if id(liou.blocks) not in seen:
-                touched = _touched_blocks(liou, vs)
-                seen[id(liou.blocks)] = (liou.blocks, touched, (
-                    liou.labels, len(vs), tuple(b.tobytes() for b in touched)))
-            _, touched, key = seen[id(liou.blocks)]
-            indices, _, held = groups.setdefault(key, ([], touched, [[] for _ in touched]))
-            indices.append(count)
-            count += 1
-            for b, pairs in zip(touched, held):
-                pairs.append((liou.block(b), vs[:, b]))
-            del liou  # a generator goes before the next one is built
-    results = [None] * count
-    for (labels, states, _), (indices, blocks, held) in groups.items():
-        dim = len(labels)
-        support, spans = _layout(blocks, dim)
-        values = np.zeros((len(indices), states, support.size), dtype=complex)
-        for b, pairs, cols in zip(blocks, held, spans):
+    if not 0 <= t < math.inf:  # NaN fails it too
+        raise ValueError(f"t must be finite and >= 0, got {t}")
+    results = []
+    for rho0, liou in runs:
+        rows = _initial_states(rho0)
+        if rows.ndim > 3 or rows.ndim == 3 and len(rows) != liou.members:
+            raise ValueError(f"rho0 of shape {np.shape(rho0)} is neither one stack nor one "
+                             f"stack per member of a family of {liou.members}")
+        touched = _touched_blocks(liou, rows)
+        dim, count, states = liou.dim_state, liou.members, rows.shape[-2]
+        support, spans = _layout(touched, dim)
+        values = np.zeros((count, states, support.size), dtype=complex)
+        # the states are written in their place in values, which the limits and the jumps
+        # then overwrite; a stack nobody else holds goes before the first block is built
+        for b, cols in zip(touched, spans):
+            values[:, :, cols] = rows[..., _row_major(b, dim)]
+        del rho0, rows
+        for b, cols in zip(touched, spans):
+            generators = liou.block(b).reshape(count, b.size, b.size)
             chunk = max(1, EXPM_CHUNK_CELLS // b.size ** 2)
             diagonal = b % (dim + 1) == 0  # vec index i*D + i is entry (i, i)
-            for a in range(0, len(pairs), chunk):
-                generators, entries = zip(*pairs[a:a + chunk])
-                generators = np.stack(generators)
-                # the states are stacked in their place in values, which the limits
-                # and the jumps then overwrite
-                part = np.stack(entries, out=values[a:a + chunk, :, cols])
+            for a in range(0, count, chunk):
+                part, members = values[a:a + chunk, :, cols], generators[a:a + chunk]
                 # a 1x1 block keeps its jump: expm reads exp(0) as 1 - 2^-53, so a limit
                 # read as exactly 1 would move the rows of points that have no limit
-                passed, limits = (_block_limits(generators, diagonal) if limit and b.size > 1
-                                  else (np.zeros(len(generators), dtype=bool), None))
+                passed, limits = (_block_limits(members, diagonal) if limit and b.size > 1
+                                  else (np.zeros(len(members), dtype=bool), None))
                 if passed.any():
                     part[passed] = (_diagonal_sum(part[passed], diagonal)[..., None]
                                     * limits[passed, None])
                 if not passed.all():
-                    steps = expm(generators[~passed] * t)
-                    del generators  # the stack goes before the products' temporaries
+                    steps = expm(members[~passed] * t)
                     part[~passed] = np.matmul(steps[:, None], part[~passed, ..., None])[..., 0]
-        traj = _screen(np.full(values.shape[0] * states, t), values.reshape(-1, support.size),
-                       support, labels, per_point=states)
-        for p, index in enumerate(indices):
-            rows = slice(p * states, (p + 1) * states)
-            results[index] = Trajectory(traj.times[rows], traj.values[rows], traj.layout,
-                                        traj.spectra[rows])
+            del generators  # the family's block goes before the next one is assembled
+        traj = _screen(np.full(count * states, t), values.reshape(-1, support.size),
+                       support, liou.labels, per_point=states)
+        for p in range(count):
+            own = slice(p * states, (p + 1) * states)
+            results.append(Trajectory(traj.times[own], traj.values[own], traj.layout,
+                                      traj.spectra[own]))
+        del liou  # the run's family goes before the next run is read
     return results
 
 
 def evolve_to(liou: Liouvillian, rho0, t: float) -> Trajectory:
     """Single-jump evolution exp(L t) rho0; exact, no intermediate storage.
 
-    rho0 is one (D, D) state or a (B, D, D) stack of states, checked as a
-    whole by one `check_density_matrix` call (a failure names the index of
-    the first bad member); the result is the screened Trajectory with one
-    entry per input state, all at time t.  It is `evolve_points` on one
-    run of one generator: each touched block's exp(L[b, b] t) is computed once
-    and applied to each state by one stacked matrix-vector product, so a
-    state evolves to the same bytes alone or inside a stack.
+    liou is one generator (or a family of one), and rho0 one (D, D) state
+    or a (B, D, D) stack of states, checked as a whole by one
+    `check_density_matrix` call (a failure names the index of the first bad
+    member); the result is the screened Trajectory with one entry per input
+    state, all at time t.  It is `evolve_points` on one run of one
+    generator: each touched block's exp(L[b, b] t) is computed once and
+    applied to each state by one stacked matrix-vector product, so a state
+    evolves to the same bytes alone or inside a stack.
     """
-    return evolve_points([(rho0, [liou])], t)[0]
+    _one_generator(liou, "evolve_to")
+    return evolve_points([(rho0, liou)], t)[0]

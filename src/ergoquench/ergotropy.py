@@ -73,14 +73,16 @@ def ergotropy(rho, h_matrix) -> ErgotropyRecord:
                            rho_spectrum=record.rho_spectrum[0])
 
 
-def trajectory_records(traj: Trajectory, h_matrix) -> ErgotropyRecord:
+def trajectory_records(traj: Trajectory, h_matrix, h_eig=None) -> ErgotropyRecord:
     """ErgotropyRecord of every stored state, as arrays, from the screen's spectra.
 
     Both energies are fixed-order sums per state, so a state's record does
-    not depend on the other states it is stored with.
+    not depend on the other states it is stored with.  h_eig is H's
+    (levels, vectors) if it is already decomposed (`gibbs_state` with
+    with_eig); H is decomposed here otherwise.
     """
     energies = traj.expect(h_matrix)  # ValueError unless h_matrix is (dim, dim)
-    h_levels, _ = hermitian_eig(h_matrix)
+    h_levels, _ = hermitian_eig(h_matrix) if h_eig is None else h_eig
     descending = np.ascontiguousarray(traj.spectra[:, ::-1])
     passive = np.einsum("td,d->t", descending, h_levels, optimize=False)
     return ErgotropyRecord(energy=energies, passive_energy=passive,
@@ -164,15 +166,17 @@ def eigenvalue_crossings(traj: Trajectory,
     return found
 
 
-def energy_basis_populations(traj: Trajectory, h_matrix) -> np.ndarray:
+def energy_basis_populations(traj: Trajectory, h_matrix, h_eig=None) -> np.ndarray:
     """Populations of the ascending energy levels, Tr[P_E rho(t)] / g_E in each of E's g_E columns.
 
     Levels are the eigenvalues of H grouped where neighbours differ by at
     most LEVEL_TOL * max(1, |E|).  A level's projector P_E, unlike a basis
     inside it, is fixed by H, so every column is basis-independent; a
-    non-degenerate level's column is <eps_k| rho |eps_k>.
+    non-degenerate level's column is <eps_k| rho |eps_k>.  h_eig is H's
+    (levels, vectors) if it is already decomposed, as `trajectory_records`
+    takes it.
     """
-    h_levels, h_vecs = hermitian_eig(h_matrix)
+    h_levels, h_vecs = hermitian_eig(h_matrix) if h_eig is None else h_eig
     gaps = np.diff(h_levels) > LEVEL_TOL * np.maximum(1.0, np.abs(h_levels[1:]))
     level = np.concatenate(([0], np.cumsum(gaps)))
     same = level[:, None] == level[None, :]

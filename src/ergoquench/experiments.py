@@ -238,7 +238,7 @@ class _Row(NamedTuple):
     betas: tuple
 
 
-_NO_EXTRA = ((), lambda traj, h_matrix: ())
+_NO_EXTRA = ((), lambda traj, h_matrix, h_eig: ())
 
 
 def _trajectory_blocks(lead, times, rec, added, with_spectrum: bool):
@@ -260,13 +260,16 @@ def _trajectory_figure(config, ids, table, title, label, with_spectrum: bool = T
                        extra=_NO_EXTRA):
     """Shared body of the trajectory figures (fig2/3/5/6/8, appB-channels, appD).
 
-    H is built once per chain size and L once per table row; the (row, beta)
-    trajectories run one at a time in table order, and each one's rows are
-    written as soon as it returns (see `_trajectory_blocks`): a job returns
-    only records, so its states are freed before its rows are formatted.
+    H is built once per chain size and L once per table row, and each row's
+    Gibbs states come from one `gibbs_state` call over its betas, whose
+    decomposition of H the records reuse.  The (row, beta) trajectories
+    run one at a time in table order, and each one's rows are written as
+    soon as it returns (see `_trajectory_blocks`): a job returns only
+    records, so its states are freed before its rows are formatted.
     label(tag, beta) names the SVG series of a trajectory, or None to leave
-    it out.  extra is (columns, cells): cells(traj, h_matrix) returns the
-    added columns, written between ergotropy and the spectrum.
+    it out.  extra is (columns, cells): cells(traj, h_matrix, h_eig) returns
+    the added columns, written between ergotropy and the spectrum, given
+    H's (levels, vectors) h_eig.
     """
     grid = TimeGrid(t_max=config.t_max, dt=config.dt)
     hamiltonians = _hamiltonians((row.n, config.h) for row in table)
@@ -275,16 +278,20 @@ def _trajectory_figure(config, ids, table, title, label, with_spectrum: bool = T
     columns, cells = extra
 
     def run(job):
-        row, (h_matrix, liou), beta = job
-        traj = propagate(liou, gibbs_state(h_matrix, beta), grid)
-        return ((*row.tag, beta), traj.times, trajectory_records(traj, h_matrix),
-                cells(traj, h_matrix), label(row.tag, beta))
+        row, (h_matrix, liou), h_eig, beta, rho0 = job
+        traj = propagate(liou, rho0, grid)
+        return ((*row.tag, beta), traj.times, trajectory_records(traj, h_matrix, h_eig),
+                cells(traj, h_matrix, h_eig), label(row.tag, beta))
+
+    def jobs():  # one row's Gibbs states at a time
+        for row, quench in zip(table, quenches):
+            states, h_eig = gibbs_state(quench[0], row.betas, with_eig=True)
+            yield from ((row, quench, h_eig, beta, rho0) for beta, rho0 in zip(row.betas, states))
 
     series = []
 
     def streamed_blocks():  # each trajectory's rows, written as soon as its job returns
-        jobs = [(row, quench, beta) for row, quench in zip(table, quenches) for beta in row.betas]
-        for lead, times, rec, added, series_label in map(run, jobs):
+        for lead, times, rec, added, series_label in map(run, jobs()):
             if series_label is not None:
                 series.append((series_label, times, rec.ergotropy))
             yield from _trajectory_blocks(lead, times, rec, added, with_spectrum)
@@ -321,7 +328,7 @@ def _run_fig5(config: ExperimentConfig):
 def _run_fig6(config: ExperimentConfig):
     dark = dark_subspace(ModelSpec(n_qubits=config.n_qubits, field_h=config.h))
 
-    def cells(traj, h_matrix):
+    def cells(traj, h_matrix, h_eig):
         return [dark_population_series(traj, dark)]
 
     return _single_size_figure(config, (0.0, 1.0, config.alpha_z),
@@ -354,30 +361,38 @@ def _steady_sweep(config, header, table, betas,
 
     table holds (tag, n, h, channel) points.  H is built once per distinct
     (n, h), before the points run.  Each run of consecutive points of one
-    (n, h), once per (n, h) in the sweeps' tables, is one `evolve_points`
-    run: the stack of every beta's Gibbs state, from one decomposition of
-    H, and the points' generators, each L built as it is read.  One call
-    evolves all points in limit mode: each touched block with a
+    chain size, once per size in the sweeps' tables, is one `evolve_points`
+    run of one generator family (`build_liouvillian` of their H, stacked
+    unless they share one, and their channels) and the Gibbs states of
+    every beta from one `gibbs_state` call: one stack that every member
+    shares when they share H (appB), one stack per member otherwise (fig4).
+    One call evolves all points in limit mode: each touched block with a
     one-dimensional kernel is read at t -> infinity (appB-diss at
     alpha_minus < 1, appB-deph at alpha_z < 1), and the other blocks (fig4,
-    the alpha = 1 rows) jump to t_max.  Each point's ergotropies are read off the
-    CPTP screen's spectra, and block_of(tag, betas, ergotropies) gives its
-    rows as one block (see `_lines`), written in table order once every
-    point has evolved.
+    the alpha = 1 rows) jump to t_max.  Each point's ergotropies are read
+    off the CPTP screen's spectra and the levels of its H's decomposition
+    in `gibbs_state`, and block_of(tag, betas, ergotropies) gives its rows
+    as one block (see `_lines`), written in table order once every point
+    has evolved.
     """
     hamiltonians = _hamiltonians((n, h) for _, n, h, _ in table)
     betas = np.asarray(betas, dtype=float)
+    eigs = []  # H's (levels, vectors) of each point, for the readout
 
-    # (Gibbs stack, its generators) of each (n, h), each L built as it is read;
-    # evolve_points reads a run's generators before the next run, as groupby requires
-    def runs():
-        for (n, h), rows in groupby(table, key=itemgetter(1, 2)):
-            yield gibbs_state(hamiltonians[n, h], betas), (
-                _quench(hamiltonians, n, h, config.gamma, channel)[1] for *_, channel in rows)
+    def run(n, rows):  # returned, not held: evolve_points drops each run before the next
+        fields, channels = zip(*((h, channel) for _, _, h, channel in rows))
+        h_matrix = (hamiltonians[n, fields[0]] if len(set(fields)) == 1
+                    else np.stack([hamiltonians[n, h] for h in fields]))
+        rho0, (levels, vectors) = gibbs_state(h_matrix, betas, with_eig=True)
+        eigs.extend(zip(levels, vectors) if levels.ndim == 2
+                    else [(levels, vectors)] * len(fields))
+        return rho0, build_liouvillian(h_matrix, [ChannelSpec(config.gamma, *channel)
+                                                  for channel in channels])
 
-    steady = evolve_points(runs(), config.t_max, limit=True)
-    blocks = (block_of(tag, betas, trajectory_records(traj, hamiltonians[n, h]).ergotropy)
-              for (tag, n, h, _), traj in zip(table, steady))
+    steady = evolve_points((run(n, rows) for n, rows in groupby(table, key=itemgetter(1))),
+                           config.t_max, limit=True)
+    blocks = (block_of(tag, betas, trajectory_records(traj, hamiltonians[n, h], eig).ergotropy)
+              for (tag, n, h, _), traj, eig in zip(table, steady, eigs))
     return [_write_csv(_output(config, "csv"), header, blocks)]
 
 
@@ -435,7 +450,7 @@ def _run_appc_check(config: ExperimentConfig):
     h_matrix, liou_par = _quench(hamiltonians, n, config.h, config.gamma, (0.0, 0.0, 0.0))
     _, liou_col = _quench(hamiltonians, n, config.h, config.gamma, (0.0, 1.0, 0.0))
     _, liou_dep = _quench(hamiltonians, n, config.h, config.gamma, (1.0, 0.0, 0.0))
-    rho0s = [gibbs_state(h_matrix, beta) for beta in betas]
+    rho0s = gibbs_state(h_matrix, betas)
     pars = [propagate(liou_par, rho0, grid) for rho0 in rho0s]
     inits = [TwoQubitBlockState.from_density(traj.states[0]) for traj in pars]
     # each oracle builds its exp(G t) stack once for all betas
@@ -462,8 +477,8 @@ def _run_appc_check(config: ExperimentConfig):
 
 
 def _run_appd(config: ExperimentConfig):
-    def cells(traj, h_matrix):
-        populations = energy_basis_populations(traj, h_matrix)
+    def cells(traj, h_matrix, h_eig):
+        populations = energy_basis_populations(traj, h_matrix, h_eig)
         marks = {}
         for t_cross, pair in eigenvalue_crossings(traj):
             k = int(round((t_cross - traj.times[0]) / config.dt))

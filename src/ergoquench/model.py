@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import MAX_QUBITS
-from .linalg import dagger, hermitian_eig, hermitian_eigvals_batch, kron
+from .linalg import dagger, hermitian_eig_batch, hermitian_eigvals_batch, kron
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -29,6 +29,7 @@ PAULI = {
 DENSITY_HERM_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
 DENSITY_PSD_TOL = 1e-9
+STATE_CHUNK = 256  # states whose Gibbs products or check temporaries are held at once
 
 
 @dataclass(frozen=True)
@@ -94,16 +95,22 @@ def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
     return h
 
 
-def gibbs_state(h_matrix, beta) -> np.ndarray:
-    """Thermal state exp(-beta H) / Z, built in the eigenbasis of H.
+def gibbs_state(h_matrix, beta, with_eig: bool = False):
+    """Thermal states exp(-beta H) / Z, built in the eigenbasis of H.
 
-    beta is a scalar, giving one (D, D) state, or a 1-D array of inverse
-    temperatures, giving the (B, D, D) stack of their states from a single
-    decomposition of H; each member has the bytes of its scalar call.
-    The Boltzmann weights are exponentials of spectrum shifted by the
-    ground energy, so an arbitrarily large finite beta tends to the
-    uniform mixture over the (possibly degenerate) ground space without
-    ever overflowing; a NaN or infinite beta is refused.
+    h_matrix is one (D, D) Hamiltonian or a (P, D, D) stack, decomposed by
+    one `hermitian_eig_batch` call; beta is a scalar or a 1-D array of B
+    inverse temperatures.  One H gives a (D, D) state or the (B, D, D)
+    stack of its betas' states, and a stack of H the (P, D, D) or (P, B, D,
+    D) stack of each H's; each member has the bytes of its own call with
+    one H and one beta.  The Boltzmann weights are exponentials of spectrum
+    shifted by the ground energy, so an arbitrarily large finite beta tends
+    to the uniform mixture over the (possibly degenerate) ground space
+    without ever overflowing; a NaN or infinite beta is refused.  With
+    with_eig it returns (states, (levels, vectors)), the ascending levels
+    and eigenvectors of H the states were built from ((D,) and (D, D), with
+    a leading P for a stack), for readers of H's levels (`trajectory_records`,
+    `energy_basis_populations`).
     """
     betas = np.asarray(beta, dtype=float)
     if betas.ndim > 1:
@@ -112,20 +119,31 @@ def gibbs_state(h_matrix, beta) -> np.ndarray:
         raise ValueError(f"beta must be finite, got {beta}")
     if np.any(betas < 0):
         raise ValueError(f"beta must be >= 0, got {beta}")
-    vals, vecs = hermitian_eig(h_matrix)
-    weights = np.exp(-betas.reshape(-1, 1) * (vals - vals[0]))
+    h = np.asarray(h_matrix, dtype=complex)
+    vals, vecs = hermitian_eig_batch(h if h.ndim == 3 else h[None])
+    weights = np.exp(-betas.reshape(-1, 1) * (vals - vals[:, :1])[:, None])
     weights /= weights.sum(axis=-1, keepdims=True)
-    stack = (vecs * weights[..., None, :]) @ dagger(vecs)
-    return stack if betas.ndim else stack[0]
+    stack = np.empty(weights.shape + weights.shape[-1:], dtype=complex)  # (P, B, D, D)
+    step = max(1, STATE_CHUNK // weights.shape[1])  # members whose products are held at once
+    for part in (slice(a, a + step) for a in range(0, len(stack), step)):
+        np.matmul(vecs[part, None] * weights[part, ..., None, :], dagger(vecs[part])[:, None],
+                  out=stack[part])
+    states = stack if betas.ndim else stack[:, 0]
+    if h.ndim == 2:
+        states, vals, vecs = states[0], vals[0], vecs[0]
+    return (states, (vals, vecs)) if with_eig else states
 
 
 def check_density_matrix(rho, context: str = "state") -> None:
     """Raise ValueError unless rho is Hermitian, unit-trace and PSD within tolerance.
 
-    rho is one (D, D) state or a (B, D, D) stack; positivity is read from
-    one batched, values-only decomposition of its Hermitian part.  For a
-    stack the message ends with the index of the first member that fails;
-    a NaN deviation fails too.
+    rho is one (D, D) state or a stack of them, (B, D, D) or with more
+    leading axes; positivity is read from a batched, values-only
+    decomposition of its Hermitian part.  The checks read STATE_CHUNK
+    states at a time, and each check's verdict is taken over the whole
+    stack before the next check's: for a stack the message ends with the
+    index of the first member that fails it (a tuple for more than one
+    leading axis).  A NaN deviation fails too.
     """
     rho = np.asarray(rho)
     stack = rho.reshape((-1,) + rho.shape[-2:])
@@ -133,14 +151,20 @@ def check_density_matrix(rho, context: str = "state") -> None:
     def require(bad, values, template):
         if bad.any():
             k = int(np.argmax(bad))
-            at = "" if rho.ndim == 2 else f" at index {k}"
+            at = ("" if rho.ndim == 2 else f" at index {k}" if rho.ndim == 3
+                  else f" at index {np.unravel_index(k, rho.shape[:-2])}")
             raise ValueError(f"{context}: {template.format(values[k])}{at}")
 
-    adj = dagger(stack)
-    herm = np.abs(stack - adj).max(axis=(1, 2))
+    chunks = [slice(a, a + STATE_CHUNK) for a in range(0, len(stack), STATE_CHUNK)]
+    herm, trace_dev, lowest = np.empty(len(stack)), np.empty(len(stack)), np.empty(len(stack))
+    for chunk in chunks:
+        part = stack[chunk]
+        herm[chunk] = np.abs(part - dagger(part)).max(axis=(1, 2))
+        trace_dev[chunk] = np.abs(np.trace(part, axis1=1, axis2=2) - 1.0)
     require(~(herm <= DENSITY_HERM_TOL), herm,
             f"Hermiticity defect {{:.3e}} > {DENSITY_HERM_TOL:.0e}")
-    trace_dev = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
     require(~(trace_dev <= DENSITY_TRACE_TOL), trace_dev, "trace deviates from 1 by {:.3e}")
-    lowest = hermitian_eigvals_batch(0.5 * (stack + adj))[:, 0]
+    for chunk in chunks:
+        part = stack[chunk]
+        lowest[chunk] = hermitian_eigvals_batch(0.5 * (part + dagger(part)))[:, 0]
     require(~(lowest >= -DENSITY_PSD_TOL), lowest, "negative eigenvalue {:.3e}")

@@ -14,7 +14,8 @@
 - `passive_state`: the passive state itself, from the eigenvectors of H.
 - `two_qubit_collective_block`: the collective channel's two-qubit sector
   system, against propagated states.
-- `unvec`: the inverse of `channels.vec`.
+- `vec` and `unvec`: column stacking, the order the generators act on,
+  and its inverse.
 - `sector_eigvalsh` and `sector_eigh`: spectra and eigenvectors of a
   stack block by block over the connected components of its nonzero
   pattern, found by a breadth-first search, against the screen and the
@@ -45,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ergoquench import (ModelSpec, Trajectory, build_hamiltonian, check_density_matrix,
-                        dark_subspace, gibbs_state, trajectory_records, vec)
+                        dark_subspace, gibbs_state, trajectory_records)
 from ergoquench.linalg import dagger, hermitian_eig, null_space_hermitian
 from ergoquench.model import site_operator
 from ergoquench.oracles import _evolve_block, _parallel_generator
@@ -76,26 +77,40 @@ def _invariant_blocks(matrix) -> tuple:
 
 
 class DenseGenerator:
-    """A D^2 x D^2 generator given whole: `dim_state`, `labels`, `blocks` and `block(b)`.
+    """A D^2 x D^2 generator given whole: `dim_state`, `labels`, `blocks`, `members` and `block(b)`.
 
     Its blocks are the connected components of its nonzero pattern
     (`_invariant_blocks`), so any matrix, one with no symmetry included,
     can be propagated; its labels put every basis state in one class, so
-    its states are screened and tracked as one whole-basis sector.
+    its states are screened and tracked as one whole-basis sector.  A
+    (P, D^2, D^2) stack is a family of P, whose blocks are those of the
+    members' joint pattern.
     """
 
     def __init__(self, matrix):
         self.matrix = np.asarray(matrix, dtype=complex)
         shape = self.matrix.shape
-        dim = math.isqrt(shape[0]) if len(shape) == 2 else 0
-        if dim == 0 or shape != (dim * dim, dim * dim):
+        dim = math.isqrt(shape[-1]) if len(shape) in (2, 3) else 0
+        if dim == 0 or shape[-2:] != (dim * dim, dim * dim):
             raise ValueError(f"a generator matrix is D^2 x D^2 with D >= 1, got shape {shape}")
         self.dim_state = dim
+        self.members = shape[0] if len(shape) == 3 else 1
         self.labels = (0,) * dim
-        self.blocks = _invariant_blocks(self.matrix)
+        self.blocks = _invariant_blocks(np.any(self.matrix.reshape(-1, *shape[-2:]) != 0, axis=0))
 
     def block(self, b) -> np.ndarray:
-        return self.matrix[np.ix_(b, b)]
+        return self.matrix[..., b[:, None], b]
+
+
+def vec(rho) -> np.ndarray:
+    """Column-stack one (D, D) matrix, or each of a (B, D, D) stack into a (B, D*D) row.
+
+    vec(rho)[i + j*D] = rho[i, j], the order the generators' `matrix` and
+    `block` act on; column-stacking is the row-major order of the
+    transpose.  An empty stack gives a (0, D*D) array.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    return np.swapaxes(rho, -1, -2).reshape(*rho.shape[:-2], rho.shape[-1] * rho.shape[-2])
 
 
 def unvec(vs, dim: int) -> np.ndarray:

@@ -5,12 +5,13 @@ import pytest
 
 import ergoquench.channels
 from ergoquench import ChannelSpec, ModelSpec, build_hamiltonian, gibbs_state
-from ergoquench.channels import Liouvillian, _chain_labels, build_liouvillian, vec
+from ergoquench.channels import Liouvillian, _chain_labels, build_liouvillian
 from ergoquench.linalg import dagger, hermitian_eig, kron
 from ergoquench.model import collective_operator, site_operator
 
 from conftest import random_density, random_hermitian
-from reference import DenseGenerator, _invariant_blocks, dissipator_apply, rate_matrix, unvec
+from reference import (DenseGenerator, _invariant_blocks, dissipator_apply, rate_matrix, unvec,
+                       vec)
 
 
 def _dense_kron(a, b):
@@ -282,7 +283,7 @@ def test_liouvillian_takes_a_one_to_four_qubit_hamiltonian_only(h):
         build_liouvillian(h, ChannelSpec(gamma=0.05))
 
 
-@pytest.mark.parametrize("shape", [(4, 16), (16,), (0, 0), (2, 2, 2)])
+@pytest.mark.parametrize("shape", [(4, 16), (16,), (0, 0), (2, 2, 2, 2)])
 def test_liouvillian_hamiltonian_must_be_square(shape):
     with pytest.raises(ValueError, match=r"D x D with D >= 1"):
         Liouvillian(np.zeros(shape, dtype=complex), (), (), (0,) * 4)

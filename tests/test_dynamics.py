@@ -9,7 +9,7 @@ import pytest
 from ergoquench import (ChannelSpec, InvariantViolation, ModelSpec, TimeGrid,
                         build_hamiltonian, build_liouvillian, evolve_to, gibbs_state,
                         propagate)
-from ergoquench.channels import Liouvillian, _chain_labels, vec
+from ergoquench.channels import Liouvillian, _chain_labels
 from ergoquench import dynamics
 from ergoquench.dynamics import (GUARD_TOL, OFF_PARITY_TOL, SCREEN_CHUNK, Trajectory,
                                  _hermitian_2x2_eigvals, _powers, _screen, block_entries,
@@ -26,7 +26,7 @@ from ergoquench.oracles import dark_population_series, dark_subspace
 from conftest import random_density
 from fingerprint import run_defaults
 from reference import (DenseGenerator, _invariant_blocks, mirror, parity_bases, parity_blocks,
-                       parity_eigvalsh, propagate_rk4, sector_eigh, sector_eigvalsh, unvec)
+                       parity_eigvalsh, propagate_rk4, sector_eigh, sector_eigvalsh, unvec, vec)
 
 
 def _liouvillian(n, h_field, **channel):
@@ -148,38 +148,43 @@ def _bits(traj):
             traj.spectra.tobytes())
 
 
-def test_many_point_jump_gives_each_point_the_bytes_of_evolve_to_alone(h2, h4):
-    # N=2 and N=4, dissipation and dephasing: several groups, a 70x70 block alone per
-    # expm call and smaller ones stacked, points of one group in different runs and
-    # not adjacent in the input
+def _family(n, h_field, channels, gamma=0.05):
+    """The generator family of one chain size and field over channels (ChannelSpec keywords)."""
+    h = build_hamiltonian(ModelSpec(n_qubits=n, field_h=h_field))
+    return build_liouvillian(h, [ChannelSpec(gamma=gamma, **channel) for channel in channels])
+
+
+def test_many_point_jump_gives_each_member_the_bytes_of_evolve_to_alone(h2, h4):
+    # N=2 and N=4, dissipation and dephasing: several runs, a 70x70 block alone per
+    # expm call and smaller ones stacked, runs of one size not adjacent in the input
     betas = np.array([0.2, 1.0, 5.0])
     stacks = {2: gibbs_state(h2, betas), 4: gibbs_state(h4, betas)}
-    cases = [(2, [{"alpha_minus": 0.3}]), (4, [{"alpha_minus": 0.5}, {"alpha": 1.0}]),
-             (2, [{"alpha_minus": 1.0}]), (4, [{"alpha": 1.0, "alpha_z": 0.4}]),
+    cases = [(2, [{"alpha_minus": 0.3}, {"alpha_minus": 1.0}]), (4, [{"alpha_minus": 0.5}]),
+             (4, [{"alpha": 1.0}, {"alpha": 1.0, "alpha_z": 0.4}]),
              (2, [{"alpha": 1.0, "alpha_z": 0.7}]), (4, [{"alpha_minus": 1.0}]),
              (2, [{"alpha_minus": 0.0}])]
-    runs = [(stacks[n], [_liouvillian(n, 0.1, gamma=0.05, **channel)[0] for channel in channels])
-            for n, channels in cases]
-    together = dynamics.evolve_points(((rho0, iter(lious)) for rho0, lious in runs), 800.0)
-    points = [(liou, rho0) for rho0, lious in runs for liou in lious]
+    together = dynamics.evolve_points(iter([(stacks[n], _family(n, 0.1, channels))
+                                            for n, channels in cases]), 800.0)
+    points = [(n, channel) for n, channels in cases for channel in channels]
     assert len(together) == len(points) == 8
-    for (liou, rho0), traj in zip(points, together):
-        assert _bits(traj) == _bits(evolve_to(liou, rho0, 800.0))
+    for (n, channel), traj in zip(points, together):
+        alone = _liouvillian(n, 0.1, gamma=0.05, **channel)[0]
+        assert _bits(traj) == _bits(evolve_to(alone, stacks[n], 800.0))
 
 
-def test_many_point_jump_drops_each_dense_generator(h4):
+def test_many_point_jump_drops_each_run_before_it_reads_the_next(h4):
     rho0 = gibbs_state(h4, np.array([0.5, 2.0]))
     refs = []
 
-    def liouvillians():
+    def runs():
         for alpha_minus in (0.0, 0.5, 1.0):
-            liou = _liouvillian(4, 0.1, gamma=0.05, alpha_minus=alpha_minus)[0]
+            liou = _family(4, 0.1, [{"alpha_minus": alpha_minus}] * 2)
             refs.append(weakref.ref(liou))
-            yield liou
+            yield rho0, liou
             del liou
-            assert refs[-1]() is None  # the jump kept only the blocks it touched
+            assert refs[-1]() is None  # the jump kept nothing of the run's family
 
-    assert len(dynamics.evolve_points([(rho0, liouvillians())], 800.0)) == 3
+    assert len(dynamics.evolve_points(runs(), 800.0)) == 6
 
 
 def _counting_checks(monkeypatch):
@@ -195,17 +200,18 @@ def _counting_checks(monkeypatch):
 
 
 @pytest.mark.parametrize("writable", [False, True], ids=["read-only", "writable"])
-def test_many_point_jump_checks_a_run_stack_once_however_many_generators(h2, monkeypatch,
-                                                                         writable):
+def test_many_point_jump_checks_a_run_stack_once_however_many_members(h2, monkeypatch,
+                                                                      writable):
     rho0 = gibbs_state(h2, np.array([0.5, 2.0]))
     rho0.setflags(write=writable)
-    lious = [_liouvillian(2, 0.1, gamma=0.05, alpha_minus=a)[0] for a in (0.0, 0.5, 1.0)]
+    channels = [{"alpha_minus": a} for a in (0.0, 0.5, 1.0)]
     calls = _counting_checks(monkeypatch)
-    together = dynamics.evolve_points([(rho0, lious)], 800.0)
+    together = dynamics.evolve_points([(rho0, _family(2, 0.1, channels))], 800.0)
     assert len(calls) == 1
     monkeypatch.undo()
-    for liou, traj in zip(lious, together):
-        assert _bits(traj) == _bits(evolve_to(liou, rho0, 800.0))
+    for channel, traj in zip(channels, together, strict=True):
+        alone = _liouvillian(2, 0.1, gamma=0.05, **channel)[0]
+        assert _bits(traj) == _bits(evolve_to(alone, rho0, 800.0))
 
 
 def test_many_point_jump_checks_each_run_and_rejects_a_generator_of_another_dim(h2, h4,
@@ -215,37 +221,34 @@ def test_many_point_jump_checks_each_run_and_rejects_a_generator_of_another_dim(
     liou2, liou4 = _liouvillian(2, 0.1, gamma=0.05)[0], _liouvillian(4, 0.1, gamma=0.05)[0]
     calls = _counting_checks(monkeypatch)
     # an equal copy of a stack is a run of its own, checked again
-    dynamics.evolve_points([(rho2, [liou2]), (rho2.copy(), [liou2]), (rho4, [liou4]),
-                            (rho2, [liou2])], 1.0)
+    dynamics.evolve_points([(rho2, liou2), (rho2.copy(), liou2), (rho4, liou4),
+                            (rho2, liou2)], 1.0)
     assert len(calls) == 4
-    # a 4x4 stack, checked, with a 16x16 generator later in its run
+    # a 4x4 stack, checked, with a 16x16 generator
     with pytest.raises(ValueError, match="does not match dim 16"):
-        dynamics.evolve_points([(rho2, [liou2, liou4])], 1.0)
+        dynamics.evolve_points([(rho2, liou2), (rho2, liou4)], 1.0)
 
 
-def test_many_point_jump_rejects_a_bad_run_stack_before_reading_a_generator(h2):
+def test_many_point_jump_rejects_a_bad_run_stack_before_assembling_a_block(h2, monkeypatch):
     bad = 2.0 * gibbs_state(h2, np.array([0.5, 2.0]))
     liou = _liouvillian(2, 0.1, gamma=0.05)[0]
-    read = []
-
-    def liouvillians():
-        read.append(1)
-        yield liou
-
+    assembled = []
+    block = Liouvillian.block
+    monkeypatch.setattr(Liouvillian, "block", lambda self, b: assembled.append(1) or block(self, b))
     with pytest.raises(ValueError, match=r"initial state: trace deviates from 1 by 1\.000e\+00"):
-        dynamics.evolve_points([(bad, liouvillians())], 1.0)
-    assert read == []
+        dynamics.evolve_points([(bad, liou)], 1.0)
+    assert assembled == []
 
 
-def test_many_point_jump_reports_a_violation_at_its_step_in_its_own_point():
+def test_many_point_jump_reports_a_violation_at_its_step_in_its_own_member():
     # identity generators and one that drains the population of level 3: all
-    # singleton blocks, so the three points form one group; the second point's
-    # third state loses trace, and so does the third point's first
+    # singleton blocks; the second member's third state loses trace, and so does the
+    # third run's first
     drain = np.zeros((16, 16), dtype=complex)
     drain[15, 15] = -1.0  # vec index of (3, 3)
     stack = np.array([np.diag(np.eye(4)[k]).astype(complex) for k in (0, 1, 3)])
-    runs = [(stack, [DenseGenerator(np.zeros((16, 16), dtype=complex)), DenseGenerator(drain)]),
-            (stack[::-1].copy(), [DenseGenerator(drain)])]
+    family = DenseGenerator(np.array([np.zeros((16, 16), dtype=complex), drain]))
+    runs = [(stack, family), (stack[::-1].copy(), DenseGenerator(drain))]
     with pytest.raises(InvariantViolation, match=r"trace defect 6\.321e-01 at step 2 \(t=1\)"):
         dynamics.evolve_points(runs, 1.0)
     with pytest.raises(InvariantViolation, match=r"trace defect 6\.321e-01 at step 2 \(t=1\)"):
@@ -263,7 +266,11 @@ def test_limit_jump_gives_a_point_its_bytes_alone_in_a_stacked_or_a_fallback_chu
     # is left out of its chunk's solve and keeps its jump
     betas = np.array([0.2, 1.0, 5.0])
     rho2 = gibbs_state(h2, betas)
-    deph = {a: _liouvillian(2, 0.1, gamma=0.05, alpha=1.0, alpha_z=a)[0] for a in (0.3, 0.6, 1.0)}
+    deph = {a: {"alpha": 1.0, "alpha_z": a} for a in (0.3, 0.6, 1.0)}
+
+    def family(*alphas):
+        return _family(2, 0.1, [deph[a] for a in alphas])
+
     solves, original = [], dynamics.solve
 
     def counting(a, b):
@@ -271,28 +278,31 @@ def test_limit_jump_gives_a_point_its_bytes_alone_in_a_stacked_or_a_fallback_chu
         return original(a, b)
 
     monkeypatch.setattr(dynamics, "solve", counting)
-    stacked = _limit_jumps([(rho2, [deph[0.3], deph[0.6]])])
+    stacked = _limit_jumps([(rho2, family(0.3, 0.6))])
     assert solves == [3]
     solves.clear()
-    mixed = _limit_jumps([(rho2, [deph[0.3], deph[1.0], deph[0.6]])])
+    mixed = _limit_jumps([(rho2, family(0.3, 1.0, 0.6))])
     assert solves == [3]
     solves.clear()
-    alone = [_limit_jumps([(rho2, [deph[a]])])[0] for a in (0.3, 0.6)]
+    alone = [_limit_jumps([(rho2, family(a))])[0] for a in (0.3, 0.6)]
     assert solves == [3, 3]
     solves.clear()
-    singular = _limit_jumps([(rho2, [deph[1.0]])])[0]
+    singular = _limit_jumps([(rho2, family(1.0))])[0]
     assert solves == []  # its chunk's only bordered block is exactly singular
     assert _bits(stacked[0]) == _bits(mixed[0]) == _bits(alone[0])
     assert _bits(stacked[1]) == _bits(mixed[2]) == _bits(alone[1])
-    assert _bits(mixed[1]) == _bits(singular) == _bits(evolve_to(deph[1.0], rho2, 800.0))
+    own = {a: _liouvillian(2, 0.1, gamma=0.05, **deph[a])[0] for a in deph}
+    assert _bits(mixed[1]) == _bits(singular) == _bits(evolve_to(own[1.0], rho2, 800.0))
     # the limit was read: it is not the t = 800 jump
-    assert stacked[1].values.tobytes() != evolve_to(deph[0.6], rho2, 800.0).values.tobytes()
+    assert stacked[1].values.tobytes() != evolve_to(own[0.6], rho2, 800.0).values.tobytes()
     # N=4 dissipation, a 70x70 block a chunk, next to points without a limit
     rho4 = gibbs_state(h4, betas)
-    diss = [_liouvillian(4, 0.1, gamma=0.05, alpha_minus=a)[0] for a in (0.9, 1.0, 0.4)]
-    together = _limit_jumps([(rho4, diss), (rho2, [deph[0.6]])])
-    for liou, rho0, traj in zip(diss + [deph[0.6]], [rho4] * 3 + [rho2], together):
-        assert _bits(traj) == _bits(_limit_jumps([(rho0, [liou])])[0])
+    alphas = (0.9, 1.0, 0.4)
+    together = _limit_jumps([(rho4, _family(4, 0.1, [{"alpha_minus": a} for a in alphas])),
+                             (rho2, family(0.6))])
+    diss = [_liouvillian(4, 0.1, gamma=0.05, alpha_minus=a)[0] for a in alphas]
+    for liou, rho0, traj in zip(diss + [own[0.6]], [rho4] * 3 + [rho2], together, strict=True):
+        assert _bits(traj) == _bits(_limit_jumps([(rho0, liou)])[0])
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -303,7 +313,7 @@ def test_limit_jump_keeps_the_jump_of_a_1x1_block(h2, h4, n):
     rho0 = gibbs_state({2: h2, 4: h4}[n], np.array([0.2, 1.0, 5.0]))
     for alpha_z in (0.3, 1.0):
         liou = _liouvillian(n, 0.1, gamma=0.05, alpha=1.0, alpha_z=alpha_z)[0]
-        limit = _limit_jumps([(rho0, [liou])])[0]
+        limit = _limit_jumps([(rho0, liou)])[0]
         jump = evolve_to(liou, rho0, 800.0)
         corners = np.isin(limit.support, [0, 4 ** n - 1])  # |1..1><1..1| and |0..0><0..0|
         assert np.count_nonzero(corners) == 2
@@ -317,7 +327,8 @@ def test_limit_jump_at_zero_rate_is_the_jump_and_leaves_no_ergotropy(h2, h4):
     for h in (h2, h4):
         rho0 = gibbs_state(h, betas)
         lious = [build_liouvillian(h, ChannelSpec(0.0, *channel)) for channel in channels]
-        for liou, traj in zip(lious, _limit_jumps([(rho0, lious)])):
+        family = build_liouvillian(h, [ChannelSpec(0.0, *channel) for channel in channels])
+        for liou, traj in zip(lious, _limit_jumps([(rho0, family)]), strict=True):
             assert _bits(traj) == _bits(evolve_to(liou, rho0, 800.0))
             assert np.abs(trajectory_records(traj, h).ergotropy).max() <= 1e-12
 
@@ -329,7 +340,7 @@ def test_limit_jump_sends_a_non_finite_generator_to_expm(h2, value):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(LinalgError, match="expm input has non-finite entries"):
-            _limit_jumps([(gibbs_state(h2, 0.5), [DenseGenerator(matrix)])])
+            _limit_jumps([(gibbs_state(h2, 0.5), DenseGenerator(matrix))])
     # as evolve_to: only inf * 0, in the complex product L_b t, warns
     assert [str(w.message) for w in caught] == (
         ["invalid value encountered in multiply"] if np.isinf(value) else [])
@@ -341,12 +352,12 @@ def test_limit_jump_leaves_a_generator_that_is_not_trace_preserving_on_its_jump(
     matrix = _liouvillian(2, 0.1, gamma=0.05, alpha_minus=0.5)[0].matrix.copy()
     matrix[0, 0] -= 1e-10
     liou, rho0 = DenseGenerator(matrix), gibbs_state(h2, np.array([0.2, 5.0]))
-    assert _bits(_limit_jumps([(rho0, [liou])])[0]) == _bits(evolve_to(liou, rho0, 800.0))
+    assert _bits(_limit_jumps([(rho0, liou)])[0]) == _bits(evolve_to(liou, rho0, 800.0))
     # a generator that drains level 3: its 1x1 block loses trace, still reported at its step
     drain = np.zeros((16, 16), dtype=complex)
     drain[15, 15] = -1.0
     with pytest.raises(InvariantViolation, match=r"trace defect 6\.321e-01 at step 0 \(t=1\)"):
-        _limit_jumps([(np.diag(np.eye(4)[3]).astype(complex), [DenseGenerator(drain)])], 1.0)
+        _limit_jumps([(np.diag(np.eye(4)[3]).astype(complex), DenseGenerator(drain))], 1.0)
 
 
 ALPHAS = tuple(round(0.1 * k, 1) for k in range(11))

@@ -133,13 +133,13 @@ def test_steady_sweep_decomposes_h_once_per_chain_and_field(tmp_path, monkeypatc
     # 11 points of one (n, h)
     from ergoquench import model
     calls = []
-    original = model.hermitian_eig
+    original = model.hermitian_eig_batch
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(model, "hermitian_eig", counting)
+    monkeypatch.setattr(model, "hermitian_eig_batch", counting)
     config = _config(experiment="appB-diss", output_dir=str(tmp_path),
                      t_max=10.0, n_qubits=2)
     _, rows = _read(run_experiment(config)[0])
@@ -164,17 +164,21 @@ def test_steady_sweep_checks_each_gibbs_stack_once(tmp_path, monkeypatch):
 
 
 def test_one_steady_pass_keeps_its_checks_and_stacked_expm_calls(tmp_path, monkeypatch):
-    # fig4, appB-diss and appB-deph at the default config: one check per Gibbs
-    # stack (fig4's 50 fields, N=2 and N=4 of each appB sweep); the 60 blocks
-    # larger than 1x1 of the 40 alpha < 1 points read their limit, each chunk's
-    # bordered blocks that are not exactly singular share one stacked solve, and
-    # each group's other blocks go in stacked expm calls of at most EXPM_CHUNK_CELLS cells.
-    # Only the touched blocks are assembled, from the declared labels: no dense
-    # generator, and no pattern search on a generator or a support
-    checks, shapes, limits, solved, cells = [], [], [], [], []
+    # fig4, appB-diss and appB-deph at the default config: one generator family, one
+    # Gibbs stack and one check per chain size of each sweep (fig4's 50 fields, N=2 and
+    # N=4 of each appB sweep), and one decomposition of each family's H, which the
+    # readout reuses; the 60 blocks larger than 1x1 of the 40 alpha < 1 points read
+    # their limit, each chunk's bordered blocks that are not exactly singular share one
+    # stacked solve, and each family's other blocks go in stacked expm calls of at most
+    # EXPM_CHUNK_CELLS cells.  Only the touched blocks are assembled, from the declared
+    # labels, one call per family: no dense generator, and no pattern search on a
+    # generator or a support
+    from ergoquench import linalg, model
+    checks, shapes, limits, solved, cells, builds, decompositions = [], [], [], [], [], [], []
     check, expm, block_limits, solve = (dynamics.check_density_matrix, dynamics.expm,
                                         dynamics._block_limits, dynamics.solve)
-    block = Liouvillian.block
+    block, build, eig_batch = (Liouvillian.block, experiments.build_liouvillian,
+                               linalg.hermitian_eig_batch)
 
     def counting_check(rho, *args, **kwargs):
         checks.append(1)
@@ -194,22 +198,36 @@ def test_one_steady_pass_keeps_its_checks_and_stacked_expm_calls(tmp_path, monke
         return passed, found
 
     def counting_block(liou, b):
-        cells.append((liou.dim_state, len(b)))
-        return block(liou, b)
+        out = block(liou, b)
+        cells.append((liou.dim_state, len(b), out.size))
+        return out
+
+    def counting_build(h, spec):
+        builds.append(1)
+        return build(h, spec)
+
+    def counting_eig_batch(ms):  # hermitian_eig, as the readout would call it, comes here
+        decompositions.append(len(ms))
+        return eig_batch(ms)
 
     monkeypatch.setattr(dynamics, "check_density_matrix", counting_check)
     monkeypatch.setattr(dynamics, "expm", counting_expm)
     monkeypatch.setattr(dynamics, "_block_limits", counting_limits)
     monkeypatch.setattr(dynamics, "solve", counting_solve)
     monkeypatch.setattr(Liouvillian, "block", counting_block)
+    monkeypatch.setattr(experiments, "build_liouvillian", counting_build)
+    for module in (linalg, model):
+        monkeypatch.setattr(module, "hermitian_eig_batch", counting_eig_batch)
     for name in ("fig4", "appB-diss", "appB-deph"):
         run_experiment(_config(experiment=name, output_dir=str(tmp_path)))
-    assert not any(n == dim ** 2 for dim, n in cells)  # no dense D^2 x D^2 assembly
+    assert not any(n == dim ** 2 for dim, n, _ in cells)  # no dense D^2 x D^2 assembly
     # fig4 50 x 6^2; appB-diss 11 x 6^2 + 11 x 70^2; appB-deph 11 x (1 + 4^2 + 1)
     # + 11 x (1 + 16^2 + 36^2 + 16^2 + 1), against 72 x 16^2 + 22 x 256^2 = 1,460,224 dense
-    assert sum(n * n for _, n in cells) == 76_204
+    assert len(cells) == 11 and sum(size for *_, size in cells) == 76_204
     assert not hasattr(dynamics, "_invariant_blocks")  # the sectors are declared, not searched
-    assert len(checks) == 54
+    assert len(checks) == 5
+    assert len(builds) == 5
+    assert len(decompositions) == 5 and sum(decompositions) == 54  # fig4's 50 H, appB's 4
     assert sum(limits) == 60
     assert len(solved) == 20 and sum(solved) == 112
     assert len(shapes) == 11 and sum(shape[0] for shape in shapes) == 100
@@ -520,22 +538,19 @@ def test_trajectory_figure_failing_at_its_second_beta_leaves_no_csv(tmp_path, mo
     assert list(tmp_path.iterdir()) == []
 
 
-def test_steady_sweep_failing_at_its_second_point_leaves_no_csv(tmp_path, monkeypatch):
+def test_steady_sweep_failing_at_its_second_run_leaves_no_csv(tmp_path, monkeypatch):
     def failing_second(runs, t_max, **kwargs):
-        count = []
-
-        def counted(liouvillians):
-            for liou in liouvillians:
-                count.append(1)
-                if len(count) == 2:
-                    raise InvariantViolation("point 2")
-                yield liou
-        return evolve_points(((rho0, counted(lious)) for rho0, lious in runs), t_max, **kwargs)
+        def counted():
+            for count, run in enumerate(runs):
+                if count == 1:
+                    raise InvariantViolation("run 2")
+                yield run
+        return evolve_points(counted(), t_max, **kwargs)
 
     monkeypatch.setattr(experiments, "evolve_points", failing_second)
     config = _config(experiment="appB-diss", output_dir=str(tmp_path), t_max=10.0,
-                     beta_list=(0.5,), n_qubits=2)
-    with pytest.raises(InvariantViolation, match="point 2"):
+                     beta_list=(0.5,))
+    with pytest.raises(InvariantViolation, match="run 2"):
         run_experiment(config)
     assert list(tmp_path.iterdir()) == []
 

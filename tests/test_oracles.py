@@ -249,9 +249,12 @@ def test_closed_form_steady_is_the_limit_jump_of_the_engine(n):
     alphas = [round(0.1 * k, 1) for k in range(11)]
     channels = [(0.0, a, 0.0) for a in alphas[:-1]] + [(1.0, 0.0, a) for a in alphas]
     h = build_hamiltonian(ModelSpec(n_qubits=n, field_h=0.1))
-    lious = [build_liouvillian(h, ChannelSpec(GAMMA, *channel)) for channel in channels]
-    steady = evolve_points([(gibbs_state(h, np.array(betas)), lious)], 800.0, limit=True)
-    for channel, traj in zip(channels, steady):
+    rho0 = gibbs_state(h, np.array(betas))
+    # the dissipative and the dephasing channels, one generator family each
+    runs = [(rho0, build_liouvillian(h, [ChannelSpec(GAMMA, *channel) for channel in part]))
+            for part in (channels[:10], channels[10:])]
+    steady = evolve_points(runs, 800.0, limit=True)
+    for channel, traj in zip(channels, steady, strict=True):
         for beta, rho in zip(betas, traj.states):
             assert np.abs(rho - closed_form_steady(n, 0.1, channel, beta)).max() <= 1e-10
 
