@@ -151,8 +151,8 @@ def check_density_matrix(rho, context: str = "state") -> None:
     def require(bad, values, template):
         if bad.any():
             k = int(np.argmax(bad))
-            at = ("" if rho.ndim == 2 else f" at index {k}" if rho.ndim == 3
-                  else f" at index {np.unravel_index(k, rho.shape[:-2])}")
+            index = tuple(map(int, np.unravel_index(k, rho.shape[:-2])))
+            at = f" at index {index[0] if len(index) == 1 else index}" if index else ""
             raise ValueError(f"{context}: {template.format(values[k])}{at}")
 
     chunks = [slice(a, a + STATE_CHUNK) for a in range(0, len(stack), STATE_CHUNK)]

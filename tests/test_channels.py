@@ -461,3 +461,65 @@ def test_site_jumps_are_built_once_per_size_and_kind(monkeypatch):
     jumps = ergoquench.channels._site_jumps(2, "minus")
     assert not any(jump.flags.writeable for jump in jumps)
     assert np.array_equal(jumps[-1], collective_operator(ModelSpec(n_qubits=2), "minus"))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_family_gives_each_member_the_bytes_of_its_own_generator(n):
+    # ROADMAP item 13's grid as families of one chain size: a stack of H with a spec per
+    # member, one H with a spec per member, and a stack of H with one spec.  Members with
+    # a zero rate (gamma = 0, alpha = 0 or 1, an interpolation at 0 or 1) and dissipation
+    # mixed with dephasing sit in one family wherever they agree on lowering
+    grid = [(h, spec) for m, h, spec in LABEL_GRID if m == n]
+    hamiltonians = {h: build_hamiltonian(ModelSpec(n_qubits=n, field_h=h)) for h, _ in grid}
+    own = [build_liouvillian(hamiltonians[h], spec) for h, spec in grid]
+    families = {}  # lowering or not -> member indices
+    for p, liou in enumerate(own):
+        families.setdefault(len(liou.blocks), []).append(p)
+    cases = []
+    for members in families.values():
+        stack = np.stack([hamiltonians[grid[p][0]] for p in members])
+        cases.append((members, build_liouvillian(stack, [grid[p][1] for p in members])))
+        for field, h in hamiltonians.items():
+            same_h = [p for p in members if grid[p][0] == field]
+            cases.append((same_h, build_liouvillian(h, [grid[p][1] for p in same_h])))
+    for spec in dict.fromkeys(spec for _, spec in grid):
+        same_spec = [p for p, (_, s) in enumerate(grid) if s == spec]
+        cases.append((same_spec, build_liouvillian(np.stack([hamiltonians[grid[p][0]]
+                                                             for p in same_spec]), spec)))
+    assert sum(len(members) for members, _ in cases) == 3 * len(grid)
+    for members, family in cases:
+        assert family.members == len(members) and family.blocks is own[members[0]].blocks
+        for b in family.blocks:
+            block = family.block(b)
+            assert block.shape == (len(members), b.size, b.size)
+            for member, p in zip(block, members, strict=True):
+                assert member.tobytes() == own[p].block(b).tobytes()
+
+
+def test_a_family_of_one_generator_has_a_stacked_block(h2):
+    spec = ChannelSpec(gamma=0.05, alpha_minus=0.4)
+    one, family = build_liouvillian(h2, spec), build_liouvillian(h2[None], spec)
+    assert (one.members, family.members) == (1, 1)
+    for b in one.blocks:
+        assert family.block(b).shape == (1, b.size, b.size)
+        assert family.block(b)[0].tobytes() == one.block(b).tobytes()
+
+
+@pytest.mark.parametrize("specs,match", [
+    ([ChannelSpec(0.05, alpha=1.0), ChannelSpec(0.05)], "member 1 disagrees with member 0"),
+    ([ChannelSpec(0.05), ChannelSpec(0.05, alpha_minus=1.0), ChannelSpec(0.0)],
+     "member 2 disagrees with member 0"),
+    ([ChannelSpec(0.0), ChannelSpec(0.05, alpha=0.3)], "member 1 disagrees with member 0"),
+], ids=["dephasing-dissipation", "zero-rate", "mixed"])
+def test_members_that_disagree_on_lowering_are_refused(h2, specs, match):
+    with pytest.raises(ValueError, match=match):
+        build_liouvillian(h2, specs)
+
+
+def test_a_family_needs_one_member_count(h2):
+    with pytest.raises(ValueError, match="one member count >= 1, got \\[2, 3\\]"):
+        build_liouvillian(np.stack([h2, h2]), [ChannelSpec(0.05)] * 3)
+    with pytest.raises(ValueError, match="non-empty sequence"):
+        build_liouvillian(h2, [])
+    with pytest.raises(ValueError, match="one member count >= 1, got \\[0\\]"):
+        Liouvillian(np.zeros((0, 4, 4)), (), (), _chain_labels(2))

@@ -1359,3 +1359,74 @@ def test_the_screen_holds_chunks_of_the_support_only(h4):
     # adjoint, and the difference with its modulus for the Hermiticity defect
     assert traj.support.size == 70
     assert peak <= 4 * SCREEN_CHUNK * 70 * 16 + traj.spectra.nbytes
+
+
+@pytest.mark.parametrize("t", [np.inf, np.nan, -1.0])
+def test_a_non_finite_or_negative_jump_time_is_refused_by_name(h2, t):
+    # inf once failed inside expm after a warning, and NaN with limit returned states
+    # stamped at time NaN
+    liou, rho0 = _liouvillian(2, 0.1, gamma=0.05)[0], gibbs_state(h2, 1.0)
+    with pytest.raises(ValueError, match="^t must be finite and >= 0"):
+        evolve_to(liou, rho0, t)
+    with pytest.raises(ValueError, match="^t must be finite and >= 0"):
+        dynamics.evolve_points([(rho0, liou)], t, limit=True)
+
+
+def test_an_empty_initial_stack_is_refused_by_name(h2):
+    liou = _liouvillian(2, 0.1, gamma=0.05)[0]
+    family = _family(2, 0.1, [{}, {"alpha_minus": 0.5}])
+    assert vec(np.zeros((0, 4, 4))).shape == (0, 16)
+    with pytest.raises(ValueError, match=r"^rho0 must hold at least one \(D, D\) state"):
+        evolve_to(liou, np.zeros((0, 4, 4)), 1.0)
+    with pytest.raises(ValueError, match=r"^rho0 must hold at least one \(D, D\) state"):
+        dynamics.evolve_points([(np.zeros((2, 0, 4, 4)), family)], 1.0)
+
+
+def test_one_generator_propagators_refuse_a_family_and_a_family_its_stack_count(h2):
+    family, rho0 = _family(2, 0.1, [{}, {"alpha_minus": 0.5}]), gibbs_state(h2, 1.0)
+    with pytest.raises(ValueError, match="propagate takes one generator, got a family of 2"):
+        propagate(family, rho0, TimeGrid(t_max=1.0))
+    with pytest.raises(ValueError, match="evolve_to takes one generator, got a family of 2"):
+        evolve_to(family, rho0, 1.0)
+    with pytest.raises(ValueError, match=r"neither one stack nor one stack per member"):
+        dynamics.evolve_points([(np.array([[rho0]] * 3), family)], 1.0)
+    # a family of one is one generator
+    one = _family(2, 0.1, [{"alpha_minus": 0.5}])
+    alone = _liouvillian(2, 0.1, gamma=0.05, alpha_minus=0.5)[0]
+    assert _bits(evolve_to(one, rho0, 5.0)) == _bits(evolve_to(alone, rho0, 5.0))
+    grid = TimeGrid(t_max=5.0)
+    assert _bits(propagate(one, rho0, grid)) == _bits(propagate(alone, rho0, grid))
+
+
+_SEED_PARAMS = {  # the benchmark's seeds: field and betas of the appB sweeps
+    "seed0": (0.1, DEFAULT_BETAS),
+    "seed7": (0.215, (0.595, 0.793, 1.435, 3.434, 4.589)),
+    "seed31": (0.056, (0.554, 1.12, 1.353, 3.418, 4.046)),
+}
+
+
+@pytest.mark.parametrize("seed", list(_SEED_PARAMS))
+def test_a_family_jump_gives_each_member_the_bytes_of_its_own_jump(seed):
+    # the steady sweeps' five families: fig4's 50 fields under collective dissipation,
+    # one Gibbs stack per member, and appB's 11 channels of one H at N=2 and N=4, which
+    # share one stack; each member is its own evolve_to, and with limit its own run
+    h_field, betas = _SEED_PARAMS[seed]
+    collective = ChannelSpec(0.05, 0.0, 1.0, 0.0)
+    hs = np.stack([build_hamiltonian(ModelSpec(n_qubits=2, field_h=f))
+                   for f in np.linspace(0.0, 0.9, 50)])
+    fig4_states = gibbs_state(hs, np.linspace(0.1, 3.0, 50))
+    runs = [(fig4_states, build_liouvillian(hs, collective))]
+    points = [(build_liouvillian(h, collective), rho0) for h, rho0 in zip(hs, fig4_states)]
+    for n in (2, 4):
+        h = build_hamiltonian(ModelSpec(n_qubits=n, field_h=h_field))
+        rho0 = gibbs_state(h, np.array(betas))
+        for kind in (lambda a: (0.0, a, 0.0), lambda a: (1.0, 0.0, a)):
+            specs = [ChannelSpec(0.05, *kind(a)) for a in ALPHAS]
+            runs.append((rho0, build_liouvillian(h, specs)))
+            points += [(build_liouvillian(h, spec), rho0) for spec in specs]
+    jumps = dynamics.evolve_points(runs, 800.0)
+    limits = _limit_jumps(runs)
+    assert len(jumps) == len(limits) == len(points) == 94
+    for (liou, rho0), jump, limit in zip(points, jumps, limits, strict=True):
+        assert _bits(jump) == _bits(evolve_to(liou, rho0, 800.0))
+        assert _bits(limit) == _bits(_limit_jumps([(rho0, liou)])[0])

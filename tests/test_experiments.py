@@ -147,6 +147,27 @@ def test_steady_sweep_decomposes_h_once_per_chain_and_field(tmp_path, monkeypatc
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name,rows", [("fig2", 1), ("fig8", 2), ("appB-channels", 18),
+                                       ("appC-check", 1), ("appD", 1)])
+def test_trajectory_figures_decompose_each_h_once_per_row(tmp_path, monkeypatch, name, rows):
+    # a row's Gibbs states over its betas come from one decomposition of H, which the
+    # records and appD's populations reuse: fig8 has a row per chain size and
+    # appB-channels one per (panel, alpha)
+    from ergoquench import linalg, model
+    calls = []
+    original = linalg.hermitian_eig_batch
+
+    def counting(ms):  # hermitian_eig comes here through linalg
+        calls.append(len(ms))
+        return original(ms)
+
+    for module in (linalg, model):
+        monkeypatch.setattr(module, "hermitian_eig_batch", counting)
+    run_experiment(_config(experiment=name, output_dir=str(tmp_path), t_max=5.0,
+                           beta_list=(0.2, 0.5, 1.0)))
+    assert calls == [1] * rows
+
+
 def test_steady_sweep_checks_each_gibbs_stack_once(tmp_path, monkeypatch):
     # the 11 points of one chain size are one run on one Gibbs stack
     calls = []

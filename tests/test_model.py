@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from ergoquench import (ChannelSpec, ModelSpec, TimeGrid, build_hamiltonian,
 from ergoquench.config import MAX_QUBITS
 from ergoquench.ergotropy import ergotropy
 from ergoquench.linalg import hermitian_eig, kron
-from ergoquench.model import PAULI
+from ergoquench.model import PAULI, STATE_CHUNK
+
+from conftest import random_hermitian
 
 
 def test_single_qubit_spectrum():
@@ -227,3 +231,52 @@ def test_check_density_matrix_names_the_first_bad_member_of_a_stack(bad, message
     with pytest.raises(ValueError) as caught:
         check_density_matrix(bad, context="single")
     assert str(caught.value) == "single: " + message.rsplit(" at index", 1)[0]
+
+
+def test_gibbs_state_of_a_hamiltonian_stack_gives_each_member_its_own_bytes():
+    # fig4's 50 fields and 50 betas (more members than one product chunk holds), and
+    # random complex Hamiltonians of every chain dimension
+    fields = np.linspace(0.0, 0.9, 50)
+    betas = np.linspace(0.1, 3.0, 50)
+    rng = np.random.default_rng(3)
+    cases = [(np.stack([build_hamiltonian(ModelSpec(n_qubits=2, field_h=f)) for f in fields]),
+              betas)]
+    cases += [(np.stack([random_hermitian(rng, 2 ** n) for _ in range(3)]), betas[:4])
+              for n in (1, 3, 4)]
+    for hs, betas in cases:
+        stack, (levels, vectors) = gibbs_state(hs, betas, with_eig=True)
+        assert stack.shape == (len(hs), len(betas)) + hs.shape[1:]
+        for p, h in enumerate(hs):
+            own, (own_levels, own_vectors) = gibbs_state(h, betas, with_eig=True)
+            assert stack[p].tobytes() == own.tobytes()
+            assert levels[p].tobytes() == own_levels.tobytes() == hermitian_eig(h)[0].tobytes()
+            assert vectors[p].tobytes() == own_vectors.tobytes() == hermitian_eig(h)[1].tobytes()
+        scalar = gibbs_state(hs, betas[1])
+        assert scalar.shape == hs.shape
+        assert scalar.tobytes() == b"".join(gibbs_state(h, betas[1]).tobytes() for h in hs)
+
+
+def test_check_density_matrix_reports_the_first_failure_of_the_first_check_across_chunks():
+    good = np.diag([0.75, 0.25]).astype(complex)
+    stack = np.array([good] * (3 * STATE_CHUNK))
+    stack[STATE_CHUNK + 5] = np.diag([0.6, 0.6])  # trace, in the second chunk
+    stack[2 * STATE_CHUNK + 7] = [[1.0, 0.5], [0.0, 0.0]]  # Hermiticity, in the third
+    with pytest.raises(ValueError, match=rf"Hermiticity defect 5\.000e-01 > 1e-10 at index "
+                                         rf"{2 * STATE_CHUNK + 7}$"):
+        check_density_matrix(stack)
+    # a stack per member names the member and the state
+    with pytest.raises(ValueError, match=r"trace deviates from 1 by 2\.000e-01 at index \(1, 5\)$"):
+        check_density_matrix(stack[:2 * STATE_CHUNK].reshape(2, STATE_CHUNK, 2, 2))
+
+
+def test_check_density_matrix_holds_a_chunk_of_temporaries(h4):
+    # fig4's 2,500 Gibbs states: the check's temporaries are a few chunks', not the stack's
+    stack = gibbs_state(h4, np.linspace(0.1, 3.0, 2500))
+    check_density_matrix(stack)
+    tracemalloc.start()
+    try:
+        check_density_matrix(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack.nbytes / 4
