@@ -31,6 +31,17 @@ gathered at the block's entries only, through index geometry cached per
 has the bytes of the dense matrix's slice.  The dense `matrix` is the
 all-indices block, read by the tests alone; the propagators exponentiate
 and step each touched block on its own.
+
+A `Liouvillian` may also be a family of P generators of one chain size
+(`build_liouvillian` of a stack of H or a sequence of channels), as a
+steady sweep's points are.  The jump checks, the A^dag A products and
+the label blocks are then done once for the family, and H's label
+check, the decay, the commutator parts and the rate weighting are
+stacked elementwise operations in the dense formula's order.  A jump
+live in any member is added for all of them: its zero-rate products are
+exact zeros, so `block(b)`, a (P, n, n) stack, gives each member the
+bytes of its own one-generator block.  One generator is the family of
+one whose block has no leading axis.
 """
 
 from __future__ import annotations

@@ -7,13 +7,15 @@ exponentiate L[b, b] t once for each block b that vec(rho0) touches,
 each assembled alone by `Liouvillian.block` (no D^2 x D^2 generator is
 formed), and step or apply only those blocks; every entry outside them
 stays exactly zero, as exact evolution leaves it.
-`evolve_points` jumps runs of generators that start from one state or
-stack (a steady sweep's Gibbs stack), `evolve_to` being its one-point
-case: the points that touch the same blocks share stacked `expm` calls
-per block (up to EXPM_CHUNK_CELLS generator cells a call), one stacked
-apply and one CPTP screen, each acting on every matrix and state as on
-it alone, so a point evolves to the same bytes alone or among others.  A
-steady sweep's dozens of 6x6 problems cost a few numpy calls.  A steady
+`evolve_points` jumps runs of generator families (`Liouvillian.members`)
+that start from one state or stack, or from one stack per member (a
+steady sweep's Gibbs stacks), `evolve_to` being its one-point case: a
+run's touched blocks are each assembled once for the whole family, and
+its members share stacked `expm` calls per block (up to EXPM_CHUNK_CELLS
+generator cells a call), one stacked apply and one CPTP screen, each
+acting on every matrix and state as on it alone, so a point evolves to
+the same bytes alone or among others.  A steady sweep's dozens of 6x6
+problems cost a few numpy calls.  A steady
 sweep asks `evolve_points` for limits: a touched block whose generator
 has a one-dimensional kernel, found by one stacked solve per chunk of the
 blocks bordered by their trace rows that are not exactly singular
@@ -65,7 +67,9 @@ the trajectory's layout, SCREEN_CHUNK states at a time, and matched
 inside their sector.
 Both propagators return such a `Trajectory`: `propagate` one entry per
 grid time, `evolve_to` one entry per input state, all at the target time,
-and `evolve_points` one such Trajectory per point.
+and `evolve_points` one such Trajectory per member.  They read the initial
+states in place, row-major (`_initial_states`): no vectorized copy of a
+stack is made.
 """
 
 from __future__ import annotations

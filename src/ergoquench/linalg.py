@@ -190,6 +190,7 @@ def expm(m) -> np.ndarray:
              + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    del a, a2, a4, a6  # the powers go before the solve's operands and workspace
     x = solve(v - u, v + u)
     for done in range(squarings.max(initial=0)):
         more = np.flatnonzero(squarings > done)
