@@ -40,8 +40,9 @@ check, the decay, the commutator parts and the rate weighting are
 stacked elementwise operations in the dense formula's order.  A jump
 live in any member is added for all of them: its zero-rate products are
 exact zeros, so `block(b)`, a (P, n, n) stack, gives each member the
-bytes of its own one-generator block.  One generator is the family of
-one whose block has no leading axis.
+bytes of its own one-generator block, and `block(b, members)` those of
+the consecutive members a slice picks, assembled alone.  One generator
+is the family of one whose block has no leading axis.
 """
 
 from __future__ import annotations
@@ -55,11 +56,6 @@ import numpy as np
 from .config import MAX_QUBITS
 from .linalg import dagger
 from .model import ModelSpec, _site_operators, collective_operator
-
-
-# Generator cells (members n^2) whose assembly temporaries `Liouvillian.block` holds at
-# once: a whole family's block would hold several times its own size in them.
-BLOCK_CHUNK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -104,9 +100,10 @@ class Liouvillian:
     generator).  `blocks` partitions the D^2 vec indices into ascending
     index arrays, ordered by their first index, that L never couples: the
     classes of k(i) - k(j) of vec index i + j*D when a jump with a nonzero
-    rate lowers k, and of (k(i), k(j)) otherwise.  `block(b)` assembles
-    L[b, b] alone, (n, n) for one generator and (P, n, n) for a family, and
-    `matrix` the whole D^2 x D^2 generator (a (P, D^2, D^2) stack).  `==`
+    rate lowers k, and of (k(i), k(j)) otherwise.  `block(b, members)`
+    assembles L[b, b] alone, (n, n) for one generator and (P, n, n) for a
+    family, or for the members that slice picks, and `matrix` the whole
+    D^2 x D^2 generator (a (P, D^2, D^2) stack).  `==`
     compares identity: an array field has no single truth value.
     """
 
@@ -172,7 +169,7 @@ class Liouvillian:
         y_off[:, np.arange(d), np.arange(d)] = 0.0
         put("dim_state", d)
         put("members", counts[0] if counts else 1)
-        put("_lead", (self.members,) if counts else ())  # block's leading shape
+        put("_stacked", bool(counts))  # whether block has a leading member axis
         put("blocks", _label_blocks(self.labels, bool(lowers.any())))
 
         def rows(part):  # one row per member; a shared part's are one row, not copies
@@ -185,44 +182,39 @@ class Liouvillian:
                             for shift, mask in ((0, ~lowering), (-1, lowering)) if mask.any()))
         put("_parts", tuple(map(rows, (decay, x, y_diag, y_off))))
 
-    def block(self, b) -> np.ndarray:
+    def block(self, b, members=slice(None)) -> np.ndarray:
         """L[b, b] for an ascending array b of vec indices, assembled alone: (n, n) or (P, n, n).
 
-        Each entry is the sum the dense formula forms, in its order: the
-        jumps rate conj(A) (x) A, in jump order, then - I (x) decay, then
-        - decay^T (x) I, then the commutator's I (x) x, whose diagonal
-        carries y's, and last y (x) I off the diagonal.  A jump term is
-        added wherever the labels let its shift reach: where the jump itself
-        cannot, or its rate in a member is 0, its product is an exact zero,
-        which leaves the sum's bytes alone (the sum starts at +0 and never
-        reads -0).  Every member's terms are formed by the same elementwise
-        operations, stacked over at most BLOCK_CHUNK_CELLS cells of members
-        at a time, so each member's L[b, b] has the bytes of the dense
-        matrix's slice, alone or in its family.
+        A family assembles only the consecutive members that the slice
+        members picks, (len, n, n).  Each entry is the sum the dense formula
+        forms, in its order: the jumps rate conj(A) (x) A, in jump order,
+        then - I (x) decay, then - decay^T (x) I, then the commutator's
+        I (x) x, whose diagonal carries y's, and last y (x) I off the
+        diagonal.  A jump term is added wherever the labels let its shift
+        reach: where the jump itself cannot, or its rate in a member is 0,
+        its product is an exact zero, which leaves the sum's bytes alone
+        (the sum starts at +0 and never reads -0).  Every member's terms
+        are formed by the same elementwise operations, stacked over the
+        members asked for, so each member's L[b, b] has the bytes of the
+        dense matrix's slice, alone or in any slice of its family.
         """
         b = np.ascontiguousarray(b, dtype=np.intp)
         geometry = _block_geometry(self.labels, b.tobytes())
-        decay, x, y_diag, y_off = self._parts
-        left, right = geometry.left, geometry.right
-        out = np.zeros((*self._lead, b.size, b.size), dtype=complex)
-        # a view: the caller holds out alone, with no base behind it
-        flat = out.reshape(-1, b.size * b.size)
-        step = max(1, BLOCK_CHUNK_CELLS // b.size ** 2)
-        for members in (slice(a, a + step) for a in range(0, len(flat), step)):
-            chunk = flat[members]
-            for shift, rates, conj, jumps in self._terms:
-                at, w_at, a_at = geometry.reach[shift]
-                total = np.zeros((len(chunk), at.size), dtype=complex)
-                for k in range(len(jumps)):  # in jump order
-                    total += rates[members, k, None] * conj[k, w_at] * jumps[k, a_at]
-                chunk[:, at] = total
-            chunk[:, left] -= decay[members, geometry.left_x]
-            chunk[:, right] -= decay[members, geometry.right_decay]
-            slab = x[members, geometry.left_x]
-            slab[:, geometry.left_diagonal] += y_diag[members, geometry.left_column]
-            chunk[:, left] += slab
-            chunk[:, right] += y_off[members, geometry.right_y]
-        return out
+        decay, x, y_diag, y_off = (part[members] for part in self._parts)
+        out = np.zeros((len(decay), b.size * b.size), dtype=complex)
+        for shift, rates, conj, jumps in self._terms:
+            at, w_at, a_at = geometry.reach[shift]
+            rates, total = rates[members], np.zeros((len(out), at.size), dtype=complex)
+            for k in range(len(jumps)):  # in jump order
+                total += rates[:, k, None] * conj[k, w_at] * jumps[k, a_at]
+            out[:, at] = total
+        out[:, geometry.left] -= decay[:, geometry.left_x]
+        out[:, geometry.right] -= decay[:, geometry.right_decay]
+        slab = x[:, geometry.left_x]
+        slab[:, geometry.left_diagonal] += y_diag[:, geometry.left_column]
+        out[:, geometry.left] += slab
+        out[:, geometry.right] += y_off[:, geometry.right_y]
+        return out.reshape(-1, b.size, b.size) if self._stacked else out.reshape(b.size, b.size)
 
     @property
     def matrix(self) -> np.ndarray:

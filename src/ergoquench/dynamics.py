@@ -7,20 +7,19 @@ exponentiate L[b, b] t once for each block b that vec(rho0) touches,
 each assembled alone by `Liouvillian.block` (no D^2 x D^2 generator is
 formed), and step or apply only those blocks; every entry outside them
 stays exactly zero, as exact evolution leaves it.
-`evolve_points` jumps runs of generator families (`Liouvillian.members`)
-that start from one state or stack, or from one stack per member (a
-steady sweep's Gibbs stacks), `evolve_to` being its one-point case: a
-run's touched blocks are each assembled once for the whole family, and
-its members share stacked `expm` calls per block (up to EXPM_CHUNK_CELLS
-generator cells a call), one stacked apply and one CPTP screen, each
-acting on every matrix and state as on it alone, so a point evolves to
-the same bytes alone or among others.  A steady sweep's dozens of 6x6
-problems cost a few numpy calls.  A steady
-sweep asks `evolve_points` for limits: a touched block whose generator
-has a one-dimensional kernel, found by one stacked solve per chunk of the
-blocks bordered by their trace rows that are not exactly singular
-(`_block_limits`), is read at t -> infinity, its unique steady state
-times each state's trace on it; every other block, and every
+`evolve_points` jumps one generator family (`Liouvillian.members`) from
+one state or stack, or from one stack per member (a steady sweep's Gibbs
+stacks), `evolve_to` being its one-generator case.  Each touched block
+is assembled and jumped EXPM_CHUNK_CELLS generator cells of consecutive
+members at a time, by one stacked `expm` call and one stacked apply,
+and the family is screened once, each acting on every matrix and state
+as on it alone, so a point evolves to the same bytes alone or among
+others: a steady sweep's dozens of 6x6 problems cost a few numpy calls.
+A steady sweep asks `evolve_points` for limits: a touched block whose
+generator has a one-dimensional kernel, found by one stacked solve per
+chunk of the blocks bordered by their trace rows that are not exactly
+singular (`_block_limits`), is read at t -> infinity, its unique steady
+state times each state's trace on it; every other block, and every
 `evolve_to`, keeps the exact jump to t.
 `propagate` steps by doubling: with P = exp(L[b, b] dt)^m, one matrix
 product turns the first m stored states into the next m, and P squares,
@@ -88,9 +87,9 @@ from .model import check_density_matrix
 
 GUARD_TOL = 1e-6  # runtime CPTP guard; test-level bounds are far tighter
 SCREEN_CHUNK = 256  # states whose screen or branch-tracker temporaries are held at once
-# Generator cells (P n^2) per stacked `expm` call of `evolve_points`: the Pade
-# temporaries of a whole stack of 70x70 blocks raised the steady sweeps' peak
-# memory by a fifth, and a 70x70 block (4,900 cells) gains nothing from company.
+# Generator cells (P n^2) that `evolve_points` assembles and exponentiates at once, the
+# one chunk of generator cells: a whole stack of 70x70 blocks' Pade temporaries raised
+# the steady sweeps' peak memory by a fifth; a 70x70 block gains nothing from company.
 EXPM_CHUNK_CELLS = 4096
 # Largest ||M||_1 ||M^-1||_1 of a bordered generator block M (`_block_limits`) whose
 # kernel is read as one-dimensional.  A block with a kernel of dimension 2 or more
@@ -425,9 +424,9 @@ def _screen(times, values, support, labels: tuple, per_point: int | None = None)
     are checked after the last chunk, so the first bad step is reported
     whichever chunk it lies in; a deviation that is not a number (a NaN
     entry) fails the check like one above GUARD_TOL.  The states may be
-    the runs of per_point states of consecutive points (a many-point
-    jump): a violation is then reported for the first run that has one,
-    at its step inside that run.  Each chunk's symmetrized entries are
+    the per_point states of each member of a family in turn (a many-point
+    jump): a violation is then reported for the first member that has one,
+    at its step inside that member.  Each chunk's symmetrized entries are
     written back over `values` in ascending row-major order, the order of
     the returned Trajectory's support; the Trajectory carries the layout.
     """
@@ -458,10 +457,10 @@ def _screen(times, values, support, labels: tuple, per_point: int | None = None)
     for _, dev in checks:
         failed |= ~(dev <= GUARD_TOL)
     if failed.any():
-        run = per_point or len(values)
-        start = int(np.argmax(failed)) // run * run
+        own = per_point or len(values)
+        start = int(np.argmax(failed)) // own * own
         for name, dev in checks:
-            bad = np.flatnonzero(~(dev[start:start + run] <= GUARD_TOL))
+            bad = np.flatnonzero(~(dev[start:start + own] <= GUARD_TOL))
             if bad.size:
                 k = int(bad[0])
                 raise InvariantViolation(f"dynamics: {name} defect {dev[start + k]:.3e} "
@@ -621,25 +620,23 @@ def _block_limits(generators, diagonal):
     return passed, limits
 
 
-def evolve_points(runs, t: float, limit: bool = False) -> list:
-    """Single-jump evolution exp(L t) rho0 of each member of each run, as `evolve_to` gives it.
+def evolve_points(rho0, liou: Liouvillian, t: float, limit: bool = False) -> list:
+    """Single-jump evolution exp(L t) rho0 of each member of a family, as `evolve_to` gives it.
 
-    runs is an iterable of (rho0, liou), read once: liou is one generator
-    or a family of P (`Liouvillian.members`), and rho0 is a state or a
-    (B, D, D) stack that every member starts from, or a (P, B, D, D) array
-    of one stack per member.  Each rho0 is checked by one
+    liou is one generator or a family of P (`Liouvillian.members`), and
+    rho0 is a state or a (B, D, D) stack that every member starts from, or
+    a (P, B, D, D) array of one stack per member.  rho0 is checked by one
     `check_density_matrix` call, as `evolve_to` checks it, and refused if
-    it holds no state.  The blocks b its states touch are found once per
-    run, and each is assembled for the whole family by one `liou.block(b)`
-    call; its members are exponentiated by stacked `expm` calls over
-    consecutive members, at most EXPM_CHUNK_CELLS cells a call, applied by
-    stacked matrix-vector products, and the stack is dropped before the
-    next block is assembled.  The run's states are screened by one
-    `_screen` call in its labels.  Each acts on every matrix and state as on
-    it alone, so a member gets the bytes it gets alone.  A run is evolved
-    and screened before the next one is read.  Returns one Trajectory per
-    member, run after run.  A violation names the step, inside its own
-    member, of the first failing member of the first run that has one.
+    it holds no state.  The blocks b its states touch are found once, and
+    each is assembled EXPM_CHUNK_CELLS generator cells of consecutive
+    members at a time (`liou.block(b, members)`): a chunk is exponentiated
+    by one stacked `expm` call and applied by stacked matrix-vector
+    products before the next is assembled, so no block of the whole family
+    is held.  The states are screened by one `_screen` call in the family's
+    labels.  Each acts on every matrix and state as on it alone, so a
+    member gets the bytes it gets alone.  Returns one Trajectory per
+    member; a violation names the step, inside its own member, of the
+    first failing member.
 
     With limit, each chunk's blocks larger than 1x1 are first tested by
     `_block_limits`, whose one stacked solve takes the chunk's bordered
@@ -653,46 +650,36 @@ def evolve_points(runs, t: float, limit: bool = False) -> list:
     """
     if not 0 <= t < math.inf:  # NaN fails it too
         raise ValueError(f"t must be finite and >= 0, got {t}")
-    results = []
-    for rho0, liou in runs:
-        rows = _initial_states(rho0)
-        if rows.ndim > 3 or rows.ndim == 3 and len(rows) != liou.members:
-            raise ValueError(f"rho0 of shape {np.shape(rho0)} is neither one stack nor one "
-                             f"stack per member of a family of {liou.members}")
-        touched = _touched_blocks(liou, rows)
-        dim, count, states = liou.dim_state, liou.members, rows.shape[-2]
-        support, spans = _layout(touched, dim)
-        values = np.zeros((count, states, support.size), dtype=complex)
-        # the states are written in their place in values, which the limits and the jumps
-        # then overwrite; a stack nobody else holds goes before the first block is built
-        for b, cols in zip(touched, spans):
-            values[:, :, cols] = rows[..., _row_major(b, dim)]
-        del rho0, rows
-        for b, cols in zip(touched, spans):
-            generators = liou.block(b).reshape(count, b.size, b.size)
-            chunk = max(1, EXPM_CHUNK_CELLS // b.size ** 2)
-            diagonal = b % (dim + 1) == 0  # vec index i*D + i is entry (i, i)
-            for a in range(0, count, chunk):
-                part, members = values[a:a + chunk, :, cols], generators[a:a + chunk]
-                # a 1x1 block keeps its jump: expm reads exp(0) as 1 - 2^-53, so a limit
-                # read as exactly 1 would move the rows of points that have no limit
-                passed, limits = (_block_limits(members, diagonal) if limit and b.size > 1
-                                  else (np.zeros(len(members), dtype=bool), None))
-                if passed.any():
-                    part[passed] = (_diagonal_sum(part[passed], diagonal)[..., None]
-                                    * limits[passed, None])
-                if not passed.all():
-                    steps = expm(members[~passed] * t)
-                    part[~passed] = np.matmul(steps[:, None], part[~passed, ..., None])[..., 0]
-            del generators  # the family's block goes before the next one is assembled
-        traj = _screen(np.full(count * states, t), values.reshape(-1, support.size),
-                       support, liou.labels, per_point=states)
-        for p in range(count):
-            own = slice(p * states, (p + 1) * states)
-            results.append(Trajectory(traj.times[own], traj.values[own], traj.layout,
-                                      traj.spectra[own]))
-        del liou  # the run's family goes before the next run is read
-    return results
+    rows = _initial_states(rho0)
+    if rows.ndim > 3 or rows.ndim == 3 and len(rows) != liou.members:
+        raise ValueError(f"rho0 of shape {np.shape(rho0)} is neither one stack nor one "
+                         f"stack per member of a family of {liou.members}")
+    touched = _touched_blocks(liou, rows)
+    dim, count, states = liou.dim_state, liou.members, rows.shape[-2]
+    support, spans = _layout(touched, dim)
+    values = np.zeros((count, states, support.size), dtype=complex)
+    for b, cols in zip(touched, spans):
+        # the states go in their place, which the limits and the jumps then overwrite
+        values[:, :, cols] = rows[..., _row_major(b, dim)]
+        step = max(1, EXPM_CHUNK_CELLS // b.size ** 2)
+        diagonal = b % (dim + 1) == 0  # vec index i*D + i is entry (i, i)
+        for members in (slice(a, a + step) for a in range(0, count, step)):
+            part = values[members, :, cols]
+            generators = liou.block(b, members).reshape(-1, b.size, b.size)
+            # a 1x1 block keeps its jump: expm reads exp(0) as 1 - 2^-53, so a limit
+            # read as exactly 1 would move the rows of points that have no limit
+            passed, limits = (_block_limits(generators, diagonal) if limit and b.size > 1
+                              else (np.zeros(len(generators), dtype=bool), None))
+            if passed.any():
+                part[passed] = (_diagonal_sum(part[passed], diagonal)[..., None]
+                                * limits[passed, None])
+            if not passed.all():
+                part[~passed] = np.matmul(expm(generators[~passed] * t)[:, None],
+                                          part[~passed, ..., None])[..., 0]
+    traj = _screen(np.full(count * states, t), values.reshape(-1, support.size),
+                   support, liou.labels, per_point=states)
+    return [Trajectory(traj.times[own], traj.values[own], traj.layout, traj.spectra[own])
+            for own in (slice(p * states, (p + 1) * states) for p in range(count))]
 
 
 def evolve_to(liou: Liouvillian, rho0, t: float) -> Trajectory:
@@ -702,10 +689,10 @@ def evolve_to(liou: Liouvillian, rho0, t: float) -> Trajectory:
     or a (B, D, D) stack of states, checked as a whole by one
     `check_density_matrix` call (a failure names the index of the first bad
     member); the result is the screened Trajectory with one entry per input
-    state, all at time t.  It is `evolve_points` on one run of one
-    generator: each touched block's exp(L[b, b] t) is computed once and
-    applied to each state by one stacked matrix-vector product, so a state
-    evolves to the same bytes alone or inside a stack.
+    state, all at time t.  It is `evolve_points` of one generator: each
+    touched block's exp(L[b, b] t) is computed once and applied to each
+    state by one stacked matrix-vector product, so a state evolves to the
+    same bytes alone or inside a stack.
     """
     _one_generator(liou, "evolve_to")
-    return evolve_points([(rho0, liou)], t)[0]
+    return evolve_points(rho0, liou, t)[0]

@@ -360,39 +360,36 @@ def _steady_sweep(config, header, table, betas,
     """Shared body of the steady-state sweeps (fig4, appB-diss/deph).
 
     table holds (tag, n, h, channel) points.  H is built once per distinct
-    (n, h), before the points run.  Each run of consecutive points of one
-    chain size, once per size in the sweeps' tables, is one `evolve_points`
-    run of one generator family (`build_liouvillian` of their H, stacked
-    unless they share one, and their channels) and the Gibbs states of
-    every beta from one `gibbs_state` call: one stack that every member
-    shares when they share H (appB), one stack per member otherwise (fig4).
-    One call evolves all points in limit mode: each touched block with a
-    one-dimensional kernel is read at t -> infinity (appB-diss at
-    alpha_minus < 1, appB-deph at alpha_z < 1), and the other blocks (fig4,
-    the alpha = 1 rows) jump to t_max.  Each point's ergotropies are read
-    off the CPTP screen's spectra and the levels of its H's decomposition
-    in `gibbs_state`, and block_of(tag, betas, ergotropies) gives its rows
-    as one block (see `_lines`), written in table order once every point
-    has evolved.
+    (n, h), before the points run.  The consecutive points of one chain
+    size, once per size in the sweeps' tables, are one generator family
+    (`build_liouvillian` of their H, stacked unless they share one, and
+    their channels), evolved in limit mode by one `evolve_points` call
+    from the Gibbs states of every beta, made by one `gibbs_state` call:
+    one stack that every member shares when they share H (appB), one stack
+    per member otherwise (fig4).  Each touched block with a one-dimensional
+    kernel is read at t -> infinity (appB-diss at alpha_minus < 1,
+    appB-deph at alpha_z < 1), and the other blocks (fig4, the alpha = 1
+    rows) jump to t_max.  Each point's ergotropies are read off the CPTP
+    screen's spectra and the levels of its H's decomposition in
+    `gibbs_state`, and block_of(tag, betas, ergotropies) gives its rows as
+    one block (see `_lines`), written in table order once every point has
+    evolved.
     """
     hamiltonians = _hamiltonians((n, h) for _, n, h, _ in table)
     betas = np.asarray(betas, dtype=float)
-    eigs = []  # H's (levels, vectors) of each point, for the readout
-
-    def run(n, rows):  # returned, not held: evolve_points drops each run before the next
-        fields, channels = zip(*((h, channel) for _, _, h, channel in rows))
+    blocks = []
+    for n, rows in groupby(table, key=itemgetter(1)):
+        tags, _, fields, channels = zip(*rows)
         h_matrix = (hamiltonians[n, fields[0]] if len(set(fields)) == 1
                     else np.stack([hamiltonians[n, h] for h in fields]))
         rho0, (levels, vectors) = gibbs_state(h_matrix, betas, with_eig=True)
-        eigs.extend(zip(levels, vectors) if levels.ndim == 2
-                    else [(levels, vectors)] * len(fields))
-        return rho0, build_liouvillian(h_matrix, [ChannelSpec(config.gamma, *channel)
-                                                  for channel in channels])
-
-    steady = evolve_points((run(n, rows) for n, rows in groupby(table, key=itemgetter(1))),
-                           config.t_max, limit=True)
-    blocks = (block_of(tag, betas, trajectory_records(traj, hamiltonians[n, h], eig).ergotropy)
-              for (tag, n, h, _), traj, eig in zip(table, steady, eigs))
+        liou = build_liouvillian(h_matrix, [ChannelSpec(config.gamma, *c) for c in channels])
+        steady = evolve_points(rho0, liou, config.t_max, limit=True)
+        eigs = zip(levels, vectors) if levels.ndim == 2 else [(levels, vectors)] * len(tags)
+        for tag, h, traj, eig in zip(tags, fields, steady, eigs):
+            blocks.append(block_of(tag, betas,
+                                   trajectory_records(traj, hamiltonians[n, h], eig).ergotropy))
+        del rho0, liou, steady  # before the next family is built and the CSV is written
     return [_write_csv(_output(config, "csv"), header, blocks)]
 
 
@@ -414,14 +411,11 @@ def _run_fig4(config: ExperimentConfig):
 
 def _run_fig7(config: ExperimentConfig):
     model = ModelSpec(n_qubits=config.n_qubits, field_h=config.h)
-    dark = dark_subspace(model)
-    h_matrix = build_hamiltonian(model)
     betas = np.linspace(0.0, 5.0, 51)
-    rows = [(beta, p_dark(beta, model, dark=dark, h_matrix=h_matrix),
-             p_dark_derivative(beta, model, dark=dark, h_matrix=h_matrix)) for beta in betas]
-    header = ["beta", "p_dark", "dp_dark_dbeta"]
-    paths = [_write_csv(_output(config, "csv"), header, rows)]
-    paths += _maybe_svg(config, [("p_dark", betas, [r[1] for r in rows])],
+    pops = p_dark(betas, model)
+    paths = [_write_csv(_output(config, "csv"), ["beta", "p_dark", "dp_dark_dbeta"],
+                        [(betas, pops, p_dark_derivative(betas, model))])]
+    paths += _maybe_svg(config, [("p_dark", betas, pops)],
                         "dark-subspace occupation of the thermal state",
                         ylabel="p_dark", xlabel="beta")
     return paths

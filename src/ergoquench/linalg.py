@@ -76,7 +76,7 @@ def hermitian_eig(m):
     Raises
     ------
     LinalgError
-        If the input is not Hermitian within tolerance.
+        If the input is not finite, or not Hermitian within tolerance.
     """
     vals, vecs = hermitian_eig_batch(np.asarray(m, dtype=complex)[None])
     return vals[0], vecs[0]
@@ -91,6 +91,8 @@ def hermitian_eig_batch(ms):
     a = np.array(ms, dtype=complex)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise LinalgError(f"expected a (B, D, D) batch, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):  # a NaN defect would pass the Hermiticity test below
+        raise LinalgError("Hermitian eigendecomposition input has non-finite entries")
     adj = dagger(a)
     # an exactly Hermitian batch (a screened stack of states) needs no defect temporaries
     if not np.array_equal(a, adj):

@@ -106,20 +106,23 @@ def gibbs_state(h_matrix, beta, with_eig: bool = False):
     one H and one beta.  The Boltzmann weights are exponentials of spectrum
     shifted by the ground energy, so an arbitrarily large finite beta tends
     to the uniform mixture over the (possibly degenerate) ground space
-    without ever overflowing; a NaN or infinite beta is refused.  With
-    with_eig it returns (states, (levels, vectors)), the ascending levels
-    and eigenvectors of H the states were built from ((D,) and (D, D), with
-    a leading P for a stack), for readers of H's levels (`trajectory_records`,
+    without ever overflowing; a NaN or infinite beta, an empty beta array
+    and an empty stack of H are refused.  With with_eig it returns
+    (states, (levels, vectors)), the ascending levels and eigenvectors of H
+    the states were built from ((D,) and (D, D), with a leading P for a
+    stack), for readers of H's levels (`trajectory_records`,
     `energy_basis_populations`).
     """
     betas = np.asarray(beta, dtype=float)
-    if betas.ndim > 1:
-        raise ValueError(f"beta must be a scalar or a 1-D array, got shape {betas.shape}")
+    if betas.ndim > 1 or betas.size == 0:
+        raise ValueError(f"beta must be a scalar or a non-empty 1-D array, got shape {betas.shape}")
     if not np.all(np.isfinite(betas)):
         raise ValueError(f"beta must be finite, got {beta}")
     if np.any(betas < 0):
         raise ValueError(f"beta must be >= 0, got {beta}")
     h = np.asarray(h_matrix, dtype=complex)
+    if h.size == 0:
+        raise ValueError(f"h_matrix must hold at least one H, got shape {h.shape}")
     vals, vecs = hermitian_eig_batch(h if h.ndim == 3 else h[None])
     weights = np.exp(-betas.reshape(-1, 1) * (vals - vals[:, :1])[:, None])
     weights /= weights.sum(axis=-1, keepdims=True)

@@ -297,30 +297,32 @@ def dark_subspace(model: ModelSpec) -> DarkSubspace:
     return DarkSubspace(basis=basis, projector=basis @ dagger(basis))
 
 
-def p_dark(beta: float, model: ModelSpec, dark: DarkSubspace | None = None,
-           h_matrix=None) -> float:
-    """Thermal population inside the dark subspace, Tr[P_dark rho_beta]."""
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    dark = dark or dark_subspace(model)
-    h = build_hamiltonian(model) if h_matrix is None else h_matrix
-    return float(np.real(np.trace(dark.projector @ gibbs_state(h, beta))))
+def p_dark(beta, model: ModelSpec):
+    """Thermal population inside the dark subspace, Tr[P_dark rho_beta].
+
+    beta is a scalar, giving a float, or a 1-D array of B, giving a (B,)
+    array whose entries have the bytes of the scalar calls.  H and the
+    dark subspace are built from model, each decomposed once per call.
+    """
+    states = gibbs_state(build_hamiltonian(model), beta)  # which checks beta
+    pops = np.real(np.trace(dark_subspace(model).projector @ states, axis1=-2, axis2=-1))
+    return pops if np.ndim(beta) else float(pops)
 
 
-def p_dark_derivative(beta: float, model: ModelSpec, dark: DarkSubspace | None = None,
-                      h_matrix=None) -> float:
-    """d p_dark / d beta = -(<H>_dark - <H>) p_dark, evaluated in the H eigenbasis."""
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    dark = dark or dark_subspace(model)
-    h = build_hamiltonian(model) if h_matrix is None else h_matrix
-    levels, vecs = hermitian_eig(h)
-    weights = np.exp(-beta * (levels - levels[0]))
-    proj_diag = np.real(np.einsum("ik,ij,jk->k", np.conj(vecs), dark.projector, vecs))
-    pop = float((proj_diag * weights).sum() / weights.sum())
-    mean_h = float((levels * weights).sum() / weights.sum())
-    mean_h_dark = float((proj_diag * levels * weights).sum() / (proj_diag * weights).sum())
-    return -(mean_h_dark - mean_h) * pop
+def p_dark_derivative(beta, model: ModelSpec):
+    """d p_dark / d beta = -(<H>_dark - <H>) p_dark in the H eigenbasis, beta as for `p_dark`."""
+    betas = np.asarray(beta, dtype=float)
+    if betas.ndim > 1 or np.any(betas < 0):
+        raise ValueError(f"beta must be >= 0, a scalar or a 1-D array, got {beta}")
+    levels, vecs = hermitian_eig(build_hamiltonian(model))
+    weights = np.exp(-betas[..., None] * (levels - levels[0]))
+    proj_diag = np.real(np.einsum("ik,ij,jk->k", np.conj(vecs), dark_subspace(model).projector,
+                                  vecs))
+    pop = (proj_diag * weights).sum(axis=-1) / weights.sum(axis=-1)
+    mean_h = (levels * weights).sum(axis=-1) / weights.sum(axis=-1)
+    mean_h_dark = (proj_diag * levels * weights).sum(axis=-1) / (proj_diag * weights).sum(axis=-1)
+    slope = -(mean_h_dark - mean_h) * pop
+    return slope if betas.ndim else float(slope)
 
 
 def dark_population_series(traj: Trajectory, dark: DarkSubspace) -> np.ndarray:

@@ -77,7 +77,7 @@ def _invariant_blocks(matrix) -> tuple:
 
 
 class DenseGenerator:
-    """A D^2 x D^2 generator given whole: `dim_state`, `labels`, `blocks`, `members` and `block(b)`.
+    """A D^2 x D^2 generator given whole: `dim_state`, `labels`, `blocks`, `members` and `block`.
 
     Its blocks are the connected components of its nonzero pattern
     (`_invariant_blocks`), so any matrix, one with no symmetry included,
@@ -98,8 +98,9 @@ class DenseGenerator:
         self.labels = (0,) * dim
         self.blocks = _invariant_blocks(np.any(self.matrix.reshape(-1, *shape[-2:]) != 0, axis=0))
 
-    def block(self, b) -> np.ndarray:
-        return self.matrix[..., b[:, None], b]
+    def block(self, b, members=slice(None)) -> np.ndarray:
+        matrix = self.matrix[members] if self.matrix.ndim == 3 else self.matrix
+        return matrix[..., b[:, None], b]
 
 
 def vec(rho) -> np.ndarray:

@@ -201,14 +201,14 @@ def test_criterion_06_collective_four_qubits(fig6_trajs):
         pd_t = dark_population_series(traj, dark)
         drift[beta] = float(np.abs(pd_t - pd_t[0]).max())
     monotone = all(b >= a - 1e-9 for a, b in zip(steady, steady[1:]))
-    pd_grid = [p_dark(b, model, dark=dark) for b in BETA_GRID]
+    pd_grid = [p_dark(b, model) for b in BETA_GRID]
     increasing = all(b > a for a, b in zip(pd_grid, pd_grid[1:]))
-    pd0 = p_dark(0.0, model, dark=dark)
+    pd0 = p_dark(0.0, model)
     deriv_dev = 0.0
     for beta in (0.2, 1.0, 5.0):
-        fd = (p_dark(beta + 1e-5, model, dark=dark)
-              - p_dark(beta - 1e-5, model, dark=dark)) / 2e-5
-        deriv_dev = max(deriv_dev, abs(p_dark_derivative(beta, model, dark=dark) - fd))
+        fd = (p_dark(beta + 1e-5, model)
+              - p_dark(beta - 1e-5, model)) / 2e-5
+        deriv_dev = max(deriv_dev, abs(p_dark_derivative(beta, model) - fd))
     max_drift = max(drift.values())
     # the open-chain XX Hamiltonian does not commute with P_dark, so the dark
     # population is NOT conserved; the criterion's reporting branch applies

@@ -494,6 +494,12 @@ def test_a_family_gives_each_member_the_bytes_of_its_own_generator(n):
             assert block.shape == (len(members), b.size, b.size)
             for member, p in zip(block, members, strict=True):
                 assert member.tobytes() == own[p].block(b).tobytes()
+            # consecutive members alone are the rows of the whole family's block
+            half = len(members) // 2
+            for part in (slice(0, 1), slice(1, None), slice(half, half + 2)):
+                alone = family.block(b, part)
+                assert alone.shape == block[part].shape
+                assert alone.tobytes() == block[part].tobytes()
 
 
 def test_a_family_of_one_generator_has_a_stacked_block(h2):

@@ -1,7 +1,6 @@
 import sys
 import tracemalloc
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -155,36 +154,22 @@ def _family(n, h_field, channels, gamma=0.05):
 
 
 def test_many_point_jump_gives_each_member_the_bytes_of_evolve_to_alone(h2, h4):
-    # N=2 and N=4, dissipation and dephasing: several runs, a 70x70 block alone per
-    # expm call and smaller ones stacked, runs of one size not adjacent in the input
+    # N=2 and N=4, dissipation and dephasing: families of one and two members, a 70x70
+    # block alone per expm call and smaller ones stacked
     betas = np.array([0.2, 1.0, 5.0])
     stacks = {2: gibbs_state(h2, betas), 4: gibbs_state(h4, betas)}
     cases = [(2, [{"alpha_minus": 0.3}, {"alpha_minus": 1.0}]), (4, [{"alpha_minus": 0.5}]),
              (4, [{"alpha": 1.0}, {"alpha": 1.0, "alpha_z": 0.4}]),
              (2, [{"alpha": 1.0, "alpha_z": 0.7}]), (4, [{"alpha_minus": 1.0}]),
              (2, [{"alpha_minus": 0.0}])]
-    together = dynamics.evolve_points(iter([(stacks[n], _family(n, 0.1, channels))
-                                            for n, channels in cases]), 800.0)
-    points = [(n, channel) for n, channels in cases for channel in channels]
-    assert len(together) == len(points) == 8
-    for (n, channel), traj in zip(points, together):
-        alone = _liouvillian(n, 0.1, gamma=0.05, **channel)[0]
-        assert _bits(traj) == _bits(evolve_to(alone, stacks[n], 800.0))
-
-
-def test_many_point_jump_drops_each_run_before_it_reads_the_next(h4):
-    rho0 = gibbs_state(h4, np.array([0.5, 2.0]))
-    refs = []
-
-    def runs():
-        for alpha_minus in (0.0, 0.5, 1.0):
-            liou = _family(4, 0.1, [{"alpha_minus": alpha_minus}] * 2)
-            refs.append(weakref.ref(liou))
-            yield rho0, liou
-            del liou
-            assert refs[-1]() is None  # the jump kept nothing of the run's family
-
-    assert len(dynamics.evolve_points(runs(), 800.0)) == 6
+    points = 0
+    for n, channels in cases:
+        together = dynamics.evolve_points(stacks[n], _family(n, 0.1, channels), 800.0)
+        for channel, traj in zip(channels, together, strict=True):
+            alone = _liouvillian(n, 0.1, gamma=0.05, **channel)[0]
+            assert _bits(traj) == _bits(evolve_to(alone, stacks[n], 800.0))
+            points += 1
+    assert points == 8
 
 
 def _counting_checks(monkeypatch):
@@ -200,13 +185,13 @@ def _counting_checks(monkeypatch):
 
 
 @pytest.mark.parametrize("writable", [False, True], ids=["read-only", "writable"])
-def test_many_point_jump_checks_a_run_stack_once_however_many_members(h2, monkeypatch,
-                                                                      writable):
+def test_many_point_jump_checks_its_stack_once_however_many_members(h2, monkeypatch,
+                                                                    writable):
     rho0 = gibbs_state(h2, np.array([0.5, 2.0]))
     rho0.setflags(write=writable)
     channels = [{"alpha_minus": a} for a in (0.0, 0.5, 1.0)]
     calls = _counting_checks(monkeypatch)
-    together = dynamics.evolve_points([(rho0, _family(2, 0.1, channels))], 800.0)
+    together = dynamics.evolve_points(rho0, _family(2, 0.1, channels), 800.0)
     assert len(calls) == 1
     monkeypatch.undo()
     for channel, traj in zip(channels, together, strict=True):
@@ -214,49 +199,52 @@ def test_many_point_jump_checks_a_run_stack_once_however_many_members(h2, monkey
         assert _bits(traj) == _bits(evolve_to(alone, rho0, 800.0))
 
 
-def test_many_point_jump_checks_each_run_and_rejects_a_generator_of_another_dim(h2, h4,
-                                                                               monkeypatch):
+def test_many_point_jump_checks_each_call_and_rejects_a_generator_of_another_dim(h2, h4,
+                                                                                monkeypatch):
     rho2 = gibbs_state(h2, np.array([0.5, 2.0]))
     rho4 = gibbs_state(h4, np.array([0.5, 2.0]))
     liou2, liou4 = _liouvillian(2, 0.1, gamma=0.05)[0], _liouvillian(4, 0.1, gamma=0.05)[0]
     calls = _counting_checks(monkeypatch)
-    # an equal copy of a stack is a run of its own, checked again
-    dynamics.evolve_points([(rho2, liou2), (rho2.copy(), liou2), (rho4, liou4),
-                            (rho2, liou2)], 1.0)
+    # each call checks its stack, an equal copy of one checked before included
+    for rho0, liou in [(rho2, liou2), (rho2.copy(), liou2), (rho4, liou4), (rho2, liou2)]:
+        dynamics.evolve_points(rho0, liou, 1.0)
     assert len(calls) == 4
     # a 4x4 stack, checked, with a 16x16 generator
     with pytest.raises(ValueError, match="does not match dim 16"):
-        dynamics.evolve_points([(rho2, liou2), (rho2, liou4)], 1.0)
+        dynamics.evolve_points(rho2, liou4, 1.0)
+    assert len(calls) == 5
 
 
-def test_many_point_jump_rejects_a_bad_run_stack_before_assembling_a_block(h2, monkeypatch):
+def test_many_point_jump_rejects_a_bad_stack_before_assembling_a_block(h2, monkeypatch):
     bad = 2.0 * gibbs_state(h2, np.array([0.5, 2.0]))
     liou = _liouvillian(2, 0.1, gamma=0.05)[0]
     assembled = []
     block = Liouvillian.block
-    monkeypatch.setattr(Liouvillian, "block", lambda self, b: assembled.append(1) or block(self, b))
+    monkeypatch.setattr(Liouvillian, "block",
+                        lambda self, *args: assembled.append(1) or block(self, *args))
     with pytest.raises(ValueError, match=r"initial state: trace deviates from 1 by 1\.000e\+00"):
-        dynamics.evolve_points([(bad, liou)], 1.0)
+        dynamics.evolve_points(bad, liou, 1.0)
     assert assembled == []
 
 
 def test_many_point_jump_reports_a_violation_at_its_step_in_its_own_member():
     # identity generators and one that drains the population of level 3: all
     # singleton blocks; the second member's third state loses trace, and so does the
-    # third run's first
+    # first state of the reversed stack
     drain = np.zeros((16, 16), dtype=complex)
     drain[15, 15] = -1.0  # vec index of (3, 3)
     stack = np.array([np.diag(np.eye(4)[k]).astype(complex) for k in (0, 1, 3)])
     family = DenseGenerator(np.array([np.zeros((16, 16), dtype=complex), drain]))
-    runs = [(stack, family), (stack[::-1].copy(), DenseGenerator(drain))]
     with pytest.raises(InvariantViolation, match=r"trace defect 6\.321e-01 at step 2 \(t=1\)"):
-        dynamics.evolve_points(runs, 1.0)
+        dynamics.evolve_points(stack, family, 1.0)
+    with pytest.raises(InvariantViolation, match=r"trace defect 6\.321e-01 at step 0 \(t=1\)"):
+        dynamics.evolve_points(stack[::-1].copy(), DenseGenerator(drain), 1.0)
     with pytest.raises(InvariantViolation, match=r"trace defect 6\.321e-01 at step 2 \(t=1\)"):
         evolve_to(DenseGenerator(drain), stack, 1.0)
 
 
-def _limit_jumps(runs, t=800.0):
-    return dynamics.evolve_points(runs, t, limit=True)
+def _limit_jumps(rho0, liou, t=800.0):
+    return dynamics.evolve_points(rho0, liou, t, limit=True)
 
 
 def test_limit_jump_gives_a_point_its_bytes_alone_in_a_stacked_or_a_fallback_chunk(h2, h4,
@@ -278,16 +266,16 @@ def test_limit_jump_gives_a_point_its_bytes_alone_in_a_stacked_or_a_fallback_chu
         return original(a, b)
 
     monkeypatch.setattr(dynamics, "solve", counting)
-    stacked = _limit_jumps([(rho2, family(0.3, 0.6))])
+    stacked = _limit_jumps(rho2, family(0.3, 0.6))
     assert solves == [3]
     solves.clear()
-    mixed = _limit_jumps([(rho2, family(0.3, 1.0, 0.6))])
+    mixed = _limit_jumps(rho2, family(0.3, 1.0, 0.6))
     assert solves == [3]
     solves.clear()
-    alone = [_limit_jumps([(rho2, family(a))])[0] for a in (0.3, 0.6)]
+    alone = [_limit_jumps(rho2, family(a))[0] for a in (0.3, 0.6)]
     assert solves == [3, 3]
     solves.clear()
-    singular = _limit_jumps([(rho2, family(1.0))])[0]
+    singular = _limit_jumps(rho2, family(1.0))[0]
     assert solves == []  # its chunk's only bordered block is exactly singular
     assert _bits(stacked[0]) == _bits(mixed[0]) == _bits(alone[0])
     assert _bits(stacked[1]) == _bits(mixed[2]) == _bits(alone[1])
@@ -298,11 +286,11 @@ def test_limit_jump_gives_a_point_its_bytes_alone_in_a_stacked_or_a_fallback_chu
     # N=4 dissipation, a 70x70 block a chunk, next to points without a limit
     rho4 = gibbs_state(h4, betas)
     alphas = (0.9, 1.0, 0.4)
-    together = _limit_jumps([(rho4, _family(4, 0.1, [{"alpha_minus": a} for a in alphas])),
-                             (rho2, family(0.6))])
+    together = (_limit_jumps(rho4, _family(4, 0.1, [{"alpha_minus": a} for a in alphas]))
+                + _limit_jumps(rho2, family(0.6)))
     diss = [_liouvillian(4, 0.1, gamma=0.05, alpha_minus=a)[0] for a in alphas]
     for liou, rho0, traj in zip(diss + [own[0.6]], [rho4] * 3 + [rho2], together, strict=True):
-        assert _bits(traj) == _bits(_limit_jumps([(rho0, liou)])[0])
+        assert _bits(traj) == _bits(_limit_jumps(rho0, liou)[0])
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -313,7 +301,7 @@ def test_limit_jump_keeps_the_jump_of_a_1x1_block(h2, h4, n):
     rho0 = gibbs_state({2: h2, 4: h4}[n], np.array([0.2, 1.0, 5.0]))
     for alpha_z in (0.3, 1.0):
         liou = _liouvillian(n, 0.1, gamma=0.05, alpha=1.0, alpha_z=alpha_z)[0]
-        limit = _limit_jumps([(rho0, liou)])[0]
+        limit = _limit_jumps(rho0, liou)[0]
         jump = evolve_to(liou, rho0, 800.0)
         corners = np.isin(limit.support, [0, 4 ** n - 1])  # |1..1><1..1| and |0..0><0..0|
         assert np.count_nonzero(corners) == 2
@@ -328,7 +316,7 @@ def test_limit_jump_at_zero_rate_is_the_jump_and_leaves_no_ergotropy(h2, h4):
         rho0 = gibbs_state(h, betas)
         lious = [build_liouvillian(h, ChannelSpec(0.0, *channel)) for channel in channels]
         family = build_liouvillian(h, [ChannelSpec(0.0, *channel) for channel in channels])
-        for liou, traj in zip(lious, _limit_jumps([(rho0, family)]), strict=True):
+        for liou, traj in zip(lious, _limit_jumps(rho0, family), strict=True):
             assert _bits(traj) == _bits(evolve_to(liou, rho0, 800.0))
             assert np.abs(trajectory_records(traj, h).ergotropy).max() <= 1e-12
 
@@ -340,7 +328,7 @@ def test_limit_jump_sends_a_non_finite_generator_to_expm(h2, value):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(LinalgError, match="expm input has non-finite entries"):
-            _limit_jumps([(gibbs_state(h2, 0.5), DenseGenerator(matrix))])
+            _limit_jumps(gibbs_state(h2, 0.5), DenseGenerator(matrix))
     # as evolve_to: only inf * 0, in the complex product L_b t, warns
     assert [str(w.message) for w in caught] == (
         ["invalid value encountered in multiply"] if np.isinf(value) else [])
@@ -352,12 +340,12 @@ def test_limit_jump_leaves_a_generator_that_is_not_trace_preserving_on_its_jump(
     matrix = _liouvillian(2, 0.1, gamma=0.05, alpha_minus=0.5)[0].matrix.copy()
     matrix[0, 0] -= 1e-10
     liou, rho0 = DenseGenerator(matrix), gibbs_state(h2, np.array([0.2, 5.0]))
-    assert _bits(_limit_jumps([(rho0, liou)])[0]) == _bits(evolve_to(liou, rho0, 800.0))
+    assert _bits(_limit_jumps(rho0, liou)[0]) == _bits(evolve_to(liou, rho0, 800.0))
     # a generator that drains level 3: its 1x1 block loses trace, still reported at its step
     drain = np.zeros((16, 16), dtype=complex)
     drain[15, 15] = -1.0
     with pytest.raises(InvariantViolation, match=r"trace defect 6\.321e-01 at step 0 \(t=1\)"):
-        _limit_jumps([(np.diag(np.eye(4)[3]).astype(complex), DenseGenerator(drain))], 1.0)
+        _limit_jumps(np.diag(np.eye(4)[3]).astype(complex), DenseGenerator(drain), 1.0)
 
 
 ALPHAS = tuple(round(0.1 * k, 1) for k in range(11))
@@ -401,7 +389,7 @@ def test_limit_decision_is_a_one_dimensional_kernel(points, limits):
 
 
 def test_labels_given_as_a_list_propagate_as_a_tuple_does(h2):
-    # the screen's layout cache and evolve_points' groups key on the labels
+    # the screen's layout cache keys on the labels
     liou, _ = _liouvillian(2, 0.1, gamma=0.05)
     listed = Liouvillian(liou.hamiltonian, liou.jumps, liou.rates, list(liou.labels))
     assert isinstance(listed.labels, tuple) and listed.labels == liou.labels
@@ -1369,7 +1357,7 @@ def test_a_non_finite_or_negative_jump_time_is_refused_by_name(h2, t):
     with pytest.raises(ValueError, match="^t must be finite and >= 0"):
         evolve_to(liou, rho0, t)
     with pytest.raises(ValueError, match="^t must be finite and >= 0"):
-        dynamics.evolve_points([(rho0, liou)], t, limit=True)
+        dynamics.evolve_points(rho0, liou, t, limit=True)
 
 
 def test_an_empty_initial_stack_is_refused_by_name(h2):
@@ -1379,7 +1367,7 @@ def test_an_empty_initial_stack_is_refused_by_name(h2):
     with pytest.raises(ValueError, match=r"^rho0 must hold at least one \(D, D\) state"):
         evolve_to(liou, np.zeros((0, 4, 4)), 1.0)
     with pytest.raises(ValueError, match=r"^rho0 must hold at least one \(D, D\) state"):
-        dynamics.evolve_points([(np.zeros((2, 0, 4, 4)), family)], 1.0)
+        dynamics.evolve_points(np.zeros((2, 0, 4, 4)), family, 1.0)
 
 
 def test_one_generator_propagators_refuse_a_family_and_a_family_its_stack_count(h2):
@@ -1389,7 +1377,7 @@ def test_one_generator_propagators_refuse_a_family_and_a_family_its_stack_count(
     with pytest.raises(ValueError, match="evolve_to takes one generator, got a family of 2"):
         evolve_to(family, rho0, 1.0)
     with pytest.raises(ValueError, match=r"neither one stack nor one stack per member"):
-        dynamics.evolve_points([(np.array([[rho0]] * 3), family)], 1.0)
+        dynamics.evolve_points(np.array([[rho0]] * 3), family, 1.0)
     # a family of one is one generator
     one = _family(2, 0.1, [{"alpha_minus": 0.5}])
     alone = _liouvillian(2, 0.1, gamma=0.05, alpha_minus=0.5)[0]
@@ -1409,24 +1397,24 @@ _SEED_PARAMS = {  # the benchmark's seeds: field and betas of the appB sweeps
 def test_a_family_jump_gives_each_member_the_bytes_of_its_own_jump(seed):
     # the steady sweeps' five families: fig4's 50 fields under collective dissipation,
     # one Gibbs stack per member, and appB's 11 channels of one H at N=2 and N=4, which
-    # share one stack; each member is its own evolve_to, and with limit its own run
+    # share one stack; each member is its own evolve_to, and with limit its own limit jump
     h_field, betas = _SEED_PARAMS[seed]
     collective = ChannelSpec(0.05, 0.0, 1.0, 0.0)
     hs = np.stack([build_hamiltonian(ModelSpec(n_qubits=2, field_h=f))
                    for f in np.linspace(0.0, 0.9, 50)])
     fig4_states = gibbs_state(hs, np.linspace(0.1, 3.0, 50))
-    runs = [(fig4_states, build_liouvillian(hs, collective))]
+    families = [(fig4_states, build_liouvillian(hs, collective))]
     points = [(build_liouvillian(h, collective), rho0) for h, rho0 in zip(hs, fig4_states)]
     for n in (2, 4):
         h = build_hamiltonian(ModelSpec(n_qubits=n, field_h=h_field))
         rho0 = gibbs_state(h, np.array(betas))
         for kind in (lambda a: (0.0, a, 0.0), lambda a: (1.0, 0.0, a)):
             specs = [ChannelSpec(0.05, *kind(a)) for a in ALPHAS]
-            runs.append((rho0, build_liouvillian(h, specs)))
+            families.append((rho0, build_liouvillian(h, specs)))
             points += [(build_liouvillian(h, spec), rho0) for spec in specs]
-    jumps = dynamics.evolve_points(runs, 800.0)
-    limits = _limit_jumps(runs)
+    jumps = [traj for rho0, liou in families for traj in dynamics.evolve_points(rho0, liou, 800.0)]
+    limits = [traj for rho0, liou in families for traj in _limit_jumps(rho0, liou)]
     assert len(jumps) == len(limits) == len(points) == 94
     for (liou, rho0), jump, limit in zip(points, jumps, limits, strict=True):
         assert _bits(jump) == _bits(evolve_to(liou, rho0, 800.0))
-        assert _bits(limit) == _bits(_limit_jumps([(rho0, liou)])[0])
+        assert _bits(limit) == _bits(_limit_jumps(rho0, liou)[0])

@@ -82,6 +82,23 @@ def test_fig7_rows(tmp_path):
     assert all(b >= a for a, b in zip(p_values, p_values[1:]))
 
 
+def test_fig7_decomposes_each_operator_once_per_quantity(tmp_path, monkeypatch):
+    # p_dark and its derivative each take the 51 betas in one call: one decomposition
+    # of H and one of S^+ S^- (the dark subspace) each, where one per beta were made
+    from ergoquench import linalg, model
+    calls = []
+    original = linalg.hermitian_eig_batch
+
+    def counting(ms):  # hermitian_eig and null_space_hermitian come here through linalg
+        calls.append(len(ms))
+        return original(ms)
+
+    for module in (linalg, model):
+        monkeypatch.setattr(module, "hermitian_eig_batch", counting)
+    run_experiment(_config(experiment="fig7", output_dir=str(tmp_path)))
+    assert calls == [1] * 4
+
+
 def test_appb_sweeps_smoke(tmp_path):
     config = _config(experiment="appB-diss", output_dir=str(tmp_path),
                      t_max=10.0, beta_list=(0.5,), n_qubits=2)
@@ -169,7 +186,7 @@ def test_trajectory_figures_decompose_each_h_once_per_row(tmp_path, monkeypatch,
 
 
 def test_steady_sweep_checks_each_gibbs_stack_once(tmp_path, monkeypatch):
-    # the 11 points of one chain size are one run on one Gibbs stack
+    # the 11 points of one chain size are one family on one Gibbs stack
     calls = []
     original = dynamics.check_density_matrix
 
@@ -192,8 +209,8 @@ def test_one_steady_pass_keeps_its_checks_and_stacked_expm_calls(tmp_path, monke
     # their limit, each chunk's bordered blocks that are not exactly singular share one
     # stacked solve, and each family's other blocks go in stacked expm calls of at most
     # EXPM_CHUNK_CELLS cells.  Only the touched blocks are assembled, from the declared
-    # labels, one call per family: no dense generator, and no pattern search on a
-    # generator or a support
+    # labels, one call per chunk of members: no dense generator, no block of a whole
+    # family past the chunk size, and no pattern search on a generator or a support
     from ergoquench import linalg, model
     checks, shapes, limits, solved, cells, builds, decompositions = [], [], [], [], [], [], []
     check, expm, block_limits, solve = (dynamics.check_density_matrix, dynamics.expm,
@@ -218,8 +235,8 @@ def test_one_steady_pass_keeps_its_checks_and_stacked_expm_calls(tmp_path, monke
         limits.append(int(np.count_nonzero(passed)))
         return passed, found
 
-    def counting_block(liou, b):
-        out = block(liou, b)
+    def counting_block(liou, b, *args):
+        out = block(liou, b, *args)
         cells.append((liou.dim_state, len(b), out.size))
         return out
 
@@ -243,8 +260,11 @@ def test_one_steady_pass_keeps_its_checks_and_stacked_expm_calls(tmp_path, monke
         run_experiment(_config(experiment=name, output_dir=str(tmp_path)))
     assert not any(n == dim ** 2 for dim, n, _ in cells)  # no dense D^2 x D^2 assembly
     # fig4 50 x 6^2; appB-diss 11 x 6^2 + 11 x 70^2; appB-deph 11 x (1 + 4^2 + 1)
-    # + 11 x (1 + 16^2 + 36^2 + 16^2 + 1), against 72 x 16^2 + 22 x 256^2 = 1,460,224 dense
-    assert len(cells) == 11 and sum(size for *_, size in cells) == 76_204
+    # + 11 x (1 + 16^2 + 36^2 + 16^2 + 1), against 72 x 16^2 + 22 x 256^2 = 1,460,224 dense,
+    # in 24 calls: one a block but for appB-diss N=4's 70^2 (one member a call, 11 calls)
+    # and appB-deph N=4's 36^2 (three members a call, 4 calls)
+    assert len(cells) == 24 and sum(size for *_, size in cells) == 76_204
+    assert all(size <= max(dynamics.EXPM_CHUNK_CELLS, n ** 2) for _, n, size in cells)
     assert not hasattr(dynamics, "_invariant_blocks")  # the sectors are declared, not searched
     assert len(checks) == 5
     assert len(builds) == 5
@@ -559,19 +579,19 @@ def test_trajectory_figure_failing_at_its_second_beta_leaves_no_csv(tmp_path, mo
     assert list(tmp_path.iterdir()) == []
 
 
-def test_steady_sweep_failing_at_its_second_run_leaves_no_csv(tmp_path, monkeypatch):
-    def failing_second(runs, t_max, **kwargs):
-        def counted():
-            for count, run in enumerate(runs):
-                if count == 1:
-                    raise InvariantViolation("run 2")
-                yield run
-        return evolve_points(counted(), t_max, **kwargs)
+def test_steady_sweep_failing_at_its_second_family_leaves_no_csv(tmp_path, monkeypatch):
+    calls = []
+
+    def failing_second(rho0, liou, t_max, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise InvariantViolation("family 2")
+        return evolve_points(rho0, liou, t_max, **kwargs)
 
     monkeypatch.setattr(experiments, "evolve_points", failing_second)
     config = _config(experiment="appB-diss", output_dir=str(tmp_path), t_max=10.0,
                      beta_list=(0.5,))
-    with pytest.raises(InvariantViolation, match="run 2"):
+    with pytest.raises(InvariantViolation, match="family 2"):
         run_experiment(config)
     assert list(tmp_path.iterdir()) == []
 

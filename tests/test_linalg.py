@@ -4,7 +4,7 @@ import pytest
 from ergoquench.linalg import (LinalgError, dagger, expm, hermitian_eig,
                                hermitian_eig_batch, hermitian_eigvals_batch, kron,
                                null_space_hermitian, solve)
-from ergoquench.model import PAULI
+from ergoquench.model import PAULI, gibbs_state
 
 from conftest import random_hermitian
 
@@ -88,6 +88,21 @@ def test_eig_rejects_non_hermitian():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(LinalgError):
         hermitian_eig(bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+def test_eig_rejects_a_non_finite_entry(value, where):
+    # a NaN defect once passed the Hermiticity test and gave NaN levels, vectors and
+    # Gibbs states; an inf reached eigh and warned
+    bad = np.eye(2, dtype=complex)
+    bad[where] = value
+    with pytest.raises(LinalgError, match="non-finite entries"):
+        hermitian_eig(bad)
+    with pytest.raises(LinalgError, match="non-finite entries"):
+        gibbs_state(bad, 1.0)
+    with pytest.raises(LinalgError, match="non-finite entries"):
+        hermitian_eig(np.full((2, 2), np.nan))
 
 
 def test_eig_values_ascending():

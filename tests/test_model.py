@@ -162,6 +162,17 @@ def test_gibbs_stack_rejects_a_negative_beta_anywhere(h2, betas):
         gibbs_state(h2, np.array(betas))
 
 
+def test_gibbs_refuses_an_empty_beta_array_or_hamiltonian_stack_by_name(h2):
+    # an empty beta array once divided by zero choosing its chunk, and an empty stack of
+    # H gave an empty stack of states
+    with pytest.raises(ValueError, match=r"^beta must be a scalar or a non-empty 1-D array, "
+                                         r"got shape \(0,\)"):
+        gibbs_state(h2, np.array([]))
+    with pytest.raises(ValueError, match=r"^h_matrix must hold at least one H, "
+                                         r"got shape \(0, 4, 4\)"):
+        gibbs_state(np.zeros((0, 4, 4)), np.array([0.5, 1.0]))
+
+
 _NON_FINITE_INPUTS = {
     "t_max-inf": ("t_max", lambda h: TimeGrid(t_max=np.inf)),
     "t_max-nan": ("t_max", lambda h: TimeGrid(np.nan, 0.5)),

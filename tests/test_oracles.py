@@ -251,9 +251,10 @@ def test_closed_form_steady_is_the_limit_jump_of_the_engine(n):
     h = build_hamiltonian(ModelSpec(n_qubits=n, field_h=0.1))
     rho0 = gibbs_state(h, np.array(betas))
     # the dissipative and the dephasing channels, one generator family each
-    runs = [(rho0, build_liouvillian(h, [ChannelSpec(GAMMA, *channel) for channel in part]))
-            for part in (channels[:10], channels[10:])]
-    steady = evolve_points(runs, 800.0, limit=True)
+    steady = []
+    for part in (channels[:10], channels[10:]):
+        family = build_liouvillian(h, [ChannelSpec(GAMMA, *channel) for channel in part])
+        steady += evolve_points(rho0, family, 800.0, limit=True)
     for channel, traj in zip(channels, steady, strict=True):
         for beta, rho in zip(betas, traj.states):
             assert np.abs(rho - closed_form_steady(n, 0.1, channel, beta)).max() <= 1e-10
@@ -265,20 +266,18 @@ def test_closed_form_steady_knows_no_form_for_collective_decay_or_a_mix(channel)
 
 
 def test_p_dark_values(model4):
-    dark = dark_subspace(model4)
-    assert abs(p_dark(0.0, model4, dark=dark) - 0.375) <= 1e-12
+    assert abs(p_dark(0.0, model4) - 0.375) <= 1e-12
     grid = (0.2, 0.5, 1.0, 2.0, 5.0)
-    values = [p_dark(b, model4, dark=dark) for b in grid]
+    values = [p_dark(b, model4) for b in grid]
     assert all(b > a for a, b in zip(values, values[1:]))
     assert all(0.0 <= v <= 1.0 for v in values)
 
 
 def test_p_dark_derivative_matches_finite_difference(model4):
-    dark = dark_subspace(model4)
     for beta in (0.2, 1.0, 5.0):
-        analytic = p_dark_derivative(beta, model4, dark=dark)
-        fd = (p_dark(beta + 1e-5, model4, dark=dark)
-              - p_dark(beta - 1e-5, model4, dark=dark)) / 2e-5
+        analytic = p_dark_derivative(beta, model4)
+        fd = (p_dark(beta + 1e-5, model4)
+              - p_dark(beta - 1e-5, model4)) / 2e-5
         assert abs(analytic - fd) <= 1e-6
 
 
@@ -286,6 +285,24 @@ def test_p_dark_and_its_derivative_reject_negative_beta(model4):
     for oracle in (p_dark, p_dark_derivative):
         with pytest.raises(ValueError, match="beta must be >= 0"):
             oracle(-1.0, model4)
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            oracle(np.array([0.5, -1.0]), model4)
+        with pytest.raises(ValueError, match=r"a scalar or a (non-empty )?1-D array"):
+            oracle(np.array([[0.5, 1.0]]), model4)
+
+
+@pytest.mark.parametrize("n,h_field", [(2, 0.1), (4, 0.1), (4, 0.215), (3, 0.0)])
+def test_p_dark_of_a_beta_array_has_the_bytes_of_its_scalar_calls(n, h_field):
+    # fig7's grid and the benchmark seeds' fields: one decomposition of H and one of
+    # S^+ S^- per call, each beta's entry the bytes of its own scalar call
+    model = ModelSpec(n_qubits=n, field_h=h_field)
+    betas = np.concatenate((np.linspace(0.0, 5.0, 51), [1e-5, 40.0, 700.0]))
+    for oracle in (p_dark, p_dark_derivative):
+        together = oracle(betas, model)
+        assert together.shape == betas.shape and together.dtype == float
+        alone = np.array([oracle(beta, model) for beta in betas])
+        assert isinstance(oracle(float(betas[3]), model), float)
+        assert together.tobytes() == alone.tobytes()
 
 
 def test_dephasing_block_constants_and_engine(h2):
@@ -335,7 +352,7 @@ def test_dark_population_series_shape(model4, h4):
     traj = propagate(liou, gibbs_state(h4, 1.0), TimeGrid(t_max=5.0, dt=0.5))
     series = dark_population_series(traj, dark)
     assert series.shape == (len(traj),)
-    assert abs(series[0] - p_dark(1.0, model4, dark=dark)) <= 1e-10
+    assert abs(series[0] - p_dark(1.0, model4)) <= 1e-10
 
 
 def _taylor_reference(m):
