@@ -185,18 +185,17 @@ class Liouvillian:
     def block(self, b, members=slice(None)) -> np.ndarray:
         """L[b, b] for an ascending array b of vec indices, assembled alone: (n, n) or (P, n, n).
 
-        A family assembles only the consecutive members that the slice
-        members picks, (len, n, n).  Each entry is the sum the dense formula
-        forms, in its order: the jumps rate conj(A) (x) A, in jump order,
-        then - I (x) decay, then - decay^T (x) I, then the commutator's
-        I (x) x, whose diagonal carries y's, and last y (x) I off the
-        diagonal.  A jump term is added wherever the labels let its shift
-        reach: where the jump itself cannot, or its rate in a member is 0,
-        its product is an exact zero, which leaves the sum's bytes alone
-        (the sum starts at +0 and never reads -0).  Every member's terms
-        are formed by the same elementwise operations, stacked over the
-        members asked for, so each member's L[b, b] has the bytes of the
-        dense matrix's slice, alone or in any slice of its family.
+        A family gives only the consecutive members the slice members picks.
+        Each entry is the sum the dense formula forms, in its order: the
+        jumps rate conj(A) (x) A, in jump order, then - I (x) decay, then
+        - decay^T (x) I, then the commutator's I (x) x, whose diagonal
+        carries y's, and last y (x) I off the diagonal.  A jump term is
+        added wherever the labels let its shift reach: where the jump itself
+        cannot, or its rate in a member is 0, its product is an exact zero,
+        which leaves the sum's bytes alone (the sum starts at +0 and never
+        reads -0).  Every member's terms are formed by the same elementwise
+        operations, stacked over the members asked for, so each member's
+        L[b, b] has the bytes of the dense matrix's slice, in any company.
         """
         b = np.ascontiguousarray(b, dtype=np.intp)
         geometry = _block_geometry(self.labels, b.tobytes())

