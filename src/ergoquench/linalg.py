@@ -91,8 +91,6 @@ def hermitian_eig_batch(ms):
     a = np.array(ms, dtype=complex)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise LinalgError(f"expected a (B, D, D) batch, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):  # a NaN defect would pass the Hermiticity test below
-        raise LinalgError("Hermitian eigendecomposition input has non-finite entries")
     adj = dagger(a)
     # an exactly Hermitian batch (a screened stack of states) needs no defect temporaries
     if not np.array_equal(a, adj):
@@ -106,6 +104,9 @@ def hermitian_eig_batch(ms):
     # the Hermitian part rather than of whichever triangle LAPACK picks.
     a += adj
     del adj  # free one batch-sized temporary before eigh allocates its outputs
+    # a NaN defect passes the test above; checked here, it leaves trajectories' peak RSS alone
+    if not np.isfinite(a).all():  # and before a complex inf meets * 0.5, which warns
+        raise LinalgError("Hermitian eigendecomposition input has non-finite entries")
     a *= 0.5
     try:
         vals, vecs = np.linalg.eigh(a)

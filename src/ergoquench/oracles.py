@@ -318,8 +318,7 @@ def p_dark_derivative(beta, model: ModelSpec):
         raise ValueError(f"beta must be >= 0, a scalar or a 1-D array, got {beta}")
     levels, vecs = hermitian_eig(build_hamiltonian(model))
     weights = np.exp(-betas[..., None] * (levels - levels[0]))
-    proj_diag = np.real(np.einsum("ik,ij,jk->k", np.conj(vecs), dark_subspace(model).projector,
-                                  vecs))
+    proj_diag = np.real(np.einsum("ik,ij,jk->k", vecs.conj(), dark_subspace(model).projector, vecs))
     pop = (proj_diag * weights).sum(axis=-1) / weights.sum(axis=-1)
     mean_h = (levels * weights).sum(axis=-1) / weights.sum(axis=-1)
     mean_h_dark = (proj_diag * levels * weights).sum(axis=-1) / (proj_diag * weights).sum(axis=-1)
