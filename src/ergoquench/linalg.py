@@ -104,8 +104,8 @@ def hermitian_eig_batch(ms):
     # the Hermitian part rather than of whichever triangle LAPACK picks.
     a += adj
     del adj  # free one batch-sized temporary before eigh allocates its outputs
-    # a NaN defect passes the test above; checked here, it leaves trajectories' peak RSS alone
-    if not np.isfinite(a).all():  # and before a complex inf meets * 0.5, which warns
+    # a NaN defect passes the test above, and a complex inf times 0.5 below would warn
+    if not np.isfinite(a).all():
         raise LinalgError("Hermitian eigendecomposition input has non-finite entries")
     a *= 0.5
     try:

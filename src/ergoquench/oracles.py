@@ -306,7 +306,7 @@ def p_dark(beta, model: ModelSpec):
     """
     states = gibbs_state(build_hamiltonian(model), np.atleast_1d(beta))  # which checks beta
     projector = dark_subspace(model).projector
-    # one state at a time: a stacked product raised the trajectories peak RSS by 1 MB
+    # one state at a time: no stack-sized product is held beside the Gibbs stack
     pops = np.array([np.trace(projector @ rho).real for rho in states])
     return pops if np.ndim(beta) else float(pops[0])
 
