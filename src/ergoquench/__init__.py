@@ -30,7 +30,7 @@ _EXPORTS = {name: module for module, names in {
                   "ergotropy", "trajectory_records"),
     "jc": ("JCSpec", "compare_jc", "default_jc_spec", "effective_atom_evolution",
            "jc_full_evolution", "jc_hamiltonian"),
-    "linalg": ("expm", "hermitian_eig", "hermitian_eig_batch", "kron", "null_space_hermitian"),
+    "linalg": ("expm", "hermitian_eig", "hermitian_eig_batch", "null_space_hermitian"),
     "model": ("ModelSpec", "build_hamiltonian", "check_density_matrix", "collective_operator",
               "gibbs_state", "site_operator"),
     "oracles": ("DarkSubspace", "TwoQubitBlockState", "beta_critical",

@@ -326,7 +326,9 @@ def build_liouvillian(h_matrix, spec) -> Liouvillian:
     P.  A stack or a sequence gives the family of P generators, member p
     from H p and spec p (either one shared), each with the rates and the
     bytes of its own one-generator call; its members must agree on whether
-    they dissipate (ValueError otherwise).
+    they dissipate (ValueError otherwise).  Both channels' jumps are passed,
+    at rate 0.0 where a member's channel is off, and `Liouvillian` keeps
+    those live in some member.
     """
     h = np.asarray(h_matrix, dtype=complex)
     n_qubits = h.shape[-1].bit_length() - 1 if h.ndim in (2, 3) else 0
@@ -336,23 +338,19 @@ def build_liouvillian(h_matrix, spec) -> Liouvillian:
     specs = (spec,) if isinstance(spec, ChannelSpec) else tuple(spec)
     if not specs:
         raise ValueError("spec must be a ChannelSpec or a non-empty sequence of them")
-    jumps, rates = [], [[] for _ in specs]
-    for kind in ("minus", "z"):
-        # gamma [(1 - interp) I + interp 11^T] in diagonal form: the site jumps plus their
-        # sum, added if some member's channel is on, at rate 0 in the others
-        per_spec = [_channel_rates(s, kind, n_qubits) for s in specs]
-        if any(per_spec):
-            jumps += _site_jumps(n_qubits, kind)
-            for row, channel in zip(rates, per_spec):
-                row += channel or [0.0] * (n_qubits + 1)
-    rates = tuple(rates[0]) if isinstance(spec, ChannelSpec) else tuple(map(tuple, rates))
-    return Liouvillian(h, tuple(jumps), rates, _chain_labels(n_qubits))
+    jumps = _site_jumps(n_qubits, "minus") + _site_jumps(n_qubits, "z")
+    rates = tuple(_channel_rates(s, n_qubits) for s in specs)
+    return Liouvillian(h, jumps, rates[0] if isinstance(spec, ChannelSpec) else rates,
+                       _chain_labels(n_qubits))
 
 
-def _channel_rates(spec: ChannelSpec, kind: str, n: int) -> list:
-    """The rates of the n site jumps sigma^kind and of their sum, or [] if the channel is off."""
-    weight, interp = ((1.0 - spec.alpha, spec.alpha_minus) if kind == "minus"
-                      else (spec.alpha, spec.alpha_z))
-    if weight > 0.0 and spec.gamma > 0.0:
-        return [weight * spec.gamma * (1.0 - interp)] * n + [weight * spec.gamma * interp]
-    return []
+def _channel_rates(spec: ChannelSpec, n: int) -> tuple:
+    """The rates of the n site jumps sigma^- and their sum, then sigma^z's, 0.0 where off.
+
+    Each channel is gamma [(1 - interp) I + interp 11^T] in diagonal form.
+    """
+    rates = ()
+    for weight, interp in ((1.0 - spec.alpha, spec.alpha_minus), (spec.alpha, spec.alpha_z)):
+        rate = weight * spec.gamma
+        rates += (rate * (1.0 - interp),) * n + (rate * interp,)
+    return rates

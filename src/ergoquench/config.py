@@ -125,8 +125,6 @@ def _check_ranges(config: ExperimentConfig) -> None:
         raise ConfigError(f"h must be >= 0, got {config.h}")
     if config.n_qubits is not None and not 1 <= config.n_qubits <= MAX_QUBITS:
         raise ConfigError(f"n_qubits must be in 1..{MAX_QUBITS}, got {config.n_qubits}")
-    if not config.beta_list:
-        raise ConfigError("beta_list must not be empty")
     if any(b < 0 for b in config.beta_list):
         raise ConfigError(f"beta values must be >= 0, got {config.beta_list}")
     if not 0.0 < config.dt <= 1.0:

@@ -40,9 +40,9 @@ invariants (trace, Hermiticity, positivity); a violation beyond the guard
 tolerance aborts with the offending step index, because it can only mean
 a bug in the generator or the integrator.  Positivity is monitored, never
 projected.  The screen works on the stored entries themselves,
-SCREEN_CHUNK states at a time, and writes the symmetrized entries back
+`model.STATE_CHUNK` states at a time, and writes the symmetrized entries back
 over the support in ascending row-major order, so a trajectory holds its
-(T, S) array and only (SCREEN_CHUNK, S)-sized temporaries.
+(T, S) array and only (STATE_CHUNK, S)-sized temporaries.
 A support also fixes the sectors of its states (`sector_layout`), read
 off the excitation labels its producer declares (`Liouvillian.labels`):
 H conserves excitation number and the sigma^- and sigma^z jumps move a
@@ -59,10 +59,11 @@ each sector's own block.  A 1x1 block is its diagonal entry and a parity
 2x2 block has a closed form, so the only eigensolver call left is one
 batch of 4x4 blocks per chunk at four qubits.  A state whose even-odd
 entries exceed OFF_PARITY_TOL, and every state at a support without
-parity blocks, is read on its sectors' own blocks instead.  The screen
+parity blocks or in another basis than the chain's (`jc`'s), is read
+on its sectors' own blocks instead.  The screen
 keeps the values only; eigenvectors are computed by the branch tracker
 in `ergotropy.eigenvalue_crossings` alone, on the sectors' own blocks of
-the trajectory's layout, SCREEN_CHUNK states at a time, and matched
+the trajectory's layout, STATE_CHUNK states at a time, and matched
 inside their sector.
 Both propagators return such a `Trajectory`: `propagate` one entry per
 grid time, `evolve_to` one entry per input state, all at the target time,
@@ -83,10 +84,9 @@ import numpy as np
 from .channels import Liouvillian, _chain_labels
 from .config import grid_error
 from .linalg import expm, hermitian_eigvals_batch, solve
-from .model import check_density_matrix
+from .model import STATE_CHUNK, check_density_matrix
 
 GUARD_TOL = 1e-6  # runtime CPTP guard; test-level bounds are far tighter
-SCREEN_CHUNK = 256  # states whose screen or branch-tracker temporaries are held at once
 # Generator cells (P n^2) that `evolve_points` assembles and exponentiates at once, the
 # one chunk of generator cells: a whole stack of 70x70 blocks' Pade temporaries raised
 # the steady sweeps' peak memory by a fifth; a 70x70 block gains nothing from company.
@@ -258,9 +258,10 @@ def sector_layout(dim: int, support: tuple, labels: tuple) -> SectorLayout:
     classes is one whole-basis sector.  support must be closed under
     transposition.  The identity's `_block_layout` gives each sector its
     own block; the chain's mirror, which reverses the bits of a basis
-    index, gives the sectors' parity blocks where dim is a power of two
-    >= 4, the mirror maps every sector onto itself and the support holds
-    every sector's block whole.  Computed once per (dim, support, labels),
+    index, gives the sectors' parity blocks where the labels are those of
+    a chain of two or more qubits (`channels._chain_labels`), whose
+    sectors the mirror maps onto themselves, and the support holds every
+    sector's block whole.  Computed once per (dim, support, labels),
     read-only.
     """
     support = np.array(support, dtype=int)
@@ -277,10 +278,10 @@ def sector_layout(dim: int, support: tuple, labels: tuple) -> SectorLayout:
                if np.array_equal(key[rows], key[cols]) else (np.arange(dim),))
     parity, bits = None, dim.bit_length() - 1
     # every held entry lies in a sector's block: the blocks are held whole iff they hold S
-    if dim >= 4 and dim == 1 << bits and sum(b.size ** 2 for b in sectors) == stored.size:
+    if (dim >= 4 and labels == _chain_labels(bits)
+            and sum(b.size ** 2 for b in sectors) == stored.size):
         mirror = np.array([int(f"{i:0{bits}b}"[::-1], 2) for i in range(dim)])
-        if all(np.array_equal(np.sort(mirror[b]), b) for b in sectors):
-            parity = _block_layout(dim, sectors, position, mirror)
+        parity = _block_layout(dim, sectors, position, mirror)
     layout = SectorLayout(stored, order, transpose, diagonal[diagonal >= 0],
                           _block_layout(dim, sectors, position, np.arange(dim)), parity)
     for array in layout[:4]:
@@ -412,7 +413,7 @@ def _chunk_spectra(sym, spare, layout: SectorLayout, out) -> None:
 def _screen(times, values, support, labels: tuple, per_point: int | None = None) -> Trajectory:
     """Symmetrize the (T, S) raw entries in place, enforce the CPTP guard and keep the spectra.
 
-    The states are screened SCREEN_CHUNK at a time, at their support, in
+    The states are screened STATE_CHUNK at a time, at their support, in
     the `sector_layout` of the excitation labels of their D basis states:
     each check reads the chunk's (C, S) entries and the transposes the
     layout maps them to.  The spectra are taken on the sectors' parity
@@ -434,21 +435,21 @@ def _screen(times, values, support, labels: tuple, per_point: int | None = None)
     layout = sector_layout(dim, tuple(support.tolist()), labels)
     herm, trace_dev = np.empty(len(values)), np.empty(len(values))
     vals = np.empty((len(values), dim))
-    for a in range(0, len(values), SCREEN_CHUNK):
-        rows = values[a:a + SCREEN_CHUNK]
+    for a in range(0, len(values), STATE_CHUNK):
+        rows = values[a:a + STATE_CHUNK]
         raw = rows[:, layout.order]
         sym = rows[:, layout.transpose]
         np.conjugate(sym, out=sym)  # raw^H at each stored entry
         with np.errstate(invalid="ignore"):  # inf - inf: a NaN defect, reported below
-            herm[a:a + SCREEN_CHUNK] = np.abs(raw - sym).max(axis=1, initial=0.0)
+            herm[a:a + STATE_CHUNK] = np.abs(raw - sym).max(axis=1, initial=0.0)
             # 0.5 * (raw + raw^H), formed in the adjoint's buffer
             sym += raw
             sym *= 0.5
-            trace_dev[a:a + SCREEN_CHUNK] = np.abs(sym[:, layout.diagonal].sum(axis=1) - 1.0)
+            trace_dev[a:a + STATE_CHUNK] = np.abs(sym[:, layout.diagonal].sum(axis=1) - 1.0)
         # a non-finite entry makes the Hermiticity defect non-finite, which the guard
         # rejects; such a state is not given to the eigensolver, which may refuse it
-        sym[~np.isfinite(herm[a:a + SCREEN_CHUNK])] = 0.0
-        chunk = vals[a:a + SCREEN_CHUNK]
+        sym[~np.isfinite(herm[a:a + STATE_CHUNK])] = 0.0
+        chunk = vals[a:a + STATE_CHUNK]
         _chunk_spectra(sym, raw, layout, chunk)  # raw's buffer is free now
         chunk.sort(axis=1)
         rows[...] = sym

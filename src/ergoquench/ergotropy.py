@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SCREEN_CHUNK, Trajectory, block_entries
+from .dynamics import Trajectory, block_entries
 from .linalg import dagger, hermitian_eig, hermitian_eig_batch
+from .model import STATE_CHUNK
 
 ERGOTROPY_CLIP = 1e-10        # admissible negative rounding before clipping to 0
 CROSSING_SIGNIFICANCE = 1e-10  # eigenvalue-gap noise floor for crossing reports
@@ -117,7 +118,7 @@ def eigenvalue_crossings(traj: Trajectory,
     `significance` on both sides of the swap, is reported with the linearly
     interpolated crossing time and the (sorted) position pair.  Raising
     `significance` selects only crossings among non-negligible populations.
-    The grid is tracked SCREEN_CHUNK steps at a time.  Each sector of the
+    The grid is tracked STATE_CHUNK steps at a time.  Each sector of the
     screen's layout (`traj.layout.sectors`) is decomposed and greedily
     matched on its own, and a stable sort of the spectrum places its
     branches among the other sectors'; a level degenerate across sectors
@@ -133,8 +134,8 @@ def eigenvalue_crossings(traj: Trajectory,
         raise ValueError("empty trajectory")
     times, sectors = traj.times, traj.layout.sectors
     found: list[tuple[float, tuple[int, int]]] = []
-    for start in range(1, len(traj), SCREEN_CHUNK):
-        stop = min(start + SCREEN_CHUNK, len(traj))
+    for start in range(1, len(traj), STATE_CHUNK):
+        stop = min(start + STATE_CHUNK, len(traj))
         # the chunk's states and the one before it: step s of the chunk goes s -> s + 1
         rows = traj.values[start - 1:stop]
         vals = np.empty((len(rows), traj.dim))

@@ -23,10 +23,9 @@ at that path stays as it was.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import chain, groupby
 from operator import itemgetter
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -205,15 +204,6 @@ def _hamiltonians(pairs) -> dict:
     return {(n, h): build_hamiltonian(ModelSpec(n_qubits=n, field_h=h)) for n, h in set(pairs)}
 
 
-def _quench(hamiltonians: dict, n: int, h: float, gamma: float, channel: tuple):
-    """H (looked up in hamiltonians) and L of one quench.
-
-    channel is (alpha, alpha_minus, alpha_z).
-    """
-    h_matrix = hamiltonians[n, h]
-    return h_matrix, build_liouvillian(h_matrix, ChannelSpec(gamma, *channel))
-
-
 def _output(config: ExperimentConfig, extension: str) -> str:
     """The path of the run's output file <output_dir>/<experiment>.<extension>."""
     return os.path.join(config.output_dir, f"{config.experiment}.{extension}")
@@ -264,8 +254,8 @@ def _trajectory_figure(config, ids, table, title, label, with_spectrum: bool = T
     Gibbs states come from one `gibbs_state` call over its betas, whose
     decomposition of H the records reuse.  The (row, beta) trajectories
     run one at a time in table order, and each one's rows are written as
-    soon as it returns (see `_trajectory_blocks`): a job returns only
-    records, so its states are freed before its rows are formatted.
+    soon as its records are read (see `_trajectory_blocks`): its states are
+    freed before its rows are formatted.
     label(tag, beta) names the SVG series of a trajectory, or None to leave
     it out.  extra is (columns, cells): cells(traj, h_matrix, h_eig) returns
     the added columns, written between ergotropy and the spectrum, given
@@ -273,33 +263,27 @@ def _trajectory_figure(config, ids, table, title, label, with_spectrum: bool = T
     """
     grid = TimeGrid(t_max=config.t_max, dt=config.dt)
     hamiltonians = _hamiltonians((row.n, config.h) for row in table)
-    quenches = [_quench(hamiltonians, row.n, config.h, config.gamma, row.channel)
-                for row in table]
     columns, cells = extra
-
-    def run(job):
-        row, (h_matrix, liou), h_eig, beta, rho0 = job
-        traj = propagate(liou, rho0, grid)
-        return ((*row.tag, beta), traj.times, trajectory_records(traj, h_matrix, h_eig),
-                cells(traj, h_matrix, h_eig), label(row.tag, beta))
-
-    def jobs():  # one row's Gibbs states at a time
-        for row, quench in zip(table, quenches):
-            states, h_eig = gibbs_state(quench[0], row.betas, with_eig=True)
-            yield from ((row, quench, h_eig, beta, rho0) for beta, rho0 in zip(row.betas, states))
-
     series = []
 
-    def streamed_blocks():  # each trajectory's rows, written as soon as its job returns
-        for lead, times, rec, added, series_label in map(run, jobs()):
-            if series_label is not None:
-                series.append((series_label, times, rec.ergotropy))
-            yield from _trajectory_blocks(lead, times, rec, added, with_spectrum)
+    def blocks():  # rows, then betas
+        for row in table:
+            h_matrix = hamiltonians[row.n, config.h]
+            liou = build_liouvillian(h_matrix, ChannelSpec(config.gamma, *row.channel))
+            states, h_eig = gibbs_state(h_matrix, row.betas, with_eig=True)
+            for beta, rho0 in zip(row.betas, states):
+                traj = propagate(liou, rho0, grid)
+                times, rec = traj.times, trajectory_records(traj, h_matrix, h_eig)
+                added = cells(traj, h_matrix, h_eig)
+                del traj
+                if (name := label(row.tag, beta)) is not None:
+                    series.append((name, times, rec.ergotropy))
+                yield from _trajectory_blocks((*row.tag, beta), times, rec, added, with_spectrum)
 
     header = list(ids) + ["beta", "time", "energy", "passive_energy", "ergotropy"] + list(columns)
     if with_spectrum:
         header += [f"lambda_{k}" for k in range(2 ** table[0].n)]
-    paths = [_write_csv(_output(config, "csv"), header, streamed_blocks())]
+    paths = [_write_csv(_output(config, "csv"), header, blocks())]
     paths += _maybe_svg(config, series, title)
     return paths
 
@@ -439,10 +423,10 @@ def _run_appb_deph(config: ExperimentConfig):
 def _run_appc_check(config: ExperimentConfig):
     grid = TimeGrid(t_max=config.t_max, dt=config.dt)
     betas, n = config.beta_list, config.n_qubits
-    hamiltonians = _hamiltonians([(n, config.h)])
-    h_matrix, liou_par = _quench(hamiltonians, n, config.h, config.gamma, (0.0, 0.0, 0.0))
-    _, liou_col = _quench(hamiltonians, n, config.h, config.gamma, (0.0, 1.0, 0.0))
-    _, liou_dep = _quench(hamiltonians, n, config.h, config.gamma, (1.0, 0.0, 0.0))
+    h_matrix = build_hamiltonian(ModelSpec(n_qubits=n, field_h=config.h))
+    liou_par = build_liouvillian(h_matrix, ChannelSpec(config.gamma))
+    liou_col = build_liouvillian(h_matrix, ChannelSpec(config.gamma, alpha_minus=1.0))
+    liou_dep = build_liouvillian(h_matrix, ChannelSpec(config.gamma, alpha=1.0))
     rho0s = gibbs_state(h_matrix, betas)
     pars = [propagate(liou_par, rho0, grid) for rho0 in rho0s]
     inits = [TwoQubitBlockState.from_density(traj.states[0]) for traj in pars]
@@ -495,24 +479,16 @@ def _run_fig9_jc(config: ExperimentConfig):
     return paths
 
 
-@dataclass(frozen=True)
-class ExperimentInfo:
-    name: str
-    runner: Callable
-    description: str
-
-
-def _runner(name: str) -> Callable:
+def _runner(name: str):
     """The runner of experiment name: _run_<name>, lower-cased, with '-' read as '_'."""
     return globals()["_run_" + name.lower().replace("-", "_")]
 
 
-EXPERIMENTS = {name: ExperimentInfo(name, _runner(name), description)
-               for name, description in DESCRIPTIONS.items()}
+EXPERIMENTS = {name: _runner(name) for name in DESCRIPTIONS}
 
 
 def run_experiment(config: ExperimentConfig) -> list[str]:
     """Run one registered experiment on `registry.resolve(config)`; returns the written paths."""
     config = resolve(config)
     os.makedirs(config.output_dir, exist_ok=True)
-    return EXPERIMENTS[config.experiment].runner(config)
+    return EXPERIMENTS[config.experiment](config)

@@ -1,9 +1,9 @@
 """Dense complex matrix kernel.
 
 Everything downstream (operators, Liouvillians, propagators, spectra) is
-built on the routines in this module: Kronecker products, Hermitian
-eigendecomposition (with eigenvectors, or eigenvalues only), the linear
-solve, the matrix exponential and Hermitian null spaces.
+built on the routines in this module: Hermitian eigendecomposition (with
+eigenvectors, or eigenvalues only), the linear solve, the matrix
+exponential and Hermitian null spaces.
 
 The eigendecompositions and the linear solve are LAPACK's, through
 ``numpy.linalg``; this module adds the Hermiticity check, symmetrization and
@@ -12,13 +12,11 @@ spectrum (the CPTP screen and the density-matrix check) take the
 values-only `hermitian_eigvals_batch`, which skips the eigenvectors and
 reads an already-Hermitian stack as it is.  numpy has no matrix
 exponential, so `expm` is Pade(13) scaling-and-squaring, implemented here,
-of one matrix or of a stack at once.
-`kron` is numpy's broadcast product of two matrices without np.kron's
-general-rank wrapper; it builds the site operators.  States are at most
-16x16.  Superoperators are assembled and exponentiated one invariant
-block at a time (see `channels`), the same block of many generators in
-one stacked call: 70x70 at most for the experiments' four-qubit Gibbs
-inputs (1, 16, 36, 16, 1 under pure dephasing), 6x6 at two qubits.
+of one matrix or of a stack at once.  States are at most 16x16.
+Superoperators are assembled and exponentiated one invariant block at a
+time (see `channels`), the same block of many generators in one stacked
+call: 70x70 at most for the experiments' four-qubit Gibbs inputs (1, 16,
+36, 16, 1 under pure dephasing), 6x6 at two qubits.
 numpy's stacked matmul and solve call BLAS and LAPACK once per matrix, so
 a stacked product or solve gives each matrix the bytes of its own 2-D
 call.
@@ -35,22 +33,6 @@ NULL_TOL = 1e-10   # eigenvalue cutoff for null spaces
 
 class LinalgError(RuntimeError):
     """Raised when a kernel routine cannot satisfy its contract."""
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the left factor as the slow index.
-
-    (a (x) b)[i*P + k, j*Q + l] = a[i, j] * b[k, l] for b of shape (P, Q);
-    chains built left-to-right put site 1 in the leftmost factor.  Both
-    factors must be matrices.  The entries are the products np.kron forms,
-    by the same broadcast multiply, without its per-call dispatch.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2:
-        raise LinalgError(f"kron expects two matrices, got shapes {a.shape} and {b.shape}")
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 def dagger(m) -> np.ndarray:
@@ -92,19 +74,21 @@ def hermitian_eig_batch(ms):
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise LinalgError(f"expected a (B, D, D) batch, got shape {a.shape}")
     adj = dagger(a)
-    # an exactly Hermitian batch (a screened stack of states) needs no defect temporaries
-    if not np.array_equal(a, adj):
-        defect = float(np.abs(a - adj).max())
-        scale = max(1.0, float(np.abs(a).max()))
-        if defect > HERM_TOL * scale:
-            raise LinalgError(
-                f"input not Hermitian: defect {defect:.3e} exceeds "
-                f"{HERM_TOL:.0e} * scale")
-    # eigh reads one triangle only; symmetrizing makes the result that of
-    # the Hermitian part rather than of whichever triangle LAPACK picks.
-    a += adj
+    # inf - inf in the defect or the sum is a NaN, which the finiteness check refuses
+    with np.errstate(invalid="ignore"):
+        # an exactly Hermitian batch (a screened stack of states) needs no defect temporaries
+        if not np.array_equal(a, adj):
+            defect = float(np.abs(a - adj).max())
+            scale = max(1.0, float(np.abs(a).max()))
+            if defect > HERM_TOL * scale:
+                raise LinalgError(
+                    f"input not Hermitian: defect {defect:.3e} exceeds "
+                    f"{HERM_TOL:.0e} * scale")
+        # eigh reads one triangle only; symmetrizing makes the result that of
+        # the Hermitian part rather than of whichever triangle LAPACK picks.
+        a += adj
     del adj  # free one batch-sized temporary before eigh allocates its outputs
-    # a NaN defect passes the test above, and a complex inf times 0.5 below would warn
+    # a NaN or inf defect passes the test above, and a complex inf times 0.5 below would warn
     if not np.isfinite(a).all():
         raise LinalgError("Hermitian eigendecomposition input has non-finite entries")
     a *= 0.5

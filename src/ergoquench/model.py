@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import MAX_QUBITS
-from .linalg import dagger, hermitian_eig_batch, hermitian_eigvals_batch, kron
+from .linalg import dagger, hermitian_eig_batch, hermitian_eigvals_batch
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -29,7 +29,7 @@ PAULI = {
 DENSITY_HERM_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
 DENSITY_PSD_TOL = 1e-9
-STATE_CHUNK = 256  # states whose Gibbs products or check temporaries are held at once
+STATE_CHUNK = 256  # states whose Gibbs, check, screen or tracker temporaries are held at once
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,8 @@ def site_operator(spec: ModelSpec, site: int, kind: str) -> np.ndarray:
         raise ValueError(f"unknown operator kind {kind!r}")
     if not 1 <= site <= spec.n_qubits:
         raise ValueError(f"site {site} out of range 1..{spec.n_qubits}")
-    return kron(kron(np.eye(2 ** (site - 1)), PAULI[kind]),
-                np.eye(2 ** (spec.n_qubits - site)))
+    return np.kron(np.kron(np.eye(2 ** (site - 1)), PAULI[kind]),
+                   np.eye(2 ** (spec.n_qubits - site)))
 
 
 def collective_operator(spec: ModelSpec, kind: str) -> np.ndarray:
@@ -113,13 +113,7 @@ def gibbs_state(h_matrix, beta, with_eig: bool = False):
     stack), for readers of H's levels (`trajectory_records`,
     `energy_basis_populations`).
     """
-    betas = np.asarray(beta, dtype=float)
-    if betas.ndim > 1 or betas.size == 0:
-        raise ValueError(f"beta must be a scalar or a non-empty 1-D array, got shape {betas.shape}")
-    if not np.all(np.isfinite(betas)):
-        raise ValueError(f"beta must be finite, got {beta}")
-    if np.any(betas < 0):
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    betas = _inverse_temperatures(beta)
     h = np.asarray(h_matrix, dtype=complex)
     if h.size == 0:
         raise ValueError(f"h_matrix must hold at least one H, got shape {h.shape}")
@@ -135,6 +129,18 @@ def gibbs_state(h_matrix, beta, with_eig: bool = False):
     if h.ndim == 2:
         states, vals, vecs = states[0], vals[0], vecs[0]
     return (states, (vals, vecs)) if with_eig else states
+
+
+def _inverse_temperatures(beta) -> np.ndarray:
+    """beta as a float array; ValueError unless a scalar or non-empty 1-D array, finite, >= 0."""
+    betas = np.asarray(beta, dtype=float)
+    if betas.ndim > 1 or betas.size == 0:
+        raise ValueError(f"beta must be a scalar or a non-empty 1-D array, got shape {betas.shape}")
+    if not np.all(np.isfinite(betas)):
+        raise ValueError(f"beta must be finite, got {beta}")
+    if np.any(betas < 0):
+        raise ValueError(f"beta must be >= 0, got {beta}")
+    return betas
 
 
 def check_density_matrix(rho, context: str = "state") -> None:

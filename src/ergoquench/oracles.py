@@ -23,7 +23,8 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .linalg import dagger, hermitian_eig, null_space_hermitian
-from .model import ModelSpec, build_hamiltonian, collective_operator, gibbs_state
+from .model import (ModelSpec, _inverse_temperatures, build_hamiltonian, collective_operator,
+                    gibbs_state)
 
 _BLOCK_SUM_TOL = 1e-8
 
@@ -313,9 +314,7 @@ def p_dark(beta, model: ModelSpec):
 
 def p_dark_derivative(beta, model: ModelSpec):
     """d p_dark / d beta = -(<H>_dark - <H>) p_dark in the H eigenbasis, beta as for `p_dark`."""
-    betas = np.asarray(beta, dtype=float)
-    if betas.ndim > 1 or np.any(betas < 0):
-        raise ValueError(f"beta must be >= 0, a scalar or a 1-D array, got {beta}")
+    betas = _inverse_temperatures(beta)
     levels, vecs = hermitian_eig(build_hamiltonian(model))
     weights = np.exp(-betas[..., None] * (levels - levels[0]))
     proj_diag = np.real(np.einsum("ik,ij,jk->k", vecs.conj(), dark_subspace(model).projector, vecs))

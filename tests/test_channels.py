@@ -2,11 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy import kron
 
 import ergoquench.channels
 from ergoquench import ChannelSpec, ModelSpec, build_hamiltonian, gibbs_state
 from ergoquench.channels import Liouvillian, _chain_labels, build_liouvillian
-from ergoquench.linalg import dagger, hermitian_eig, kron
+from ergoquench.linalg import dagger, hermitian_eig
 from ergoquench.model import collective_operator, site_operator
 
 from conftest import random_density, random_hermitian

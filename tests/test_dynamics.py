@@ -10,16 +10,15 @@ from ergoquench import (ChannelSpec, InvariantViolation, ModelSpec, TimeGrid,
                         propagate)
 from ergoquench.channels import Liouvillian, _chain_labels
 from ergoquench import dynamics
-from ergoquench.dynamics import (GUARD_TOL, OFF_PARITY_TOL, SCREEN_CHUNK, Trajectory,
-                                 _hermitian_2x2_eigvals, _powers, _screen, block_entries,
-                                 sector_layout)
+from ergoquench.dynamics import (GUARD_TOL, OFF_PARITY_TOL, Trajectory, _hermitian_2x2_eigvals,
+                                 _powers, _screen, block_entries, sector_layout)
 from ergoquench.ergotropy import (CROSSING_SIGNIFICANCE, LEVEL_TOL, _greedy_match,
                                   eigenvalue_crossings, energy_basis_populations,
                                   trajectory_records)
 from ergoquench.jc import default_jc_spec, jc_full_evolution
 from ergoquench.linalg import (LinalgError, dagger, expm, hermitian_eig, hermitian_eig_batch,
                                hermitian_eigvals_batch)
-from ergoquench.model import site_operator
+from ergoquench.model import STATE_CHUNK, site_operator
 from ergoquench.oracles import dark_population_series, dark_subspace
 
 from conftest import random_density
@@ -674,8 +673,8 @@ def _noisy_stack(n_states, seed=19):
     return np.swapaxes(stack, -1, -2).reshape(n_states, 16)  # row k is vec(stack[k])
 
 
-@pytest.mark.parametrize("n_states", [1, SCREEN_CHUNK - 1, SCREEN_CHUNK, SCREEN_CHUNK + 1,
-                                      2 * SCREEN_CHUNK + 1])
+@pytest.mark.parametrize("n_states", [1, STATE_CHUNK - 1, STATE_CHUNK, STATE_CHUNK + 1,
+                                      2 * STATE_CHUNK + 1])
 def test_chunked_screen_equals_the_whole_stack_screen(n_states):
     stacked = _noisy_stack(n_states)
     times = np.arange(n_states, dtype=float)
@@ -689,7 +688,7 @@ def test_chunked_screen_equals_the_whole_stack_screen(n_states):
 def test_chunked_screen_reports_the_violation_of_the_whole_stack_screen():
     # a trace defect in the first chunk, a Hermiticity defect in the last:
     # Hermiticity is checked first, over every step, as in one whole-stack pass
-    n_states = 2 * SCREEN_CHUNK + 1
+    n_states = 2 * STATE_CHUNK + 1
     raw = unvec(_noisy_stack(n_states), 4).copy()
     raw[3] *= 1.0 + 1e-5
     raw[n_states - 1, 0, 1] += 1e-5
@@ -703,7 +702,7 @@ def test_chunked_screen_reports_the_violation_of_the_whole_stack_screen():
 
 
 def test_screen_leaves_the_callers_array_alone():
-    stacked = _noisy_stack(SCREEN_CHUNK + 5)
+    stacked = _noisy_stack(STATE_CHUNK + 5)
     raw = unvec(stacked, 4)
     kept = stacked.copy()
     traj = Trajectory.screened(np.arange(len(raw), dtype=float), raw)
@@ -766,7 +765,7 @@ def test_states_at_the_support_equal_the_whole_stack_engine(case):
     assert np.array_equal(jumped.states, states) and np.array_equal(jumped.spectra, vals)
 
 
-_CHUNK_BOUNDARIES = [1, SCREEN_CHUNK - 1, SCREEN_CHUNK, SCREEN_CHUNK + 1, 2 * SCREEN_CHUNK + 1]
+_CHUNK_BOUNDARIES = [1, STATE_CHUNK - 1, STATE_CHUNK, STATE_CHUNK + 1, 2 * STATE_CHUNK + 1]
 
 
 def _prefix(traj, n_states):
@@ -810,7 +809,7 @@ def test_crossings_over_chunks_equal_the_whole_stack_matching(long_n4_trajectory
     traj = _prefix(long_n4_trajectory, n_states)
     expected = _whole_stack_crossings(traj.states, traj.times) if n_states > 1 else []
     assert eigenvalue_crossings(traj) == expected
-    assert n_states < SCREEN_CHUNK or len(expected) > 10
+    assert n_states < STATE_CHUNK or len(expected) > 10
 
 
 def _fixed_order_readout(states, ops):
@@ -839,7 +838,7 @@ def test_readers_over_chunks_equal_their_whole_stack_formulas(n, long_n4_traject
     else:
         liou = build_liouvillian(h, ChannelSpec(gamma=0.05, alpha_minus=0.5))
         traj = propagate(liou, gibbs_state(h, 0.5), TimeGrid(t_max=256.0, dt=0.5))
-    assert len(traj) == 2 * SCREEN_CHUNK + 1
+    assert len(traj) == 2 * STATE_CHUNK + 1
     states = traj.states
     energies = _fixed_order_readout(states, np.asarray(h, dtype=complex))
     assert np.array_equal(trajectory_records(traj, h).energy, energies)
@@ -935,13 +934,15 @@ def test_a_dense_support_is_one_sector():
     assert np.all(layout.sectors.weights == 1)
 
 
-def _pattern_parity(dim, support, blocks):
+def _pattern_parity(dim, support, blocks, labels):
     """The parity layout the rule gives the pattern's own components, or None.
 
-    The mirror acts where dim is a power of two >= 4, maps every component
-    onto itself and the support holds every component's block whole.
+    The mirror acts where the labels are a chain's of two or more qubits,
+    maps every component onto itself and the support holds every
+    component's block whole.
     """
-    perm = np.argmax(mirror(dim), axis=0) if dim >= 4 and dim & (dim - 1) == 0 else None
+    chain = dim >= 4 and dim & (dim - 1) == 0 and labels == _chain_labels(dim.bit_length() - 1)
+    perm = np.argmax(mirror(dim), axis=0) if chain else None
     if (perm is None or sum(b.size ** 2 for b in blocks) != len(support)
             or not all(np.array_equal(np.sort(perm[b]), b) for b in blocks)):
         return None
@@ -978,7 +979,7 @@ def test_declared_sectors_of_every_default_support_are_its_pattern_components(tm
         pattern[list(support)] = True
         blocks = _invariant_blocks(pattern.reshape(dim, dim))
         assert _sectors(layout) == [tuple(b.tolist()) for b in blocks]
-        assert _same_block_layout(layout.parity, _pattern_parity(dim, support, blocks))
+        assert _same_block_layout(layout.parity, _pattern_parity(dim, support, blocks, labels))
     assert any(layout.parity is not None for layout in seen.values())
 
 
@@ -1147,7 +1148,7 @@ def test_a_non_finite_entry_is_reported_at_its_step(h4, entry, value):
     # reach the eigensolver, which refuses it, before the guard ran
     liou, _ = _liouvillian(4, 0.1, gamma=0.05)
     traj = propagate(liou, gibbs_state(h4, 0.5), TimeGrid(t_max=300.0, dt=0.5))
-    raw, first = traj.states, SCREEN_CHUNK + 44
+    raw, first = traj.states, STATE_CHUNK + 44
     for k in (first, first + 100):
         raw[k][entry] = value
     where = rf"Hermiticity defect (nan|inf) at step {first} "
@@ -1162,7 +1163,7 @@ def test_a_negative_eigenvalue_inside_the_six_state_sector_is_reported_at_its_st
     liou, _ = _liouvillian(4, 0.1, gamma=0.05)
     traj = propagate(liou, gibbs_state(h4, 0.5), TimeGrid(t_max=300.0, dt=0.5))
     sector = np.ix_(*2 * [[i for i in range(16) if bin(i).count("1") == 2]])
-    raw, first = traj.states, SCREEN_CHUNK + 44
+    raw, first = traj.states, STATE_CHUNK + 44
     for k in (first, first + 100):  # both in the second chunk, the first one reported
         vals, vecs = hermitian_eig(raw[k][sector])
         vals[-1] += vals[0] + 1e-5  # the trace stays 1
@@ -1228,7 +1229,7 @@ def test_the_screen_calls_the_eigensolver_once_per_four_qubit_chunk_only(case, m
     grid = TimeGrid(t_max=300.0, dt=0.5)  # 601 states: three chunks
     shapes = _counting_eigvals(monkeypatch)
     traj = propagate(liou, gibbs_state(h, 0.2), grid)
-    expected = [(SCREEN_CHUNK, 4, 4), (SCREEN_CHUNK, 4, 4), (601 - 2 * SCREEN_CHUNK, 4, 4)]
+    expected = [(STATE_CHUNK, 4, 4), (STATE_CHUNK, 4, 4), (601 - 2 * STATE_CHUNK, 4, 4)]
     assert shapes == (expected if n == 4 else [])
     assert np.array_equal(traj.spectra, parity_eigvalsh(traj.states))
 
@@ -1291,7 +1292,7 @@ def test_a_negative_eigenvalue_inside_a_parity_block_is_reported_at_its_step(
     traj = propagate(liou, gibbs_state(h4, 0.5), TimeGrid(t_max=300.0, dt=0.5))
     basis = parity_bases(traj.states)[sector][parity]
     assert basis.shape[1] == size
-    raw, first = traj.states, SCREEN_CHUNK + 44
+    raw, first = traj.states, STATE_CHUNK + 44
     for k in (first, first + 100):  # both in the second chunk, the first one reported
         _plant_negative_eigenvalue(raw[k], basis)
     assert np.linalg.eigvalsh(raw[first])[0] < -0.9e-5
@@ -1343,10 +1344,10 @@ def test_the_screen_holds_chunks_of_the_support_only(h4):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # at most four (SCREEN_CHUNK, S) arrays at once: the gathered entries, their
+    # at most four (STATE_CHUNK, S) arrays at once: the gathered entries, their
     # adjoint, and the difference with its modulus for the Hermiticity defect
     assert traj.support.size == 70
-    assert peak <= 4 * SCREEN_CHUNK * 70 * 16 + traj.spectra.nbytes
+    assert peak <= 4 * STATE_CHUNK * 70 * 16 + traj.spectra.nbytes
 
 
 @pytest.mark.parametrize("t", [np.inf, np.nan, -1.0])

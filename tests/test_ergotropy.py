@@ -6,10 +6,11 @@ import pytest
 
 from ergoquench import (ChannelSpec, ModelSpec, TimeGrid, build_hamiltonian,
                         build_liouvillian, gibbs_state, propagate)
-from ergoquench.dynamics import SCREEN_CHUNK, InvariantViolation
+from ergoquench.dynamics import InvariantViolation
 from ergoquench.ergotropy import (_greedy_match, eigenvalue_crossings, energy_basis_populations,
                                   ergotropy, trajectory_records)
 from ergoquench.linalg import dagger, expm, hermitian_eig, hermitian_eigvals_batch
+from ergoquench.model import STATE_CHUNK
 
 from conftest import random_density, random_hermitian
 from reference import (activation_time, activation_time_analytic, ergotropy_difference,
@@ -157,7 +158,7 @@ def test_batched_greedy_match_equals_per_step_loop(d):
 
 def test_eigenvalue_crossings_equal_per_step_tracking():
     # appD's channel and step, long enough to span several chunks
-    grid = TimeGrid(t_max=0.1 * (2 * SCREEN_CHUNK + 17), dt=0.1)
+    grid = TimeGrid(t_max=0.1 * (2 * STATE_CHUNK + 17), dt=0.1)
     for beta in (0.2, 5.0):
         traj, _ = _traj(4, beta, grid, gamma=0.05)
         for significance in (1e-10, 1e-3):
@@ -173,7 +174,7 @@ def test_eigenvalue_crossings_do_not_depend_on_the_chunk(monkeypatch, chunk):
     whole = eigenvalue_crossings(traj)
     assert whole
     # the package re-exports the function ergotropy under the module's name
-    monkeypatch.setattr(importlib.import_module("ergoquench.ergotropy"), "SCREEN_CHUNK", chunk)
+    monkeypatch.setattr(importlib.import_module("ergoquench.ergotropy"), "STATE_CHUNK", chunk)
     assert eigenvalue_crossings(traj) == whole
 
 

@@ -18,6 +18,7 @@ from ergoquench.dynamics import InvariantViolation, Trajectory, evolve_points
 from ergoquench.experiments import (CSV_BATCH_CELLS, CSV_BLOCK_ROWS, EXPERIMENTS, _lines,
                                     _trajectory_blocks, _write_csv, run_experiment)
 from ergoquench.floattext import float_text
+from ergoquench.registry import DESCRIPTIONS
 from ergoquench.svgplot import line_plot_svg
 from reference import closed_form_steady, row_lines
 
@@ -37,7 +38,7 @@ def test_registry_is_complete():
     expected = {"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9-jc",
                 "appB-diss", "appB-deph", "appB-channels", "appC-check", "appD"}
     assert set(EXPERIMENTS) == expected
-    assert all(EXPERIMENTS[name].description for name in EXPERIMENTS)
+    assert list(EXPERIMENTS) == list(DESCRIPTIONS) and all(DESCRIPTIONS.values())
 
 
 @pytest.mark.parametrize("name,overrides,id_cols", [
@@ -674,11 +675,25 @@ def test_default_experiments_read_every_state_on_parity_blocks(tmp_path, monkeyp
     monkeypatch.setattr(dynamics, "_block_spectra", counted)
     run_experiment(_config(experiment=name, output_dir=str(tmp_path)))
     if name == "fig9-jc":
-        # the joint atom-cavity support (6 entries) has parity blocks, but its states
-        # break the mirror and fall back one by one; the atom's 2-dim supports have none
+        # the atom-cavity basis is not a chain's, and the atom's is 2-dim: no parity blocks
         assert fallbacks
     else:
         assert not fallbacks
+
+
+def test_default_fig9_jc_reads_no_state_on_parity_blocks(tmp_path, monkeypatch):
+    # the mirror belongs to the chain: the atom-cavity states once formed their parity
+    # entries and even-odd norm, all to be discarded, before their sectors' blocks
+    states = {True: 0, False: 0}  # whether the blocks are parity blocks -> states read
+    entries_of = dynamics.block_entries
+
+    def counted(rows, blocks, spare=None):
+        states[blocks.off.stop > blocks.off.start] += len(rows)  # only parity's have off
+        return entries_of(rows, blocks, spare)
+
+    monkeypatch.setattr(dynamics, "block_entries", counted)
+    run_experiment(_config(experiment="fig9-jc", output_dir=str(tmp_path)))
+    assert states[True] == 0 and states[False] > 0
 
 
 def test_default_appd_peaks_near_one_full_state_stack(tmp_path):

@@ -2,12 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy import kron
 
 from ergoquench import (ChannelSpec, ModelSpec, TimeGrid, build_hamiltonian,
                         check_density_matrix, collective_operator, gibbs_state, site_operator)
 from ergoquench.config import MAX_QUBITS
 from ergoquench.ergotropy import ergotropy
-from ergoquench.linalg import hermitian_eig, kron
+from ergoquench.linalg import hermitian_eig
 from ergoquench.model import PAULI, STATE_CHUNK
 
 from conftest import random_hermitian

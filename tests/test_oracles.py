@@ -291,6 +291,19 @@ def test_p_dark_and_its_derivative_reject_negative_beta(model4):
             oracle(np.array([[0.5, 1.0]]), model4)
 
 
+@pytest.mark.parametrize("beta,message", [
+    (np.nan, "beta must be finite"), (np.inf, "beta must be finite"),
+    ([0.5, np.nan], "beta must be finite"),
+    ([], r"beta must be a scalar or a non-empty 1-D array, got shape \(0,\)"),
+], ids=["nan", "inf", "one-nan", "empty"])
+def test_p_dark_derivative_refuses_every_beta_p_dark_refuses(model4, beta, message):
+    # the derivative once returned nan for NaN or inf (warning for inf), [] for no beta and
+    # a nan entry beside the finite ones
+    for oracle in (p_dark, p_dark_derivative):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            oracle(np.asarray(beta, dtype=float), model4)
+
+
 @pytest.mark.parametrize("n,h_field", [(2, 0.1), (4, 0.1), (4, 0.215), (3, 0.0)])
 def test_p_dark_of_a_beta_array_has_the_bytes_of_its_scalar_calls(n, h_field):
     # fig7's grid and the benchmark seeds' fields: one decomposition of H and one of

@@ -21,6 +21,7 @@ import pytest
 
 import ergoquench
 from ergoquench import EXPERIMENTS
+from ergoquench.registry import DESCRIPTIONS
 
 PACKAGE = Path(ergoquench.__file__).resolve().parent
 
@@ -93,7 +94,7 @@ def test_every_package_definition_is_read():
             names = _definitions(node)
             defined |= {(path.stem, name) for name in names}
             read |= _reads(node) - names
-    exempt = {"__version__", "__all__"} | {info.runner.__name__ for info in EXPERIMENTS.values()}
+    exempt = {"__version__", "__all__"} | {runner.__name__ for runner in EXPERIMENTS.values()}
     unread = sorted(f"{module}.{name}" for module, name in defined
                     if name not in read | exempt)
     assert unread == [], f"defined but read by no package code: {unread}"
@@ -174,7 +175,7 @@ def test_list_prints_the_registry_in_its_order():
     lines = proc.stdout.splitlines()[:-1]
     width = max(map(len, EXPERIMENTS))
     assert [line.split()[0] for line in lines] == list(EXPERIMENTS)
-    assert lines == [f"{name:<{width}}  {EXPERIMENTS[name].description}" for name in EXPERIMENTS]
+    assert lines == [f"{name:<{width}}  {DESCRIPTIONS[name]}" for name in EXPERIMENTS]
 
 
 @pytest.mark.parametrize("first", [
