@@ -43,6 +43,24 @@ def test_site_operator_equals_the_chained_kron(n, kind):
 
 
 @pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("kind", sorted(PAULI))
+def test_site_operator_acts_on_its_own_bit_of_the_basis_index(n, kind):
+    # written from the basis convention alone, with no Kronecker product: site 1 is
+    # the most significant bit of the index, bit 0 is |e>; every other bit must match
+    spec = ModelSpec(n_qubits=n)
+    index = np.arange(spec.dim)
+    for site in range(1, n + 1):
+        shift = n - site
+        bit = (index >> shift) & 1
+        rest = index & ~(1 << shift)
+        reference = np.where(rest[:, None] == rest[None, :],
+                             PAULI[kind][bit[:, None], bit[None, :]], 0.0)
+        op = site_operator(spec, site, kind)
+        assert op.dtype == complex
+        assert np.array_equal(op, reference)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
 def test_hamiltonian_from_cached_site_operators_keeps_its_bytes(n):
     # the XX chain written out from fresh site operators, in the order it is summed
     for h_field in (0.0, 0.1, 0.37, 0.9, 2.5):
